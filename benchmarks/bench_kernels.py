@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Benchmark the compiled simulation kernels against the numpy fallback.
 
-Times the quartic closed-loop run and its average-system counterpart on both
-paths and prints the speedup. Run from the repo root:
+Times the quartic closed-loop run, its plain-gradient baseline and the
+average-system counterpart on both paths, and prints the median and the
+quartiles of the repeats for each. Without numba the kernel column says so
+instead of timing the uncompiled loops. Run from the repo root:
 
     python3 benchmarks/bench_kernels.py [--t1 SECONDS] [--repeats N]
 """
@@ -16,19 +18,26 @@ import esc_lab as el
 from esc_lab._kernels import numba_available
 
 
-def best_of(repeats, fn):
+def timings(repeats, fn):
+    """(median, first quartile, third quartile) of ``repeats`` wall times."""
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return min(times)
+    q1, med, q3 = np.percentile(times, [25, 50, 75])
+    return med, q1, q3
+
+
+def fmt(stats):
+    med, q1, q3 = (1e3 * x for x in stats)
+    return f"{med:9.1f} ms [{q1:.1f}, {q3:.1f}]"
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--t1", type=float, default=100.0, help="simulated horizon (default 100)")
-    ap.add_argument("--repeats", type=int, default=3, help="timing repeats (default 3)")
+    ap.add_argument("--repeats", type=int, default=5, help="timing repeats (default 5)")
     args = ap.parse_args()
 
     cost = el.quartic_cost()
@@ -59,23 +68,21 @@ def main() -> int:
         ),
     ]
 
-    if not numba_available():
-        print("numba not importable; only the numpy path is available")
-        for name, run in cases:
-            t = best_of(args.repeats, lambda: run("numpy"))
-            print(f"{name:38s} numpy {t * 1e3:9.1f} ms")
-        return 0
-
-    print(f"{'case':38s} {'numpy':>12s} {'numba':>12s} {'speedup':>9s}")
+    compiled = numba_available()
+    print(f"median [q1, q3] of {args.repeats} repeats")
+    print(f"{'case':38s} {'numpy':>30s}   {'kernel':>30s}")
     for name, run in cases:
+        t_np = timings(args.repeats, lambda: run("numpy"))
+        if not compiled:
+            print(f"{name:38s} {fmt(t_np):>30s}   kernel: numba unavailable")
+            continue
         run("kernel")  # compile outside the timed region
         ref = run("numpy")
         jit = run("kernel")
         if not np.allclose(ref.states[-1], jit.states[-1], rtol=1e-9, atol=1e-12):
             raise AssertionError(f"paths disagree for {name}")
-        t_np = best_of(args.repeats, lambda: run("numpy"))
-        t_nb = best_of(args.repeats, lambda: run("kernel"))
-        print(f"{name:38s} {t_np * 1e3:9.1f} ms {t_nb * 1e3:9.1f} ms {t_np / t_nb:8.1f}x")
+        t_nb = timings(args.repeats, lambda: run("kernel"))
+        print(f"{name:38s} {fmt(t_np):>30s}   {fmt(t_nb):>30s} {t_np[0] / t_nb[0]:6.1f}x")
     return 0
 
 

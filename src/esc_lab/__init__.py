@@ -5,8 +5,8 @@ from .averaging import (
     ConvergenceError,
     Equilibrium,
     ErrorState,
+    PeriodQuadrature,
     avg_maps,
-    average_rhs,
     convergence_sweep,
     equilibrium,
     from_error_coords,
@@ -23,7 +23,7 @@ from .cost import (
     quartic_cost,
     shifted_quartic_cost,
 )
-from .dynamics import EscParams, EscState, gesc_rhs, grad_estimate, rmspesc_rhs
+from .dynamics import EscParams
 from .integrate import NonFiniteStateError, Trajectory, integrate_fixed, oscillation_step
 from .lyapunov import (
     BoxEscapeError,
@@ -31,10 +31,7 @@ from .lyapunov import (
     LevelSetOracle,
     LevelSpec,
     LyapunovReport,
-    lyapunov_value,
     monitor_descent,
-    radius_v,
-    radius_xi,
     v_theta,
 )
 from .quadratic import JacobianReport, QuadraticModel, fourier_coeffs, quad_avg_maps, quad_jacobian
@@ -54,16 +51,15 @@ __all__ = [
     "Equilibrium",
     "ErrorState",
     "EscParams",
-    "EscState",
     "JacobianReport",
     "LevelSetOracle",
     "LevelSpec",
     "LyapunovReport",
     "NonFiniteStateError",
+    "PeriodQuadrature",
     "QuadraticModel",
     "Trajectory",
     "avg_maps",
-    "average_rhs",
     "check_assumptions",
     "convergence_sweep",
     "demod_value",
@@ -72,11 +68,8 @@ __all__ = [
     "eval_cost",
     "fourier_coeffs",
     "from_error_coords",
-    "gesc_rhs",
     "grad_cost",
-    "grad_estimate",
     "integrate_fixed",
-    "lyapunov_value",
     "monitor_descent",
     "new_dither",
     "oscillation_step",
@@ -85,9 +78,6 @@ __all__ = [
     "quad_jacobian",
     "quadratic_cost",
     "quartic_cost",
-    "radius_v",
-    "radius_xi",
-    "rmspesc_rhs",
     "shifted_quartic_cost",
     "simulate_average",
     "simulate_gesc",

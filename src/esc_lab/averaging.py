@@ -10,7 +10,8 @@ system in (theta_bar, v_bar, xi_bar) driven by three maps:
 * ``g2_bar(theta, xi)``  — average squared gradient estimate per channel.
 
 All three are computed by composite trapezoid quadrature on one period with
-uniform nodes; for smooth periodic integrands that rule converges spectrally,
+uniform nodes, whose tables one :class:`PeriodQuadrature` holds per dither
+and node count; for smooth periodic integrands that rule converges spectrally,
 so modest node counts reproduce closed forms to near machine precision. The
 integrands depend on time only through sin(omega * r_i * t), so the averages
 are independent of omega itself.
@@ -31,10 +32,9 @@ __all__ = [
     "Equilibrium",
     "ErrorState",
     "ConvergenceError",
-    "default_nodes",
+    "PeriodQuadrature",
     "avg_maps",
     "avg_g2_coeffs",
-    "average_rhs",
     "average_flat_rhs",
     "equilibrium",
     "to_error_coords",
@@ -86,31 +86,39 @@ class ErrorState:
         return np.concatenate([self.theta_err, self.v_err, [self.xi_err]])
 
 
-def default_nodes(dither: DitherConfig) -> int:
-    """Default quadrature node count, scaled with the fastest dither harmonic."""
-    return 256 * dither.r_max
+class PeriodQuadrature:
+    """Uniform-node trapezoid rule over one dither period, built once per (dither, n_q).
 
+    Node j sits at phase 2*pi*j/n_q of the slowest harmonic; omega cancels.
+    ``s`` (n_q, n) holds the dither at each node and ``m`` (n, n_q) the
+    demodulation signal; ``m2 = m * m`` and ``r = mean(m2)`` (= 2 / a_i^2)
+    serve the squared-estimate average. The default node count is
+    ``256 * r_max`` and at least ``8 * r_max`` nodes are required.
+    """
 
-def _node_signals(cost: CostFunction, dither: DitherConfig, n_q: Optional[int]):
-    n_q = default_nodes(dither) if n_q is None else int(n_q)
-    if n_q < 8 * dither.r_max:
-        raise ValueError(f"need at least {8 * dither.r_max} quadrature nodes, got {n_q}")
-    if dither.n != cost.n:
-        raise ValueError("dither and cost dimensions differ")
-    # Node j sits at phase 2*pi*j/n_q of the slowest harmonic; omega cancels.
-    phases = 2.0 * np.pi * np.arange(n_q) / n_q
-    sin_rt = np.sin(dither.rates[:, None] * phases[None, :])  # (n, n_q)
-    s_nodes = dither.amplitudes[:, None] * sin_rt
-    m_nodes = (2.0 / dither.amplitudes[:, None]) * sin_rt
-    return n_q, s_nodes, m_nodes
+    def __init__(self, dither: DitherConfig, n_q: Optional[int] = None):
+        n_q = 256 * dither.r_max if n_q is None else int(n_q)
+        if n_q < 8 * dither.r_max:
+            raise ValueError(f"need at least {8 * dither.r_max} quadrature nodes, got {n_q}")
+        self.n = dither.n
+        self.n_q = n_q
+        phases = 2.0 * np.pi * np.arange(n_q) / n_q
+        sin_rt = np.sin(dither.rates[:, None] * phases[None, :])  # (n, n_q)
+        self.s = (dither.amplitudes[:, None] * sin_rt).T
+        self.m = (2.0 / dither.amplitudes[:, None]) * sin_rt
+        self.m2 = self.m * self.m
+        self.r = np.mean(self.m2, axis=1)
+
+    def check(self, cost: CostFunction) -> None:
+        if cost.n != self.n:
+            raise ValueError("dither and cost dimensions differ")
 
 
 def avg_maps(
     cost: CostFunction,
-    dither: DitherConfig,
+    quad: PeriodQuadrature,
     theta_bar,
     xi_bar: float = 0.0,
-    n_q: Optional[int] = None,
 ) -> AverageMaps:
     """Evaluate (J_bar, g_bar, g2_bar) at one point of the average state space.
 
@@ -119,23 +127,22 @@ def avg_maps(
     node grid) and removes the large DC term that would otherwise dominate
     the floating-point cancellation error.
     """
+    quad.check(cost)
     theta_bar = np.atleast_1d(np.asarray(theta_bar, dtype=float))
-    n_q, s_nodes, m_nodes = _node_signals(cost, dither, n_q)
-    y = cost.f(theta_bar[None, :] + s_nodes.T)          # (n_q,)
+    y = cost.f(theta_bar[None, :] + quad.s)          # (n_q,)
     j_bar = float(np.mean(y))
     y_centered = y - float(cost.f(theta_bar))
-    g_bar = np.mean(m_nodes * y_centered[None, :], axis=1)
-    resid = m_nodes * (y - float(xi_bar))[None, :]
+    g_bar = np.mean(quad.m * y_centered[None, :], axis=1)
+    resid = quad.m * (y - float(xi_bar))[None, :]
     g2_bar = np.mean(resid * resid, axis=1)
-    return AverageMaps(j_bar=j_bar, g_bar=g_bar, g2_bar=g2_bar, n_q=n_q)
+    return AverageMaps(j_bar=j_bar, g_bar=g_bar, g2_bar=g2_bar, n_q=quad.n_q)
 
 
 def avg_g2_coeffs(
     cost: CostFunction,
-    dither: DitherConfig,
+    quad: PeriodQuadrature,
     theta_bar,
     xi_ref: float,
-    n_q: Optional[int] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quadratic-in-xi decomposition of the squared-estimate average.
 
@@ -144,43 +151,28 @@ def avg_g2_coeffs(
     (p, q, r) evaluated at ``theta_bar``, with r_i = 2 / a_i^2. Centering
     at ``xi_ref`` keeps the coefficients small near an equilibrium.
     """
+    quad.check(cost)
     theta_bar = np.atleast_1d(np.asarray(theta_bar, dtype=float))
-    n_q, s_nodes, m_nodes = _node_signals(cost, dither, n_q)
-    y_c = cost.f(theta_bar[None, :] + s_nodes.T) - float(xi_ref)  # (n_q,)
-    m2 = m_nodes * m_nodes
-    p = np.mean(m2 * (y_c * y_c)[None, :], axis=1)
-    q = np.mean(m2 * y_c[None, :], axis=1)
-    r = np.mean(m2, axis=1)
-    return p, q, r
-
-
-def average_rhs(
-    state,
-    params,
-    cost: CostFunction,
-    dither: DitherConfig,
-    n_q: Optional[int] = None,
-) -> np.ndarray:
-    """Derivative of the average system at a flat state [theta_bar, v_bar, xi_bar]."""
-    state = np.asarray(state, dtype=float)
-    n = cost.n
-    if state.shape != (2 * n + 1,):
-        raise ValueError(f"expected flat average state of length {2 * n + 1}")
-    if np.any(state[n : 2 * n] < 0):
-        raise ValueError("negative v_bar: the average filter states must stay nonnegative")
-    return average_flat_rhs(params, cost, dither, n_q)(0.0, state)
+    y_c = cost.f(theta_bar[None, :] + quad.s) - float(xi_ref)  # (n_q,)
+    p = np.mean(quad.m2 * (y_c * y_c)[None, :], axis=1)
+    q = np.mean(quad.m2 * y_c[None, :], axis=1)
+    return p, q, quad.r
 
 
 def average_flat_rhs(params, cost: CostFunction, dither: DitherConfig, n_q: Optional[int] = None):
-    """Integrator-facing closure for the autonomous average system."""
+    """Integrator-facing closure for the autonomous average system.
+
+    Clamps v to zero before the square root, like the full-loop closure.
+    """
     n = params.n
     k, eps, wl, wxi = params.k, params.epsilon, params.omega_l, params.omega_xi
+    quad = PeriodQuadrature(dither, n_q)
 
     def rhs(t: float, ybar: np.ndarray) -> np.ndarray:
         theta = ybar[:n]
         v = np.maximum(ybar[n : 2 * n], 0.0)
         xi = ybar[2 * n]
-        maps = avg_maps(cost, dither, theta, xi, n_q)
+        maps = avg_maps(cost, quad, theta, xi)
         out = np.empty(2 * n + 1)
         out[:n] = -k * maps.g_bar / (np.sqrt(v) + eps)
         out[n : 2 * n] = wl * (maps.g2_bar - v)
@@ -213,8 +205,10 @@ def equilibrium(
     else:
         theta = np.atleast_1d(np.asarray(theta_init, dtype=float)).copy()
 
+    quad = PeriodQuadrature(dither, n_q)
+
     def maps_at(th):
-        return avg_maps(cost, dither, th, 0.0, n_q)
+        return avg_maps(cost, quad, th, 0.0)
 
     alpha = 1.0
     it = 0
@@ -248,9 +242,9 @@ def equilibrium(
     else:
         raise ConvergenceError(f"no convergence within {max_iter} iterations")
 
-    final = avg_maps(cost, dither, theta, 0.0, n_q)
+    final = avg_maps(cost, quad, theta, 0.0)
     xi_star = final.j_bar
-    v_star = avg_maps(cost, dither, theta, xi_star, n_q).g2_bar
+    v_star = avg_maps(cost, quad, theta, xi_star).g2_bar
     return Equilibrium(
         theta_star=theta,
         xi_star=xi_star,
@@ -310,7 +304,7 @@ def convergence_sweep(
     rows = []
     for a0 in a0_list:
         cfg = dither.scaled(a0)
-        maps = avg_maps(cost, cfg, theta_bar, 0.0, n_q)
+        maps = avg_maps(cost, PeriodQuadrature(cfg, n_q), theta_bar, 0.0)
         eq = equilibrium(cost, cfg, theta_init=None, n_q=n_q)
         rows.append(
             SweepRow(

@@ -10,18 +10,19 @@ converge   dither-shrinking sweep CSV (a0, gradient error, equilibrium v*)
 lyapunov   average trajectory + composite-V descent monitoring
 plot       render CSV columns to an SVG
 
-Exit codes: 0 success, 2 configuration/validation error, 3 runtime abort
-(non-finite state or a stalled equilibrium search). ``ESC_LAB_THREADS`` caps
-the worker pool used for independent runs within one invocation.
+Independent runs within one invocation (the washout seeds of simulate, the
+full and average runs of compare) execute one after another.
+
+Exit codes: 0 success, 2 configuration/validation error (including a step
+size that does not divide the time span), 3 runtime abort (non-finite state
+or a stalled equilibrium search).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -37,28 +38,6 @@ from .signals import dither_value
 from .simulate import simulate_average, simulate_gesc, simulate_rmspesc
 
 __all__ = ["main", "run_experiment"]
-
-
-def _max_workers(n_jobs: int) -> int:
-    raw = os.environ.get("ESC_LAB_THREADS", "")
-    if raw.strip():
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigError(f"ESC_LAB_THREADS must be an integer, got {raw!r}") from None
-        if cap < 1:
-            raise ConfigError("ESC_LAB_THREADS must be >= 1")
-    else:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(cap, n_jobs))
-
-
-def _parallel(fn, jobs: list) -> list:
-    workers = _max_workers(len(jobs))
-    if workers == 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
 
 
 def _sanitize(label: str) -> str:
@@ -139,19 +118,14 @@ def _mode_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     y0 = float(cost.f(theta0 + dither_value(dither, t0)))
     variants = cfg.initial_washouts(y0)
 
-    def run(variant):
-        label, xi0 = variant
+    for label, xi0 in variants:
         if algorithm == "rmspesc":
             state0 = np.concatenate([theta0, v0, [xi0]])
             traj = simulate_rmspesc(cost, dither, params, state0, t0, t1, h, stride)
         else:
             state0 = np.concatenate([theta0, [xi0]])
             traj = simulate_gesc(cost, dither, params, state0, t0, t1, h, stride)
-        return label, traj
-
-    results = _parallel(run, variants)
-    for label, traj in results:
-        name = f"trajectory_xi0_{_sanitize(label)}.csv" if len(results) > 1 else "trajectory.csv"
+        name = f"trajectory_xi0_{_sanitize(label)}.csv" if len(variants) > 1 else "trajectory.csv"
         path = write_trajectory_csv(out_dir / name, traj, cost, with_v=(algorithm == "rmspesc"))
         final_theta = traj.states[-1, : cost.n]
         print(
@@ -188,14 +162,8 @@ def _mode_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
     n_q = cfg.integer("average.n_q", 0) or None
     state0 = np.concatenate([theta0, v0, [xi0]])
     sample_dt = h * stride
-
-    def run(which):
-        if which == "full":
-            return simulate_rmspesc(cost, dither, params, state0, t0, t1, h, stride)
-        h_avg, stride_avg = sample_dt / 4, 4
-        return simulate_average(cost, dither, params, state0, t0, t1, h_avg, stride_avg, n_q=n_q)
-
-    full, avg = _parallel(run, ["full", "average"])
+    full = simulate_rmspesc(cost, dither, params, state0, t0, t1, h, stride)
+    avg = simulate_average(cost, dither, params, state0, t0, t1, sample_dt / 4, 4, n_q=n_q)
     if len(full.times) != len(avg.times) or not np.allclose(full.times, avg.times, atol=1e-9):
         raise RuntimeError("full and average runs recorded different time grids")
     path_full = write_trajectory_csv(out_dir / "trajectory_full.csv", full, cost, with_v=True)

@@ -22,18 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostFunction
-from .signals import DitherConfig, demod_value, dither_value
+from .signals import DitherConfig
 
-__all__ = [
-    "EscParams",
-    "EscState",
-    "EscDerivative",
-    "grad_estimate",
-    "rmspesc_rhs",
-    "gesc_rhs",
-    "rmspesc_flat_rhs",
-    "gesc_flat_rhs",
-]
+__all__ = ["EscParams", "rmspesc_flat_rhs", "gesc_flat_rhs"]
 
 
 @dataclass(frozen=True)
@@ -63,93 +54,9 @@ class EscParams:
         return self.omega_l.size
 
 
-@dataclass(frozen=True)
-class EscState:
-    """Full-loop state: parameter estimate, squared-estimate filters, washout state."""
-
-    theta_hat: np.ndarray
-    v_hat: np.ndarray
-    xi: float
-
-    def __post_init__(self):
-        th = np.atleast_1d(np.asarray(self.theta_hat, dtype=float))
-        v = np.atleast_1d(np.asarray(self.v_hat, dtype=float))
-        object.__setattr__(self, "theta_hat", th)
-        object.__setattr__(self, "v_hat", v)
-        object.__setattr__(self, "xi", float(self.xi))
-        if v.shape != th.shape:
-            raise ValueError("theta_hat and v_hat must have the same length")
-        if np.any(v < 0):
-            raise ValueError("v_hat components must be nonnegative")
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.theta_hat, self.v_hat, [self.xi]])
-
-    @classmethod
-    def from_flat(cls, y: np.ndarray, n: int) -> "EscState":
-        return cls(y[:n], y[n : 2 * n], y[2 * n])
-
-
-@dataclass(frozen=True)
-class EscDerivative:
-    """Time derivative of an EscState; v_hat components may be negative here."""
-
-    theta_hat: np.ndarray
-    v_hat: np.ndarray
-    xi: float
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.theta_hat, self.v_hat, [self.xi]])
-
-
-def grad_estimate(t: float, theta_hat, xi: float, cost: CostFunction, dither: DitherConfig) -> np.ndarray:
-    """Demodulated gradient estimate g_i = m_i(t) * (J(theta_hat + s(t)) - xi)."""
-    theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    if theta_hat.shape != (cost.n,) or dither.n != cost.n:
-        raise ValueError("dimension mismatch between state, cost, and dither")
-    y = float(cost.f(theta_hat + dither_value(dither, t)))
-    return demod_value(dither, t) * (y - xi)
-
-
-def rmspesc_rhs(
-    t: float,
-    state: EscState,
-    params: EscParams,
-    cost: CostFunction,
-    dither: DitherConfig,
-) -> EscDerivative:
-    """Time derivative of the RMSp-normalized loop at (t, state).
-
-    Rejects negative v_hat (the integrator clamps after each step, so a
-    negative filter state here means a caller bug).
-    """
-    if np.any(state.v_hat < 0):
-        raise ValueError("negative v_hat: clamp filter states before evaluating the dynamics")
-    s = dither_value(dither, t)
-    m = demod_value(dither, t)
-    y = float(cost.f(state.theta_hat + s))
-    g = m * (y - state.xi)
-    dtheta = -params.k * g / (np.sqrt(state.v_hat) + params.epsilon)
-    dv = params.omega_l * (g * g - state.v_hat)
-    dxi = params.omega_xi * (y - state.xi)
-    return EscDerivative(dtheta, dv, float(dxi))
-
-
-def gesc_rhs(
-    t: float,
-    theta_hat,
-    xi: float,
-    params: EscParams,
-    cost: CostFunction,
-    dither: DitherConfig,
-):
-    """Plain-gradient baseline: d theta/dt = -k * g, same washout filter."""
-    theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    s = dither_value(dither, t)
-    m = demod_value(dither, t)
-    y = float(cost.f(theta_hat + s))
-    g = m * (y - xi)
-    return -params.k * g, params.omega_xi * (y - xi)
+def _check_dims(params: EscParams, cost: CostFunction, dither: DitherConfig) -> None:
+    if not params.n == cost.n == dither.n:
+        raise ValueError("dimension mismatch between gains, cost, and dither")
 
 
 def rmspesc_flat_rhs(params: EscParams, cost: CostFunction, dither: DitherConfig):
@@ -158,6 +65,7 @@ def rmspesc_flat_rhs(params: EscParams, cost: CostFunction, dither: DitherConfig
     Clamps v to zero before the square root; round-off from integration can
     leave tiny negative filter states.
     """
+    _check_dims(params, cost, dither)
     n = params.n
     k, eps, wl, wxi = params.k, params.epsilon, params.omega_l, params.omega_xi
     amps, rates, omega = dither.amplitudes, dither.rates, dither.omega
@@ -181,6 +89,7 @@ def rmspesc_flat_rhs(params: EscParams, cost: CostFunction, dither: DitherConfig
 
 def gesc_flat_rhs(params: EscParams, cost: CostFunction, dither: DitherConfig):
     """Integrator-facing closure over the flat state [theta, xi]."""
+    _check_dims(params, cost, dither)
     n = params.n
     k, wxi = params.k, params.omega_xi
     amps, rates, omega = dither.amplitudes, dither.rates, dither.omega

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["Trajectory", "NonFiniteStateError", "integrate_fixed", "oscillation_step"]
+__all__ = ["Trajectory", "NonFiniteStateError", "integrate_fixed", "oscillation_step", "step_grid"]
 
 
 class NonFiniteStateError(RuntimeError):
@@ -57,6 +57,28 @@ def oscillation_step(period: float, r_max: int, sample_dt: float) -> tuple[float
     return sample_dt / stride, stride
 
 
+def step_grid(t0: float, t1: float, h: float, record_stride: int) -> tuple[int, int]:
+    """Validate a fixed-step span; returns (RK4 steps, recorded samples).
+
+    Rejects an h whose step count (t1 - t0) / h is off an integer by more
+    than 1e-9 per step: the last step then lands on t1 instead of stopping
+    short of it or overshooting it.
+    """
+    if not t1 > t0:
+        raise ValueError("need t1 > t0")
+    if not h > 0:
+        raise ValueError("step size h must be positive")
+    if record_stride < 1:
+        raise ValueError("record_stride must be >= 1")
+    span = (t1 - t0) / h
+    nsteps = int(round(span))
+    if nsteps < 1:
+        raise ValueError("time span shorter than one step")
+    if abs(span - nsteps) > 1e-9 * nsteps:
+        raise ValueError(f"step size h={h:.6g} does not divide the span [{t0:.6g}, {t1:.6g}]")
+    return nsteps, 1 + nsteps // record_stride + (1 if nsteps % record_stride else 0)
+
+
 def integrate_fixed(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     state0,
@@ -74,20 +96,15 @@ def integrate_fixed(
     (filter states that must stay in the nonnegative orthant). Aborts with
     :class:`NonFiniteStateError` if the state leaves the finite floats.
     """
-    if not t1 > t0:
-        raise ValueError("need t1 > t0")
-    if not h > 0:
-        raise ValueError("step size h must be positive")
-    if record_stride < 1:
-        raise ValueError("record_stride must be >= 1")
+    nsteps, n_rec = step_grid(t0, t1, h, record_stride)
     y = np.array(state0, dtype=float).ravel()
-    nsteps = int(round((t1 - t0) / h))
-    if nsteps < 1:
-        raise ValueError("time span shorter than one step")
     clamp = None if clamp_nonneg is None else np.asarray(clamp_nonneg, dtype=int)
 
-    times = [t0]
-    states = [y.copy()]
+    times = np.empty(n_rec)
+    states = np.empty((n_rec, y.size))
+    times[0] = t0
+    states[0] = y
+    rec = 1
     clamp_events = 0
     for j in range(nsteps):
         t = t0 + j * h
@@ -103,12 +120,13 @@ def integrate_fixed(
         if not np.all(np.isfinite(y)):
             raise NonFiniteStateError(t_next, y)
         if (j + 1) % record_stride == 0 or j + 1 == nsteps:
-            times.append(t_next)
-            states.append(y.copy())
+            times[rec] = t_next
+            states[rec] = y
+            rec += 1
 
     return Trajectory(
-        times=np.asarray(times),
-        states=np.asarray(states),
+        times=times,
+        states=states,
         h=h,
         record_stride=record_stride,
         label=label,

@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .averaging import Equilibrium, ErrorState, to_error_coords
+from .averaging import Equilibrium, ErrorState, PeriodQuadrature, avg_g2_coeffs, to_error_coords
 from .cost import CostFunction
 from .integrate import Trajectory
 from .signals import DitherConfig
@@ -46,9 +46,6 @@ __all__ = [
     "BoxEscapeError",
     "LevelSetOracle",
     "v_theta",
-    "radius_xi",
-    "radius_v",
-    "lyapunov_value",
     "monitor_descent",
 ]
 
@@ -189,14 +186,7 @@ class LevelSetOracle:
         self.dither = dither
         self.eq = eq
         self.spec = spec
-        n_q = 256 * dither.r_max if n_q is None else int(n_q)
-        if n_q < 8 * dither.r_max:
-            raise ValueError(f"need at least {8 * dither.r_max} quadrature nodes")
-        self.n_q = n_q
-        phases = 2.0 * np.pi * np.arange(n_q) / n_q
-        sin_rt = np.sin(dither.rates[:, None] * phases[None, :])
-        self._s_nodes = (dither.amplitudes[:, None] * sin_rt).T          # (n_q, n)
-        self._m2_nodes = ((2.0 / dither.amplitudes[:, None]) * sin_rt) ** 2  # (n, n_q)
+        self.quad = PeriodQuadrature(dither, n_q)
         self._j_star = float(cost.f(eq.theta_star))
 
         self._sampled = cost.n > 2
@@ -228,7 +218,6 @@ class LevelSetOracle:
             cost.f(pts + eq.theta_star[None, :]) - self._j_star, dtype=float
         ).ravel()
         self._jbar_err, self._g2_p, self._g2_q = self._batch_fields(pts)
-        self._g2_r = np.mean(self._m2_nodes, axis=1)  # (n,), equals 2 / a_i^2
 
         if self._sampled:
             self._vt_boundary_min = np.inf
@@ -256,24 +245,23 @@ class LevelSetOracle:
         jerr = np.empty(len(phis))
         p = np.empty((len(phis), n))
         q = np.empty((len(phis), n))
-        chunk = max(1, 2_000_000 // self.n_q)
-        base = self.eq.theta_star[None, None, :] + self._s_nodes[None, :, :]
+        m2 = self.quad.m2
+        chunk = max(1, 2_000_000 // self.quad.n_q)
+        base = self.eq.theta_star[None, None, :] + self.quad.s[None, :, :]
         for lo in range(0, len(phis), chunk):
             hi = min(lo + chunk, len(phis))
             y_c = self.cost.f(phis[lo:hi, None, :] + base) - self.eq.xi_star  # (m, n_q)
             jerr[lo:hi] = np.mean(y_c, axis=-1)
-            p[lo:hi] = np.mean(self._m2_nodes[None, :, :] * (y_c * y_c)[:, None, :], axis=-1)
-            q[lo:hi] = np.mean(self._m2_nodes[None, :, :] * y_c[:, None, :], axis=-1)
+            p[lo:hi] = np.mean(m2[None, :, :] * (y_c * y_c)[:, None, :], axis=-1)
+            q[lo:hi] = np.mean(m2[None, :, :] * y_c[:, None, :], axis=-1)
         return jerr, p, q
 
     def _point_g2_coeffs(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y_c = self.cost.f(self.eq.theta_star + phi[None, :] + self._s_nodes) - self.eq.xi_star
-        p = np.mean(self._m2_nodes * (y_c * y_c)[None, :], axis=1)
-        q = np.mean(self._m2_nodes * y_c[None, :], axis=1)
+        p, q, _ = avg_g2_coeffs(self.cost, self.quad, self.eq.theta_star + phi, self.eq.xi_star)
         return p, q
 
     def _point_jbar_err(self, phi: np.ndarray) -> float:
-        y = self.cost.f(self.eq.theta_star + phi[None, :] + self._s_nodes)
+        y = self.cost.f(self.eq.theta_star + phi[None, :] + self.quad.s)
         return float(np.mean(y)) - self.eq.xi_star
 
     def _point_vt(self, phi: np.ndarray) -> float:
@@ -402,7 +390,7 @@ class LevelSetOracle:
         feasible = (self._vt <= c_theta) & (self._env_r_xi(self._vt) <= c_xi)
         p = self._g2_p[:, channel]
         q = self._g2_q[:, channel]
-        r = float(self._g2_r[channel])
+        r = float(self.quad.r[channel])
         v_star_c = float(self.eq.v_star[channel])
         heights = self._eta_abs_max(p, q, r, v_star_c, c_xi)
         vals = np.where(feasible, heights, -np.inf)
@@ -448,42 +436,6 @@ class LevelSetOracle:
             v_v=v_v_terms,
             v_total=vt + v_xi_term + float(np.sum(v_v_terms)),
         )
-
-
-def radius_xi(cost, dither, theta_star, c_theta, spec: LevelSpec, n_q=None) -> float:
-    """One-shot r_xi; builds a fresh grid oracle (theta_star may be an Equilibrium)."""
-    oracle = LevelSetOracle(cost, dither, _as_equilibrium(cost, dither, theta_star, n_q), spec, n_q)
-    return oracle.radius_xi(c_theta)
-
-
-def radius_v(cost, dither, theta_star, xi_star, c_theta, c_xi, channel, spec: LevelSpec, n_q=None) -> float:
-    """One-shot r_v_i for one channel."""
-    eq = _as_equilibrium(cost, dither, theta_star, n_q, xi_star)
-    oracle = LevelSetOracle(cost, dither, eq, spec, n_q)
-    return oracle.radius_v(c_theta, c_xi, channel)
-
-
-def lyapunov_value(err: ErrorState, cost, dither, eq: Equilibrium, spec: LevelSpec, n_q=None) -> LyapunovReport:
-    """Composite V with per-term breakdown at one error state."""
-    return LevelSetOracle(cost, dither, eq, spec, n_q).value(err, quantize=False)
-
-
-def _as_equilibrium(cost, dither, theta_star, n_q, xi_star=None) -> Equilibrium:
-    from .averaging import avg_maps
-
-    if isinstance(theta_star, Equilibrium):
-        return theta_star
-    theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
-    maps = avg_maps(cost, dither, theta_star, 0.0, n_q)
-    xi = maps.j_bar if xi_star is None else float(xi_star)
-    v_star = avg_maps(cost, dither, theta_star, xi, n_q).g2_bar
-    return Equilibrium(
-        theta_star=theta_star,
-        xi_star=xi,
-        v_star=v_star,
-        grad_norm=float(np.linalg.norm(maps.g_bar)),
-        iterations=0,
-    )
 
 
 def monitor_descent(

@@ -4,11 +4,15 @@ Each driver picks between two equivalent paths:
 
 * compiled kernels (:mod:`esc_lab._kernels`) when the cost is a builtin
   family and numba is enabled, and
-* the generic numpy path (RK4 in :mod:`esc_lab.integrate` over the rhs
-  closures), which also handles parsed/user-defined costs.
+* the generic numpy path (RK4 in :mod:`esc_lab.integrate` over the flat rhs
+  closures of :mod:`esc_lab.dynamics` and :mod:`esc_lab.averaging`), which
+  also handles parsed/user-defined costs.
 
-``force_path="numpy"`` / ``"kernel"`` pins a path explicitly (tests and
-benchmarks); the default follows ``ESC_LAB_NUMBA``.
+Both paths validate the time span with :func:`esc_lab.integrate.step_grid`
+and the average system reads its node tables from one
+:class:`esc_lab.averaging.PeriodQuadrature`. ``force_path="numpy"`` /
+``"kernel"`` pins a path explicitly (tests and benchmarks); the default
+follows ``ESC_LAB_NUMBA``.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .averaging import average_flat_rhs
+from .averaging import PeriodQuadrature, average_flat_rhs
 from .cost import CostFunction
 from .dynamics import EscParams, gesc_flat_rhs, rmspesc_flat_rhs
-from .integrate import NonFiniteStateError, Trajectory, integrate_fixed
+from .integrate import NonFiniteStateError, Trajectory, integrate_fixed, step_grid
 from .signals import DitherConfig
 
 __all__ = ["simulate_rmspesc", "simulate_gesc", "simulate_average"]
@@ -41,25 +45,13 @@ def _resolve_path(cost: CostFunction, force_path: Optional[str]) -> str:
     return "numpy"
 
 
-def _steps_and_buffers(t0: float, t1: float, h: float, stride: int, dim: int):
-    if not t1 > t0:
-        raise ValueError("need t1 > t0")
-    if not h > 0:
-        raise ValueError("step size h must be positive")
-    if stride < 1:
-        raise ValueError("record_stride must be >= 1")
-    nsteps = int(round((t1 - t0) / h))
-    if nsteps < 1:
-        raise ValueError("time span shorter than one step")
-    n_rec = 1 + nsteps // stride + (1 if nsteps % stride else 0)
+def _run_kernel(loop, args, t0, t1, h, label, stride, dim):
+    nsteps, n_rec = step_grid(t0, t1, h, stride)
     times = np.empty(n_rec)
     states = np.empty((n_rec, dim))
-    return nsteps, times, states
-
-
-def _run_kernel(loop, args, t0, h, label, stride, times, states, dim):
     fail_state = np.empty(dim)
-    clamp_events, fail_step = loop(*args, times, states, fail_state)
+    clamp_events, fail_step = loop(*args, float(t0), float(h), nsteps, int(stride),
+                                   times, states, fail_state)
     if fail_step >= 0:
         raise NonFiniteStateError(t0 + fail_step * h, fail_state)
     return Trajectory(
@@ -97,14 +89,13 @@ def simulate_rmspesc(
             label="rmspesc",
         )
     ks = cost.kernel
-    nsteps, times, states = _steps_and_buffers(t0, t1, h, record_stride, 2 * n + 1)
     args = (
         ks.kind, ks.j_opt, ks.theta_star, ks.hmat,
         dither.amplitudes, dither.rates.astype(float), dither.omega,
         params.k, params.epsilon, params.omega_l, params.omega_xi,
-        state0, float(t0), float(h), nsteps, int(record_stride),
+        state0,
     )
-    return _run_kernel(_kernels.rmsp_loop, args, t0, h, "rmspesc", record_stride, times, states, 2 * n + 1)
+    return _run_kernel(_kernels.rmsp_loop, args, t0, t1, h, "rmspesc", record_stride, 2 * n + 1)
 
 
 def simulate_gesc(
@@ -131,14 +122,13 @@ def simulate_gesc(
             label="gesc",
         )
     ks = cost.kernel
-    nsteps, times, states = _steps_and_buffers(t0, t1, h, record_stride, n + 1)
     args = (
         ks.kind, ks.j_opt, ks.theta_star, ks.hmat,
         dither.amplitudes, dither.rates.astype(float), dither.omega,
         params.k, params.omega_xi,
-        state0, float(t0), float(h), nsteps, int(record_stride),
+        state0,
     )
-    return _run_kernel(_kernels.gesc_loop, args, t0, h, "gesc", record_stride, times, states, n + 1)
+    return _run_kernel(_kernels.gesc_loop, args, t0, t1, h, "gesc", record_stride, n + 1)
 
 
 def simulate_average(
@@ -167,16 +157,12 @@ def simulate_average(
             label="average",
         )
     ks = cost.kernel
-    n_q = 256 * dither.r_max if n_q is None else int(n_q)
-    phases = 2.0 * np.pi * np.arange(n_q) / n_q
-    sin_rt = np.sin(dither.rates[:, None] * phases[None, :])
-    s_nodes = np.ascontiguousarray((dither.amplitudes[:, None] * sin_rt).T)
-    m_nodes = np.ascontiguousarray((2.0 / dither.amplitudes[:, None]) * sin_rt)
-    nsteps, times, states = _steps_and_buffers(t0, t1, h, record_stride, 2 * n + 1)
+    quad = PeriodQuadrature(dither, n_q)
+    quad.check(cost)
     args = (
         ks.kind, ks.j_opt, ks.theta_star, ks.hmat,
-        s_nodes, m_nodes,
+        np.ascontiguousarray(quad.s), quad.m,
         params.k, params.epsilon, params.omega_l, params.omega_xi,
-        state0, float(t0), float(h), nsteps, int(record_stride),
+        state0,
     )
-    return _run_kernel(_kernels.avg_loop, args, t0, h, "average", record_stride, times, states, 2 * n + 1)
+    return _run_kernel(_kernels.avg_loop, args, t0, t1, h, "average", record_stride, 2 * n + 1)

@@ -191,23 +191,15 @@ def test_runtime_abort_exit_code_3(tmp_path, capsys):
     assert "runtime abort" in capsys.readouterr().err
 
 
-def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("ESC_LAB_THREADS", "2")
+def test_step_not_dividing_span_exit_code_2(tmp_path, capsys):
     code = main([
         "simulate", "--config", "quartic_fig1",
-        "--set", "time.t1=1", "--out", str(tmp_path / "par"),
+        "--set", "time.t1=1", "--set", "time.h=0.03", "--set", "time.sample_dt=0.03",
+        "--out", str(tmp_path),
     ])
-    assert code == 0
-    monkeypatch.setenv("ESC_LAB_THREADS", "1")
-    code = main([
-        "simulate", "--config", "quartic_fig1",
-        "--set", "time.t1=1", "--out", str(tmp_path / "ser"),
-    ])
-    assert code == 0
-    for name in ("trajectory_xi0_0.csv", "trajectory_xi0_y0.csv", "trajectory_xi0_2y0.csv"):
-        assert (tmp_path / "par" / name).read_text() == (tmp_path / "ser" / name).read_text()
-    monkeypatch.setenv("ESC_LAB_THREADS", "zero")
-    assert main(["simulate", "--config", "quartic_fig1", "--out", str(tmp_path)]) == 2
+    assert code == 2
+    assert "does not divide" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_every_bundled_config_runs_clean(tmp_path):

@@ -75,6 +75,11 @@ def test_input_validation():
         integrate_fixed(decay, [1.0], 0.0, 1.0, -0.1)
     with pytest.raises(ValueError):
         integrate_fixed(decay, [1.0], 0.0, 1.0, 0.1, record_stride=0)
+    # h must divide the span: 1 / 0.3 steps would stop short of t1 at 0.9
+    with pytest.raises(ValueError, match="divide"):
+        integrate_fixed(decay, [1.0], 0.0, 1.0, 0.3)
+    with pytest.raises(ValueError, match="divide"):
+        integrate_fixed(decay, [1.0], 0.0, 1.0, 0.1 * (1.0 + 1e-8))
 
 
 def test_oscillation_step_rule():

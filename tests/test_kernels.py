@@ -16,11 +16,12 @@ from esc_lab import _kernels
 
 FIG1 = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
 
-pytestmark = pytest.mark.skipif(
-    not _kernels.numba_available(), reason="numba not importable"
-)
+# Without numba the kernels run as plain Python, so force_path="kernel" still
+# exercises them; only tests that need the compiled path itself are skipped.
+needs_numba = pytest.mark.skipif(not _kernels.numba_available(), reason="numba not importable")
 
 
+@needs_numba
 def test_env_flag_selects_fallback(monkeypatch):
     monkeypatch.setenv("ESC_LAB_NUMBA", "0")
     assert not _kernels.numba_enabled()
@@ -32,6 +33,7 @@ def test_env_flag_selects_fallback(monkeypatch):
     assert _kernels.numba_enabled()
 
 
+@needs_numba
 def test_flag_routes_simulation(monkeypatch):
     cost = quartic_cost()
     dither = new_dither([0.02], [1], 10.0)
@@ -62,12 +64,13 @@ def test_gesc_paths_agree():
     np.testing.assert_allclose(kernel.states, plain.states, rtol=1e-9, atol=1e-12)
 
 
-def test_average_paths_agree():
+@pytest.mark.parametrize("t1", [2.0, pytest.param(20.0, marks=needs_numba)])
+def test_average_paths_agree(t1):
     cost = quadratic_cost(2.0, 1.0)
     dither = new_dither([0.1], [1], 10.0)
     state0 = [1.0, 0.2, 0.0]
-    kernel = simulate_average(cost, dither, FIG1, state0, 0.0, 20.0, 0.01, 10, force_path="kernel")
-    plain = simulate_average(cost, dither, FIG1, state0, 0.0, 20.0, 0.01, 10, force_path="numpy")
+    kernel = simulate_average(cost, dither, FIG1, state0, 0.0, t1, 0.01, 10, force_path="kernel")
+    plain = simulate_average(cost, dither, FIG1, state0, 0.0, t1, 0.01, 10, force_path="numpy")
     np.testing.assert_allclose(kernel.states, plain.states, rtol=1e-8, atol=1e-11)
 
 
@@ -111,3 +114,13 @@ def test_recording_layout_matches_generic_integrator():
     plain = simulate_rmspesc(cost, dither, FIG1, [1.0, 0.1, 0.0], 0.0, 1.0, 0.01, 7, force_path="numpy")
     np.testing.assert_allclose(kernel.times, plain.times, atol=1e-12)
     assert kernel.times[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("path", ["kernel", "numpy"])
+def test_step_must_divide_span(path):
+    cost = quartic_cost()
+    dither = new_dither([0.02], [1], 10.0)
+    with pytest.raises(ValueError, match="divide"):
+        simulate_rmspesc(cost, dither, FIG1, [1.0, 0.1, 0.0], 0.0, 1.0, 0.03, 1, force_path=path)
+    with pytest.raises(ValueError, match="divide"):
+        simulate_average(cost, dither, FIG1, [1.0, 0.1, 0.0], 0.0, 1.0, 0.03, 1, force_path=path)

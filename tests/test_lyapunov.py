@@ -6,14 +6,13 @@ from esc_lab import (
     EscParams,
     LevelSetOracle,
     LevelSpec,
+    PeriodQuadrature,
+    avg_maps,
     equilibrium,
-    lyapunov_value,
     monitor_descent,
     new_dither,
     quadratic_cost,
     quartic_cost,
-    radius_v,
-    radius_xi,
     simulate_average,
     to_error_coords,
     v_theta,
@@ -61,7 +60,7 @@ def test_level_spec_validation():
 
 def test_radius_xi_zero_level(quad_ctx):
     cost, dither, eq, spec = quad_ctx
-    assert radius_xi(cost, dither, eq, 0.0, spec) == pytest.approx(0.0, abs=1e-9)
+    assert LevelSetOracle(cost, dither, eq, spec).radius_xi(0.0) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_radius_xi_quadratic_identity(quad_ctx):
@@ -90,7 +89,7 @@ def test_radius_xi_box_escape(quad_ctx):
 
 def test_radius_v_zero_levels(quad_ctx):
     cost, dither, eq, spec = quad_ctx
-    r = radius_v(cost, dither, eq, eq.xi_star, 0.0, 0.0, 0, spec)
+    r = LevelSetOracle(cost, dither, eq, spec).radius_v(0.0, 0.0, 0)
     assert r == pytest.approx(0.0, abs=1e-9)
 
 
@@ -141,7 +140,7 @@ def test_radius_v_channel_validation(quad_ctx):
 def test_lyapunov_value_at_origin(quad_ctx):
     cost, dither, eq, spec = quad_ctx
     err = to_error_coords(eq.flat(), eq)
-    report = lyapunov_value(err, cost, dither, eq, spec)
+    report = LevelSetOracle(cost, dither, eq, spec).value(err, quantize=False)
     assert report.v_total == pytest.approx(0.0, abs=1e-9)
 
 
@@ -150,7 +149,7 @@ def test_lyapunov_value_breakdown(quad_ctx):
     err = to_error_coords(
         np.array([1.0 + eq.theta_star[0], eq.v_star[0], eq.xi_star]), eq
     )
-    report = lyapunov_value(err, cost, dither, eq, spec)
+    report = LevelSetOracle(cost, dither, eq, spec).value(err, quantize=False)
     assert report.v_theta == pytest.approx(0.5, rel=1e-9)
     assert report.r_xi == pytest.approx(0.5, rel=2e-3)   # r_xi(0.5) = 0.5 for this cost
     assert report.v_total == pytest.approx(
@@ -161,10 +160,11 @@ def test_lyapunov_value_breakdown(quad_ctx):
 
 def test_lyapunov_value_dominates_theta_term(quad_ctx):
     cost, dither, eq, spec = quad_ctx
+    oracle = LevelSetOracle(cost, dither, eq, spec)
     rng = np.random.default_rng(3)
     for _ in range(5):
         state = np.array([rng.uniform(-1.5, 1.5), rng.uniform(0, 2), rng.uniform(-1, 1)])
-        report = lyapunov_value(to_error_coords(state, eq), cost, dither, eq, spec)
+        report = oracle.value(to_error_coords(state, eq), quantize=False)
         assert report.v_total >= v_theta(cost, eq.theta_star, [state[0] - eq.theta_star[0]]) - 1e-12
 
 
@@ -253,8 +253,7 @@ def test_two_dimensional_grid_radii():
         assert oracle.radius_xi(c) == pytest.approx(c, rel=5e-3)
 
     # cross-check one r_v value against a coarse scan of the quadrature maps
-    from esc_lab import avg_maps
-
+    quad = PeriodQuadrature(dither)
     c_theta, c_xi, channel = 0.5, 0.5, 1
     r = oracle.radius_v(c_theta, c_xi, channel)
     best = 0.0
@@ -265,7 +264,7 @@ def test_two_dimensional_grid_radii():
             if cost.f(eq.theta_star + phi) - cost.f(eq.theta_star) > c_theta:
                 continue
             for eta in np.linspace(-c_xi, c_xi, 21):
-                g2 = avg_maps(cost, dither, eq.theta_star + phi, eq.xi_star + eta).g2_bar
+                g2 = avg_maps(cost, quad, eq.theta_star + phi, eq.xi_star + eta).g2_bar
                 best = max(best, abs(g2[channel] - eq.v_star[channel]))
     assert r >= best - 1e-9
     assert r <= best * 1.15  # coarse scan undershoots the boundary maximum
