@@ -4,7 +4,10 @@
 Times the quartic closed-loop run, its plain-gradient baseline and the
 average-system counterpart on both paths, and prints the median and the
 quartiles of the repeats for each. Without numba the kernel column says so
-instead of timing the uncompiled loops. Run from the repo root:
+instead of timing the uncompiled loops. A last row times the level-set
+descent monitor (numpy only) on the quartic average run of t1 = 25 s,
+sample_dt = 0.05 (501 samples), box +-4, and adds its cost per sample.
+Run from the repo root:
 
     python3 benchmarks/bench_kernels.py [--t1 SECONDS] [--repeats N]
 """
@@ -83,6 +86,14 @@ def main() -> int:
             raise AssertionError(f"paths disagree for {name}")
         t_nb = timings(args.repeats, lambda: run("kernel"))
         print(f"{name:38s} {fmt(t_np):>30s}   {fmt(t_nb):>30s} {t_np[0] / t_nb[0]:6.1f}x")
+
+    avg = el.simulate_average(cost, dither, params, state0, 0.0, 25.0, 0.01, 5)
+    eq = el.equilibrium(cost, dither)
+    spec = el.LevelSpec(box=[[-4.0, 4.0]])
+    m = len(avg.times)
+    t_mon = timings(args.repeats, lambda: el.monitor_descent(avg, cost, dither, eq, spec))
+    name = f"descent monitor ({m} samples)"
+    print(f"{name:38s} {fmt(t_mon):>30s}   {1e6 * t_mon[0] / m:.0f} us per sample")
     return 0
 
 

@@ -14,8 +14,9 @@ Independent runs within one invocation (the washout seeds of simulate, the
 full and average runs of compare) execute one after another.
 
 Exit codes: 0 success, 2 configuration/validation error (including a step
-size that does not divide the time span), 3 runtime abort (non-finite state
-or a stalled equilibrium search).
+size that does not divide the time span or time.sample_dt, or that exceeds
+2.5 / max(omega_l, omega_xi)), 3 runtime abort (non-finite state or a
+stalled equilibrium search).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .averaging import ConvergenceError, convergence_sweep, equilibrium
 from .config import MODES, ConfigError, ExperimentConfig, apply_overrides, load_config
 from .cost import CostFunction
-from .integrate import NonFiniteStateError, Trajectory, oscillation_step
+from .integrate import NonFiniteStateError, Trajectory
 from .lyapunov import LevelSpec, monitor_descent
 from .plotting import PlotError, emit_plot
 from .quadratic import QuadraticModel, quad_jacobian
@@ -73,7 +74,15 @@ def write_trajectory_csv(path: Path, traj: Trajectory, cost: CostFunction, with_
     return path
 
 
-def _time_grid(cfg: ExperimentConfig, period: float, r_max: int, oscillatory: bool):
+def _gain_step(params) -> tuple[float, str]:
+    """Largest step for the filters: RK4 is stable on the real axis only for
+    h * omega <= 2.785, so h <= 2.5 / omega for the fastest filter gain."""
+    gain, name = max((float(np.max(params.omega_l)), "gains.omega_l"),
+                     (float(params.omega_xi), "gains.omega_xi"))
+    return 2.5 / gain, name
+
+
+def _time_grid(cfg: ExperimentConfig, params, period: float, r_max: int, oscillatory: bool):
     t0 = cfg.number("time.t0", 0.0)
     t1 = cfg.number("time.t1")
     if not t1 > t0:
@@ -81,17 +90,22 @@ def _time_grid(cfg: ExperimentConfig, period: float, r_max: int, oscillatory: bo
     sample_dt = cfg.number("time.sample_dt", 0.05)
     if not 0 < sample_dt <= t1 - t0:
         raise ConfigError("field 'time.sample_dt' must be positive and fit the time span")
+    h_gain, gain_name = _gain_step(params)
     if cfg.has("time.h"):
         h = cfg.number("time.h")
         if not 0 < h <= sample_dt:
             raise ConfigError("field 'time.h' must be positive and at most time.sample_dt")
-        stride = max(1, round(sample_dt / h))
-    elif oscillatory:
-        h, stride = oscillation_step(period, r_max, sample_dt)
-    else:
-        stride = max(1, int(np.ceil(sample_dt / 0.01 - 1e-12)))
-        h = sample_dt / stride
-    return t0, t1, h, stride
+        span = sample_dt / h
+        stride = round(span)
+        if abs(span - stride) > 1e-9 * stride:
+            raise ConfigError(f"field 'time.h' = {h:.6g} must divide time.sample_dt = {sample_dt:.6g}")
+        if h > h_gain:
+            raise ConfigError(f"field 'time.h' = {h:.6g} exceeds 2.5 / {gain_name} = {h_gain:.6g}; "
+                              "RK4 is unstable for the filters beyond that step")
+        return t0, t1, h, stride
+    h_max = min(period / (40.0 * r_max) if oscillatory else 0.01, h_gain)
+    stride = max(1, int(np.ceil(sample_dt / h_max - 1e-12)))
+    return t0, t1, sample_dt / stride, stride
 
 
 def _initial_state(cfg: ExperimentConfig, n: int):
@@ -114,7 +128,7 @@ def _mode_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
         raise ConfigError("cost, dither, and gains dimensions must agree")
     algorithm = cfg.string("algorithm", "rmspesc", choices=("rmspesc", "gesc"))
     theta0, v0 = _initial_state(cfg, cost.n)
-    t0, t1, h, stride = _time_grid(cfg, dither.period, dither.r_max, oscillatory=True)
+    t0, t1, h, stride = _time_grid(cfg, params, dither.period, dither.r_max, oscillatory=True)
     y0 = float(cost.f(theta0 + dither_value(dither, t0)))
     variants = cfg.initial_washouts(y0)
 
@@ -140,7 +154,7 @@ def _mode_average(cfg: ExperimentConfig, out_dir: Path) -> int:
     dither = cfg.dither()
     params = cfg.gains()
     theta0, v0 = _initial_state(cfg, cost.n)
-    t0, t1, h, stride = _time_grid(cfg, dither.period, dither.r_max, oscillatory=False)
+    t0, t1, h, stride = _time_grid(cfg, params, dither.period, dither.r_max, oscillatory=False)
     y0 = float(cost.f(theta0))
     label, xi0 = cfg.initial_washouts(y0)[0]
     n_q = cfg.integer("average.n_q", 0) or None
@@ -156,14 +170,16 @@ def _mode_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
     dither = cfg.dither()
     params = cfg.gains()
     theta0, v0 = _initial_state(cfg, cost.n)
-    t0, t1, h, stride = _time_grid(cfg, dither.period, dither.r_max, oscillatory=True)
+    t0, t1, h, stride = _time_grid(cfg, params, dither.period, dither.r_max, oscillatory=True)
     y0 = float(cost.f(theta0 + dither_value(dither, t0)))
     _, xi0 = cfg.initial_washouts(y0)[0]
     n_q = cfg.integer("average.n_q", 0) or None
     state0 = np.concatenate([theta0, v0, [xi0]])
     sample_dt = h * stride
+    avg_stride = max(4, int(np.ceil(sample_dt / _gain_step(params)[0] - 1e-12)))
+    h_avg = sample_dt / avg_stride
     full = simulate_rmspesc(cost, dither, params, state0, t0, t1, h, stride)
-    avg = simulate_average(cost, dither, params, state0, t0, t1, sample_dt / 4, 4, n_q=n_q)
+    avg = simulate_average(cost, dither, params, state0, t0, t1, h_avg, avg_stride, n_q=n_q)
     if len(full.times) != len(avg.times) or not np.allclose(full.times, avg.times, atol=1e-9):
         raise RuntimeError("full and average runs recorded different time grids")
     path_full = write_trajectory_csv(out_dir / "trajectory_full.csv", full, cost, with_v=True)
@@ -171,7 +187,7 @@ def _mode_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
     gaps = np.max(np.abs(full.states[:, : cost.n] - avg.states[:, : cost.n]), axis=0)
     lines = [
         f"time span: [{t0:.6g}, {t1:.6g}], samples: {len(full.times)}",
-        f"full-system step h = {h:.6g}, average-system step h = {sample_dt / 4:.6g}",
+        f"full-system step h = {h:.6g}, average-system step h = {h_avg:.6g}",
     ]
     for i in range(cost.n):
         lines.append(f"sup |theta_{i + 1}(full) - theta_{i + 1}(average)| = {gaps[i]:.6g}")
@@ -232,7 +248,7 @@ def _mode_lyapunov(cfg: ExperimentConfig, out_dir: Path) -> int:
     dither = cfg.dither()
     params = cfg.gains()
     theta0, v0 = _initial_state(cfg, cost.n)
-    t0, t1, h, stride = _time_grid(cfg, dither.period, dither.r_max, oscillatory=False)
+    t0, t1, h, stride = _time_grid(cfg, params, dither.period, dither.r_max, oscillatory=False)
     y0 = float(cost.f(theta0))
     _, xi0 = cfg.initial_washouts(y0)[0]
     n_q = cfg.integer("average.n_q", 0) or None

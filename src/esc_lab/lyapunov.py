@@ -21,20 +21,23 @@ Radii are evaluated by dense grid search over the parameter error plus one
 golden-section refinement along the best grid axis. The eta direction is
 exact: the squared-estimate average is a convex quadratic in eta, so its
 absolute value over an interval peaks at an endpoint or at the vertex.
-Levels are memoized with a relative quantization of 1e-3, rounded upward;
-the radii are monotone in their levels, so the quantization error is bounded
-and one-sided.
+The descent monitor rounds each sample's levels upward with a relative
+quantization of 1e-3 (the radii are monotone in their levels, so the error
+is bounded and one-sided) and then evaluates all samples in lockstep: one
+masked grid argmax per sample, and one batched golden-section refinement in
+which every iteration is a single cost sweep over all samples' quadrature
+nodes. Nothing is memoized; consecutive samples almost never share a level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .averaging import Equilibrium, ErrorState, PeriodQuadrature, avg_g2_coeffs, to_error_coords
+from .averaging import Equilibrium, ErrorState, PeriodQuadrature
 from .cost import CostFunction
 from .integrate import Trajectory
 from .signals import DitherConfig
@@ -51,6 +54,9 @@ __all__ = [
 
 _QUANT_STEP = math.log1p(1e-3)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Entries per batched array (512 KB of float64): the monitor's temporaries stay
+# cache-sized and its peak memory near that of a per-sample loop.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 class BoxEscapeError(ValueError):
@@ -133,32 +139,36 @@ def v_theta(cost: CostFunction, theta_star, theta_err) -> float:
     return float(cost.f(theta_err + theta_star) - cost.f(theta_star))
 
 
-def _quantize_up(c: float) -> tuple:
+def _quantize_level(c: float) -> float:
     """Round a level up onto a geometric grid with 1e-3 relative spacing."""
     if c <= 0.0:
-        return (0, 0.0)
-    k = math.ceil(math.log(c) / _QUANT_STEP - 1e-12)
-    return (k, math.exp(k * _QUANT_STEP))
+        return 0.0
+    return math.exp(math.ceil(math.log(c) / _QUANT_STEP - 1e-12) * _QUANT_STEP)
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 64) -> float:
-    """Golden-section maximization; returns the best value seen (may be -inf)."""
+# Elementwise over arrays of levels. It keeps the scalar math.log/math.exp:
+# np.log/np.exp can differ by an ulp and move a level to the next grid point.
+_quantize_up = np.vectorize(_quantize_level, otypes=[float])
+
+
+def _golden_max(f, lo: np.ndarray, hi: np.ndarray, iters: int = 64) -> np.ndarray:
+    """Golden-section maximization on every bracket [lo_k, hi_k] in lockstep.
+
+    ``f`` maps an array of abscissae (one per bracket) to objective values.
+    Returns the best value seen per bracket (may be -inf).
+    """
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    best = max(f(a), f(b), fc, fd)
+    best = np.maximum.reduce([f(a), f(b), fc, fd])
     for _ in range(iters):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-            best = max(best, fd)
-        else:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-            best = max(best, fc)
+        right = fc < fd  # keep [c, b] and probe a new d; else keep [a, d] and probe a new c
+        a, b = np.where(right, c, a), np.where(right, b, d)
+        c, d = np.where(right, d, b - _GOLDEN * (b - a)), np.where(right, a + _GOLDEN * (b - a), c)
+        fx = f(np.where(right, d, c))
+        fc, fd = np.where(right, fd, fx), np.where(right, fx, fc)
+        best = np.maximum(best, fx)
     return best
 
 
@@ -168,8 +178,8 @@ class LevelSetOracle:
     Precomputes V_theta, the averaged-cost error, and the per-channel
     quadratic-in-eta coefficients of the squared-estimate average on the
     parameter-error grid, then answers level queries by masked maxima.
-    The memoization cache is not locked; confine one oracle to one
-    monitoring run (all other state is read-only after construction).
+    Queries are batched over samples; the scalar methods are the one-sample
+    case. All state is read-only after construction.
     """
 
     def __init__(
@@ -230,8 +240,7 @@ class LevelSetOracle:
         self._vt_sorted = self._vt[order]
         self._jerr_prefix = np.maximum.accumulate(np.abs(self._jbar_err[order]))
 
-        self._cache_xi: dict = {}
-        self._cache_v: dict = {}
+        self._vt_env = self._env_r_xi(self._vt)
 
     # -- quadrature helpers -------------------------------------------------
 
@@ -246,7 +255,7 @@ class LevelSetOracle:
         p = np.empty((len(phis), n))
         q = np.empty((len(phis), n))
         m2 = self.quad.m2
-        chunk = max(1, 2_000_000 // self.quad.n_q)
+        chunk = max(1, _CHUNK_ELEMENTS // self.quad.n_q)
         base = self.eq.theta_star[None, None, :] + self.quad.s[None, :, :]
         for lo in range(0, len(phis), chunk):
             hi = min(lo + chunk, len(phis))
@@ -255,17 +264,6 @@ class LevelSetOracle:
             p[lo:hi] = np.mean(m2[None, :, :] * (y_c * y_c)[:, None, :], axis=-1)
             q[lo:hi] = np.mean(m2[None, :, :] * y_c[:, None, :], axis=-1)
         return jerr, p, q
-
-    def _point_g2_coeffs(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p, q, _ = avg_g2_coeffs(self.cost, self.quad, self.eq.theta_star + phi, self.eq.xi_star)
-        return p, q
-
-    def _point_jbar_err(self, phi: np.ndarray) -> float:
-        y = self.cost.f(self.eq.theta_star + phi[None, :] + self.quad.s)
-        return float(np.mean(y)) - self.eq.xi_star
-
-    def _point_vt(self, phi: np.ndarray) -> float:
-        return float(self.cost.f(self.eq.theta_star + phi) - self._j_star)
 
     def _env_r_xi(self, level) -> np.ndarray:
         """Grid envelope of r_xi, used inside the r_v feasibility constraint."""
@@ -276,14 +274,13 @@ class LevelSetOracle:
 
     # -- eta direction (exact) ----------------------------------------------
 
-    def _eta_abs_max(self, p, q, r: float, v_star_c: float, c_xi: float,
-                     include_grid: bool = False):
+    @staticmethod
+    def _eta_abs_max(p, q, r: float, v_star_c: float, c_xi):
         """sup over |eta| <= c_xi of |p - 2 q eta + r eta^2 - v*| for one channel.
 
         The quadratic is convex in eta, so the sup sits at an endpoint or at
-        the vertex eta = q / r when that falls inside the interval. The
-        documented eta grid adds nothing beyond those candidates; it is
-        scanned only when asked, as a cross-check.
+        the vertex eta = q / r when that falls inside the interval; no eta
+        grid is needed. Broadcasts over arrays of (p, q) and of c_xi.
         """
         f_lo = np.abs(p + 2.0 * q * c_xi + r * c_xi**2 - v_star_c)
         f_hi = np.abs(p - 2.0 * q * c_xi + r * c_xi**2 - v_star_c)
@@ -291,85 +288,110 @@ class LevelSetOracle:
         vertex = q / r
         inside = np.abs(vertex) <= c_xi
         f_vx = np.abs(p - vertex * q - v_star_c)  # p - 2q*e + r*e^2 at e=q/r is p - q^2/r
-        out = np.where(inside, np.maximum(out, f_vx), out)
-        if include_grid and c_xi > 0:
-            etas = np.linspace(-c_xi, c_xi, self.spec.grid_eta)
-            vals = np.abs(
-                p[..., None] - 2.0 * q[..., None] * etas + r * etas**2 - v_star_c
-            )
-            out = np.maximum(out, vals.max(axis=-1))
-        return out
+        return np.where(inside, np.maximum(out, f_vx), out)
 
     # -- radii ---------------------------------------------------------------
 
-    def _check_box(self, c_theta: float):
-        if c_theta < 0:
+    def _best_axis_bracket(self, idx: np.ndarray, feasible: np.ndarray, heights: np.ndarray):
+        """Per sample, the refinement axis and interval around its grid argmax.
+
+        The axis is the one whose feasible grid neighbour changes the
+        objective most (the first such axis on ties, axis 0 if none is
+        feasible); the interval spans the neighbours on that axis.
+        """
+        rows = np.arange(len(idx))
+        sub = np.array(np.unravel_index(idx, self._grid_shape))  # (n, k)
+        h0 = heights[rows, idx]
+        best_gain = np.full(len(idx), -np.inf)
+        axis = np.zeros(len(idx), dtype=int)
+        for a, size in enumerate(self._grid_shape):
+            for step in (-1, 1):
+                nb = sub.copy()
+                nb[a] += step
+                inside = (nb[a] >= 0) & (nb[a] < size)
+                nb[a] = np.clip(nb[a], 0, size - 1)
+                nb_flat = np.ravel_multi_index(tuple(nb), self._grid_shape)
+                gain = np.abs(heights[rows, nb_flat] - h0)
+                take = inside & feasible[rows, nb_flat] & (gain > best_gain)
+                best_gain = np.where(take, gain, best_gain)
+                axis = np.where(take, a, axis)
+        j = sub[axis, rows]
+        lo = np.empty(len(idx))
+        hi = np.empty(len(idx))
+        for a, ax in enumerate(self._axes):
+            on = axis == a
+            lo[on] = ax[np.maximum(j[on] - 1, 0)]
+            hi[on] = ax[np.minimum(j[on] + 1, len(ax) - 1)]
+        return axis, lo, hi
+
+    def _radii(self, c_theta: np.ndarray, c_xi: Optional[np.ndarray] = None,
+               channel: int = 0) -> np.ndarray:
+        """Radii for a batch of levels: r_xi(c_theta) if ``c_xi`` is None, else r_v_channel.
+
+        Samples are processed in chunks of at most ``_CHUNK_ELEMENTS`` grid
+        (or quadrature) entries. Within a chunk every sample takes its masked
+        grid argmax, then on the grid path all samples run one golden-section
+        refinement along their best axis in lockstep: each iteration is one
+        cost sweep over the quadrature nodes of every sample.
+        """
+        if np.any(c_theta < 0):
             raise ValueError("levels must be nonnegative")
-        if c_theta >= self._vt_boundary_min:
+        escaped = np.nonzero(c_theta >= self._vt_boundary_min)[0]
+        if escaped.size:
             raise BoxEscapeError(
-                f"sublevel set V_theta <= {c_theta:.6g} reaches the search box "
+                f"sublevel set V_theta <= {c_theta[escaped[0]]:.6g} reaches the search box "
                 f"boundary (min boundary level {self._vt_boundary_min:.6g}); widen the box"
             )
+        out = np.empty(len(c_theta))
+        chunk = max(1, _CHUNK_ELEMENTS // max(len(self._vt), self.quad.n_q * self.cost.n))
+        for lo in range(0, len(c_theta), chunk):
+            sl = slice(lo, lo + chunk)
+            out[sl] = self._radii_chunk(c_theta[sl], None if c_xi is None else c_xi[sl], channel)
+        return out
 
-    def _best_axis_bracket(self, flat_idx: int, feasible_flat: np.ndarray, values: np.ndarray):
-        """Pick the refinement axis/interval around a grid argmax."""
-        if self._sampled:
-            return None
-        idx = np.unravel_index(flat_idx, self._grid_shape)
-        best = None
-        for axis in range(self.cost.n):
-            for step in (-1, 1):
-                nb = list(idx)
-                nb[axis] += step
-                if not 0 <= nb[axis] < self._grid_shape[axis]:
-                    continue
-                nb_flat = np.ravel_multi_index(tuple(nb), self._grid_shape)
-                if not feasible_flat[nb_flat]:
-                    continue
-                gain = abs(values[nb_flat] - values[flat_idx])
-                if best is None or gain > best[0]:
-                    best = (gain, axis)
-        if best is None:
-            axis = 0
+    def _radii_chunk(self, c_theta: np.ndarray, c_xi: Optional[np.ndarray], channel: int):
+        feasible = self._vt <= c_theta[:, None]
+        if c_xi is None:
+            heights = np.broadcast_to(np.abs(self._jbar_err), feasible.shape)
         else:
-            axis = best[1]
-        ax = self._axes[axis]
-        j = idx[axis]
-        lo = ax[max(j - 1, 0)]
-        hi = ax[min(j + 1, len(ax) - 1)]
-        return axis, lo, hi
+            r = float(self.quad.r[channel])
+            v_star_c = float(self.eq.v_star[channel])
+            feasible &= self._vt_env <= c_xi[:, None]
+            heights = self._eta_abs_max(self._g2_p[:, channel], self._g2_q[:, channel],
+                                        r, v_star_c, c_xi[:, None])
+        vals = np.where(feasible, heights, -np.inf)
+        idx = np.argmax(vals, axis=1)
+        rows = np.arange(len(idx))
+        result = vals[rows, idx]
+        if not self._sampled:
+            axis, lo, hi = self._best_axis_bracket(idx, feasible, heights)
+            base = self._points[idx]
+
+            def objective(x: np.ndarray) -> np.ndarray:
+                phi = base.copy()
+                phi[rows, axis] = x
+                theta = self.eq.theta_star + phi
+                vt = self.cost.f(theta) - self._j_star
+                y = self.cost.f(theta[:, None, :] + self.quad.s)  # (k, n_q)
+                if c_xi is None:
+                    ok = vt <= c_theta
+                    val = np.abs(np.mean(y, axis=-1) - self.eq.xi_star)
+                else:
+                    ok = (vt <= c_theta) & (self._env_r_xi(vt) <= c_xi)
+                    y_c = y - self.eq.xi_star
+                    m2 = self.quad.m2[channel]
+                    p = np.mean(m2 * (y_c * y_c), axis=-1)
+                    q = np.mean(m2 * y_c, axis=-1)
+                    val = self._eta_abs_max(p, q, r, v_star_c, c_xi)
+                return np.where(ok, val, -np.inf)
+
+            result = np.maximum(result, _golden_max(objective, lo, hi))
+        return np.maximum(result, 0.0)
 
     def radius_xi(self, c_theta: float, quantize: bool = False) -> float:
         """Bounding-ball radius for the averaged-cost error over {V_theta <= c}."""
-        if quantize:
-            key, c_theta = _quantize_up(c_theta)
-            hit = self._cache_xi.get(key)
-            if hit is not None:
-                return hit
-        else:
-            key = None
-        self._check_box(c_theta)
-        feasible = self._vt <= c_theta
-        vals = np.where(feasible, np.abs(self._jbar_err), -np.inf)
-        flat_idx = int(np.argmax(vals))
-        result = float(vals[flat_idx])
-        if not self._sampled:
-            bracket = self._best_axis_bracket(flat_idx, feasible, np.abs(self._jbar_err))
-            axis, lo, hi = bracket
-            base = self._points[flat_idx].copy()
-
-            def objective(x: float) -> float:
-                phi = base.copy()
-                phi[axis] = x
-                if self._point_vt(phi) > c_theta:
-                    return -np.inf
-                return abs(self._point_jbar_err(phi))
-
-            result = max(result, _golden_max(objective, lo, hi))
-        result = max(result, 0.0)
-        if key is not None:
-            self._cache_xi[key] = result
-        return result
+        levels = np.array([c_theta], dtype=float)
+        return float(self._radii(_quantize_up(levels) if quantize else levels)[0])
 
     def radius_v(self, c_theta: float, c_xi: float, channel: int = 0, quantize: bool = False) -> float:
         """Bounding-ball radius for one squared-estimate channel under both levels."""
@@ -377,64 +399,41 @@ class LevelSetOracle:
             raise ValueError(f"channel must be in [0, {self.cost.n})")
         if c_xi < 0:
             raise ValueError("levels must be nonnegative")
+        levels = np.array([c_theta, c_xi], dtype=float)
         if quantize:
-            key_t, c_theta = _quantize_up(c_theta)
-            key_x, c_xi = _quantize_up(c_xi)
-            key = (key_t, key_x, channel)
-            hit = self._cache_v.get(key)
-            if hit is not None:
-                return hit
-        else:
-            key = None
-        self._check_box(c_theta)
-        feasible = (self._vt <= c_theta) & (self._env_r_xi(self._vt) <= c_xi)
-        p = self._g2_p[:, channel]
-        q = self._g2_q[:, channel]
-        r = float(self.quad.r[channel])
-        v_star_c = float(self.eq.v_star[channel])
-        heights = self._eta_abs_max(p, q, r, v_star_c, c_xi)
-        vals = np.where(feasible, heights, -np.inf)
-        flat_idx = int(np.argmax(vals))
-        result = float(vals[flat_idx])
-        if not self._sampled:
-            bracket = self._best_axis_bracket(flat_idx, feasible, heights)
-            axis, lo, hi = bracket
-            base = self._points[flat_idx].copy()
-
-            def objective(x: float) -> float:
-                phi = base.copy()
-                phi[axis] = x
-                vt = self._point_vt(phi)
-                if vt > c_theta or float(self._env_r_xi(vt)) > c_xi:
-                    return -np.inf
-                pp, qq = self._point_g2_coeffs(phi)
-                return float(self._eta_abs_max(pp[channel], qq[channel], r, v_star_c, c_xi))
-
-            result = max(result, _golden_max(objective, lo, hi))
-        result = max(result, 0.0)
-        if key is not None:
-            self._cache_v[key] = result
-        return result
+            levels = _quantize_up(levels)
+        return float(self._radii(levels[:1], levels[1:], channel)[0])
 
     # -- composite function ---------------------------------------------------
 
+    def _evaluate(self, theta_err: np.ndarray, v_err: np.ndarray, xi_err: np.ndarray,
+                  quantize: bool):
+        """V and its terms for a batch of error states (one row per sample).
+
+        Returns (V_theta, r_xi, V_xi, r_v, V_v, V); r_v and V_v are (m, n).
+        """
+        vt = self.cost.f(theta_err + self.eq.theta_star) - self._j_star
+        levels = np.maximum(vt, 0.0)
+        if quantize:
+            levels = _quantize_up(levels)
+        r_xi = self._radii(levels)
+        v_xi = np.maximum(r_xi, np.abs(xi_err))
+        c_xi = _quantize_up(v_xi) if quantize else v_xi
+        r_v = np.stack([self._radii(levels, c_xi, i) for i in range(self.cost.n)], axis=1)
+        v_v = np.maximum(r_v, np.abs(v_err))
+        return vt, r_xi, v_xi, r_v, v_v, vt + v_xi + np.sum(v_v, axis=1)
+
     def value(self, err: ErrorState, quantize: bool = True) -> LyapunovReport:
-        vt = v_theta(self.cost, self.eq.theta_star, err.theta_err)
-        vt_for_levels = max(vt, 0.0)
-        r_xi = self.radius_xi(vt_for_levels, quantize=quantize)
-        v_xi_term = max(r_xi, abs(err.xi_err))
-        r_v = np.empty(self.cost.n)
-        v_v_terms = np.empty(self.cost.n)
-        for i in range(self.cost.n):
-            r_v[i] = self.radius_v(vt_for_levels, v_xi_term, i, quantize=quantize)
-            v_v_terms[i] = max(r_v[i], abs(err.v_err[i]))
+        vt, r_xi, v_xi, r_v, v_v, total = self._evaluate(
+            err.theta_err[None, :], err.v_err[None, :], np.array([err.xi_err]), quantize
+        )
         return LyapunovReport(
-            v_theta=vt,
-            r_xi=r_xi,
-            r_v=r_v,
-            v_xi=v_xi_term,
-            v_v=v_v_terms,
-            v_total=vt + v_xi_term + float(np.sum(v_v_terms)),
+            v_theta=float(vt[0]),
+            r_xi=float(r_xi[0]),
+            r_v=r_v[0],
+            v_xi=float(v_xi[0]),
+            v_v=v_v[0],
+            v_total=float(total[0]),
         )
 
 
@@ -454,18 +453,16 @@ def monitor_descent(
     quantization jitter in the radii.
     """
     oracle = LevelSetOracle(cost, dither, eq, spec, n_q)
-    states = avg_trajectory.states
-    m = len(states)
-    values = np.empty(m)
-    vt_terms = np.empty(m)
-    vxi_terms = np.empty(m)
-    vv_terms = np.empty((m, cost.n))
-    for j in range(m):
-        report = oracle.value(to_error_coords(states[j], eq), quantize=True)
-        values[j] = report.v_total
-        vt_terms[j] = report.v_theta
-        vxi_terms[j] = report.v_xi
-        vv_terms[j] = report.v_v
+    states = np.asarray(avg_trajectory.states, dtype=float)
+    n = cost.n
+    if states.ndim != 2 or states.shape[1] != 2 * n + 1:
+        raise ValueError(f"expected flat states of length {2 * n + 1}, got shape {states.shape}")
+    vt_terms, _, vxi_terms, _, vv_terms, values = oracle._evaluate(
+        states[:, :n] - eq.theta_star,
+        states[:, n : 2 * n] - eq.v_star,
+        states[:, 2 * n] - eq.xi_star,
+        quantize=True,
+    )
     if tol is None:
         tol = 1e-6 * values[0] + 1e-12
     diffs = np.diff(values)

@@ -202,6 +202,41 @@ def test_step_not_dividing_span_exit_code_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_step_not_dividing_sample_dt_exit_code_2(tmp_path, capsys):
+    # h = 0.03 divides t1 = 0.6 but not sample_dt = 0.05: samples would land on 0.06, 0.12, ...
+    code = main([
+        "simulate", "--config", "quartic_fig1",
+        "--set", "time.t1=0.6", "--set", "time.h=0.03", "--set", "time.sample_dt=0.05",
+        "--set", "init.xi=0", "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert "must divide time.sample_dt" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_step_rule_respects_filter_gains(tmp_path, capsys):
+    # omega_l = 300 puts the v filter's RK4 pole beyond the stability region at the
+    # dither rule's h = 0.0157 (the run used to abort at t = 0.17); the cap picks h = 0.005.
+    code = main([
+        "simulate", "--config", "quartic_fig1", "--set", "gains.omega_l=300",
+        "--set", "time.t1=1", "--out", str(tmp_path),
+    ])
+    assert code == 0, capsys.readouterr().err
+    paths = sorted(tmp_path.glob("*.csv"))
+    assert len(paths) == 3
+    for path in paths:
+        header, cols = read_csv_columns(path)
+        assert len(cols[0]) == 101
+        assert all(np.all(np.isfinite(c)) for c in cols)
+
+    code = main([
+        "simulate", "--config", "quartic_fig1", "--set", "gains.omega_l=300",
+        "--set", "time.t1=1", "--set", "time.h=0.01", "--out", str(tmp_path / "explicit"),
+    ])
+    assert code == 2
+    assert "gains.omega_l" in capsys.readouterr().err
+
+
 def test_every_bundled_config_runs_clean(tmp_path):
     for name in bundled_config_names():
         start = time.monotonic()

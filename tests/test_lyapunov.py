@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import esc_lab.lyapunov as lyapunov
+
 from esc_lab import (
     BoxEscapeError,
     EscParams,
@@ -13,6 +15,7 @@ from esc_lab import (
     new_dither,
     quadratic_cost,
     quartic_cost,
+    shifted_quartic_cost,
     simulate_average,
     to_error_coords,
     v_theta,
@@ -193,7 +196,7 @@ def test_sublevel_sets_connected_two_dimensional():
         assert labels.max() == 1
 
 
-def test_quantized_radius_cache(quad_ctx):
+def test_quantized_radius_levels(quad_ctx):
     cost, dither, eq, spec = quad_ctx
     oracle = LevelSetOracle(cost, dither, eq, spec)
     for c in (0.37, 1.234):
@@ -201,7 +204,7 @@ def test_quantized_radius_cache(quad_ctx):
         quantized = oracle.radius_xi(c, quantize=True)
         # levels round upward, radii are monotone => one-sided error
         assert exact - 1e-12 <= quantized <= exact * 1.002 + 1e-12
-        assert oracle.radius_xi(c, quantize=True) == quantized  # cache hit
+        assert oracle.radius_xi(c, quantize=True) == quantized
     rv_exact = oracle.radius_v(0.5, 0.5, 0)
     rv_quant = oracle.radius_v(0.5, 0.5, 0, quantize=True)
     assert rv_exact - 1e-12 <= rv_quant <= rv_exact * 1.005 + 1e-12
@@ -284,3 +287,44 @@ def test_sampled_fallback_above_two_dimensions():
     assert 0.0 < r1 <= r2
     # sampling approximates the true sublevel max (= c for quadratic V_theta ~ J_bar err)
     assert r1 == pytest.approx(0.5, rel=0.1)
+
+
+def _assert_monitor_matches_single_samples(traj, cost, dither, eq, spec):
+    """The lockstep monitor equals one LevelSetOracle.value call per sample, bit for bit."""
+    report = monitor_descent(traj, cost, dither, eq, spec)
+    oracle = LevelSetOracle(cost, dither, eq, spec)
+    singles = [oracle.value(to_error_coords(state, eq), quantize=True) for state in traj.states]
+    assert np.array_equal(report.values, [r.v_total for r in singles])
+    assert np.array_equal(report.v_theta_terms, [r.v_theta for r in singles])
+    assert np.array_equal(report.v_xi_terms, [r.v_xi for r in singles])
+    assert np.array_equal(report.v_v_terms, np.stack([r.v_v for r in singles]))
+    return oracle
+
+
+def test_monitor_matches_single_samples(quad_ctx, quartic_ctx):
+    for cost, dither, eq, spec in (quad_ctx, quartic_ctx):
+        traj = simulate_average(cost, dither, FIG1, [2.0, 0.81, 0.0], 0.0, 5.0, 0.0125, 4)
+        _assert_monitor_matches_single_samples(traj, cost, dither, eq, spec)
+
+
+def test_monitor_matches_single_samples_across_chunks():
+    # 2-D grid path: 101^2 grid points leave room for 6 samples per chunk, so 61 samples span 11.
+    cost = shifted_quartic_cost([0.3, -0.2])
+    dither = new_dither([0.1, 0.08], [1, 2], 10.0)
+    eq = equilibrium(cost, dither)
+    spec = LevelSpec(box=[[-3.0, 3.0], [-3.0, 3.0]], grid_theta=101)
+    params = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25, 0.25], omega_xi=1.0)
+    traj = simulate_average(cost, dither, params, [1.2, -1.0, 0.5, 0.5, 0.0], 0.0, 3.0, 0.0125, 4)
+    oracle = _assert_monitor_matches_single_samples(traj, cost, dither, eq, spec)
+    assert len(traj.times) > lyapunov._CHUNK_ELEMENTS // len(oracle._vt)
+
+
+def test_monitor_matches_single_samples_sampled_path():
+    cost = quadratic_cost([1.0, 2.0, 0.5], 0.0)
+    dither = new_dither([0.1, 0.1, 0.1], [1, 2, 3], 10.0)
+    eq = equilibrium(cost, dither, theta_init=[0.2, -0.1, 0.3])
+    spec = LevelSpec(box=[[-2, 2]] * 3, n_samples=4000)
+    params = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25] * 3, omega_xi=1.0)
+    state0 = [0.6, -0.4, 0.5, 0.5, 0.5, 0.5, 0.0]
+    traj = simulate_average(cost, dither, params, state0, 0.0, 1.0, 0.0125, 4)
+    _assert_monitor_matches_single_samples(traj, cost, dither, eq, spec)

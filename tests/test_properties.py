@@ -85,3 +85,22 @@ def test_average_filter_state_stays_nonnegative(state):
     traj = simulate_average(quartic_cost(), new_dither([0.2], [1], 10.0), _params(omega_l),
                             [theta0, v0, xi0], 0.0, 1.0, 0.05)
     assert np.all(traj.states[:, 1] >= 0.0)
+
+
+@settings(deadline=None)
+@given(arrays(float, st.tuples(st.integers(1, 6), st.just(1)), elements=st.floats(-10.0, 10.0)))
+def test_quartic_cost_is_even(phi):
+    cost = quartic_cost()
+    assert np.array_equal(cost.f(phi), cost.f(-phi))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    arrays(float, n, elements=st.floats(-2.0, 2.0)),
+    arrays(float, (4, n), elements=coords),
+)))
+def test_shifted_quartic_matches_signed_power(shift_and_points):
+    shift, x = shift_and_points
+    reference = np.sum((x - shift) ** 4, axis=-1) / 24.0
+    got = shifted_quartic_cost(shift).f(x)
+    assert np.all(np.abs(got - reference) <= 1e-15 * reference)
