@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Time the simulation layers in process.
+
+Times the quartic closed-loop run, its plain-gradient baseline, the
+average-system counterpart and the level-set descent monitor, and prints the
+median and the quartiles of the repeats for each. The monitor row runs on the
+quartic average run of t1 = 25 s, sample_dt = 0.05 (501 samples), box +-4,
+and adds its cost per sample. Run from the repo root:
+
+    python3 benchmarks/bench_layers.py [--t1 SECONDS] [--repeats N]
+"""
+
+import argparse
+import time
+
+import numpy as np
+
+import esc_lab as el
+
+
+def timings(repeats, fn):
+    """(median, first quartile, third quartile) of ``repeats`` wall times."""
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    q1, med, q3 = np.percentile(times, [25, 50, 75])
+    return med, q1, q3
+
+
+def fmt(stats):
+    med, q1, q3 = (1e3 * x for x in stats)
+    return f"{med:9.1f} ms [{q1:.1f}, {q3:.1f}]"
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--t1", type=float, default=100.0, help="simulated horizon (default 100)")
+    ap.add_argument("--repeats", type=int, default=5, help="timing repeats (default 5)")
+    args = ap.parse_args()
+
+    cost = el.quartic_cost()
+    dither = el.new_dither([0.02], [1], 10.0)
+    params = el.EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
+    state0 = np.array([2.0, 0.81, 0.0])
+    h, stride = el.oscillation_step(dither.period, dither.r_max, 0.05)
+    nsteps = int(round(args.t1 / h))
+
+    avg = el.simulate_average(cost, dither, params, state0, 0.0, 25.0, 0.01, 5)
+    eq = el.equilibrium(cost, dither)
+    spec = el.LevelSpec(box=[[-4.0, 4.0]])
+    m = len(avg.times)
+
+    cases = [
+        (
+            f"closed loop ({nsteps} RK4 steps)",
+            lambda: el.simulate_rmspesc(cost, dither, params, state0, 0.0, args.t1, h, stride),
+            None,
+        ),
+        (
+            f"baseline loop ({nsteps} RK4 steps)",
+            lambda: el.simulate_gesc(cost, dither, params, state0[[0, 2]], 0.0, args.t1, h, stride),
+            None,
+        ),
+        (
+            "average system (quadrature rhs)",
+            lambda: el.simulate_average(cost, dither, params, state0, 0.0, args.t1, 0.0125, 4),
+            None,
+        ),
+        (
+            f"descent monitor ({m} samples)",
+            lambda: el.monitor_descent(avg, cost, dither, eq, spec),
+            m,
+        ),
+    ]
+
+    print(f"median [q1, q3] of {args.repeats} repeats")
+    for name, run, per in cases:
+        stats = timings(args.repeats, run)
+        extra = f"   {1e6 * stats[0] / per:.0f} us per sample" if per else ""
+        print(f"{name:38s} {fmt(stats):>30s}{extra}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

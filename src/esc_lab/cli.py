@@ -268,7 +268,6 @@ def _mode_lyapunov(cfg: ExperimentConfig, out_dir: Path) -> int:
     spec = LevelSpec(
         box=np.stack([-hw, hw], axis=-1),
         grid_theta=cfg.integer("lyapunov.grid_theta", 401),
-        grid_eta=cfg.integer("lyapunov.grid_eta", 201),
     )
     tol = cfg.number("lyapunov.tol", -1.0)
     report = monitor_descent(traj, cost, dither, eq, spec, tol=None if tol < 0 else tol, n_q=n_q)

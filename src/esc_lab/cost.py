@@ -21,7 +21,6 @@ from .expressions import compile_expression
 
 __all__ = [
     "CostFunction",
-    "CostKernelSpec",
     "AssumptionReport",
     "Verdict",
     "quadratic_cost",
@@ -34,21 +33,6 @@ __all__ = [
     "parse_cost",
 ]
 
-# Builtin family codes understood by the compiled simulation kernels.
-KERNEL_QUADRATIC = 0
-KERNEL_QUARTIC = 1
-
-
-@dataclass(frozen=True)
-class CostKernelSpec:
-    """Flat parameterization of a builtin family for the compiled kernels."""
-
-    kind: int
-    j_opt: float
-    theta_star: np.ndarray
-    hmat: np.ndarray
-
-
 @dataclass(frozen=True)
 class CostFunction:
     n: int
@@ -57,7 +41,6 @@ class CostFunction:
     theta_star: Optional[np.ndarray] = None
     name: str = "cost"
     expr: Optional[str] = None
-    kernel: Optional[CostKernelSpec] = None
 
     def __call__(self, theta) -> np.ndarray:
         return self.f(np.asarray(theta, dtype=float))
@@ -148,7 +131,6 @@ def quadratic_cost(h, j_opt: float = 0.0, theta_star=None, n: Optional[int] = No
         theta_star=star,
         name="quadratic",
         expr=" + ".join(terms),
-        kernel=CostKernelSpec(KERNEL_QUADRATIC, float(j_opt), star, hmat),
     )
 
 
@@ -187,7 +169,6 @@ def shifted_quartic_cost(theta_star, name: str = "shifted_quartic") -> CostFunct
         theta_star=star,
         name=name,
         expr=" + ".join(pieces),
-        kernel=CostKernelSpec(KERNEL_QUARTIC, 0.0, star, np.eye(n)),
     )
 
 

@@ -75,7 +75,6 @@ class LevelSpec:
 
     box: np.ndarray
     grid_theta: int = 401
-    grid_eta: int = 201
     n_samples: int = 20_000
 
     def __post_init__(self):
@@ -90,7 +89,7 @@ class LevelSpec:
             raise ValueError("box must contain the origin of the error coordinates")
         box.setflags(write=False)
         object.__setattr__(self, "box", box)
-        if self.grid_theta < 3 or self.grid_eta < 3:
+        if self.grid_theta < 3:
             raise ValueError("grid resolutions must be at least 3")
 
     @property

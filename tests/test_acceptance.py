@@ -1,8 +1,4 @@
-"""Acceptance gate: every criterion prints one PASS/FAIL line (run with -s).
-
-Timing limits are asserted on warm kernels; a module-level warm-up fixture
-pays the one-time JIT compilation cost up front.
-"""
+"""Acceptance gate: every criterion prints one PASS/FAIL line (run with -s)."""
 
 import time
 from contextlib import contextmanager
@@ -31,17 +27,6 @@ def criterion(num: int, desc: str, limit_s: float):
     verdict = "PASS" if ok else "FAIL (runtime)"
     print(f"[criterion {num}] {verdict} — {desc} ({elapsed:.2f}s, limit {limit_s:.0f}s)")
     assert ok, f"criterion {num} exceeded its runtime limit: {elapsed:.2f}s >= {limit_s}s"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # JIT compilation is a one-time artifact cost, not part of any criterion.
-    cost = el.quartic_cost()
-    dither = el.new_dither([0.02], [1], 10.0)
-    state0 = [2.0, 0.81, 0.0]
-    el.simulate_rmspesc(cost, dither, FIG1, state0, 0.0, 0.1, 0.01)
-    el.simulate_gesc(cost, dither, FIG1, [2.0, 0.0], 0.0, 0.1, 0.01)
-    el.simulate_average(cost, dither, FIG1, state0, 0.0, 0.1, 0.01)
 
 
 _CACHE: dict = {}

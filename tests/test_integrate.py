@@ -7,9 +7,17 @@ from esc_lab import (
     integrate_fixed,
     new_dither,
     oscillation_step,
+    parse_cost,
     quadratic_cost,
+    quartic_cost,
+    simulate_average,
+    simulate_gesc,
+    simulate_rmspesc,
 )
-from esc_lab.dynamics import rmspesc_flat_rhs
+from esc_lab.averaging import average_flat_rhs
+from esc_lab.dynamics import gesc_flat_rhs, rmspesc_flat_rhs
+
+FIG1 = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
 
 
 def decay(t, y):
@@ -105,3 +113,66 @@ def test_clamp_never_fires_on_quadratic_loop_with_step_rule():
     )
     assert traj.clamp_events == 0
     assert np.all(traj.states[:, 1] >= 0.0)
+
+
+def test_simulate_gesc_nonfinite_abort():
+    # gigantic gain on the baseline loop blows the state up in a few steps
+    params = EscParams(k=1e12, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteStateError):
+        simulate_gesc(quadratic_cost(1.0), new_dither([0.001], [1], 10.0), params,
+                      [5.0, 0.0], 0.0, 10.0, 0.1, 1)
+
+
+def test_simulate_record_layout_partial_stride():
+    # stride 7 does not divide the 100 steps: the final partial interval is recorded
+    cost, dither = quartic_cost(), new_dither([0.02], [1], 10.0)
+    traj = simulate_rmspesc(cost, dither, FIG1, [1.0, 0.1, 0.0], 0.0, 1.0, 0.01, 7)
+    np.testing.assert_allclose(traj.times, [*(0.07 * np.arange(15)), 1.0], atol=1e-12)
+    dense = simulate_rmspesc(cost, dither, FIG1, [1.0, 0.1, 0.0], 0.0, 1.0, 0.01)
+    np.testing.assert_array_equal(traj.states, dense.states[[*range(0, 100, 7), 100]])
+
+
+def test_step_must_divide_span():
+    cost, dither = quartic_cost(), new_dither([0.02], [1], 10.0)
+    with pytest.raises(ValueError, match="divide"):
+        simulate_rmspesc(cost, dither, FIG1, [1.0, 0.1, 0.0], 0.0, 1.0, 0.03, 1)
+    with pytest.raises(ValueError, match="divide"):
+        simulate_average(cost, dither, FIG1, [1.0, 0.1, 0.0], 0.0, 1.0, 0.03, 1)
+
+
+def test_parsed_quartic_matches_builtin():
+    dither = new_dither([0.02], [1], 10.0)
+    traj = simulate_rmspesc(parse_cost("theta1^4 / 24", 1), dither, FIG1,
+                            [2.0, 0.81, 0.0], 0.0, 1.0, 0.01, 10)
+    ref = simulate_rmspesc(quartic_cost(), dither, FIG1, [2.0, 0.81, 0.0], 0.0, 1.0, 0.01, 10)
+    np.testing.assert_allclose(traj.states, ref.states, rtol=1e-9, atol=1e-12)
+
+
+# Two channels with distinct rates and a coupled curvature: each driver is one
+# integrate_fixed run over its flat rhs closure, bit for bit.
+MULTI_COST = quadratic_cost([[2.0, 0.3], [0.3, 1.0]], 0.5, [0.2, -0.4])
+MULTI_DITHER = new_dither([0.05, 0.04], [1, 3], 10.0)
+MULTI_PARAMS = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25, 0.5], omega_xi=1.0)
+
+
+@pytest.mark.parametrize("driver, rhs, state0, clamp", [
+    (simulate_rmspesc, rmspesc_flat_rhs, [1.0, -1.0, 0.1, 0.2, 0.0], [2, 3]),
+    # xi0 = J(theta0): from xi0 = 0 the unnormalized baseline diverges within 0.1 s
+    (simulate_gesc, gesc_flat_rhs, [1.0, -1.0, 1.176], None),
+    (simulate_average, average_flat_rhs, [1.0, -1.0, 0.1, 0.2, 0.0], [2, 3]),
+])
+def test_driver_is_one_integrator_run(driver, rhs, state0, clamp):
+    traj = driver(MULTI_COST, MULTI_DITHER, MULTI_PARAMS, state0, 0.0, 1.0, 0.002, 25)
+    ref = integrate_fixed(rhs(MULTI_PARAMS, MULTI_COST, MULTI_DITHER), state0, 0.0, 1.0, 0.002, 25,
+                          clamp_nonneg=clamp)
+    np.testing.assert_array_equal(traj.times, ref.times)
+    np.testing.assert_array_equal(traj.states, ref.states)
+    assert traj.clamp_events == ref.clamp_events
+
+
+def test_simulate_rejects_state_length():
+    cost, dither = quartic_cost(), new_dither([0.02], [1], 10.0)
+    for driver, state0 in ((simulate_rmspesc, [1.0, 0.1]), (simulate_gesc, [1.0, 0.1, 0.0]),
+                           (simulate_average, [1.0, 0.1, 0.0, 0.0])):
+        with pytest.raises(ValueError, match="initial state of length"):
+            driver(cost, dither, FIG1, state0, 0.0, 1.0, 0.01)

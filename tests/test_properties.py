@@ -37,8 +37,9 @@ def builtin_cost_and_scale(draw):
         return cost, cost.f
     a = draw(arrays(float, (n, n), elements=st.floats(-2.0, 2.0)))
     j_opt = draw(st.floats(-5.0, 5.0))
-    cost = quadratic_cost(a @ a.T + 0.1 * np.eye(n), j_opt, star)
-    abs_h = np.abs(cost.kernel.hmat)
+    hmat = a @ a.T + 0.1 * np.eye(n)
+    cost = quadratic_cost(hmat, j_opt, star)
+    abs_h = np.abs(hmat)
 
     def scale(x):
         d = np.abs(x - star)
