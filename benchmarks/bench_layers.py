@@ -2,20 +2,26 @@
 """Time the simulation layers in process.
 
 Times the quartic closed-loop run, its plain-gradient baseline, the
-average-system counterpart and the level-set descent monitor, and prints the
-median and the quartiles of the repeats for each. The monitor row runs on the
-quartic average run of t1 = 25 s, sample_dt = 0.05 (501 samples), box +-4,
-and adds its cost per sample. Run from the repo root:
+average-system counterpart, the level-set descent monitor and CSV writing, and
+prints the median and the quartiles of the repeats for each. The monitor row
+runs on the quartic average run of t1 = 25 s, sample_dt = 0.05 (501 samples),
+box +-4, and adds its cost per sample. The CSV row writes the closed-loop
+trajectory recorded every 0.01 s (10,001 rows at t1 = 100) with
+``esc_lab.cli.write_trajectory_csv`` into a temporary directory. Run from the
+repo root:
 
     python3 benchmarks/bench_layers.py [--t1 SECONDS] [--repeats N]
 """
 
 import argparse
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
 import esc_lab as el
+from esc_lab.cli import write_trajectory_csv
 
 
 def timings(repeats, fn):
@@ -51,6 +57,10 @@ def main() -> int:
     eq = el.equilibrium(cost, dither)
     spec = el.LevelSpec(box=[[-4.0, 4.0]])
     m = len(avg.times)
+    h_csv, stride_csv = el.oscillation_step(dither.period, dither.r_max, 0.01)
+    loop = el.simulate_rmspesc(cost, dither, params, state0, 0.0, args.t1, h_csv, stride_csv)
+    csv_dir = tempfile.TemporaryDirectory()
+    csv_path = Path(csv_dir.name, "trajectory.csv")
 
     cases = [
         (
@@ -73,13 +83,19 @@ def main() -> int:
             lambda: el.monitor_descent(avg, cost, dither, eq, spec),
             m,
         ),
+        (
+            f"CSV writing ({len(loop.times)} rows)",
+            lambda: write_trajectory_csv(csv_path, loop, cost, with_v=True),
+            None,
+        ),
     ]
 
     print(f"median [q1, q3] of {args.repeats} repeats")
-    for name, run, per in cases:
-        stats = timings(args.repeats, run)
-        extra = f"   {1e6 * stats[0] / per:.0f} us per sample" if per else ""
-        print(f"{name:38s} {fmt(stats):>30s}{extra}")
+    with csv_dir:
+        for name, run, per in cases:
+            stats = timings(args.repeats, run)
+            extra = f"   {1e6 * stats[0] / per:.0f} us per sample" if per else ""
+            print(f"{name:38s} {fmt(stats):>30s}{extra}")
     return 0
 
 

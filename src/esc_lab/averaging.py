@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .cost import CostFunction, grad_cost
+from .dynamics import _check_dims
 from .signals import DitherConfig
 
 __all__ = [
@@ -52,7 +53,6 @@ class AverageMaps:
     j_bar: float
     g_bar: np.ndarray
     g2_bar: np.ndarray
-    n_q: int
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def avg_maps(
     g_bar = np.mean(quad.m * y_centered[None, :], axis=1)
     resid = quad.m * (y - float(xi_bar))[None, :]
     g2_bar = np.mean(resid * resid, axis=1)
-    return AverageMaps(j_bar=j_bar, g_bar=g_bar, g2_bar=g2_bar, n_q=quad.n_q)
+    return AverageMaps(j_bar=j_bar, g_bar=g_bar, g2_bar=g2_bar)
 
 
 def avg_g2_coeffs(
@@ -164,6 +164,7 @@ def average_flat_rhs(params, cost: CostFunction, dither: DitherConfig, n_q: Opti
 
     Clamps v to zero before the square root, like the full-loop closure.
     """
+    _check_dims(params, cost, dither)
     n = params.n
     k, eps, wl, wxi = params.k, params.epsilon, params.omega_l, params.omega_xi
     quad = PeriodQuadrature(dither, n_q)

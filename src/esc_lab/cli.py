@@ -13,10 +13,11 @@ plot       render CSV columns to an SVG
 Independent runs within one invocation (the washout seeds of simulate, the
 full and average runs of compare) execute one after another.
 
-Exit codes: 0 success, 2 configuration/validation error (including a step
-size that does not divide the time span or time.sample_dt, or that exceeds
-2.5 / max(omega_l, omega_xi)), 3 runtime abort (non-finite state or a
-stalled equilibrium search).
+Exit codes: 0 success, 2 configuration/validation error (including cost,
+dither and gains of different dimensions in a trajectory mode: simulate,
+average, compare or lyapunov; and a step size that does not divide the time
+span or time.sample_dt, or that exceeds 2.5 / max(omega_l, omega_xi)),
+3 runtime abort (non-finite state or a stalled equilibrium search).
 """
 
 from __future__ import annotations
@@ -24,18 +25,21 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from .averaging import ConvergenceError, convergence_sweep, equilibrium
 from .config import MODES, ConfigError, ExperimentConfig, apply_overrides, load_config
 from .cost import CostFunction
-from .integrate import NonFiniteStateError, Trajectory
+from .dynamics import EscParams
+from .integrate import NonFiniteStateError, Trajectory, fit_step
 from .lyapunov import LevelSpec, monitor_descent
 from .plotting import PlotError, emit_plot
 from .quadratic import QuadraticModel, quad_jacobian
-from .signals import dither_value
+from .signals import DitherConfig, dither_value
 from .simulate import simulate_average, simulate_gesc, simulate_rmspesc
 
 __all__ = ["main", "run_experiment"]
@@ -45,36 +49,29 @@ def _sanitize(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.+-]", "", label) or "x"
 
 
+def write_csv(path: Path, header: list[str], table) -> Path:
+    """Write a header line, then one line per table row, values as ``.12g``;
+    streams row by row, so no text copy of the whole table is held at once."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in np.asarray(table, dtype=float):
+            fh.write(",".join(f"{x:.12g}" for x in row.tolist()) + "\n")
+    return path
+
+
 def write_trajectory_csv(path: Path, traj: Trajectory, cost: CostFunction, with_v: bool) -> Path:
     """Schema: t, theta_1..theta_n, v_1..v_n, xi, J (J evaluated at theta)."""
     n = cost.n
     theta = traj.states[:, :n]
-    if with_v:
-        v = traj.states[:, n : 2 * n]
-        xi = traj.states[:, 2 * n]
-    else:
-        v = np.zeros_like(theta)
-        xi = traj.states[:, n]
-    j = np.atleast_1d(cost.f(theta))
-    header = (
-        ["t"]
-        + [f"theta_{i + 1}" for i in range(n)]
-        + [f"v_{i + 1}" for i in range(n)]
-        + ["xi", "J"]
-    )
-    lines = [",".join(header)]
-    for row in range(len(traj.times)):
-        fields = [f"{traj.times[row]:.12g}"]
-        fields += [f"{theta[row, i]:.12g}" for i in range(n)]
-        fields += [f"{v[row, i]:.12g}" for i in range(n)]
-        fields += [f"{xi[row]:.12g}", f"{j[row]:.12g}"]
-        lines.append(",".join(fields))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    v = traj.states[:, n : 2 * n] if with_v else np.zeros_like(theta)
+    xi = traj.states[:, 2 * n if with_v else n]
+    header = ["t", *(f"theta_{i + 1}" for i in range(n)), *(f"v_{i + 1}" for i in range(n)),
+              "xi", "J"]
+    table = np.column_stack([traj.times, theta, v, xi, np.atleast_1d(cost.f(theta))])
+    return write_csv(path, header, table)
 
 
-def _gain_step(params) -> tuple[float, str]:
+def _gain_step(params: EscParams) -> tuple[float, str]:
     """Largest step for the filters: RK4 is stable on the real axis only for
     h * omega <= 2.785, so h <= 2.5 / omega for the fastest filter gain."""
     gain, name = max((float(np.max(params.omega_l)), "gains.omega_l"),
@@ -82,7 +79,7 @@ def _gain_step(params) -> tuple[float, str]:
     return 2.5 / gain, name
 
 
-def _time_grid(cfg: ExperimentConfig, params, period: float, r_max: int, oscillatory: bool):
+def _time_grid(cfg: ExperimentConfig, params: EscParams, dither: DitherConfig, oscillatory: bool):
     t0 = cfg.number("time.t0", 0.0)
     t1 = cfg.number("time.t1")
     if not t1 > t0:
@@ -103,12 +100,45 @@ def _time_grid(cfg: ExperimentConfig, params, period: float, r_max: int, oscilla
             raise ConfigError(f"field 'time.h' = {h:.6g} exceeds 2.5 / {gain_name} = {h_gain:.6g}; "
                               "RK4 is unstable for the filters beyond that step")
         return t0, t1, h, stride
-    h_max = min(period / (40.0 * r_max) if oscillatory else 0.01, h_gain)
-    stride = max(1, int(np.ceil(sample_dt / h_max - 1e-12)))
-    return t0, t1, sample_dt / stride, stride
+    h_max = dither.period / (40.0 * dither.r_max) if oscillatory else 0.01
+    return (t0, t1, *fit_step(sample_dt, min(h_max, h_gain)))
 
 
-def _initial_state(cfg: ExperimentConfig, n: int):
+def _n_q(cfg: ExperimentConfig) -> Optional[int]:
+    return cfg.integer("average.n_q", 0) or None
+
+
+@dataclass(frozen=True)
+class _Run:
+    """The validated setup every trajectory mode starts from."""
+
+    cost: CostFunction
+    dither: DitherConfig
+    params: EscParams
+    theta0: np.ndarray
+    v0: np.ndarray
+    grid: tuple[float, float, float, int]   # t0, t1, h, record stride
+    washouts: list[tuple[str, float]]       # (label, xi0) per init.xi entry
+    n_q: Optional[int]
+
+    @property
+    def system(self) -> tuple[CostFunction, DitherConfig, EscParams]:
+        return self.cost, self.dither, self.params
+
+    def state0(self, xi0: float, with_v: bool = True) -> np.ndarray:
+        return np.concatenate([self.theta0, self.v0, [xi0]] if with_v else [self.theta0, [xi0]])
+
+
+def _setup(cfg: ExperimentConfig, oscillatory: bool) -> _Run:
+    """Build and cross-check cost, dither, gains, initial state and time grid.
+
+    ``oscillatory`` selects the full-loop step rule and measures y0 through
+    the dither at t0; the average system steps at most 0.01 and reads J(theta0).
+    """
+    cost, dither, params = cfg.cost(), cfg.dither(), cfg.gains()
+    if not cost.n == dither.n == params.n:
+        raise ConfigError("cost, dither, and gains dimensions must agree")
+    n = cost.n
     theta0 = cfg.number_list("init.theta")
     if theta0.size != n:
         raise ConfigError(f"field 'init.theta' must have {n} entries")
@@ -117,31 +147,21 @@ def _initial_state(cfg: ExperimentConfig, n: int):
         raise ConfigError(f"field 'init.v' must have {n} entries")
     if np.any(v0 < 0):
         raise ConfigError("field 'init.v' entries must be nonnegative")
-    return theta0, v0
+    grid = _time_grid(cfg, params, dither, oscillatory)
+    y0 = float(cost.f(theta0 + dither_value(dither, grid[0]) if oscillatory else theta0))
+    return _Run(cost, dither, params, theta0, v0, grid, cfg.initial_washouts(y0), _n_q(cfg))
 
 
 def _mode_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
-    cost = cfg.cost()
-    dither = cfg.dither()
-    params = cfg.gains()
-    if not cost.n == dither.n == params.n:
-        raise ConfigError("cost, dither, and gains dimensions must agree")
     algorithm = cfg.string("algorithm", "rmspesc", choices=("rmspesc", "gesc"))
-    theta0, v0 = _initial_state(cfg, cost.n)
-    t0, t1, h, stride = _time_grid(cfg, params, dither.period, dither.r_max, oscillatory=True)
-    y0 = float(cost.f(theta0 + dither_value(dither, t0)))
-    variants = cfg.initial_washouts(y0)
-
-    for label, xi0 in variants:
-        if algorithm == "rmspesc":
-            state0 = np.concatenate([theta0, v0, [xi0]])
-            traj = simulate_rmspesc(cost, dither, params, state0, t0, t1, h, stride)
-        else:
-            state0 = np.concatenate([theta0, [xi0]])
-            traj = simulate_gesc(cost, dither, params, state0, t0, t1, h, stride)
-        name = f"trajectory_xi0_{_sanitize(label)}.csv" if len(variants) > 1 else "trajectory.csv"
-        path = write_trajectory_csv(out_dir / name, traj, cost, with_v=(algorithm == "rmspesc"))
-        final_theta = traj.states[-1, : cost.n]
+    run = _setup(cfg, oscillatory=True)
+    with_v = algorithm == "rmspesc"
+    simulate = simulate_rmspesc if with_v else simulate_gesc
+    for label, xi0 in run.washouts:
+        traj = simulate(*run.system, run.state0(xi0, with_v), *run.grid)
+        name = f"trajectory_xi0_{_sanitize(label)}.csv" if len(run.washouts) > 1 else "trajectory.csv"
+        path = write_trajectory_csv(out_dir / name, traj, run.cost, with_v)
+        final_theta = traj.states[-1, : run.cost.n]
         print(
             f"{algorithm} xi0={label}: wrote {path} "
             f"({len(traj.times)} samples, final theta {np.array2string(final_theta, precision=5)})"
@@ -150,36 +170,22 @@ def _mode_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _mode_average(cfg: ExperimentConfig, out_dir: Path) -> int:
-    cost = cfg.cost()
-    dither = cfg.dither()
-    params = cfg.gains()
-    theta0, v0 = _initial_state(cfg, cost.n)
-    t0, t1, h, stride = _time_grid(cfg, params, dither.period, dither.r_max, oscillatory=False)
-    y0 = float(cost.f(theta0))
-    label, xi0 = cfg.initial_washouts(y0)[0]
-    n_q = cfg.integer("average.n_q", 0) or None
-    state0 = np.concatenate([theta0, v0, [xi0]])
-    traj = simulate_average(cost, dither, params, state0, t0, t1, h, stride, n_q=n_q)
-    path = write_trajectory_csv(out_dir / "trajectory_average.csv", traj, cost, with_v=True)
+    run = _setup(cfg, oscillatory=False)
+    label, xi0 = run.washouts[0]
+    traj = simulate_average(*run.system, run.state0(xi0), *run.grid, n_q=run.n_q)
+    path = write_trajectory_csv(out_dir / "trajectory_average.csv", traj, run.cost, with_v=True)
     print(f"average xi0={label}: wrote {path} ({len(traj.times)} samples)")
     return 0
 
 
 def _mode_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
-    cost = cfg.cost()
-    dither = cfg.dither()
-    params = cfg.gains()
-    theta0, v0 = _initial_state(cfg, cost.n)
-    t0, t1, h, stride = _time_grid(cfg, params, dither.period, dither.r_max, oscillatory=True)
-    y0 = float(cost.f(theta0 + dither_value(dither, t0)))
-    _, xi0 = cfg.initial_washouts(y0)[0]
-    n_q = cfg.integer("average.n_q", 0) or None
-    state0 = np.concatenate([theta0, v0, [xi0]])
+    run = _setup(cfg, oscillatory=True)
+    cost, state0 = run.cost, run.state0(run.washouts[0][1])
+    t0, t1, h, stride = run.grid
     sample_dt = h * stride
-    avg_stride = max(4, int(np.ceil(sample_dt / _gain_step(params)[0] - 1e-12)))
-    h_avg = sample_dt / avg_stride
-    full = simulate_rmspesc(cost, dither, params, state0, t0, t1, h, stride)
-    avg = simulate_average(cost, dither, params, state0, t0, t1, h_avg, avg_stride, n_q=n_q)
+    h_avg, avg_stride = fit_step(sample_dt, min(sample_dt / 4, _gain_step(run.params)[0]))
+    full = simulate_rmspesc(*run.system, state0, t0, t1, h, stride)
+    avg = simulate_average(*run.system, state0, t0, t1, h_avg, avg_stride, n_q=run.n_q)
     if len(full.times) != len(avg.times) or not np.allclose(full.times, avg.times, atol=1e-9):
         raise RuntimeError("full and average runs recorded different time grids")
     path_full = write_trajectory_csv(out_dir / "trajectory_full.csv", full, cost, with_v=True)
@@ -191,9 +197,7 @@ def _mode_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
     ]
     for i in range(cost.n):
         lines.append(f"sup |theta_{i + 1}(full) - theta_{i + 1}(average)| = {gaps[i]:.6g}")
-    summary = out_dir / "deviation_summary.txt"
-    summary.parent.mkdir(parents=True, exist_ok=True)
-    summary.write_text("\n".join(lines) + "\n")
+    (out_dir / "deviation_summary.txt").write_text("\n".join(lines) + "\n")
     print(f"wrote {path_full}, {path_avg}")
     for line in lines:
         print(line)
@@ -218,45 +222,31 @@ def _mode_quadratic(cfg: ExperimentConfig, out_dir: Path) -> int:
         f"shallow-curvature eigenvalue asymptote (-(k/eps)*H): {report.shallow_limit:.6g}",
     ]
     text = "\n".join(lines) + "\n"
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "jacobian.txt").write_text(text)
     print(text, end="")
     return 0
 
 
 def _mode_converge(cfg: ExperimentConfig, out_dir: Path) -> int:
-    cost = cfg.cost()
-    dither = cfg.dither()
+    cost, dither = cfg.cost(), cfg.dither()
     a0_list = cfg.number_list("converge.a0")
     theta = cfg.number_list("converge.theta" if cfg.has("converge.theta") else "init.theta")
     if theta.size != cost.n:
         raise ConfigError(f"field 'converge.theta' must have {cost.n} entries")
-    n_q = cfg.integer("average.n_q", 0) or None
-    rows = convergence_sweep(cost, dither, theta, list(a0_list), n_q=n_q)
-    lines = ["a0,grad_error,v_star_max"]
-    for row in rows:
-        lines.append(f"{row.a0:.12g},{row.grad_error:.12g},{row.v_star_max:.12g}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "converge.csv"
-    path.write_text("\n".join(lines) + "\n")
+    rows = convergence_sweep(cost, dither, theta, list(a0_list), n_q=_n_q(cfg))
+    path = write_csv(out_dir / "converge.csv", ["a0", "grad_error", "v_star_max"],
+                     [[row.a0, row.grad_error, row.v_star_max] for row in rows])
     print(f"wrote {path} ({len(rows)} amplitudes)")
     return 0
 
 
 def _mode_lyapunov(cfg: ExperimentConfig, out_dir: Path) -> int:
-    cost = cfg.cost()
-    dither = cfg.dither()
-    params = cfg.gains()
-    theta0, v0 = _initial_state(cfg, cost.n)
-    t0, t1, h, stride = _time_grid(cfg, params, dither.period, dither.r_max, oscillatory=False)
-    y0 = float(cost.f(theta0))
-    _, xi0 = cfg.initial_washouts(y0)[0]
-    n_q = cfg.integer("average.n_q", 0) or None
-    state0 = np.concatenate([theta0, v0, [xi0]])
-    traj = simulate_average(cost, dither, params, state0, t0, t1, h, stride, n_q=n_q)
+    run = _setup(cfg, oscillatory=False)
+    cost, dither, n_q = run.cost, run.dither, run.n_q
+    traj = simulate_average(*run.system, run.state0(run.washouts[0][1]), *run.grid, n_q=n_q)
 
     eq = equilibrium(cost, dither, n_q=n_q)
-    err0 = np.abs(theta0 - eq.theta_star)
+    err0 = np.abs(run.theta0 - eq.theta_star)
     if cfg.has("lyapunov.box_halfwidth"):
         hw = cfg.number_list("lyapunov.box_halfwidth")
         if hw.size == 1:
@@ -272,19 +262,10 @@ def _mode_lyapunov(cfg: ExperimentConfig, out_dir: Path) -> int:
     tol = cfg.number("lyapunov.tol", -1.0)
     report = monitor_descent(traj, cost, dither, eq, spec, tol=None if tol < 0 else tol, n_q=n_q)
 
-    lines = ["t,V,V_theta,V_xi," + ",".join(f"V_v_{i + 1}" for i in range(cost.n))]
-    for j in range(len(report.times)):
-        fields = [
-            f"{report.times[j]:.12g}",
-            f"{report.values[j]:.12g}",
-            f"{report.v_theta_terms[j]:.12g}",
-            f"{report.v_xi_terms[j]:.12g}",
-        ]
-        fields += [f"{report.v_v_terms[j, i]:.12g}" for i in range(cost.n)]
-        lines.append(",".join(fields))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "lyapunov.csv"
-    path.write_text("\n".join(lines) + "\n")
+    header = ["t", "V", "V_theta", "V_xi"] + [f"V_v_{i + 1}" for i in range(cost.n)]
+    table = np.column_stack([report.times, report.values, report.v_theta_terms,
+                             report.v_xi_terms, report.v_v_terms])
+    path = write_csv(out_dir / "lyapunov.csv", header, table)
     verdict = report.summary()
     (out_dir / "lyapunov_verdict.txt").write_text(verdict + "\n")
     print(f"wrote {path}")

@@ -14,7 +14,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["Trajectory", "NonFiniteStateError", "integrate_fixed", "oscillation_step", "step_grid"]
+__all__ = ["Trajectory", "NonFiniteStateError", "integrate_fixed", "fit_step", "oscillation_step",
+           "step_grid"]
 
 
 class NonFiniteStateError(RuntimeError):
@@ -34,27 +35,25 @@ class Trajectory:
     states: np.ndarray          # (m, d)
     h: float
     record_stride: int
-    label: str = ""
     clamp_events: int = 0       # steps on which the nonnegativity clamp fired
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
             raise ValueError("times and states must have equal length")
 
-    def column(self, index: int) -> np.ndarray:
-        return self.states[:, index]
+
+def fit_step(sample_dt: float, h_max: float) -> tuple[float, int]:
+    """Largest step h <= h_max that divides ``sample_dt`` evenly, and its stride.
+
+    Recorded times then land exactly on multiples of ``sample_dt``.
+    """
+    stride = max(1, int(np.ceil(sample_dt / h_max - 1e-12)))
+    return sample_dt / stride, stride
 
 
 def oscillation_step(period: float, r_max: int, sample_dt: float) -> tuple[float, int]:
-    """Step size and recording stride for an oscillatory loop.
-
-    Returns the largest h that divides ``sample_dt`` evenly while satisfying
-    h <= period / (40 * r_max), so recorded times land exactly on multiples
-    of ``sample_dt``.
-    """
-    h_rule = period / (40.0 * r_max)
-    stride = max(1, int(np.ceil(sample_dt / h_rule - 1e-12)))
-    return sample_dt / stride, stride
+    """Step size and recording stride for an oscillatory loop: h <= period / (40 * r_max)."""
+    return fit_step(sample_dt, period / (40.0 * r_max))
 
 
 def step_grid(t0: float, t1: float, h: float, record_stride: int) -> tuple[int, int]:
@@ -87,7 +86,6 @@ def integrate_fixed(
     h: float,
     record_stride: int = 1,
     clamp_nonneg: Optional[Sequence[int]] = None,
-    label: str = "",
 ) -> Trajectory:
     """Integrate ``rhs`` from t0 to t1 with classical RK4 steps of size h.
 
@@ -124,11 +122,5 @@ def integrate_fixed(
             states[rec] = y
             rec += 1
 
-    return Trajectory(
-        times=times,
-        states=states,
-        h=h,
-        record_stride=record_stride,
-        label=label,
-        clamp_events=clamp_events,
-    )
+    return Trajectory(times=times, states=states, h=h, record_stride=record_stride,
+                      clamp_events=clamp_events)

@@ -48,8 +48,8 @@ class JacobianReport:
     shallow_limit: float        # theta-eigenvalue asymptote -(k/eps)*H as H -> 0
 
 
-def fourier_coeffs(model: QuadraticModel, theta_hat: float) -> tuple[float, float, float]:
-    """Fourier coefficients (b0, b1, b2) of the measured quadratic cost."""
+def fourier_coeffs(model: QuadraticModel, theta_hat):
+    """Fourier coefficients (b0, b1, b2) of the measured quadratic cost; broadcasts."""
     b0 = model.j_opt + 0.5 * model.h * theta_hat**2 + 0.25 * model.a**2 * model.h
     b1 = model.a * model.h * theta_hat
     b2 = -0.25 * model.a**2 * model.h
@@ -60,9 +60,7 @@ def quad_avg_maps(model: QuadraticModel, theta_bar, xi_bar):
     """Closed-form (g_bar, g2_bar) for the quadratic; broadcasts over inputs."""
     theta_bar = np.asarray(theta_bar, dtype=float)
     xi_bar = np.asarray(xi_bar, dtype=float)
-    b0 = model.j_opt + 0.5 * model.h * theta_bar**2 + 0.25 * model.a**2 * model.h
-    b1 = model.a * model.h * theta_bar
-    b2 = -0.25 * model.a**2 * model.h
+    b0, b1, b2 = fourier_coeffs(model, theta_bar)
     g_bar = model.h * theta_bar
     g2_bar = (4.0 / model.a**2) * (
         0.5 * (b0 - 0.5 * b2 - xi_bar) ** 2 + 1.5 * (0.5 * b1) ** 2 + 0.5 * (0.5 * b2) ** 2

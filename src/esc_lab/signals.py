@@ -69,10 +69,6 @@ class DitherConfig:
             raise ValueError("a0_new must be positive")
         return DitherConfig(self.amplitudes * (a0_new / self.a0), self.rates, self.omega)
 
-    def phase_grid(self, n_nodes: int) -> np.ndarray:
-        """Uniform quadrature nodes on [0, T): node j is j * T / n_nodes."""
-        return self.period * np.arange(n_nodes) / n_nodes
-
     def dither_matrix(self, t: np.ndarray) -> np.ndarray:
         """s evaluated at a time grid; shape (n, len(t))."""
         t = np.asarray(t, dtype=float)

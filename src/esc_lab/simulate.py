@@ -45,12 +45,8 @@ def simulate_rmspesc(
     """Integrate the RMSp loop from a flat state [theta (n), v (n), xi]."""
     n = params.n
     state0 = _flat_state(state0, 2 * n + 1)
-    return integrate_fixed(
-        rmspesc_flat_rhs(params, cost, dither),
-        state0, t0, t1, h, record_stride,
-        clamp_nonneg=range(n, 2 * n),
-        label="rmspesc",
-    )
+    return integrate_fixed(rmspesc_flat_rhs(params, cost, dither), state0, t0, t1, h, record_stride,
+                           clamp_nonneg=range(n, 2 * n))
 
 
 def simulate_gesc(
@@ -65,11 +61,7 @@ def simulate_gesc(
 ) -> Trajectory:
     """Integrate the plain-gradient baseline from a flat state [theta (n), xi]."""
     state0 = _flat_state(state0, params.n + 1)
-    return integrate_fixed(
-        gesc_flat_rhs(params, cost, dither),
-        state0, t0, t1, h, record_stride,
-        label="gesc",
-    )
+    return integrate_fixed(gesc_flat_rhs(params, cost, dither), state0, t0, t1, h, record_stride)
 
 
 def simulate_average(
@@ -86,9 +78,5 @@ def simulate_average(
     """Integrate the autonomous average system from [theta_bar, v_bar, xi_bar]."""
     n = params.n
     state0 = _flat_state(state0, 2 * n + 1)
-    return integrate_fixed(
-        average_flat_rhs(params, cost, dither, n_q),
-        state0, t0, t1, h, record_stride,
-        clamp_nonneg=range(n, 2 * n),
-        label="average",
-    )
+    return integrate_fixed(average_flat_rhs(params, cost, dither, n_q), state0, t0, t1, h,
+                           record_stride, clamp_nonneg=range(n, 2 * n))

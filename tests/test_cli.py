@@ -101,6 +101,18 @@ def test_missing_cost_field_exit_code_2(tmp_path, capsys):
     assert "cost.kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, config", [
+    ("average", "quartic_average"),
+    ("compare", "quartic_compare"),
+    ("lyapunov", "quartic_lyapunov"),
+])
+def test_mismatched_dimensions_exit_code_2(mode, config, tmp_path, capsys):
+    # two low-pass gains against a one-channel cost and dither
+    code = main([mode, "--config", config, "--set", "gains.omega_l=0.25,0.25", "--out", str(tmp_path)])
+    assert code == 2
+    assert "dimensions must agree" in capsys.readouterr().err
+
+
 def test_simulate_writes_three_csvs(tmp_path):
     code = main([
         "simulate", "--config", "quartic_fig1",
@@ -334,3 +346,26 @@ def test_write_trajectory_csv_round_trip(tmp_path):
     assert header == ["t", "theta_1", "v_1", "xi", "J"]
     np.testing.assert_allclose(cols[0], traj.times, rtol=1e-10)
     np.testing.assert_allclose(cols[1], traj.states[:, 0], rtol=1e-10)
+
+
+def test_write_trajectory_csv_text(tmp_path):
+    from esc_lab import Trajectory, quadratic_cost
+
+    cost = quadratic_cost(2.0)  # J = theta^2
+    times = np.array([0.0, 1.0 / 3.0])
+    with_v = Trajectory(times=times, h=1.0 / 3.0, record_stride=1,
+                        states=np.array([[-0.0, 1e-13, 123456789012.5], [1.0 / 3.0, 123456789012.5, -0.0]]))
+    path = write_trajectory_csv(tmp_path / "v.csv", with_v, cost, with_v=True)
+    assert path.read_text() == (
+        "t,theta_1,v_1,xi,J\n"
+        "0,-0,1e-13,123456789012,0\n"
+        "0.333333333333,0.333333333333,123456789012,-0,0.111111111111\n"
+    )
+    without_v = Trajectory(times=times, h=1.0 / 3.0, record_stride=1,
+                           states=np.array([[-0.0, 1e-13], [1.0 / 3.0, 123456789012.5]]))
+    path = write_trajectory_csv(tmp_path / "g.csv", without_v, cost, with_v=False)
+    assert path.read_text() == (
+        "t,theta_1,v_1,xi,J\n"
+        "0,-0,0,1e-13,0\n"
+        "0.333333333333,0.333333333333,0,123456789012,0.111111111111\n"
+    )

@@ -16,6 +16,7 @@ from esc_lab import (
 )
 from esc_lab.averaging import average_flat_rhs
 from esc_lab.dynamics import gesc_flat_rhs, rmspesc_flat_rhs
+from esc_lab.integrate import fit_step
 
 FIG1 = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
 
@@ -99,6 +100,15 @@ def test_oscillation_step_rule():
     h2, stride2 = oscillation_step(cfg_fast.period, cfg_fast.r_max, 0.05)
     assert h2 <= cfg_fast.period / (40 * cfg_fast.r_max) + 1e-15
     assert stride2 * h2 == pytest.approx(0.05, rel=1e-12)
+    assert (h2, stride2) == fit_step(0.05, cfg_fast.period / (40 * cfg_fast.r_max))
+    # the compare mode's average-system grid, at least 4 steps per sample and
+    # h <= h_gain, was written max(4, ceil(sample_dt / h_gain)); h_gain runs
+    # from above sample_dt / 4, through it, to below it
+    for sample_dt in (0.05, 0.01, 0.1, 1.0 / 3.0):
+        for scale in (1.5, 1.0 + 1e-9, 1.0, 1.0 - 1e-9, 0.6, 0.05):
+            h_gain = scale * sample_dt / 4
+            old = max(4, int(np.ceil(sample_dt / h_gain - 1e-12)))
+            assert fit_step(sample_dt, min(sample_dt / 4, h_gain)) == (sample_dt / old, old)
 
 
 def test_clamp_never_fires_on_quadratic_loop_with_step_rule():
@@ -168,6 +178,15 @@ def test_driver_is_one_integrator_run(driver, rhs, state0, clamp):
     np.testing.assert_array_equal(traj.times, ref.times)
     np.testing.assert_array_equal(traj.states, ref.states)
     assert traj.clamp_events == ref.clamp_events
+
+
+def test_simulate_average_rejects_mismatched_gains():
+    # two low-pass gains against a one-channel cost and dither; the state
+    # length 2 * 2 + 1 fits the gains, so only the dimension check catches it
+    params = EscParams(1.0, 0.05, [0.25, 0.25], 1.0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        simulate_average(quartic_cost(), new_dither([0.02], [1], 10), params,
+                         [2, 2, 0.81, 0.81, 0], 0, 1, 0.01, 10)
 
 
 def test_simulate_rejects_state_length():
