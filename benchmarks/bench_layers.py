@@ -2,13 +2,16 @@
 """Time the simulation layers in process.
 
 Times the quartic closed-loop run, its plain-gradient baseline, the
-average-system counterpart, the level-set descent monitor and CSV writing, and
-prints the median and the quartiles of the repeats for each. The monitor row
-runs on the quartic average run of t1 = 25 s, sample_dt = 0.05 (501 samples),
-box +-4, and adds its cost per sample. The CSV row writes the closed-loop
-trajectory recorded every 0.01 s (10,001 rows at t1 = 100) with
-``esc_lab.cli.write_trajectory_csv`` into a temporary directory. Run from the
-repo root:
+average-system counterpart, the level-set oracle build, one batched radius
+pass per filter target kind, the descent monitor and CSV writing, and prints
+the median and the quartiles of the repeats for each. The oracle rows use the
+quartic average run of t1 = 25 s, sample_dt = 0.05 (501 samples) and box +-4:
+the build tabulates the radius grid; the radius rows run one ``_radii`` pass
+for xi and one for v_1 over the monitor's 501 (quantized) levels; the monitor
+row evaluates V at every sample. The radius and monitor rows add their cost
+per sample. The CSV row writes the closed-loop trajectory recorded every
+0.01 s (10,001 rows at t1 = 100) with ``esc_lab.cli.write_trajectory_csv``
+into a temporary directory. Run from the repo root:
 
     python3 benchmarks/bench_layers.py [--t1 SECONDS] [--repeats N]
 """
@@ -22,6 +25,7 @@ import numpy as np
 
 import esc_lab as el
 from esc_lab.cli import write_trajectory_csv
+from esc_lab.lyapunov import _quantize_up
 
 
 def timings(repeats, fn):
@@ -57,6 +61,12 @@ def main() -> int:
     eq = el.equilibrium(cost, dither)
     spec = el.LevelSpec(box=[[-4.0, 4.0]])
     m = len(avg.times)
+    oracle = el.LevelSetOracle(cost, dither, eq, spec)
+    xi, v1 = oracle._targets[:2]
+    levels = _quantize_up(np.maximum(oracle._v_theta(avg.states[:, :1] - eq.theta_star), 0.0))
+    no_xi_level = np.full(m, np.inf)
+    v_xi = np.maximum(oracle._radii(xi, levels, no_xi_level), np.abs(avg.states[:, 2] - eq.xi_star))
+    c_xi = _quantize_up(v_xi)
     h_csv, stride_csv = el.oscillation_step(dither.period, dither.r_max, 0.01)
     loop = el.simulate_rmspesc(cost, dither, params, state0, 0.0, args.t1, h_csv, stride_csv)
     csv_dir = tempfile.TemporaryDirectory()
@@ -78,6 +88,13 @@ def main() -> int:
             lambda: el.simulate_average(cost, dither, params, state0, 0.0, args.t1, 0.0125, 4),
             None,
         ),
+        (
+            f"oracle build ({len(oracle._points)}-point grid)",
+            lambda: el.LevelSetOracle(cost, dither, eq, spec),
+            None,
+        ),
+        (f"radius pass xi ({m} levels)", lambda: oracle._radii(xi, levels, no_xi_level), m),
+        (f"radius pass v_1 ({m} levels)", lambda: oracle._radii(v1, levels, c_xi), m),
         (
             f"descent monitor ({m} samples)",
             lambda: el.monitor_descent(avg, cost, dither, eq, spec),

@@ -35,7 +35,6 @@ __all__ = [
     "ConvergenceError",
     "PeriodQuadrature",
     "avg_maps",
-    "avg_g2_coeffs",
     "average_flat_rhs",
     "equilibrium",
     "to_error_coords",
@@ -92,8 +91,8 @@ class PeriodQuadrature:
     Node j sits at phase 2*pi*j/n_q of the slowest harmonic; omega cancels.
     ``s`` (n_q, n) holds the dither at each node and ``m`` (n, n_q) the
     demodulation signal; ``m2 = m * m`` and ``r = mean(m2)`` (= 2 / a_i^2)
-    serve the squared-estimate average. The default node count is
-    ``256 * r_max`` and at least ``8 * r_max`` nodes are required.
+    serve the squared-estimate average (:meth:`g2_coeffs`). The default node
+    count is ``256 * r_max`` and at least ``8 * r_max`` nodes are required.
     """
 
     def __init__(self, dither: DitherConfig, n_q: Optional[int] = None):
@@ -112,6 +111,18 @@ class PeriodQuadrature:
     def check(self, cost: CostFunction) -> None:
         if cost.n != self.n:
             raise ValueError("dither and cost dimensions differ")
+
+    def g2_coeffs(self, y_c: np.ndarray, channel: int) -> tuple[np.ndarray, np.ndarray]:
+        """Quadratic-in-xi decomposition of one channel's squared-estimate average.
+
+        ``y_c`` (..., n_q) holds the node residuals J(theta + s_j) - xi_ref.
+        g2_bar_i(theta, xi_ref + eta) = p - 2*q*eta + r_i*eta^2 exactly,
+        because xi enters the squared residual quadratically. Returns (p, q),
+        each of shape (...); r is :attr:`r`. Centering at ``xi_ref`` keeps the
+        coefficients small near an equilibrium.
+        """
+        m2 = self.m2[channel]
+        return np.mean(m2 * (y_c * y_c), axis=-1), np.mean(m2 * y_c, axis=-1)
 
 
 def avg_maps(
@@ -136,27 +147,6 @@ def avg_maps(
     resid = quad.m * (y - float(xi_bar))[None, :]
     g2_bar = np.mean(resid * resid, axis=1)
     return AverageMaps(j_bar=j_bar, g_bar=g_bar, g2_bar=g2_bar)
-
-
-def avg_g2_coeffs(
-    cost: CostFunction,
-    quad: PeriodQuadrature,
-    theta_bar,
-    xi_ref: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadratic-in-xi decomposition of the squared-estimate average.
-
-    For every channel, g2_bar(theta, xi_ref + eta) = p - 2*q*eta + r*eta^2
-    exactly, because xi enters the squared residual quadratically. Returns
-    (p, q, r) evaluated at ``theta_bar``, with r_i = 2 / a_i^2. Centering
-    at ``xi_ref`` keeps the coefficients small near an equilibrium.
-    """
-    quad.check(cost)
-    theta_bar = np.atleast_1d(np.asarray(theta_bar, dtype=float))
-    y_c = cost.f(theta_bar[None, :] + quad.s) - float(xi_ref)  # (n_q,)
-    p = np.mean(quad.m2 * (y_c * y_c)[None, :], axis=1)
-    q = np.mean(quad.m2 * y_c[None, :], axis=1)
-    return p, q, quad.r
 
 
 def average_flat_rhs(params, cost: CostFunction, dither: DitherConfig, n_q: Optional[int] = None):

@@ -230,9 +230,10 @@ def _mode_quadratic(cfg: ExperimentConfig, out_dir: Path) -> int:
 def _mode_converge(cfg: ExperimentConfig, out_dir: Path) -> int:
     cost, dither = cfg.cost(), cfg.dither()
     a0_list = cfg.number_list("converge.a0")
-    theta = cfg.number_list("converge.theta" if cfg.has("converge.theta") else "init.theta")
+    key = "converge.theta" if cfg.has("converge.theta") else "init.theta"
+    theta = cfg.number_list(key)
     if theta.size != cost.n:
-        raise ConfigError(f"field 'converge.theta' must have {cost.n} entries")
+        raise ConfigError(f"field {key!r} must have {cost.n} entries")
     rows = convergence_sweep(cost, dither, theta, list(a0_list), n_q=_n_q(cfg))
     path = write_csv(out_dir / "converge.csv", ["a0", "grad_error", "v_star_max"],
                      [[row.a0, row.grad_error, row.v_star_max] for row in rows])

@@ -17,23 +17,30 @@ The filter errors are low-pass states attracted to those images, so along
 average-system trajectories V should be non-increasing; :func:`monitor_descent`
 checks that numerically on recorded samples.
 
-Radii are evaluated by dense grid search over the parameter error plus one
-golden-section refinement along the best grid axis. The eta direction is
-exact: the squared-estimate average is a convex quadratic in eta, so its
-absolute value over an interval peaks at an endpoint or at the vertex.
-The descent monitor rounds each sample's levels upward with a relative
-quantization of 1e-3 (the radii are monotone in their levels, so the error
-is bounded and one-sided) and then evaluates all samples in lockstep: one
-masked grid argmax per sample, and one batched golden-section refinement in
-which every iteration is a single cost sweep over all samples' quadrature
-nodes. Nothing is memoized; consecutive samples almost never share a level.
+The filter cascade is an ordered list of targets, xi and then v_1 ... v_n.
+Each target maps the cost residuals at the quadrature nodes to its averaged
+field (J_bar - xi* for xi; the (p, q) decomposition of the squared-estimate
+average from :meth:`PeriodQuadrature.g2_coeffs` for v_i) and the field to
+the exact sup of its error over the eta interval: |J_bar - xi*| for xi, and
+for v_i the endpoint or vertex of a convex quadratic in eta. One radius
+routine serves every target: a dense grid search over the parameter error,
+fed by one cost sweep that tabulates all targets, plus one golden-section
+refinement along the best grid axis that applies the same field and sup off
+the grid. The descent monitor rounds each sample's levels upward with a
+relative quantization of 1e-3 (the radii are monotone in their levels, so
+the error is bounded and one-sided) and then evaluates all samples in
+lockstep: one masked grid argmax per sample, and one batched golden-section
+refinement in which every iteration is a single cost sweep over all
+samples' quadrature nodes. Nothing is memoized; consecutive samples almost
+never share a level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -70,7 +77,11 @@ class LevelSpec:
     ``box`` is an (n, 2) array of [lo, hi] bounds per parameter-error axis
     and must contain the origin. Grid search is exhaustive for n <= 2; for
     higher dimensions ``n_samples`` random points stand in for the grid and
-    the result is only an approximation (no refinement pass).
+    the result is only an approximation (no refinement pass). A level at or
+    above the minimum of V_theta on the box faces raises
+    :class:`BoxEscapeError`. For n > 2 that minimum is taken over the samples
+    moved onto their nearest face; it is at least the true face minimum, so
+    the check is one-sided: a level between the two escapes undetected.
     """
 
     box: np.ndarray
@@ -171,12 +182,48 @@ def _golden_max(f, lo: np.ndarray, hi: np.ndarray, iters: int = 64) -> np.ndarra
     return best
 
 
+def _eta_abs_max(p, q, r: float, v_star_c: float, c_xi):
+    """sup over |eta| <= c_xi of |p - 2 q eta + r eta^2 - v*| for one channel.
+
+    The quadratic is convex in eta, so the sup sits at an endpoint or at
+    the vertex eta = q / r when that falls inside the interval; no eta
+    grid is needed. Broadcasts over arrays of (p, q) and of c_xi.
+    """
+    f_lo = np.abs(p + 2.0 * q * c_xi + r * c_xi**2 - v_star_c)
+    f_hi = np.abs(p - 2.0 * q * c_xi + r * c_xi**2 - v_star_c)
+    out = np.maximum(f_lo, f_hi)
+    vertex = q / r
+    inside = np.abs(vertex) <= c_xi
+    f_vx = np.abs(p - vertex * q - v_star_c)  # p - 2q*e + r*e^2 at e=q/r is p - q^2/r
+    return np.where(inside, np.maximum(out, f_vx), out)
+
+
+class _Target(NamedTuple):
+    """One filter of the cascade: ``field`` maps node residuals (k, n_q) to a tuple of
+    (k, ...) arrays, ``sup(c_xi, field)`` gives the exact sup of the filter error there."""
+
+    field: Callable
+    sup: Callable
+
+
+def _onto_nearest_face(points: np.ndarray, box: np.ndarray) -> np.ndarray:
+    """Each point with its coordinate nearest a box face (in box units) moved onto that face."""
+    width = box[:, 1] - box[:, 0]
+    gaps = np.concatenate([(points - box[:, 0]) / width, (box[:, 1] - points) / width], axis=1)
+    side, axis = np.divmod(np.argmin(gaps, axis=1), points.shape[1])
+    out = points.copy()
+    out[np.arange(len(out)), axis] = box[axis, side]
+    return out
+
+
 class LevelSetOracle:
     """Grid-backed evaluator for the radii and the composite Lyapunov function.
 
-    Precomputes V_theta, the averaged-cost error, and the per-channel
-    quadratic-in-eta coefficients of the squared-estimate average on the
-    parameter-error grid, then answers level queries by masked maxima.
+    The filter cascade is an ordered list of targets: xi (field J_bar - xi*,
+    sup its absolute value), then v_1 ... v_n (field the (p, q) of
+    :meth:`PeriodQuadrature.g2_coeffs`, sup :func:`_eta_abs_max`). One cost
+    sweep over the parameter-error grid tabulates V_theta and every target's
+    field; :meth:`_radii` answers any target's level queries from those tables.
     Queries are batched over samples; the scalar methods are the one-sample
     case. All state is read-only after construction.
     """
@@ -197,15 +244,15 @@ class LevelSetOracle:
         self.spec = spec
         self.quad = PeriodQuadrature(dither, n_q)
         self._j_star = float(cost.f(eq.theta_star))
+        self._node_base = eq.theta_star[None, :] + self.quad.s  # theta* + s_j, (n_q, n)
+        xi = _Target(lambda y_c: (np.mean(y_c, axis=-1),), lambda c_xi, f: np.abs(f[0]))
+        self._targets = [xi] + [self._v_target(i) for i in range(cost.n)]
 
-        self._sampled = cost.n > 2
-        if self._sampled:
+        if cost.n > 2:
             rng = np.random.default_rng(0)
             pts = rng.uniform(spec.box[:, 0], spec.box[:, 1], size=(spec.n_samples, cost.n))
             pts[0] = 0.0
             self._axes = None
-            self._points = pts
-            self._boundary_mask = np.zeros(len(pts), dtype=bool)  # no boundary notion
         else:
             axes = []
             for i in range(cost.n):
@@ -216,78 +263,50 @@ class LevelSetOracle:
             self._axes = axes
             mesh = np.meshgrid(*axes, indexing="ij")
             self._grid_shape = mesh[0].shape
-            self._points = np.stack([m.ravel() for m in mesh], axis=-1)
-            onb = np.zeros(len(self._points), dtype=bool)
-            for i in range(cost.n):
-                onb |= (self._points[:, i] == axes[i][0]) | (self._points[:, i] == axes[i][-1])
-            self._boundary_mask = onb
-
-        pts = self._points
-        self._vt = np.asarray(
-            cost.f(pts + eq.theta_star[None, :]) - self._j_star, dtype=float
-        ).ravel()
-        self._jbar_err, self._g2_p, self._g2_q = self._batch_fields(pts)
-
-        if self._sampled:
-            self._vt_boundary_min = np.inf
-        else:
-            self._vt_boundary_min = float(np.min(self._vt[self._boundary_mask]))
+            pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        self._points = pts
+        self._vt = self._v_theta(pts)
+        self._tables = self._fields(pts)
+        # On the grid the moved points are exactly the boundary points; sampled,
+        # their minimum is at least the true minimum over the faces.
+        self._vt_boundary_min = float(np.min(self._v_theta(_onto_nearest_face(pts, spec.box))))
 
         # Monotone envelope of the grid radius: sort by level, prefix-max the
-        # objective. env(c) = max{|jbar_err(p)| : vt(p) <= c} in O(log N).
+        # xi target's heights. env(c) = max{|jbar_err(p)| : vt(p) <= c} in O(log N).
         order = np.argsort(self._vt, kind="stable")
         self._vt_sorted = self._vt[order]
-        self._jerr_prefix = np.maximum.accumulate(np.abs(self._jbar_err[order]))
+        self._r_xi_prefix = np.maximum.accumulate(xi.sup(np.inf, self._tables[xi])[order])
 
         self._vt_env = self._env_r_xi(self._vt)
 
-    # -- quadrature helpers -------------------------------------------------
+    # -- fields on batches of error points -------------------------------------
 
-    def _batch_fields(self, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Averaged fields on a batch of error points, one cost sweep per chunk.
+    def _v_theta(self, phi: np.ndarray) -> np.ndarray:
+        """V_theta on a batch of error points (one row each)."""
+        return self.cost.f(phi + self.eq.theta_star) - self._j_star
 
-        Returns J_bar(theta*+phi) - xi* plus the per-channel (p, q) of the
-        decomposition g2_bar(theta*+phi, xi*+eta) = p - 2q eta + r eta^2.
-        """
-        n = self.cost.n
-        jerr = np.empty(len(phis))
-        p = np.empty((len(phis), n))
-        q = np.empty((len(phis), n))
-        m2 = self.quad.m2
-        chunk = max(1, _CHUNK_ELEMENTS // self.quad.n_q)
-        base = self.eq.theta_star[None, None, :] + self.quad.s[None, :, :]
-        for lo in range(0, len(phis), chunk):
-            hi = min(lo + chunk, len(phis))
-            y_c = self.cost.f(phis[lo:hi, None, :] + base) - self.eq.xi_star  # (m, n_q)
-            jerr[lo:hi] = np.mean(y_c, axis=-1)
-            p[lo:hi] = np.mean(m2[None, :, :] * (y_c * y_c)[:, None, :], axis=-1)
-            q[lo:hi] = np.mean(m2[None, :, :] * y_c[:, None, :], axis=-1)
-        return jerr, p, q
+    def _residuals(self, phi: np.ndarray) -> np.ndarray:
+        """Node residuals y_c = J(theta* + phi + s_j) - xi* on a batch of error points, (k, n_q)."""
+        return self.cost.f(phi[:, None, :] + self._node_base) - self.eq.xi_star
+
+    def _v_target(self, channel: int) -> _Target:
+        """v_channel: field (p, q) of ``g2_coeffs``, sup over eta by :func:`_eta_abs_max`."""
+        r, v_star_c = float(self.quad.r[channel]), float(self.eq.v_star[channel])
+        return _Target(partial(self.quad.g2_coeffs, channel=channel),
+                       lambda c_xi, f: _eta_abs_max(f[0], f[1], r, v_star_c, c_xi))
+
+    def _fields(self, phis: np.ndarray) -> dict:
+        """Every target's field on a batch of error points, one cost sweep per chunk."""
+        step = max(1, _CHUNK_ELEMENTS // self.quad.n_q)
+        chunks = (phis[lo:lo + step] for lo in range(0, len(phis), step))
+        parts = [[t.field(y_c) for t in self._targets] for y_c in map(self._residuals, chunks)]
+        return {t: tuple(map(np.concatenate, zip(*col)))
+                for t, col in zip(self._targets, zip(*parts))}
 
     def _env_r_xi(self, level) -> np.ndarray:
         """Grid envelope of r_xi, used inside the r_v feasibility constraint."""
         idx = np.searchsorted(self._vt_sorted, level, side="right") - 1
-        idx = np.asarray(idx)
-        out = np.where(idx >= 0, self._jerr_prefix[np.maximum(idx, 0)], 0.0)
-        return out
-
-    # -- eta direction (exact) ----------------------------------------------
-
-    @staticmethod
-    def _eta_abs_max(p, q, r: float, v_star_c: float, c_xi):
-        """sup over |eta| <= c_xi of |p - 2 q eta + r eta^2 - v*| for one channel.
-
-        The quadratic is convex in eta, so the sup sits at an endpoint or at
-        the vertex eta = q / r when that falls inside the interval; no eta
-        grid is needed. Broadcasts over arrays of (p, q) and of c_xi.
-        """
-        f_lo = np.abs(p + 2.0 * q * c_xi + r * c_xi**2 - v_star_c)
-        f_hi = np.abs(p - 2.0 * q * c_xi + r * c_xi**2 - v_star_c)
-        out = np.maximum(f_lo, f_hi)
-        vertex = q / r
-        inside = np.abs(vertex) <= c_xi
-        f_vx = np.abs(p - vertex * q - v_star_c)  # p - 2q*e + r*e^2 at e=q/r is p - q^2/r
-        return np.where(inside, np.maximum(out, f_vx), out)
+        return np.where(idx >= 0, self._r_xi_prefix[np.maximum(idx, 0)], 0.0)
 
     # -- radii ---------------------------------------------------------------
 
@@ -323,15 +342,15 @@ class LevelSetOracle:
             hi[on] = ax[np.minimum(j[on] + 1, len(ax) - 1)]
         return axis, lo, hi
 
-    def _radii(self, c_theta: np.ndarray, c_xi: Optional[np.ndarray] = None,
-               channel: int = 0) -> np.ndarray:
-        """Radii for a batch of levels: r_xi(c_theta) if ``c_xi`` is None, else r_v_channel.
+    def _radii(self, target: _Target, c_theta: np.ndarray, c_xi: np.ndarray) -> np.ndarray:
+        """One target's radii for a batch of levels: the sup of its error over the points
+        with V_theta <= c_theta and env_r_xi(V_theta) <= c_xi (xi is queried with c_xi = inf,
+        which makes that constraint vacuous).
 
-        Samples are processed in chunks of at most ``_CHUNK_ELEMENTS`` grid
-        (or quadrature) entries. Within a chunk every sample takes its masked
-        grid argmax, then on the grid path all samples run one golden-section
-        refinement along their best axis in lockstep: each iteration is one
-        cost sweep over the quadrature nodes of every sample.
+        Samples run in chunks of at most ``_CHUNK_ELEMENTS`` grid (or quadrature) entries:
+        a masked grid argmax each, then on the grid path one lockstep golden-section
+        refinement along each sample's best axis, whose every iteration applies the
+        target's field and sup to one cost sweep over all samples' quadrature nodes.
         """
         if np.any(c_theta < 0):
             raise ValueError("levels must be nonnegative")
@@ -341,56 +360,41 @@ class LevelSetOracle:
                 f"sublevel set V_theta <= {c_theta[escaped[0]]:.6g} reaches the search box "
                 f"boundary (min boundary level {self._vt_boundary_min:.6g}); widen the box"
             )
+        table = self._tables[target]
         out = np.empty(len(c_theta))
         chunk = max(1, _CHUNK_ELEMENTS // max(len(self._vt), self.quad.n_q * self.cost.n))
         for lo in range(0, len(c_theta), chunk):
             sl = slice(lo, lo + chunk)
-            out[sl] = self._radii_chunk(c_theta[sl], None if c_xi is None else c_xi[sl], channel)
+            ct, cx = c_theta[sl], c_xi[sl]
+            feasible = (self._vt <= ct[:, None]) & (self._vt_env <= cx[:, None])
+            heights = np.broadcast_to(target.sup(cx[:, None], table), feasible.shape)
+            vals = np.where(feasible, heights, -np.inf)
+            idx = np.argmax(vals, axis=1)
+            rows = np.arange(len(idx))
+            best = vals[rows, idx]
+            if self._axes is not None:
+                axis, a, b = self._best_axis_bracket(idx, feasible, heights)
+                base = self._points[idx]
+
+                def objective(x: np.ndarray) -> np.ndarray:
+                    phi = base.copy()
+                    phi[rows, axis] = x
+                    vt = self._v_theta(phi)
+                    ok = (vt <= ct) & (self._env_r_xi(vt) <= cx)
+                    val = target.sup(cx, target.field(self._residuals(phi)))
+                    return np.where(ok, val, -np.inf)
+
+                best = np.maximum(best, _golden_max(objective, a, b))
+            out[sl] = np.maximum(best, 0.0)
+            del feasible, heights, vals  # free this chunk's (k, N) arrays before the next allocates
         return out
-
-    def _radii_chunk(self, c_theta: np.ndarray, c_xi: Optional[np.ndarray], channel: int):
-        feasible = self._vt <= c_theta[:, None]
-        if c_xi is None:
-            heights = np.broadcast_to(np.abs(self._jbar_err), feasible.shape)
-        else:
-            r = float(self.quad.r[channel])
-            v_star_c = float(self.eq.v_star[channel])
-            feasible &= self._vt_env <= c_xi[:, None]
-            heights = self._eta_abs_max(self._g2_p[:, channel], self._g2_q[:, channel],
-                                        r, v_star_c, c_xi[:, None])
-        vals = np.where(feasible, heights, -np.inf)
-        idx = np.argmax(vals, axis=1)
-        rows = np.arange(len(idx))
-        result = vals[rows, idx]
-        if not self._sampled:
-            axis, lo, hi = self._best_axis_bracket(idx, feasible, heights)
-            base = self._points[idx]
-
-            def objective(x: np.ndarray) -> np.ndarray:
-                phi = base.copy()
-                phi[rows, axis] = x
-                theta = self.eq.theta_star + phi
-                vt = self.cost.f(theta) - self._j_star
-                y = self.cost.f(theta[:, None, :] + self.quad.s)  # (k, n_q)
-                if c_xi is None:
-                    ok = vt <= c_theta
-                    val = np.abs(np.mean(y, axis=-1) - self.eq.xi_star)
-                else:
-                    ok = (vt <= c_theta) & (self._env_r_xi(vt) <= c_xi)
-                    y_c = y - self.eq.xi_star
-                    m2 = self.quad.m2[channel]
-                    p = np.mean(m2 * (y_c * y_c), axis=-1)
-                    q = np.mean(m2 * y_c, axis=-1)
-                    val = self._eta_abs_max(p, q, r, v_star_c, c_xi)
-                return np.where(ok, val, -np.inf)
-
-            result = np.maximum(result, _golden_max(objective, lo, hi))
-        return np.maximum(result, 0.0)
 
     def radius_xi(self, c_theta: float, quantize: bool = False) -> float:
         """Bounding-ball radius for the averaged-cost error over {V_theta <= c}."""
         levels = np.array([c_theta], dtype=float)
-        return float(self._radii(_quantize_up(levels) if quantize else levels)[0])
+        if quantize:
+            levels = _quantize_up(levels)
+        return float(self._radii(self._targets[0], levels, np.full(1, np.inf))[0])
 
     def radius_v(self, c_theta: float, c_xi: float, channel: int = 0, quantize: bool = False) -> float:
         """Bounding-ball radius for one squared-estimate channel under both levels."""
@@ -401,7 +405,7 @@ class LevelSetOracle:
         levels = np.array([c_theta, c_xi], dtype=float)
         if quantize:
             levels = _quantize_up(levels)
-        return float(self._radii(levels[:1], levels[1:], channel)[0])
+        return float(self._radii(self._targets[1 + channel], levels[:1], levels[1:])[0])
 
     # -- composite function ---------------------------------------------------
 
@@ -411,14 +415,15 @@ class LevelSetOracle:
 
         Returns (V_theta, r_xi, V_xi, r_v, V_v, V); r_v and V_v are (m, n).
         """
-        vt = self.cost.f(theta_err + self.eq.theta_star) - self._j_star
+        vt = self._v_theta(theta_err)
         levels = np.maximum(vt, 0.0)
         if quantize:
             levels = _quantize_up(levels)
-        r_xi = self._radii(levels)
+        xi, *vs = self._targets
+        r_xi = self._radii(xi, levels, np.full(len(levels), np.inf))
         v_xi = np.maximum(r_xi, np.abs(xi_err))
         c_xi = _quantize_up(v_xi) if quantize else v_xi
-        r_v = np.stack([self._radii(levels, c_xi, i) for i in range(self.cost.n)], axis=1)
+        r_v = np.stack([self._radii(v, levels, c_xi) for v in vs], axis=1)
         v_v = np.maximum(r_v, np.abs(v_err))
         return vt, r_xi, v_xi, r_v, v_v, vt + v_xi + np.sum(v_v, axis=1)
 

@@ -69,31 +69,28 @@ class DitherConfig:
             raise ValueError("a0_new must be positive")
         return DitherConfig(self.amplitudes * (a0_new / self.a0), self.rates, self.omega)
 
-    def dither_matrix(self, t: np.ndarray) -> np.ndarray:
-        """s evaluated at a time grid; shape (n, len(t))."""
-        t = np.asarray(t, dtype=float)
-        return self.amplitudes[:, None] * np.sin(
-            self.omega * self.rates[:, None] * t[None, :]
-        )
-
-    def demod_matrix(self, t: np.ndarray) -> np.ndarray:
-        """m evaluated at a time grid; shape (n, len(t))."""
-        t = np.asarray(t, dtype=float)
-        return (2.0 / self.amplitudes[:, None]) * np.sin(
-            self.omega * self.rates[:, None] * t[None, :]
-        )
-
 
 def new_dither(amplitudes, rates, omega: float) -> DitherConfig:
     """Validate and build a dither configuration."""
     return DitherConfig(np.asarray(amplitudes, dtype=float), np.asarray(rates), omega)
 
 
-def dither_value(cfg: DitherConfig, t: float) -> np.ndarray:
-    """Perturbation vector s(t), component i equal to a_i * sin(omega * r_i * t)."""
-    return cfg.amplitudes * np.sin(cfg.omega * cfg.rates * t)
+def _sin_phase(cfg: DitherConfig, t) -> np.ndarray:
+    """sin(omega * r_i * t), shape (..., n) for t of shape (...)."""
+    return np.sin(cfg.omega * cfg.rates * np.asarray(t, dtype=float)[..., None])
 
 
-def demod_value(cfg: DitherConfig, t: float) -> np.ndarray:
-    """Demodulation vector m(t), component i equal to (2 / a_i) * sin(omega * r_i * t)."""
-    return (2.0 / cfg.amplitudes) * np.sin(cfg.omega * cfg.rates * t)
+def dither_value(cfg: DitherConfig, t) -> np.ndarray:
+    """Perturbation s(t), component i equal to a_i * sin(omega * r_i * t).
+
+    Broadcasts over an array of times: shape (..., n) for t of shape (...).
+    """
+    return cfg.amplitudes * _sin_phase(cfg, t)
+
+
+def demod_value(cfg: DitherConfig, t) -> np.ndarray:
+    """Demodulation m(t), component i equal to (2 / a_i) * sin(omega * r_i * t).
+
+    Broadcasts over an array of times: shape (..., n) for t of shape (...).
+    """
+    return (2.0 / cfg.amplitudes) * _sin_phase(cfg, t)

@@ -7,19 +7,23 @@ from esc_lab import averaging, cli, cost, dynamics, integrate, lyapunov, signals
 
 # Names folded into one API per layer: the structured rhs (the flat closures
 # remain), the one-shot Lyapunov wrappers (LevelSetOracle remains), the
-# per-call quadrature builder (PeriodQuadrature remains), the thread pool and
-# the compiled-loop fork of the drivers (the numpy path remains), and members
-# of result and config classes that nothing read.
+# per-call quadrature builder and the point-wise g2 decomposition
+# (PeriodQuadrature and its g2_coeffs remain), the thread pool and the
+# compiled-loop fork of the drivers (the numpy path remains), the time-grid
+# dither methods (dither_value and demod_value broadcast), and members of
+# result and config classes that nothing read; the oracle's per-target
+# copies of the field math and radius search (one _radii remains).
 REMOVED = {
     dynamics: ["EscState", "EscDerivative", "rmspesc_rhs", "gesc_rhs", "grad_estimate"],
-    averaging: ["average_rhs", "default_nodes", "_node_signals"],
+    averaging: ["average_rhs", "default_nodes", "_node_signals", "avg_g2_coeffs"],
     lyapunov: ["radius_xi", "radius_v", "lyapunov_value", "_as_equilibrium"],
     cli: ["_parallel", "_max_workers", "ThreadPoolExecutor"],
     simulate: ["_resolve_path", "_run_kernel"],
     cost: ["CostKernelSpec", "KERNEL_QUADRATIC", "KERNEL_QUARTIC"],
     integrate.Trajectory: ["column", "label"],
-    signals.DitherConfig: ["phase_grid"],
+    signals.DitherConfig: ["phase_grid", "dither_matrix", "demod_matrix"],
     averaging.AverageMaps: ["n_q"],
+    lyapunov.LevelSetOracle: ["_batch_fields", "_radii_chunk", "_eta_abs_max"],
 }
 
 

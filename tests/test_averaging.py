@@ -14,7 +14,7 @@ from esc_lab import (
     quartic_cost,
     to_error_coords,
 )
-from esc_lab.averaging import average_flat_rhs, avg_g2_coeffs
+from esc_lab.averaging import average_flat_rhs
 
 FIG1 = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
 
@@ -81,15 +81,29 @@ def test_g2_nonnegative_and_xi_dependent():
 
 
 def test_g2_quadratic_in_xi_decomposition():
-    cost, dither = quartic_setup()
-    theta = np.array([1.2])
+    quad2d = quadratic_cost([[1.0, 0.3], [0.3, 2.0]], 0.5), new_dither([0.1, 0.05], [1, 3], 7.0)
+    cases = [
+        (quartic_setup(), [[1.2]]),
+        (quartic_setup(), [[1.2], [-0.4], [0.0], [2.5]]),
+        (quad2d, [[0.4, -0.3], [1.5, 0.2], [-2.0, 1.0]]),
+    ]
     xi_ref = 0.7
-    p, q, r = avg_g2_coeffs(cost, PeriodQuadrature(dither), theta, xi_ref)
-    assert r == pytest.approx([2.0 / 0.02**2], rel=1e-12)
-    for eta in (-0.9, 0.0, 0.4, 2.5):
-        direct = avg_maps(cost, PeriodQuadrature(dither), theta, xi_ref + eta).g2_bar
-        model = p - 2.0 * q * eta + r * eta**2
-        np.testing.assert_allclose(model, direct, rtol=1e-10, atol=1e-12)
+    for (cost, dither), thetas in cases:
+        quad = PeriodQuadrature(dither)
+        thetas = np.asarray(thetas, dtype=float)
+        y_c = cost.f(thetas[:, None, :] + quad.s) - xi_ref  # (B, n_q)
+        np.testing.assert_allclose(quad.r, 2.0 / dither.amplitudes**2, rtol=1e-12)
+        for i in range(cost.n):
+            p, q = quad.g2_coeffs(y_c, i)
+            assert p.shape == q.shape == (len(thetas),)
+            for b, theta in enumerate(thetas):
+                # a batch row equals a per-point call bit for bit
+                p1, q1 = quad.g2_coeffs(cost.f(theta + quad.s) - xi_ref, i)
+                assert p1 == p[b] and q1 == q[b]
+                for eta in (-0.9, 0.0, 0.4, 2.5):
+                    direct = avg_maps(cost, quad, theta, xi_ref + eta).g2_bar[i]
+                    model = p1 - 2.0 * q1 * eta + quad.r[i] * eta**2
+                    assert model == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 
 def test_invalid_node_count():

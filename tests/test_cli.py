@@ -164,6 +164,19 @@ def test_converge_mode_csv(tmp_path):
     assert errs[0] > errs[1] > errs[2] > errs[3]
 
 
+@pytest.mark.parametrize("key", ["converge.theta", "init.theta"])
+def test_converge_theta_size_error_names_key_read(key, tmp_path, capsys):
+    # converge.theta falls back to init.theta; the size error names whichever was read
+    cfg = tmp_path / "converge.cfg"
+    cfg.write_text(
+        "mode = converge\ncost.kind = quartic\ndither.amplitudes = 0.08\n"
+        f"dither.rates = 1\ndither.omega = 10\nconverge.a0 = 0.08, 0.04\n{key} = 1, 2\n"
+    )
+    code = main(["converge", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    assert f"field '{key}' must have 1 entries" in capsys.readouterr().err
+
+
 def test_compare_mode(tmp_path, capsys):
     code = main([
         "compare", "--config", "quartic_compare",

@@ -289,6 +289,42 @@ def test_sampled_fallback_above_two_dimensions():
     assert r1 == pytest.approx(0.5, rel=0.1)
 
 
+def test_sampled_box_escape():
+    # n > 2: V_theta on the faces of [-1, 1]^3 is never below 0.25 (the faces theta3 = +-1)
+    cost = quadratic_cost([1.0, 2.0, 0.5], 0.0)
+    dither = new_dither([0.1, 0.1, 0.1], [1, 2, 3], 10.0)
+    eq = equilibrium(cost, dither, theta_init=[0.2, -0.1, 0.3])
+    oracle = LevelSetOracle(cost, dither, eq, LevelSpec(box=[[-1, 1]] * 3, n_samples=4000))
+    # the sampled face minimum bounds the true one from above, so detection is one-sided
+    assert 0.25 <= oracle._vt_boundary_min < 0.26
+    with pytest.raises(BoxEscapeError):
+        oracle.radius_xi(100.0)
+    with pytest.raises(BoxEscapeError):
+        oracle.radius_v(0.3, 0.1, 2)
+    assert oracle.radius_xi(0.2) == pytest.approx(0.2, rel=0.1)
+
+
+def test_targets_refine_with_the_grid_tables(quad_ctx, quartic_ctx):
+    # the refinement path (field of the node residuals, then sup) reproduces every
+    # target's grid heights bit for bit, so grid search and refinement share one definition
+    cost2 = shifted_quartic_cost([0.3, -0.2])
+    dither2 = new_dither([0.1, 0.08], [1, 2], 10.0)
+    spec2 = LevelSpec(box=[[-3.0, 3.0], [-3.0, 3.0]], grid_theta=31)
+    rng = np.random.default_rng(5)
+    for cost, dither, eq, spec in (quad_ctx, quartic_ctx,
+                                   (cost2, dither2, equilibrium(cost2, dither2), spec2)):
+        oracle = LevelSetOracle(cost, dither, eq, spec)
+        assert len(oracle._targets) == 1 + cost.n
+        idx = rng.choice(len(oracle._points), size=40, replace=False)
+        c_xi = rng.uniform(0.0, 2.0, size=(40, 1))
+        for target in oracle._targets:
+            table = oracle._tables[target]
+            grid = np.broadcast_to(target.sup(c_xi, table), (40, len(oracle._points)))
+            refined = target.sup(c_xi[:, 0], target.field(oracle._residuals(oracle._points[idx])))
+            assert np.array_equal(refined, grid[np.arange(40), idx])
+        assert np.array_equal(oracle._v_theta(oracle._points[idx]), oracle._vt[idx])
+
+
 def _assert_monitor_matches_single_samples(traj, cost, dither, eq, spec):
     """The lockstep monitor equals one LevelSetOracle.value call per sample, bit for bit."""
     report = monitor_descent(traj, cost, dither, eq, spec)

@@ -50,31 +50,38 @@ def test_demod_value_pointwise():
 def test_periodicity_on_grid():
     cfg = new_dither([0.5, 0.2, -0.1], [1, 3, 5], 7.0)
     ts = np.linspace(0.0, cfg.period, 41)
-    for t in ts:
+    s_batch, m_batch = dither_value(cfg, ts), demod_value(cfg, ts)
+    for k, t in enumerate(ts):
         np.testing.assert_allclose(
             dither_value(cfg, t + cfg.period), dither_value(cfg, t), atol=1e-12
         )
+        # a scalar time gives the per-channel formula's bits; a time array gives one row per time
+        s = dither_value(cfg, t)
+        assert np.array_equal(s, cfg.amplitudes * np.sin(cfg.omega * cfg.rates * t))
+        assert np.array_equal(s_batch[k], s)
+        assert np.array_equal(m_batch[k], demod_value(cfg, t))
 
 
 def test_demodulation_identity_quadrature_oracle():
     # (1/T) * integral over one period of m_i * s_j must be delta_ij.
     cfg = new_dither([0.3, -0.07, 0.5], [2, 5, 9], 3.0)
     ts = np.linspace(0.0, cfg.period, 4097)
-    m = cfg.demod_matrix(ts)
-    s = cfg.dither_matrix(ts)
+    m = demod_value(cfg, ts)
+    s = dither_value(cfg, ts)
+    assert m.shape == s.shape == (len(ts), cfg.n)
     for i in range(cfg.n):
         for j in range(cfg.n):
-            integral = np.trapezoid(m[i] * s[j], ts) / cfg.period
+            integral = np.trapezoid(m[:, i] * s[:, j], ts) / cfg.period
             assert integral == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
 
 
 def test_washout_rejection_of_constants():
     cfg = new_dither([0.2, 0.04], [1, 4], 5.0)
     ts = np.linspace(0.0, cfg.period, 2049)
-    m = cfg.demod_matrix(ts)
+    m = demod_value(cfg, ts)
     for c in (1.0, -17.3, 256.0):
         for i in range(cfg.n):
-            assert np.trapezoid(m[i] * c, ts) / cfg.period == pytest.approx(0.0, abs=1e-12)
+            assert np.trapezoid(m[:, i] * c, ts) / cfg.period == pytest.approx(0.0, abs=1e-12)
 
 
 def test_scaled_preserves_ratios():
