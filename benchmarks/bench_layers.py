@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Time the simulation layers in process.
 
-Times the quartic closed-loop run, its plain-gradient baseline, the
-average-system counterpart, the level-set oracle build, one batched radius
-pass per filter target kind, the descent monitor and CSV writing, and prints
-the median and the quartiles of the repeats for each. The oracle rows use the
-quartic average run of t1 = 25 s, sample_dt = 0.05 (501 samples) and box +-4:
-the build tabulates the radius grid; the radius rows run one ``_radii`` pass
-for xi and one for v_1 over the monitor's 501 (quantized) levels; the monitor
-row evaluates V at every sample. The radius and monitor rows add their cost
-per sample. The CSV row writes the closed-loop trajectory recorded every
-0.01 s (10,001 rows at t1 = 100) with ``esc_lab.cli.write_trajectory_csv``
-into a temporary directory. Run from the repo root:
+Times the quartic closed-loop run, the same run as a lockstep batch of B
+members for B in (1, 3, 16, 64) (washout seeds spread over [0, 2 y0], as in
+the bundled fig1 config), its plain-gradient baseline, the average-system
+counterpart, the level-set oracle build, one batched radius pass per filter
+target kind, the descent monitor and CSV writing, and prints the median and
+the quartiles of the repeats for each. The oracle rows use the quartic
+average run of t1 = 25 s, sample_dt = 0.05 (501 samples) and box +-4: the
+build tabulates the radius grid; the radius rows run one ``_radii`` pass for
+xi and one for v_1 over the monitor's 501 (quantized) levels; the monitor row
+evaluates V at every sample. The batch rows add their cost per member-step,
+the radius and monitor rows per sample. The CSV row writes the closed-loop
+trajectory recorded every 0.01 s (10,001 rows at t1 = 100) with
+``esc_lab.cli.write_trajectory_csv`` into a temporary directory. Run from the repo root:
 
     python3 benchmarks/bench_layers.py [--t1 SECONDS] [--repeats N]
 """
@@ -72,11 +74,25 @@ def main() -> int:
     csv_dir = tempfile.TemporaryDirectory()
     csv_path = Path(csv_dir.name, "trajectory.csv")
 
+    def batch(size):
+        states = np.tile(state0, (size, 1))
+        states[:, 2] = np.linspace(0.0, 2.0 * cost.f(state0[:1]), size)
+        return states
+
     cases = [
         (
             f"closed loop ({nsteps} RK4 steps)",
             lambda: el.simulate_rmspesc(cost, dither, params, state0, 0.0, args.t1, h, stride),
             None,
+        ),
+        *(
+            (
+                f"closed loop, B = {size} lockstep",
+                lambda states=batch(size): el.simulate_rmspesc(cost, dither, params, states, 0.0,
+                                                               args.t1, h, stride),
+                (size * nsteps, "member-step"),
+            )
+            for size in (1, 3, 16, 64)
         ),
         (
             f"baseline loop ({nsteps} RK4 steps)",
@@ -93,12 +109,13 @@ def main() -> int:
             lambda: el.LevelSetOracle(cost, dither, eq, spec),
             None,
         ),
-        (f"radius pass xi ({m} levels)", lambda: oracle._radii(xi, levels, no_xi_level), m),
-        (f"radius pass v_1 ({m} levels)", lambda: oracle._radii(v1, levels, c_xi), m),
+        (f"radius pass xi ({m} levels)", lambda: oracle._radii(xi, levels, no_xi_level),
+         (m, "sample")),
+        (f"radius pass v_1 ({m} levels)", lambda: oracle._radii(v1, levels, c_xi), (m, "sample")),
         (
             f"descent monitor ({m} samples)",
             lambda: el.monitor_descent(avg, cost, dither, eq, spec),
-            m,
+            (m, "sample"),
         ),
         (
             f"CSV writing ({len(loop.times)} rows)",
@@ -111,7 +128,7 @@ def main() -> int:
     with csv_dir:
         for name, run, per in cases:
             stats = timings(args.repeats, run)
-            extra = f"   {1e6 * stats[0] / per:.0f} us per sample" if per else ""
+            extra = f"   {1e6 * stats[0] / per[0]:.1f} us per {per[1]}" if per else ""
             print(f"{name:38s} {fmt(stats):>30s}{extra}")
     return 0
 

@@ -12,7 +12,9 @@ before demodulation):
   the normalization.
 
 Flat state layout used by the integrator: ``[theta_hat (n), v_hat (n), xi]``
-for the RMSp loop and ``[theta_hat (n), xi]`` for the baseline.
+for the RMSp loop and ``[theta_hat (n), xi]`` for the baseline, along the last
+axis. Leading axes index independent loops stepped in lockstep: a state of
+shape (B, d) gives a rhs of shape (B, d), row by row.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def _check_dims(params: EscParams, cost: CostFunction, dither: DitherConfig) -> 
 
 
 def rmspesc_flat_rhs(params: EscParams, cost: CostFunction, dither: DitherConfig):
-    """Integrator-facing closure over the flat state [theta, v, xi].
+    """Integrator-facing closure over the flat state [theta, v, xi] (last axis).
 
     Clamps v to zero before the square root; round-off from integration can
     leave tiny negative filter states.
@@ -68,42 +70,40 @@ def rmspesc_flat_rhs(params: EscParams, cost: CostFunction, dither: DitherConfig
     _check_dims(params, cost, dither)
     n = params.n
     k, eps, wl, wxi = params.k, params.epsilon, params.omega_l, params.omega_xi
-    amps, rates, omega = dither.amplitudes, dither.rates, dither.omega
+    amps, freqs, demod = dither.amplitudes, dither.omega * dither.rates, 2.0 / dither.amplitudes
     f = cost.f
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        theta = y[:n]
-        v = np.maximum(y[n : 2 * n], 0.0)
-        xi = y[2 * n]
-        sin_t = np.sin(omega * rates * t)
-        meas = float(f(theta + amps * sin_t))
-        g = (2.0 / amps) * sin_t * (meas - xi)
-        out = np.empty(2 * n + 1)
-        out[:n] = -k * g / (np.sqrt(v) + eps)
-        out[n : 2 * n] = wl * (g * g - v)
-        out[2 * n] = wxi * (meas - xi)
+        theta = y[..., :n]
+        v = np.maximum(y[..., n : 2 * n], 0.0)
+        sin_t = np.sin(freqs * t)
+        err = f(theta + amps * sin_t) - y[..., 2 * n]     # measurement less washout, (...)
+        g = demod * sin_t * err[..., None]
+        out = np.empty(y.shape)
+        out[..., :n] = -k * g / (np.sqrt(v) + eps)
+        out[..., n : 2 * n] = wl * (g * g - v)
+        out[..., 2 * n] = wxi * err
         return out
 
     return rhs
 
 
 def gesc_flat_rhs(params: EscParams, cost: CostFunction, dither: DitherConfig):
-    """Integrator-facing closure over the flat state [theta, xi]."""
+    """Integrator-facing closure over the flat state [theta, xi] (last axis)."""
     _check_dims(params, cost, dither)
     n = params.n
     k, wxi = params.k, params.omega_xi
-    amps, rates, omega = dither.amplitudes, dither.rates, dither.omega
+    amps, freqs, demod = dither.amplitudes, dither.omega * dither.rates, 2.0 / dither.amplitudes
     f = cost.f
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        theta = y[:n]
-        xi = y[n]
-        sin_t = np.sin(omega * rates * t)
-        meas = float(f(theta + amps * sin_t))
-        g = (2.0 / amps) * sin_t * (meas - xi)
-        out = np.empty(n + 1)
-        out[:n] = -k * g
-        out[n] = wxi * (meas - xi)
+        theta = y[..., :n]
+        sin_t = np.sin(freqs * t)
+        err = f(theta + amps * sin_t) - y[..., n]
+        g = demod * sin_t * err[..., None]
+        out = np.empty(y.shape)
+        out[..., :n] = -k * g
+        out[..., n] = wxi * err
         return out
 
     return rhs

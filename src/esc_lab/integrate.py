@@ -2,9 +2,19 @@
 
 The closed loop is persistently oscillatory (the dither never settles), so an
 adaptive controller would thrash; a fixed step chosen from the dither period
-is predictable and testable. Rule of thumb used by the drivers:
-``h <= T / (40 * r_max)``, at least 40 samples of the fastest dither harmonic
-per period.
+is predictable and testable. The CLI picks h by two rules: ``h <= T / (40 *
+r_max)``, at least 40 samples of the fastest dither harmonic per period; and,
+for the filters, ``h <= 2.5 / max(omega_l, omega_xi)`` (``cli._gain_step``),
+inside RK4's real-axis stability limit of 2.785.
+
+The state may carry leading batch axes: a state of shape (B, d) steps B
+independent systems in lockstep through one loop, sharing t and h. Each
+member's samples equal those of its own (d,) run bit for bit whenever the rhs
+treats rows independently; the full-loop closures do, for every cost that
+evaluates each point on its own (the two-channel builtin quadratic's
+``einsum`` can round a point one ulp differently inside a batch of 3 or more).
+``simulate`` mode runs its washout seeds this way; every other run is a
+single (d,) state.
 """
 
 from __future__ import annotations
@@ -19,12 +29,24 @@ __all__ = ["Trajectory", "NonFiniteStateError", "integrate_fixed", "fit_step", "
 
 
 class NonFiniteStateError(RuntimeError):
-    """Integration produced NaN/inf; carries the offending time and state."""
+    """Integration produced NaN/inf; carries the offending time and state.
 
-    def __init__(self, t: float, state: np.ndarray):
-        super().__init__(f"non-finite state at t={t:.6g}: {np.array2string(state, precision=6)}")
+    For a batched state, ``member`` is the flat index over the batch axes of
+    the first member that is not finite, and the message shows that member's
+    state under ``name`` (default "member <index>"); for a (d,) state it is None.
+    """
+
+    def __init__(self, t: float, state: np.ndarray, member: Optional[int] = None,
+                 name: Optional[str] = None):
+        shown, where = state, ""
+        if member is not None:
+            shown = state.reshape(-1, state.shape[-1])[member]
+            where = f" of {name or f'member {member}'}"
+        super().__init__(f"non-finite state{where} at t={t:.6g}: "
+                         f"{np.array2string(shown, precision=6)}")
         self.t = t
         self.state = state
+        self.member = member
 
 
 @dataclass(frozen=True)
@@ -32,10 +54,10 @@ class Trajectory:
     """Recorded samples of one integration run."""
 
     times: np.ndarray           # (m,), uniformly spaced by h * record_stride
-    states: np.ndarray          # (m, d)
+    states: np.ndarray          # (m, d), or (m, *batch, d) for a batched run
     h: float
     record_stride: int
-    clamp_events: int = 0       # steps on which the nonnegativity clamp fired
+    clamp_events: int = 0       # steps on which the nonnegativity clamp fired, summed over members
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
@@ -89,17 +111,19 @@ def integrate_fixed(
 ) -> Trajectory:
     """Integrate ``rhs`` from t0 to t1 with classical RK4 steps of size h.
 
-    States are recorded every ``record_stride`` steps plus the final state.
-    ``clamp_nonneg`` lists state indices clamped to >= 0 after each step
-    (filter states that must stay in the nonnegative orthant). Aborts with
-    :class:`NonFiniteStateError` if the state leaves the finite floats.
+    ``state0`` has shape (d,) or (*batch, d); ``rhs`` maps a state to a
+    derivative of the same shape. States are recorded every ``record_stride``
+    steps plus the final state. ``clamp_nonneg`` lists indices of the last
+    axis clamped to >= 0 after each step (filter states that must stay in the
+    nonnegative orthant). Aborts with :class:`NonFiniteStateError` as soon as
+    any member leaves the finite floats.
     """
     nsteps, n_rec = step_grid(t0, t1, h, record_stride)
-    y = np.array(state0, dtype=float).ravel()
+    y = np.array(state0, dtype=float, ndmin=1)
     clamp = None if clamp_nonneg is None else np.asarray(clamp_nonneg, dtype=int)
 
     times = np.empty(n_rec)
-    states = np.empty((n_rec, y.size))
+    states = np.empty((n_rec, *y.shape))
     times[0] = t0
     states[0] = y
     rec = 1
@@ -111,12 +135,15 @@ def integrate_fixed(
         k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
         k4 = rhs(t + h, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if clamp is not None and np.any(y[clamp] < 0.0):
-            y[clamp] = np.maximum(y[clamp], 0.0)
-            clamp_events += 1
+        if clamp is not None:
+            low = y[..., clamp] < 0.0
+            if low.any():
+                y[..., clamp] = np.maximum(y[..., clamp], 0.0)
+                clamp_events += int(np.count_nonzero(low.any(axis=-1)))
         t_next = t0 + (j + 1) * h
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteStateError(t_next, y)
+        if not np.isfinite(y).all():
+            finite = np.isfinite(y).reshape(-1, y.shape[-1]).all(axis=-1)
+            raise NonFiniteStateError(t_next, y, None if y.ndim == 1 else int(np.argmin(finite)))
         if (j + 1) % record_stride == 0 or j + 1 == nsteps:
             times[rec] = t_next
             states[rec] = y

@@ -8,6 +8,10 @@ closure: :func:`esc_lab.dynamics.rmspesc_flat_rhs`,
 cost, builtin or parsed. ``integrate_fixed`` validates the time span with
 :func:`esc_lab.integrate.step_grid`, and the average system reads its node
 tables from one :class:`esc_lab.averaging.PeriodQuadrature` per run.
+
+The two full-loop drivers also take a (B, d) batch of initial states and step
+its members in lockstep, one RK4 loop for all of them; ``simulate`` mode runs
+its washout seeds this way. The average system takes a single (d,) state.
 """
 
 from __future__ import annotations
@@ -25,10 +29,11 @@ from .signals import DitherConfig
 __all__ = ["simulate_rmspesc", "simulate_gesc", "simulate_average"]
 
 
-def _flat_state(state0, dim: int) -> np.ndarray:
-    state0 = np.asarray(state0, dtype=float).ravel()
-    if state0.shape != (dim,):
-        raise ValueError(f"expected flat initial state of length {dim}")
+def _flat_state(state0, dim: int, batch: bool = False) -> np.ndarray:
+    """A (d,) state or, where ``batch`` allows, a (B, d) batch of them."""
+    state0 = np.array(state0, dtype=float, ndmin=1)
+    if state0.shape[-1] != dim or state0.ndim > (2 if batch else 1):
+        raise ValueError(f"expected flat initial state of length {dim}, got shape {state0.shape}")
     return state0
 
 
@@ -42,9 +47,9 @@ def simulate_rmspesc(
     h: float,
     record_stride: int = 1,
 ) -> Trajectory:
-    """Integrate the RMSp loop from a flat state [theta (n), v (n), xi]."""
+    """Integrate the RMSp loop from a flat state [theta (n), v (n), xi], or a (B, d) batch."""
     n = params.n
-    state0 = _flat_state(state0, 2 * n + 1)
+    state0 = _flat_state(state0, 2 * n + 1, batch=True)
     return integrate_fixed(rmspesc_flat_rhs(params, cost, dither), state0, t0, t1, h, record_stride,
                            clamp_nonneg=range(n, 2 * n))
 
@@ -59,8 +64,8 @@ def simulate_gesc(
     h: float,
     record_stride: int = 1,
 ) -> Trajectory:
-    """Integrate the plain-gradient baseline from a flat state [theta (n), xi]."""
-    state0 = _flat_state(state0, params.n + 1)
+    """Integrate the plain-gradient baseline from a flat state [theta (n), xi], or a (B, d) batch."""
+    state0 = _flat_state(state0, params.n + 1, batch=True)
     return integrate_fixed(gesc_flat_rhs(params, cost, dither), state0, t0, t1, h, record_stride)
 
 

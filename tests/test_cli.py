@@ -216,6 +216,54 @@ def test_runtime_abort_exit_code_3(tmp_path, capsys):
     assert "runtime abort" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k, xi, member", [
+    # both seeds blow up on the first step; the first one is named
+    ("1e12", "0, 1", "init.xi=0"),
+    # only the second seed blows up; its run used to follow a finished first
+    # seed, whose CSV was left behind
+    ("1", "y0, 1e30", "init.xi=1e30"),
+    # a lone seed runs as a (d,) state and is named all the same
+    ("1e12", "1", "init.xi=1"),
+])
+def test_batched_abort_names_member_and_writes_nothing(k, xi, member, tmp_path, capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main([
+            "simulate", "--config", "quartic_fig1", "--set", "algorithm=gesc",
+            "--set", f"gains.k={k}", "--set", f"init.xi={xi}", "--set", "time.t1=1",
+            "--out", str(tmp_path),
+        ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"runtime abort: non-finite state of {member} at t=" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("xi, first, second", [
+    ("2*y0, 2 * y0, 1", "2*y0", "2 * y0"),
+    ("0, 0", "0", "0"),
+])
+def test_colliding_washout_labels_exit_code_2(xi, first, second, tmp_path, capsys):
+    code = main([
+        "simulate", "--config", "quartic_fig1", "--set", "time.t1=0.2",
+        "--set", f"init.xi={xi}", "--out", str(tmp_path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"entries {first!r} and {second!r}" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_batched_seeds_match_single_seed_runs(tmp_path):
+    # one lockstep run of three seeds writes the bytes of three one-seed runs
+    common = ["--config", "quartic_fig1", "--set", "time.t1=2"]
+    assert main(["simulate", *common, "--out", str(tmp_path / "batch")]) == 0
+    for entry, label in (("0", "0"), ("y0", "y0"), ("2*y0", "2y0")):
+        single = tmp_path / f"single_{label}"
+        assert main(["simulate", *common, "--set", f"init.xi={entry}", "--out", str(single)]) == 0
+        expected = (single / "trajectory.csv").read_bytes()
+        assert (tmp_path / "batch" / f"trajectory_xi0_{label}.csv").read_bytes() == expected
+
+
 def test_step_not_dividing_span_exit_code_2(tmp_path, capsys):
     code = main([
         "simulate", "--config", "quartic_fig1",

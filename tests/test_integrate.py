@@ -69,6 +69,31 @@ def test_nonfinite_abort_carries_diagnostics():
     assert "t=" in str(err.value)
 
 
+def test_nonfinite_abort_names_first_batch_member():
+    blowup = lambda t, y: y * y
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError) as err:
+        integrate_fixed(blowup, [[0.0], [3.0], [3.0]], 0.0, 10.0, 0.05)
+    assert err.value.member == 1
+    assert err.value.state.shape == (3, 1)
+    assert "non-finite state of member 1 at t=" in str(err.value)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError) as err:
+        integrate_fixed(blowup, [3.0], 0.0, 10.0, 0.05)
+    assert err.value.member is None
+    assert str(err.value).startswith("non-finite state at t=")
+
+
+def test_batched_clamp_counts_each_member():
+    # member 0 is clamped on every step, member 1 never, member 2 from t = 0.5 on
+    pull_down = lambda t, y: np.array([[-1.0], [1.0], [-1.0]])
+    traj = integrate_fixed(pull_down, [[0.0], [0.0], [0.55]], 0.0, 1.0, 0.1, clamp_nonneg=[0])
+    assert traj.states.shape == (11, 3, 1)
+    assert traj.clamp_events == 10 + 0 + 5
+    assert type(traj.clamp_events) is int
+    single = integrate_fixed(lambda t, y: np.array([-1.0]), [0.55], 0.0, 1.0, 0.1, clamp_nonneg=[0])
+    np.testing.assert_array_equal(traj.states[:, 2], single.states)
+    assert single.clamp_events == 5
+
+
 def test_clamp_nonneg():
     pull_down = lambda t, y: np.array([-1.0])
     traj = integrate_fixed(pull_down, [0.05], 0.0, 1.0, 0.1, clamp_nonneg=[0])
@@ -170,6 +195,10 @@ MULTI_PARAMS = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25, 0.5], omega_xi=1.0)
     # xi0 = J(theta0): from xi0 = 0 the unnormalized baseline diverges within 0.1 s
     (simulate_gesc, gesc_flat_rhs, [1.0, -1.0, 1.176], None),
     (simulate_average, average_flat_rhs, [1.0, -1.0, 0.1, 0.2, 0.0], [2, 3]),
+    # a (2, d) batch of the full loops is one run as well
+    (simulate_rmspesc, rmspesc_flat_rhs, [[1.0, -1.0, 0.1, 0.2, 0.0], [0.5, 0.3, 0.0, 1.0, 2.0]],
+     [2, 3]),
+    (simulate_gesc, gesc_flat_rhs, [[1.0, -1.0, 1.176], [0.5, 0.3, 0.9]], None),
 ])
 def test_driver_is_one_integrator_run(driver, rhs, state0, clamp):
     traj = driver(MULTI_COST, MULTI_DITHER, MULTI_PARAMS, state0, 0.0, 1.0, 0.002, 25)
@@ -192,6 +221,10 @@ def test_simulate_average_rejects_mismatched_gains():
 def test_simulate_rejects_state_length():
     cost, dither = quartic_cost(), new_dither([0.02], [1], 10.0)
     for driver, state0 in ((simulate_rmspesc, [1.0, 0.1]), (simulate_gesc, [1.0, 0.1, 0.0]),
-                           (simulate_average, [1.0, 0.1, 0.0, 0.0])):
+                           (simulate_average, [1.0, 0.1, 0.0, 0.0]),
+                           (simulate_rmspesc, [[1.0, 0.1], [1.0, 0.1]]),
+                           (simulate_rmspesc, np.zeros((2, 2, 3))),
+                           # the average system takes a single state only
+                           (simulate_average, [[1.0, 0.1, 0.0], [1.0, 0.1, 0.0]])):
         with pytest.raises(ValueError, match="initial state of length"):
             driver(cost, dither, FIG1, state0, 0.0, 1.0, 0.01)

@@ -7,12 +7,14 @@ from hypothesis.extra.numpy import arrays
 
 from esc_lab import (
     EscParams,
+    NonFiniteStateError,
     new_dither,
     parse_cost,
     quadratic_cost,
     quartic_cost,
     shifted_quartic_cost,
     simulate_average,
+    simulate_gesc,
     simulate_rmspesc,
 )
 
@@ -86,6 +88,37 @@ def test_average_filter_state_stays_nonnegative(state):
     traj = simulate_average(quartic_cost(), new_dither([0.2], [1], 10.0), _params(omega_l),
                             [theta0, v0, xi0], 0.0, 1.0, 0.05)
     assert np.all(traj.states[:, 1] >= 0.0)
+
+
+def _run_or_abort(driver, *args):
+    try:
+        return driver(*args)
+    except NonFiniteStateError as exc:
+        return exc
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.lists(loop_states, min_size=1, max_size=5), st.floats(0.1, 260.0))
+def test_batched_run_equals_single_runs(members, omega_l):
+    # a (B, d) run steps B members in lockstep; each member's samples are its
+    # own run's bit for bit, and the clamp counts add up over members
+    system = (quartic_cost(), new_dither([0.2], [1], 10.0), _params(omega_l))
+    rows = np.array([m[:3] for m in members])
+    for driver, state0 in ((simulate_rmspesc, rows), (simulate_gesc, rows[:, [0, 2]])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = _run_or_abort(driver, *system, state0, 0.0, 1.0, 0.01)
+            singles = [_run_or_abort(driver, *system, s, 0.0, 1.0, 0.01) for s in state0]
+        aborts = [s.t if isinstance(s, NonFiniteStateError) else np.inf for s in singles]
+        if isinstance(batch, NonFiniteStateError):
+            # the batch stops at the earliest abort and names the first member aborting then
+            assert batch.t == min(aborts)
+            assert batch.member == aborts.index(min(aborts))
+            continue
+        assert min(aborts) == np.inf
+        for b, single in enumerate(singles):
+            assert np.array_equal(batch.states[:, b], single.states)
+        assert batch.clamp_events == sum(s.clamp_events for s in singles)
+        assert type(batch.clamp_events) is int
 
 
 @settings(deadline=None)
