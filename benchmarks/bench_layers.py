@@ -13,7 +13,11 @@ xi and one for v_1 over the monitor's 501 (quantized) levels; the monitor row
 evaluates V at every sample. The batch rows add their cost per member-step,
 the radius and monitor rows per sample. The CSV row writes the closed-loop
 trajectory recorded every 0.01 s (10,001 rows at t1 = 100) with
-``esc_lab.cli.write_trajectory_csv`` into a temporary directory. Run from the repo root:
+``esc_lab.cli.write_trajectory_csv`` into a temporary directory. The parsed-cost
+rows evaluate the 2-D expression of the ``compare_expr2d`` benchmark workload
+(dither rates 1, 2, so 512 quadrature nodes) on one (2,) point and on the
+(513, 2) array one average-system rhs call sweeps, and call that average rhs,
+each per call. Run from the repo root:
 
     python3 benchmarks/bench_layers.py [--t1 SECONDS] [--repeats N]
 """
@@ -26,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 import esc_lab as el
+from esc_lab.averaging import average_flat_rhs
 from esc_lab.cli import write_trajectory_csv
 from esc_lab.lyapunov import _quantize_up
 
@@ -74,6 +79,22 @@ def main() -> int:
     csv_dir = tempfile.TemporaryDirectory()
     csv_path = Path(csv_dir.name, "trajectory.csv")
 
+    expr_cost = el.parse_cost(
+        "theta1^4 + 2*theta2^4 + theta1^2*theta2^2 + 0.5*(theta1 - theta2)^2", 2)
+    expr_dither = el.new_dither([0.02, 0.02], [1, 2], 10.0)
+    expr_params = el.EscParams(k=1.0, epsilon=0.05, omega_l=[0.25, 0.25], omega_xi=1.0)
+    expr_state = np.array([1.5, -1.0, 0.81, 0.81, 0.0])
+    expr_point = expr_state[:2]
+    expr_sweep = np.vstack([expr_point, expr_point + el.PeriodQuadrature(expr_dither).s])
+    expr_rhs = average_flat_rhs(expr_params, expr_cost, expr_dither)
+    calls = 1000
+
+    def repeat(fn, *args):
+        def run():
+            for _ in range(calls):
+                fn(*args)
+        return run
+
     def batch(size):
         states = np.tile(state0, (size, 1))
         states[:, 2] = np.linspace(0.0, 2.0 * cost.f(state0[:1]), size)
@@ -104,6 +125,10 @@ def main() -> int:
             lambda: el.simulate_average(cost, dither, params, state0, 0.0, args.t1, 0.0125, 4),
             None,
         ),
+        ("parsed cost, (2,) point", repeat(expr_cost.f, expr_point), (calls, "call")),
+        (f"parsed cost, {expr_sweep.shape} sweep", repeat(expr_cost.f, expr_sweep),
+         (calls, "call")),
+        ("average rhs, parsed 2-D cost", repeat(expr_rhs, 0.0, expr_state), (calls, "call")),
         (
             f"oracle build ({len(oracle._points)}-point grid)",
             lambda: el.LevelSetOracle(cost, dither, eq, spec),

@@ -14,7 +14,8 @@ uniform nodes, whose tables one :class:`PeriodQuadrature` holds per dither
 and node count; for smooth periodic integrands that rule converges spectrally,
 so modest node counts reproduce closed forms to near machine precision. The
 integrands depend on time only through sin(omega * r_i * t), so the averages
-are independent of omega itself.
+are independent of omega itself. :func:`avg_maps` evaluates J in one cost
+sweep per call, over theta_bar and the n_q nodes together.
 """
 
 from __future__ import annotations
@@ -140,12 +141,16 @@ def avg_maps(
     """
     quad.check(cost)
     theta_bar = np.atleast_1d(np.asarray(theta_bar, dtype=float))
-    y = cost.f(theta_bar[None, :] + quad.s)          # (n_q,)
-    j_bar = float(np.mean(y))
-    y_centered = y - float(cost.f(theta_bar))
-    g_bar = np.mean(quad.m * y_centered[None, :], axis=1)
+    n_q = quad.n_q
+    points = np.empty((n_q + 1, quad.n))
+    points[0] = theta_bar
+    np.add(theta_bar, quad.s, out=points[1:])
+    y_all = cost.f(points)                           # one sweep: J(theta_bar), then the nodes
+    y = y_all[1:]
+    j_bar = float(np.add.reduce(y, 0) / n_q)
+    g_bar = np.add.reduce(quad.m * (y - y_all[0])[None, :], 1) / n_q
     resid = quad.m * (y - float(xi_bar))[None, :]
-    g2_bar = np.mean(resid * resid, axis=1)
+    g2_bar = np.add.reduce(resid * resid, 1) / n_q
     return AverageMaps(j_bar=j_bar, g_bar=g_bar, g2_bar=g2_bar)
 
 

@@ -12,9 +12,8 @@ plot       render CSV columns to an SVG
 
 The washout seeds of simulate (one per init.xi entry) run as one lockstep
 batch: a single RK4 loop steps a (B, d) state, and each member's CSV is
-bit-identical to a run of that seed alone (for the one cost where it may not
-be, see :mod:`esc_lab.integrate`). An abort in any member stops the whole
-batch before any CSV is written. The full and average runs of compare
+bit-identical to a run of that seed alone. An abort in any member stops the
+whole batch before any CSV is written. The full and average runs of compare
 execute one after another.
 
 Exit codes: 0 success, 2 configuration/validation error (including cost,

@@ -106,8 +106,10 @@ def quadratic_cost(h, j_opt: float = 0.0, theta_star=None, n: Optional[int] = No
         raise ValueError(f"theta_star must have length {n}")
 
     def f(x):
-        d = x - star
-        return j_opt + 0.5 * np.einsum("...i,ij,...j->...", d, hmat, d)
+        # elementwise products summed per row, in C order: unlike einsum, a row's
+        # value depends neither on the other rows nor on the memory layout of x
+        d = np.ascontiguousarray(x - star)
+        return j_opt + 0.5 * np.sum((d[..., :, None] * hmat) * d[..., None, :], axis=(-2, -1))
 
     def grad(x):
         return (x - star) @ hmat

@@ -9,8 +9,18 @@ Grammar (positions in error messages are 1-based character offsets):
     atom   = NUMBER | IDENT | "(" expr ")"
 
 Identifiers are ``theta1`` .. ``thetaN``; numbers are decimal literals with an
-optional exponent. The compiled evaluator works componentwise on numpy arrays
-of shape (..., n).
+optional exponent.
+
+:func:`compile_expression` parses the text once and lowers the tree to one
+Python function of straight-line numpy calls, one per operation, applied in
+the order a left-to-right walk of the tree would apply them. It works
+componentwise on arrays of shape (..., n). A ``^`` whose exponent is an even
+integer literal raises the absolute value of its base (the rule of
+``cost.shifted_quartic_cost``): the value is the same, J is exactly even in
+that base, and numpy's ``power`` stays on its fast path, which a negative
+base leaves for a much slower scalar ``pow`` call. Any other exponent
+uses plain ``power``, so odd powers keep their sign and a negative base to a
+non-integer power is NaN.
 """
 
 from __future__ import annotations
@@ -143,35 +153,61 @@ class _Parser:
         raise ExpressionError("expected a number, variable, or '('", pos)
 
 
-def _evaluate(node, x: np.ndarray):
-    op = node[0]
-    if op == "const":
-        return node[1]
-    if op == "var":
-        return x[..., node[1]]
-    if op == "neg":
-        return -_evaluate(node[1], x)
-    a = _evaluate(node[1], x)
-    b = _evaluate(node[2], x)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    return np.power(a, b)
+_BINARY = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+
+
+def _is_even_integer(node) -> bool:
+    return node[0] == "const" and node[1].is_integer() and node[1] % 2 == 0
+
+
+def _emit(tree):
+    """Lower ``tree`` to straight-line Python: one assignment per operation.
+
+    Returns (source, constants). Operands are evaluated left to right, so the
+    function makes the numpy calls a recursive walk of the tree would make, in
+    the same order. Literals are bound by name (``1e999`` has no source form
+    but ``inf``), and the code is flat, so no nesting limit of the Python
+    compiler applies however deep the tree is.
+    """
+    lines: list[str] = []
+    constants: dict[str, float] = {}
+    variables: set[int] = set()
+
+    def operand(node) -> str:
+        op = node[0]
+        if op == "const":
+            name = f"c{len(constants)}"
+            constants[name] = node[1]
+            return name
+        if op == "var":
+            variables.add(node[1])
+            return f"x{node[1]}"
+        if op == "neg":
+            expr = f"-{operand(node[1])}"
+        elif op == "pow":
+            base = operand(node[1])
+            if _is_even_integer(node[2]):
+                base = f"absolute({base})"
+            expr = f"power({base}, {operand(node[2])})"
+        else:
+            a = operand(node[1])
+            expr = f"{a} {_BINARY[op]} {operand(node[2])}"
+        name = f"t{len(lines)}"
+        lines.append(f"    {name} = {expr}")
+        return name
+
+    result = operand(tree)
+    header = [f"    x{i} = x[..., {i}]" for i in sorted(variables)]
+    body = ["def evaluate(x):", "    x = asarray(x, dtype=float)", *header, *lines,
+            f"    return asarray({result}, dtype=float)"]
+    return "\n".join(body) + "\n", constants
 
 
 def compile_expression(text: str, n: int):
-    """Parse ``text`` and return a callable mapping arrays (..., n) -> (...)."""
+    """Parse ``text`` and return one compiled function mapping arrays (..., n) -> (...)."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    tree = _Parser(text, n).parse()
-
-    def evaluate(x: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        return np.asarray(_evaluate(tree, x), dtype=float)
-
-    return evaluate
+    source, constants = _emit(_Parser(text, n).parse())
+    namespace = {"asarray": np.asarray, "absolute": np.abs, "power": np.power, **constants}
+    exec(compile(source, "<cost expression>", "exec"), namespace)
+    return namespace["evaluate"]

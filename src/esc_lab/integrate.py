@@ -11,8 +11,7 @@ The state may carry leading batch axes: a state of shape (B, d) steps B
 independent systems in lockstep through one loop, sharing t and h. Each
 member's samples equal those of its own (d,) run bit for bit whenever the rhs
 treats rows independently; the full-loop closures do, for every cost that
-evaluates each point on its own (the two-channel builtin quadratic's
-``einsum`` can round a point one ulp differently inside a batch of 3 or more).
+evaluates each point on its own, which every builtin and parsed cost does.
 ``simulate`` mode runs its washout seeds this way; every other run is a
 single (d,) state.
 """

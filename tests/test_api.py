@@ -3,7 +3,8 @@ import inspect
 from dataclasses import fields, is_dataclass
 
 import esc_lab
-from esc_lab import averaging, cli, cost, dynamics, integrate, lyapunov, signals, simulate
+from esc_lab import (averaging, cli, cost, dynamics, expressions, integrate, lyapunov, signals,
+                     simulate)
 
 # Names folded into one API per layer: the structured rhs (the flat closures
 # remain), the one-shot Lyapunov wrappers (LevelSetOracle remains), the
@@ -12,7 +13,8 @@ from esc_lab import averaging, cli, cost, dynamics, integrate, lyapunov, signals
 # compiled-loop fork of the drivers (the numpy path remains), the time-grid
 # dither methods (dither_value and demod_value broadcast), and members of
 # result and config classes that nothing read; the oracle's per-target
-# copies of the field math and radius search (one _radii remains).
+# copies of the field math and radius search (one _radii remains); the
+# recursive expression walker (each parsed cost is one compiled function).
 REMOVED = {
     dynamics: ["EscState", "EscDerivative", "rmspesc_rhs", "gesc_rhs", "grad_estimate"],
     averaging: ["average_rhs", "default_nodes", "_node_signals", "avg_g2_coeffs"],
@@ -24,6 +26,7 @@ REMOVED = {
     signals.DitherConfig: ["phase_grid", "dither_matrix", "demod_matrix"],
     averaging.AverageMaps: ["n_q"],
     lyapunov.LevelSetOracle: ["_batch_fields", "_radii_chunk", "_eta_abs_max"],
+    expressions: ["_evaluate"],
 }
 
 

@@ -10,6 +10,7 @@ from esc_lab import (
     equilibrium,
     from_error_coords,
     new_dither,
+    parse_cost,
     quadratic_cost,
     quartic_cost,
     to_error_coords,
@@ -104,6 +105,34 @@ def test_g2_quadratic_in_xi_decomposition():
                     direct = avg_maps(cost, quad, theta, xi_ref + eta).g2_bar[i]
                     model = p1 - 2.0 * q1 * eta + quad.r[i] * eta**2
                     assert model == pytest.approx(direct, rel=1e-10, abs=1e-12)
+
+
+def two_sweep_maps(cost, quad, theta_bar, xi_bar):
+    """The formulation avg_maps replaced: J at the nodes and at theta_bar as two
+    sweeps, and np.mean for every average."""
+    theta_bar = np.atleast_1d(np.asarray(theta_bar, dtype=float))
+    y = cost.f(theta_bar[None, :] + quad.s)
+    g_bar = np.mean(quad.m * (y - float(cost.f(theta_bar)))[None, :], axis=1)
+    resid = quad.m * (y - float(xi_bar))[None, :]
+    return float(np.mean(y)), g_bar, np.mean(resid * resid, axis=1)
+
+
+@pytest.mark.parametrize("cost, dither", [
+    (quartic_cost(), new_dither([0.02], [1], 10.0)),
+    (parse_cost("theta1^4 + 2*theta2^4 + theta1^2*theta2^2 + 0.5*(theta1 - theta2)^2", 2),
+     new_dither([0.02, 0.02], [1, 2], 10.0)),
+    (quadratic_cost([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 3.0]], 0.5, [0.2, -0.4, 1.0]),
+     new_dither([0.05, 0.04, 0.03], [1, 2, 3], 10.0)),
+], ids=["quartic", "expr2d", "quadratic3d"])
+def test_avg_maps_equals_two_sweep_formulation(cost, dither):
+    quad = PeriodQuadrature(dither)
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        theta, xi = rng.uniform(-3.0, 3.0, cost.n), rng.uniform(-2.0, 2.0)
+        maps = avg_maps(cost, quad, theta, xi)
+        j_bar, g_bar, g2_bar = two_sweep_maps(cost, quad, theta, xi)
+        assert maps.j_bar == j_bar
+        assert np.array_equal(maps.g_bar, g_bar) and np.array_equal(maps.g2_bar, g2_bar)
 
 
 def test_invalid_node_count():

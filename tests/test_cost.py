@@ -126,12 +126,11 @@ def test_two_dimensional_grid_check():
 # -- expression parsing -------------------------------------------------------
 
 def test_parse_quartic_matches_builtin():
+    # both raise |theta| to the 4th power, so they agree bit for bit
     parsed = parse_cost("theta1^4 / 24", 1)
     q = quartic_cost()
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        theta = rng.uniform(-3, 3, 1)
-        assert eval_cost(parsed, theta) == pytest.approx(eval_cost(q, theta), abs=1e-12)
+    theta = np.random.default_rng(1).uniform(-3, 3, (100, 1))
+    assert np.array_equal(parsed.f(theta), q.f(theta))
 
 
 def test_parse_quadratic_matches_builtin():
@@ -195,3 +194,26 @@ def test_parsed_cost_uses_fd_gradient():
     parsed = parse_cost("theta1^4 / 24", 1)
     assert parsed.grad is None
     assert grad_cost(parsed, [2.0]) == pytest.approx([2.0**3 / 6.0], abs=1e-6)
+
+
+def test_overflowing_literal_is_infinite():
+    assert eval_cost(parse_cost("1e999", 1), [0.0]) == np.inf
+    assert eval_cost(parse_cost("theta1 * 1e999", 1), [-2.0]) == -np.inf
+
+
+def test_odd_power_keeps_sign_of_negative_base():
+    cost = parse_cost("theta1^3 + theta2^5", 2)
+    assert eval_cost(cost, [-2.0, -1.5]) == -8.0 - 1.5**5
+    assert eval_cost(parse_cost("theta1^1", 1), [-3.0]) == -3.0
+
+
+def test_negative_base_to_non_integer_power_is_nan():
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(parse_cost("(-2)^0.5", 1).f([0.0]))
+        assert np.isnan(eval_cost(parse_cost("theta1^1.5", 1), [-2.0]))
+
+
+def test_even_power_of_negated_point_is_identical():
+    cost = parse_cost("theta1^4 + 2*theta2^4 + theta1^2*theta2^2 + 0.5*(theta1 - theta2)^2", 2)
+    x = np.random.default_rng(4).uniform(-3, 3, (200, 2))
+    assert np.array_equal(cost.f(-x), cost.f(x))

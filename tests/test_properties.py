@@ -1,5 +1,7 @@
 """Property tests over drawn inputs (hypothesis)."""
 
+import operator
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +62,76 @@ def test_parsed_expression_matches_builtin(cost_and_scale, data):
     assert np.all(err <= 1e-12 * scale(pts)), (cost.expr, pts)
 
 
+# Expression trees as the parser builds them: ("const", value), ("var", index),
+# ("neg", a) and (op, a, b) for op in add, sub, mul, div, pow.
+_BINARY = {"add": ("+", operator.add), "sub": ("-", operator.sub),
+           "mul": ("*", operator.mul), "div": ("/", operator.truediv)}
+literals = st.one_of(st.integers(0, 6).map(float), st.floats(0.0, 50.0)).map(lambda v: ("const", v))
+
+
+def expression_trees(n):
+    leaves = st.one_of(literals, st.integers(0, n - 1).map(lambda i: ("var", i)))
+
+    def extend(children):
+        return st.one_of(
+            children.map(lambda a: ("neg", a)),
+            st.tuples(st.sampled_from(sorted(_BINARY)), children, children),
+            st.tuples(st.just("pow"), children, st.one_of(literals, children)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+def render(node):
+    op = node[0]
+    if op == "const":
+        return repr(node[1])
+    if op == "var":
+        return f"theta{node[1] + 1}"
+    if op == "neg":
+        return f"-({render(node[1])})"
+    symbol = "^" if op == "pow" else _BINARY[op][0]
+    return f"({render(node[1])}) {symbol} ({render(node[2])})"
+
+
+def walk(node, x):
+    """Reference evaluator: a recursive walk of the tree, one numpy call per node."""
+    op = node[0]
+    if op == "const":
+        return node[1]
+    if op == "var":
+        return x[..., node[1]]
+    if op == "neg":
+        return -walk(node[1], x)
+    a, b = walk(node[1], x), walk(node[2], x)
+    if op != "pow":
+        return _BINARY[op][1](a, b)
+    if node[2][0] == "const" and node[2][1] % 2 == 0:
+        return np.power(np.abs(a), b)      # an even integer literal exponent raises |base|
+    return np.power(a, b)
+
+
+def _outcome(evaluate, x):
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(evaluate(x), dtype=float)
+    except ZeroDivisionError:        # a literal divided by a literal zero
+        return "ZeroDivisionError"
+
+
+@settings(deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    expression_trees(n), arrays(float, st.tuples(st.integers(1, 4), st.just(n)), elements=coords))))
+def test_compiled_expression_matches_tree_walk(tree_and_points):
+    tree, x = tree_and_points
+    got = _outcome(parse_cost(render(tree), x.shape[1]).f, x)
+    want = _outcome(lambda pts: walk(tree, pts), x)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), render(tree)
+
+
 loop_states = st.tuples(
     st.floats(-2.5, 2.5),            # theta0
     st.floats(0.0, 2.0),             # v0
@@ -97,14 +169,32 @@ def _run_or_abort(driver, *args):
         return exc
 
 
+@st.composite
+def batch_costs(draw):
+    """The quartic, or a builtin quadratic of 1..4 coupled channels."""
+    if draw(st.booleans()):
+        return quartic_cost()
+    n = draw(st.integers(1, 4))
+    a = draw(arrays(float, (n, n), elements=st.floats(-2.0, 2.0)))
+    star = draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
+    return quadratic_cost(a @ a.T + 0.1 * np.eye(n), draw(st.floats(-5.0, 5.0)), star)
+
+
 @settings(deadline=None, max_examples=25)
-@given(st.lists(loop_states, min_size=1, max_size=5), st.floats(0.1, 260.0))
-def test_batched_run_equals_single_runs(members, omega_l):
+@given(batch_costs(), st.data(), st.floats(0.1, 260.0))
+def test_batched_run_equals_single_runs(cost, data, omega_l):
     # a (B, d) run steps B members in lockstep; each member's samples are its
     # own run's bit for bit, and the clamp counts add up over members
-    system = (quartic_cost(), new_dither([0.2], [1], 10.0), _params(omega_l))
-    rows = np.array([m[:3] for m in members])
-    for driver, state0 in ((simulate_rmspesc, rows), (simulate_gesc, rows[:, [0, 2]])):
+    n = cost.n
+    members = data.draw(st.lists(st.tuples(
+        arrays(float, n, elements=st.floats(-2.5, 2.5)),     # theta0
+        arrays(float, n, elements=st.floats(0.0, 2.0)),      # v0
+        st.floats(-2.0, 2.0),                                # xi0
+    ), min_size=1, max_size=5))
+    rows = np.array([np.concatenate([theta, v, [xi]]) for theta, v, xi in members])
+    params = EscParams(k=1.0, epsilon=0.05, omega_l=[omega_l] * n, omega_xi=1.0)
+    system = (cost, new_dither([0.2] * n, list(range(1, n + 1)), 10.0), params)
+    for driver, state0 in ((simulate_rmspesc, rows), (simulate_gesc, rows[:, [*range(n), 2 * n]])):
         with np.errstate(over="ignore", invalid="ignore"):
             batch = _run_or_abort(driver, *system, state0, 0.0, 1.0, 0.01)
             singles = [_run_or_abort(driver, *system, s, 0.0, 1.0, 0.01) for s in state0]
