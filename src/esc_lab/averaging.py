@@ -154,7 +154,7 @@ def avg_maps(
     return AverageMaps(j_bar=j_bar, g_bar=g_bar, g2_bar=g2_bar)
 
 
-def average_flat_rhs(params, cost: CostFunction, dither: DitherConfig, n_q: Optional[int] = None):
+def average_flat_rhs(params, cost: CostFunction, dither: DitherConfig):
     """Integrator-facing closure for the autonomous average system.
 
     Clamps v to zero before the square root, like the full-loop closure.
@@ -162,7 +162,7 @@ def average_flat_rhs(params, cost: CostFunction, dither: DitherConfig, n_q: Opti
     _check_dims(params, cost, dither)
     n = params.n
     k, eps, wl, wxi = params.k, params.epsilon, params.omega_l, params.omega_xi
-    quad = PeriodQuadrature(dither, n_q)
+    quad = PeriodQuadrature(dither)
 
     def rhs(t: float, ybar: np.ndarray) -> np.ndarray:
         theta = ybar[:n]
@@ -182,7 +182,6 @@ def equilibrium(
     cost: CostFunction,
     dither: DitherConfig,
     theta_init=None,
-    n_q: Optional[int] = None,
     tol: float = 1e-10,
     max_iter: int = 100_000,
 ) -> Equilibrium:
@@ -201,7 +200,7 @@ def equilibrium(
     else:
         theta = np.atleast_1d(np.asarray(theta_init, dtype=float)).copy()
 
-    quad = PeriodQuadrature(dither, n_q)
+    quad = PeriodQuadrature(dither)
 
     def maps_at(th):
         return avg_maps(cost, quad, th, 0.0)
@@ -282,7 +281,6 @@ def convergence_sweep(
     dither: DitherConfig,
     theta_bar,
     a0_list,
-    n_q: Optional[int] = None,
 ) -> list[SweepRow]:
     """Shrink the dither and track how fast the averaged estimates converge.
 
@@ -300,8 +298,8 @@ def convergence_sweep(
     rows = []
     for a0 in a0_list:
         cfg = dither.scaled(a0)
-        maps = avg_maps(cost, PeriodQuadrature(cfg, n_q), theta_bar, 0.0)
-        eq = equilibrium(cost, cfg, theta_init=None, n_q=n_q)
+        maps = avg_maps(cost, PeriodQuadrature(cfg), theta_bar, 0.0)
+        eq = equilibrium(cost, cfg)
         rows.append(
             SweepRow(
                 a0=a0,

@@ -10,6 +10,11 @@ converge   dither-shrinking sweep CSV (a0, gradient error, equilibrium v*)
 lyapunov   average trajectory + composite-V descent monitoring
 plot       render CSV columns to an SVG
 
+Runs start at t = 0, where the dither is zero, so ``y0`` in init.xi is
+J(init.theta) in every mode. The average system, its equilibrium and the
+descent monitor run at their library defaults (256 * max(rates) quadrature
+nodes, LevelSpec's grid, the fixed descent tolerance); no config key sets them.
+
 The washout seeds of simulate (one per init.xi entry) run as one lockstep
 batch: a single RK4 loop steps a (B, d) state, and each member's CSV is
 bit-identical to a run of that seed alone. An abort in any member stops the
@@ -19,8 +24,9 @@ execute one after another.
 Exit codes: 0 success, 2 configuration/validation error (including cost,
 dither and gains of different dimensions in a trajectory mode: simulate,
 average, compare or lyapunov; and a step size that does not divide the time
-span or time.sample_dt, or that exceeds 2.5 / max(omega_l, omega_xi); and
-two init.xi entries that would write the same CSV name), 3 runtime abort
+span or time.sample_dt, or that exceeds 2.5 / max(omega_l, omega_xi); two
+init.xi entries that would write the same CSV name; and a quadratic report
+given more than one curvature or amplitude), 3 runtime abort
 (non-finite state or a stalled equilibrium search).
 """
 
@@ -31,7 +37,6 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -43,7 +48,7 @@ from .integrate import NonFiniteStateError, Trajectory, fit_step
 from .lyapunov import LevelSpec, monitor_descent
 from .plotting import PlotError, emit_plot
 from .quadratic import QuadraticModel, quad_jacobian
-from .signals import DitherConfig, dither_value
+from .signals import DitherConfig
 from .simulate import simulate_average, simulate_gesc, simulate_rmspesc
 
 __all__ = ["main", "run_experiment"]
@@ -84,12 +89,12 @@ def _gain_step(params: EscParams) -> tuple[float, str]:
 
 
 def _time_grid(cfg: ExperimentConfig, params: EscParams, dither: DitherConfig, oscillatory: bool):
-    t0 = cfg.number("time.t0", 0.0)
+    """Runs start at t = 0; returns (0.0, t1, h, record stride)."""
     t1 = cfg.number("time.t1")
-    if not t1 > t0:
-        raise ConfigError("field 'time.t1' must exceed 'time.t0'")
+    if not t1 > 0:
+        raise ConfigError("field 'time.t1' must be positive")
     sample_dt = cfg.number("time.sample_dt", 0.05)
-    if not 0 < sample_dt <= t1 - t0:
+    if not 0 < sample_dt <= t1:
         raise ConfigError("field 'time.sample_dt' must be positive and fit the time span")
     h_gain, gain_name = _gain_step(params)
     if cfg.has("time.h"):
@@ -103,13 +108,9 @@ def _time_grid(cfg: ExperimentConfig, params: EscParams, dither: DitherConfig, o
         if h > h_gain:
             raise ConfigError(f"field 'time.h' = {h:.6g} exceeds 2.5 / {gain_name} = {h_gain:.6g}; "
                               "RK4 is unstable for the filters beyond that step")
-        return t0, t1, h, stride
+        return 0.0, t1, h, stride
     h_max = dither.period / (40.0 * dither.r_max) if oscillatory else 0.01
-    return (t0, t1, *fit_step(sample_dt, min(h_max, h_gain)))
-
-
-def _n_q(cfg: ExperimentConfig) -> Optional[int]:
-    return cfg.integer("average.n_q", 0) or None
+    return (0.0, t1, *fit_step(sample_dt, min(h_max, h_gain)))
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,6 @@ class _Run:
     v0: np.ndarray
     grid: tuple[float, float, float, int]   # t0, t1, h, record stride
     washouts: list[tuple[str, float]]       # (label, xi0) per init.xi entry
-    n_q: Optional[int]
 
     @property
     def system(self) -> tuple[CostFunction, DitherConfig, EscParams]:
@@ -136,8 +136,8 @@ class _Run:
 def _setup(cfg: ExperimentConfig, oscillatory: bool) -> _Run:
     """Build and cross-check cost, dither, gains, initial state and time grid.
 
-    ``oscillatory`` selects the full-loop step rule and measures y0 through
-    the dither at t0; the average system steps at most 0.01 and reads J(theta0).
+    ``oscillatory`` selects the full-loop step rule; the average system steps
+    at most 0.01. y0 = J(theta0) in every mode: the dither is zero at t = 0.
     """
     cost, dither, params = cfg.cost(), cfg.dither(), cfg.gains()
     if not cost.n == dither.n == params.n:
@@ -152,8 +152,8 @@ def _setup(cfg: ExperimentConfig, oscillatory: bool) -> _Run:
     if np.any(v0 < 0):
         raise ConfigError("field 'init.v' entries must be nonnegative")
     grid = _time_grid(cfg, params, dither, oscillatory)
-    y0 = float(cost.f(theta0 + dither_value(dither, grid[0]) if oscillatory else theta0))
-    return _Run(cost, dither, params, theta0, v0, grid, cfg.initial_washouts(y0), _n_q(cfg))
+    y0 = float(cost.f(theta0))
+    return _Run(cost, dither, params, theta0, v0, grid, cfg.initial_washouts(y0))
 
 
 def _washout_csv_names(cfg: ExperimentConfig, labels: list[str]) -> list[str]:
@@ -200,7 +200,7 @@ def _mode_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
 def _mode_average(cfg: ExperimentConfig, out_dir: Path) -> int:
     run = _setup(cfg, oscillatory=False)
     label, xi0 = run.washouts[0]
-    traj = simulate_average(*run.system, run.state0(xi0), *run.grid, n_q=run.n_q)
+    traj = simulate_average(*run.system, run.state0(xi0), *run.grid)
     path = write_trajectory_csv(out_dir / "trajectory_average.csv", traj, run.cost, with_v=True)
     print(f"average xi0={label}: wrote {path} ({len(traj.times)} samples)")
     return 0
@@ -213,7 +213,7 @@ def _mode_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
     sample_dt = h * stride
     h_avg, avg_stride = fit_step(sample_dt, min(sample_dt / 4, _gain_step(run.params)[0]))
     full = simulate_rmspesc(*run.system, state0, t0, t1, h, stride)
-    avg = simulate_average(*run.system, state0, t0, t1, h_avg, avg_stride, n_q=run.n_q)
+    avg = simulate_average(*run.system, state0, t0, t1, h_avg, avg_stride)
     if len(full.times) != len(avg.times) or not np.allclose(full.times, avg.times, atol=1e-9):
         raise RuntimeError("full and average runs recorded different time grids")
     path_full = write_trajectory_csv(out_dir / "trajectory_full.csv", full, cost, with_v=True)
@@ -236,8 +236,11 @@ def _mode_quadratic(cfg: ExperimentConfig, out_dir: Path) -> int:
     h = cfg.number_list("cost.h")
     if h.size != 1:
         raise ConfigError("field 'cost.h' must be a single curvature for the quadratic report")
-    model = QuadraticModel(h=float(h[0]), j_opt=cfg.number("cost.j_opt", 0.0),
-                           a=float(cfg.number_list("dither.amplitudes")[0]))
+    a = cfg.number_list("dither.amplitudes")
+    if a.size != 1:
+        raise ConfigError("field 'dither.amplitudes' must be a single amplitude for the "
+                          "quadratic report")
+    model = QuadraticModel(h=float(h[0]), j_opt=cfg.number("cost.j_opt", 0.0), a=float(a[0]))
     params = cfg.gains()
     report = quad_jacobian(model, params)
     eig = ", ".join(f"{v:.6f}" for v in report.eigenvalues)
@@ -262,7 +265,7 @@ def _mode_converge(cfg: ExperimentConfig, out_dir: Path) -> int:
     theta = cfg.number_list(key)
     if theta.size != cost.n:
         raise ConfigError(f"field {key!r} must have {cost.n} entries")
-    rows = convergence_sweep(cost, dither, theta, list(a0_list), n_q=_n_q(cfg))
+    rows = convergence_sweep(cost, dither, theta, list(a0_list))
     path = write_csv(out_dir / "converge.csv", ["a0", "grad_error", "v_star_max"],
                      [[row.a0, row.grad_error, row.v_star_max] for row in rows])
     print(f"wrote {path} ({len(rows)} amplitudes)")
@@ -271,10 +274,10 @@ def _mode_converge(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def _mode_lyapunov(cfg: ExperimentConfig, out_dir: Path) -> int:
     run = _setup(cfg, oscillatory=False)
-    cost, dither, n_q = run.cost, run.dither, run.n_q
-    traj = simulate_average(*run.system, run.state0(run.washouts[0][1]), *run.grid, n_q=n_q)
+    cost, dither = run.cost, run.dither
+    traj = simulate_average(*run.system, run.state0(run.washouts[0][1]), *run.grid)
 
-    eq = equilibrium(cost, dither, n_q=n_q)
+    eq = equilibrium(cost, dither)
     err0 = np.abs(run.theta0 - eq.theta_star)
     if cfg.has("lyapunov.box_halfwidth"):
         hw = cfg.number_list("lyapunov.box_halfwidth")
@@ -284,12 +287,8 @@ def _mode_lyapunov(cfg: ExperimentConfig, out_dir: Path) -> int:
             raise ConfigError(f"field 'lyapunov.box_halfwidth' must have 1 or {cost.n} entries")
     else:
         hw = np.maximum(1.0, 2.0 * err0)
-    spec = LevelSpec(
-        box=np.stack([-hw, hw], axis=-1),
-        grid_theta=cfg.integer("lyapunov.grid_theta", 401),
-    )
-    tol = cfg.number("lyapunov.tol", -1.0)
-    report = monitor_descent(traj, cost, dither, eq, spec, tol=None if tol < 0 else tol, n_q=n_q)
+    spec = LevelSpec(box=np.stack([-hw, hw], axis=-1))
+    report = monitor_descent(traj, cost, dither, eq, spec)
 
     header = ["t", "V", "V_theta", "V_xi"] + [f"V_v_{i + 1}" for i in range(cost.n)]
     table = np.column_stack([report.times, report.values, report.v_theta_terms,

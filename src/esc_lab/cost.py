@@ -39,11 +39,7 @@ class CostFunction:
     f: Callable[[np.ndarray], np.ndarray]
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     theta_star: Optional[np.ndarray] = None
-    name: str = "cost"
     expr: Optional[str] = None
-
-    def __call__(self, theta) -> np.ndarray:
-        return self.f(np.asarray(theta, dtype=float))
 
 
 def eval_cost(cost: CostFunction, theta) -> float:
@@ -81,14 +77,14 @@ def _format_num(x: float) -> str:
     return repr(float(x))
 
 
-def quadratic_cost(h, j_opt: float = 0.0, theta_star=None, n: Optional[int] = None) -> CostFunction:
+def quadratic_cost(h, j_opt: float = 0.0, theta_star=None) -> CostFunction:
     """J(theta) = j_opt + 0.5 * (theta - theta*)' H (theta - theta*), H symmetric positive definite.
 
-    ``h`` may be a scalar, a vector of diagonal curvatures, or a full matrix.
+    ``h`` may be a scalar (n = 1), a vector of diagonal curvatures, or a full matrix.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim == 0:
-        n = n or 1
+        n = 1
         hmat = np.eye(n) * float(h)
     elif h.ndim == 1:
         n = h.size
@@ -131,17 +127,16 @@ def quadratic_cost(h, j_opt: float = 0.0, theta_star=None, n: Optional[int] = No
         f=f,
         grad=grad,
         theta_star=star,
-        name="quadratic",
         expr=" + ".join(terms),
     )
 
 
 def quartic_cost() -> CostFunction:
     """Scalar quartic J(theta) = theta^4 / 24, flat at its minimizer."""
-    return shifted_quartic_cost(np.zeros(1), name="quartic")
+    return shifted_quartic_cost(np.zeros(1))
 
 
-def shifted_quartic_cost(theta_star, name: str = "shifted_quartic") -> CostFunction:
+def shifted_quartic_cost(theta_star) -> CostFunction:
     """J(theta) = sum_i (theta_i - theta*_i)^4 / 24.
 
     ``f`` raises |theta - theta*| rather than theta - theta* to the fourth
@@ -169,7 +164,6 @@ def shifted_quartic_cost(theta_star, name: str = "shifted_quartic") -> CostFunct
         f=f,
         grad=grad,
         theta_star=star,
-        name=name,
         expr=" + ".join(pieces),
     )
 
@@ -180,7 +174,7 @@ def parse_cost(expr: str, n: int) -> CostFunction:
     The gradient falls back to central finite differences.
     """
     evaluate = compile_expression(expr, n)
-    return CostFunction(n=n, f=evaluate, grad=None, theta_star=None, name="expr", expr=expr)
+    return CostFunction(n=n, f=evaluate, grad=None, theta_star=None, expr=expr)
 
 
 # ---------------------------------------------------------------------------

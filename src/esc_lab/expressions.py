@@ -165,9 +165,10 @@ def _emit(tree):
 
     Returns (source, constants). Operands are evaluated left to right, so the
     function makes the numpy calls a recursive walk of the tree would make, in
-    the same order. Literals are bound by name (``1e999`` has no source form
-    but ``inf``), and the code is flat, so no nesting limit of the Python
-    compiler applies however deep the tree is.
+    the same order. A tree that names no variable returns its constant once
+    per point, shape (...). Literals are bound by name (``1e999`` has no
+    source form but ``inf``), and the code is flat, so no nesting limit of the
+    Python compiler applies however deep the tree is.
     """
     lines: list[str] = []
     constants: dict[str, float] = {}
@@ -198,8 +199,12 @@ def _emit(tree):
 
     result = operand(tree)
     header = [f"    x{i} = x[..., {i}]" for i in sorted(variables)]
+    if variables:
+        value = f"asarray({result}, dtype=float)"
+    else:
+        value = f"full(x.shape[:-1], {result}, dtype=float)"
     body = ["def evaluate(x):", "    x = asarray(x, dtype=float)", *header, *lines,
-            f"    return asarray({result}, dtype=float)"]
+            f"    return {value}"]
     return "\n".join(body) + "\n", constants
 
 
@@ -208,6 +213,7 @@ def compile_expression(text: str, n: int):
     if n < 1:
         raise ValueError("dimension must be at least 1")
     source, constants = _emit(_Parser(text, n).parse())
-    namespace = {"asarray": np.asarray, "absolute": np.abs, "power": np.power, **constants}
+    namespace = {"asarray": np.asarray, "full": np.full, "absolute": np.abs, "power": np.power,
+                 **constants}
     exec(compile(source, "<cost expression>", "exec"), namespace)
     return namespace["evaluate"]

@@ -102,6 +102,8 @@ class LevelSpec:
         object.__setattr__(self, "box", box)
         if self.grid_theta < 3:
             raise ValueError("grid resolutions must be at least 3")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be at least 1")
 
     @property
     def n(self) -> int:
@@ -234,7 +236,6 @@ class LevelSetOracle:
         dither: DitherConfig,
         eq: Equilibrium,
         spec: LevelSpec,
-        n_q: Optional[int] = None,
     ):
         if spec.n != cost.n or dither.n != cost.n:
             raise ValueError("spec, dither, and cost dimensions differ")
@@ -242,7 +243,7 @@ class LevelSetOracle:
         self.dither = dither
         self.eq = eq
         self.spec = spec
-        self.quad = PeriodQuadrature(dither, n_q)
+        self.quad = PeriodQuadrature(dither)
         self._j_star = float(cost.f(eq.theta_star))
         self._node_base = eq.theta_star[None, :] + self.quad.s  # theta* + s_j, (n_q, n)
         xi = _Target(lambda y_c: (np.mean(y_c, axis=-1),), lambda c_xi, f: np.abs(f[0]))
@@ -447,16 +448,15 @@ def monitor_descent(
     dither: DitherConfig,
     eq: Equilibrium,
     spec: LevelSpec,
-    tol: Optional[float] = None,
-    n_q=None,
 ) -> DescentReport:
     """Evaluate V along a recorded average-system trajectory and check descent.
 
     Verdict is PASS when V(t_{j+1}) <= V(t_j) + tol for every consecutive
-    pair; the default tolerance 1e-6 * V(t_0) + 1e-12 absorbs grid and
-    quantization jitter in the radii.
+    pair. The tolerance is fixed at tol = 1e-6 * V(t_0) + 1e-12, which absorbs
+    grid and quantization jitter in the radii; no caller can loosen it, and
+    :attr:`DescentReport.tol` reports it.
     """
-    oracle = LevelSetOracle(cost, dither, eq, spec, n_q)
+    oracle = LevelSetOracle(cost, dither, eq, spec)
     states = np.asarray(avg_trajectory.states, dtype=float)
     n = cost.n
     if states.ndim != 2 or states.shape[1] != 2 * n + 1:
@@ -467,8 +467,7 @@ def monitor_descent(
         states[:, 2 * n] - eq.xi_star,
         quantize=True,
     )
-    if tol is None:
-        tol = 1e-6 * values[0] + 1e-12
+    tol = 1e-6 * values[0] + 1e-12
     diffs = np.diff(values)
     bad = np.nonzero(diffs > tol)[0]
     first = int(bad[0]) if bad.size else None

@@ -16,8 +16,6 @@ its washout seeds this way. The average system takes a single (d,) state.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .averaging import average_flat_rhs
@@ -78,10 +76,9 @@ def simulate_average(
     t1: float,
     h: float,
     record_stride: int = 1,
-    n_q: Optional[int] = None,
 ) -> Trajectory:
     """Integrate the autonomous average system from [theta_bar, v_bar, xi_bar]."""
     n = params.n
     state0 = _flat_state(state0, 2 * n + 1)
-    return integrate_fixed(average_flat_rhs(params, cost, dither, n_q), state0, t0, t1, h,
+    return integrate_fixed(average_flat_rhs(params, cost, dither), state0, t0, t1, h,
                            record_stride, clamp_nonneg=range(n, 2 * n))

@@ -1,10 +1,13 @@
+import ast
 import importlib.util
 import inspect
+import re
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import esc_lab
-from esc_lab import (averaging, cli, cost, dynamics, expressions, integrate, lyapunov, signals,
-                     simulate)
+from esc_lab import (averaging, cli, config, cost, dynamics, expressions, integrate, lyapunov,
+                     signals, simulate)
 
 # Names folded into one API per layer: the structured rhs (the flat closures
 # remain), the one-shot Lyapunov wrappers (LevelSetOracle remains), the
@@ -14,14 +17,17 @@ from esc_lab import (averaging, cli, cost, dynamics, expressions, integrate, lya
 # dither methods (dither_value and demod_value broadcast), and members of
 # result and config classes that nothing read; the oracle's per-target
 # copies of the field math and radius search (one _radii remains); the
-# recursive expression walker (each parsed cost is one compiled function).
+# recursive expression walker (each parsed cost is one compiled function);
+# settings that only ever took their default (the CLI's node-count reader,
+# the cost label).
 REMOVED = {
     dynamics: ["EscState", "EscDerivative", "rmspesc_rhs", "gesc_rhs", "grad_estimate"],
     averaging: ["average_rhs", "default_nodes", "_node_signals", "avg_g2_coeffs"],
     lyapunov: ["radius_xi", "radius_v", "lyapunov_value", "_as_equilibrium"],
-    cli: ["_parallel", "_max_workers", "ThreadPoolExecutor"],
+    cli: ["_parallel", "_max_workers", "ThreadPoolExecutor", "_n_q"],
     simulate: ["_resolve_path", "_run_kernel"],
     cost: ["CostKernelSpec", "KERNEL_QUADRATIC", "KERNEL_QUARTIC"],
+    cost.CostFunction: ["name"],
     integrate.Trajectory: ["column", "label"],
     signals.DitherConfig: ["phase_grid", "dither_matrix", "demod_matrix"],
     averaging.AverageMaps: ["n_q"],
@@ -49,6 +55,18 @@ def test_removed_names_are_gone():
     assert "label" not in inspect.signature(integrate.integrate_fixed).parameters
 
 
+def test_fixed_settings_take_no_parameter():
+    # every consumer of the averaged maps builds the default PeriodQuadrature
+    for func in (simulate.simulate_average, averaging.average_flat_rhs, averaging.equilibrium,
+                 averaging.convergence_sweep, lyapunov.LevelSetOracle, lyapunov.monitor_descent):
+        assert "n_q" not in inspect.signature(func).parameters, func.__name__
+    assert "tol" not in inspect.signature(lyapunov.monitor_descent).parameters
+    assert "name" not in inspect.signature(cost.shifted_quartic_cost).parameters
+    assert "n" not in inspect.signature(cost.quadratic_cost).parameters
+    # J is evaluated through cost.f or eval_cost; a cost object is not a function
+    assert not callable(cost.quartic_cost())
+
+
 def test_kernel_module_is_gone():
     assert importlib.util.find_spec("esc_lab._kernels") is None
     assert "kernel" not in {f.name for f in fields(cost.CostFunction)}
@@ -57,3 +75,37 @@ def test_kernel_module_is_gone():
 def test_level_spec_fields():
     # the eta direction is solved exactly; only the theta grid has a resolution
     assert [f.name for f in fields(lyapunov.LevelSpec)] == ["box", "grid_theta", "n_samples"]
+
+
+_ACCESSORS = {"has", "raw", "string", "number", "integer", "number_list", "string_list"}
+
+
+def _keys_read() -> set[str]:
+    """First string-literal argument of every config accessor call in the CLI and config code."""
+    keys = set()
+    for module in (cli, config):
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _ACCESSORS and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, str)):
+                keys.add(node.args[0].value)
+    return keys
+
+
+def _keys_documented() -> set[str]:
+    """Backticked names in the first column of README's config key table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("### Config format", 1)[1].split("\n### ", 1)[0]
+    keys = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            keys.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    return keys
+
+
+def test_readme_config_table_lists_exactly_the_keys_read():
+    read, documented = _keys_read(), _keys_documented()
+    assert "time.t1" in read and "lyapunov.box_halfwidth" in read
+    assert documented == read, (f"documented, never read: {sorted(documented - read)}; "
+                                f"read, undocumented: {sorted(read - documented)}")

@@ -154,6 +154,35 @@ def test_quadratic_mode_prints_eigenvalues(tmp_path, capsys):
     assert (tmp_path / "jacobian.txt").exists()
 
 
+def test_quadratic_mode_rejects_several_amplitudes(tmp_path, capsys):
+    code = main(["quadratic", "--config", "quadratic_jacobian",
+                 "--set", "dither.amplitudes=0.02, 0.5", "--out", str(tmp_path)])
+    assert code == 2
+    assert "dither.amplitudes" in capsys.readouterr().err
+    assert not (tmp_path / "jacobian.txt").exists()
+
+
+@pytest.mark.parametrize("mode, config, csv", [
+    ("simulate", "quartic_fig1", "trajectory_xi0_0.csv"),
+    ("average", "quartic_average", "trajectory_average.csv"),
+])
+def test_constant_expression_cost_runs(mode, config, csv, tmp_path, capsys):
+    code = main([mode, "--config", config, "--set", "cost.kind=expr", "--set", "cost.n=1",
+                 "--set", "cost.expr=3", "--set", "time.t1=1", "--out", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    header, cols = read_csv_columns(tmp_path / csv)
+    assert cols[header.index("J")] == [3.0] * len(cols[0])
+
+
+def test_retired_keys_are_ignored(tmp_path):
+    args = ["lyapunov", "--config", "quadratic_lyapunov", "--set", "time.t1=1"]
+    retired = ["average.n_q=16", "time.t0=5", "lyapunov.grid_theta=3", "lyapunov.tol=1"]
+    assert main([*args, "--out", str(tmp_path / "plain")]) == 0
+    assert main([*args, *(f"--set={kv}" for kv in retired), "--out", str(tmp_path / "set")]) == 0
+    for name in ("lyapunov.csv", "lyapunov_verdict.txt"):
+        assert (tmp_path / "set" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 def test_converge_mode_csv(tmp_path):
     code = main(["converge", "--config", "quartic_converge", "--out", str(tmp_path)])
     assert code == 0

@@ -105,7 +105,7 @@ def test_double_well_fails_with_witness():
 
 
 def test_bounded_cost_not_radially_unbounded():
-    bounded = CostFunction(n=1, f=lambda x: 1.0 - np.exp(-x[..., 0] ** 2), name="bounded")
+    bounded = CostFunction(n=1, f=lambda x: 1.0 - np.exp(-x[..., 0] ** 2))
     report = check_assumptions(bounded, [[-10, 10]], 201)
     assert report.radially_unbounded.status in ("indeterminate", "fail")
 
@@ -199,6 +199,15 @@ def test_parsed_cost_uses_fd_gradient():
 def test_overflowing_literal_is_infinite():
     assert eval_cost(parse_cost("1e999", 1), [0.0]) == np.inf
     assert eval_cost(parse_cost("theta1 * 1e999", 1), [-2.0]) == -np.inf
+
+
+def test_constant_expression_gives_one_value_per_point():
+    for n in (1, 3):
+        cost = parse_cost("3", n)
+        one, five = cost.f(np.zeros(n)), cost.f(np.ones((5, n)))
+        assert one.shape == () and one == 3.0
+        assert five.shape == (5,) and np.all(five == 3.0)
+        assert eval_cost(cost, np.zeros(n)) == 3.0
 
 
 def test_odd_power_keeps_sign_of_negative_base():

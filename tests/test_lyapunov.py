@@ -59,6 +59,8 @@ def test_level_spec_validation():
         LevelSpec(box=[[0.5, 2.0]])
     with pytest.raises(ValueError, match="resolutions"):
         LevelSpec(box=[[-1.0, 1.0]], grid_theta=2)
+    with pytest.raises(ValueError, match="n_samples"):
+        LevelSpec(box=[[-1.0, 1.0]] * 3, n_samples=0)
 
 
 def test_radius_xi_zero_level(quad_ctx):
