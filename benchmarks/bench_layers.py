@@ -17,12 +17,20 @@ trajectory recorded every 0.01 s (10,001 rows at t1 = 100) with
 rows evaluate the 2-D expression of the ``compare_expr2d`` benchmark workload
 (dither rates 1, 2, so 512 quadrature nodes) on one (2,) point and on the
 (513, 2) array one average-system rhs call sweeps, and call that average rhs,
-each per call. Run from the repo root:
+each per call. The two compare rows run ``esc_lab.cli.main`` end to end on
+seed 0 of the ``compare_expr2d`` benchmark workload (``perfbench/workloads.py``):
+once as shipped, the average system in a forked child beside the full loop,
+and once with ``os.fork`` hidden, so the CLI runs the two one after another.
+Run from the repo root:
 
     python3 benchmarks/bench_layers.py [--t1 SECONDS] [--repeats N]
 """
 
 import argparse
+import contextlib
+import io
+import os
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -31,8 +39,12 @@ import numpy as np
 
 import esc_lab as el
 from esc_lab.averaging import average_flat_rhs
+from esc_lab.cli import main as cli_main
 from esc_lab.cli import write_trajectory_csv
 from esc_lab.lyapunov import _quantize_up
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import WORKLOADS, config_text  # noqa: E402
 
 
 def timings(repeats, fn):
@@ -49,6 +61,25 @@ def timings(repeats, fn):
 def fmt(stats):
     med, q1, q3 = (1e3 * x for x in stats)
     return f"{med:9.1f} ms [{q1:.1f}, {q3:.1f}]"
+
+
+@contextlib.contextmanager
+def fork_hidden():
+    """Run the body as on a platform without ``os.fork``."""
+    fork = os.__dict__.pop("fork")
+    try:
+        yield
+    finally:
+        os.fork = fork
+
+
+def compare_run(config, out_dir, sequential=False):
+    """One quiet ``esc-lab compare`` invocation, in process."""
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()), \
+                (fork_hidden() if sequential else contextlib.nullcontext()):
+            assert cli_main(["compare", "--config", str(config), "--out", str(out_dir)]) == 0
+    return run
 
 
 def main() -> int:
@@ -78,6 +109,8 @@ def main() -> int:
     loop = el.simulate_rmspesc(cost, dither, params, state0, 0.0, args.t1, h_csv, stride_csv)
     csv_dir = tempfile.TemporaryDirectory()
     csv_path = Path(csv_dir.name, "trajectory.csv")
+    compare_cfg = Path(csv_dir.name, "compare_expr2d.cfg")
+    compare_cfg.write_text(config_text(WORKLOADS["compare_expr2d"], 0))
 
     expr_cost = el.parse_cost(
         "theta1^4 + 2*theta2^4 + theta1^2*theta2^2 + 0.5*(theta1 - theta2)^2", 2)
@@ -147,6 +180,9 @@ def main() -> int:
             lambda: write_trajectory_csv(csv_path, loop, cost, with_v=True),
             None,
         ),
+        ("compare_expr2d, forked average run", compare_run(compare_cfg, csv_dir.name), None),
+        ("compare_expr2d, one after another",
+         compare_run(compare_cfg, csv_dir.name, sequential=True), None),
     ]
 
     print(f"median [q1, q3] of {args.repeats} repeats")

@@ -18,8 +18,11 @@ nodes, LevelSpec's grid, the fixed descent tolerance); no config key sets them.
 The washout seeds of simulate (one per init.xi entry) run as one lockstep
 batch: a single RK4 loop steps a (B, d) state, and each member's CSV is
 bit-identical to a run of that seed alone. An abort in any member stops the
-whole batch before any CSV is written. The full and average runs of compare
-execute one after another.
+whole batch before any CSV is written. compare runs its average system in a
+forked child process while the parent runs the full loop, and receives the
+average trajectory (or its error) through a pipe; where ``os.fork`` does not
+exist the two runs execute one after another. Either way the CSVs are
+bit-identical, and a failure in both runs reports the full run's error.
 
 Exit codes: 0 success, 2 configuration/validation error (including cost,
 dither and gains of different dimensions in a trajectory mode: simulate,
@@ -33,8 +36,12 @@ given more than one curvature or amplitude), 3 runtime abort
 from __future__ import annotations
 
 import argparse
+import os
+import pickle
 import re
+import signal
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -61,10 +68,12 @@ def _sanitize(label: str) -> str:
 def write_csv(path: Path, header: list[str], table) -> Path:
     """Write a header line, then one line per table row, values as ``.12g``;
     streams row by row, so no text copy of the whole table is held at once."""
+    table = np.asarray(table, dtype=float)
+    line = ",".join(["%.12g"] * table.shape[-1]) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in np.asarray(table, dtype=float):
-            fh.write(",".join(f"{x:.12g}" for x in row.tolist()) + "\n")
+        for row in table:
+            fh.write(line % tuple(row.tolist()))
     return path
 
 
@@ -91,8 +100,8 @@ def _gain_step(params: EscParams) -> tuple[float, str]:
 def _time_grid(cfg: ExperimentConfig, params: EscParams, dither: DitherConfig, oscillatory: bool):
     """Runs start at t = 0; returns (0.0, t1, h, record stride)."""
     t1 = cfg.number("time.t1")
-    if not t1 > 0:
-        raise ConfigError("field 'time.t1' must be positive")
+    if not 0 < t1 < np.inf:
+        raise ConfigError("field 'time.t1' must be positive and finite")
     sample_dt = cfg.number("time.sample_dt", 0.05)
     if not 0 < sample_dt <= t1:
         raise ConfigError("field 'time.sample_dt' must be positive and fit the time span")
@@ -206,14 +215,68 @@ def _mode_average(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
+def _concurrently(first, second):
+    """Return ``(first(), second())``, running ``second`` in a forked child.
+
+    The child pickles ``(ok, result or exception)`` into a pipe that the parent
+    reads once ``first`` returns; an exception that does not survive pickling
+    comes back as a RuntimeError with its text. If ``first`` raises, the child
+    is killed (it may be blocked writing a result larger than the pipe buffer)
+    and ``first``'s error propagates. Without ``os.fork`` both run in order.
+    """
+    if not hasattr(os, "fork"):
+        return first(), second()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns when numpy's BLAS threads exist; the child does no BLAS work
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                payload = pickle.dumps((True, second()), pickle.HIGHEST_PROTOCOL)
+            except BaseException as exc:
+                try:
+                    payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+                    pickle.loads(payload)
+                except Exception:
+                    payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(payload)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            result = first()
+        except BaseException:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+        payload = pipe.read()
+    os.waitpid(pid, 0)
+    try:
+        ok, value = pickle.loads(payload)
+    except (EOFError, pickle.UnpicklingError):
+        raise RuntimeError("the child process exited without a complete result") from None
+    if not ok:
+        raise value
+    return result, value
+
+
 def _mode_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
     run = _setup(cfg, oscillatory=True)
     cost, state0 = run.cost, run.state0(run.washouts[0][1])
     t0, t1, h, stride = run.grid
     sample_dt = h * stride
     h_avg, avg_stride = fit_step(sample_dt, min(sample_dt / 4, _gain_step(run.params)[0]))
-    full = simulate_rmspesc(*run.system, state0, t0, t1, h, stride)
-    avg = simulate_average(*run.system, state0, t0, t1, h_avg, avg_stride)
+    full, avg = _concurrently(lambda: simulate_rmspesc(*run.system, state0, t0, t1, h, stride),
+                              lambda: simulate_average(*run.system, state0, t0, t1, h_avg,
+                                                       avg_stride))
     if len(full.times) != len(avg.times) or not np.allclose(full.times, avg.times, atol=1e-9):
         raise RuntimeError("full and average runs recorded different time grids")
     path_full = write_trajectory_csv(out_dir / "trajectory_full.csv", full, cost, with_v=True)

@@ -150,7 +150,7 @@ def shifted_quartic_cost(theta_star) -> CostFunction:
     n = star.size
 
     def f(x):
-        return np.sum(np.abs(x - star) ** 4, axis=-1) / 24.0
+        return np.add.reduce(np.abs(x - star) ** 4, axis=-1) / 24.0
 
     def grad(x):
         return (x - star) ** 3 / 6.0

@@ -46,6 +46,11 @@ class NonFiniteStateError(RuntimeError):
         self.t = t
         self.state = state
         self.member = member
+        self.name = name
+
+    def __reduce__(self):
+        # rebuild from the constructor's arguments, so the error crosses a pipe intact
+        return type(self), (self.t, self.state, self.member, self.name)
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,8 @@ def step_grid(t0: float, t1: float, h: float, record_stride: int) -> tuple[int, 
     than 1e-9 per step: the last step then lands on t1 instead of stopping
     short of it or overshooting it.
     """
+    if not (np.isfinite(t0) and np.isfinite(t1)):
+        raise ValueError("time span must be finite")
     if not t1 > t0:
         raise ValueError("need t1 > t0")
     if not h > 0:

@@ -1,9 +1,11 @@
+import os
 import time
 
 import numpy as np
 import pytest
 
-from esc_lab.cli import main, run_experiment, write_trajectory_csv
+from esc_lab import cli
+from esc_lab.cli import _concurrently, main, run_experiment, write_trajectory_csv
 from esc_lab.config import (
     ConfigError,
     ExperimentConfig,
@@ -12,6 +14,7 @@ from esc_lab.config import (
     load_config,
     parse_config_text,
 )
+from esc_lab.integrate import NonFiniteStateError
 from esc_lab.plotting import PlotError, emit_plot, read_csv_columns
 
 
@@ -218,6 +221,118 @@ def test_compare_mode(tmp_path, capsys):
     assert "sup |theta_1" in summary
 
 
+
+# -- compare's forked average run ---------------------------------------------
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_compare_csvs_match_in_process_runs(tmp_path):
+    from esc_lab import (EscParams, new_dither, oscillation_step, quartic_cost, simulate_average,
+                         simulate_rmspesc)
+    from esc_lab.integrate import fit_step
+
+    assert main(["compare", "--config", "quartic_compare", "--set", "time.t1=5",
+                 "--out", str(tmp_path / "cli")]) == 0
+    assert_no_child_left()
+    cost = quartic_cost()
+    dither = new_dither([0.02], [1], 10.0)
+    params = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
+    state0 = np.array([2.0, 0.81, 0.0])
+    h, stride = oscillation_step(dither.period, dither.r_max, 0.05)
+    h_avg, avg_stride = fit_step(0.05, 0.05 / 4)
+    runs = {
+        "trajectory_full.csv": simulate_rmspesc(cost, dither, params, state0, 0.0, 5.0, h, stride),
+        "trajectory_average.csv": simulate_average(cost, dither, params, state0, 0.0, 5.0, h_avg,
+                                                   avg_stride),
+    }
+    for name, traj in runs.items():
+        expected = write_trajectory_csv(tmp_path / name, traj, cost, with_v=True).read_bytes()
+        assert (tmp_path / "cli" / name).read_bytes() == expected
+
+
+def test_compare_without_fork_writes_the_same_files(tmp_path, monkeypatch):
+    args = ["compare", "--config", "quartic_compare", "--set", "time.t1=2"]
+    assert main([*args, "--out", str(tmp_path / "forked")]) == 0
+    monkeypatch.delattr(os, "fork")
+    assert main([*args, "--out", str(tmp_path / "sequential")]) == 0
+    for path in (tmp_path / "forked").iterdir():
+        assert (tmp_path / "sequential" / path.name).read_bytes() == path.read_bytes()
+
+
+def test_compare_average_abort_exit_code_3(tmp_path, monkeypatch, capsys):
+    def abort(*args):
+        raise NonFiniteStateError(1.5, np.array([[1.0, np.inf, 0.0], [2.0, 0.5, 0.0]]), 0,
+                                  "init.xi=0")
+
+    monkeypatch.setattr(cli, "simulate_average", abort)
+    args = ["compare", "--config", "quartic_compare", "--set", "time.t1=1", "--out", str(tmp_path)]
+    assert main(args) == 3
+    forked = capsys.readouterr().err
+    assert_no_child_left()
+    assert forked == "runtime abort: non-finite state of init.xi=0 at t=1.5: [ 1. inf  0.]\n"
+    monkeypatch.delattr(os, "fork")
+    assert main(args) == 3
+    assert capsys.readouterr().err == forked
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_compare_full_abort_exits_promptly(tmp_path, monkeypatch, capsys):
+    def abort(*args):
+        raise NonFiniteStateError(0.25, np.array([np.nan, 0.0, 0.0]))
+
+    monkeypatch.setattr(cli, "simulate_rmspesc", abort)
+    start = time.perf_counter()
+    # the average run alone would take several seconds at this horizon
+    code = main(["compare", "--config", "quartic_compare", "--set", "time.t1=1000",
+                 "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 3.0
+    assert code == 3
+    assert "runtime abort: non-finite state at t=0.25" in capsys.readouterr().err
+    assert_no_child_left()
+
+
+def test_concurrently_returns_both_results_in_order():
+    first, second = _concurrently(lambda: 1, lambda: np.arange(1e5))
+    assert first == 1
+    np.testing.assert_array_equal(second, np.arange(1e5))
+    assert_no_child_left()
+
+
+def test_concurrently_first_error_wins_over_blocked_child():
+    # the child's 800 kB result fills the pipe buffer, so it blocks writing
+    def fail():
+        time.sleep(0.2)
+        raise KeyError("full run")
+
+    with pytest.raises(KeyError, match="full run"):
+        _concurrently(fail, lambda: np.zeros(100_000))
+    assert_no_child_left()
+    with pytest.raises(KeyError, match="full run"):
+        _concurrently(fail, lambda: 1 / 0)
+    assert_no_child_left()
+
+
+def test_concurrently_unpicklable_error_keeps_its_text():
+    class Local(Exception):
+        pass
+
+    def fail():
+        raise Local("average run")
+
+    with pytest.raises(RuntimeError, match="Local: average run"):
+        _concurrently(lambda: 1, fail)
+    assert_no_child_left()
+
+
+def test_concurrently_reports_a_child_that_died():
+    with pytest.raises(RuntimeError, match="without a complete result"):
+        _concurrently(lambda: 1, lambda: os._exit(1))
+    assert_no_child_left()
+
+
 def test_lyapunov_mode(tmp_path, capsys):
     code = main([
         "lyapunov", "--config", "quadratic_lyapunov",
@@ -292,6 +407,13 @@ def test_batched_seeds_match_single_seed_runs(tmp_path):
         expected = (single / "trajectory.csv").read_bytes()
         assert (tmp_path / "batch" / f"trajectory_xi0_{label}.csv").read_bytes() == expected
 
+
+@pytest.mark.parametrize("t1", ["inf", "nan"])
+def test_non_finite_horizon_exit_code_2(t1, tmp_path, capsys):
+    code = main(["average", "--config", "quartic_average", "--set", f"time.t1={t1}",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "error: field 'time.t1' must be positive and finite" in capsys.readouterr().err
 
 def test_step_not_dividing_span_exit_code_2(tmp_path, capsys):
     code = main([

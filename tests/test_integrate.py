@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from esc_lab import (
 )
 from esc_lab.averaging import average_flat_rhs
 from esc_lab.dynamics import gesc_flat_rhs, rmspesc_flat_rhs
-from esc_lab.integrate import fit_step
+from esc_lab.integrate import fit_step, step_grid
 
 FIG1 = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
 
@@ -82,6 +84,17 @@ def test_nonfinite_abort_names_first_batch_member():
     assert str(err.value).startswith("non-finite state at t=")
 
 
+
+@pytest.mark.parametrize("member, name", [(None, None), (1, None), (0, "init.xi=y0")])
+def test_nonfinite_error_survives_pickling(member, name):
+    state = np.array([1.0, np.inf, 0.5]) if member is None else np.array([[0.0, 1.0], [np.nan, 2.0]])
+    err = NonFiniteStateError(0.75, state, member, name)
+    copy = pickle.loads(pickle.dumps(err))
+    assert type(copy) is NonFiniteStateError
+    assert str(copy) == str(err)
+    assert (copy.t, copy.member, copy.name) == (0.75, member, name)
+    np.testing.assert_array_equal(copy.state, state)
+
 def test_batched_clamp_counts_each_member():
     # member 0 is clamped on every step, member 1 never, member 2 from t = 0.5 on
     pull_down = lambda t, y: np.array([[-1.0], [1.0], [-1.0]])
@@ -114,6 +127,12 @@ def test_input_validation():
         integrate_fixed(decay, [1.0], 0.0, 1.0, 0.3)
     with pytest.raises(ValueError, match="divide"):
         integrate_fixed(decay, [1.0], 0.0, 1.0, 0.1 * (1.0 + 1e-8))
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)])
+def test_step_grid_rejects_non_finite_span(t0, t1):
+    with pytest.raises(ValueError, match="finite"):
+        step_grid(t0, t1, 0.1, 1)
 
 
 def test_oscillation_step_rule():
