@@ -21,15 +21,19 @@ each per call. The two compare rows run ``esc_lab.cli.main`` end to end on
 seed 0 of the ``compare_expr2d`` benchmark workload (``perfbench/workloads.py``):
 once as shipped, the average system in a forked child beside the full loop,
 and once with ``os.fork`` hidden, so the CLI runs the two one after another.
+``--json PATH`` also writes every row's median and quartiles, the Python and
+numpy versions, the CPU count and the integrator path that ran to PATH.
 Run from the repo root:
 
-    python3 benchmarks/bench_layers.py [--t1 SECONDS] [--repeats N]
+    python3 benchmarks/bench_layers.py [--t1 SECONDS] [--repeats N] [--json PATH]
 """
 
 import argparse
 import contextlib
 import io
+import json
 import os
+import platform
 import sys
 import tempfile
 import time
@@ -45,6 +49,9 @@ from esc_lab.lyapunov import _quantize_up
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import WORKLOADS, config_text  # noqa: E402
+
+# the integrator path every trajectory row below runs through
+PATH = "esc_lab.integrate.integrate_fixed: one RK4 loop over member rows of Python floats"
 
 
 def timings(repeats, fn):
@@ -86,6 +93,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--t1", type=float, default=100.0, help="simulated horizon (default 100)")
     ap.add_argument("--repeats", type=int, default=5, help="timing repeats (default 5)")
+    ap.add_argument("--json", metavar="PATH", help="also write the results as JSON to PATH")
     args = ap.parse_args()
 
     cost = el.quartic_cost()
@@ -161,7 +169,8 @@ def main() -> int:
         ("parsed cost, (2,) point", repeat(expr_cost.f, expr_point), (calls, "call")),
         (f"parsed cost, {expr_sweep.shape} sweep", repeat(expr_cost.f, expr_sweep),
          (calls, "call")),
-        ("average rhs, parsed 2-D cost", repeat(expr_rhs, 0.0, expr_state), (calls, "call")),
+        ("average rhs, parsed 2-D cost", repeat(expr_rhs, 0.0, [expr_state.tolist()]),
+         (calls, "call")),
         (
             f"oracle build ({len(oracle._points)}-point grid)",
             lambda: el.LevelSetOracle(cost, dither, eq, spec),
@@ -186,11 +195,22 @@ def main() -> int:
     ]
 
     print(f"median [q1, q3] of {args.repeats} repeats")
+    rows = []
     with csv_dir:
         for name, run, per in cases:
             stats = timings(args.repeats, run)
             extra = f"   {1e6 * stats[0] / per[0]:.1f} us per {per[1]}" if per else ""
             print(f"{name:38s} {fmt(stats):>30s}{extra}")
+            med, q1, q3 = (1e3 * float(x) for x in stats)
+            row = {"name": name, "median_ms": med, "q1_ms": q1, "q3_ms": q3}
+            if per:
+                row.update(per=per[1], us_per=1e6 * stats[0] / per[0])
+            rows.append(row)
+    if args.json:
+        record = {"path": PATH, "python": platform.python_version(), "numpy": np.__version__,
+                  "machine": platform.machine(), "nproc": os.cpu_count(), "t1": args.t1,
+                  "repeats": args.repeats, "rows": rows}
+        Path(args.json).write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

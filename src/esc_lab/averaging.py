@@ -21,12 +21,14 @@ sweep per call, over theta_bar and the n_q nodes together.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 from typing import Optional
 
 import numpy as np
 
 from .cost import CostFunction, grad_cost
 from .dynamics import _check_dims
+from .integrate import nonneg
 from .signals import DitherConfig
 
 __all__ = [
@@ -155,24 +157,30 @@ def avg_maps(
 
 
 def average_flat_rhs(params, cost: CostFunction, dither: DitherConfig):
-    """Integrator-facing closure for the autonomous average system.
+    """Integrator-facing closure for the autonomous average system, over rows
+    [theta_bar, v_bar, xi_bar]: one :func:`avg_maps` call per row.
 
     Clamps v to zero before the square root, like the full-loop closure.
     """
     _check_dims(params, cost, dither)
     n = params.n
-    k, eps, wl, wxi = params.k, params.epsilon, params.omega_l, params.omega_xi
+    neg_k, eps, wxi = -float(params.k), float(params.epsilon), float(params.omega_xi)
+    wl = params.omega_l.tolist()
     quad = PeriodQuadrature(dither)
 
-    def rhs(t: float, ybar: np.ndarray) -> np.ndarray:
-        theta = ybar[:n]
-        v = np.maximum(ybar[n : 2 * n], 0.0)
-        xi = ybar[2 * n]
-        maps = avg_maps(cost, quad, theta, xi)
-        out = np.empty(2 * n + 1)
-        out[:n] = -k * maps.g_bar / (np.sqrt(v) + eps)
-        out[n : 2 * n] = wl * (maps.g2_bar - v)
-        out[2 * n] = wxi * (maps.j_bar - xi)
+    def rhs(t: float, rows: list[list[float]]) -> list[list[float]]:
+        out = []
+        for r in rows:
+            xi = r[2 * n]
+            maps = avg_maps(cost, quad, r[:n], xi)
+            d_theta, d_v = [], []
+            for g, g2, x, l in zip(maps.g_bar.tolist(), maps.g2_bar.tolist(), r[n : 2 * n], wl):
+                v = nonneg(x)
+                d_theta.append(neg_k * g / (sqrt(v) + eps))
+                d_v.append(l * (g2 - v))
+            d_theta += d_v
+            d_theta.append(wxi * (maps.j_bar - xi))
+            out.append(d_theta)
         return out
 
     return rhs

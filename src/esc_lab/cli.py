@@ -16,13 +16,16 @@ descent monitor run at their library defaults (256 * max(rates) quadrature
 nodes, LevelSpec's grid, the fixed descent tolerance); no config key sets them.
 
 The washout seeds of simulate (one per init.xi entry) run as one lockstep
-batch: a single RK4 loop steps a (B, d) state, and each member's CSV is
-bit-identical to a run of that seed alone. An abort in any member stops the
-whole batch before any CSV is written. compare runs its average system in a
-forked child process while the parent runs the full loop, and receives the
-average trajectory (or its error) through a pipe; where ``os.fork`` does not
-exist the two runs execute one after another. Either way the CSVs are
-bit-identical, and a failure in both runs reports the full run's error.
+batch: a single RK4 loop steps one member row per seed, and each member's CSV
+is bit-identical to a run of that seed alone. An abort in any member stops the
+whole batch before any CSV is written. The stdout summary of simulate, average
+and compare reports each run's clamp events: steps on which the v >= 0 clamp
+fired, summed over the members (gesc has no v and reports 0). compare runs its
+average system in a forked child process while the parent runs the full loop,
+and receives the average trajectory (or its error) through a pipe; where
+``os.fork`` does not exist the two runs execute one after another. Either way
+the CSVs are bit-identical, and a failure in both runs reports the full run's
+error.
 
 Exit codes: 0 success, 2 configuration/validation error (including cost,
 dither and gains of different dimensions in a trajectory mode: simulate,
@@ -188,21 +191,19 @@ def _mode_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     names = _washout_csv_names(cfg, labels)
     state0 = np.stack([run.state0(xi0, with_v) for _, xi0 in run.washouts])
     try:
-        # a lone seed steps as its (d,) row: numpy's calls cost ~12% more on (1, d)
-        batch = simulate(*run.system, state0 if len(labels) > 1 else state0[0], *run.grid)
+        batch = simulate(*run.system, state0, *run.grid)
     except NonFiniteStateError as exc:
-        member = exc.member or 0
-        raise NonFiniteStateError(exc.t, exc.state.reshape(state0.shape), member,
-                                  f"init.xi={labels[member]}") from None
-    states = batch.states.reshape(len(batch.times), *state0.shape)
+        raise NonFiniteStateError(exc.t, exc.state, exc.member,
+                                  f"init.xi={labels[exc.member]}") from None
     for b, (label, name) in enumerate(zip(labels, names)):
-        traj = replace(batch, states=states[:, b])
+        traj = replace(batch, states=batch.states[:, b])
         path = write_trajectory_csv(out_dir / name, traj, run.cost, with_v)
         final_theta = traj.states[-1, : run.cost.n]
         print(
             f"{algorithm} xi0={label}: wrote {path} "
             f"({len(traj.times)} samples, final theta {np.array2string(final_theta, precision=5)})"
         )
+    print(f"{algorithm}: {batch.clamp_events} clamp events, summed over the init.xi entries")
     return 0
 
 
@@ -211,7 +212,8 @@ def _mode_average(cfg: ExperimentConfig, out_dir: Path) -> int:
     label, xi0 = run.washouts[0]
     traj = simulate_average(*run.system, run.state0(xi0), *run.grid)
     path = write_trajectory_csv(out_dir / "trajectory_average.csv", traj, run.cost, with_v=True)
-    print(f"average xi0={label}: wrote {path} ({len(traj.times)} samples)")
+    print(f"average xi0={label}: wrote {path} ({len(traj.times)} samples, "
+          f"{traj.clamp_events} clamp events)")
     return 0
 
 
@@ -290,6 +292,7 @@ def _mode_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
         lines.append(f"sup |theta_{i + 1}(full) - theta_{i + 1}(average)| = {gaps[i]:.6g}")
     (out_dir / "deviation_summary.txt").write_text("\n".join(lines) + "\n")
     print(f"wrote {path_full}, {path_avg}")
+    print(f"clamp events: full {full.clamp_events}, average {avg.clamp_events}")
     for line in lines:
         print(line)
     return 0

@@ -12,18 +12,23 @@ before demodulation):
   the normalization.
 
 Flat state layout used by the integrator: ``[theta_hat (n), v_hat (n), xi]``
-for the RMSp loop and ``[theta_hat (n), xi]`` for the baseline, along the last
-axis. Leading axes index independent loops stepped in lockstep: a state of
-shape (B, d) gives a rhs of shape (B, d), row by row.
+for the RMSp loop and ``[theta_hat (n), xi]`` for the baseline. The closures
+follow :func:`esc_lab.integrate.integrate_fixed`'s row contract: they map a
+list of B member rows, each a list of d floats, to B derivative rows. Each
+call makes one cost sweep over a (B, n) array of the members' measurement
+points and does the per-channel arithmetic in floats; the dither phase comes
+from ``np.sin`` once per distinct time (RK4's two midpoint stages share one).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
 from .cost import CostFunction
+from .integrate import nonneg
 from .signals import DitherConfig
 
 __all__ = ["EscParams", "rmspesc_flat_rhs", "gesc_flat_rhs"]
@@ -61,49 +66,74 @@ def _check_dims(params: EscParams, cost: CostFunction, dither: DitherConfig) -> 
         raise ValueError("dimension mismatch between gains, cost, and dither")
 
 
-def rmspesc_flat_rhs(params: EscParams, cost: CostFunction, dither: DitherConfig):
-    """Integrator-facing closure over the flat state [theta, v, xi] (last axis).
+def _phase(dither: DitherConfig):
+    """``phase(t)``: the dither shifts a_i sin(omega r_i t) and demodulation
+    weights (2 / a_i) sin(omega r_i t) as float lists, kept for the last t."""
+    amps, demod = dither.amplitudes.tolist(), (2.0 / dither.amplitudes).tolist()
+    freqs = dither.omega * dither.rates
+    last = [None, None]
 
-    Clamps v to zero before the square root; round-off from integration can
-    leave tiny negative filter states.
+    def phase(t: float):
+        if last[0] != t:
+            sin_t = np.sin(freqs * t).tolist()
+            shift = [a * s for a, s in zip(amps, sin_t)]
+            last[:] = t, (shift, [m * s for m, s in zip(demod, sin_t)])
+        return last[1]
+
+    return phase
+
+
+def _measure(f, rows, shift) -> list[float]:
+    """J at each row's theta + shift, in one cost sweep (zip stops after theta)."""
+    return f(np.array([[x + s for x, s in zip(r, shift)] for r in rows])).tolist()
+
+
+def rmspesc_flat_rhs(params: EscParams, cost: CostFunction, dither: DitherConfig):
+    """Integrator-facing closure over rows [theta, v, xi].
+
+    Clamps v to zero before the square root (:func:`esc_lab.integrate.nonneg`);
+    round-off from integration can leave tiny negative filter states.
     """
     _check_dims(params, cost, dither)
     n = params.n
-    k, eps, wl, wxi = params.k, params.epsilon, params.omega_l, params.omega_xi
-    amps, freqs, demod = dither.amplitudes, dither.omega * dither.rates, 2.0 / dither.amplitudes
-    f = cost.f
+    neg_k, eps, wxi = -float(params.k), float(params.epsilon), float(params.omega_xi)
+    wl = params.omega_l.tolist()
+    phase, f = _phase(dither), cost.f
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        theta = y[..., :n]
-        v = np.maximum(y[..., n : 2 * n], 0.0)
-        sin_t = np.sin(freqs * t)
-        err = f(theta + amps * sin_t) - y[..., 2 * n]     # measurement less washout, (...)
-        g = demod * sin_t * err[..., None]
-        out = np.empty(y.shape)
-        out[..., :n] = -k * g / (np.sqrt(v) + eps)
-        out[..., n : 2 * n] = wl * (g * g - v)
-        out[..., 2 * n] = wxi * err
+    def rhs(t: float, rows: list[list[float]]) -> list[list[float]]:
+        shift, weight = phase(t)
+        out = []
+        for r, j in zip(rows, _measure(f, rows, shift)):
+            err = j - r[2 * n]                   # measurement less washout
+            d_theta, d_v = [], []
+            for w, x, l in zip(weight, r[n : 2 * n], wl):
+                g = w * err
+                v = nonneg(x)
+                d_theta.append(neg_k * g / (sqrt(v) + eps))
+                d_v.append(l * (g * g - v))
+            d_theta += d_v
+            d_theta.append(wxi * err)
+            out.append(d_theta)
         return out
 
     return rhs
 
 
 def gesc_flat_rhs(params: EscParams, cost: CostFunction, dither: DitherConfig):
-    """Integrator-facing closure over the flat state [theta, xi] (last axis)."""
+    """Integrator-facing closure over rows [theta, xi]."""
     _check_dims(params, cost, dither)
     n = params.n
-    k, wxi = params.k, params.omega_xi
-    amps, freqs, demod = dither.amplitudes, dither.omega * dither.rates, 2.0 / dither.amplitudes
-    f = cost.f
+    neg_k, wxi = -float(params.k), float(params.omega_xi)
+    phase, f = _phase(dither), cost.f
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        theta = y[..., :n]
-        sin_t = np.sin(freqs * t)
-        err = f(theta + amps * sin_t) - y[..., n]
-        g = demod * sin_t * err[..., None]
-        out = np.empty(y.shape)
-        out[..., :n] = -k * g
-        out[..., n] = wxi * err
+    def rhs(t: float, rows: list[list[float]]) -> list[list[float]]:
+        shift, weight = phase(t)
+        out = []
+        for r, j in zip(rows, _measure(f, rows, shift)):
+            err = j - r[n]
+            row = [neg_k * (w * err) for w in weight]
+            row.append(wxi * err)
+            out.append(row)
         return out
 
     return rhs

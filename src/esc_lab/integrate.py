@@ -8,23 +8,36 @@ for the filters, ``h <= 2.5 / max(omega_l, omega_xi)`` (``cli._gain_step``),
 inside RK4's real-axis stability limit of 2.785.
 
 The state may carry leading batch axes: a state of shape (B, d) steps B
-independent systems in lockstep through one loop, sharing t and h. Each
-member's samples equal those of its own (d,) run bit for bit whenever the rhs
-treats rows independently; the full-loop closures do, for every cost that
+independent systems in lockstep through one loop, sharing t and h. The loop
+holds the state as B member rows, each a list of d Python floats, and calls
+``rhs(t, rows) -> rows`` with rows of the same layout. The bundled configs
+and benchmark workloads step B <= 3 rows of d <= 5 floats, where a numpy
+call's fixed cost exceeds its arithmetic, so the stages are float arithmetic
+and each rhs calls numpy only for its cost sweep and dither phase. The
+trade-off is wide batches: per member-step on the quartic loop, the row loop
+took 72 us at B = 1 and 30 us at B = 3 where a numpy loop over (B, d) arrays
+took 120 and 47 us, but 14 us at B = 16 and 64 where the numpy loop took 9.2
+and 2.1 us (``benchmarks/bench_layers.py``; ``BENCH_rows.json`` against
+``BENCH_baseline.json``).
+
+Each member's samples equal those of its own (d,) run bit for bit whenever the
+rhs treats rows independently; the full-loop closures do, for every cost that
 evaluates each point on its own, which every builtin and parsed cost does.
 ``simulate`` mode runs its washout seeds this way; every other run is a
-single (d,) state.
+single state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from math import isfinite
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["Trajectory", "NonFiniteStateError", "integrate_fixed", "fit_step", "oscillation_step",
-           "step_grid"]
+__all__ = ["Trajectory", "NonFiniteStateError", "integrate_fixed", "nonneg", "fit_step",
+           "oscillation_step", "step_grid"]
 
 
 class NonFiniteStateError(RuntimeError):
@@ -68,6 +81,11 @@ class Trajectory:
             raise ValueError("times and states must have equal length")
 
 
+def nonneg(x: float) -> float:
+    """``x`` clamped to >= 0 as ``np.maximum(x, 0.0)`` does: -0.0 becomes +0.0, NaN stays."""
+    return 0.0 if x <= 0.0 else x
+
+
 def fit_step(sample_dt: float, h_max: float) -> tuple[float, int]:
     """Largest step h <= h_max that divides ``sample_dt`` evenly, and its stride.
 
@@ -107,7 +125,7 @@ def step_grid(t0: float, t1: float, h: float, record_stride: int) -> tuple[int, 
 
 
 def integrate_fixed(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Callable[[float, list[list[float]]], list[list[float]]],
     state0,
     t0: float,
     t1: float,
@@ -117,43 +135,52 @@ def integrate_fixed(
 ) -> Trajectory:
     """Integrate ``rhs`` from t0 to t1 with classical RK4 steps of size h.
 
-    ``state0`` has shape (d,) or (*batch, d); ``rhs`` maps a state to a
-    derivative of the same shape. States are recorded every ``record_stride``
-    steps plus the final state. ``clamp_nonneg`` lists indices of the last
-    axis clamped to >= 0 after each step (filter states that must stay in the
-    nonnegative orthant). Aborts with :class:`NonFiniteStateError` as soon as
-    any member leaves the finite floats.
+    ``state0`` has shape (d,) or (*batch, d); ``rhs(t, rows)`` maps a list of
+    member rows (lists of d floats) to their derivatives in the same layout.
+    States are recorded every ``record_stride`` steps plus the final state,
+    with ``state0``'s shape. ``clamp_nonneg`` lists indices of the last axis
+    clamped to >= 0 after each step (filter states that must stay in the
+    nonnegative orthant): whenever a member is low, those columns of every
+    member go through :func:`nonneg`. Aborts with
+    :class:`NonFiniteStateError` as soon as any member leaves the finite floats.
     """
     nsteps, n_rec = step_grid(t0, t1, h, record_stride)
-    y = np.array(state0, dtype=float, ndmin=1)
-    clamp = None if clamp_nonneg is None else np.asarray(clamp_nonneg, dtype=int)
+    y0 = np.array(state0, dtype=float, ndmin=1)
+    shape = y0.shape
+    y = y0.reshape(-1, shape[-1]).tolist()
+    clamp = [] if clamp_nonneg is None else [int(c) for c in clamp_nonneg]
 
     times = np.empty(n_rec)
-    states = np.empty((n_rec, *y.shape))
+    states = np.empty((n_rec, len(y), shape[-1]))
     times[0] = t0
     states[0] = y
     rec = 1
     clamp_events = 0
+    half, sixth = 0.5 * h, h / 6.0
     for j in range(nsteps):
         t = t0 + j * h
         k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if clamp is not None:
-            low = y[..., clamp] < 0.0
-            if low.any():
-                y[..., clamp] = np.maximum(y[..., clamp], 0.0)
-                clamp_events += int(np.count_nonzero(low.any(axis=-1)))
+        k2 = rhs(t + half, [[a + half * b for a, b in zip(r, k)] for r, k in zip(y, k1)])
+        k3 = rhs(t + half, [[a + half * b for a, b in zip(r, k)] for r, k in zip(y, k2)])
+        k4 = rhs(t + h, [[a + h * b for a, b in zip(r, k)] for r, k in zip(y, k3)])
+        y = [[a + sixth * (((p + 2.0 * q) + 2.0 * r) + s) for a, p, q, r, s in zip(*m)]
+             for m in zip(y, k1, k2, k3, k4)]
+        if clamp:
+            low = {b for b, r in enumerate(y) for c in clamp if r[c] < 0.0}
+            if low:
+                for r in y:
+                    for c in clamp:
+                        r[c] = nonneg(r[c])
+                clamp_events += len(low)
         t_next = t0 + (j + 1) * h
-        if not np.isfinite(y).all():
-            finite = np.isfinite(y).reshape(-1, y.shape[-1]).all(axis=-1)
-            raise NonFiniteStateError(t_next, y, None if y.ndim == 1 else int(np.argmin(finite)))
+        if not all(map(isfinite, chain.from_iterable(y))):
+            bad = next(b for b, r in enumerate(y) if not all(map(isfinite, r)))
+            raise NonFiniteStateError(t_next, np.array(y).reshape(shape),
+                                      None if len(shape) == 1 else bad)
         if (j + 1) % record_stride == 0 or j + 1 == nsteps:
             times[rec] = t_next
             states[rec] = y
             rec += 1
 
-    return Trajectory(times=times, states=states, h=h, record_stride=record_stride,
-                      clamp_events=clamp_events)
+    return Trajectory(times=times, states=states.reshape(n_rec, *shape), h=h,
+                      record_stride=record_stride, clamp_events=clamp_events)

@@ -4,14 +4,18 @@ Each driver checks the shape of the flat initial state and runs classical RK4
 (:func:`esc_lab.integrate.integrate_fixed`) over the system's flat rhs
 closure: :func:`esc_lab.dynamics.rmspesc_flat_rhs`,
 :func:`esc_lab.dynamics.gesc_flat_rhs` or
-:func:`esc_lab.averaging.average_flat_rhs`. The same numpy path serves every
-cost, builtin or parsed. ``integrate_fixed`` validates the time span with
+:func:`esc_lab.averaging.average_flat_rhs`. The same path serves every cost,
+builtin or parsed. ``integrate_fixed`` validates the time span with
 :func:`esc_lab.integrate.step_grid`, and the average system reads its node
 tables from one :class:`esc_lab.averaging.PeriodQuadrature` per run.
 
-The two full-loop drivers also take a (B, d) batch of initial states and step
-its members in lockstep, one RK4 loop for all of them; ``simulate`` mode runs
-its washout seeds this way. The average system takes a single (d,) state.
+The closures follow the integrator's row contract, ``rhs(t, rows) -> rows``
+over member rows of Python floats. The two full-loop drivers also take a
+(B, d) batch of initial states and step its members in lockstep, one RK4 loop
+for all of them; ``simulate`` mode runs its washout seeds this way. The row
+loop suits the B <= 3 of the bundled configs; see :mod:`esc_lab.integrate`
+for the trade-off at wide batches. The average system takes a single (d,)
+state.
 """
 
 from __future__ import annotations

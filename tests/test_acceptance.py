@@ -86,7 +86,8 @@ def test_criterion_3_jacobian_and_eigenvalue_asymptotes():
         cost = el.quadratic_cost(model.h, model.j_opt)
         dither = el.new_dither([model.a], [1], 10.0)
         eq = el.equilibrium(cost, dither, theta_init=[0.5])
-        rhs = average_flat_rhs(FIG1, cost, dither)
+        flat_rhs = average_flat_rhs(FIG1, cost, dither)
+        rhs = lambda t, y: np.array(flat_rhs(t, [y.tolist()])[0])
         x0 = eq.flat()
         num = np.zeros((3, 3))
         for j in range(3):
@@ -155,12 +156,13 @@ def test_criterion_6_qualitative_trajectory_reproduction():
         mask = rmsp_zero.times <= 5.0
         rhs_r = rmspesc_flat_rhs(FIG1, cost, dither)
         rmsp_rate = max(
-            abs(rhs_r(t, s)[0]) for t, s in zip(rmsp_zero.times[mask], rmsp_zero.states[mask])
+            abs(rhs_r(t, [s.tolist()])[0][0])
+            for t, s in zip(rmsp_zero.times[mask], rmsp_zero.states[mask])
         )
         gesc = el.simulate_gesc(cost, dither, FIG1, [2.0, 0.0], 0.0, 100.0, h, stride)
         rhs_g = gesc_flat_rhs(FIG1, cost, dither)
         gesc_rate = max(
-            abs(rhs_g(t, s)[0]) for t, s in zip(gesc.times[mask], gesc.states[mask])
+            abs(rhs_g(t, [s.tolist()])[0][0]) for t, s in zip(gesc.times[mask], gesc.states[mask])
         )
         assert rmsp_rate < gesc_rate, f"rmsp {rmsp_rate:.2f} !< gesc {gesc_rate:.2f}"
 
@@ -209,7 +211,8 @@ def test_criterion_9_integrator_order():
     with criterion(9, "RK4 error shrinks ~16x per step halving", 1.0):
         errors = []
         for h in (0.2, 0.1, 0.05):
-            traj = el.integrate_fixed(lambda t, y: -y, [1.0], 0.0, 1.0, h)
+            traj = el.integrate_fixed(lambda t, rows: [[-x for x in r] for r in rows], [1.0],
+                                      0.0, 1.0, h)
             errors.append(abs(traj.states[-1, 0] - np.exp(-1.0)))
         for coarse, fine in zip(errors, errors[1:]):
             factor = coarse / fine

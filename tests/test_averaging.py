@@ -21,7 +21,8 @@ FIG1 = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
 
 
 def average_rhs(state, params, cost, dither):
-    return average_flat_rhs(params, cost, dither)(0.0, np.asarray(state, dtype=float))
+    row = np.asarray(state, dtype=float).tolist()
+    return np.array(average_flat_rhs(params, cost, dither)(0.0, [row])[0])
 
 
 def quad_setup():

@@ -1,5 +1,6 @@
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,6 +252,21 @@ def test_compare_csvs_match_in_process_runs(tmp_path):
     for name, traj in runs.items():
         expected = write_trajectory_csv(tmp_path / name, traj, cost, with_v=True).read_bytes()
         assert (tmp_path / "cli" / name).read_bytes() == expected
+
+
+@pytest.mark.parametrize("mode, config, driver, line", [
+    ("simulate", "quartic_fig1", "simulate_rmspesc",
+     "rmspesc: 7 clamp events, summed over the init.xi entries"),
+    ("average", "quartic_average", "simulate_average",
+     "average xi0=0: wrote {out}/trajectory_average.csv (21 samples, 7 clamp events)"),
+    ("compare", "quartic_compare", "simulate_average", "clamp events: full 0, average 7"),
+])
+def test_summary_reports_clamp_events(mode, config, driver, line, tmp_path, monkeypatch, capsys):
+    # the printed count is the run's Trajectory.clamp_events, here set to 7
+    real = getattr(cli, driver)
+    monkeypatch.setattr(cli, driver, lambda *args: replace(real(*args), clamp_events=7))
+    assert main([mode, "--config", config, "--set", "time.t1=1", "--out", str(tmp_path)]) == 0
+    assert line.format(out=tmp_path) in capsys.readouterr().out.splitlines()
 
 
 def test_compare_without_fork_writes_the_same_files(tmp_path, monkeypatch):

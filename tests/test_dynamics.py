@@ -19,11 +19,13 @@ def grad_estimate(t, theta, xi, cost, dither):
     """Demodulated estimate g = m(t) * (J(theta + s(t)) - xi), read off the baseline rhs."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     params = EscParams(**{**FIG1, "omega_l": np.full(theta.size, 0.25)})
-    return -gesc_flat_rhs(params, cost, dither)(t, np.append(theta, xi))[: theta.size]
+    row = np.append(theta, xi).tolist()
+    return -np.array(gesc_flat_rhs(params, cost, dither)(t, [row])[0])[: theta.size]
 
 
 def rmsp(t, theta, v, xi, cost, dither, params=UNIT_GAIN):
-    return rmspesc_flat_rhs(params, cost, dither)(t, np.array([*theta, *v, xi], dtype=float))
+    row = np.array([*theta, *v, xi], dtype=float).tolist()
+    return np.array(rmspesc_flat_rhs(params, cost, dither)(t, [row])[0])
 
 
 def test_params_validation():
@@ -131,15 +133,15 @@ def test_gesc_rhs():
     dither = new_dither([0.2], [1], 10.0)
     rhs = gesc_flat_rhs(UNIT_GAIN, cost, dither)
     t = np.pi / 20.0
-    dtheta, dxi = rhs(t, np.array([1.0, 0.0]))
+    dtheta, dxi = rhs(t, [[1.0, 0.0]])[0]
     assert dtheta == pytest.approx(-7.2, rel=1e-12)
     # stationary when the estimate vanishes
     theta = 0.5
     xi = float(cost.f(np.array([theta])))
-    assert rhs(0.0, np.array([theta, xi]))[0] == pytest.approx(0.0, abs=1e-15)
+    assert rhs(0.0, [[theta, xi]])[0][0] == pytest.approx(0.0, abs=1e-15)
     # shared washout filter
     d_rmsp = rmsp(t, [1.0], [0.81], 0.37, cost, dither)
-    assert rhs(t, np.array([1.0, 0.37]))[1] == pytest.approx(d_rmsp[2], rel=1e-14)
+    assert rhs(t, [[1.0, 0.37]])[0][1] == pytest.approx(d_rmsp[2], rel=1e-14)
 
 
 def test_dimension_mismatch_rejected():

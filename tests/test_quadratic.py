@@ -137,7 +137,8 @@ def test_jacobian_matches_central_difference_of_average_rhs():
     cost = quadratic_cost(model.h, model.j_opt)
     dither = new_dither([model.a], [1], 10.0)
     eq = equilibrium(cost, dither, theta_init=[1.0])
-    rhs = average_flat_rhs(FIG1, cost, dither)
+    flat_rhs = average_flat_rhs(FIG1, cost, dither)
+    rhs = lambda t, y: np.array(flat_rhs(t, [y.tolist()])[0])
     x0 = eq.flat()  # flat layout (theta, v, xi)
     num = np.zeros((3, 3))
     for j in range(3):
