@@ -13,9 +13,7 @@ from .averaging import (
     to_error_coords,
 )
 from .cost import (
-    AssumptionReport,
     CostFunction,
-    check_assumptions,
     eval_cost,
     grad_cost,
     parse_cost,
@@ -42,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AverageMaps",
-    "AssumptionReport",
     "BoxEscapeError",
     "ConvergenceError",
     "CostFunction",
@@ -60,7 +57,6 @@ __all__ = [
     "QuadraticModel",
     "Trajectory",
     "avg_maps",
-    "check_assumptions",
     "convergence_sweep",
     "demod_value",
     "dither_value",

@@ -29,11 +29,13 @@ error.
 
 Exit codes: 0 success, 2 configuration/validation error (including cost,
 dither and gains of different dimensions in a trajectory mode: simulate,
-average, compare or lyapunov; and a step size that does not divide the time
+average, compare or lyapunov; a non-finite number in a list setting, a gain,
+cost.j_opt or init.xi; and a step size that does not divide the time
 span or time.sample_dt, or that exceeds 2.5 / max(omega_l, omega_xi); two
-init.xi entries that would write the same CSV name; and a quadratic report
-given more than one curvature or amplitude), 3 runtime abort
-(non-finite state or a stalled equilibrium search).
+init.xi entries that would write the same CSV name; more than one init.xi
+entry in average, compare or lyapunov mode; and a quadratic report given
+more than one curvature or amplitude), 3 runtime abort (non-finite state or
+a stalled equilibrium search).
 """
 
 from __future__ import annotations
@@ -141,6 +143,14 @@ class _Run:
     def system(self) -> tuple[CostFunction, DitherConfig, EscParams]:
         return self.cost, self.dither, self.params
 
+    @property
+    def washout(self) -> tuple[str, float]:
+        """The one init.xi entry of a mode that runs a single trajectory."""
+        if len(self.washouts) != 1:
+            raise ConfigError("field 'init.xi' must have 1 entry in a mode that runs one "
+                              f"trajectory, got {len(self.washouts)}")
+        return self.washouts[0]
+
     def state0(self, xi0: float, with_v: bool = True) -> np.ndarray:
         return np.concatenate([self.theta0, self.v0, [xi0]] if with_v else [self.theta0, [xi0]])
 
@@ -209,7 +219,7 @@ def _mode_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def _mode_average(cfg: ExperimentConfig, out_dir: Path) -> int:
     run = _setup(cfg, oscillatory=False)
-    label, xi0 = run.washouts[0]
+    label, xi0 = run.washout
     traj = simulate_average(*run.system, run.state0(xi0), *run.grid)
     path = write_trajectory_csv(out_dir / "trajectory_average.csv", traj, run.cost, with_v=True)
     print(f"average xi0={label}: wrote {path} ({len(traj.times)} samples, "
@@ -272,7 +282,7 @@ def _concurrently(first, second):
 
 def _mode_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
     run = _setup(cfg, oscillatory=True)
-    cost, state0 = run.cost, run.state0(run.washouts[0][1])
+    cost, state0 = run.cost, run.state0(run.washout[1])
     t0, t1, h, stride = run.grid
     sample_dt = h * stride
     h_avg, avg_stride = fit_step(sample_dt, min(sample_dt / 4, _gain_step(run.params)[0]))
@@ -341,7 +351,7 @@ def _mode_converge(cfg: ExperimentConfig, out_dir: Path) -> int:
 def _mode_lyapunov(cfg: ExperimentConfig, out_dir: Path) -> int:
     run = _setup(cfg, oscillatory=False)
     cost, dither = run.cost, run.dither
-    traj = simulate_average(*run.system, run.state0(run.washouts[0][1]), *run.grid)
+    traj = simulate_average(*run.system, run.state0(run.washout[1]), *run.grid)
 
     eq = equilibrium(cost, dither)
     err0 = np.abs(run.theta0 - eq.theta_star)

@@ -171,9 +171,12 @@ class ExperimentConfig:
     def number_list(self, key: str, default: Optional[str] = None) -> np.ndarray:
         raw = self.raw(key, default)
         try:
-            return np.array([float(x) for x in _split_list(raw)])
+            values = np.array([float(x) for x in _split_list(raw)])
         except ValueError:
             raise ConfigError(f"field {key!r} must be a comma-separated list of numbers") from None
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"field {key!r} entries must be finite, got {raw!r}")
+        return values
 
     def string_list(self, key: str, default: Optional[str] = None) -> list[str]:
         return _split_list(self.raw(key, default))
@@ -191,6 +194,8 @@ class ExperimentConfig:
             if kind == "quadratic":
                 h = self.number_list("cost.h")
                 j_opt = self.number("cost.j_opt", 0.0)
+                if not np.isfinite(j_opt):
+                    raise ConfigError(f"field 'cost.j_opt' must be finite, got {j_opt!r}")
                 star = self.number_list("cost.theta_star") if self.has("cost.theta_star") else None
                 return quadratic_cost(h if h.size > 1 else float(h[0]), j_opt, star)
             if kind == "quartic":
@@ -237,13 +242,15 @@ class ExperimentConfig:
             m = re.fullmatch(r"(?:([-+0-9.eE]+)\s*\*\s*)?y0", entry)
             if m:
                 factor = float(m.group(1)) if m.group(1) else 1.0
-                label = entry.replace("*", "").replace(" ", "")
-                out.append((label, factor * y0))
-                continue
-            try:
-                out.append((entry, float(entry)))
-            except ValueError:
-                raise ConfigError(
-                    f"field 'init.xi' entries must be numbers or '<factor>*y0', got {entry!r}"
-                ) from None
+                label, xi0 = entry.replace("*", "").replace(" ", ""), factor * y0
+            else:
+                try:
+                    label, xi0 = entry, float(entry)
+                except ValueError:
+                    raise ConfigError(
+                        f"field 'init.xi' entries must be numbers or '<factor>*y0', got {entry!r}"
+                    ) from None
+            if not np.isfinite(xi0):
+                raise ConfigError(f"field 'init.xi' entry {entry!r} must be finite, got {xi0!r}")
+            out.append((label, xi0))
         return out

@@ -1,13 +1,8 @@
-"""Cost functions: builtin families, gradients, and heuristic assumption checks.
+"""Cost functions: builtin families and gradients.
 
 A :class:`CostFunction` bundles a scalar field J with an optional analytic
 gradient and an optional known minimizer. Evaluators are vectorized: they
 accept arrays of shape (..., n) and return shape (...).
-
-The closed loop only ever observes J through measurements, so the assumption
-checks here (smoothness, unique minimum, unique stationary point, radial
-growth) are grid heuristics: they can produce concrete counterexamples but
-never a proof.
 """
 
 from __future__ import annotations
@@ -21,15 +16,12 @@ from .expressions import compile_expression
 
 __all__ = [
     "CostFunction",
-    "AssumptionReport",
-    "Verdict",
     "quadratic_cost",
     "quartic_cost",
     "shifted_quartic_cost",
     "eval_cost",
     "grad_cost",
     "finite_difference_gradient",
-    "check_assumptions",
     "parse_cost",
 ]
 
@@ -175,182 +167,3 @@ def parse_cost(expr: str, n: int) -> CostFunction:
     """
     evaluate = compile_expression(expr, n)
     return CostFunction(n=n, f=evaluate, grad=None, theta_star=None, expr=expr)
-
-
-# ---------------------------------------------------------------------------
-# Assumption checks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Verdict:
-    status: str  # "pass" | "fail" | "indeterminate"
-    witness: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.status == "fail" and self.witness is None:
-            raise ValueError("a fail verdict requires a witness point")
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    smooth: Verdict                 # J continuously differentiable
-    unique_minimum: Verdict         # single global minimizer
-    unique_stationary_point: Verdict  # gradient vanishes only at the minimizer
-    radially_unbounded: Verdict     # growth along boundary rays (heuristic)
-    box: np.ndarray
-    grid_n: int
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.smooth.status == "pass"
-            and self.unique_minimum.status == "pass"
-            and self.unique_stationary_point.status == "pass"
-            and self.radially_unbounded.status != "fail"
-        )
-
-
-def _grid_points(box: np.ndarray, grid_n: int):
-    axes = [np.linspace(lo, hi, grid_n) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
-    return axes, points
-
-
-def _local_minima_mask(jgrid: np.ndarray) -> np.ndarray:
-    """Strictly below every axis neighbor (missing neighbors treated as +inf)."""
-    mask = np.ones_like(jgrid, dtype=bool)
-    for axis in range(jgrid.ndim):
-        hi = np.full_like(jgrid, np.inf)
-        lo = np.full_like(jgrid, np.inf)
-        sl_all = [slice(None)] * jgrid.ndim
-        sl_fwd, sl_bwd = list(sl_all), list(sl_all)
-        sl_fwd[axis] = slice(None, -1)
-        sl_bwd[axis] = slice(1, None)
-        hi[tuple(sl_fwd)] = jgrid[tuple(sl_bwd)]
-        lo[tuple(sl_bwd)] = jgrid[tuple(sl_fwd)]
-        mask &= (jgrid < hi) & (jgrid < lo)
-    return mask
-
-
-def _connected_components(mask: np.ndarray) -> np.ndarray:
-    """Axis-adjacency labeling of a boolean grid; 0 marks background."""
-    labels = np.zeros(mask.shape, dtype=np.int32)
-    current = 0
-    for start in zip(*np.nonzero(mask & (labels == 0))):
-        if labels[start]:
-            continue
-        current += 1
-        frontier = [start]
-        labels[start] = current
-        while frontier:
-            idx = frontier.pop()
-            for axis in range(mask.ndim):
-                for step in (-1, 1):
-                    nb = list(idx)
-                    nb[axis] += step
-                    if not 0 <= nb[axis] < mask.shape[axis]:
-                        continue
-                    nb = tuple(nb)
-                    if mask[nb] and not labels[nb]:
-                        labels[nb] = current
-                        frontier.append(nb)
-    return labels
-
-
-def check_assumptions(cost: CostFunction, box, grid_n: int) -> AssumptionReport:
-    """Grid-based spot check of the standing assumptions on J.
-
-    Returns per-assumption verdicts; failures carry a witness point. The
-    radial-growth check can only ever report pass/indeterminate/fail on the
-    sampled box, never a proof.
-    """
-    box = np.asarray(box, dtype=float)
-    if box.ndim == 1:
-        box = box[None, :]
-    if box.shape != (cost.n, 2):
-        raise ValueError(f"box must have shape ({cost.n}, 2)")
-    if np.any(box[:, 1] <= box[:, 0]):
-        raise ValueError("degenerate box: every axis needs lo < hi")
-    if grid_n < 3:
-        raise ValueError("grid_n must be at least 3 per axis")
-
-    axes, points = _grid_points(box, grid_n)
-    shape = (grid_n,) * cost.n
-    jvals = cost.f(points)
-    jgrid = jvals.reshape(shape)
-    spacing = np.array([(hi - lo) / (grid_n - 1) for lo, hi in box])
-
-    # A1: central differences at step h and h/2 should agree for a C1 field.
-    def fd(step_scale):
-        h = step_scale * (1.0 + np.abs(points))
-        g = np.empty_like(points)
-        for i in range(cost.n):
-            shift = np.zeros_like(points)
-            shift[:, i] = h[:, i]
-            g[:, i] = (cost.f(points + shift) - cost.f(points - shift)) / (2.0 * h[:, i])
-        return g
-
-    g_h = fd(1e-5)
-    g_h2 = fd(5e-6)
-    scale = 1.0 + np.linalg.norm(g_h2, axis=-1)
-    mismatch = np.linalg.norm(g_h - g_h2, axis=-1) / scale
-    worst = int(np.argmax(mismatch))
-    if mismatch[worst] > 1e-2:
-        smooth = Verdict("fail", points[worst])
-    else:
-        smooth = Verdict("pass")
-
-    # A2: every strict local minimum must sit in one small cluster.
-    argmin_flat = int(np.argmin(jvals))
-    argmin_point = points[argmin_flat]
-    minima_idx = np.nonzero(_local_minima_mask(jgrid).ravel())[0]
-    competing = Verdict("pass")
-    if minima_idx.size:
-        min_points = points[minima_idx]
-        dist = np.max(np.abs(min_points - argmin_point) / spacing, axis=-1)
-        far = dist > 2.0
-        if np.any(far):
-            witness = min_points[np.argmax(dist)]
-            competing = Verdict("fail", witness)
-
-    # A3: stationary regions (small gradient) must form one connected component.
-    gmag = np.linalg.norm(g_h2, axis=-1)
-    tau = 1e-3 * (1.0 + gmag.max())
-    stationary = gmag < tau
-    stationary[argmin_flat] = True
-    labels = _connected_components(stationary.reshape(shape))
-    n_components = labels.max()
-    if n_components <= 1:
-        stationary_verdict = Verdict("pass")
-    else:
-        argmin_label = labels.ravel()[argmin_flat]
-        other = (labels.ravel() != argmin_label) & (labels.ravel() > 0)
-        cand = points[other]
-        witness = cand[np.argmax(np.linalg.norm(cand - argmin_point, axis=-1))]
-        stationary_verdict = Verdict("fail", witness)
-
-    # A4: J should keep growing toward the box boundary along rays from the minimizer.
-    center = argmin_point if cost.theta_star is None else np.asarray(cost.theta_star, float)
-    on_boundary = np.zeros(len(points), dtype=bool)
-    for i in range(cost.n):
-        on_boundary |= np.isclose(points[:, i], box[i, 0]) | np.isclose(points[:, i], box[i, 1])
-    bpoints = points[on_boundary]
-    mids = center + 0.5 * (bpoints - center)
-    growth = (cost.f(bpoints) - cost.f(mids)) / (1.0 + np.abs(cost.f(mids)))
-    worst_b = int(np.argmin(growth))
-    if growth[worst_b] < -1e-2:
-        radial = Verdict("fail", bpoints[worst_b])
-    elif growth[worst_b] > 1e-2:
-        radial = Verdict("pass")
-    else:
-        radial = Verdict("indeterminate", bpoints[worst_b])
-
-    return AssumptionReport(
-        smooth=smooth,
-        unique_minimum=competing,
-        unique_stationary_point=stationary_verdict,
-        radially_unbounded=radial,
-        box=box,
-        grid_n=grid_n,
-    )

@@ -46,14 +46,14 @@ class EscParams:
     def __post_init__(self):
         wl = np.atleast_1d(np.asarray(self.omega_l, dtype=float))
         object.__setattr__(self, "omega_l", wl)
-        if not self.k > 0:
-            raise ValueError("gain k must be positive")
-        if not self.epsilon > 0:
-            raise ValueError("regularizer epsilon must be positive")
-        if wl.ndim != 1 or wl.size < 1 or np.any(wl <= 0):
-            raise ValueError("low-pass gains omega_l must be positive")
-        if not self.omega_xi > 0:
-            raise ValueError("washout gain omega_xi must be positive")
+        if not 0 < self.k < np.inf:
+            raise ValueError("gain k must be positive and finite")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("regularizer epsilon must be positive and finite")
+        if wl.ndim != 1 or wl.size < 1 or not np.all((wl > 0) & (wl < np.inf)):
+            raise ValueError("low-pass gains omega_l must be positive and finite")
+        if not 0 < self.omega_xi < np.inf:
+            raise ValueError("washout gain omega_xi must be positive and finite")
         wl.setflags(write=False)
 
     @property

@@ -94,6 +94,8 @@ class LevelSpec:
             box = box[None, :]
         if box.ndim != 2 or box.shape[1] != 2:
             raise ValueError("box must have shape (n, 2)")
+        if not np.all(np.isfinite(box)):
+            raise ValueError("box bounds must be finite")
         if np.any(box[:, 1] <= box[:, 0]):
             raise ValueError("degenerate box: every axis needs lo < hi")
         if np.any(box[:, 0] > 0.0) or np.any(box[:, 1] < 0.0):

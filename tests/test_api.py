@@ -19,14 +19,16 @@ from esc_lab import (averaging, cli, config, cost, dynamics, expressions, integr
 # copies of the field math and radius search (one _radii remains); the
 # recursive expression walker (each parsed cost is one compiled function);
 # settings that only ever took their default (the CLI's node-count reader,
-# the cost label).
+# the cost label); the grid heuristics for the standing assumptions on J,
+# which no mode ran.
 REMOVED = {
     dynamics: ["EscState", "EscDerivative", "rmspesc_rhs", "gesc_rhs", "grad_estimate"],
     averaging: ["average_rhs", "default_nodes", "_node_signals", "avg_g2_coeffs"],
     lyapunov: ["radius_xi", "radius_v", "lyapunov_value", "_as_equilibrium"],
     cli: ["_parallel", "_max_workers", "ThreadPoolExecutor", "_n_q"],
     simulate: ["_resolve_path", "_run_kernel"],
-    cost: ["CostKernelSpec", "KERNEL_QUADRATIC", "KERNEL_QUARTIC"],
+    cost: ["CostKernelSpec", "KERNEL_QUADRATIC", "KERNEL_QUARTIC", "Verdict", "AssumptionReport",
+           "_grid_points", "_local_minima_mask", "_connected_components", "check_assumptions"],
     cost.CostFunction: ["name"],
     integrate.Trajectory: ["column", "label"],
     signals.DitherConfig: ["phase_grid", "dither_matrix", "demod_matrix"],

@@ -431,6 +431,48 @@ def test_non_finite_horizon_exit_code_2(t1, tmp_path, capsys):
     assert code == 2
     assert "error: field 'time.t1' must be positive and finite" in capsys.readouterr().err
 
+_QUADRATIC = ["cost.kind=quadratic", "cost.h=1"]
+
+
+@pytest.mark.parametrize("mode, config, sets, field", [
+    ("simulate", "quartic_fig1", ["gains.omega_xi=inf"], "omega_xi"),
+    ("simulate", "quartic_fig1", ["gains.omega_l=inf"], "gains.omega_l"),
+    ("simulate", "quartic_fig1", ["gains.k=inf"], "gain k"),
+    ("simulate", "quartic_fig1", ["init.theta=inf"], "init.theta"),
+    ("simulate", "quartic_fig1", ["init.v=nan"], "init.v"),
+    ("simulate", "quartic_fig1", ["init.xi=nan"], "init.xi"),
+    ("simulate", "quartic_fig1", ["cost.kind=quadratic", "cost.h=nan"], "cost.h"),
+    ("simulate", "quartic_fig1", ["cost.kind=quadratic", "cost.h=inf"], "cost.h"),
+    ("simulate", "quartic_fig1", [*_QUADRATIC, "cost.theta_star=nan"], "cost.theta_star"),
+    ("simulate", "quartic_fig1", [*_QUADRATIC, "cost.j_opt=inf"], "cost.j_opt"),
+    ("converge", "quartic_converge", ["converge.theta=nan"], "converge.theta"),
+    ("lyapunov", "quadratic_lyapunov", ["lyapunov.box_halfwidth=nan"], "lyapunov.box_halfwidth"),
+    ("lyapunov", "quadratic_lyapunov", ["lyapunov.box_halfwidth=inf"], "lyapunov.box_halfwidth"),
+])
+def test_non_finite_setting_exit_code_2(mode, config, sets, field, tmp_path, capsys):
+    # each of these used to crash, abort at run time, or write a CSV of NaNs
+    with np.errstate(all="ignore"):
+        code = main([mode, "--config", config, *(f"--set={kv}" for kv in sets),
+                     "--set", "time.t1=1", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and "finite" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("mode, config", [
+    ("average", "quartic_average"),
+    ("compare", "quartic_compare"),
+    ("lyapunov", "quadratic_lyapunov"),
+])
+def test_single_trajectory_modes_reject_several_washouts(mode, config, tmp_path, capsys):
+    code = main([mode, "--config", config, "--set", "init.xi=0, 1", "--set", "time.t1=1",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "field 'init.xi' must have 1 entry" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_step_not_dividing_span_exit_code_2(tmp_path, capsys):
     code = main([
         "simulate", "--config", "quartic_fig1",

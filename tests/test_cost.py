@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from esc_lab import (
-    CostFunction,
-    check_assumptions,
     eval_cost,
     grad_cost,
     parse_cost,
@@ -78,49 +76,6 @@ def test_vectorized_evaluation():
     vals = c.f(pts)
     assert vals.shape == (50,)
     assert vals[3] == pytest.approx(eval_cost(c, pts[3]), rel=1e-14)
-
-
-# -- assumption checks -------------------------------------------------------
-
-def test_good_families_pass():
-    for cost, box in ((quadratic_cost(1.0), [[-5, 5]]),
-                      (quadratic_cost(7.3, 2.0), [[-5, 5]]),
-                      (quartic_cost(), [[-5, 5]])):
-        report = check_assumptions(cost, box, 101)
-        assert report.smooth.status == "pass"
-        assert report.unique_minimum.status == "pass"
-        assert report.unique_stationary_point.status == "pass"
-        assert report.radially_unbounded.status in ("pass", "indeterminate")
-        assert report.all_ok
-
-
-def test_double_well_fails_with_witness():
-    dw = parse_cost("theta1^4/4 - theta1^2/2", 1)
-    report = check_assumptions(dw, [[-3, 3]], 201)
-    assert report.unique_minimum.status == "fail"
-    assert abs(abs(report.unique_minimum.witness[0]) - 1.0) < 0.1
-    assert report.unique_stationary_point.status == "fail"
-    assert report.unique_stationary_point.witness is not None
-    assert not report.all_ok
-
-
-def test_bounded_cost_not_radially_unbounded():
-    bounded = CostFunction(n=1, f=lambda x: 1.0 - np.exp(-x[..., 0] ** 2))
-    report = check_assumptions(bounded, [[-10, 10]], 201)
-    assert report.radially_unbounded.status in ("indeterminate", "fail")
-
-
-def test_degenerate_box_rejected():
-    with pytest.raises(ValueError, match="degenerate"):
-        check_assumptions(quartic_cost(), [[2.0, 2.0]], 11)
-    with pytest.raises(ValueError):
-        check_assumptions(quartic_cost(), [[-1.0, 1.0]], 2)
-
-
-def test_two_dimensional_grid_check():
-    c = quadratic_cost([1.0, 3.0], 0.0, [0.5, -0.5])
-    report = check_assumptions(c, [[-4, 4], [-4, 4]], 41)
-    assert report.all_ok
 
 
 # -- expression parsing -------------------------------------------------------

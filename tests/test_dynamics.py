@@ -37,6 +37,10 @@ def test_params_validation():
         EscParams(k=1.0, epsilon=0.05, omega_l=[0.0], omega_xi=1.0)
     with pytest.raises(ValueError):
         EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=-1.0)
+    for bad in (np.inf, np.nan):
+        for gains in ({"k": bad}, {"epsilon": bad}, {"omega_l": [0.25, bad]}, {"omega_xi": bad}):
+            with pytest.raises(ValueError, match="finite"):
+                EscParams(**{**FIG1, "omega_l": [0.25, 0.25], **gains})
 
 
 def test_grad_estimate_zero_residual():

@@ -57,6 +57,9 @@ def test_level_spec_validation():
         LevelSpec(box=[[1.0, 1.0]])
     with pytest.raises(ValueError, match="origin"):
         LevelSpec(box=[[0.5, 2.0]])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            LevelSpec(box=[[-bad, bad]])
     with pytest.raises(ValueError, match="resolutions"):
         LevelSpec(box=[[-1.0, 1.0]], grid_theta=2)
     with pytest.raises(ValueError, match="n_samples"):
@@ -186,7 +189,7 @@ def test_sublevel_sets_connected(quad_ctx, quartic_ctx):
 
 
 def test_sublevel_sets_connected_two_dimensional():
-    from esc_lab.cost import _connected_components
+    from scipy.ndimage import label
 
     cost = quadratic_cost([[1.0, 0.4], [0.4, 2.0]], 0.0)
     ax = np.linspace(-3.0, 3.0, 161)
@@ -194,8 +197,8 @@ def test_sublevel_sets_connected_two_dimensional():
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     vt = (cost.f(pts) - 0.0).reshape(161, 161)
     for c in (0.2, 1.0, 3.0):
-        labels = _connected_components(vt <= c)
-        assert labels.max() == 1
+        _, components = label(vt <= c)
+        assert components == 1
 
 
 def test_quantized_radius_levels(quad_ctx):
