@@ -13,7 +13,11 @@ xi and one for v_1 over the monitor's 501 (quantized) levels; the monitor row
 evaluates V at every sample. The batch rows add their cost per member-step,
 the radius and monitor rows per sample. The CSV row writes the closed-loop
 trajectory recorded every 0.01 s (10,001 rows at t1 = 100) with
-``esc_lab.cli.write_trajectory_csv`` into a temporary directory. The parsed-cost
+``esc_lab.cli.write_trajectory_csv`` into a temporary directory. The two sweep
+rows measure the quartic at the 3 member rows of a fig1 batch, per call, as the
+full loop measures it each rhs stage: through the cost's row form
+(``CostFunction.f_rows``), and through ``f`` on the stacked points (the row
+form a cost without one gets). The parsed-cost
 rows evaluate the 2-D expression of the ``compare_expr2d`` benchmark workload
 (dither rates 1, 2, so 512 quadrature nodes) on one (2,) point and on the
 (513, 2) array one average-system rhs call sweeps, and call that average rhs,
@@ -128,18 +132,22 @@ def main() -> int:
     expr_point = expr_state[:2]
     expr_sweep = np.vstack([expr_point, expr_point + el.PeriodQuadrature(expr_dither).s])
     expr_rhs = average_flat_rhs(expr_params, expr_cost, expr_dither)
+
+    def batch(size):
+        states = np.tile(state0, (size, 1))
+        states[:, 2] = np.linspace(0.0, 2.0 * cost.f(state0[:1]), size)
+        return states
+
     calls = 1000
+    sweep_rows = batch(3).tolist()
+    sweep_shift = el.dither_value(dither, 0.1).tolist()
+    stacked = el.CostFunction(cost.n, cost.f).f_rows
 
     def repeat(fn, *args):
         def run():
             for _ in range(calls):
                 fn(*args)
         return run
-
-    def batch(size):
-        states = np.tile(state0, (size, 1))
-        states[:, 2] = np.linspace(0.0, 2.0 * cost.f(state0[:1]), size)
-        return states
 
     cases = [
         (
@@ -166,6 +174,10 @@ def main() -> int:
             lambda: el.simulate_average(cost, dither, params, state0, 0.0, args.t1, 0.0125, 4),
             None,
         ),
+        ("quartic sweep, 3 rows, row form", repeat(cost.f_rows, sweep_rows, sweep_shift),
+         (calls, "call")),
+        ("quartic sweep, 3 rows, f stacked", repeat(stacked, sweep_rows, sweep_shift),
+         (calls, "call")),
         ("parsed cost, (2,) point", repeat(expr_cost.f, expr_point), (calls, "call")),
         (f"parsed cost, {expr_sweep.shape} sweep", repeat(expr_cost.f, expr_sweep),
          (calls, "call")),

@@ -30,8 +30,10 @@ error.
 Exit codes: 0 success, 2 configuration/validation error (including cost,
 dither and gains of different dimensions in a trajectory mode: simulate,
 average, compare or lyapunov; a non-finite number in a list setting, a gain,
-cost.j_opt or init.xi; and a step size that does not divide the time
-span or time.sample_dt, or that exceeds 2.5 / max(omega_l, omega_xi); two
+cost.j_opt or init.xi; a step size that does not divide the time span or
+time.sample_dt, or that exceeds 2.5 / max(omega_l, omega_xi); a time span of
+more than MAX_STEPS = 1e8 RK4 steps of the largest step the settings allow; a
+lyapunov search box on which J or an averaged filter target is not finite; two
 init.xi entries that would write the same CSV name; more than one init.xi
 entry in average, compare or lyapunov mode; and a quadratic report given
 more than one curvature or amplitude), 3 runtime abort (non-finite state or
@@ -102,8 +104,23 @@ def _gain_step(params: EscParams) -> tuple[float, str]:
     return 2.5 / gain, name
 
 
+# Most RK4 steps a run may take. A span beyond it is a mistyped setting, not an
+# experiment: 1e8 full-loop steps of one member take over an hour.
+MAX_STEPS = 10**8
+
+
+def _check_steps(t1: float, h_max: float, keys: str) -> None:
+    """Reject a span of more than MAX_STEPS steps of the largest step ``h_max``."""
+    if not t1 <= MAX_STEPS * h_max:     # also an h_max that underflowed to 0
+        raise ConfigError(f"field 'time.t1' = {t1:.6g} takes more than {MAX_STEPS:.0e} RK4 "
+                          f"steps of h <= {h_max:.6g}, bounded by {keys}")
+
+
 def _time_grid(cfg: ExperimentConfig, params: EscParams, dither: DitherConfig, oscillatory: bool):
-    """Runs start at t = 0; returns (0.0, t1, h, record stride)."""
+    """Runs start at t = 0; returns (0.0, t1, h, record stride).
+
+    Rejects a span of more than MAX_STEPS steps, naming the keys that set the step.
+    """
     t1 = cfg.number("time.t1")
     if not 0 < t1 < np.inf:
         raise ConfigError("field 'time.t1' must be positive and finite")
@@ -122,9 +139,13 @@ def _time_grid(cfg: ExperimentConfig, params: EscParams, dither: DitherConfig, o
         if h > h_gain:
             raise ConfigError(f"field 'time.h' = {h:.6g} exceeds 2.5 / {gain_name} = {h_gain:.6g}; "
                               "RK4 is unstable for the filters beyond that step")
+        _check_steps(t1, h, "time.h")
         return 0.0, t1, h, stride
-    h_max = dither.period / (40.0 * dither.r_max) if oscillatory else 0.01
-    return (0.0, t1, *fit_step(sample_dt, min(h_max, h_gain)))
+    h_max, keys = min((dither.period / (40.0 * dither.r_max), "dither.omega and dither.rates")
+                      if oscillatory else (0.01, "the average system's 0.01 cap"),
+                      (h_gain, gain_name), (sample_dt, "time.sample_dt"))
+    _check_steps(t1, h_max, keys)
+    return (0.0, t1, *fit_step(sample_dt, h_max))
 
 
 @dataclass(frozen=True)

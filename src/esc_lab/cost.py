@@ -2,13 +2,14 @@
 
 A :class:`CostFunction` bundles a scalar field J with an optional analytic
 gradient and an optional known minimizer. Evaluators are vectorized: they
-accept arrays of shape (..., n) and return shape (...).
+accept arrays of shape (..., n) and return shape (...). Each cost also has a
+row form for the full loop, which holds its members as rows of floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -25,13 +26,38 @@ __all__ = [
     "parse_cost",
 ]
 
+RowForm = Callable[[Sequence[Sequence[float]], Sequence[float]], list[float]]
+
+
 @dataclass(frozen=True)
 class CostFunction:
+    """J on arrays (``f``), on member rows (``f_rows``), and what is known of it.
+
+    ``f_rows(rows, shift)`` takes member rows, sequences of floats whose first
+    n entries are theta, and n dither shifts; it returns one J value per row,
+    equal bit for bit to ``f(np.array(points)).tolist()`` for the points
+    ``[x + s for x, s in zip(row, shift)]``. A builder that gives no row form
+    gets exactly that expression. The builtin families and parsed expressions
+    give float code that calls numpy at most for their powers: at the full
+    loop's few rows of few floats, a numpy call's fixed cost exceeds its
+    arithmetic.
+    """
+
     n: int
     f: Callable[[np.ndarray], np.ndarray]
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     theta_star: Optional[np.ndarray] = None
     expr: Optional[str] = None
+    f_rows: Optional[RowForm] = None
+
+    def __post_init__(self):
+        if self.f_rows is None:
+            f = self.f
+
+            def f_rows(rows, shift):
+                return f(np.array([[x + s for x, s in zip(r, shift)] for r in rows])).tolist()
+
+            object.__setattr__(self, "f_rows", f_rows)
 
 
 def eval_cost(cost: CostFunction, theta) -> float:
@@ -102,6 +128,23 @@ def quadratic_cost(h, j_opt: float = 0.0, theta_star=None) -> CostFunction:
     def grad(x):
         return (x - star) @ hmat
 
+    f_rows = None
+    if n <= 2:
+        # f sums a row's n * n <= 4 products left to right onto 0.0 (numpy sums
+        # fewer than 8 terms in order, more pairwise), so floats in that order match it
+        j0, star_list = float(j_opt), star.tolist()
+        products = [(i, j, float(hmat[i, j])) for i in range(n) for j in range(n)]
+
+        def f_rows(rows, shift):
+            out = []
+            for r in rows:
+                d = [x + s - c for x, s, c in zip(r, shift, star_list)]
+                total = 0.0
+                for i, j, h_ij in products:
+                    total += d[i] * h_ij * d[j]
+                out.append(j0 + 0.5 * total)
+            return out
+
     terms = [_format_num(j_opt)]
     for i in range(n):
         for j in range(i, n):
@@ -120,6 +163,7 @@ def quadratic_cost(h, j_opt: float = 0.0, theta_star=None) -> CostFunction:
         grad=grad,
         theta_star=star,
         expr=" + ".join(terms),
+        f_rows=f_rows,
     )
 
 
@@ -147,6 +191,22 @@ def shifted_quartic_cost(theta_star) -> CostFunction:
     def grad(x):
         return (x - star) ** 3 / 6.0
 
+    f_rows = None
+    if n < 8:
+        # one power call, with f's scalar exponent, over |theta - theta*| of every
+        # channel (outer) and row (inner); then each row summed left to right, as
+        # numpy sums fewer than 8 terms
+        channels, star_list = range(n), star.tolist()
+
+        def f_rows(rows, shift):
+            powers = np.power([abs(r[i] + s - c) for i, s, c in zip(channels, shift, star_list)
+                               for r in rows], 4.0).tolist()
+            b = len(rows)
+            total = powers[:b]
+            for i in range(b, n * b, b):
+                total = [a + p for a, p in zip(total, powers[i : i + b])]
+            return [a / 24.0 for a in total]
+
     pieces = []
     for i in range(n):
         xi = f"theta{i + 1}" if star[i] == 0 else f"(theta{i + 1} - {_format_num(star[i])})"
@@ -157,6 +217,7 @@ def shifted_quartic_cost(theta_star) -> CostFunction:
         grad=grad,
         theta_star=star,
         expr=" + ".join(pieces),
+        f_rows=f_rows,
     )
 
 
@@ -165,5 +226,6 @@ def parse_cost(expr: str, n: int) -> CostFunction:
 
     The gradient falls back to central finite differences.
     """
-    evaluate = compile_expression(expr, n)
-    return CostFunction(n=n, f=evaluate, grad=None, theta_star=None, expr=expr)
+    evaluate, evaluate_rows = compile_expression(expr, n)
+    return CostFunction(n=n, f=evaluate, grad=None, theta_star=None, expr=expr,
+                        f_rows=evaluate_rows)

@@ -15,20 +15,23 @@ Flat state layout used by the integrator: ``[theta_hat (n), v_hat (n), xi]``
 for the RMSp loop and ``[theta_hat (n), xi]`` for the baseline. The closures
 follow :func:`esc_lab.integrate.integrate_fixed`'s row contract: they map a
 list of B member rows, each a list of d floats, to B derivative rows. Each
-call makes one cost sweep over a (B, n) array of the members' measurement
-points and does the per-channel arithmetic in floats; the dither phase comes
-from ``np.sin`` once per distinct time (RK4's two midpoint stages share one).
+call measures J at the members' points through the cost's row form
+(``CostFunction.f_rows``: one numpy power call for the quartic, one per
+exponent and nesting depth for a parsed cost, none for a quadratic of n <= 2)
+and does the per-channel arithmetic in floats. The dither phase comes from
+``math.sin``, once per distinct time (RK4's two midpoint stages share one);
+``tests/test_properties.py`` checks it against the ``np.sin`` of
+:func:`esc_lab.signals.dither_value` bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import sin, sqrt
 
 import numpy as np
 
 from .cost import CostFunction
-from .integrate import nonneg
 from .signals import DitherConfig
 
 __all__ = ["EscParams", "rmspesc_flat_rhs", "gesc_flat_rhs"]
@@ -70,12 +73,12 @@ def _phase(dither: DitherConfig):
     """``phase(t)``: the dither shifts a_i sin(omega r_i t) and demodulation
     weights (2 / a_i) sin(omega r_i t) as float lists, kept for the last t."""
     amps, demod = dither.amplitudes.tolist(), (2.0 / dither.amplitudes).tolist()
-    freqs = dither.omega * dither.rates
+    freqs = (dither.omega * dither.rates).tolist()
     last = [None, None]
 
     def phase(t: float):
         if last[0] != t:
-            sin_t = np.sin(freqs * t).tolist()
+            sin_t = [sin(w * t) for w in freqs]
             shift = [a * s for a, s in zip(amps, sin_t)]
             last[:] = t, (shift, [m * s for m, s in zip(demod, sin_t)])
         return last[1]
@@ -83,32 +86,28 @@ def _phase(dither: DitherConfig):
     return phase
 
 
-def _measure(f, rows, shift) -> list[float]:
-    """J at each row's theta + shift, in one cost sweep (zip stops after theta)."""
-    return f(np.array([[x + s for x, s in zip(r, shift)] for r in rows])).tolist()
-
-
 def rmspesc_flat_rhs(params: EscParams, cost: CostFunction, dither: DitherConfig):
     """Integrator-facing closure over rows [theta, v, xi].
 
-    Clamps v to zero before the square root (:func:`esc_lab.integrate.nonneg`);
-    round-off from integration can leave tiny negative filter states.
+    Clamps v to zero before the square root, as :func:`esc_lab.integrate.nonneg`
+    does (inline here: the call costs more than the comparison); round-off from
+    integration can leave tiny negative filter states.
     """
     _check_dims(params, cost, dither)
     n = params.n
     neg_k, eps, wxi = -float(params.k), float(params.epsilon), float(params.omega_xi)
     wl = params.omega_l.tolist()
-    phase, f = _phase(dither), cost.f
+    phase, f_rows = _phase(dither), cost.f_rows
 
     def rhs(t: float, rows: list[list[float]]) -> list[list[float]]:
         shift, weight = phase(t)
         out = []
-        for r, j in zip(rows, _measure(f, rows, shift)):
+        for r, j in zip(rows, f_rows(rows, shift)):
             err = j - r[2 * n]                   # measurement less washout
             d_theta, d_v = [], []
             for w, x, l in zip(weight, r[n : 2 * n], wl):
                 g = w * err
-                v = nonneg(x)
+                v = 0.0 if x <= 0.0 else x       # nonneg(x)
                 d_theta.append(neg_k * g / (sqrt(v) + eps))
                 d_v.append(l * (g * g - v))
             d_theta += d_v
@@ -124,12 +123,12 @@ def gesc_flat_rhs(params: EscParams, cost: CostFunction, dither: DitherConfig):
     _check_dims(params, cost, dither)
     n = params.n
     neg_k, wxi = -float(params.k), float(params.omega_xi)
-    phase, f = _phase(dither), cost.f
+    phase, f_rows = _phase(dither), cost.f_rows
 
     def rhs(t: float, rows: list[list[float]]) -> list[list[float]]:
         shift, weight = phase(t)
         out = []
-        for r, j in zip(rows, _measure(f, rows, shift)):
+        for r, j in zip(rows, f_rows(rows, shift)):
             err = j - r[n]
             row = [neg_k * (w * err) for w in weight]
             row.append(wxi * err)

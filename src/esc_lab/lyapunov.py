@@ -229,7 +229,9 @@ class LevelSetOracle:
     sweep over the parameter-error grid tabulates V_theta and every target's
     field; :meth:`_radii` answers any target's level queries from those tables.
     Queries are batched over samples; the scalar methods are the one-sample
-    case. All state is read-only after construction.
+    case. All state is read-only after construction. Building raises
+    ValueError when V_theta or a field is not finite anywhere on the grid (a
+    box so large that J overflows): no radius or verdict would mean anything.
     """
 
     def __init__(
@@ -270,6 +272,10 @@ class LevelSetOracle:
         self._points = pts
         self._vt = self._v_theta(pts)
         self._tables = self._fields(pts)
+        if not (np.all(np.isfinite(self._vt))
+                and all(np.all(np.isfinite(a)) for table in self._tables.values() for a in table)):
+            raise ValueError("J or an averaged filter target is not finite on the level-set "
+                             "grid; the search box is too large for this cost")
         # On the grid the moved points are exactly the boundary points; sampled,
         # their minimum is at least the true minimum over the faces.
         self._vt_boundary_min = float(np.min(self._v_theta(_onto_nearest_face(pts, spec.box))))

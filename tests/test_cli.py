@@ -460,6 +460,38 @@ def test_non_finite_setting_exit_code_2(mode, config, sets, field, tmp_path, cap
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("mode, config, sets, keys", [
+    ("simulate", "quartic_fig1", ["dither.omega=1e300", "time.t1=1"], "dither.omega"),
+    ("average", "quartic_average", ["time.sample_dt=1e-300"], "time.sample_dt"),
+    ("simulate", "quartic_fig1", ["time.h=1e-300", "time.sample_dt=1e-300", "time.t1=1"],
+     "time.h"),
+    ("compare", "quartic_compare", ["gains.omega_l=1e300", "time.t1=1"], "gains.omega_l"),
+    ("lyapunov", "quartic_lyapunov", ["time.t1=1e300"], "cap"),
+])
+def test_step_count_ceiling_exit_code_2(mode, config, sets, keys, tmp_path, capsys):
+    # each of these used to run until killed, or to fail in numpy naming no key
+    start = time.perf_counter()
+    code = main([mode, "--config", config, *(f"--set={kv}" for kv in sets),
+                 "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: field 'time.t1'") and f"{cli.MAX_STEPS:.0e} RK4 steps" in err
+    assert keys in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_lyapunov_box_overflowing_the_fields_exit_code_2(tmp_path, capsys):
+    # J overflows on the grid of this box: the check used to report a verdict and exit 0
+    with np.errstate(all="ignore"):
+        code = main(["lyapunov", "--config", "quadratic_lyapunov",
+                     "--set", "lyapunov.box_halfwidth=1e300", "--set", "time.t1=1",
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert "not finite on the level-set grid" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("mode, config", [
     ("average", "quartic_average"),
     ("compare", "quartic_compare"),

@@ -6,8 +6,10 @@ from esc_lab import (
     PeriodQuadrature,
     avg_maps,
     new_dither,
+    parse_cost,
     quadratic_cost,
     quartic_cost,
+    shifted_quartic_cost,
 )
 from esc_lab.dynamics import gesc_flat_rhs, rmspesc_flat_rhs
 
@@ -155,3 +157,38 @@ def test_dimension_mismatch_rejected():
         gesc_flat_rhs(UNIT_GAIN, cost, dither)
     with pytest.raises(ValueError, match="dimension"):
         rmspesc_flat_rhs(UNIT_GAIN, cost, dither)
+
+
+# the numpy functions a full-loop stage reached or reaches, counted per call
+_NUMPY_CALLS = ("array", "asarray", "full", "power", "abs", "absolute", "sin", "divide")
+
+
+@pytest.mark.parametrize("build, calls", [
+    (quartic_cost, ["power"]),
+    (lambda: shifted_quartic_cost([0.5, -1.0, 2.0]), ["power"]),
+    (lambda: parse_cost("theta1^4 + 2*theta2^4 + theta1^2*theta2^2 + 0.5*(theta1 - theta2)^2",
+                        2), ["power"]),
+    (lambda: quadratic_cost([[2.0, 0.5], [0.5, 1.0]], 0.25, [0.5, -0.5]), []),
+    (lambda: quadratic_cost(3.0), []),
+])
+def test_full_loop_stage_numpy_calls(build, calls, monkeypatch):
+    # at the few rows of few floats the loop steps, a numpy call costs more than its
+    # arithmetic: a stage calls numpy only for its cost's power batch
+    seen = []
+    for name in _NUMPY_CALLS:
+        def counted(*args, _real=getattr(np, name), _name=name, **kwargs):
+            seen.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    cost = build()          # after patching: parsed code binds numpy's functions when built
+    n = cost.n
+    dither = new_dither([0.02] * n, list(range(1, n + 1)), 10.0)
+    params = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25] * n, omega_xi=1.0)
+    rows = [[1.5] * n + [0.81] * n + [0.0], [-0.5] * n + [0.0] * n + [0.3]]
+    for make, width in ((rmspesc_flat_rhs, 2 * n + 1), (gesc_flat_rhs, n + 1)):
+        rhs = make(params, cost, dither)
+        member_rows = [r[:n] + r[2 * n:] for r in rows] if width == n + 1 else rows
+        for t in (0.1, 0.1, 0.35):   # a new time, the same one again, a new one
+            seen.clear()
+            rhs(t, member_rows)
+            assert seen == calls, (make.__name__, t)

@@ -3,6 +3,7 @@
 import operator
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -10,6 +11,8 @@ from hypothesis.extra.numpy import arrays
 from esc_lab import (
     EscParams,
     NonFiniteStateError,
+    demod_value,
+    dither_value,
     new_dither,
     parse_cost,
     quadratic_cost,
@@ -19,6 +22,7 @@ from esc_lab import (
     simulate_gesc,
     simulate_rmspesc,
 )
+from esc_lab.dynamics import _phase
 
 coords = st.floats(-3.0, 3.0)
 
@@ -229,3 +233,96 @@ def test_shifted_quartic_matches_signed_power(shift_and_points):
     reference = np.sum((x - shift) ** 4, axis=-1) / 24.0
     got = shifted_quartic_cost(shift).f(x)
     assert np.all(np.abs(got - reference) <= 1e-15 * reference)
+
+
+# The row form: J at rows r[:n] + shift, bit for bit f's values on the stacked points.
+def _same_as_f(cost, rows, shift):
+    points = np.array([[x + s for x, s in zip(r, shift)] for r in rows])
+    want = _outcome(cost.f, points)
+    try:
+        with np.errstate(all="ignore"):
+            got = cost.f_rows(rows, shift)
+    except ZeroDivisionError:
+        got = "ZeroDivisionError"
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert type(got) is list and all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == want.tobytes(), (cost.expr, rows, shift)
+
+
+def member_rows(n):
+    """1 ... 5 member rows of n coordinates and 0 ... 2 trailing states, and a shift."""
+    values = coords | st.floats(-1e80, 1e80)
+    extra = st.integers(0, 2)
+    return st.tuples(
+        extra.flatmap(lambda e: st.lists(st.lists(values, min_size=n + e, max_size=n + e),
+                                         min_size=1, max_size=5)),
+        st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n),
+    )
+
+
+@settings(deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    arrays(float, n, elements=st.floats(-2.0, 2.0)), member_rows(n))))
+def test_quartic_row_form_matches_f(case):
+    # n >= 8 crosses to numpy's pairwise sum, where the row form is f itself
+    star, (rows, shift) = case
+    _same_as_f(shifted_quartic_cost(star), rows, shift)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    arrays(float, (n, n), elements=st.floats(-2.0, 2.0)),
+    arrays(float, n, elements=st.floats(-2.0, 2.0)),
+    st.floats(-5.0, 5.0),
+    member_rows(n))))
+def test_quadratic_row_form_matches_f(case):
+    a, star, j_opt, (rows, shift) = case
+    _same_as_f(quadratic_cost(a @ a.T + 0.1 * np.eye(len(star)), j_opt, star), rows, shift)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(expression_trees(n), member_rows(n))))
+def test_expression_row_form_matches_f(case):
+    tree, (rows, shift) = case
+    _same_as_f(parse_cost(render(tree), len(shift)), rows, shift)
+
+
+# numpy's power takes fast paths for a scalar exponent 0.5, 2 or -1 that round
+# apart from its general one, and rounds a negative base's even power apart from
+# the positive base's, each in about 5% of random draws; a reordered sum or
+# product rounds apart as often. Drawn examples seldom meet those cases with
+# such values, so these rows do.
+@pytest.mark.parametrize("cost", [
+    *(shifted_quartic_cost(np.linspace(-1.0, 1.0, n)) for n in (1, 2, 7, 8, 9)),
+    quadratic_cost(1.7, -0.3, [0.4]),
+    quadratic_cost([[2.1, 0.7], [0.7, 1.3]], 0.25, [0.4, -0.2]),
+    quadratic_cost([[2.1, 0.7, 0.1], [0.7, 1.3, -0.4], [0.1, -0.4, 0.9]]),
+    parse_cost("theta1^4 + 2*theta2^6 - theta1^3 + (theta1 - theta2)^2", 2),
+    parse_cost("theta1^(1 + 1) + theta2^(0 - 1) + theta1^(1 / 2) + theta2^0.5 + theta1^2.7", 2),
+    parse_cost("2^theta1 + theta1^theta2 + (theta1^3)^3 / (theta2 - theta2)", 2),
+], ids=lambda cost: cost.expr)
+def test_row_form_matches_f_on_random_rows(cost):
+    rng = np.random.default_rng(0)
+    for _ in range(400):
+        rows = rng.uniform(-3.0, 3.0, (rng.integers(1, 6), cost.n + 1)).tolist()
+        _same_as_f(cost, rows, rng.uniform(-0.5, 0.5, cost.n).tolist())
+
+
+@settings(deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(1e-3, 5.0) | st.floats(-5.0, -1e-3), min_size=n, max_size=n),
+    st.lists(st.integers(1, 9), min_size=n, max_size=n, unique=True),
+    st.floats(0.1, 1e3),
+    st.floats(0.0, 100.0), st.floats(1e-5, 0.1), st.integers(0, 10**6),
+    st.sampled_from([0.0, 0.5, 1.0]))))
+def test_phase_matches_dither_signals(case):
+    # at the times the RK4 loop passes: t0 + j * h, then + h / 2 and + h
+    amplitudes, rates, omega, t0, h, j, stage = case
+    dither = new_dither(amplitudes, rates, omega)
+    t = t0 + j * h
+    t = t + stage * h if stage else t
+    shift, weight = _phase(dither)(t)
+    assert np.array(shift).tobytes() == dither_value(dither, t).tobytes()
+    assert np.array(weight).tobytes() == demod_value(dither, t).tobytes()
