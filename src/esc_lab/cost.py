@@ -26,9 +26,6 @@ __all__ = [
     "parse_cost",
 ]
 
-RowForm = Callable[[Sequence[Sequence[float]], Sequence[float]], list[float]]
-
-
 @dataclass(frozen=True)
 class CostFunction:
     """J on arrays (``f``), on member rows (``f_rows``), and what is known of it.
@@ -37,10 +34,12 @@ class CostFunction:
     n entries are theta, and n dither shifts; it returns one J value per row,
     equal bit for bit to ``f(np.array(points)).tolist()`` for the points
     ``[x + s for x, s in zip(row, shift)]``. A builder that gives no row form
-    gets exactly that expression. The builtin families and parsed expressions
-    give float code that calls numpy at most for their powers: at the full
-    loop's few rows of few floats, a numpy call's fixed cost exceeds its
-    arithmetic.
+    gets exactly that expression. :func:`shifted_quartic_cost` gives float
+    code with one numpy power call instead: at the full loop's few rows of few
+    floats, a numpy call's fixed cost exceeds its arithmetic. Its bit equality
+    rests on numpy's power rounding an element the same wherever it sits in
+    the array; that holds on the numpy builds and CPUs the tests ran on, and
+    ``tests/test_properties.py`` is the guard for any other.
     """
 
     n: int
@@ -48,7 +47,7 @@ class CostFunction:
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     theta_star: Optional[np.ndarray] = None
     expr: Optional[str] = None
-    f_rows: Optional[RowForm] = None
+    f_rows: Optional[Callable[[Sequence[Sequence[float]], Sequence[float]], list[float]]] = None
 
     def __post_init__(self):
         if self.f_rows is None:
@@ -128,23 +127,6 @@ def quadratic_cost(h, j_opt: float = 0.0, theta_star=None) -> CostFunction:
     def grad(x):
         return (x - star) @ hmat
 
-    f_rows = None
-    if n <= 2:
-        # f sums a row's n * n <= 4 products left to right onto 0.0 (numpy sums
-        # fewer than 8 terms in order, more pairwise), so floats in that order match it
-        j0, star_list = float(j_opt), star.tolist()
-        products = [(i, j, float(hmat[i, j])) for i in range(n) for j in range(n)]
-
-        def f_rows(rows, shift):
-            out = []
-            for r in rows:
-                d = [x + s - c for x, s, c in zip(r, shift, star_list)]
-                total = 0.0
-                for i, j, h_ij in products:
-                    total += d[i] * h_ij * d[j]
-                out.append(j0 + 0.5 * total)
-            return out
-
     terms = [_format_num(j_opt)]
     for i in range(n):
         for j in range(i, n):
@@ -163,7 +145,6 @@ def quadratic_cost(h, j_opt: float = 0.0, theta_star=None) -> CostFunction:
         grad=grad,
         theta_star=star,
         expr=" + ".join(terms),
-        f_rows=f_rows,
     )
 
 
@@ -226,6 +207,5 @@ def parse_cost(expr: str, n: int) -> CostFunction:
 
     The gradient falls back to central finite differences.
     """
-    evaluate, evaluate_rows = compile_expression(expr, n)
-    return CostFunction(n=n, f=evaluate, grad=None, theta_star=None, expr=expr,
-                        f_rows=evaluate_rows)
+    evaluate = compile_expression(expr, n)
+    return CostFunction(n=n, f=evaluate, grad=None, theta_star=None, expr=expr)

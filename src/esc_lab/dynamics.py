@@ -16,12 +16,14 @@ for the RMSp loop and ``[theta_hat (n), xi]`` for the baseline. The closures
 follow :func:`esc_lab.integrate.integrate_fixed`'s row contract: they map a
 list of B member rows, each a list of d floats, to B derivative rows. Each
 call measures J at the members' points through the cost's row form
-(``CostFunction.f_rows``: one numpy power call for the quartic, one per
-exponent and nesting depth for a parsed cost, none for a quadratic of n <= 2)
-and does the per-channel arithmetic in floats. The dither phase comes from
-``math.sin``, once per distinct time (RK4's two midpoint stages share one);
-``tests/test_properties.py`` checks it against the ``np.sin`` of
-:func:`esc_lab.signals.dither_value` bit for bit.
+(``CostFunction.f_rows``: one numpy power call for the quartic, one cost sweep
+over the stacked points for any other cost) and does the per-channel
+arithmetic in floats. The dither phase comes from ``math.sin``, once per
+distinct time (RK4's two midpoint stages share one). The outputs equal those
+of :func:`esc_lab.signals.dither_value`'s ``np.sin`` only while the two round
+alike: they do on the numpy builds and CPUs the tests ran on, and
+``tests/test_properties.py::test_phase_matches_dither_signals`` is the guard
+for any other.
 """
 
 from __future__ import annotations
@@ -71,7 +73,10 @@ def _check_dims(params: EscParams, cost: CostFunction, dither: DitherConfig) -> 
 
 def _phase(dither: DitherConfig):
     """``phase(t)``: the dither shifts a_i sin(omega r_i t) and demodulation
-    weights (2 / a_i) sin(omega r_i t) as float lists, kept for the last t."""
+    weights (2 / a_i) sin(omega r_i t) as float lists, kept for the last t.
+
+    ``math.sin`` here, ``np.sin`` in :mod:`esc_lab.signals`: bit equal where the
+    property tests ran (see the module docstring)."""
     amps, demod = dither.amplitudes.tolist(), (2.0 / dither.amplitudes).tolist()
     freqs = (dither.omega * dither.rates).tolist()
     last = [None, None]

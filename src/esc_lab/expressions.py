@@ -20,9 +20,7 @@ integer literal raises the absolute value of its base (the rule of
 that base, and numpy's ``power`` stays on its fast path, which a negative
 base leaves for a much slower scalar ``pow`` call. Any other exponent
 uses plain ``power``, so odd powers keep their sign and a negative base to a
-non-integer power is NaN. It also lowers the tree to the cost's row form for
-the full loop (:func:`_emit_rows`): float code over a few member rows that
-gives the same values bit for bit and calls numpy only for its powers.
+non-integer power is NaN.
 """
 
 from __future__ import annotations
@@ -210,163 +208,12 @@ def _emit(tree):
     return "\n".join(body) + "\n", constants
 
 
-def _compile(source: str, constants: dict, name: str):
-    namespace = {"asarray": np.asarray, "full": np.full, "absolute": np.abs, "power": np.power,
-                 "chunks": _chunks, "div0": _div0, **constants}
-    exec(compile(source, "<cost expression>", "exec"), namespace)
-    return namespace[name]
-
-
-def _chunks(values: list, size: int):
-    """Consecutive ``size``-tuples of ``values``: one member row's share of a power batch."""
-    return zip(*[iter(values)] * size)
-
-
-def _div0(a: float, b: float) -> float:
-    """``a / b`` for a zero ``b`` as numpy divides: +-inf or NaN, with its warning."""
-    return float(np.divide(a, b))
-
-
-def _emit_rows(tree):
-    """Lower ``tree`` a second time, to float code over member rows.
-
-    Returns (source, constants) of ``evaluate_rows(rows, shift)``, which gives
-    ``evaluate(np.array(points)).tolist()`` bit for bit, the points being
-    ``r[i] + shift[i]`` for i < n. Or None when a constant part of the tree
-    raises (a literal divided by a literal zero): ``evaluate`` then raises on
-    every call. Each constant subtree is evaluated once, by the code
-    :func:`_emit` makes for it. Per row, the remaining operations are
-    straight-line float arithmetic in the tree's order; a literal exponent 2
-    becomes ``b * b`` (``power(|b|, 2.0)`` equals it), and a division by zero
-    gives numpy's result (:func:`_div0`) instead of raising. Every other power
-    goes through ``power``, batched over all rows: one call per distinct
-    constant exponent among the power nodes of one nesting depth, and one for
-    those whose exponent varies with theta. Each call gets its exponent in the
-    form ``evaluate`` gives it, a scalar or one value per point: numpy's power
-    takes fast paths for a scalar exponent of 0.5, 2 or -1 that round apart
-    from its general path. So the code makes one pass
-    over the rows per nesting depth, and a pass hands the values that later
-    passes read on to the next in one tuple per row.
-    """
-    constants: dict[str, float] = {}
-    passes: list[list[str]] = [[]]          # the statements of each pass, per row
-    batches: list[dict] = [{}]              # batches[k]: exponent key -> [(result, base, exp)]
-    made_in: dict[str, int] = {}            # name -> pass that defines it
-    last_use: dict[str, int] = {}           # name -> last pass that reads it
-
-    def constant(value) -> tuple[str, int]:
-        name = f"c{len(constants)}"
-        constants[name] = float(value)
-        return name, -1
-
-    def hoist(node) -> tuple[str, int]:
-        if node[0] == "const":
-            return constant(node[1])
-        with np.errstate(all="ignore"):       # evaluate warns on each call instead
-            return constant(_compile(*_emit(node), "evaluate")(np.zeros(1)))
-
-    def use(name: str, k: int) -> str:
-        if name in made_in:
-            last_use[name] = max(last_use.get(name, k), k)
-        return name
-
-    def lower(node):
-        """(name, pass) of the node's value, or (None, node) while it is constant."""
-        op = node[0]
-        if op == "const":
-            return None, node
-        if op == "var":
-            made_in[f"x{node[1]}"] = 0
-            return f"x{node[1]}", 0
-        children = [lower(child) for child in node[1:]]
-        if all(name is None for name, _ in children):
-            return None, node
-        operands = [hoist(x) if name is None else (name, x) for name, x in children]
-        k = max(level for _, level in operands)
-        name = f"t{len(made_in)}"
-        if op == "pow" and node[2] != ("const", 2.0):
-            (base, _), (exp, exp_k) = operands
-            k += 1
-            if k == len(passes):
-                passes.append([])
-                batches.append({})
-            base = use(base, k - 1)
-            if _is_even_integer(node[2]):
-                base = f"abs({base})"
-            key = constants[exp].hex() if exp_k < 0 else None
-            batches[k].setdefault(key, []).append((name, base, use(exp, k - 1)))
-        else:
-            args = [use(a, k) for a, _ in operands]
-            a, b = args[0], args[-1]
-            if op == "pow":
-                expr = f"{a} * {a}"
-            elif op == "neg":
-                expr = f"-{a}"
-            elif op == "div" and not (operands[1][1] < 0 and constants[b] != 0.0):
-                expr = f"{a} / {b} if {b} else div0({a}, {b})"
-            else:
-                expr = f"{a} {_BINARY[op]} {b}"
-            passes[k].append(f"{name} = {expr}")
-        made_in[name] = k
-        return name, k
-
-    try:
-        root, last = lower(tree)
-        if root is None:
-            value, _ = hoist(tree)
-            return f"def evaluate_rows(rows, shift):\n    return [{value}] * len(rows)\n", constants
-    except ZeroDivisionError:
-        return None
-    use(root, last)
-    variables = sorted(int(v[1:]) for v in made_in if v.startswith("x"))
-    lines = ["def evaluate_rows(rows, shift):", *(f"    s{i} = shift[{i}]" for i in variables)]
-    live: list[str] = []
-    for k, body in enumerate(passes):
-        if k == 0:
-            head = "for r in rows:"
-            body = [f"x{i} = r[{i}] + s{i}" for i in variables] + body
-        else:
-            groups = [[result for result, _, _ in nodes] for nodes in batches[k].values()]
-            targets = [_tuple(live), *map(_tuple, groups)]
-            sources = [f"live{k - 1}",
-                       *(f"chunks(p{k}_{g}, {len(nodes)})" for g, nodes in enumerate(groups))]
-            head = f"for {', '.join(targets)} in zip({', '.join(sources)}):"
-        upcoming = list(batches[k + 1].items()) if k < last else []
-        for g, (key, nodes) in enumerate(upcoming):
-            lines.append(f"    b{k + 1}_{g} = []")
-            body.append(f"b{k + 1}_{g} += {_tuple([base for _, base, _ in nodes])}")
-            if key is None:
-                lines.append(f"    e{k + 1}_{g} = []")
-                body.append(f"e{k + 1}_{g} += {_tuple([exp for _, _, exp in nodes])}")
-        if k == last:
-            lines.append("    out = []")
-            body.append(f"out.append({root})")
-        else:
-            live = [v for v, made in made_in.items() if made <= k < last_use.get(v, -1)]
-            lines.append(f"    live{k} = []")
-            body.append(f"live{k}.append({_tuple(live)})")
-        lines += [f"    {head}", *(f"        {line}" for line in body)]
-        for g, (key, nodes) in enumerate(upcoming):
-            exponent = f"e{k + 1}_{g}" if key is None else nodes[0][2]
-            lines.append(f"    p{k + 1}_{g} = power(b{k + 1}_{g}, {exponent}).tolist()")
-    lines.append("    return out")
-    return "\n".join(lines) + "\n", constants
-
-
-def _tuple(items: list[str]) -> str:
-    return f"({', '.join(items)},)" if items else "()"
-
-
 def compile_expression(text: str, n: int):
-    """Parse ``text`` once; returns ``(evaluate, evaluate_rows)``.
-
-    ``evaluate`` maps arrays (..., n) -> (...). ``evaluate_rows(rows, shift)``
-    is its row form (:func:`_emit_rows`), or None when the tree raises on
-    every call.
-    """
+    """Parse ``text`` and return one compiled function mapping arrays (..., n) -> (...)."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    tree = _Parser(text, n).parse()
-    rows = _emit_rows(tree)
-    return (_compile(*_emit(tree), "evaluate"),
-            None if rows is None else _compile(*rows, "evaluate_rows"))
+    source, constants = _emit(_Parser(text, n).parse())
+    namespace = {"asarray": np.asarray, "full": np.full, "absolute": np.abs, "power": np.power,
+                 **constants}
+    exec(compile(source, "<cost expression>", "exec"), namespace)
+    return namespace["evaluate"]

@@ -13,11 +13,12 @@ holds the state as B member rows, each a list of d Python floats, and calls
 ``rhs(t, rows) -> rows`` with rows of the same layout. The bundled configs
 and benchmark workloads step B <= 3 rows of d <= 5 floats, where a numpy
 call's fixed cost exceeds its arithmetic, so the stages are float arithmetic
-and the full loop's rhs calls numpy only for its cost's powers (the row form
-of :class:`esc_lab.cost.CostFunction`). The trade-off is wide batches: per
-member-step on the quartic loop, the row loop took 39 us at B = 1 and 19 us
-at B = 3 where a numpy loop over (B, d) arrays took 120 and 47 us, but 9.0
-and 8.3 us at B = 16 and 64 where the numpy loop took 9.2 and 2.1 us
+and the full loop's rhs calls numpy only to measure J (the row form of
+:class:`esc_lab.cost.CostFunction`: one power call for the quartic). The
+trade-off is wide batches: per member-step on the quartic loop, the row loop
+took 43 us at B = 1 and 14 us at B = 3 where a numpy loop over (B, d) arrays
+took 120 and 47 us, but 8.7 and 9.5 us at B = 16 and 64 where the numpy loop
+took 9.2 and 2.1 us
 (``benchmarks/bench_layers.py`` on a shared 2-vCPU x86 host;
 ``BENCH_rowcost.json`` against ``BENCH_baseline.json``).
 

@@ -231,7 +231,8 @@ class LevelSetOracle:
     Queries are batched over samples; the scalar methods are the one-sample
     case. All state is read-only after construction. Building raises
     ValueError when V_theta or a field is not finite anywhere on the grid (a
-    box so large that J overflows): no radius or verdict would mean anything.
+    box so large that J overflows, or a cost singular in it): no radius or
+    verdict would mean anything.
     """
 
     def __init__(
@@ -275,7 +276,8 @@ class LevelSetOracle:
         if not (np.all(np.isfinite(self._vt))
                 and all(np.all(np.isfinite(a)) for table in self._tables.values() for a in table)):
             raise ValueError("J or an averaged filter target is not finite on the level-set "
-                             "grid; the search box is too large for this cost")
+                             f"grid over the box {spec.box.tolist()}: J overflows there or "
+                             "is singular in it")
         # On the grid the moved points are exactly the boundary points; sampled,
         # their minimum is at least the true minimum over the faces.
         self._vt_boundary_min = float(np.min(self._v_theta(_onto_nearest_face(pts, spec.box))))

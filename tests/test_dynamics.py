@@ -6,7 +6,6 @@ from esc_lab import (
     PeriodQuadrature,
     avg_maps,
     new_dither,
-    parse_cost,
     quadratic_cost,
     quartic_cost,
     shifted_quartic_cost,
@@ -160,27 +159,20 @@ def test_dimension_mismatch_rejected():
 
 
 # the numpy functions a full-loop stage reached or reaches, counted per call
-_NUMPY_CALLS = ("array", "asarray", "full", "power", "abs", "absolute", "sin", "divide")
+_NUMPY_CALLS = ("array", "asarray", "power", "abs", "absolute", "sin")
 
 
-@pytest.mark.parametrize("build, calls", [
-    (quartic_cost, ["power"]),
-    (lambda: shifted_quartic_cost([0.5, -1.0, 2.0]), ["power"]),
-    (lambda: parse_cost("theta1^4 + 2*theta2^4 + theta1^2*theta2^2 + 0.5*(theta1 - theta2)^2",
-                        2), ["power"]),
-    (lambda: quadratic_cost([[2.0, 0.5], [0.5, 1.0]], 0.25, [0.5, -0.5]), []),
-    (lambda: quadratic_cost(3.0), []),
-])
-def test_full_loop_stage_numpy_calls(build, calls, monkeypatch):
+@pytest.mark.parametrize("build", [quartic_cost, lambda: shifted_quartic_cost([0.5, -1.0, 2.0])])
+def test_full_loop_stage_numpy_calls(build, monkeypatch):
     # at the few rows of few floats the loop steps, a numpy call costs more than its
-    # arithmetic: a stage calls numpy only for its cost's power batch
+    # arithmetic: a quartic stage calls numpy only for its power batch
     seen = []
     for name in _NUMPY_CALLS:
         def counted(*args, _real=getattr(np, name), _name=name, **kwargs):
             seen.append(_name)
             return _real(*args, **kwargs)
         monkeypatch.setattr(np, name, counted)
-    cost = build()          # after patching: parsed code binds numpy's functions when built
+    cost = build()
     n = cost.n
     dither = new_dither([0.02] * n, list(range(1, n + 1)), 10.0)
     params = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25] * n, omega_xi=1.0)
@@ -191,4 +183,4 @@ def test_full_loop_stage_numpy_calls(build, calls, monkeypatch):
         for t in (0.1, 0.1, 0.35):   # a new time, the same one again, a new one
             seen.clear()
             rhs(t, member_rows)
-            assert seen == calls, (make.__name__, t)
+            assert seen == ["power"], (make.__name__, t)
