@@ -21,7 +21,8 @@ form a cost without one gets). The parsed-cost
 rows evaluate the 2-D expression of the ``compare_expr2d`` benchmark workload
 (dither rates 1, 2, so 512 quadrature nodes) on one (2,) point and on the
 (513, 2) array one average-system rhs call sweeps, and call that average rhs,
-each per call. The two compare rows run ``esc_lab.cli.main`` end to end on
+each per call; the quartic average-rhs row calls the average rhs of the
+closed-loop settings above, whose one cost sweep covers a (257, 1) array. The two compare rows run ``esc_lab.cli.main`` end to end on
 seed 0 of the ``compare_expr2d`` benchmark workload (``perfbench/workloads.py``):
 once as shipped, the average system in a forked child beside the full loop,
 and once with ``os.fork`` hidden, so the CLI runs the two one after another.
@@ -132,6 +133,8 @@ def main() -> int:
     expr_point = expr_state[:2]
     expr_sweep = np.vstack([expr_point, expr_point + el.PeriodQuadrature(expr_dither).s])
     expr_rhs = average_flat_rhs(expr_params, expr_cost, expr_dither)
+    quartic_rhs = average_flat_rhs(params, cost, dither)
+    quartic_nodes = el.PeriodQuadrature(dither).n_q + 1
 
     def batch(size):
         states = np.tile(state0, (size, 1))
@@ -183,6 +186,8 @@ def main() -> int:
          (calls, "call")),
         ("average rhs, parsed 2-D cost", repeat(expr_rhs, 0.0, [expr_state.tolist()]),
          (calls, "call")),
+        (f"average rhs, quartic ({quartic_nodes}, 1) sweep",
+         repeat(quartic_rhs, 0.0, [state0.tolist()]), (calls, "call")),
         (
             f"oracle build ({len(oracle._points)}-point grid)",
             lambda: el.LevelSetOracle(cost, dither, eq, spec),

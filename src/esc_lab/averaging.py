@@ -14,8 +14,11 @@ uniform nodes, whose tables one :class:`PeriodQuadrature` holds per dither
 and node count; for smooth periodic integrands that rule converges spectrally,
 so modest node counts reproduce closed forms to near machine precision. The
 integrands depend on time only through sin(omega * r_i * t), so the averages
-are independent of omega itself. :func:`avg_maps` evaluates J in one cost
-sweep per call, over theta_bar and the n_q nodes together.
+are independent of omega itself. :func:`avg_maps`, :func:`equilibrium` and
+:func:`average_flat_rhs` share one kernel, which evaluates J in one cost
+sweep per call, over theta_bar and the n_q nodes together, and then sums all
+2n + 1 integrands in one stacked reduction over reused buffers; a kernel is
+therefore not reentrant.
 """
 
 from __future__ import annotations
@@ -128,6 +131,63 @@ class PeriodQuadrature:
         return np.mean(m2 * (y_c * y_c), axis=-1), np.mean(m2 * y_c, axis=-1)
 
 
+def _map_sums(cost: CostFunction, quad: PeriodQuadrature):
+    """The averaged maps' kernel: a function (theta_bar, xi_bar) -> sums, shape (2n+1,).
+
+    ``sums`` holds n_q times (g_bar, g2_bar, J_bar): the node sums of
+    m * (y - J(theta_bar)), of (m * (y - xi_bar))^2 and of y, where y are the
+    costs at the nodes. Each call makes one cost sweep, over theta_bar and the
+    n_q nodes together, and one stacked reduction: the 2n + 1 integrands sit
+    as rows of one (2n+1, n_q) buffer, and ``add.reduce`` sums each row
+    pairwise, the same sum a separate reduction of that row computes. The
+    buffers are allocated once per kernel and reused by every call, so the
+    function is not reentrant: one call must return before the next starts.
+    The returned ``sums`` array is fresh on every call.
+
+    The g_bar integrand subtracts J(theta_bar); the subtraction is exact (the
+    demodulation signal sums to zero on the uniform node grid) and removes
+    the large DC term that would otherwise dominate the floating-point
+    cancellation error.
+    """
+    quad.check(cost)
+    n, n_q = quad.n, quad.n_q
+    f, m = cost.f, quad.m
+    add, subtract, multiply, reduce = np.add, np.subtract, np.multiply, np.add.reduce
+    points = np.empty((n_q + 1, n))
+    theta_row = points[0]
+    # theta_i + s_ji column by column: one broadcast add over the (n_q, n) nodes
+    # would run its inner loop over only n entries at a time
+    columns = list(zip(range(n), np.ascontiguousarray(quad.s.T), points[1:].T))
+    ref = np.empty((2, 1))                            # [[J(theta_bar)], [xi_bar]]
+    resid = np.empty((2, n_q))
+    resid_3d = resid[:, None, :]
+    work = np.empty((2 * n + 1, n_q))
+    products = work[: 2 * n].reshape(2, n, n_q)       # m * (y - J(theta_bar)), m * (y - xi_bar)
+    squares, y_row = work[n : 2 * n], work[2 * n]
+
+    def sums(theta_bar, xi_bar: float) -> np.ndarray:
+        theta_row[:] = theta_bar
+        for i, s_i, node_i in columns:
+            add(theta_row[i], s_i, out=node_i)
+        y_all = f(points)                             # one sweep: J(theta_bar), then the nodes
+        y = y_all[1:]
+        ref[0, 0] = y_all[0]
+        ref[1, 0] = xi_bar
+        subtract(y, ref, out=resid)
+        multiply(m, resid_3d, out=products)
+        multiply(squares, squares, out=squares)
+        y_row[:] = y
+        return reduce(work, 1)
+
+    return sums
+
+
+def _as_maps(sums: np.ndarray, quad: PeriodQuadrature) -> AverageMaps:
+    n, n_q = quad.n, quad.n_q
+    return AverageMaps(j_bar=float(sums[2 * n]) / n_q, g_bar=sums[:n] / n_q,
+                       g2_bar=sums[n : 2 * n] / n_q)
+
+
 def avg_maps(
     cost: CostFunction,
     quad: PeriodQuadrature,
@@ -136,50 +196,41 @@ def avg_maps(
 ) -> AverageMaps:
     """Evaluate (J_bar, g_bar, g2_bar) at one point of the average state space.
 
-    g_bar subtracts J(theta_bar) inside the demodulated integrand; the
-    subtraction is exact (the demodulation signal sums to zero on the uniform
-    node grid) and removes the large DC term that would otherwise dominate
-    the floating-point cancellation error.
+    One call of the :func:`_map_sums` kernel, which :func:`average_flat_rhs`
+    runs too: one cost sweep and one stacked reduction, then each sum divided
+    by n_q.
     """
-    quad.check(cost)
-    theta_bar = np.atleast_1d(np.asarray(theta_bar, dtype=float))
-    n_q = quad.n_q
-    points = np.empty((n_q + 1, quad.n))
-    points[0] = theta_bar
-    np.add(theta_bar, quad.s, out=points[1:])
-    y_all = cost.f(points)                           # one sweep: J(theta_bar), then the nodes
-    y = y_all[1:]
-    j_bar = float(np.add.reduce(y, 0) / n_q)
-    g_bar = np.add.reduce(quad.m * (y - y_all[0])[None, :], 1) / n_q
-    resid = quad.m * (y - float(xi_bar))[None, :]
-    g2_bar = np.add.reduce(resid * resid, 1) / n_q
-    return AverageMaps(j_bar=j_bar, g_bar=g_bar, g2_bar=g2_bar)
+    return _as_maps(_map_sums(cost, quad)(theta_bar, xi_bar), quad)
 
 
 def average_flat_rhs(params, cost: CostFunction, dither: DitherConfig):
     """Integrator-facing closure for the autonomous average system, over rows
-    [theta_bar, v_bar, xi_bar]: one :func:`avg_maps` call per row.
+    [theta_bar, v_bar, xi_bar]: one :func:`_map_sums` call per row, so one
+    cost sweep and one stacked reduction, with the division by n_q and the
+    rest of the rhs in Python floats.
 
-    Clamps v to zero before the square root, like the full-loop closure.
+    The closure reuses its kernel's buffers and is not reentrant. Clamps v to
+    zero before the square root, like the full-loop closure.
     """
     _check_dims(params, cost, dither)
     n = params.n
     neg_k, eps, wxi = -float(params.k), float(params.epsilon), float(params.omega_xi)
     wl = params.omega_l.tolist()
     quad = PeriodQuadrature(dither)
+    sums, n_q = _map_sums(cost, quad), quad.n_q
 
     def rhs(t: float, rows: list[list[float]]) -> list[list[float]]:
         out = []
         for r in rows:
             xi = r[2 * n]
-            maps = avg_maps(cost, quad, r[:n], xi)
+            total = sums(r[:n], xi).tolist()
             d_theta, d_v = [], []
-            for g, g2, x, l in zip(maps.g_bar.tolist(), maps.g2_bar.tolist(), r[n : 2 * n], wl):
+            for g, g2, x, l in zip(total[:n], total[n : 2 * n], r[n : 2 * n], wl):
                 v = nonneg(x)
-                d_theta.append(neg_k * g / (sqrt(v) + eps))
-                d_v.append(l * (g2 - v))
+                d_theta.append(neg_k * (g / n_q) / (sqrt(v) + eps))
+                d_v.append(l * (g2 / n_q - v))
             d_theta += d_v
-            d_theta.append(wxi * (maps.j_bar - xi))
+            d_theta.append(wxi * (total[2 * n] / n_q - xi))
             out.append(d_theta)
         return out
 
@@ -209,9 +260,10 @@ def equilibrium(
         theta = np.atleast_1d(np.asarray(theta_init, dtype=float)).copy()
 
     quad = PeriodQuadrature(dither)
+    sums = _map_sums(cost, quad)
 
-    def maps_at(th):
-        return avg_maps(cost, quad, th, 0.0)
+    def maps_at(th, xi=0.0):
+        return _as_maps(sums(th, xi), quad)
 
     alpha = 1.0
     it = 0
@@ -245,9 +297,9 @@ def equilibrium(
     else:
         raise ConvergenceError(f"no convergence within {max_iter} iterations")
 
-    final = avg_maps(cost, quad, theta, 0.0)
+    final = maps_at(theta)
     xi_star = final.j_bar
-    v_star = avg_maps(cost, quad, theta, xi_star).g2_bar
+    v_star = maps_at(theta, xi_star).g2_bar
     return Equilibrium(
         theta_star=theta,
         xi_star=xi_star,

@@ -9,7 +9,12 @@ Grammar (positions in error messages are 1-based character offsets):
     atom   = NUMBER | IDENT | "(" expr ")"
 
 Identifiers are ``theta1`` .. ``thetaN``; numbers are decimal literals with an
-optional exponent.
+optional exponent. The parser recurses once per nesting level, so it rejects
+more than :data:`MAX_NESTING` levels, counted as open parentheses, unary
+minuses and ``^`` exponents around a point of the text, with an
+:class:`ExpressionError` at the token that opens the level too many. Chains
+of binary operators (a sum of any number of terms) are parsed and compiled
+by loops and have no length limit.
 
 :func:`compile_expression` parses the text once and lowers the tree to one
 Python function of straight-line numpy calls, one per operation, applied in
@@ -29,7 +34,9 @@ import re
 
 import numpy as np
 
-__all__ = ["ExpressionError", "compile_expression"]
+__all__ = ["ExpressionError", "MAX_NESTING", "compile_expression"]
+
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -73,6 +80,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.n = n
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -87,6 +95,15 @@ class _Parser:
         if kind != "op" or value != op:
             raise ExpressionError(f"expected {op!r}", pos)
         self.advance()
+
+    def nested(self, parse, pos: int):
+        """``parse()`` one nesting level deeper; ``pos`` is the token that opens the level."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExpressionError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self):
         node = self.expr()
@@ -118,18 +135,18 @@ class _Parser:
                 return node
 
     def unary(self):
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return ("neg", self.unary())
+            return ("neg", self.nested(self.unary, pos))
         return self.power()
 
     def power(self):
         base = self.atom()
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            return ("pow", base, self.unary())
+            return ("pow", base, self.nested(self.unary, pos))
         return base
 
     def atom(self):
@@ -147,7 +164,7 @@ class _Parser:
                 )
             return ("var", index - 1)
         if kind == "op" and value == "(":
-            node = self.expr()
+            node = self.nested(self.expr, pos)
             self.expect_op(")")
             return node
         raise ExpressionError("expected a number, variable, or '('", pos)
@@ -165,39 +182,47 @@ def _emit(tree):
 
     Returns (source, constants). Operands are evaluated left to right, so the
     function makes the numpy calls a recursive walk of the tree would make, in
-    the same order. A tree that names no variable returns its constant once
-    per point, shape (...). Literals are bound by name (``1e999`` has no
-    source form but ``inf``), and the code is flat, so no nesting limit of the
-    Python compiler applies however deep the tree is.
+    the same order; the walk itself runs on an explicit stack, so a tree of
+    any depth (a left-nested chain of thousands of additions) is lowered
+    without Python recursion. A tree that names no variable returns its
+    constant once per point, shape (...). Literals are bound by name
+    (``1e999`` has no source form but ``inf``), and the code is flat, so the
+    Python compiler sees no nesting at all.
     """
     lines: list[str] = []
     constants: dict[str, float] = {}
     variables: set[int] = set()
-
-    def operand(node) -> str:
+    stack = [(tree, [])]                      # (node, names of its lowered operands)
+    while True:
+        node, operands = stack[-1]
         op = node[0]
         if op == "const":
             name = f"c{len(constants)}"
             constants[name] = node[1]
-            return name
-        if op == "var":
+        elif op == "var":
             variables.add(node[1])
-            return f"x{node[1]}"
-        if op == "neg":
-            expr = f"-{operand(node[1])}"
-        elif op == "pow":
-            base = operand(node[1])
-            if _is_even_integer(node[2]):
-                base = f"absolute({base})"
-            expr = f"power({base}, {operand(node[2])})"
+            name = f"x{node[1]}"
+        elif len(operands) < len(node) - 1:
+            stack.append((node[1 + len(operands)], []))
+            continue
         else:
-            a = operand(node[1])
-            expr = f"{a} {_BINARY[op]} {operand(node[2])}"
-        name = f"t{len(lines)}"
-        lines.append(f"    {name} = {expr}")
-        return name
+            if op == "neg":
+                expr = f"-{operands[0]}"
+            elif op == "pow":
+                base = operands[0]
+                if _is_even_integer(node[2]):
+                    base = f"absolute({base})"
+                expr = f"power({base}, {operands[1]})"
+            else:
+                expr = f"{operands[0]} {_BINARY[op]} {operands[1]}"
+            name = f"t{len(lines)}"
+            lines.append(f"    {name} = {expr}")
+        stack.pop()
+        if not stack:
+            break
+        stack[-1][1].append(name)
 
-    result = operand(tree)
+    result = name
     header = [f"    x{i} = x[..., {i}]" for i in sorted(variables)]
     if variables:
         value = f"asarray({result}, dtype=float)"

@@ -30,9 +30,11 @@ the grid. The descent monitor rounds each sample's levels upward with a
 relative quantization of 1e-3 (the radii are monotone in their levels, so
 the error is bounded and one-sided) and then evaluates all samples in
 lockstep: one masked grid argmax per sample, and one batched golden-section
-refinement in which every iteration is a single cost sweep over all
-samples' quadrature nodes. Nothing is memoized; consecutive samples almost
-never share a level.
+refinement in which every iteration tests all samples' probes against the
+sublevel and envelope constraints and then makes a single cost sweep over
+the quadrature nodes of the feasible probes only (an infeasible probe
+cannot raise a sup, so it scores -inf unswept). Nothing is memoized;
+consecutive samples almost never share a level.
 """
 
 from __future__ import annotations
@@ -353,6 +355,28 @@ class LevelSetOracle:
             hi[on] = ax[np.minimum(j[on] + 1, len(ax) - 1)]
         return axis, lo, hi
 
+    def _line_objective(self, target: _Target, base: np.ndarray, axis: np.ndarray,
+                        ct: np.ndarray, cx: np.ndarray) -> Callable:
+        """The refinement objective of a chunk of k samples: x (k,) -> the target's error sup
+        at ``base`` with coordinate ``axis`` set to x, or -inf where the point is infeasible.
+
+        V_theta and the envelope test run on all k probes; the node residuals, the field
+        and the sup only on the feasible ones. Each row's value is independent of the
+        others, so it is the same as a sweep over every probe would give.
+        """
+        rows = np.arange(len(base))
+
+        def objective(x: np.ndarray) -> np.ndarray:
+            phi = base.copy()
+            phi[rows, axis] = x
+            vt = self._v_theta(phi)
+            ok = (vt <= ct) & (self._env_r_xi(vt) <= cx)
+            val = np.full(len(x), -np.inf)
+            val[ok] = target.sup(cx[ok], target.field(self._residuals(phi[ok])))
+            return val
+
+        return objective
+
     def _radii(self, target: _Target, c_theta: np.ndarray, c_xi: np.ndarray) -> np.ndarray:
         """One target's radii for a batch of levels: the sup of its error over the points
         with V_theta <= c_theta and env_r_xi(V_theta) <= c_xi (xi is queried with c_xi = inf,
@@ -360,8 +384,10 @@ class LevelSetOracle:
 
         Samples run in chunks of at most ``_CHUNK_ELEMENTS`` grid (or quadrature) entries:
         a masked grid argmax each, then on the grid path one lockstep golden-section
-        refinement along each sample's best axis, whose every iteration applies the
-        target's field and sup to one cost sweep over all samples' quadrature nodes.
+        refinement along each sample's best axis (:meth:`_line_objective`). Every
+        iteration tests all samples' probes for feasibility and applies the target's
+        field and sup to one cost sweep over the quadrature nodes of the feasible probes
+        only; an infeasible probe scores -inf without a sweep.
         """
         if np.any(c_theta < 0):
             raise ValueError("levels must be nonnegative")
@@ -385,16 +411,7 @@ class LevelSetOracle:
             best = vals[rows, idx]
             if self._axes is not None:
                 axis, a, b = self._best_axis_bracket(idx, feasible, heights)
-                base = self._points[idx]
-
-                def objective(x: np.ndarray) -> np.ndarray:
-                    phi = base.copy()
-                    phi[rows, axis] = x
-                    vt = self._v_theta(phi)
-                    ok = (vt <= ct) & (self._env_r_xi(vt) <= cx)
-                    val = target.sup(cx, target.field(self._residuals(phi)))
-                    return np.where(ok, val, -np.inf)
-
+                objective = self._line_objective(target, self._points[idx], axis, ct, cx)
                 best = np.maximum(best, _golden_max(objective, a, b))
             out[sl] = np.maximum(best, 0.0)
             del feasible, heights, vals  # free this chunk's (k, N) arrays before the next allocates

@@ -1,5 +1,10 @@
+from dataclasses import replace
+from math import sqrt
+
 import numpy as np
 import pytest
+
+import esc_lab.averaging as averaging
 
 from esc_lab import (
     ConvergenceError,
@@ -134,6 +139,91 @@ def test_avg_maps_equals_two_sweep_formulation(cost, dither):
         j_bar, g_bar, g2_bar = two_sweep_maps(cost, quad, theta, xi)
         assert maps.j_bar == j_bar
         assert np.array_equal(maps.g_bar, g_bar) and np.array_equal(maps.g2_bar, g2_bar)
+
+
+# the costs of test_avg_maps_equals_two_sweep_formulation, as (cost, dither, params)
+RHS_CASES = [
+    (quartic_cost(), new_dither([0.02], [1], 10.0), FIG1),
+    (parse_cost("theta1^4 + 2*theta2^4 + theta1^2*theta2^2 + 0.5*(theta1 - theta2)^2", 2),
+     new_dither([0.02, 0.02], [1, 2], 10.0),
+     EscParams(k=1.3, epsilon=0.05, omega_l=[0.25, 0.4], omega_xi=0.7)),
+    (quadratic_cost([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 3.0]], 0.5, [0.2, -0.4, 1.0]),
+     new_dither([0.05, 0.04, 0.03], [1, 2, 3], 10.0),
+     EscParams(k=0.8, epsilon=0.02, omega_l=[0.25, 0.5, 0.3], omega_xi=2.0)),
+]
+RHS_IDS = ["quartic", "expr2d", "quadratic3d"]
+
+
+def rhs_rows(n, count=12):
+    """Average-system rows [theta, v, xi]: some v negative (clamped), xi of both signs."""
+    rng = np.random.default_rng(11)
+    rows = []
+    for j in range(count):
+        v = rng.uniform(-0.5, 1.0, n)
+        if j % 3 == 0:
+            v[j % n] = -0.25
+        xi = (-1.0) ** j * rng.uniform(0.1, 2.0)
+        rows.append([*rng.uniform(-2.0, 2.0, n).tolist(), *v.tolist(), xi])
+    return rows
+
+
+@pytest.mark.parametrize("cost, dither, params", RHS_CASES, ids=RHS_IDS)
+def test_average_flat_rhs_equals_rhs_of_two_sweep_maps(cost, dither, params):
+    n, quad = cost.n, PeriodQuadrature(dither)
+    rows = rhs_rows(n)
+    assert any(x < 0.0 for r in rows for x in r[n : 2 * n])
+    assert any(r[-1] > 0.0 for r in rows) and any(r[-1] < 0.0 for r in rows)
+    expected = []
+    for r in rows:
+        xi = r[2 * n]
+        j_bar, g_bar, g2_bar = two_sweep_maps(cost, quad, r[:n], xi)
+        v = [0.0 if x <= 0.0 else x for x in r[n : 2 * n]]
+        d_theta = [-float(params.k) * g / (sqrt(x) + params.epsilon)
+                   for g, x in zip(g_bar.tolist(), v)]
+        d_v = [l * (g2 - x) for l, g2, x in zip(params.omega_l.tolist(), g2_bar.tolist(), v)]
+        expected.append(d_theta + d_v + [params.omega_xi * (j_bar - xi)])
+    rhs = average_flat_rhs(params, cost, dither)
+    assert rhs(0.0, rows) == expected
+    assert [rhs(0.0, [r])[0] for r in rows] == expected
+
+
+class _CountingAdd:
+    """``np.add`` with a count of its ``reduce`` calls."""
+
+    def __init__(self):
+        self.reduces = 0
+
+    def __call__(self, *args, **kwargs):
+        return np.add(*args, **kwargs)
+
+    def reduce(self, *args, **kwargs):
+        self.reduces += 1
+        return np.add.reduce(*args, **kwargs)
+
+
+class _CountingNumpy:
+    def __init__(self):
+        self.add = _CountingAdd()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("cost, dither, params", RHS_CASES, ids=RHS_IDS)
+def test_average_flat_rhs_one_sweep_and_one_reduction_per_row(cost, dither, params,
+                                                              monkeypatch):
+    sweeps = []
+    counted = replace(cost, f=lambda x: sweeps.append(x.shape) or cost.f(x))
+    counting_np = _CountingNumpy()
+    monkeypatch.setattr(averaging, "np", counting_np)
+    rhs = average_flat_rhs(params, counted, dither)
+    rows = rhs_rows(cost.n, count=5)
+    out = rhs(0.0, rows)
+    monkeypatch.undo()
+    n_q = PeriodQuadrature(dither).n_q
+    assert sweeps == [(n_q + 1, cost.n)] * len(rows)
+    assert counting_np.add.reduces == len(rows)
+    assert out == average_flat_rhs(params, cost, dither)(0.0, rows)
 
 
 def test_invalid_node_count():

@@ -178,6 +178,24 @@ def test_constant_expression_cost_runs(mode, config, csv, tmp_path, capsys):
     assert cols[header.index("J")] == [3.0] * len(cols[0])
 
 
+def test_deep_expression_cost_exits_2(tmp_path, capsys):
+    expr = "(" * 400 + "theta1" + ")" * 400 + "^4/24"
+    code = main(["simulate", "--config", "quartic_fig1", "--set", "cost.kind=expr",
+                 "--set", f"cost.expr={expr}", "--set", "time.t1=1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "nesting deeper than 100 levels at position 101" in capsys.readouterr().err
+
+
+def test_long_sum_expression_cost_runs(tmp_path, capsys):
+    expr = " + ".join(["theta1"] * 1500)
+    code = main(["simulate", "--config", "quartic_fig1", "--set", "cost.kind=expr",
+                 "--set", f"cost.expr={expr}", "--set", "time.t1=1", "--out", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    header, cols = read_csv_columns(tmp_path / "trajectory_xi0_0.csv")
+    theta, j = cols[header.index("theta_1")], cols[header.index("J")]
+    assert j == pytest.approx([1500.0 * x for x in theta], rel=1e-9)
+
+
 def test_retired_keys_are_ignored(tmp_path):
     args = ["lyapunov", "--config", "quadratic_lyapunov", "--set", "time.t1=1"]
     retired = ["average.n_q=16", "time.t0=5", "lyapunov.grid_theta=3", "lyapunov.tol=1"]

@@ -10,6 +10,7 @@ from esc_lab import (
     shifted_quartic_cost,
 )
 from esc_lab.cost import finite_difference_gradient
+from esc_lab.expressions import MAX_NESTING, ExpressionError
 
 
 def test_quartic_values():
@@ -143,6 +144,27 @@ def test_power_binds_tightest_and_right_associative():
 
 def test_division_and_parentheses():
     assert eval_cost(parse_cost("(1 + theta1) / (1 - theta1)", 1), [0.5]) == pytest.approx(3.0)
+
+
+def test_long_flat_sum_compiles():
+    # a left-nested chain of 1,499 additions: parsed and lowered by loops, not recursion
+    parsed = parse_cost(" + ".join(["theta1"] * 1500), 1)
+    assert eval_cost(parsed, [2.0]) == 3000.0
+    assert np.array_equal(parsed.f(np.array([[1.0], [-0.5]])), [1500.0, -750.0])
+    assert parse_cost(" - ".join(["1"] * 1500), 1).f(np.zeros((2, 1))).tolist() == [-1498.0] * 2
+
+
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("-", ""), ("1^", "")])
+def test_nesting_beyond_the_limit_is_rejected_with_its_position(opener, closer):
+    def nested(depth):
+        return opener * depth + "theta1" + closer * depth
+
+    assert eval_cost(parse_cost(nested(MAX_NESTING), 1), [1.0]) == 1.0
+    with pytest.raises(ExpressionError, match="nesting deeper than") as info:
+        parse_cost(nested(MAX_NESTING + 1), 1)
+    assert info.value.position == (MAX_NESTING + 1) * len(opener)
+    with pytest.raises(ExpressionError, match="nesting deeper than"):
+        parse_cost(nested(4 * MAX_NESTING), 1)
 
 
 def test_parsed_cost_uses_fd_gradient():

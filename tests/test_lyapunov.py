@@ -348,14 +348,20 @@ def test_monitor_matches_single_samples(quad_ctx, quartic_ctx):
         _assert_monitor_matches_single_samples(traj, cost, dither, eq, spec)
 
 
-def test_monitor_matches_single_samples_across_chunks():
-    # 2-D grid path: 101^2 grid points leave room for 6 samples per chunk, so 61 samples span 11.
+def _across_chunks_case():
+    """2-D grid path: 101^2 grid points leave room for 6 samples per chunk, so 61 samples
+    span 11. Returns (trajectory, cost, dither, eq, spec)."""
     cost = shifted_quartic_cost([0.3, -0.2])
     dither = new_dither([0.1, 0.08], [1, 2], 10.0)
     eq = equilibrium(cost, dither)
     spec = LevelSpec(box=[[-3.0, 3.0], [-3.0, 3.0]], grid_theta=101)
     params = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25, 0.25], omega_xi=1.0)
     traj = simulate_average(cost, dither, params, [1.2, -1.0, 0.5, 0.5, 0.0], 0.0, 3.0, 0.0125, 4)
+    return traj, cost, dither, eq, spec
+
+
+def test_monitor_matches_single_samples_across_chunks():
+    traj, cost, dither, eq, spec = _across_chunks_case()
     oracle = _assert_monitor_matches_single_samples(traj, cost, dither, eq, spec)
     assert len(traj.times) > lyapunov._CHUNK_ELEMENTS // len(oracle._vt)
 
@@ -369,3 +375,91 @@ def test_monitor_matches_single_samples_sampled_path():
     state0 = [0.6, -0.4, 0.5, 0.5, 0.5, 0.5, 0.0]
     traj = simulate_average(cost, dither, params, state0, 0.0, 1.0, 0.0125, 4)
     _assert_monitor_matches_single_samples(traj, cost, dither, eq, spec)
+
+
+def _monitor_levels(oracle, traj):
+    """The descent monitor's quantized V_theta levels and the error states, per sample."""
+    eq, n = oracle.eq, oracle.cost.n
+    states = np.asarray(traj.states)
+    errs = (states[:, :n] - eq.theta_star, states[:, n : 2 * n] - eq.v_star,
+            states[:, 2 * n] - eq.xi_star)
+    return lyapunov._quantize_up(np.maximum(oracle._v_theta(errs[0]), 0.0)), errs
+
+
+def _refinement_cases(quad_ctx, quartic_ctx):
+    for cost, dither, eq, spec in (quad_ctx, quartic_ctx):
+        traj = simulate_average(cost, dither, FIG1, [2.0, 0.81, 0.0], 0.0, 5.0, 0.0125, 4)
+        yield traj, cost, dither, eq, spec
+    yield _across_chunks_case()
+
+
+def _xi_levels(oracle, levels, errs):
+    """Per sample, the monitor's c_xi and a c_xi below r_xi, where the envelope bound binds."""
+    r_xi = oracle._radii(oracle._targets[0], levels, np.full(len(levels), np.inf))
+    return lyapunov._quantize_up(np.maximum(r_xi, np.abs(errs[2]))), 0.5 * r_xi
+
+
+def test_refinement_sweeps_feasible_probes_only(quad_ctx, quartic_ctx, monkeypatch):
+    # every probe whose node residuals are swept satisfies V_theta <= c_theta and the
+    # envelope bound env_r_xi(V_theta) <= c_xi of its own sample; the rest are never swept
+    for traj, cost, dither, eq, spec in _refinement_cases(quad_ctx, quartic_ctx):
+        oracle = LevelSetOracle(cost, dither, eq, spec)
+        levels, errs = _monitor_levels(oracle, traj)
+        xi, *vs = oracle._targets
+        monitor_c_xi, binding_c_xi = _xi_levels(oracle, levels, errs)
+        swept, probes, level = [], [], {}
+        residuals, v_theta = oracle._residuals, oracle._v_theta
+
+        def checked_residuals(phi):
+            vt = v_theta(phi)
+            assert np.all(vt <= level["c_theta"])
+            assert np.all(oracle._env_r_xi(vt) <= level["c_xi"])
+            swept.append(len(phi))
+            return residuals(phi)
+
+        def counted_v_theta(phi):
+            probes.append(len(phi))
+            return v_theta(phi)
+
+        monkeypatch.setattr(oracle, "_residuals", checked_residuals)
+        monkeypatch.setattr(oracle, "_v_theta", counted_v_theta)
+        for j in range(0, len(levels), 7):
+            for target, cx in [(xi, np.inf)] + [(v, c_xi[j]) for v in vs
+                                                for c_xi in (monitor_c_xi, binding_c_xi)]:
+                level.update(c_theta=levels[j], c_xi=cx)
+                oracle._radii(target, levels[j : j + 1], np.array([cx]))
+        monkeypatch.undo()
+        assert 0 < sum(swept) < sum(probes)
+
+
+def _sweep_every_probe(self, target, base, axis, ct, cx):
+    """The refinement objective that sweeps every probe and masks the infeasible ones."""
+    rows = np.arange(len(base))
+
+    def objective(x):
+        phi = base.copy()
+        phi[rows, axis] = x
+        vt = self._v_theta(phi)
+        ok = (vt <= ct) & (self._env_r_xi(vt) <= cx)
+        val = target.sup(cx, target.field(self._residuals(phi)))
+        return np.where(ok, val, -np.inf)
+
+    return objective
+
+
+def test_feasible_probe_sweep_equals_sweeping_every_probe(quad_ctx, quartic_ctx, monkeypatch):
+    for traj, cost, dither, eq, spec in _refinement_cases(quad_ctx, quartic_ctx):
+        oracle = LevelSetOracle(cost, dither, eq, spec)
+        levels, errs = _monitor_levels(oracle, traj)
+        binding_c_xi = _xi_levels(oracle, levels, errs)[1]
+
+        def radii():
+            return [*oracle._evaluate(*errs, quantize=True),
+                    *(oracle._radii(v, levels, binding_c_xi) for v in oracle._targets[1:])]
+
+        shipped = radii()
+        with monkeypatch.context() as patch, np.errstate(all="ignore"):
+            patch.setattr(LevelSetOracle, "_line_objective", _sweep_every_probe)
+            every = radii()
+        for a, b in zip(shipped, every):
+            assert np.array_equal(a, b)
