@@ -26,9 +26,16 @@ closed-loop settings above, whose one cost sweep covers a (257, 1) array. The tw
 seed 0 of the ``compare_expr2d`` benchmark workload (``perfbench/workloads.py``):
 once as shipped, the average system in a forked child beside the full loop,
 and once with ``os.fork`` hidden, so the CLI runs the two one after another.
-``--json PATH`` also writes every row's median and quartiles, the Python and
-numpy versions, the CPU count and the integrator path that ran to PATH.
-Run from the repo root:
+The host's speed is measured with perfbench's calibration loop
+(``perfbench/run.py``'s ``calibration_s``, imported read-only) right before
+the first row and right after the last; the header reports the scale
+``REFERENCE_S`` / (mean of the two loop times), the factor that takes this
+run's times to the speed perfbench's reference host had. The rows print
+once that second loop has run, and stay unscaled: multiply a row by the
+scale before comparing it with a file from another run.
+``--json PATH`` also writes every row's median and quartiles, the scale and
+the two loop times, the Python and numpy versions, the CPU count and the
+integrator path that ran to PATH. Run from the repo root:
 
     python3 benchmarks/bench_layers.py [--t1 SECONDS] [--repeats N] [--json PATH]
 """
@@ -50,9 +57,11 @@ import esc_lab as el
 from esc_lab.averaging import average_flat_rhs
 from esc_lab.cli import main as cli_main
 from esc_lab.cli import write_trajectory_csv
+from esc_lab.integrate import fit_step
 from esc_lab.lyapunov import _quantize_up
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from run import REFERENCE_S, calibration_s  # noqa: E402
 from workloads import WORKLOADS, config_text  # noqa: E402
 
 # the integrator path every trajectory row below runs through
@@ -105,7 +114,7 @@ def main() -> int:
     dither = el.new_dither([0.02], [1], 10.0)
     params = el.EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
     state0 = np.array([2.0, 0.81, 0.0])
-    h, stride = el.oscillation_step(dither.period, dither.r_max, 0.05)
+    h, stride = fit_step(0.05, dither.max_step)
     nsteps = int(round(args.t1 / h))
 
     avg = el.simulate_average(cost, dither, params, state0, 0.0, 25.0, 0.01, 5)
@@ -118,7 +127,7 @@ def main() -> int:
     no_xi_level = np.full(m, np.inf)
     v_xi = np.maximum(oracle._radii(xi, levels, no_xi_level), np.abs(avg.states[:, 2] - eq.xi_star))
     c_xi = _quantize_up(v_xi)
-    h_csv, stride_csv = el.oscillation_step(dither.period, dither.r_max, 0.01)
+    h_csv, stride_csv = fit_step(0.01, dither.max_step)
     loop = el.simulate_rmspesc(cost, dither, params, state0, 0.0, args.t1, h_csv, stride_csv)
     csv_dir = tempfile.TemporaryDirectory()
     csv_path = Path(csv_dir.name, "trajectory.csv")
@@ -211,22 +220,29 @@ def main() -> int:
          compare_run(compare_cfg, csv_dir.name, sequential=True), None),
     ]
 
-    print(f"median [q1, q3] of {args.repeats} repeats")
-    rows = []
+    rows, lines = [], []
     with csv_dir:
+        before = calibration_s()
         for name, run, per in cases:
             stats = timings(args.repeats, run)
             extra = f"   {1e6 * stats[0] / per[0]:.1f} us per {per[1]}" if per else ""
-            print(f"{name:38s} {fmt(stats):>30s}{extra}")
+            lines.append(f"{name:38s} {fmt(stats):>30s}{extra}")
             med, q1, q3 = (1e3 * float(x) for x in stats)
             row = {"name": name, "median_ms": med, "q1_ms": q1, "q3_ms": q3}
             if per:
                 row.update(per=per[1], us_per=1e6 * stats[0] / per[0])
             rows.append(row)
+        after = calibration_s()
+    scale = 2 * REFERENCE_S / (before + after)
+    print(f"median [q1, q3] of {args.repeats} repeats; speed scale {scale:.3f} "
+          f"(calibration loop {before:.3f} s before, {after:.3f} s after, "
+          f"reference {REFERENCE_S} s)")
+    print("\n".join(lines))
     if args.json:
         record = {"path": PATH, "python": platform.python_version(), "numpy": np.__version__,
                   "machine": platform.machine(), "nproc": os.cpu_count(), "t1": args.t1,
-                  "repeats": args.repeats, "rows": rows}
+                  "repeats": args.repeats, "scale": scale, "calibration_s": [before, after],
+                  "reference_s": REFERENCE_S, "rows": rows}
         Path(args.json).write_text(json.dumps(record, indent=2) + "\n")
     return 0
 

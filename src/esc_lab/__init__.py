@@ -22,13 +22,12 @@ from .cost import (
     shifted_quartic_cost,
 )
 from .dynamics import EscParams
-from .integrate import NonFiniteStateError, Trajectory, integrate_fixed, oscillation_step
+from .integrate import NonFiniteStateError, Trajectory, integrate_fixed
 from .lyapunov import (
     BoxEscapeError,
     DescentReport,
     LevelSetOracle,
     LevelSpec,
-    LyapunovReport,
     monitor_descent,
     v_theta,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "JacobianReport",
     "LevelSetOracle",
     "LevelSpec",
-    "LyapunovReport",
     "NonFiniteStateError",
     "PeriodQuadrature",
     "QuadraticModel",
@@ -68,7 +66,6 @@ __all__ = [
     "integrate_fixed",
     "monitor_descent",
     "new_dither",
-    "oscillation_step",
     "parse_cost",
     "quad_avg_maps",
     "quad_jacobian",

@@ -141,7 +141,7 @@ def _time_grid(cfg: ExperimentConfig, params: EscParams, dither: DitherConfig, o
                               "RK4 is unstable for the filters beyond that step")
         _check_steps(t1, h, "time.h")
         return 0.0, t1, h, stride
-    h_max, keys = min((dither.period / (40.0 * dither.r_max), "dither.omega and dither.rates")
+    h_max, keys = min((dither.max_step, "dither.omega and dither.rates")
                       if oscillatory else (0.01, "the average system's 0.01 cap"),
                       (h_gain, gain_name), (sample_dt, "time.sample_dt"))
     _check_steps(t1, h_max, keys)

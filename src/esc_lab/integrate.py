@@ -3,7 +3,8 @@
 The closed loop is persistently oscillatory (the dither never settles), so an
 adaptive controller would thrash; a fixed step chosen from the dither period
 is predictable and testable. The CLI picks h by two rules: ``h <= T / (40 *
-r_max)``, at least 40 samples of the fastest dither harmonic per period; and,
+r_max)`` (``DitherConfig.max_step``), at least 40 samples of the fastest
+dither harmonic per period; and,
 for the filters, ``h <= 2.5 / max(omega_l, omega_xi)`` (``cli._gain_step``),
 inside RK4's real-axis stability limit of 2.785.
 
@@ -39,7 +40,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 __all__ = ["Trajectory", "NonFiniteStateError", "integrate_fixed", "nonneg", "fit_step",
-           "oscillation_step", "step_grid"]
+           "step_grid"]
 
 
 class NonFiniteStateError(RuntimeError):
@@ -95,11 +96,6 @@ def fit_step(sample_dt: float, h_max: float) -> tuple[float, int]:
     """
     stride = max(1, int(np.ceil(sample_dt / h_max - 1e-12)))
     return sample_dt / stride, stride
-
-
-def oscillation_step(period: float, r_max: int, sample_dt: float) -> tuple[float, int]:
-    """Step size and recording stride for an oscillatory loop: h <= period / (40 * r_max)."""
-    return fit_step(sample_dt, period / (40.0 * r_max))
 
 
 def step_grid(t0: float, t1: float, h: float, record_stride: int) -> tuple[int, int]:

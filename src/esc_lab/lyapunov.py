@@ -11,7 +11,14 @@ sublevel sets of V_theta:
 
     r_xi(c)        = max |J_bar(theta* + phi) - xi*|      s.t. V_theta(phi) <= c
     r_v_i(c, cxi)  = max |g2_bar_i(theta* + phi, xi* + eta) - v*_i|
-                     s.t. V_theta(phi) <= c,  max{r_xi(V_theta(phi)), |eta|} <= cxi
+                     s.t. V_theta(phi) <= c,  |eta| <= cxi
+
+The paper constrains r_v_i further, by max{r_xi(V_theta(phi)), |eta|} <= cxi.
+V queries r_v_i only at cxi = V_xi >= r_xi(c), and r_xi is monotone, so there
+r_xi(V_theta(phi)) <= r_xi(c) <= cxi for every phi with V_theta(phi) <= c: the
+extra bound is vacuous and the two definitions agree on the domain V uses (up
+to the monitor's rounding of V_xi onto its level grid, which can fall short
+by about 1e-15 relative).
 
 The filter errors are low-pass states attracted to those images, so along
 average-system trajectories V should be non-increasing; :func:`monitor_descent`
@@ -26,14 +33,15 @@ for v_i the endpoint or vertex of a convex quadratic in eta. One radius
 routine serves every target: a dense grid search over the parameter error,
 fed by one cost sweep that tabulates all targets, plus one golden-section
 refinement along the best grid axis that applies the same field and sup off
-the grid. The descent monitor rounds each sample's levels upward with a
-relative quantization of 1e-3 (the radii are monotone in their levels, so
-the error is bounded and one-sided) and then evaluates all samples in
-lockstep: one masked grid argmax per sample, and one batched golden-section
-refinement in which every iteration tests all samples' probes against the
-sublevel and envelope constraints and then makes a single cost sweep over
-the quadrature nodes of the feasible probes only (an infeasible probe
-cannot raise a sup, so it scores -inf unswept). Nothing is memoized;
+the grid. :meth:`LevelSetOracle._radii` answers radius queries and
+:meth:`LevelSetOracle._evaluate` evaluates V; both take batches. V rounds
+each sample's levels upward with a relative quantization of 1e-3 (the radii
+are monotone in their levels, so the error is bounded and one-sided) and
+then evaluates all samples in lockstep: one masked grid argmax per sample,
+and one batched golden-section refinement in which every iteration tests all
+samples' probes against the sublevel constraint and then makes a single
+cost sweep over the quadrature nodes of the feasible probes only (an
+infeasible probe cannot raise a sup, so it scores -inf unswept). Nothing is memoized;
 consecutive samples almost never share a level.
 """
 
@@ -46,14 +54,13 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .averaging import Equilibrium, ErrorState, PeriodQuadrature
+from .averaging import Equilibrium, PeriodQuadrature
 from .cost import CostFunction
 from .integrate import Trajectory
 from .signals import DitherConfig
 
 __all__ = [
     "LevelSpec",
-    "LyapunovReport",
     "DescentReport",
     "BoxEscapeError",
     "LevelSetOracle",
@@ -112,16 +119,6 @@ class LevelSpec:
     @property
     def n(self) -> int:
         return self.box.shape[0]
-
-
-@dataclass(frozen=True)
-class LyapunovReport:
-    v_theta: float
-    r_xi: float
-    r_v: np.ndarray
-    v_xi: float
-    v_v: np.ndarray
-    v_total: float
 
 
 @dataclass(frozen=True)
@@ -229,12 +226,12 @@ class LevelSetOracle:
     sup its absolute value), then v_1 ... v_n (field the (p, q) of
     :meth:`PeriodQuadrature.g2_coeffs`, sup :func:`_eta_abs_max`). One cost
     sweep over the parameter-error grid tabulates V_theta and every target's
-    field; :meth:`_radii` answers any target's level queries from those tables.
-    Queries are batched over samples; the scalar methods are the one-sample
-    case. All state is read-only after construction. Building raises
-    ValueError when V_theta or a field is not finite anywhere on the grid (a
-    box so large that J overflows, or a cost singular in it): no radius or
-    verdict would mean anything.
+    field; :meth:`_radii` answers any target's level queries from those tables,
+    and :meth:`_evaluate` evaluates V. Both take a batch of samples; a single
+    query is a batch of one. All state is read-only after construction.
+    Building raises ValueError when V_theta or a field is not finite anywhere
+    on the grid (a box so large that J overflows, or a cost singular in it):
+    no radius or verdict would mean anything.
     """
 
     def __init__(
@@ -284,14 +281,6 @@ class LevelSetOracle:
         # their minimum is at least the true minimum over the faces.
         self._vt_boundary_min = float(np.min(self._v_theta(_onto_nearest_face(pts, spec.box))))
 
-        # Monotone envelope of the grid radius: sort by level, prefix-max the
-        # xi target's heights. env(c) = max{|jbar_err(p)| : vt(p) <= c} in O(log N).
-        order = np.argsort(self._vt, kind="stable")
-        self._vt_sorted = self._vt[order]
-        self._r_xi_prefix = np.maximum.accumulate(xi.sup(np.inf, self._tables[xi])[order])
-
-        self._vt_env = self._env_r_xi(self._vt)
-
     # -- fields on batches of error points -------------------------------------
 
     def _v_theta(self, phi: np.ndarray) -> np.ndarray:
@@ -315,11 +304,6 @@ class LevelSetOracle:
         parts = [[t.field(y_c) for t in self._targets] for y_c in map(self._residuals, chunks)]
         return {t: tuple(map(np.concatenate, zip(*col)))
                 for t, col in zip(self._targets, zip(*parts))}
-
-    def _env_r_xi(self, level) -> np.ndarray:
-        """Grid envelope of r_xi, used inside the r_v feasibility constraint."""
-        idx = np.searchsorted(self._vt_sorted, level, side="right") - 1
-        return np.where(idx >= 0, self._r_xi_prefix[np.maximum(idx, 0)], 0.0)
 
     # -- radii ---------------------------------------------------------------
 
@@ -358,19 +342,18 @@ class LevelSetOracle:
     def _line_objective(self, target: _Target, base: np.ndarray, axis: np.ndarray,
                         ct: np.ndarray, cx: np.ndarray) -> Callable:
         """The refinement objective of a chunk of k samples: x (k,) -> the target's error sup
-        at ``base`` with coordinate ``axis`` set to x, or -inf where the point is infeasible.
+        at ``base`` with coordinate ``axis`` set to x, or -inf where V_theta exceeds ``ct``.
 
-        V_theta and the envelope test run on all k probes; the node residuals, the field
-        and the sup only on the feasible ones. Each row's value is independent of the
-        others, so it is the same as a sweep over every probe would give.
+        V_theta runs on all k probes; the node residuals, the field and the sup only on
+        the feasible ones. Each row's value is independent of the others, so it is the
+        same as a sweep over every probe would give.
         """
         rows = np.arange(len(base))
 
         def objective(x: np.ndarray) -> np.ndarray:
             phi = base.copy()
             phi[rows, axis] = x
-            vt = self._v_theta(phi)
-            ok = (vt <= ct) & (self._env_r_xi(vt) <= cx)
+            ok = self._v_theta(phi) <= ct
             val = np.full(len(x), -np.inf)
             val[ok] = target.sup(cx[ok], target.field(self._residuals(phi[ok])))
             return val
@@ -379,8 +362,9 @@ class LevelSetOracle:
 
     def _radii(self, target: _Target, c_theta: np.ndarray, c_xi: np.ndarray) -> np.ndarray:
         """One target's radii for a batch of levels: the sup of its error over the points
-        with V_theta <= c_theta and env_r_xi(V_theta) <= c_xi (xi is queried with c_xi = inf,
-        which makes that constraint vacuous).
+        with V_theta <= c_theta, and for a v target over |eta| <= c_xi (xi ignores c_xi).
+        This is the paper's r_v on the domain c_xi >= r_xi(c_theta), the only one V
+        queries (see the module docstring).
 
         Samples run in chunks of at most ``_CHUNK_ELEMENTS`` grid (or quadrature) entries:
         a masked grid argmax each, then on the grid path one lockstep golden-section
@@ -389,7 +373,7 @@ class LevelSetOracle:
         field and sup to one cost sweep over the quadrature nodes of the feasible probes
         only; an infeasible probe scores -inf without a sweep.
         """
-        if np.any(c_theta < 0):
+        if np.any(c_theta < 0) or np.any(c_xi < 0):
             raise ValueError("levels must be nonnegative")
         escaped = np.nonzero(c_theta >= self._vt_boundary_min)[0]
         if escaped.size:
@@ -403,7 +387,7 @@ class LevelSetOracle:
         for lo in range(0, len(c_theta), chunk):
             sl = slice(lo, lo + chunk)
             ct, cx = c_theta[sl], c_xi[sl]
-            feasible = (self._vt <= ct[:, None]) & (self._vt_env <= cx[:, None])
+            feasible = self._vt <= ct[:, None]
             heights = np.broadcast_to(target.sup(cx[:, None], table), feasible.shape)
             vals = np.where(feasible, heights, -np.inf)
             idx = np.argmax(vals, axis=1)
@@ -417,56 +401,24 @@ class LevelSetOracle:
             del feasible, heights, vals  # free this chunk's (k, N) arrays before the next allocates
         return out
 
-    def radius_xi(self, c_theta: float, quantize: bool = False) -> float:
-        """Bounding-ball radius for the averaged-cost error over {V_theta <= c}."""
-        levels = np.array([c_theta], dtype=float)
-        if quantize:
-            levels = _quantize_up(levels)
-        return float(self._radii(self._targets[0], levels, np.full(1, np.inf))[0])
-
-    def radius_v(self, c_theta: float, c_xi: float, channel: int = 0, quantize: bool = False) -> float:
-        """Bounding-ball radius for one squared-estimate channel under both levels."""
-        if not 0 <= channel < self.cost.n:
-            raise ValueError(f"channel must be in [0, {self.cost.n})")
-        if c_xi < 0:
-            raise ValueError("levels must be nonnegative")
-        levels = np.array([c_theta, c_xi], dtype=float)
-        if quantize:
-            levels = _quantize_up(levels)
-        return float(self._radii(self._targets[1 + channel], levels[:1], levels[1:])[0])
-
     # -- composite function ---------------------------------------------------
 
-    def _evaluate(self, theta_err: np.ndarray, v_err: np.ndarray, xi_err: np.ndarray,
-                  quantize: bool):
+    def _evaluate(self, theta_err: np.ndarray, v_err: np.ndarray, xi_err: np.ndarray):
         """V and its terms for a batch of error states (one row per sample).
 
-        Returns (V_theta, r_xi, V_xi, r_v, V_v, V); r_v and V_v are (m, n).
+        The radii are taken at the levels V_theta and V_xi rounded up by
+        :func:`_quantize_level`. Returns (V_theta, r_xi, V_xi, r_v, V_v, V); r_v and
+        V_v are (m, n).
         """
         vt = self._v_theta(theta_err)
-        levels = np.maximum(vt, 0.0)
-        if quantize:
-            levels = _quantize_up(levels)
+        levels = _quantize_up(np.maximum(vt, 0.0))
         xi, *vs = self._targets
         r_xi = self._radii(xi, levels, np.full(len(levels), np.inf))
         v_xi = np.maximum(r_xi, np.abs(xi_err))
-        c_xi = _quantize_up(v_xi) if quantize else v_xi
+        c_xi = _quantize_up(v_xi)
         r_v = np.stack([self._radii(v, levels, c_xi) for v in vs], axis=1)
         v_v = np.maximum(r_v, np.abs(v_err))
         return vt, r_xi, v_xi, r_v, v_v, vt + v_xi + np.sum(v_v, axis=1)
-
-    def value(self, err: ErrorState, quantize: bool = True) -> LyapunovReport:
-        vt, r_xi, v_xi, r_v, v_v, total = self._evaluate(
-            err.theta_err[None, :], err.v_err[None, :], np.array([err.xi_err]), quantize
-        )
-        return LyapunovReport(
-            v_theta=float(vt[0]),
-            r_xi=float(r_xi[0]),
-            r_v=r_v[0],
-            v_xi=float(v_xi[0]),
-            v_v=v_v[0],
-            v_total=float(total[0]),
-        )
 
 
 def monitor_descent(
@@ -492,7 +444,6 @@ def monitor_descent(
         states[:, :n] - eq.theta_star,
         states[:, n : 2 * n] - eq.v_star,
         states[:, 2 * n] - eq.xi_star,
-        quantize=True,
     )
     tol = 1e-6 * values[0] + 1e-12
     diffs = np.diff(values)

@@ -63,6 +63,11 @@ class DitherConfig:
     def r_max(self) -> int:
         return int(self.rates.max())
 
+    @property
+    def max_step(self) -> float:
+        """Largest RK4 step for a loop driven by this dither: 40 steps per fastest cycle."""
+        return self.period / (40.0 * self.r_max)
+
     def scaled(self, a0_new: float) -> "DitherConfig":
         """Rescale the overall dither magnitude, keeping the ratios a_i / a0 fixed."""
         if a0_new <= 0.0:

@@ -9,6 +9,7 @@ import pytest
 import esc_lab as el
 from esc_lab.averaging import average_flat_rhs
 from esc_lab.dynamics import gesc_flat_rhs, rmspesc_flat_rhs
+from esc_lab.integrate import fit_step
 from esc_lab.lyapunov import LevelSetOracle
 
 FIG1 = el.EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
@@ -128,7 +129,7 @@ def test_criterion_5_averaging_validity():
         gaps = []
         for omega in (10.0, 20.0, 40.0):
             dither = el.new_dither([0.02], [1], omega)
-            h, stride = el.oscillation_step(dither.period, dither.r_max, sample_dt)
+            h, stride = fit_step(sample_dt, dither.max_step)
             full = el.simulate_rmspesc(cost, dither, FIG1, state0, 0.0, 100.0, h, stride)
             if avg is None:
                 avg = el.simulate_average(cost, dither, FIG1, state0, 0.0, 100.0, sample_dt / 4, 4)
@@ -141,7 +142,7 @@ def test_criterion_6_qualitative_trajectory_reproduction():
     with criterion(6, "caption-parameter runs converge; normalized loop moves slower early", 60.0):
         cost = el.quartic_cost()
         dither = el.new_dither([0.02], [1], 10.0)
-        h, stride = el.oscillation_step(dither.period, dither.r_max, 0.01)
+        h, stride = fit_step(0.01, dither.max_step)
         y0 = el.eval_cost(cost, [2.0])
 
         rmsp_zero = None
@@ -178,12 +179,14 @@ def test_criterion_7_lyapunov_descent_and_radii_monotonicity():
         for name in ("quadratic", "quartic"):
             cost, dither, eq, spec, _, _ = runs[name]
             oracle = LevelSetOracle(cost, dither, eq, spec)
+            xi, v0 = oracle._targets[:2]
             slack = lambda r: 1e-9 * (1.0 + abs(r))
-            r_xi = [oracle.radius_xi(c) for c in np.linspace(0.0, 2.0, 10)]
+            levels, ones = np.linspace(0.0, 2.0, 10), np.ones(10)
+            r_xi = oracle._radii(xi, levels, np.full(10, np.inf))
             assert all(b >= a - slack(a) for a, b in zip(r_xi, r_xi[1:])), name
-            r_v_theta = [oracle.radius_v(c, 1.0, 0) for c in np.linspace(0.0, 2.0, 10)]
+            r_v_theta = oracle._radii(v0, levels, ones)
             assert all(b >= a - slack(a) for a, b in zip(r_v_theta, r_v_theta[1:])), name
-            r_v_xi = [oracle.radius_v(1.0, c, 0) for c in np.linspace(0.0, 2.0, 10)]
+            r_v_xi = oracle._radii(v0, ones, levels)
             assert all(b >= a - slack(a) for a, b in zip(r_v_xi, r_v_xi[1:])), name
 
 
@@ -195,15 +198,17 @@ def test_criterion_8_filter_error_boundedness():
             oracle = LevelSetOracle(cost, dither, eq, spec)
             n = cost.n
             theta_err0 = traj.states[0, :n] - eq.theta_star
-            vt0 = el.v_theta(cost, eq.theta_star, theta_err0)
+            vt0 = np.array([el.v_theta(cost, eq.theta_star, theta_err0)])
             xi_err = traj.states[:, 2 * n] - eq.xi_star
-            bound_xi = max(abs(xi_err[0]), oracle.radius_xi(vt0)) + 1e-6
+            r_xi0 = float(oracle._radii(oracle._targets[0], vt0, np.full(1, np.inf))[0])
+            bound_xi = max(abs(xi_err[0]), r_xi0) + 1e-6
             assert np.max(np.abs(xi_err)) <= bound_xi, name
 
-            v_xi0 = max(oracle.radius_xi(vt0), abs(xi_err[0]))
+            v_xi0 = np.array([max(r_xi0, abs(xi_err[0]))])
             for i in range(n):
                 v_err = traj.states[:, n + i] - eq.v_star[i]
-                bound_v = max(abs(v_err[0]), oracle.radius_v(vt0, v_xi0, i)) + 1e-6
+                r_v0 = float(oracle._radii(oracle._targets[1 + i], vt0, v_xi0)[0])
+                bound_v = max(abs(v_err[0]), r_v0) + 1e-6
                 assert np.max(np.abs(v_err)) <= bound_v, name
 
 

@@ -17,23 +17,28 @@ from esc_lab import (averaging, cli, config, cost, dynamics, expressions, integr
 # dither methods (dither_value and demod_value broadcast), and members of
 # result and config classes that nothing read; the oracle's per-target
 # copies of the field math and radius search (one _radii remains); the
-# recursive expression walker (each parsed cost is one compiled function);
-# settings that only ever took their default (the CLI's node-count reader,
-# the cost label); the grid heuristics for the standing assumptions on J,
-# which no mode ran.
+# oracle's per-level entry points and their report class (_radii and
+# _evaluate answer every query in batches) and the r_xi envelope that no
+# query of V reached; the recursive expression walker (each parsed cost is
+# one compiled function); settings that only ever took their default (the
+# CLI's node-count reader, the cost label); the grid heuristics for the
+# standing assumptions on J, which no mode ran; the second statement of the
+# oscillatory step rule (DitherConfig.max_step holds it).
 REMOVED = {
     dynamics: ["EscState", "EscDerivative", "rmspesc_rhs", "gesc_rhs", "grad_estimate"],
     averaging: ["average_rhs", "default_nodes", "_node_signals", "avg_g2_coeffs"],
-    lyapunov: ["radius_xi", "radius_v", "lyapunov_value", "_as_equilibrium"],
+    lyapunov: ["radius_xi", "radius_v", "lyapunov_value", "_as_equilibrium", "LyapunovReport"],
     cli: ["_parallel", "_max_workers", "ThreadPoolExecutor", "_n_q"],
     simulate: ["_resolve_path", "_run_kernel"],
     cost: ["CostKernelSpec", "KERNEL_QUADRATIC", "KERNEL_QUARTIC", "Verdict", "AssumptionReport",
            "_grid_points", "_local_minima_mask", "_connected_components", "check_assumptions"],
+    integrate: ["oscillation_step"],
     cost.CostFunction: ["name"],
     integrate.Trajectory: ["column", "label"],
     signals.DitherConfig: ["phase_grid", "dither_matrix", "demod_matrix"],
     averaging.AverageMaps: ["n_q"],
-    lyapunov.LevelSetOracle: ["_batch_fields", "_radii_chunk", "_eta_abs_max"],
+    lyapunov.LevelSetOracle: ["_batch_fields", "_radii_chunk", "_eta_abs_max", "radius_xi",
+                              "radius_v", "value", "_env_r_xi"],
     expressions: ["_evaluate"],
 }
 
@@ -55,6 +60,27 @@ def test_removed_names_are_gone():
             assert name not in esc_lab.__all__
             assert not hasattr(esc_lab, name)
     assert "label" not in inspect.signature(integrate.integrate_fixed).parameters
+
+
+def test_oracle_keeps_no_envelope_tables():
+    # instance attributes are no class members, so REMOVED cannot see them
+    quartic, dither = cost.quartic_cost(), signals.new_dither([0.1], [1], 10.0)
+    oracle = lyapunov.LevelSetOracle(quartic, dither, averaging.equilibrium(quartic, dither),
+                                     lyapunov.LevelSpec(box=[[-1.0, 1.0]], grid_theta=11))
+    for name in ("_vt_env", "_vt_sorted", "_r_xi_prefix"):
+        assert not hasattr(oracle, name), name
+
+
+def test_levels_are_always_quantized():
+    # V takes its radii at quantized levels on every path; no function switches that off
+    functions = [f for _, cls in inspect.getmembers(lyapunov, inspect.isclass)
+                 if cls.__module__ == lyapunov.__name__
+                 for _, f in inspect.getmembers(cls, inspect.isfunction)]
+    functions += [f for _, f in inspect.getmembers(lyapunov, inspect.isfunction)
+                  if f.__module__ == lyapunov.__name__]
+    assert lyapunov.LevelSetOracle._evaluate in functions
+    for func in functions:
+        assert "quantize" not in inspect.signature(func).parameters, func.__qualname__
 
 
 def test_fixed_settings_take_no_parameter():

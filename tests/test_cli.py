@@ -249,8 +249,7 @@ def assert_no_child_left():
 
 
 def test_compare_csvs_match_in_process_runs(tmp_path):
-    from esc_lab import (EscParams, new_dither, oscillation_step, quartic_cost, simulate_average,
-                         simulate_rmspesc)
+    from esc_lab import EscParams, new_dither, quartic_cost, simulate_average, simulate_rmspesc
     from esc_lab.integrate import fit_step
 
     assert main(["compare", "--config", "quartic_compare", "--set", "time.t1=5",
@@ -260,7 +259,7 @@ def test_compare_csvs_match_in_process_runs(tmp_path):
     dither = new_dither([0.02], [1], 10.0)
     params = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
     state0 = np.array([2.0, 0.81, 0.0])
-    h, stride = oscillation_step(dither.period, dither.r_max, 0.05)
+    h, stride = fit_step(0.05, dither.max_step)
     h_avg, avg_stride = fit_step(0.05, 0.05 / 4)
     runs = {
         "trajectory_full.csv": simulate_rmspesc(cost, dither, params, state0, 0.0, 5.0, h, stride),

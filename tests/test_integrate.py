@@ -13,7 +13,6 @@ from esc_lab import (
     avg_maps,
     integrate_fixed,
     new_dither,
-    oscillation_step,
     parse_cost,
     quadratic_cost,
     quartic_cost,
@@ -142,11 +141,11 @@ def test_step_grid_rejects_non_finite_span(t0, t1):
 
 def test_oscillation_step_rule():
     cfg = new_dither([0.02], [1], 10.0)
-    h, stride = oscillation_step(cfg.period, cfg.r_max, 0.05)
+    h, stride = fit_step(0.05, cfg.max_step)
     assert h <= cfg.period / (40 * cfg.r_max) + 1e-15
     assert stride * h == pytest.approx(0.05, rel=1e-12)
     cfg_fast = new_dither([0.02, 0.01], [1, 4], 40.0)
-    h2, stride2 = oscillation_step(cfg_fast.period, cfg_fast.r_max, 0.05)
+    h2, stride2 = fit_step(0.05, cfg_fast.max_step)
     assert h2 <= cfg_fast.period / (40 * cfg_fast.r_max) + 1e-15
     assert stride2 * h2 == pytest.approx(0.05, rel=1e-12)
     assert (h2, stride2) == fit_step(0.05, cfg_fast.period / (40 * cfg_fast.r_max))
@@ -164,7 +163,7 @@ def test_clamp_never_fires_on_quadratic_loop_with_step_rule():
     cost = quadratic_cost(1.0, 3.0)
     dither = new_dither([0.2], [1], 10.0)
     params = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
-    h, stride = oscillation_step(dither.period, dither.r_max, 0.05)
+    h, stride = fit_step(0.05, dither.max_step)
     traj = integrate_fixed(
         rmspesc_flat_rhs(params, cost, dither),
         [2.0, 0.81, 0.0], 0.0, 20.0, h, stride,

@@ -42,6 +42,29 @@ def quartic_ctx():
     return cost, dither, eq, spec
 
 
+def _xi_radii(oracle, levels):
+    """r_xi at each level, through the batched radius routine."""
+    levels = np.atleast_1d(np.asarray(levels, dtype=float))
+    return oracle._radii(oracle._targets[0], levels, np.full(len(levels), np.inf))
+
+
+def _v_radii(oracle, c_theta, c_xi, channel=0):
+    """r_v of one channel at each (c_theta, c_xi) pair; a scalar level broadcasts."""
+    c_theta, c_xi = np.broadcast_arrays(np.atleast_1d(np.asarray(c_theta, dtype=float)),
+                                        np.atleast_1d(np.asarray(c_xi, dtype=float)))
+    return oracle._radii(oracle._targets[1 + channel], c_theta, c_xi)
+
+
+_TERMS = ("v_theta", "r_xi", "v_xi", "r_v", "v_v", "v_total")
+
+
+def _value(oracle, state):
+    """V and its terms at one flat state, through the batched evaluator."""
+    err = to_error_coords(state, oracle.eq)
+    terms = oracle._evaluate(err.theta_err[None, :], err.v_err[None, :], np.array([err.xi_err]))
+    return {name: term[0] for name, term in zip(_TERMS, terms)}
+
+
 def test_v_theta_values():
     quad = quadratic_cost(1.0, 3.0)
     assert v_theta(quad, [0.0], [0.0]) == 0.0
@@ -68,21 +91,22 @@ def test_level_spec_validation():
 
 def test_radius_xi_zero_level(quad_ctx):
     cost, dither, eq, spec = quad_ctx
-    assert LevelSetOracle(cost, dither, eq, spec).radius_xi(0.0) == pytest.approx(0.0, abs=1e-9)
+    assert _xi_radii(LevelSetOracle(cost, dither, eq, spec), 0.0)[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_radius_xi_quadratic_identity(quad_ctx):
     # For the quadratic, the averaged-cost error over {V_theta <= c} equals c.
     cost, dither, eq, spec = quad_ctx
     oracle = LevelSetOracle(cost, dither, eq, spec)
-    for c in (0.1, 0.5, 1.0):
-        assert oracle.radius_xi(c) == pytest.approx(c, rel=2e-3)
+    levels = [0.1, 0.5, 1.0]
+    for c, r in zip(levels, _xi_radii(oracle, levels)):
+        assert r == pytest.approx(c, rel=2e-3)
 
 
 def test_radius_xi_monotone_on_quartic(quartic_ctx):
     cost, dither, eq, spec = quartic_ctx
     oracle = LevelSetOracle(cost, dither, eq, spec)
-    values = [oracle.radius_xi(c) for c in np.linspace(0.0, 2.0, 10)]
+    values = _xi_radii(oracle, np.linspace(0.0, 2.0, 10))
     for lo, hi in zip(values, values[1:]):
         assert hi >= lo - 1e-9 * (1.0 + abs(lo))
     assert values[-1] > values[0]
@@ -92,19 +116,19 @@ def test_radius_xi_box_escape(quad_ctx):
     cost, dither, eq, spec = quad_ctx
     oracle = LevelSetOracle(cost, dither, eq, spec)
     with pytest.raises(BoxEscapeError):
-        oracle.radius_xi(100.0)  # sublevel set wider than [-4, 4]
+        _xi_radii(oracle, 100.0)  # sublevel set wider than [-4, 4]
 
 
 def test_radius_v_zero_levels(quad_ctx):
     cost, dither, eq, spec = quad_ctx
-    r = LevelSetOracle(cost, dither, eq, spec).radius_v(0.0, 0.0, 0)
+    r = _v_radii(LevelSetOracle(cost, dither, eq, spec), 0.0, 0.0)[0]
     assert r == pytest.approx(0.0, abs=1e-9)
 
 
 def test_radius_v_against_dense_grid_oracle(quad_ctx):
     cost, dither, eq, spec = quad_ctx
     oracle = LevelSetOracle(cost, dither, eq, spec)
-    r = oracle.radius_v(0.5, 0.5, 0)
+    r = _v_radii(oracle, 0.5, 0.5)[0]
 
     # brute-force 2-d scan at 4x resolution using the closed-form averages
     phis = np.linspace(-4.0, 4.0, 4 * 401 + 1)
@@ -127,43 +151,41 @@ def test_radius_v_monotone_in_each_level(quad_ctx):
     cost, dither, eq, spec = quad_ctx
     oracle = LevelSetOracle(cost, dither, eq, spec)
     for c_xi in (0.2, 1.0):
-        vals = [oracle.radius_v(c, c_xi, 0) for c in np.linspace(0.0, 2.0, 10)]
+        vals = _v_radii(oracle, np.linspace(0.0, 2.0, 10), c_xi)
         for lo, hi in zip(vals, vals[1:]):
             assert hi >= lo - 1e-9 * (1.0 + abs(lo))
     for c_theta in (0.2, 1.0):
-        vals = [oracle.radius_v(c_theta, c, 0) for c in np.linspace(0.0, 2.0, 10)]
+        vals = _v_radii(oracle, c_theta, np.linspace(0.0, 2.0, 10))
         for lo, hi in zip(vals, vals[1:]):
             assert hi >= lo - 1e-9 * (1.0 + abs(lo))
 
 
 def test_radius_v_channel_validation(quad_ctx):
+    # the cascade holds xi and one v target per channel, and no level may be negative
     cost, dither, eq, spec = quad_ctx
     oracle = LevelSetOracle(cost, dither, eq, spec)
+    assert len(oracle._targets) == 1 + cost.n
     with pytest.raises(ValueError):
-        oracle.radius_v(0.1, 0.1, 3)
-    with pytest.raises(ValueError):
-        oracle.radius_v(0.1, -0.1, 0)
+        _v_radii(oracle, 0.1, -0.1)
 
 
 def test_lyapunov_value_at_origin(quad_ctx):
     cost, dither, eq, spec = quad_ctx
-    err = to_error_coords(eq.flat(), eq)
-    report = LevelSetOracle(cost, dither, eq, spec).value(err, quantize=False)
-    assert report.v_total == pytest.approx(0.0, abs=1e-9)
+    report = _value(LevelSetOracle(cost, dither, eq, spec), eq.flat())
+    assert report["v_total"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_lyapunov_value_breakdown(quad_ctx):
     cost, dither, eq, spec = quad_ctx
-    err = to_error_coords(
-        np.array([1.0 + eq.theta_star[0], eq.v_star[0], eq.xi_star]), eq
+    state = np.array([1.0 + eq.theta_star[0], eq.v_star[0], eq.xi_star])
+    report = _value(LevelSetOracle(cost, dither, eq, spec), state)
+    assert report["v_theta"] == pytest.approx(0.5, rel=1e-9)
+    # r_xi(c) = c for this cost, taken at the level 0.5 rounded up onto the quantization grid
+    assert report["r_xi"] == pytest.approx(lyapunov._quantize_level(0.5), rel=2e-3)
+    assert report["v_total"] == pytest.approx(
+        report["v_theta"] + report["v_xi"] + report["v_v"].sum(), rel=1e-14
     )
-    report = LevelSetOracle(cost, dither, eq, spec).value(err, quantize=False)
-    assert report.v_theta == pytest.approx(0.5, rel=1e-9)
-    assert report.r_xi == pytest.approx(0.5, rel=2e-3)   # r_xi(0.5) = 0.5 for this cost
-    assert report.v_total == pytest.approx(
-        report.v_theta + report.v_xi + report.v_v.sum(), rel=1e-14
-    )
-    assert report.v_total >= report.v_theta
+    assert report["v_total"] >= report["v_theta"]
 
 
 def test_lyapunov_value_dominates_theta_term(quad_ctx):
@@ -172,8 +194,8 @@ def test_lyapunov_value_dominates_theta_term(quad_ctx):
     rng = np.random.default_rng(3)
     for _ in range(5):
         state = np.array([rng.uniform(-1.5, 1.5), rng.uniform(0, 2), rng.uniform(-1, 1)])
-        report = oracle.value(to_error_coords(state, eq), quantize=False)
-        assert report.v_total >= v_theta(cost, eq.theta_star, [state[0] - eq.theta_star[0]]) - 1e-12
+        report = _value(oracle, state)
+        assert report["v_total"] >= v_theta(cost, eq.theta_star, [state[0] - eq.theta_star[0]]) - 1e-12
 
 
 def test_sublevel_sets_connected(quad_ctx, quartic_ctx):
@@ -204,14 +226,16 @@ def test_sublevel_sets_connected_two_dimensional():
 def test_quantized_radius_levels(quad_ctx):
     cost, dither, eq, spec = quad_ctx
     oracle = LevelSetOracle(cost, dither, eq, spec)
-    for c in (0.37, 1.234):
-        exact = oracle.radius_xi(c)
-        quantized = oracle.radius_xi(c, quantize=True)
+    levels = np.array([0.37, 1.234])
+    quantized_levels = lyapunov._quantize_up(levels)
+    for exact, quantized, again in zip(_xi_radii(oracle, levels),
+                                       _xi_radii(oracle, quantized_levels),
+                                       _xi_radii(oracle, quantized_levels)):
         # levels round upward, radii are monotone => one-sided error
         assert exact - 1e-12 <= quantized <= exact * 1.002 + 1e-12
-        assert oracle.radius_xi(c, quantize=True) == quantized
-    rv_exact = oracle.radius_v(0.5, 0.5, 0)
-    rv_quant = oracle.radius_v(0.5, 0.5, 0, quantize=True)
+        assert again == quantized
+    rv_exact = _v_radii(oracle, 0.5, 0.5)[0]
+    rv_quant = _v_radii(oracle, *lyapunov._quantize_up([0.5, 0.5]))[0]
     assert rv_exact - 1e-12 <= rv_quant <= rv_exact * 1.005 + 1e-12
 
 
@@ -257,13 +281,13 @@ def test_two_dimensional_grid_radii():
     oracle = LevelSetOracle(cost, dither, eq, spec)
 
     # diagonal quadratic: the averaged-cost error equals V_theta, so r_xi(c) = c
-    for c in (0.25, 1.0):
-        assert oracle.radius_xi(c) == pytest.approx(c, rel=5e-3)
+    for c, r in zip((0.25, 1.0), _xi_radii(oracle, [0.25, 1.0])):
+        assert r == pytest.approx(c, rel=5e-3)
 
     # cross-check one r_v value against a coarse scan of the quadrature maps
     quad = PeriodQuadrature(dither)
     c_theta, c_xi, channel = 0.5, 0.5, 1
-    r = oracle.radius_v(c_theta, c_xi, channel)
+    r = _v_radii(oracle, c_theta, c_xi, channel)[0]
     best = 0.0
     grid = np.linspace(-1.2, 1.2, 41)
     for p1 in grid:
@@ -277,7 +301,7 @@ def test_two_dimensional_grid_radii():
     assert r >= best - 1e-9
     assert r <= best * 1.15  # coarse scan undershoots the boundary maximum
 
-    vals = [oracle.radius_v(c, 1.0, 0) for c in np.linspace(0.0, 1.5, 6)]
+    vals = _v_radii(oracle, np.linspace(0.0, 1.5, 6), 1.0)
     assert all(b >= a - 1e-9 * (1 + abs(a)) for a, b in zip(vals, vals[1:]))
 
 
@@ -287,8 +311,7 @@ def test_sampled_fallback_above_two_dimensions():
     eq = equilibrium(cost, dither, theta_init=[0.2, -0.1, 0.3])
     spec = LevelSpec(box=[[-2, 2]] * 3, n_samples=4000)
     oracle = LevelSetOracle(cost, dither, eq, spec)
-    r1 = oracle.radius_xi(0.5)
-    r2 = oracle.radius_xi(1.0)
+    r1, r2 = _xi_radii(oracle, [0.5, 1.0])
     assert 0.0 < r1 <= r2
     # sampling approximates the true sublevel max (= c for quadratic V_theta ~ J_bar err)
     assert r1 == pytest.approx(0.5, rel=0.1)
@@ -303,10 +326,10 @@ def test_sampled_box_escape():
     # the sampled face minimum bounds the true one from above, so detection is one-sided
     assert 0.25 <= oracle._vt_boundary_min < 0.26
     with pytest.raises(BoxEscapeError):
-        oracle.radius_xi(100.0)
+        _xi_radii(oracle, 100.0)
     with pytest.raises(BoxEscapeError):
-        oracle.radius_v(0.3, 0.1, 2)
-    assert oracle.radius_xi(0.2) == pytest.approx(0.2, rel=0.1)
+        _v_radii(oracle, 0.3, 0.1, 2)
+    assert _xi_radii(oracle, 0.2)[0] == pytest.approx(0.2, rel=0.1)
 
 
 def test_targets_refine_with_the_grid_tables(quad_ctx, quartic_ctx):
@@ -331,14 +354,14 @@ def test_targets_refine_with_the_grid_tables(quad_ctx, quartic_ctx):
 
 
 def _assert_monitor_matches_single_samples(traj, cost, dither, eq, spec):
-    """The lockstep monitor equals one LevelSetOracle.value call per sample, bit for bit."""
+    """The lockstep monitor equals one batch-of-one evaluation per sample, bit for bit."""
     report = monitor_descent(traj, cost, dither, eq, spec)
     oracle = LevelSetOracle(cost, dither, eq, spec)
-    singles = [oracle.value(to_error_coords(state, eq), quantize=True) for state in traj.states]
-    assert np.array_equal(report.values, [r.v_total for r in singles])
-    assert np.array_equal(report.v_theta_terms, [r.v_theta for r in singles])
-    assert np.array_equal(report.v_xi_terms, [r.v_xi for r in singles])
-    assert np.array_equal(report.v_v_terms, np.stack([r.v_v for r in singles]))
+    singles = [_value(oracle, state) for state in traj.states]
+    assert np.array_equal(report.values, [r["v_total"] for r in singles])
+    assert np.array_equal(report.v_theta_terms, [r["v_theta"] for r in singles])
+    assert np.array_equal(report.v_xi_terms, [r["v_xi"] for r in singles])
+    assert np.array_equal(report.v_v_terms, np.stack([r["v_v"] for r in singles]))
     return oracle
 
 
@@ -393,27 +416,25 @@ def _refinement_cases(quad_ctx, quartic_ctx):
     yield _across_chunks_case()
 
 
-def _xi_levels(oracle, levels, errs):
-    """Per sample, the monitor's c_xi and a c_xi below r_xi, where the envelope bound binds."""
+def _monitor_c_xi(oracle, levels, errs):
+    """Per sample, the c_xi the monitor queries the v radii at."""
     r_xi = oracle._radii(oracle._targets[0], levels, np.full(len(levels), np.inf))
-    return lyapunov._quantize_up(np.maximum(r_xi, np.abs(errs[2]))), 0.5 * r_xi
+    return lyapunov._quantize_up(np.maximum(r_xi, np.abs(errs[2])))
 
 
 def test_refinement_sweeps_feasible_probes_only(quad_ctx, quartic_ctx, monkeypatch):
-    # every probe whose node residuals are swept satisfies V_theta <= c_theta and the
-    # envelope bound env_r_xi(V_theta) <= c_xi of its own sample; the rest are never swept
+    # every probe whose node residuals are swept satisfies V_theta <= c_theta of its own
+    # sample; the rest are never swept
     for traj, cost, dither, eq, spec in _refinement_cases(quad_ctx, quartic_ctx):
         oracle = LevelSetOracle(cost, dither, eq, spec)
         levels, errs = _monitor_levels(oracle, traj)
         xi, *vs = oracle._targets
-        monitor_c_xi, binding_c_xi = _xi_levels(oracle, levels, errs)
+        c_xi = _monitor_c_xi(oracle, levels, errs)
         swept, probes, level = [], [], {}
         residuals, v_theta = oracle._residuals, oracle._v_theta
 
         def checked_residuals(phi):
-            vt = v_theta(phi)
-            assert np.all(vt <= level["c_theta"])
-            assert np.all(oracle._env_r_xi(vt) <= level["c_xi"])
+            assert np.all(v_theta(phi) <= level["c_theta"])
             swept.append(len(phi))
             return residuals(phi)
 
@@ -424,12 +445,42 @@ def test_refinement_sweeps_feasible_probes_only(quad_ctx, quartic_ctx, monkeypat
         monkeypatch.setattr(oracle, "_residuals", checked_residuals)
         monkeypatch.setattr(oracle, "_v_theta", counted_v_theta)
         for j in range(0, len(levels), 7):
-            for target, cx in [(xi, np.inf)] + [(v, c_xi[j]) for v in vs
-                                                for c_xi in (monitor_c_xi, binding_c_xi)]:
-                level.update(c_theta=levels[j], c_xi=cx)
+            level["c_theta"] = levels[j]
+            for target, cx in [(xi, np.inf)] + [(v, c_xi[j]) for v in vs]:
                 oracle._radii(target, levels[j : j + 1], np.array([cx]))
         monkeypatch.undo()
         assert 0 < sum(swept) < sum(probes)
+
+
+def test_monitor_c_xi_covers_r_xi(quad_ctx, quartic_ctx, monkeypatch):
+    # The paper's r_v also bounds r_xi(V_theta(phi)) <= c_xi; _radii drops that bound
+    # because V never queries a c_xi at which it could exclude a point. Every v query the
+    # monitor makes has c_xi >= r_xi(c_theta) >= the xi height of every grid point with
+    # V_theta <= c_theta. The slack: _quantize_level takes 1e-12 grid steps off before its
+    # ceil, so that a level already on the grid stays there; that can round a level down
+    # by up to 1e-12 * log1p(1e-3), about 1e-15 relative, which 1e-14 covers.
+    for traj, cost, dither, eq, spec in _refinement_cases(quad_ctx, quartic_ctx):
+        oracle = LevelSetOracle(cost, dither, eq, spec)
+        levels, errs = _monitor_levels(oracle, traj)
+        calls, radii = [], oracle._radii
+
+        def recorded(target, c_theta, c_xi):
+            out = radii(target, c_theta, c_xi)
+            calls.append((target, c_theta, c_xi, out))
+            return out
+
+        monkeypatch.setattr(oracle, "_radii", recorded)
+        oracle._evaluate(*errs)
+        monkeypatch.undo()
+        (xi, xi_levels, _, r_xi), *v_calls = calls
+        assert xi is oracle._targets[0] and np.array_equal(xi_levels, levels)
+        heights = np.abs(oracle._tables[xi][0])
+        grid_max = np.max(np.where(oracle._vt <= levels[:, None], heights, 0.0), axis=1)
+        assert np.all(r_xi >= grid_max)
+        assert [call[0] for call in v_calls] == oracle._targets[1:]
+        for _, c_theta, c_xi, _ in v_calls:
+            assert np.array_equal(c_theta, levels)
+            assert np.all(c_xi >= r_xi * (1.0 - 1e-14))
 
 
 def _sweep_every_probe(self, target, base, axis, ct, cx):
@@ -439,8 +490,7 @@ def _sweep_every_probe(self, target, base, axis, ct, cx):
     def objective(x):
         phi = base.copy()
         phi[rows, axis] = x
-        vt = self._v_theta(phi)
-        ok = (vt <= ct) & (self._env_r_xi(vt) <= cx)
+        ok = self._v_theta(phi) <= ct
         val = target.sup(cx, target.field(self._residuals(phi)))
         return np.where(ok, val, -np.inf)
 
@@ -450,16 +500,10 @@ def _sweep_every_probe(self, target, base, axis, ct, cx):
 def test_feasible_probe_sweep_equals_sweeping_every_probe(quad_ctx, quartic_ctx, monkeypatch):
     for traj, cost, dither, eq, spec in _refinement_cases(quad_ctx, quartic_ctx):
         oracle = LevelSetOracle(cost, dither, eq, spec)
-        levels, errs = _monitor_levels(oracle, traj)
-        binding_c_xi = _xi_levels(oracle, levels, errs)[1]
-
-        def radii():
-            return [*oracle._evaluate(*errs, quantize=True),
-                    *(oracle._radii(v, levels, binding_c_xi) for v in oracle._targets[1:])]
-
-        shipped = radii()
+        errs = _monitor_levels(oracle, traj)[1]
+        shipped = oracle._evaluate(*errs)
         with monkeypatch.context() as patch, np.errstate(all="ignore"):
             patch.setattr(LevelSetOracle, "_line_objective", _sweep_every_probe)
-            every = radii()
+            every = oracle._evaluate(*errs)
         for a, b in zip(shipped, every):
             assert np.array_equal(a, b)
