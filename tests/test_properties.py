@@ -63,7 +63,12 @@ def test_parsed_expression_matches_builtin(cost_and_scale, data):
     pts = data.draw(arrays(float, (data.draw(st.integers(1, 5)), cost.n), elements=coords))
     parsed = parse_cost(cost.expr, cost.n)
     err = np.abs(parsed.f(pts) - cost.f(pts))
-    assert np.all(err <= 1e-12 * scale(pts)), (cost.expr, pts)
+    # Below the smallest normal double, products round to a fixed absolute
+    # spacing (gradual underflow), so the relative bound is taken against a
+    # magnitude of at least that: x = 4.8e-159 gives J ~ 1e-318, where the two
+    # evaluation orders differ by one subnormal unit, 5e-324.
+    magnitude = np.maximum(scale(pts), np.finfo(float).tiny)
+    assert np.all(err <= 1e-12 * magnitude), (cost.expr, pts)
 
 
 # Expression trees as the parser builds them: ("const", value), ("var", index),
