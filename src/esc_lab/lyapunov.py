@@ -16,9 +16,10 @@ sublevel sets of V_theta:
 The paper constrains r_v_i further, by max{r_xi(V_theta(phi)), |eta|} <= cxi.
 V queries r_v_i only at cxi = V_xi >= r_xi(c), and r_xi is monotone, so there
 r_xi(V_theta(phi)) <= r_xi(c) <= cxi for every phi with V_theta(phi) <= c: the
-extra bound is vacuous and the two definitions agree on the domain V uses (up
-to the monitor's rounding of V_xi onto its level grid, which can fall short
-by about 1e-15 relative).
+extra bound is vacuous and the two definitions agree on the domain V uses. On
+the grid it is vacuous exactly when cxi >= the largest xi height under c; if
+the monitor's level rounding (about 1e-15 relative) puts V_xi below that, r_v_i
+here is the unconstrained sup, slightly above the constrained one.
 
 The filter errors are low-pass states attracted to those images, so along
 average-system trajectories V should be non-increasing; :func:`monitor_descent`

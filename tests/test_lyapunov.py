@@ -458,7 +458,8 @@ def test_monitor_c_xi_covers_r_xi(quad_ctx, quartic_ctx, monkeypatch):
     # monitor makes has c_xi >= r_xi(c_theta) >= the xi height of every grid point with
     # V_theta <= c_theta. The slack: _quantize_level takes 1e-12 grid steps off before its
     # ceil, so that a level already on the grid stays there; that can round a level down
-    # by up to 1e-12 * log1p(1e-3), about 1e-15 relative, which 1e-14 covers.
+    # by up to 1e-12 * log1p(1e-3), about 1e-15 relative, which 1e-14 covers. The bound
+    # is vacuous on the grid exactly when c_xi >= grid_max, which is checked with no slack.
     for traj, cost, dither, eq, spec in _refinement_cases(quad_ctx, quartic_ctx):
         oracle = LevelSetOracle(cost, dither, eq, spec)
         levels, errs = _monitor_levels(oracle, traj)
@@ -481,6 +482,7 @@ def test_monitor_c_xi_covers_r_xi(quad_ctx, quartic_ctx, monkeypatch):
         for _, c_theta, c_xi, _ in v_calls:
             assert np.array_equal(c_theta, levels)
             assert np.all(c_xi >= r_xi * (1.0 - 1e-14))
+            assert np.all(c_xi >= grid_max)
 
 
 def _sweep_every_probe(self, target, base, axis, ct, cx):

@@ -63,12 +63,17 @@ def test_parsed_expression_matches_builtin(cost_and_scale, data):
     pts = data.draw(arrays(float, (data.draw(st.integers(1, 5)), cost.n), elements=coords))
     parsed = parse_cost(cost.expr, cost.n)
     err = np.abs(parsed.f(pts) - cost.f(pts))
-    # Below the smallest normal double, products round to a fixed absolute
-    # spacing (gradual underflow), so the relative bound is taken against a
-    # magnitude of at least that: x = 4.8e-159 gives J ~ 1e-318, where the two
-    # evaluation orders differ by one subnormal unit, 5e-324.
-    magnitude = np.maximum(scale(pts), np.finfo(float).tiny)
-    assert np.all(err <= 1e-12 * magnitude), (cost.expr, pts)
+    # Where J underflows (x = 4.8e-159 on 0.05*theta1^2 gives J ~ 1e-318), a product
+    # rounds to the fixed subnormal spacing u, not relative to its size, so the two
+    # evaluation orders can differ by whole units of u. A rounding into that range errs
+    # by at most u/2, sums of subnormals are exact, and only a curvature coefficient
+    # multiplies such an error later: the parsed 0.5*H_ii * theta_i^2 (0.5*H_ii <= 6.05
+    # for the drawn H) errs by at most 3.6u per square term and 0.5u per cross term, the
+    # builtin sum by 0.25u per entry of H plus 0.5u: under 15u in all for n = 3, hence
+    # 16u (the quartics, one power per term in both, stay under 2u). A sampled search
+    # over such points reached 6u.
+    subnormal = 16 * np.finfo(float).smallest_subnormal
+    assert np.all(err <= 1e-12 * scale(pts) + subnormal), (cost.expr, pts)
 
 
 # Expression trees as the parser builds them: ("const", value), ("var", index),
