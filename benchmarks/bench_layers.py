@@ -124,8 +124,7 @@ def main() -> int:
     oracle = el.LevelSetOracle(cost, dither, eq, spec)
     xi, v1 = oracle._targets[:2]
     levels = _quantize_up(np.maximum(oracle._v_theta(avg.states[:, :1] - eq.theta_star), 0.0))
-    no_xi_level = np.full(m, np.inf)
-    v_xi = np.maximum(oracle._radii(xi, levels, no_xi_level), np.abs(avg.states[:, 2] - eq.xi_star))
+    v_xi = np.maximum(oracle._radii(xi, levels), np.abs(avg.states[:, 2] - eq.xi_star))
     c_xi = _quantize_up(v_xi)
     h_csv, stride_csv = fit_step(0.01, dither.max_step)
     loop = el.simulate_rmspesc(cost, dither, params, state0, 0.0, args.t1, h_csv, stride_csv)
@@ -202,7 +201,7 @@ def main() -> int:
             lambda: el.LevelSetOracle(cost, dither, eq, spec),
             None,
         ),
-        (f"radius pass xi ({m} levels)", lambda: oracle._radii(xi, levels, no_xi_level),
+        (f"radius pass xi ({m} levels)", lambda: oracle._radii(xi, levels),
          (m, "sample")),
         (f"radius pass v_1 ({m} levels)", lambda: oracle._radii(v1, levels, c_xi), (m, "sample")),
         (

@@ -4,13 +4,10 @@ from .averaging import (
     AverageMaps,
     ConvergenceError,
     Equilibrium,
-    ErrorState,
     PeriodQuadrature,
     avg_maps,
     convergence_sweep,
     equilibrium,
-    from_error_coords,
-    to_error_coords,
 )
 from .cost import (
     CostFunction,
@@ -29,7 +26,6 @@ from .lyapunov import (
     LevelSetOracle,
     LevelSpec,
     monitor_descent,
-    v_theta,
 )
 from .quadratic import JacobianReport, QuadraticModel, fourier_coeffs, quad_avg_maps, quad_jacobian
 from .signals import DitherConfig, demod_value, dither_value, new_dither
@@ -45,7 +41,6 @@ __all__ = [
     "DescentReport",
     "DitherConfig",
     "Equilibrium",
-    "ErrorState",
     "EscParams",
     "JacobianReport",
     "LevelSetOracle",
@@ -61,7 +56,6 @@ __all__ = [
     "equilibrium",
     "eval_cost",
     "fourier_coeffs",
-    "from_error_coords",
     "grad_cost",
     "integrate_fixed",
     "monitor_descent",
@@ -75,6 +69,4 @@ __all__ = [
     "simulate_average",
     "simulate_gesc",
     "simulate_rmspesc",
-    "to_error_coords",
-    "v_theta",
 ]

@@ -37,14 +37,11 @@ from .signals import DitherConfig
 __all__ = [
     "AverageMaps",
     "Equilibrium",
-    "ErrorState",
     "ConvergenceError",
     "PeriodQuadrature",
     "avg_maps",
     "average_flat_rhs",
     "equilibrium",
-    "to_error_coords",
-    "from_error_coords",
     "convergence_sweep",
 ]
 
@@ -71,24 +68,8 @@ class Equilibrium:
     grad_norm: float
     iterations: int
 
-    @property
-    def n(self) -> int:
-        return self.theta_star.size
-
     def flat(self) -> np.ndarray:
         return np.concatenate([self.theta_star, self.v_star, [self.xi_star]])
-
-
-@dataclass(frozen=True)
-class ErrorState:
-    """State relative to the equilibrium (componentwise subtraction)."""
-
-    theta_err: np.ndarray
-    v_err: np.ndarray
-    xi_err: float
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.theta_err, self.v_err, [self.xi_err]])
 
 
 class PeriodQuadrature:
@@ -306,26 +287,6 @@ def equilibrium(
         v_star=v_star,
         grad_norm=float(np.linalg.norm(final.g_bar)),
         iterations=it,
-    )
-
-
-def to_error_coords(state, eq: Equilibrium) -> ErrorState:
-    """Shift a flat average state [theta, v, xi] by the equilibrium."""
-    state = np.asarray(state, dtype=float)
-    n = eq.n
-    if state.shape != (2 * n + 1,):
-        raise ValueError(f"expected flat state of length {2 * n + 1}, got {state.shape}")
-    return ErrorState(
-        theta_err=state[:n] - eq.theta_star,
-        v_err=state[n : 2 * n] - eq.v_star,
-        xi_err=float(state[2 * n] - eq.xi_star),
-    )
-
-
-def from_error_coords(err: ErrorState, eq: Equilibrium) -> np.ndarray:
-    """Inverse of :func:`to_error_coords`."""
-    return np.concatenate(
-        [err.theta_err + eq.theta_star, err.v_err + eq.v_star, [err.xi_err + eq.xi_star]]
     )
 
 

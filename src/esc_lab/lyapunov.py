@@ -28,9 +28,11 @@ checks that numerically on recorded samples.
 The filter cascade is an ordered list of targets, xi and then v_1 ... v_n.
 Each target maps the cost residuals at the quadrature nodes to its averaged
 field (J_bar - xi* for xi; the (p, q) decomposition of the squared-estimate
-average from :meth:`PeriodQuadrature.g2_coeffs` for v_i) and the field to
-the exact sup of its error over the eta interval: |J_bar - xi*| for xi, and
-for v_i the endpoint or vertex of a convex quadratic in eta. One radius
+average from :meth:`PeriodQuadrature.g2_coeffs` for v_i). Its sup maps the
+field and the levels upstream of the target in the cascade to the exact sup
+of its error: xi reads no upstream level, and its sup is |J_bar - xi*|; v_i
+reads cxi, and its sup over |eta| <= cxi sits at an endpoint or at the vertex
+of a convex quadratic in eta. Every target's sublevel set reads c. One radius
 routine serves every target: a dense grid search over the parameter error,
 fed by one cost sweep that tabulates all targets, plus one golden-section
 refinement along the best grid axis that applies the same field and sup off
@@ -65,7 +67,6 @@ __all__ = [
     "DescentReport",
     "BoxEscapeError",
     "LevelSetOracle",
-    "v_theta",
     "monitor_descent",
 ]
 
@@ -144,15 +145,6 @@ class DescentReport:
         )
 
 
-def v_theta(cost: CostFunction, theta_star, theta_err) -> float:
-    """Cost suboptimality V_theta(te) = J(te + theta*) - J(theta*)."""
-    theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
-    theta_err = np.atleast_1d(np.asarray(theta_err, dtype=float))
-    if theta_err.shape != theta_star.shape or theta_star.size != cost.n:
-        raise ValueError("dimension mismatch between error, minimizer, and cost")
-    return float(cost.f(theta_err + theta_star) - cost.f(theta_star))
-
-
 def _quantize_level(c: float) -> float:
     """Round a level up onto a geometric grid with 1e-3 relative spacing."""
     if c <= 0.0:
@@ -204,7 +196,8 @@ def _eta_abs_max(p, q, r: float, v_star_c: float, c_xi):
 
 class _Target(NamedTuple):
     """One filter of the cascade: ``field`` maps node residuals (k, n_q) to a tuple of
-    (k, ...) arrays, ``sup(c_xi, field)`` gives the exact sup of the filter error there."""
+    (k, ...) arrays; ``sup(field, *upstream)`` gives the exact sup of the filter error
+    there, given the levels of the targets upstream of it: none for xi, c_xi for v_i."""
 
     field: Callable
     sup: Callable
@@ -245,13 +238,11 @@ class LevelSetOracle:
         if spec.n != cost.n or dither.n != cost.n:
             raise ValueError("spec, dither, and cost dimensions differ")
         self.cost = cost
-        self.dither = dither
         self.eq = eq
-        self.spec = spec
         self.quad = PeriodQuadrature(dither)
         self._j_star = float(cost.f(eq.theta_star))
         self._node_base = eq.theta_star[None, :] + self.quad.s  # theta* + s_j, (n_q, n)
-        xi = _Target(lambda y_c: (np.mean(y_c, axis=-1),), lambda c_xi, f: np.abs(f[0]))
+        xi = _Target(lambda y_c: (np.mean(y_c, axis=-1),), lambda f: np.abs(f[0]))
         self._targets = [xi] + [self._v_target(i) for i in range(cost.n)]
 
         if cost.n > 2:
@@ -296,7 +287,7 @@ class LevelSetOracle:
         """v_channel: field (p, q) of ``g2_coeffs``, sup over eta by :func:`_eta_abs_max`."""
         r, v_star_c = float(self.quad.r[channel]), float(self.eq.v_star[channel])
         return _Target(partial(self.quad.g2_coeffs, channel=channel),
-                       lambda c_xi, f: _eta_abs_max(f[0], f[1], r, v_star_c, c_xi))
+                       lambda f, c_xi: _eta_abs_max(f[0], f[1], r, v_star_c, c_xi))
 
     def _fields(self, phis: np.ndarray) -> dict:
         """Every target's field on a batch of error points, one cost sweep per chunk."""
@@ -341,9 +332,10 @@ class LevelSetOracle:
         return axis, lo, hi
 
     def _line_objective(self, target: _Target, base: np.ndarray, axis: np.ndarray,
-                        ct: np.ndarray, cx: np.ndarray) -> Callable:
+                        ct: np.ndarray, upstream: list) -> Callable:
         """The refinement objective of a chunk of k samples: x (k,) -> the target's error sup
-        at ``base`` with coordinate ``axis`` set to x, or -inf where V_theta exceeds ``ct``.
+        at ``base`` with coordinate ``axis`` set to x, given the chunk's ``upstream`` levels,
+        or -inf where V_theta exceeds ``ct``.
 
         V_theta runs on all k probes; the node residuals, the field and the sup only on
         the feasible ones. Each row's value is independent of the others, so it is the
@@ -356,16 +348,18 @@ class LevelSetOracle:
             phi[rows, axis] = x
             ok = self._v_theta(phi) <= ct
             val = np.full(len(x), -np.inf)
-            val[ok] = target.sup(cx[ok], target.field(self._residuals(phi[ok])))
+            val[ok] = target.sup(target.field(self._residuals(phi[ok])), *(c[ok] for c in upstream))
             return val
 
         return objective
 
-    def _radii(self, target: _Target, c_theta: np.ndarray, c_xi: np.ndarray) -> np.ndarray:
+    def _radii(self, target: _Target, c_theta: np.ndarray, *upstream: np.ndarray) -> np.ndarray:
         """One target's radii for a batch of levels: the sup of its error over the points
-        with V_theta <= c_theta, and for a v target over |eta| <= c_xi (xi ignores c_xi).
-        This is the paper's r_v on the domain c_xi >= r_xi(c_theta), the only one V
-        queries (see the module docstring).
+        with V_theta <= c_theta, given the levels ``upstream`` of it, one array each: none
+        for xi, and c_xi for a v target, whose sup runs over |eta| <= c_xi as well. That
+        is the paper's r_v on the domain c_xi >= r_xi(c_theta), the only one V queries
+        (see the module docstring). A level the target does not read, or one it lacks,
+        raises TypeError.
 
         Samples run in chunks of at most ``_CHUNK_ELEMENTS`` grid (or quadrature) entries:
         a masked grid argmax each, then on the grid path one lockstep golden-section
@@ -374,7 +368,7 @@ class LevelSetOracle:
         field and sup to one cost sweep over the quadrature nodes of the feasible probes
         only; an infeasible probe scores -inf without a sweep.
         """
-        if np.any(c_theta < 0) or np.any(c_xi < 0):
+        if any(np.any(c < 0) for c in (c_theta, *upstream)):
             raise ValueError("levels must be nonnegative")
         escaped = np.nonzero(c_theta >= self._vt_boundary_min)[0]
         if escaped.size:
@@ -387,16 +381,16 @@ class LevelSetOracle:
         chunk = max(1, _CHUNK_ELEMENTS // max(len(self._vt), self.quad.n_q * self.cost.n))
         for lo in range(0, len(c_theta), chunk):
             sl = slice(lo, lo + chunk)
-            ct, cx = c_theta[sl], c_xi[sl]
+            ct, up = c_theta[sl], [c[sl] for c in upstream]
             feasible = self._vt <= ct[:, None]
-            heights = np.broadcast_to(target.sup(cx[:, None], table), feasible.shape)
+            heights = np.broadcast_to(target.sup(table, *(c[:, None] for c in up)), feasible.shape)
             vals = np.where(feasible, heights, -np.inf)
             idx = np.argmax(vals, axis=1)
             rows = np.arange(len(idx))
             best = vals[rows, idx]
             if self._axes is not None:
                 axis, a, b = self._best_axis_bracket(idx, feasible, heights)
-                objective = self._line_objective(target, self._points[idx], axis, ct, cx)
+                objective = self._line_objective(target, self._points[idx], axis, ct, up)
                 best = np.maximum(best, _golden_max(objective, a, b))
             out[sl] = np.maximum(best, 0.0)
             del feasible, heights, vals  # free this chunk's (k, N) arrays before the next allocates
@@ -414,7 +408,7 @@ class LevelSetOracle:
         vt = self._v_theta(theta_err)
         levels = _quantize_up(np.maximum(vt, 0.0))
         xi, *vs = self._targets
-        r_xi = self._radii(xi, levels, np.full(len(levels), np.inf))
+        r_xi = self._radii(xi, levels)
         v_xi = np.maximum(r_xi, np.abs(xi_err))
         c_xi = _quantize_up(v_xi)
         r_v = np.stack([self._radii(v, levels, c_xi) for v in vs], axis=1)

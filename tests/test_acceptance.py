@@ -182,7 +182,7 @@ def test_criterion_7_lyapunov_descent_and_radii_monotonicity():
             xi, v0 = oracle._targets[:2]
             slack = lambda r: 1e-9 * (1.0 + abs(r))
             levels, ones = np.linspace(0.0, 2.0, 10), np.ones(10)
-            r_xi = oracle._radii(xi, levels, np.full(10, np.inf))
+            r_xi = oracle._radii(xi, levels)
             assert all(b >= a - slack(a) for a, b in zip(r_xi, r_xi[1:])), name
             r_v_theta = oracle._radii(v0, levels, ones)
             assert all(b >= a - slack(a) for a, b in zip(r_v_theta, r_v_theta[1:])), name
@@ -198,9 +198,9 @@ def test_criterion_8_filter_error_boundedness():
             oracle = LevelSetOracle(cost, dither, eq, spec)
             n = cost.n
             theta_err0 = traj.states[0, :n] - eq.theta_star
-            vt0 = np.array([el.v_theta(cost, eq.theta_star, theta_err0)])
+            vt0 = oracle._v_theta(theta_err0[None, :])
             xi_err = traj.states[:, 2 * n] - eq.xi_star
-            r_xi0 = float(oracle._radii(oracle._targets[0], vt0, np.full(1, np.inf))[0])
+            r_xi0 = float(oracle._radii(oracle._targets[0], vt0)[0])
             bound_xi = max(abs(xi_err[0]), r_xi0) + 1e-6
             assert np.max(np.abs(xi_err)) <= bound_xi, name
 

@@ -23,11 +23,16 @@ from esc_lab import (averaging, cli, config, cost, dynamics, expressions, integr
 # one compiled function); settings that only ever took their default (the
 # CLI's node-count reader, the cost label); the grid heuristics for the
 # standing assumptions on J, which no mode ran; the second statement of the
-# oscillatory step rule (DitherConfig.max_step holds it).
+# oscillatory step rule (DitherConfig.max_step holds it); the error-coordinate
+# layer with the Equilibrium.n it alone read, and the one-point V_theta, which
+# only tests reached (monitor_descent slices the error states and
+# LevelSetOracle._v_theta takes batches).
 REMOVED = {
     dynamics: ["EscState", "EscDerivative", "rmspesc_rhs", "gesc_rhs", "grad_estimate"],
-    averaging: ["average_rhs", "default_nodes", "_node_signals", "avg_g2_coeffs"],
-    lyapunov: ["radius_xi", "radius_v", "lyapunov_value", "_as_equilibrium", "LyapunovReport"],
+    averaging: ["average_rhs", "default_nodes", "_node_signals", "avg_g2_coeffs", "ErrorState",
+                "to_error_coords", "from_error_coords"],
+    lyapunov: ["radius_xi", "radius_v", "lyapunov_value", "_as_equilibrium", "LyapunovReport",
+               "v_theta"],
     cli: ["_parallel", "_max_workers", "ThreadPoolExecutor", "_n_q"],
     simulate: ["_resolve_path", "_run_kernel"],
     cost: ["CostKernelSpec", "KERNEL_QUADRATIC", "KERNEL_QUARTIC", "Verdict", "AssumptionReport",
@@ -37,6 +42,7 @@ REMOVED = {
     integrate.Trajectory: ["column", "label"],
     signals.DitherConfig: ["phase_grid", "dither_matrix", "demod_matrix"],
     averaging.AverageMaps: ["n_q"],
+    averaging.Equilibrium: ["n"],
     lyapunov.LevelSetOracle: ["_batch_fields", "_radii_chunk", "_eta_abs_max", "radius_xi",
                               "radius_v", "value", "_env_r_xi"],
     expressions: ["_evaluate"],
@@ -63,11 +69,12 @@ def test_removed_names_are_gone():
 
 
 def test_oracle_keeps_no_envelope_tables():
-    # instance attributes are no class members, so REMOVED cannot see them
+    # instance attributes are no class members, so REMOVED cannot see them; the oracle
+    # keeps no copy of the dither or the search geometry it was built from either
     quartic, dither = cost.quartic_cost(), signals.new_dither([0.1], [1], 10.0)
     oracle = lyapunov.LevelSetOracle(quartic, dither, averaging.equilibrium(quartic, dither),
                                      lyapunov.LevelSpec(box=[[-1.0, 1.0]], grid_theta=11))
-    for name in ("_vt_env", "_vt_sorted", "_r_xi_prefix"):
+    for name in ("_vt_env", "_vt_sorted", "_r_xi_prefix", "dither", "spec"):
         assert not hasattr(oracle, name), name
 
 

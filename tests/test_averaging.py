@@ -13,12 +13,10 @@ from esc_lab import (
     avg_maps,
     convergence_sweep,
     equilibrium,
-    from_error_coords,
     new_dither,
     parse_cost,
     quadratic_cost,
     quartic_cost,
-    to_error_coords,
 )
 from esc_lab.averaging import average_flat_rhs
 
@@ -318,27 +316,6 @@ def test_equilibrium_failure_reported():
     cost, dither = quartic_setup()
     with pytest.raises(ConvergenceError):
         equilibrium(cost, dither, theta_init=[2.0], tol=1e-16, max_iter=5)
-
-
-def test_error_coords_round_trip():
-    cost, dither = quad_setup()
-    eq = equilibrium(cost, dither, theta_init=[1.0])
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        state = rng.normal(size=3)
-        err = to_error_coords(state, eq)
-        np.testing.assert_allclose(from_error_coords(err, eq), state, rtol=0, atol=1e-15)
-    zero = to_error_coords(eq.flat(), eq)
-    np.testing.assert_allclose(zero.flat(), np.zeros(3), atol=1e-15)
-    err = to_error_coords(np.array([1.0, 0.0, 0.0]), eq)
-    assert err.theta_err == pytest.approx([1.0 - eq.theta_star[0]])
-
-
-def test_error_coords_dimension_check():
-    cost, dither = quad_setup()
-    eq = equilibrium(cost, dither, theta_init=[1.0])
-    with pytest.raises(ValueError):
-        to_error_coords(np.zeros(4), eq)
 
 
 def test_sweep_quadratic_estimate_is_exact():

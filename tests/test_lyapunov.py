@@ -5,6 +5,7 @@ import esc_lab.lyapunov as lyapunov
 
 from esc_lab import (
     BoxEscapeError,
+    Equilibrium,
     EscParams,
     LevelSetOracle,
     LevelSpec,
@@ -17,9 +18,8 @@ from esc_lab import (
     quartic_cost,
     shifted_quartic_cost,
     simulate_average,
-    to_error_coords,
-    v_theta,
 )
+from esc_lab.integrate import Trajectory
 
 FIG1 = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
 
@@ -45,7 +45,7 @@ def quartic_ctx():
 def _xi_radii(oracle, levels):
     """r_xi at each level, through the batched radius routine."""
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
-    return oracle._radii(oracle._targets[0], levels, np.full(len(levels), np.inf))
+    return oracle._radii(oracle._targets[0], levels)
 
 
 def _v_radii(oracle, c_theta, c_xi, channel=0):
@@ -55,24 +55,39 @@ def _v_radii(oracle, c_theta, c_xi, channel=0):
     return oracle._radii(oracle._targets[1 + channel], c_theta, c_xi)
 
 
+def _error_states(oracle, states):
+    """The (theta, v, xi) error coordinates of flat states, one row each, as the
+    descent monitor slices them."""
+    eq, n = oracle.eq, oracle.cost.n
+    states = np.atleast_2d(np.asarray(states, dtype=float))
+    return (states[:, :n] - eq.theta_star, states[:, n : 2 * n] - eq.v_star,
+            states[:, 2 * n] - eq.xi_star)
+
+
 _TERMS = ("v_theta", "r_xi", "v_xi", "r_v", "v_v", "v_total")
 
 
 def _value(oracle, state):
     """V and its terms at one flat state, through the batched evaluator."""
-    err = to_error_coords(state, oracle.eq)
-    terms = oracle._evaluate(err.theta_err[None, :], err.v_err[None, :], np.array([err.xi_err]))
+    terms = oracle._evaluate(*_error_states(oracle, state))
     return {name: term[0] for name, term in zip(_TERMS, terms)}
 
 
+def _v_theta_about_origin(cost, phis):
+    """V_theta at error points (one row each) about theta* = 0, through the oracle."""
+    zero = np.zeros(cost.n)
+    eq = Equilibrium(theta_star=zero, xi_star=float(cost.f(zero)), v_star=zero, grad_norm=0.0,
+                     iterations=0)
+    oracle = LevelSetOracle(cost, new_dither([0.2], [1], 10.0), eq, LevelSpec(box=[[-4.0, 4.0]]))
+    return oracle._v_theta(np.asarray(phis, dtype=float))
+
+
 def test_v_theta_values():
-    quad = quadratic_cost(1.0, 3.0)
-    assert v_theta(quad, [0.0], [0.0]) == 0.0
-    assert v_theta(quad, [0.0], [1.0]) == pytest.approx(0.5, rel=1e-14)
-    quartic = quartic_cost()
-    assert v_theta(quartic, [0.0], [2.0]) == pytest.approx(2.0**4 / 24.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        v_theta(quad, [0.0], [1.0, 2.0])
+    quad = _v_theta_about_origin(quadratic_cost(1.0, 3.0), [[0.0], [1.0]])
+    assert quad[0] == 0.0
+    assert quad[1] == pytest.approx(0.5, rel=1e-14)
+    quartic = _v_theta_about_origin(quartic_cost(), [[2.0]])
+    assert quartic[0] == pytest.approx(2.0**4 / 24.0, rel=1e-14)
 
 
 def test_level_spec_validation():
@@ -169,6 +184,23 @@ def test_radius_v_channel_validation(quad_ctx):
         _v_radii(oracle, 0.1, -0.1)
 
 
+def test_radii_read_exactly_the_upstream_levels(quad_ctx):
+    # xi reads no level upstream of it and each v_i reads c_xi: a level too many or too few
+    # is an error, not silently ignored
+    cost, dither, eq, spec = quad_ctx
+    oracle = LevelSetOracle(cost, dither, eq, spec)
+    xi, v = oracle._targets
+    levels = np.array([0.1, 0.5])
+    with pytest.raises(TypeError):
+        oracle._radii(xi, levels, levels)
+    with pytest.raises(TypeError):
+        oracle._radii(v, levels)
+    with pytest.raises(ValueError, match="nonnegative"):
+        oracle._radii(v, levels, -levels)
+    with pytest.raises(ValueError, match="nonnegative"):
+        oracle._radii(xi, -levels)
+
+
 def test_lyapunov_value_at_origin(quad_ctx):
     cost, dither, eq, spec = quad_ctx
     report = _value(LevelSetOracle(cost, dither, eq, spec), eq.flat())
@@ -195,7 +227,8 @@ def test_lyapunov_value_dominates_theta_term(quad_ctx):
     for _ in range(5):
         state = np.array([rng.uniform(-1.5, 1.5), rng.uniform(0, 2), rng.uniform(-1, 1)])
         report = _value(oracle, state)
-        assert report["v_total"] >= v_theta(cost, eq.theta_star, [state[0] - eq.theta_star[0]]) - 1e-12
+        vt = oracle._v_theta(np.array([[state[0] - eq.theta_star[0]]]))[0]
+        assert report["v_total"] >= vt - 1e-12
 
 
 def test_sublevel_sets_connected(quad_ctx, quartic_ctx):
@@ -265,12 +298,21 @@ def test_monitor_flags_artificial_violation(quad_ctx):
         np.full(11, eq.v_star[0]),
         np.full(11, eq.xi_star),
     ], axis=1)
-    from esc_lab.integrate import Trajectory
     traj = Trajectory(times=times, states=states, h=0.1, record_stride=1)
     report = monitor_descent(traj, cost, dither, eq, spec)
     assert not report.passed
     assert report.first_violation is not None
     assert "FAIL" in report.summary()
+
+
+def test_monitor_rejects_states_of_another_layout(quad_ctx):
+    # the monitor slices each state as (theta, v, xi), so a record must be (m, 2n + 1)
+    cost, dither, eq, spec = quad_ctx
+    times = np.linspace(0.0, 1.0, 4)
+    for states in (np.zeros((4, 2)), np.zeros((4, 5)), np.zeros(4), np.zeros((4, 3, 1))):
+        traj = Trajectory(times=times, states=states, h=0.1, record_stride=1)
+        with pytest.raises(ValueError, match="flat states of length 3"):
+            monitor_descent(traj, cost, dither, eq, spec)
 
 
 def test_two_dimensional_grid_radii():
@@ -345,10 +387,12 @@ def test_targets_refine_with_the_grid_tables(quad_ctx, quartic_ctx):
         assert len(oracle._targets) == 1 + cost.n
         idx = rng.choice(len(oracle._points), size=40, replace=False)
         c_xi = rng.uniform(0.0, 2.0, size=(40, 1))
-        for target in oracle._targets:
+        xi, *vs = oracle._targets
+        for target, upstream in [(xi, ())] + [(v, (c_xi,)) for v in vs]:
             table = oracle._tables[target]
-            grid = np.broadcast_to(target.sup(c_xi, table), (40, len(oracle._points)))
-            refined = target.sup(c_xi[:, 0], target.field(oracle._residuals(oracle._points[idx])))
+            grid = np.broadcast_to(target.sup(table, *upstream), (40, len(oracle._points)))
+            refined = target.sup(target.field(oracle._residuals(oracle._points[idx])),
+                                 *(c[:, 0] for c in upstream))
             assert np.array_equal(refined, grid[np.arange(40), idx])
         assert np.array_equal(oracle._v_theta(oracle._points[idx]), oracle._vt[idx])
 
@@ -402,10 +446,7 @@ def test_monitor_matches_single_samples_sampled_path():
 
 def _monitor_levels(oracle, traj):
     """The descent monitor's quantized V_theta levels and the error states, per sample."""
-    eq, n = oracle.eq, oracle.cost.n
-    states = np.asarray(traj.states)
-    errs = (states[:, :n] - eq.theta_star, states[:, n : 2 * n] - eq.v_star,
-            states[:, 2 * n] - eq.xi_star)
+    errs = _error_states(oracle, traj.states)
     return lyapunov._quantize_up(np.maximum(oracle._v_theta(errs[0]), 0.0)), errs
 
 
@@ -418,7 +459,7 @@ def _refinement_cases(quad_ctx, quartic_ctx):
 
 def _monitor_c_xi(oracle, levels, errs):
     """Per sample, the c_xi the monitor queries the v radii at."""
-    r_xi = oracle._radii(oracle._targets[0], levels, np.full(len(levels), np.inf))
+    r_xi = oracle._radii(oracle._targets[0], levels)
     return lyapunov._quantize_up(np.maximum(r_xi, np.abs(errs[2])))
 
 
@@ -431,23 +472,24 @@ def test_refinement_sweeps_feasible_probes_only(quad_ctx, quartic_ctx, monkeypat
         xi, *vs = oracle._targets
         c_xi = _monitor_c_xi(oracle, levels, errs)
         swept, probes, level = [], [], {}
-        residuals, v_theta = oracle._residuals, oracle._v_theta
+        residuals, theta_level = oracle._residuals, oracle._v_theta
 
         def checked_residuals(phi):
-            assert np.all(v_theta(phi) <= level["c_theta"])
+            assert np.all(theta_level(phi) <= level["c_theta"])
             swept.append(len(phi))
             return residuals(phi)
 
         def counted_v_theta(phi):
             probes.append(len(phi))
-            return v_theta(phi)
+            return theta_level(phi)
 
         monkeypatch.setattr(oracle, "_residuals", checked_residuals)
         monkeypatch.setattr(oracle, "_v_theta", counted_v_theta)
         for j in range(0, len(levels), 7):
             level["c_theta"] = levels[j]
-            for target, cx in [(xi, np.inf)] + [(v, c_xi[j]) for v in vs]:
-                oracle._radii(target, levels[j : j + 1], np.array([cx]))
+            oracle._radii(xi, levels[j : j + 1])
+            for v in vs:
+                oracle._radii(v, levels[j : j + 1], c_xi[j : j + 1])
         monkeypatch.undo()
         assert 0 < sum(swept) < sum(probes)
 
@@ -465,27 +507,28 @@ def test_monitor_c_xi_covers_r_xi(quad_ctx, quartic_ctx, monkeypatch):
         levels, errs = _monitor_levels(oracle, traj)
         calls, radii = [], oracle._radii
 
-        def recorded(target, c_theta, c_xi):
-            out = radii(target, c_theta, c_xi)
-            calls.append((target, c_theta, c_xi, out))
+        def recorded(target, c_theta, *upstream):
+            out = radii(target, c_theta, *upstream)
+            calls.append((target, c_theta, upstream, out))
             return out
 
         monkeypatch.setattr(oracle, "_radii", recorded)
         oracle._evaluate(*errs)
         monkeypatch.undo()
-        (xi, xi_levels, _, r_xi), *v_calls = calls
+        (xi, xi_levels, xi_upstream, r_xi), *v_calls = calls
         assert xi is oracle._targets[0] and np.array_equal(xi_levels, levels)
+        assert xi_upstream == ()
         heights = np.abs(oracle._tables[xi][0])
         grid_max = np.max(np.where(oracle._vt <= levels[:, None], heights, 0.0), axis=1)
         assert np.all(r_xi >= grid_max)
         assert [call[0] for call in v_calls] == oracle._targets[1:]
-        for _, c_theta, c_xi, _ in v_calls:
+        for _, c_theta, (c_xi,), _ in v_calls:
             assert np.array_equal(c_theta, levels)
             assert np.all(c_xi >= r_xi * (1.0 - 1e-14))
             assert np.all(c_xi >= grid_max)
 
 
-def _sweep_every_probe(self, target, base, axis, ct, cx):
+def _sweep_every_probe(self, target, base, axis, ct, upstream):
     """The refinement objective that sweeps every probe and masks the infeasible ones."""
     rows = np.arange(len(base))
 
@@ -493,7 +536,7 @@ def _sweep_every_probe(self, target, base, axis, ct, cx):
         phi = base.copy()
         phi[rows, axis] = x
         ok = self._v_theta(phi) <= ct
-        val = target.sup(cx, target.field(self._residuals(phi)))
+        val = target.sup(target.field(self._residuals(phi)), *upstream)
         return np.where(ok, val, -np.inf)
 
     return objective
