@@ -2,13 +2,15 @@
 """Check that this checkout writes the same output files as a parent commit.
 
 Exports PARENT_REF with ``git archive`` into a temporary directory, then runs
-every bundled config and seeds 0 and 3 of each benchmark workload
-(``perfbench/workloads.py``, imported read-only for its config text) through
-``python -m esc_lab.cli``, once from the parent's ``src`` and once from this
-checkout's, each run into its own output directory. The two trees run side
-by side, one process each. Every file either run wrote is compared byte for
-byte, and so is the exit code. Prints one line per run; exits 1 if any run
-differs. Run from anywhere inside the repo:
+every bundled config, seeds 0 and 3 of each benchmark workload
+(``perfbench/workloads.py``, imported read-only for its config text) and two
+2-D builtin costs (``quartic_average`` with ``--set`` overrides; no bundled
+config or workload has one) through ``python -m esc_lab.cli``, once from the
+parent's ``src`` and once from this checkout's, each run into its own output
+directory. The two trees run side by side, one process each. Every file
+either run wrote is compared byte for byte, and so is the exit code. Prints
+one line per run; exits 1 if any run differs. Run from anywhere inside the
+repo:
 
     python3 benchmarks/same_outputs.py PARENT_REF
 """
@@ -24,6 +26,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (0, 3)
+TWO_CHANNELS = ["dither.amplitudes=0.02,0.02", "dither.rates=1,2", "gains.omega_l=0.25,0.25",
+                "init.theta=1.5,-0.5", "init.v=0.81,0.81", "time.t1=20"]
+TWO_CHANNEL_COSTS = {
+    "2-D quadratic, theta* != 0": ["cost.kind=quadratic", "cost.h=2,0.5", "cost.j_opt=1",
+                                   "cost.theta_star=0.3,-0.7"],
+    "2-D shifted_quartic": ["cost.kind=shifted_quartic", "cost.theta_star=0.5,-1"],
+}
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS, config_text  # noqa: E402
@@ -37,22 +46,24 @@ def export(ref: str, dest: Path) -> None:
 
 
 def runs(config_dir: Path):
-    """(label, mode, config) for every bundled config and workload seed."""
+    """(label, mode, config, overrides) for every bundled config, workload seed and 2-D cost."""
     for cfg in sorted((ROOT / "src" / "esc_lab" / "configs").glob("*.cfg")):
         mode = re.search(r"^mode\s*=\s*(\w+)", cfg.read_text(), re.M).group(1)
-        yield cfg.stem, mode, cfg.stem
+        yield cfg.stem, mode, cfg.stem, []
     for name, w in WORKLOADS.items():
         for seed in SEEDS:
             path = config_dir / f"{name}_{seed}.cfg"
             path.write_text(config_text(w, seed))
-            yield f"{name} seed {seed}", w.mode, str(path)
+            yield f"{name} seed {seed}", w.mode, str(path), []
+    for label, cost in TWO_CHANNEL_COSTS.items():
+        yield label, "average", "quartic_average", TWO_CHANNELS + cost
 
 
-def start(src: Path, mode: str, config: str, out: Path) -> subprocess.Popen:
+def start(src: Path, mode: str, config: str, sets: list[str], out: Path) -> subprocess.Popen:
     out.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.Popen([sys.executable, "-m", "esc_lab.cli", mode, "--config", config,
-                             "--out", str(out)], cwd=out, env=env,
+                             *(f"--set={kv}" for kv in sets), "--out", str(out)], cwd=out, env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
 
 
@@ -76,9 +87,9 @@ def main() -> int:
         (tmp / "parent").mkdir()
         export(args.parent_ref, tmp / "parent")
         trees = {"parent": tmp / "parent" / "src", "this": ROOT / "src"}
-        for i, (label, mode, config) in enumerate(runs(tmp)):
+        for i, (label, mode, config, sets) in enumerate(runs(tmp)):
             outs = {k: tmp / "out" / str(i) / k for k in trees}
-            procs = {k: start(src, mode, config, outs[k]) for k, src in trees.items()}
+            procs = {k: start(src, mode, config, sets, outs[k]) for k, src in trees.items()}
             codes = {k: p.wait() for k, p in procs.items()}
             diff = differences(outs["parent"], outs["this"])
             files = sum(1 for p in outs["this"].rglob("*") if p.is_file())

@@ -207,7 +207,8 @@ class ExperimentConfig:
         except ConfigError:
             raise
         except ValueError as exc:
-            raise ConfigError(f"invalid cost specification: {exc}") from exc
+            where = "field 'cost.expr'" if kind == "expr" else "cost specification"
+            raise ConfigError(f"invalid {where}: {exc}") from exc
 
     def dither(self) -> DitherConfig:
         try:

@@ -1,9 +1,12 @@
 """Cost functions: builtin families and gradients.
 
 A :class:`CostFunction` bundles a scalar field J with an optional analytic
-gradient and an optional known minimizer. Evaluators are vectorized: they
-accept arrays of shape (..., n) and return shape (...). Each cost also has a
-row form for the full loop, which holds its members as rows of floats.
+gradient and an optional known minimizer. Every cost's evaluator is compiled
+from its expression text by :func:`~esc_lab.expressions.compile_expression`:
+the builtins write their ``expr`` and compile it as :func:`parse_cost` does,
+so J has one evaluator. It is vectorized: it accepts arrays of shape (..., n)
+and returns shape (...). Each cost also has a row form for the full loop,
+which holds its members as rows of floats.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ __all__ = [
 @dataclass(frozen=True)
 class CostFunction:
     """J on arrays (``f``), on member rows (``f_rows``), and what is known of it.
+
+    ``f`` is ``compile_expression(expr, n)`` for every builtin and parsed cost.
 
     ``f_rows(rows, shift)`` takes member rows, sequences of floats whose first
     n entries are theta, and n dither shifts; it returns one J value per row,
@@ -90,14 +95,25 @@ def grad_cost(cost: CostFunction, theta) -> np.ndarray:
 # Builtin families
 # ---------------------------------------------------------------------------
 
-def _format_num(x: float) -> str:
-    return repr(float(x))
+def _finite(**values) -> None:
+    # repr(inf) is "inf", which the expression grammar cannot read back
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
+
+
+def _offsets(star: np.ndarray) -> list[str]:
+    """theta_i - theta*_i as expression text per channel; bare ``theta<i>`` where theta*_i = 0."""
+    return [f"theta{i}" if c == 0 else f"(theta{i} - {c!r})"
+            for i, c in enumerate(star.tolist(), 1)]
 
 
 def quadratic_cost(h, j_opt: float = 0.0, theta_star=None) -> CostFunction:
     """J(theta) = j_opt + 0.5 * (theta - theta*)' H (theta - theta*), H symmetric positive definite.
 
     ``h`` may be a scalar (n = 1), a vector of diagonal curvatures, or a full matrix.
+    ``expr`` sums (d_i * H_ij) * d_j over all n^2 entries of H in C order, zeros
+    included, with d = theta - theta*.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim == 0:
@@ -111,41 +127,20 @@ def quadratic_cost(h, j_opt: float = 0.0, theta_star=None) -> CostFunction:
             raise ValueError("curvature matrix must be square")
         n = h.shape[0]
         hmat = 0.5 * (h + h.T)
-    eigs = np.linalg.eigvalsh(hmat)
-    if np.any(eigs <= 0.0):
-        raise ValueError("curvature matrix must be positive definite")
     star = np.zeros(n) if theta_star is None else np.asarray(theta_star, dtype=float)
     if star.shape != (n,):
         raise ValueError(f"theta_star must have length {n}")
-
-    def f(x):
-        # elementwise products summed per row, in C order: unlike einsum, a row's
-        # value depends neither on the other rows nor on the memory layout of x
-        d = np.ascontiguousarray(x - star)
-        return j_opt + 0.5 * np.sum((d[..., :, None] * hmat) * d[..., None, :], axis=(-2, -1))
+    _finite(h=h, j_opt=j_opt, theta_star=star)
+    if np.any(np.linalg.eigvalsh(hmat) <= 0.0):
+        raise ValueError("curvature matrix must be positive definite")
 
     def grad(x):
         return (x - star) @ hmat
 
-    terms = [_format_num(j_opt)]
-    for i in range(n):
-        for j in range(i, n):
-            c = hmat[i, j] if i == j else 2.0 * hmat[i, j]
-            if c == 0.0:
-                continue
-            xi = f"theta{i + 1}" if star[i] == 0 else f"(theta{i + 1} - {_format_num(star[i])})"
-            xj = f"theta{j + 1}" if star[j] == 0 else f"(theta{j + 1} - {_format_num(star[j])})"
-            if i == j:
-                terms.append(f"0.5*{_format_num(c)}*{xi}^2")
-            else:
-                terms.append(f"0.5*{_format_num(c)}*{xi}*{xj}")
-    return CostFunction(
-        n=n,
-        f=f,
-        grad=grad,
-        theta_star=star,
-        expr=" + ".join(terms),
-    )
+    d, rows = _offsets(star), hmat.tolist()
+    products = " + ".join(f"({d[i]}*{rows[i][j]!r})*{d[j]}" for i in range(n) for j in range(n))
+    expr = f"{float(j_opt)!r} + 0.5*({products})"
+    return CostFunction(n=n, f=compile_expression(expr, n), grad=grad, theta_star=star, expr=expr)
 
 
 def quartic_cost() -> CostFunction:
@@ -154,52 +149,30 @@ def quartic_cost() -> CostFunction:
 
 
 def shifted_quartic_cost(theta_star) -> CostFunction:
-    """J(theta) = sum_i (theta_i - theta*_i)^4 / 24.
-
-    ``f`` raises |theta - theta*| rather than theta - theta* to the fourth
-    power. The value is the same to an ulp, but numpy's vectorized power is
-    fast only for positive bases: a negative base goes through a scalar
-    ``pow`` call, about 35 times slower (150 vs 4.3 ns per point on a
-    (501, 256) array, 2-vCPU AVX-512 x86 host). The abs also makes J exactly
-    even about theta*.
-    """
+    """J(theta) = sum_i (theta_i - theta*_i)^4 / 24; ``expr`` is ``(d_1^4 + ... + d_n^4) / 24``."""
     star = np.atleast_1d(np.asarray(theta_star, dtype=float))
+    _finite(theta_star=star)
     n = star.size
-
-    def f(x):
-        return np.add.reduce(np.abs(x - star) ** 4, axis=-1) / 24.0
 
     def grad(x):
         return (x - star) ** 3 / 6.0
 
-    f_rows = None
-    if n < 8:
-        # one power call, with f's scalar exponent, over |theta - theta*| of every
-        # channel (outer) and row (inner); then each row summed left to right, as
-        # numpy sums fewer than 8 terms
-        channels, star_list = range(n), star.tolist()
+    # one power call, with f's scalar exponent, over |theta - theta*| of every
+    # channel (outer) and row (inner); then each row summed left to right, as f sums
+    channels, star_list = range(n), star.tolist()
 
-        def f_rows(rows, shift):
-            powers = np.power([abs(r[i] + s - c) for i, s, c in zip(channels, shift, star_list)
-                               for r in rows], 4.0).tolist()
-            b = len(rows)
-            total = powers[:b]
-            for i in range(b, n * b, b):
-                total = [a + p for a, p in zip(total, powers[i : i + b])]
-            return [a / 24.0 for a in total]
+    def f_rows(rows, shift):
+        powers = np.power([abs(r[i] + s - c) for i, s, c in zip(channels, shift, star_list)
+                           for r in rows], 4.0).tolist()
+        b = len(rows)
+        total = powers[:b]
+        for i in range(b, n * b, b):
+            total = [a + p for a, p in zip(total, powers[i : i + b])]
+        return [a / 24.0 for a in total]
 
-    pieces = []
-    for i in range(n):
-        xi = f"theta{i + 1}" if star[i] == 0 else f"(theta{i + 1} - {_format_num(star[i])})"
-        pieces.append(f"{xi}^4 / 24")
-    return CostFunction(
-        n=n,
-        f=f,
-        grad=grad,
-        theta_star=star,
-        expr=" + ".join(pieces),
-        f_rows=f_rows,
-    )
+    expr = "(" + " + ".join(f"{d}^4" for d in _offsets(star)) + ") / 24"
+    return CostFunction(n=n, f=compile_expression(expr, n), grad=grad, theta_star=star,
+                        expr=expr, f_rows=f_rows)
 
 
 def parse_cost(expr: str, n: int) -> CostFunction:
@@ -207,5 +180,4 @@ def parse_cost(expr: str, n: int) -> CostFunction:
 
     The gradient falls back to central finite differences.
     """
-    evaluate = compile_expression(expr, n)
-    return CostFunction(n=n, f=evaluate, grad=None, theta_star=None, expr=expr)
+    return CostFunction(n=n, f=compile_expression(expr, n), expr=expr)

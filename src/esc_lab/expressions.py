@@ -20,12 +20,13 @@ by loops and have no length limit.
 Python function of straight-line numpy calls, one per operation, applied in
 the order a left-to-right walk of the tree would apply them. It works
 componentwise on arrays of shape (..., n). A ``^`` whose exponent is an even
-integer literal raises the absolute value of its base (the rule of
-``cost.shifted_quartic_cost``): the value is the same, J is exactly even in
-that base, and numpy's ``power`` stays on its fast path, which a negative
-base leaves for a much slower scalar ``pow`` call. Any other exponent
-uses plain ``power``, so odd powers keep their sign and a negative base to a
-non-integer power is NaN.
+integer literal raises the absolute value of its base: the value is the
+same, J is exactly even in that base, and numpy's ``power`` stays on its
+fast path, which a negative base leaves for a much slower scalar ``pow``
+call. Any other exponent uses plain ``power``, so odd powers keep their sign
+and a negative base to a non-integer power is NaN. Literals combine as
+Python floats, so a subexpression of literals that divides by zero is
+rejected when the expression is compiled.
 """
 
 from __future__ import annotations
@@ -241,4 +242,10 @@ def compile_expression(text: str, n: int):
     namespace = {"asarray": np.asarray, "full": np.full, "absolute": np.abs, "power": np.power,
                  **constants}
     exec(compile(source, "<cost expression>", "exec"), namespace)
-    return namespace["evaluate"]
+    evaluate = namespace["evaluate"]
+    try:  # a subexpression of literals names no variable: any point evaluates it
+        with np.errstate(all="ignore"):
+            evaluate(np.zeros(n))
+    except ZeroDivisionError:
+        raise ValueError("a subexpression of literals divides by zero") from None
+    return evaluate

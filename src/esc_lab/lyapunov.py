@@ -241,7 +241,7 @@ class LevelSetOracle:
         self.eq = eq
         self.quad = PeriodQuadrature(dither)
         self._j_star = float(cost.f(eq.theta_star))
-        self._node_base = eq.theta_star[None, :] + self.quad.s  # theta* + s_j, (n_q, n)
+        self._node_base = eq.theta_star[:, None] + self.quad.s.T  # theta* + s_j, (n, n_q)
         xi = _Target(lambda y_c: (np.mean(y_c, axis=-1),), lambda f: np.abs(f[0]))
         self._targets = [xi] + [self._v_target(i) for i in range(cost.n)]
 
@@ -281,7 +281,12 @@ class LevelSetOracle:
 
     def _residuals(self, phi: np.ndarray) -> np.ndarray:
         """Node residuals y_c = J(theta* + phi + s_j) - xi* on a batch of error points, (k, n_q)."""
-        return self.cost.f(phi[:, None, :] + self._node_base) - self.eq.xi_star
+        # one add per channel into contiguous columns: a broadcast add over the
+        # (k, n_q, n) points would run its inner loop over only n entries at a time
+        points = np.empty((self.cost.n, len(phi), self.quad.n_q))
+        for i, base_i in enumerate(self._node_base):
+            np.add(phi[:, i, None], base_i, out=points[i])
+        return self.cost.f(np.moveaxis(points, 0, -1)) - self.eq.xi_star
 
     def _v_target(self, channel: int) -> _Target:
         """v_channel: field (p, q) of ``g2_coeffs``, sup over eta by :func:`_eta_abs_max`."""

@@ -186,6 +186,20 @@ def test_deep_expression_cost_exits_2(tmp_path, capsys):
     assert "nesting deeper than 100 levels at position 101" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, config", [
+    ("lyapunov", "quartic_lyapunov"),
+    ("simulate", "quartic_fig1"),
+])
+def test_literal_division_by_zero_exits_2(mode, config, tmp_path, capsys):
+    # the compiled cost divides literals as Python floats: this used to end in a traceback
+    code = main([mode, "--config", config, "--set", "cost.kind=expr",
+                 "--set", "cost.expr=theta1^4/24 + 1/(2-2)", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cost.expr" in err and "divides by zero" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_long_sum_expression_cost_runs(tmp_path, capsys):
     expr = " + ".join(["theta1"] * 1500)
     code = main(["simulate", "--config", "quartic_fig1", "--set", "cost.kind=expr",

@@ -99,20 +99,34 @@ def test_parse_quadratic_matches_builtin():
 
 
 def test_builtin_expressions_round_trip():
+    # a builtin's f is its expression compiled, so parsing the text back gives the same bits
     rng = np.random.default_rng(3)
     costs = [
         quadratic_cost(1.0, 3.0),
         quadratic_cost([[2.0, 0.4], [0.4, 1.5]], -1.0, [0.25, -0.5]),
+        quadratic_cost([[2.0, -0.3, 0.0], [-0.3, 1.0, 0.2], [0.0, 0.2, 3.0]], 0.5,
+                       [1.0, 0.0, -2.0]),
         quartic_cost(),
         shifted_quartic_cost([1.5, -0.5]),
+        shifted_quartic_cost(np.linspace(-1.0, 1.0, 9)),
     ]
     for cost in costs:
-        parsed = parse_cost(cost.expr, cost.n)
-        for _ in range(100):
-            theta = rng.uniform(-3, 3, cost.n)
-            assert eval_cost(parsed, theta) == pytest.approx(
-                eval_cost(cost, theta), rel=1e-12, abs=1e-12
-            )
+        theta = rng.uniform(-3, 3, (100, cost.n))
+        assert parse_cost(cost.expr, cost.n).f(theta).tobytes() == cost.f(theta).tobytes()
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("build, name", [
+    (lambda v: quadratic_cost(1.0, v), "j_opt"),
+    (lambda v: quadratic_cost([1.0, v]), "h"),
+    (lambda v: quadratic_cost([[1.0, v], [v, 1.0]]), "h"),
+    (lambda v: quadratic_cost(1.0, 0.0, [v]), "theta_star"),
+    (lambda v: shifted_quartic_cost([0.5, v]), "theta_star"),
+])
+def test_builders_reject_non_finite_parameters(build, name, value):
+    # repr(inf) is "inf", which the expression grammar would read as an unknown identifier
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        build(value)
 
 
 def test_syntax_error_reports_position():
