@@ -3,9 +3,11 @@
 
 Exports PARENT_REF with ``git archive`` into a temporary directory, then runs
 every bundled config, seeds 0 and 3 of each benchmark workload
-(``perfbench/workloads.py``, imported read-only for its config text) and two
-2-D builtin costs (``quartic_average`` with ``--set`` overrides; no bundled
-config or workload has one) through ``python -m esc_lab.cli``, once from the
+(``perfbench/workloads.py``, imported read-only for its config text) and four
+bundled configs with ``--set`` overrides (2-D and 3-D builtin costs in
+``average``, and a parsed cost in ``lyapunov``, whose equilibrium search
+starts at the origin and iterates; no bundled config or workload has these)
+through ``python -m esc_lab.cli``, once from the
 parent's ``src`` and once from this checkout's, each run into its own output
 directory. The two trees run side by side, one process each. Every file
 either run wrote is compared byte for byte, and so is the exit code. Prints
@@ -28,10 +30,18 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (0, 3)
 TWO_CHANNELS = ["dither.amplitudes=0.02,0.02", "dither.rates=1,2", "gains.omega_l=0.25,0.25",
                 "init.theta=1.5,-0.5", "init.v=0.81,0.81", "time.t1=20"]
-TWO_CHANNEL_COSTS = {
-    "2-D quadratic, theta* != 0": ["cost.kind=quadratic", "cost.h=2,0.5", "cost.j_opt=1",
-                                   "cost.theta_star=0.3,-0.7"],
-    "2-D shifted_quartic": ["cost.kind=shifted_quartic", "cost.theta_star=0.5,-1"],
+THREE_CHANNELS = ["dither.amplitudes=0.02,0.03,0.02", "dither.rates=1,2,3",
+                  "gains.omega_l=0.25,0.25,0.4", "init.theta=1.5,-0.5,0.2",
+                  "init.v=0.81,0.81,0.81", "time.t1=20"]
+OVERRIDE_RUNS = {    # label: (mode, bundled config, overrides)
+    "2-D quadratic, theta* != 0": ("average", "quartic_average", TWO_CHANNELS + [
+        "cost.kind=quadratic", "cost.h=2,0.5", "cost.j_opt=1", "cost.theta_star=0.3,-0.7"]),
+    "2-D shifted_quartic": ("average", "quartic_average", TWO_CHANNELS + [
+        "cost.kind=shifted_quartic", "cost.theta_star=0.5,-1"]),
+    "3-D diagonal quadratic, theta*!=0": ("average", "quartic_average", THREE_CHANNELS + [
+        "cost.kind=quadratic", "cost.h=2,0.5,1.5", "cost.j_opt=1", "cost.theta_star=0.3,-0.7,1"]),
+    "parsed quadratic, searched eq.": ("lyapunov", "quadratic_lyapunov", [
+        "cost.kind=expr", "cost.expr=3 + 0.5*(theta1 - 1)^2", "time.t1=10"]),
 }
 
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -46,7 +56,7 @@ def export(ref: str, dest: Path) -> None:
 
 
 def runs(config_dir: Path):
-    """(label, mode, config, overrides) for every bundled config, workload seed and 2-D cost."""
+    """(label, mode, config, overrides) for every bundled config, workload seed and override run."""
     for cfg in sorted((ROOT / "src" / "esc_lab" / "configs").glob("*.cfg")):
         mode = re.search(r"^mode\s*=\s*(\w+)", cfg.read_text(), re.M).group(1)
         yield cfg.stem, mode, cfg.stem, []
@@ -55,8 +65,8 @@ def runs(config_dir: Path):
             path = config_dir / f"{name}_{seed}.cfg"
             path.write_text(config_text(w, seed))
             yield f"{name} seed {seed}", w.mode, str(path), []
-    for label, cost in TWO_CHANNEL_COSTS.items():
-        yield label, "average", "quartic_average", TWO_CHANNELS + cost
+    for label, (mode, config, sets) in OVERRIDE_RUNS.items():
+        yield label, mode, config, sets
 
 
 def start(src: Path, mode: str, config: str, sets: list[str], out: Path) -> subprocess.Popen:

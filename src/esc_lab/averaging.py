@@ -10,9 +10,9 @@ system in (theta_bar, v_bar, xi_bar) driven by three maps:
 * ``g2_bar(theta, xi)``  — average squared gradient estimate per channel.
 
 All three are computed by composite trapezoid quadrature on one period with
-uniform nodes, whose tables one :class:`PeriodQuadrature` holds per dither
-and node count; for smooth periodic integrands that rule converges spectrally,
-so modest node counts reproduce closed forms to near machine precision. The
+uniform nodes, whose tables one :class:`PeriodQuadrature` holds per dither;
+for smooth periodic integrands that rule converges spectrally, so its
+256 * r_max nodes reproduce closed forms to near machine precision. The
 integrands depend on time only through sin(omega * r_i * t), so the averages
 are independent of omega itself. :func:`avg_maps`, :func:`equilibrium` and
 :func:`average_flat_rhs` share one kernel, which evaluates J in one cost
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import Optional
 
 import numpy as np
 
@@ -68,36 +67,26 @@ class Equilibrium:
     grad_norm: float
     iterations: int
 
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.theta_star, self.v_star, [self.xi_star]])
-
 
 class PeriodQuadrature:
-    """Uniform-node trapezoid rule over one dither period, built once per (dither, n_q).
+    """Uniform-node trapezoid rule over one dither period, built once per dither.
 
-    Node j sits at phase 2*pi*j/n_q of the slowest harmonic; omega cancels.
-    ``s`` (n_q, n) holds the dither at each node and ``m`` (n, n_q) the
-    demodulation signal; ``m2 = m * m`` and ``r = mean(m2)`` (= 2 / a_i^2)
-    serve the squared-estimate average (:meth:`g2_coeffs`). The default node
-    count is ``256 * r_max`` and at least ``8 * r_max`` nodes are required.
+    There are n_q = 256 * r_max nodes; node j sits at phase 2*pi*j/n_q of the
+    slowest harmonic, and omega cancels. ``s`` (n_q, n) holds the dither at
+    each node and ``m`` (n, n_q) the demodulation signal; ``m2 = m * m`` and
+    ``r = mean(m2)`` (= 2 / a_i^2) serve the squared-estimate average
+    (:meth:`g2_coeffs`).
     """
 
-    def __init__(self, dither: DitherConfig, n_q: Optional[int] = None):
-        n_q = 256 * dither.r_max if n_q is None else int(n_q)
-        if n_q < 8 * dither.r_max:
-            raise ValueError(f"need at least {8 * dither.r_max} quadrature nodes, got {n_q}")
+    def __init__(self, dither: DitherConfig):
         self.n = dither.n
-        self.n_q = n_q
+        self.n_q = n_q = 256 * dither.r_max
         phases = 2.0 * np.pi * np.arange(n_q) / n_q
         sin_rt = np.sin(dither.rates[:, None] * phases[None, :])  # (n, n_q)
         self.s = (dither.amplitudes[:, None] * sin_rt).T
         self.m = (2.0 / dither.amplitudes[:, None]) * sin_rt
         self.m2 = self.m * self.m
         self.r = np.mean(self.m2, axis=1)
-
-    def check(self, cost: CostFunction) -> None:
-        if cost.n != self.n:
-            raise ValueError("dither and cost dimensions differ")
 
     def g2_coeffs(self, y_c: np.ndarray, channel: int) -> tuple[np.ndarray, np.ndarray]:
         """Quadratic-in-xi decomposition of one channel's squared-estimate average.
@@ -130,7 +119,8 @@ def _map_sums(cost: CostFunction, quad: PeriodQuadrature):
     the large DC term that would otherwise dominate the floating-point
     cancellation error.
     """
-    quad.check(cost)
+    if cost.n != quad.n:
+        raise ValueError("dither and cost dimensions differ")
     n, n_q = quad.n, quad.n_q
     f, m = cost.f, quad.m
     add, subtract, multiply, reduce = np.add, np.subtract, np.multiply, np.add.reduce
@@ -218,28 +208,18 @@ def average_flat_rhs(params, cost: CostFunction, dither: DitherConfig):
     return rhs
 
 
-def equilibrium(
-    cost: CostFunction,
-    dither: DitherConfig,
-    theta_init=None,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> Equilibrium:
+def equilibrium(cost: CostFunction, dither: DitherConfig) -> Equilibrium:
     """Locate the average-system equilibrium by damped descent on J_bar.
 
+    Starts at ``cost.theta_star``, or at the origin when none is known.
     Backtracking line search along -g_bar with an Armijo factor of 0.5 and a
-    doubling step recovery; stops when ||g_bar|| <= tol. xi* and v* follow by
-    direct evaluation at theta*.
+    doubling step recovery; stops when ||g_bar|| <= 1e-10, and fails after
+    100,000 iterations or where theta_i + a_i == theta_i: there every node
+    rounds onto theta, so g_bar is exactly 0 on any cost. xi* and v* follow
+    by direct evaluation at theta*.
     """
-    if theta_init is None:
-        theta = (
-            np.array(cost.theta_star, dtype=float)
-            if cost.theta_star is not None
-            else np.zeros(cost.n)
-        )
-    else:
-        theta = np.atleast_1d(np.asarray(theta_init, dtype=float)).copy()
-
+    tol, max_iter = 1e-10, 100_000
+    theta = np.zeros(cost.n) if cost.theta_star is None else np.array(cost.theta_star, dtype=float)
     quad = PeriodQuadrature(dither)
     sums = _map_sums(cost, quad)
 
@@ -252,6 +232,12 @@ def equilibrium(
         maps = maps_at(theta)
         gnorm = float(np.linalg.norm(maps.g_bar))
         if gnorm <= tol:
+            if np.any(theta + dither.amplitudes == theta):
+                raise ConvergenceError(
+                    f"g_bar vanished at theta = {np.array2string(theta, precision=6)} after "
+                    f"{it} iterations, where theta + a rounds to theta: the dither cannot "
+                    "resolve the cost there"
+                )
             break
         j0 = maps.j_bar
         # Once the true decrease per step falls below the float resolution of

@@ -36,8 +36,8 @@ more than MAX_STEPS = 1e8 RK4 steps of the largest step the settings allow; a
 lyapunov search box on which J or an averaged filter target is not finite; two
 init.xi entries that would write the same CSV name; more than one init.xi
 entry in average, compare or lyapunov mode; and a quadratic report given
-more than one curvature or amplitude), 3 runtime abort (non-finite state or
-a stalled equilibrium search).
+more than one curvature or amplitude), 3 runtime abort (non-finite state, or
+an equilibrium search that stalls or outruns the dither's resolution).
 """
 
 from __future__ import annotations
@@ -362,6 +362,8 @@ def _mode_converge(cfg: ExperimentConfig, out_dir: Path) -> int:
     theta = cfg.number_list(key)
     if theta.size != cost.n:
         raise ConfigError(f"field {key!r} must have {cost.n} entries")
+    if np.any(a0_list <= 0) or np.any(np.diff(a0_list) >= 0):
+        raise ConfigError("field 'converge.a0' entries must be positive and strictly decreasing")
     rows = convergence_sweep(cost, dither, theta, list(a0_list))
     path = write_csv(out_dir / "converge.csv", ["a0", "grad_error", "v_star_max"],
                      [[row.a0, row.grad_error, row.v_star_max] for row in rows])
@@ -382,6 +384,8 @@ def _mode_lyapunov(cfg: ExperimentConfig, out_dir: Path) -> int:
             hw = np.full(cost.n, float(hw[0]))
         if hw.size != cost.n:
             raise ConfigError(f"field 'lyapunov.box_halfwidth' must have 1 or {cost.n} entries")
+        if np.any(hw <= 0):
+            raise ConfigError("field 'lyapunov.box_halfwidth' entries must be positive")
     else:
         hw = np.maximum(1.0, 2.0 * err0)
     spec = LevelSpec(box=np.stack([-hw, hw], axis=-1))

@@ -241,16 +241,16 @@ class ExperimentConfig:
         out = []
         for entry in entries:
             m = re.fullmatch(r"(?:([-+0-9.eE]+)\s*\*\s*)?y0", entry)
-            if m:
-                factor = float(m.group(1)) if m.group(1) else 1.0
-                label, xi0 = entry.replace("*", "").replace(" ", ""), factor * y0
-            else:
-                try:
+            try:
+                if m:
+                    factor = float(m.group(1)) if m.group(1) else 1.0
+                    label, xi0 = entry.replace("*", "").replace(" ", ""), factor * y0
+                else:
                     label, xi0 = entry, float(entry)
-                except ValueError:
-                    raise ConfigError(
-                        f"field 'init.xi' entries must be numbers or '<factor>*y0', got {entry!r}"
-                    ) from None
+            except ValueError:
+                raise ConfigError(
+                    f"field 'init.xi' entries must be numbers or '<factor>*y0', got {entry!r}"
+                ) from None
             if not np.isfinite(xi0):
                 raise ConfigError(f"field 'init.xi' entry {entry!r} must be finite, got {xi0!r}")
             out.append((label, xi0))

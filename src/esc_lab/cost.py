@@ -112,8 +112,9 @@ def quadratic_cost(h, j_opt: float = 0.0, theta_star=None) -> CostFunction:
     """J(theta) = j_opt + 0.5 * (theta - theta*)' H (theta - theta*), H symmetric positive definite.
 
     ``h`` may be a scalar (n = 1), a vector of diagonal curvatures, or a full matrix.
-    ``expr`` sums (d_i * H_ij) * d_j over all n^2 entries of H in C order, zeros
-    included, with d = theta - theta*.
+    ``expr`` sums (d_i * H_ij) * d_j over the nonzero entries of H in C order, with
+    d = theta - theta*. The sum starts at (d_1 * H_11) * d_1 >= +0 and is never -0,
+    so a left-out +-0 term would not change a finite value's bits.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim == 0:
@@ -138,7 +139,8 @@ def quadratic_cost(h, j_opt: float = 0.0, theta_star=None) -> CostFunction:
         return (x - star) @ hmat
 
     d, rows = _offsets(star), hmat.tolist()
-    products = " + ".join(f"({d[i]}*{rows[i][j]!r})*{d[j]}" for i in range(n) for j in range(n))
+    products = " + ".join(f"({d[i]}*{rows[i][j]!r})*{d[j]}" for i in range(n) for j in range(n)
+                          if rows[i][j] != 0.0)
     expr = f"{float(j_opt)!r} + 0.5*({products})"
     return CostFunction(n=n, f=compile_expression(expr, n), grad=grad, theta_star=star, expr=expr)
 

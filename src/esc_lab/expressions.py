@@ -17,10 +17,10 @@ of binary operators (a sum of any number of terms) are parsed and compiled
 by loops and have no length limit.
 
 :func:`compile_expression` parses the text once and lowers the tree to one
-Python function of straight-line numpy calls, one per operation, applied in
-the order a left-to-right walk of the tree would apply them. It works
-componentwise on arrays of shape (..., n). A ``^`` whose exponent is an even
-integer literal raises the absolute value of its base: the value is the
+Python function of straight-line numpy calls, one per distinct operation,
+applied in the order a left-to-right walk of the tree would apply them. It
+works componentwise on arrays of shape (..., n). A ``^`` whose exponent is an
+even integer literal raises the absolute value of its base: the value is the
 same, J is exactly even in that base, and numpy's ``power`` stays on its
 fast path, which a negative base leaves for a much slower scalar ``pow``
 call. Any other exponent uses plain ``power``, so odd powers keep their sign
@@ -179,26 +179,30 @@ def _is_even_integer(node) -> bool:
 
 
 def _emit(tree):
-    """Lower ``tree`` to straight-line Python: one assignment per operation.
+    """Lower ``tree`` to straight-line Python: one assignment per distinct operation.
 
     Returns (source, constants). Operands are evaluated left to right, so the
     function makes the numpy calls a recursive walk of the tree would make, in
-    the same order; the walk itself runs on an explicit stack, so a tree of
-    any depth (a left-nested chain of thousands of additions) is lowered
-    without Python recursion. A tree that names no variable returns its
-    constant once per point, shape (...). Literals are bound by name
-    (``1e999`` has no source form but ``inf``), and the code is flat, so the
-    Python compiler sees no nesting at all.
+    the same order, except that an operation already emitted is not emitted
+    again: each is keyed by its text (operator and operand names), each literal
+    by its ``repr``, and a repeat reuses the first one's name, so
+    ``(theta1 - 1)^2 + (theta1 - 1)^2`` makes one subtraction and one power.
+    The walk runs on an explicit stack, so a tree of any depth (a left-nested
+    chain of thousands of additions) is lowered without Python recursion. A
+    tree that names no variable returns its constant once per point, shape
+    (...). Literals are bound by name (``1e999`` has no source form but
+    ``inf``), and the code is flat, so the Python compiler sees no nesting.
     """
     lines: list[str] = []
     constants: dict[str, float] = {}
+    names: dict[str, str] = {}                # literal repr or operation text -> its name
     variables: set[int] = set()
     stack = [(tree, [])]                      # (node, names of its lowered operands)
     while True:
         node, operands = stack[-1]
         op = node[0]
         if op == "const":
-            name = f"c{len(constants)}"
+            name = names.setdefault(repr(node[1]), f"c{len(constants)}")
             constants[name] = node[1]
         elif op == "var":
             variables.add(node[1])
@@ -216,8 +220,10 @@ def _emit(tree):
                 expr = f"power({base}, {operands[1]})"
             else:
                 expr = f"{operands[0]} {_BINARY[op]} {operands[1]}"
-            name = f"t{len(lines)}"
-            lines.append(f"    {name} = {expr}")
+            name = names.get(expr)
+            if name is None:
+                name = names[expr] = f"t{len(lines)}"
+                lines.append(f"    {name} = {expr}")
         stack.pop()
         if not stack:
             break

@@ -157,8 +157,8 @@ def _quantize_level(c: float) -> float:
 _quantize_up = np.vectorize(_quantize_level, otypes=[float])
 
 
-def _golden_max(f, lo: np.ndarray, hi: np.ndarray, iters: int = 64) -> np.ndarray:
-    """Golden-section maximization on every bracket [lo_k, hi_k] in lockstep.
+def _golden_max(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Golden-section maximization on every bracket [lo_k, hi_k] in lockstep, 64 steps.
 
     ``f`` maps an array of abscissae (one per bracket) to objective values.
     Returns the best value seen per bracket (may be -inf).
@@ -168,7 +168,7 @@ def _golden_max(f, lo: np.ndarray, hi: np.ndarray, iters: int = 64) -> np.ndarra
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     best = np.maximum.reduce([f(a), f(b), fc, fd])
-    for _ in range(iters):
+    for _ in range(64):
         right = fc < fd  # keep [c, b] and probe a new d; else keep [a, d] and probe a new c
         a, b = np.where(right, c, a), np.where(right, b, d)
         c, d = np.where(right, d, b - _GOLDEN * (b - a)), np.where(right, a + _GOLDEN * (b - a), c)

@@ -42,7 +42,7 @@ def _descent_runs():
         ("quadratic", el.quadratic_cost(1.0, 3.0), el.new_dither([0.2], [1], 10.0)),
         ("quartic", el.quartic_cost(), el.new_dither([0.02], [1], 10.0)),
     ):
-        eq = el.equilibrium(cost, dither, theta_init=[1.0])
+        eq = el.equilibrium(cost, dither)
         spec = el.LevelSpec(box=[[-4.0, 4.0]])
         traj = el.simulate_average(cost, dither, FIG1, [2.0, 0.81, 0.0], 0.0, 100.0, 0.0125, 4)
         report = el.monitor_descent(traj, cost, dither, eq, spec)
@@ -63,7 +63,7 @@ def test_criterion_1_quadratic_closed_form_agreement():
             model = el.QuadraticModel(h=h, j_opt=0.0, a=a)
             cost = el.quadratic_cost(h)
             dither = el.new_dither([a], [1], 10.0)
-            maps = el.avg_maps(cost, el.PeriodQuadrature(dither, n_q=256), [theta], xi)
+            maps = el.avg_maps(cost, el.PeriodQuadrature(dither), [theta], xi)
             b0 = el.fourier_coeffs(model, theta)[0]
             g_cf, g2_cf = el.quad_avg_maps(model, theta, xi)
             for num, ref in ((maps.j_bar, b0), (maps.g_bar[0], g_cf), (maps.g2_bar[0], g2_cf)):
@@ -72,11 +72,11 @@ def test_criterion_1_quadratic_closed_form_agreement():
 
 
 def test_criterion_2_equilibrium_values():
-    with criterion(2, "quadratic equilibrium (theta*, xi*, v*) = (0, 3.01, 0.0025)", 1.0):
-        cost = el.quadratic_cost(1.0, 3.0)
+    with criterion(2, "quadratic equilibrium (theta*, xi*, v*) = (1, 3.01, 0.0025)", 1.0):
+        cost = el.parse_cost("3 + 0.5*(theta1 - 1)^2", 1)   # searched from the origin
         dither = el.new_dither([0.2], [1], 10.0)
-        eq = el.equilibrium(cost, dither, theta_init=[1.0])
-        assert abs(eq.theta_star[0]) <= 1e-9
+        eq = el.equilibrium(cost, dither)
+        assert abs(eq.theta_star[0] - 1.0) <= 1e-9
         assert abs(eq.xi_star - 3.01) <= 1e-9
         assert abs(eq.v_star[0] - 0.0025) <= 1e-9
 
@@ -86,10 +86,10 @@ def test_criterion_3_jacobian_and_eigenvalue_asymptotes():
         model = el.QuadraticModel(h=4.0, j_opt=3.0, a=0.02)
         cost = el.quadratic_cost(model.h, model.j_opt)
         dither = el.new_dither([model.a], [1], 10.0)
-        eq = el.equilibrium(cost, dither, theta_init=[0.5])
+        eq = el.equilibrium(cost, dither)
         flat_rhs = average_flat_rhs(FIG1, cost, dither)
         rhs = lambda t, y: np.array(flat_rhs(t, [y.tolist()])[0])
-        x0 = eq.flat()
+        x0 = np.array([*eq.theta_star, *eq.v_star, eq.xi_star])
         num = np.zeros((3, 3))
         for j in range(3):
             step = 1e-6 * (1.0 + abs(x0[j]))

@@ -26,7 +26,9 @@ from esc_lab import (averaging, cli, config, cost, dynamics, expressions, integr
 # oscillatory step rule (DitherConfig.max_step holds it); the error-coordinate
 # layer with the Equilibrium.n it alone read, and the one-point V_theta, which
 # only tests reached (monitor_descent slices the error states and
-# LevelSetOracle._v_theta takes batches).
+# LevelSetOracle._v_theta takes batches); the flat equilibrium state and the
+# quadrature's dimension check, each with one caller (tests build the state
+# row, and the map kernel checks the dimensions).
 REMOVED = {
     dynamics: ["EscState", "EscDerivative", "rmspesc_rhs", "gesc_rhs", "grad_estimate"],
     averaging: ["average_rhs", "default_nodes", "_node_signals", "avg_g2_coeffs", "ErrorState",
@@ -42,7 +44,8 @@ REMOVED = {
     integrate.Trajectory: ["column", "label"],
     signals.DitherConfig: ["phase_grid", "dither_matrix", "demod_matrix"],
     averaging.AverageMaps: ["n_q"],
-    averaging.Equilibrium: ["n"],
+    averaging.Equilibrium: ["n", "flat"],
+    averaging.PeriodQuadrature: ["check"],
     lyapunov.LevelSetOracle: ["_batch_fields", "_radii_chunk", "_eta_abs_max", "radius_xi",
                               "radius_v", "value", "_env_r_xi"],
     expressions: ["_evaluate"],
@@ -96,10 +99,24 @@ def test_fixed_settings_take_no_parameter():
                  averaging.convergence_sweep, lyapunov.LevelSetOracle, lyapunov.monitor_descent):
         assert "n_q" not in inspect.signature(func).parameters, func.__name__
     assert "tol" not in inspect.signature(lyapunov.monitor_descent).parameters
+    # the equilibrium search starts at the known minimizer or the origin, with a fixed
+    # tolerance and budget; the quadrature has 256 * r_max nodes; golden section 64 steps
+    assert list(inspect.signature(averaging.equilibrium).parameters) == ["cost", "dither"]
+    assert list(inspect.signature(averaging.PeriodQuadrature).parameters) == ["dither"]
+    assert list(inspect.signature(lyapunov._golden_max).parameters) == ["f", "lo", "hi"]
     assert "name" not in inspect.signature(cost.shifted_quartic_cost).parameters
     assert "n" not in inspect.signature(cost.quadratic_cost).parameters
     # J is evaluated through cost.f or eval_cost; a cost object is not a function
     assert not callable(cost.quartic_cost())
+
+
+def test_emit_computes_a_repeated_operation_once():
+    source, constants = expressions._emit(
+        expressions._Parser("(theta1 - 1)^2 + (theta1 - 1)^2", 1).parse())
+    # one subtraction and one power, whose value the sum reads twice
+    operations = [line.strip() for line in source.splitlines() if line.startswith("    t")]
+    assert operations == ["t0 = x0 - c0", "t1 = power(absolute(t0), c1)", "t2 = t1 + t1"]
+    assert constants == {"c0": 1.0, "c1": 2.0}
 
 
 def test_kernel_module_is_gone():

@@ -49,20 +49,20 @@ def test_quadratic_closed_forms():
     assert maps.j_bar == pytest.approx(3.51, rel=1e-12)       # b0 at theta=1
     assert maps.g_bar == pytest.approx([1.0], rel=1e-12)      # H*theta
     # at theta=0, xi = equilibrium washout value, the squared average is b2^2/a^2
-    eq = equilibrium(cost, dither, theta_init=[1.0])
+    eq = equilibrium(cost, dither)
     m0 = avg_maps(cost, PeriodQuadrature(dither), [0.0], eq.xi_star)
     assert m0.g2_bar == pytest.approx([0.0025], abs=1e-12)
 
 
 def test_quartic_average_gradient_analytic():
     cost, dither = quartic_setup()
-    maps = avg_maps(cost, PeriodQuadrature(dither), [2.0], 0.0)
-    expected = 2.0**3 / 6.0 + 0.02**2 * 2.0 / 8.0   # cubic term plus a^2*theta/8 bias
-    assert maps.g_bar == pytest.approx([expected], rel=1e-12)
-    # quadrature already converged: a much denser rule agrees
-    dense = avg_maps(cost, PeriodQuadrature(dither, n_q=4096), [2.0], 0.0)
-    assert maps.g_bar == pytest.approx(dense.g_bar, rel=1e-13)
-    assert maps.j_bar == pytest.approx(dense.j_bar, rel=1e-13)
+    theta, a = 2.0, 0.02
+    maps = avg_maps(cost, PeriodQuadrature(dither), [theta], 0.0)
+    # mean of (theta + a sin)^4 / 24 and its demodulated slope: the cubic term plus a^2*theta/8
+    j_bar = (theta**4 + 3 * a**2 * theta**2 + 3 * a**4 / 8) / 24
+    g_bar = theta**3 / 6 + a**2 * theta / 8
+    assert maps.g_bar == pytest.approx([g_bar], rel=1e-13)
+    assert maps.j_bar == pytest.approx(j_bar, rel=1e-13)
 
 
 def test_g_bar_independent_of_xi():
@@ -224,17 +224,11 @@ def test_average_flat_rhs_one_sweep_and_one_reduction_per_row(cost, dither, para
     assert out == average_flat_rhs(params, cost, dither)(0.0, rows)
 
 
-def test_invalid_node_count():
-    _, dither = quad_setup()
-    with pytest.raises(ValueError, match="nodes"):
-        PeriodQuadrature(dither, n_q=4)
-
-
 def test_quadrature_tables():
     dither = new_dither([0.2, 0.05], [1, 3], 10.0)
-    assert PeriodQuadrature(dither).n_q == 256 * 3
-    quad = PeriodQuadrature(dither, n_q=24)
-    assert quad.s.shape == (24, 2) and quad.m.shape == (2, 24)
+    quad = PeriodQuadrature(dither)
+    assert quad.n_q == 256 * 3
+    assert quad.s.shape == (768, 2) and quad.m.shape == (2, 768)
     np.testing.assert_allclose(quad.r, 2.0 / dither.amplitudes**2, rtol=1e-12)
     with pytest.raises(ValueError, match="dimensions"):
         avg_maps(quadratic_cost(1.0), quad, [1.0])
@@ -242,14 +236,14 @@ def test_quadrature_tables():
 
 def test_average_rhs_at_equilibrium_vanishes():
     cost, dither = quad_setup()
-    eq = equilibrium(cost, dither, theta_init=[1.0])
-    d = average_rhs(eq.flat(), FIG1, cost, dither)
+    eq = equilibrium(cost, dither)
+    d = average_rhs([*eq.theta_star, *eq.v_star, eq.xi_star], FIG1, cost, dither)
     np.testing.assert_allclose(d, np.zeros(3), atol=1e-9)
 
 
 def test_average_rhs_substitution():
     cost, dither = quad_setup()
-    eq = equilibrium(cost, dither, theta_init=[1.0])
+    eq = equilibrium(cost, dither)
     state = np.array([1.0, 0.0, eq.xi_star])
     d = average_rhs(state, FIG1, cost, dither)
     assert d[0] == pytest.approx(-1.0 / 0.05, rel=1e-10)  # -k*g/(sqrt(0)+eps)
@@ -276,29 +270,32 @@ def test_average_flat_rhs_clamps_negative_v():
     assert d_zero[0] == pytest.approx(-1.0 / 0.05, rel=1e-10)
 
 
+# parsed costs have no known minimizer, so the search starts at the origin, as
+# every parsed-cost run does
 def test_equilibrium_quadratic_closed_form():
-    cost, dither = quad_setup()
-    eq = equilibrium(cost, dither, theta_init=[1.0])
-    assert abs(eq.theta_star[0]) <= 1e-9
+    cost, dither = parse_cost("3 + 0.5*(theta1 - 1)^2", 1), new_dither([0.2], [1], 10.0)
+    eq = equilibrium(cost, dither)
+    assert eq.iterations > 1
+    assert abs(eq.theta_star[0] - 1.0) <= 1e-9
     assert eq.xi_star == pytest.approx(3.01, abs=1e-9)       # j_opt + a^2 H / 4
     assert eq.v_star == pytest.approx([0.0025], abs=1e-9)    # a^2 H^2 / 16
 
 
 def test_equilibrium_quartic():
-    cost, dither = quartic_setup()
-    eq = equilibrium(cost, dither, theta_init=[0.5])
+    cost, dither = parse_cost("(theta1 - 0.5)^4 / 24", 1), new_dither([0.02], [1], 10.0)
+    eq = equilibrium(cost, dither)
+    assert eq.iterations > 1
     assert eq.xi_star == pytest.approx(0.02**4 / 64.0, rel=1e-4)
     assert eq.v_star[0] <= 1e-12
     assert eq.grad_norm <= 1e-10
 
 
 def test_equilibrium_washout_approaches_true_minimum_as_dither_shrinks():
-    cost, dither = quartic_setup()
-    j_min = float(cost.f(cost.theta_star))
+    cost, dither = parse_cost("(theta1 - 0.3)^4 / 24", 1), new_dither([0.02], [1], 10.0)
     gaps = []
     for a0 in (0.08, 0.02, 0.005):
-        eq = equilibrium(cost, dither.scaled(a0), theta_init=[0.3])
-        gaps.append(abs(eq.xi_star - j_min))
+        eq = equilibrium(cost, dither.scaled(a0))
+        gaps.append(eq.xi_star)                                 # min J = 0
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[-1] < 1e-10
 
@@ -306,16 +303,19 @@ def test_equilibrium_washout_approaches_true_minimum_as_dither_shrinks():
 def test_equilibrium_default_start_uses_known_minimizer():
     cost = quadratic_cost(2.0, 1.0, [1.5])
     dither = new_dither([0.1], [1], 10.0)
-    eq = equilibrium(cost, dither)  # no theta_init
+    eq = equilibrium(cost, dither)
     assert eq.theta_star == pytest.approx([1.5], abs=1e-9)
     assert eq.iterations <= 2
 
 
 def test_equilibrium_failure_reported():
-    # a cost whose averaged slope never meets the tolerance inside the budget
-    cost, dither = quartic_setup()
-    with pytest.raises(ConvergenceError):
-        equilibrium(cost, dither, theta_init=[2.0], tol=1e-16, max_iter=5)
+    # an unbounded cost walks theta out until theta + a rounds to theta, where
+    # every node rounds onto theta and g_bar is exactly 0; theta1^3 used to
+    # "converge" at -8.8e31 after 12 iterations, theta1 at -2.8e14 after 301
+    dither = new_dither([0.02], [1], 10.0)
+    for expr in ("theta1^3", "theta1"):
+        with pytest.raises(ConvergenceError, match=r"g_bar vanished at theta = \[-\d"):
+            equilibrium(parse_cost(expr, 1), dither)
 
 
 def test_sweep_quadratic_estimate_is_exact():

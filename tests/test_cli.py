@@ -523,6 +523,42 @@ def test_lyapunov_box_overflowing_the_fields_exit_code_2(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("mode, config, sets, message", [
+    # the factor 'e' used to reach float() and print "could not convert string to float"
+    ("simulate", "quartic_fig1", ["init.xi=e*y0"],
+     "field 'init.xi' entries must be numbers or '<factor>*y0', got 'e*y0'"),
+    # these used to print the library's message, which names no key
+    ("lyapunov", "quadratic_lyapunov", ["lyapunov.box_halfwidth=0"],
+     "field 'lyapunov.box_halfwidth' entries must be positive"),
+    ("lyapunov", "quadratic_lyapunov", ["lyapunov.box_halfwidth=-2"],
+     "field 'lyapunov.box_halfwidth' entries must be positive"),
+    ("converge", "quartic_converge", ["converge.a0=0.01,0.02"],
+     "field 'converge.a0' entries must be positive and strictly decreasing"),
+])
+def test_invalid_setting_error_names_the_key(mode, config, sets, message, tmp_path, capsys):
+    code = main([mode, "--config", config, *(f"--set={kv}" for kv in sets),
+                 "--set", "time.t1=1", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("mode, config", [
+    ("converge", "quartic_converge"),
+    ("lyapunov", "quartic_lyapunov"),
+])
+def test_unresolvable_dither_exit_code_3(mode, config, tmp_path, capsys):
+    # J = theta1^3 walks the equilibrium search out to |theta| ~ 1e31, where
+    # theta + a rounds to theta and g_bar reads 0; converge used to exit 0 with
+    # v_star_max = 9.4e156, lyapunov to exit 2 asking for a wider box
+    with np.errstate(all="ignore"):
+        code = main([mode, "--config", config, "--set", "cost.kind=expr",
+                     "--set", "cost.expr=theta1^3", "--set", "time.t1=1", "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("runtime abort: g_bar vanished at theta = [-")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("mode, config", [
     ("average", "quartic_average"),
     ("compare", "quartic_compare"),

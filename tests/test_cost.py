@@ -9,7 +9,7 @@ from esc_lab import (
     quartic_cost,
     shifted_quartic_cost,
 )
-from esc_lab.cost import finite_difference_gradient
+from esc_lab.cost import _offsets, finite_difference_gradient
 from esc_lab.expressions import MAX_NESTING, ExpressionError
 
 
@@ -113,6 +113,20 @@ def test_builtin_expressions_round_trip():
     for cost in costs:
         theta = rng.uniform(-3, 3, (100, cost.n))
         assert parse_cost(cost.expr, cost.n).f(theta).tobytes() == cost.f(theta).tobytes()
+
+
+def test_quadratic_leaves_out_zero_entries_with_the_same_bits():
+    # the sum starts with (d_1*H_11)*d_1 >= +0 and is never -0, so a +-0 term changes nothing
+    hmat = np.array([[2.0, 0.0, -0.3], [0.0, 1.0, 0.0], [-0.3, 0.0, 3.0]])
+    star = np.array([0.5, 0.0, -1.0])
+    c = quadratic_cost(hmat, 0.25, star)
+    assert c.expr.count("*theta") + c.expr.count("*(theta") == 5 and "*0.0)" not in c.expr
+    d, rows = _offsets(star), hmat.tolist()
+    every = " + ".join(f"({d[i]}*{rows[i][j]!r})*{d[j]}" for i in range(3) for j in range(3))
+    theta = np.random.default_rng(6).uniform(-3, 3, (300, 3))
+    theta[:100, 0], theta[50:150, 1], theta[100:200:2, 1] = 0.5, 0.0, -0.0   # d_i = +-0
+    theta[120:180, 2] = -1.0
+    assert parse_cost(f"0.25 + 0.5*({every})", 3).f(theta).tobytes() == c.f(theta).tobytes()
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])

@@ -28,7 +28,7 @@ FIG1 = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
 def quad_ctx():
     cost = quadratic_cost(1.0, 3.0)
     dither = new_dither([0.2], [1], 10.0)
-    eq = equilibrium(cost, dither, theta_init=[1.0])
+    eq = equilibrium(cost, dither)
     spec = LevelSpec(box=[[-4.0, 4.0]])
     return cost, dither, eq, spec
 
@@ -37,7 +37,7 @@ def quad_ctx():
 def quartic_ctx():
     cost = quartic_cost()
     dither = new_dither([0.02], [1], 10.0)
-    eq = equilibrium(cost, dither, theta_init=[0.5])
+    eq = equilibrium(cost, dither)
     spec = LevelSpec(box=[[-4.0, 4.0]])
     return cost, dither, eq, spec
 
@@ -203,7 +203,8 @@ def test_radii_read_exactly_the_upstream_levels(quad_ctx):
 
 def test_lyapunov_value_at_origin(quad_ctx):
     cost, dither, eq, spec = quad_ctx
-    report = _value(LevelSetOracle(cost, dither, eq, spec), eq.flat())
+    state = [*eq.theta_star, *eq.v_star, eq.xi_star]
+    report = _value(LevelSetOracle(cost, dither, eq, spec), state)
     assert report["v_total"] == pytest.approx(0.0, abs=1e-9)
 
 
@@ -274,7 +275,8 @@ def test_quantized_radius_levels(quad_ctx):
 
 def test_monitor_descent_from_equilibrium(quad_ctx):
     cost, dither, eq, spec = quad_ctx
-    traj = simulate_average(cost, dither, FIG1, eq.flat(), 0.0, 5.0, 0.0125, 40)
+    traj = simulate_average(cost, dither, FIG1, [*eq.theta_star, *eq.v_star, eq.xi_star],
+                            0.0, 5.0, 0.0125, 40)
     report = monitor_descent(traj, cost, dither, eq, spec)
     assert report.passed
     assert np.all(np.abs(report.values) <= 1e-6)
@@ -318,7 +320,7 @@ def test_monitor_rejects_states_of_another_layout(quad_ctx):
 def test_two_dimensional_grid_radii():
     cost = quadratic_cost([1.0, 2.0], 0.0)
     dither = new_dither([0.1, 0.08], [1, 2], 10.0)
-    eq = equilibrium(cost, dither, theta_init=[0.4, -0.3])
+    eq = equilibrium(cost, dither)
     spec = LevelSpec(box=[[-3.0, 3.0], [-3.0, 3.0]], grid_theta=101)
     oracle = LevelSetOracle(cost, dither, eq, spec)
 
@@ -350,7 +352,7 @@ def test_two_dimensional_grid_radii():
 def test_sampled_fallback_above_two_dimensions():
     cost = quadratic_cost([1.0, 2.0, 0.5], 0.0)
     dither = new_dither([0.1, 0.1, 0.1], [1, 2, 3], 10.0)
-    eq = equilibrium(cost, dither, theta_init=[0.2, -0.1, 0.3])
+    eq = equilibrium(cost, dither)
     spec = LevelSpec(box=[[-2, 2]] * 3, n_samples=4000)
     oracle = LevelSetOracle(cost, dither, eq, spec)
     r1, r2 = _xi_radii(oracle, [0.5, 1.0])
@@ -363,7 +365,7 @@ def test_sampled_box_escape():
     # n > 2: V_theta on the faces of [-1, 1]^3 is never below 0.25 (the faces theta3 = +-1)
     cost = quadratic_cost([1.0, 2.0, 0.5], 0.0)
     dither = new_dither([0.1, 0.1, 0.1], [1, 2, 3], 10.0)
-    eq = equilibrium(cost, dither, theta_init=[0.2, -0.1, 0.3])
+    eq = equilibrium(cost, dither)
     oracle = LevelSetOracle(cost, dither, eq, LevelSpec(box=[[-1, 1]] * 3, n_samples=4000))
     # the sampled face minimum bounds the true one from above, so detection is one-sided
     assert 0.25 <= oracle._vt_boundary_min < 0.26
@@ -436,7 +438,7 @@ def test_monitor_matches_single_samples_across_chunks():
 def test_monitor_matches_single_samples_sampled_path():
     cost = quadratic_cost([1.0, 2.0, 0.5], 0.0)
     dither = new_dither([0.1, 0.1, 0.1], [1, 2, 3], 10.0)
-    eq = equilibrium(cost, dither, theta_init=[0.2, -0.1, 0.3])
+    eq = equilibrium(cost, dither)
     spec = LevelSpec(box=[[-2, 2]] * 3, n_samples=4000)
     params = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25] * 3, omega_xi=1.0)
     state0 = [0.6, -0.4, 0.5, 0.5, 0.5, 0.5, 0.0]

@@ -136,10 +136,10 @@ def test_jacobian_matches_central_difference_of_average_rhs():
     model = QuadraticModel(h=1.0, j_opt=3.0, a=0.2)
     cost = quadratic_cost(model.h, model.j_opt)
     dither = new_dither([model.a], [1], 10.0)
-    eq = equilibrium(cost, dither, theta_init=[1.0])
+    eq = equilibrium(cost, dither)
     flat_rhs = average_flat_rhs(FIG1, cost, dither)
     rhs = lambda t, y: np.array(flat_rhs(t, [y.tolist()])[0])
-    x0 = eq.flat()  # flat layout (theta, v, xi)
+    x0 = np.array([*eq.theta_star, *eq.v_star, eq.xi_star])  # flat layout (theta, v, xi)
     num = np.zeros((3, 3))
     for j in range(3):
         step = 1e-6 * (1.0 + abs(x0[j]))
