@@ -4,13 +4,15 @@
 Times the quartic closed-loop run, the same run as a lockstep batch of B
 members for B in (1, 3, 16, 64) (washout seeds spread over [0, 2 y0], as in
 the bundled fig1 config), its plain-gradient baseline, the average-system
-counterpart, the level-set oracle build, one batched radius pass per filter
+counterpart, the same batches of the average system over a tenth of the
+horizon, the level-set oracle build, one batched radius pass per filter
 target kind, the descent monitor and CSV writing, and prints the median and
 the quartiles of the repeats for each. The oracle rows use the quartic
 average run of t1 = 25 s, sample_dt = 0.05 (501 samples) and box +-4: the
 build tabulates the radius grid; the radius rows run one ``_radii`` pass for
 xi and one for v_1 over the monitor's 501 (quantized) levels; the monitor row
-evaluates V at every sample. The batch rows add their cost per member-step,
+evaluates V at every sample on the oracle already built, so it leaves out the
+build. The batch rows add their cost per member-step,
 the radius and monitor rows per sample. The CSV row writes the closed-loop
 trajectory recorded every 0.01 s (10,001 rows at t1 = 100) with
 ``esc_lab.cli.write_trajectory_csv`` into a temporary directory. The two sweep
@@ -116,8 +118,10 @@ def main() -> int:
     state0 = np.array([2.0, 0.81, 0.0])
     h, stride = fit_step(0.05, dither.max_step)
     nsteps = int(round(args.t1 / h))
+    avg_t1 = args.t1 / 10
+    avg_steps = int(round(avg_t1 / 0.0125))
 
-    avg = el.simulate_average(cost, dither, params, state0, 0.0, 25.0, 0.01, 5)
+    avg = el.simulate_average(cost, dither, params, state0, 25.0, 0.01, 5)
     eq = el.equilibrium(cost, dither)
     spec = el.LevelSpec(box=[[-4.0, 4.0]])
     m = len(avg.times)
@@ -127,7 +131,7 @@ def main() -> int:
     v_xi = np.maximum(oracle._radii(xi, levels), np.abs(avg.states[:, 2] - eq.xi_star))
     c_xi = _quantize_up(v_xi)
     h_csv, stride_csv = fit_step(0.01, dither.max_step)
-    loop = el.simulate_rmspesc(cost, dither, params, state0, 0.0, args.t1, h_csv, stride_csv)
+    loop = el.simulate_rmspesc(cost, dither, params, state0, args.t1, h_csv, stride_csv)
     csv_dir = tempfile.TemporaryDirectory()
     csv_path = Path(csv_dir.name, "trajectory.csv")
     compare_cfg = Path(csv_dir.name, "compare_expr2d.cfg")
@@ -163,13 +167,13 @@ def main() -> int:
     cases = [
         (
             f"closed loop ({nsteps} RK4 steps)",
-            lambda: el.simulate_rmspesc(cost, dither, params, state0, 0.0, args.t1, h, stride),
+            lambda: el.simulate_rmspesc(cost, dither, params, state0, args.t1, h, stride),
             None,
         ),
         *(
             (
                 f"closed loop, B = {size} lockstep",
-                lambda states=batch(size): el.simulate_rmspesc(cost, dither, params, states, 0.0,
+                lambda states=batch(size): el.simulate_rmspesc(cost, dither, params, states,
                                                                args.t1, h, stride),
                 (size * nsteps, "member-step"),
             )
@@ -177,13 +181,22 @@ def main() -> int:
         ),
         (
             f"baseline loop ({nsteps} RK4 steps)",
-            lambda: el.simulate_gesc(cost, dither, params, state0[[0, 2]], 0.0, args.t1, h, stride),
+            lambda: el.simulate_gesc(cost, dither, params, state0[[0, 2]], args.t1, h, stride),
             None,
         ),
         (
             "average system (quadrature rhs)",
-            lambda: el.simulate_average(cost, dither, params, state0, 0.0, args.t1, 0.0125, 4),
+            lambda: el.simulate_average(cost, dither, params, state0, args.t1, 0.0125, 4),
             None,
+        ),
+        *(
+            (
+                f"average system, B = {size} lockstep",
+                lambda states=batch(size): el.simulate_average(cost, dither, params, states,
+                                                               avg_t1, 0.0125, 4),
+                (size * avg_steps, "member-step"),
+            )
+            for size in (1, 3, 16, 64)
         ),
         ("quartic sweep, 3 rows, row form", repeat(cost.f_rows, sweep_rows, sweep_shift),
          (calls, "call")),
@@ -206,7 +219,7 @@ def main() -> int:
         (f"radius pass v_1 ({m} levels)", lambda: oracle._radii(v1, levels, c_xi), (m, "sample")),
         (
             f"descent monitor ({m} samples)",
-            lambda: el.monitor_descent(avg, cost, dither, eq, spec),
+            lambda: el.monitor_descent(oracle, avg),
             (m, "sample"),
         ),
         (

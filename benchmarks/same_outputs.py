@@ -3,12 +3,13 @@
 
 Exports PARENT_REF with ``git archive`` into a temporary directory, then runs
 every bundled config, seeds 0 and 3 of each benchmark workload
-(``perfbench/workloads.py``, imported read-only for its config text) and four
+(``perfbench/workloads.py``, imported read-only for its config text) and six
 bundled configs with ``--set`` overrides (2-D and 3-D builtin costs in
-``average``, and a parsed cost in ``lyapunov``, whose equilibrium search
-starts at the origin and iterates; no bundled config or workload has these)
-through ``python -m esc_lab.cli``, once from the
-parent's ``src`` and once from this checkout's, each run into its own output
+``average``; a parsed cost in ``lyapunov``, whose equilibrium search starts at
+the origin and iterates; the plain-gradient baseline in ``simulate``; and a
+2-D quadratic in ``lyapunov``, which builds the 2-D level-set oracle; no
+bundled config or workload has these) through ``python -m esc_lab.cli``, once
+from the parent's ``src`` and once from this checkout's, each run into its own output
 directory. The two trees run side by side, one process each. Every file
 either run wrote is compared byte for byte, and so is the exit code. Prints
 one line per run; exits 1 if any run differs. Run from anywhere inside the
@@ -42,6 +43,10 @@ OVERRIDE_RUNS = {    # label: (mode, bundled config, overrides)
         "cost.kind=quadratic", "cost.h=2,0.5,1.5", "cost.j_opt=1", "cost.theta_star=0.3,-0.7,1"]),
     "parsed quadratic, searched eq.": ("lyapunov", "quadratic_lyapunov", [
         "cost.kind=expr", "cost.expr=3 + 0.5*(theta1 - 1)^2", "time.t1=10"]),
+    "gesc baseline": ("simulate", "quartic_fig1", ["algorithm=gesc"]),
+    "2-D quadratic, 2-D oracle": ("lyapunov", "quadratic_lyapunov", [
+        "cost.h=1,2", "dither.amplitudes=0.2,0.2", "dither.rates=1,2", "gains.omega_l=0.25,0.25",
+        "init.theta=2,-1", "init.v=0.81,0.81", "time.t1=5"]),
 }
 
 sys.path.insert(0, str(ROOT / "perfbench"))

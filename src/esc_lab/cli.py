@@ -14,6 +14,9 @@ Runs start at t = 0, where the dither is zero, so ``y0`` in init.xi is
 J(init.theta) in every mode. The average system, its equilibrium and the
 descent monitor run at their library defaults (256 * max(rates) quadrature
 nodes, LevelSpec's grid, the fixed descent tolerance); no config key sets them.
+lyapunov reads its box, searches for the equilibrium and builds the level-set
+oracle before it integrates the average system, so a bad box, a failed search
+or a box on which the fields are not finite exits before the run.
 
 The washout seeds of simulate (one per init.xi entry) run as one lockstep
 batch: a single RK4 loop steps one member row per seed, and each member's CSV
@@ -59,7 +62,7 @@ from .config import MODES, ConfigError, ExperimentConfig, apply_overrides, load_
 from .cost import CostFunction
 from .dynamics import EscParams
 from .integrate import NonFiniteStateError, Trajectory, fit_step
-from .lyapunov import LevelSpec, monitor_descent
+from .lyapunov import LevelSetOracle, LevelSpec, monitor_descent
 from .plotting import PlotError, emit_plot
 from .quadratic import QuadraticModel, quad_jacobian
 from .signals import DitherConfig
@@ -117,7 +120,7 @@ def _check_steps(t1: float, h_max: float, keys: str) -> None:
 
 
 def _time_grid(cfg: ExperimentConfig, params: EscParams, dither: DitherConfig, oscillatory: bool):
-    """Runs start at t = 0; returns (0.0, t1, h, record stride).
+    """Runs start at t = 0; returns (t1, h, record stride).
 
     Rejects a span of more than MAX_STEPS steps, naming the keys that set the step.
     """
@@ -140,12 +143,12 @@ def _time_grid(cfg: ExperimentConfig, params: EscParams, dither: DitherConfig, o
             raise ConfigError(f"field 'time.h' = {h:.6g} exceeds 2.5 / {gain_name} = {h_gain:.6g}; "
                               "RK4 is unstable for the filters beyond that step")
         _check_steps(t1, h, "time.h")
-        return 0.0, t1, h, stride
+        return t1, h, stride
     h_max, keys = min((dither.max_step, "dither.omega and dither.rates")
                       if oscillatory else (0.01, "the average system's 0.01 cap"),
                       (h_gain, gain_name), (sample_dt, "time.sample_dt"))
     _check_steps(t1, h_max, keys)
-    return (0.0, t1, *fit_step(sample_dt, h_max))
+    return (t1, *fit_step(sample_dt, h_max))
 
 
 @dataclass(frozen=True)
@@ -157,7 +160,7 @@ class _Run:
     params: EscParams
     theta0: np.ndarray
     v0: np.ndarray
-    grid: tuple[float, float, float, int]   # t0, t1, h, record stride
+    grid: tuple[float, float, int]          # t1, h, record stride
     washouts: list[tuple[str, float]]       # (label, xi0) per init.xi entry
 
     @property
@@ -304,19 +307,18 @@ def _concurrently(first, second):
 def _mode_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
     run = _setup(cfg, oscillatory=True)
     cost, state0 = run.cost, run.state0(run.washout[1])
-    t0, t1, h, stride = run.grid
+    t1, h, stride = run.grid
     sample_dt = h * stride
     h_avg, avg_stride = fit_step(sample_dt, min(sample_dt / 4, _gain_step(run.params)[0]))
-    full, avg = _concurrently(lambda: simulate_rmspesc(*run.system, state0, t0, t1, h, stride),
-                              lambda: simulate_average(*run.system, state0, t0, t1, h_avg,
-                                                       avg_stride))
+    full, avg = _concurrently(lambda: simulate_rmspesc(*run.system, state0, t1, h, stride),
+                              lambda: simulate_average(*run.system, state0, t1, h_avg, avg_stride))
     if len(full.times) != len(avg.times) or not np.allclose(full.times, avg.times, atol=1e-9):
         raise RuntimeError("full and average runs recorded different time grids")
     path_full = write_trajectory_csv(out_dir / "trajectory_full.csv", full, cost, with_v=True)
     path_avg = write_trajectory_csv(out_dir / "trajectory_average.csv", avg, cost, with_v=True)
     gaps = np.max(np.abs(full.states[:, : cost.n] - avg.states[:, : cost.n]), axis=0)
     lines = [
-        f"time span: [{t0:.6g}, {t1:.6g}], samples: {len(full.times)}",
+        f"time span: [0, {t1:.6g}], samples: {len(full.times)}",
         f"full-system step h = {h:.6g}, average-system step h = {h_avg:.6g}",
     ]
     for i in range(cost.n):
@@ -374,22 +376,23 @@ def _mode_converge(cfg: ExperimentConfig, out_dir: Path) -> int:
 def _mode_lyapunov(cfg: ExperimentConfig, out_dir: Path) -> int:
     run = _setup(cfg, oscillatory=False)
     cost, dither = run.cost, run.dither
-    traj = simulate_average(*run.system, run.state0(run.washout[1]), *run.grid)
-
-    eq = equilibrium(cost, dither)
-    err0 = np.abs(run.theta0 - eq.theta_star)
+    state0 = run.state0(run.washout[1])
+    hw = None
     if cfg.has("lyapunov.box_halfwidth"):
         hw = cfg.number_list("lyapunov.box_halfwidth")
         if hw.size == 1:
             hw = np.full(cost.n, float(hw[0]))
         if hw.size != cost.n:
-            raise ConfigError(f"field 'lyapunov.box_halfwidth' must have 1 or {cost.n} entries")
+            raise ConfigError("field 'lyapunov.box_halfwidth' must have "
+                              + ("1 entry" if cost.n == 1 else f"1 or {cost.n} entries"))
         if np.any(hw <= 0):
             raise ConfigError("field 'lyapunov.box_halfwidth' entries must be positive")
-    else:
-        hw = np.maximum(1.0, 2.0 * err0)
-    spec = LevelSpec(box=np.stack([-hw, hw], axis=-1))
-    report = monitor_descent(traj, cost, dither, eq, spec)
+    eq = equilibrium(cost, dither)
+    if hw is None:
+        hw = np.maximum(1.0, 2.0 * np.abs(run.theta0 - eq.theta_star))
+    oracle = LevelSetOracle(cost, dither, eq, LevelSpec(box=np.stack([-hw, hw], axis=-1)))
+    traj = simulate_average(*run.system, state0, *run.grid)
+    report = monitor_descent(oracle, traj)
 
     header = ["t", "V", "V_theta", "V_xi"] + [f"V_v_{i + 1}" for i in range(cost.n)]
     table = np.column_stack([report.times, report.values, report.v_theta_terms,

@@ -203,6 +203,8 @@ class ExperimentConfig:
             if kind == "shifted_quartic":
                 return shifted_quartic_cost(self.number_list("cost.theta_star"))
             n = self.integer("cost.n", 1)
+            if n < 1:
+                raise ConfigError(f"field 'cost.n' must be at least 1, got {n}")
             return parse_cost(self.raw("cost.expr"), n)
         except ConfigError:
             raise

@@ -24,10 +24,10 @@ took 9.2 and 2.1 us
 ``BENCH_rowcost.json`` against ``BENCH_baseline.json``).
 
 Each member's samples equal those of its own (d,) run bit for bit whenever the
-rhs treats rows independently; the full-loop closures do, for every cost that
-evaluates each point on its own, which every builtin and parsed cost does.
-``simulate`` mode runs its washout seeds this way; every other run is a
-single state.
+rhs treats rows independently. The full-loop closures do for every cost that
+evaluates each point on its own, which every builtin and parsed cost does, and
+the average-system closure steps one row at a time. ``simulate`` mode runs its
+washout seeds this way; the other modes run a single state.
 """
 
 from __future__ import annotations
@@ -73,10 +73,8 @@ class NonFiniteStateError(RuntimeError):
 class Trajectory:
     """Recorded samples of one integration run."""
 
-    times: np.ndarray           # (m,), uniformly spaced by h * record_stride
+    times: np.ndarray           # (m,), the recorded times
     states: np.ndarray          # (m, d), or (m, *batch, d) for a batched run
-    h: float
-    record_stride: int
     clamp_events: int = 0       # steps on which the nonnegativity clamp fired, summed over members
 
     def __post_init__(self):
@@ -180,5 +178,5 @@ def integrate_fixed(
             states[rec] = y
             rec += 1
 
-    return Trajectory(times=times, states=states.reshape(n_rec, *shape), h=h,
-                      record_stride=record_stride, clamp_events=clamp_events)
+    return Trajectory(times=times, states=states.reshape(n_rec, *shape),
+                      clamp_events=clamp_events)

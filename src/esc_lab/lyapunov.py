@@ -421,23 +421,18 @@ class LevelSetOracle:
         return vt, r_xi, v_xi, r_v, v_v, vt + v_xi + np.sum(v_v, axis=1)
 
 
-def monitor_descent(
-    avg_trajectory: Trajectory,
-    cost: CostFunction,
-    dither: DitherConfig,
-    eq: Equilibrium,
-    spec: LevelSpec,
-) -> DescentReport:
+def monitor_descent(oracle: LevelSetOracle, avg_trajectory: Trajectory) -> DescentReport:
     """Evaluate V along a recorded average-system trajectory and check descent.
 
-    Verdict is PASS when V(t_{j+1}) <= V(t_j) + tol for every consecutive
-    pair. The tolerance is fixed at tol = 1e-6 * V(t_0) + 1e-12, which absorbs
-    grid and quantization jitter in the radii; no caller can loosen it, and
-    :attr:`DescentReport.tol` reports it.
+    ``oracle`` holds the equilibrium and the radius tables; one oracle serves
+    any number of trajectories. Verdict is PASS when V(t_{j+1}) <= V(t_j) + tol
+    for every consecutive pair. The tolerance is fixed at
+    tol = 1e-6 * V(t_0) + 1e-12, which absorbs grid and quantization jitter in
+    the radii; no caller can loosen it, and :attr:`DescentReport.tol` reports it.
     """
-    oracle = LevelSetOracle(cost, dither, eq, spec)
+    eq = oracle.eq
     states = np.asarray(avg_trajectory.states, dtype=float)
-    n = cost.n
+    n = oracle.cost.n
     if states.ndim != 2 or states.shape[1] != 2 * n + 1:
         raise ValueError(f"expected flat states of length {2 * n + 1}, got shape {states.shape}")
     vt_terms, _, vxi_terms, _, vv_terms, values = oracle._evaluate(

@@ -34,7 +34,7 @@ _CACHE: dict = {}
 
 
 def _descent_runs():
-    """Average trajectories, equilibria, and monitors shared by criteria 7 and 8."""
+    """Average trajectories, equilibria, oracles and monitors shared by criteria 7 and 8."""
     if "descent" in _CACHE:
         return _CACHE["descent"]
     runs = {}
@@ -43,10 +43,10 @@ def _descent_runs():
         ("quartic", el.quartic_cost(), el.new_dither([0.02], [1], 10.0)),
     ):
         eq = el.equilibrium(cost, dither)
-        spec = el.LevelSpec(box=[[-4.0, 4.0]])
-        traj = el.simulate_average(cost, dither, FIG1, [2.0, 0.81, 0.0], 0.0, 100.0, 0.0125, 4)
-        report = el.monitor_descent(traj, cost, dither, eq, spec)
-        runs[name] = (cost, dither, eq, spec, traj, report)
+        oracle = LevelSetOracle(cost, dither, eq, el.LevelSpec(box=[[-4.0, 4.0]]))
+        traj = el.simulate_average(cost, dither, FIG1, [2.0, 0.81, 0.0], 100.0, 0.0125, 4)
+        report = el.monitor_descent(oracle, traj)
+        runs[name] = (cost, eq, oracle, traj, report)
     _CACHE["descent"] = runs
     return runs
 
@@ -130,9 +130,9 @@ def test_criterion_5_averaging_validity():
         for omega in (10.0, 20.0, 40.0):
             dither = el.new_dither([0.02], [1], omega)
             h, stride = fit_step(sample_dt, dither.max_step)
-            full = el.simulate_rmspesc(cost, dither, FIG1, state0, 0.0, 100.0, h, stride)
+            full = el.simulate_rmspesc(cost, dither, FIG1, state0, 100.0, h, stride)
             if avg is None:
-                avg = el.simulate_average(cost, dither, FIG1, state0, 0.0, 100.0, sample_dt / 4, 4)
+                avg = el.simulate_average(cost, dither, FIG1, state0, 100.0, sample_dt / 4, 4)
             assert np.allclose(full.times, avg.times, atol=1e-9)
             gaps.append(float(np.max(np.abs(full.states[:, 0] - avg.states[:, 0]))))
         assert gaps[0] > gaps[1] > gaps[2], f"gaps not monotone: {gaps}"
@@ -147,7 +147,7 @@ def test_criterion_6_qualitative_trajectory_reproduction():
 
         rmsp_zero = None
         for xi0 in (0.0, y0, 2.0 * y0):
-            traj = el.simulate_rmspesc(cost, dither, FIG1, [2.0, 0.81, xi0], 0.0, 100.0, h, stride)
+            traj = el.simulate_rmspesc(cost, dither, FIG1, [2.0, 0.81, xi0], 100.0, h, stride)
             final = abs(traj.states[-1, 0])
             assert final < 0.3, f"|theta(100)| = {final:.3f} for xi0={xi0}"
             assert final < 2.0 / 4.0
@@ -160,7 +160,7 @@ def test_criterion_6_qualitative_trajectory_reproduction():
             abs(rhs_r(t, [s.tolist()])[0][0])
             for t, s in zip(rmsp_zero.times[mask], rmsp_zero.states[mask])
         )
-        gesc = el.simulate_gesc(cost, dither, FIG1, [2.0, 0.0], 0.0, 100.0, h, stride)
+        gesc = el.simulate_gesc(cost, dither, FIG1, [2.0, 0.0], 100.0, h, stride)
         rhs_g = gesc_flat_rhs(FIG1, cost, dither)
         gesc_rate = max(
             abs(rhs_g(t, [s.tolist()])[0][0]) for t, s in zip(gesc.times[mask], gesc.states[mask])
@@ -172,13 +172,12 @@ def test_criterion_7_lyapunov_descent_and_radii_monotonicity():
     with criterion(7, "composite V non-increasing on both runs; radii monotone", 120.0):
         runs = _descent_runs()
         for name in ("quadratic", "quartic"):
-            cost, dither, eq, spec, traj, report = runs[name]
+            report = runs[name][-1]
             assert report.passed, f"{name}: {report.summary()}"
             assert report.tol == pytest.approx(1e-6 * report.values[0] + 1e-12)
 
         for name in ("quadratic", "quartic"):
-            cost, dither, eq, spec, _, _ = runs[name]
-            oracle = LevelSetOracle(cost, dither, eq, spec)
+            oracle = runs[name][2]
             xi, v0 = oracle._targets[:2]
             slack = lambda r: 1e-9 * (1.0 + abs(r))
             levels, ones = np.linspace(0.0, 2.0, 10), np.ones(10)
@@ -194,8 +193,7 @@ def test_criterion_8_filter_error_boundedness():
     with criterion(8, "washout and RMS filter errors stay inside their initial bounds", 120.0):
         runs = _descent_runs()
         for name in ("quadratic", "quartic"):
-            cost, dither, eq, spec, traj, _ = runs[name]
-            oracle = LevelSetOracle(cost, dither, eq, spec)
+            cost, eq, oracle, traj, _ = runs[name]
             n = cost.n
             theta_err0 = traj.states[0, :n] - eq.theta_star
             vt0 = oracle._v_theta(theta_err0[None, :])

@@ -28,7 +28,8 @@ from esc_lab import (averaging, cli, config, cost, dynamics, expressions, integr
 # only tests reached (monitor_descent slices the error states and
 # LevelSetOracle._v_theta takes batches); the flat equilibrium state and the
 # quadrature's dimension check, each with one caller (tests build the state
-# row, and the map kernel checks the dimensions).
+# row, and the map kernel checks the dimensions); the trajectory's step and
+# record stride, which no program code read.
 REMOVED = {
     dynamics: ["EscState", "EscDerivative", "rmspesc_rhs", "gesc_rhs", "grad_estimate"],
     averaging: ["average_rhs", "default_nodes", "_node_signals", "avg_g2_coeffs", "ErrorState",
@@ -41,7 +42,7 @@ REMOVED = {
            "_grid_points", "_local_minima_mask", "_connected_components", "check_assumptions"],
     integrate: ["oscillation_step"],
     cost.CostFunction: ["name"],
-    integrate.Trajectory: ["column", "label"],
+    integrate.Trajectory: ["column", "label", "h", "record_stride"],
     signals.DitherConfig: ["phase_grid", "dither_matrix", "demod_matrix"],
     averaging.AverageMaps: ["n_q"],
     averaging.Equilibrium: ["n", "flat"],
@@ -108,6 +109,18 @@ def test_fixed_settings_take_no_parameter():
     assert "n" not in inspect.signature(cost.quadratic_cost).parameters
     # J is evaluated through cost.f or eval_cost; a cost object is not a function
     assert not callable(cost.quartic_cost())
+
+
+def test_run_layers_take_what_runs_use():
+    # runs start at t = 0 (integrate_fixed keeps t0: perfbench's tracer reads the span from
+    # it), each simulate_* takes a (d,) state or a (B, d) batch, and the monitor reads the
+    # equilibrium from the oracle it is given
+    for func in (simulate.simulate_rmspesc, simulate.simulate_gesc, simulate.simulate_average):
+        assert "t0" not in inspect.signature(func).parameters, func.__name__
+    assert "t0" in inspect.signature(integrate.integrate_fixed).parameters
+    assert list(inspect.signature(simulate._flat_state).parameters) == ["state0", "dim"]
+    assert list(inspect.signature(lyapunov.monitor_descent).parameters) == ["oracle",
+                                                                             "avg_trajectory"]
 
 
 def test_emit_computes_a_repeated_operation_once():

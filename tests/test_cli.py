@@ -276,8 +276,8 @@ def test_compare_csvs_match_in_process_runs(tmp_path):
     h, stride = fit_step(0.05, dither.max_step)
     h_avg, avg_stride = fit_step(0.05, 0.05 / 4)
     runs = {
-        "trajectory_full.csv": simulate_rmspesc(cost, dither, params, state0, 0.0, 5.0, h, stride),
-        "trajectory_average.csv": simulate_average(cost, dither, params, state0, 0.0, 5.0, h_avg,
+        "trajectory_full.csv": simulate_rmspesc(cost, dither, params, state0, 5.0, h, stride),
+        "trajectory_average.csv": simulate_average(cost, dither, params, state0, 5.0, h_avg,
                                                    avg_stride),
     }
     for name, traj in runs.items():
@@ -534,12 +534,38 @@ def test_lyapunov_box_overflowing_the_fields_exit_code_2(tmp_path, capsys):
      "field 'lyapunov.box_halfwidth' entries must be positive"),
     ("converge", "quartic_converge", ["converge.a0=0.01,0.02"],
      "field 'converge.a0' entries must be positive and strictly decreasing"),
+    # these used to name cost.expr, and to ask for "1 or 1 entries"
+    ("average", "quartic_average", ["cost.kind=expr", "cost.expr=theta1^2", "cost.n=0"],
+     "field 'cost.n' must be at least 1, got 0"),
+    ("lyapunov", "quadratic_lyapunov", ["lyapunov.box_halfwidth=1,2"],
+     "field 'lyapunov.box_halfwidth' must have 1 entry"),
 ])
 def test_invalid_setting_error_names_the_key(mode, config, sets, message, tmp_path, capsys):
     code = main([mode, "--config", config, *(f"--set={kv}" for kv in sets),
                  "--set", "time.t1=1", "--out", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("config, sets, code, message", [
+    ("quadratic_lyapunov", ["lyapunov.box_halfwidth=0"], 2,
+     "error: field 'lyapunov.box_halfwidth' entries must be positive"),
+    ("quartic_lyapunov", ["cost.kind=expr", "cost.expr=theta1^3"], 3,
+     "runtime abort: g_bar vanished at theta = [-"),
+])
+def test_lyapunov_fails_before_it_integrates(config, sets, code, message, tmp_path, monkeypatch,
+                                             capsys):
+    # at the bundled horizon: the box and the equilibrium search used to run only after
+    # the whole average trajectory had been integrated
+    def integrate(*args):
+        raise AssertionError("simulate_average ran")
+
+    monkeypatch.setattr(cli, "simulate_average", integrate)
+    with np.errstate(all="ignore"):
+        assert main(["lyapunov", "--config", config, *(f"--set={kv}" for kv in sets),
+                     "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err.startswith(message)
     assert not list(tmp_path.iterdir())
 
 
@@ -709,7 +735,7 @@ def test_write_trajectory_csv_round_trip(tmp_path):
     cost = quartic_cost()
     dither = new_dither([0.02], [1], 10.0)
     params = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
-    traj = simulate_rmspesc(cost, dither, params, [2.0, 0.81, 0.0], 0.0, 1.0, 0.01, 10)
+    traj = simulate_rmspesc(cost, dither, params, [2.0, 0.81, 0.0], 1.0, 0.01, 10)
     path = write_trajectory_csv(tmp_path / "t.csv", traj, cost, with_v=True)
     header, cols = read_csv_columns(path)
     assert header == ["t", "theta_1", "v_1", "xi", "J"]
@@ -722,16 +748,16 @@ def test_write_trajectory_csv_text(tmp_path):
 
     cost = quadratic_cost(2.0)  # J = theta^2
     times = np.array([0.0, 1.0 / 3.0])
-    with_v = Trajectory(times=times, h=1.0 / 3.0, record_stride=1,
-                        states=np.array([[-0.0, 1e-13, 123456789012.5], [1.0 / 3.0, 123456789012.5, -0.0]]))
+    with_v = Trajectory(times=times, states=np.array([[-0.0, 1e-13, 123456789012.5],
+                                                      [1.0 / 3.0, 123456789012.5, -0.0]]))
     path = write_trajectory_csv(tmp_path / "v.csv", with_v, cost, with_v=True)
     assert path.read_text() == (
         "t,theta_1,v_1,xi,J\n"
         "0,-0,1e-13,123456789012,0\n"
         "0.333333333333,0.333333333333,123456789012,-0,0.111111111111\n"
     )
-    without_v = Trajectory(times=times, h=1.0 / 3.0, record_stride=1,
-                           states=np.array([[-0.0, 1e-13], [1.0 / 3.0, 123456789012.5]]))
+    without_v = Trajectory(times=times, states=np.array([[-0.0, 1e-13],
+                                                         [1.0 / 3.0, 123456789012.5]]))
     path = write_trajectory_csv(tmp_path / "g.csv", without_v, cost, with_v=False)
     assert path.read_text() == (
         "t,theta_1,v_1,xi,J\n"

@@ -47,7 +47,6 @@ def test_step_count_and_final_time():
     nsteps = round(2.0 / 0.125)
     assert len(traj.times) == nsteps + 1
     assert abs(traj.times[-1] - 2.0) <= 0.125 * 1e-9
-    assert traj.h == 0.125
 
 
 def test_record_stride():
@@ -178,32 +177,32 @@ def test_simulate_gesc_nonfinite_abort():
     params = EscParams(k=1e12, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteStateError):
         simulate_gesc(quadratic_cost(1.0), new_dither([0.001], [1], 10.0), params,
-                      [5.0, 0.0], 0.0, 10.0, 0.1, 1)
+                      [5.0, 0.0], 10.0, 0.1, 1)
 
 
 def test_simulate_record_layout_partial_stride():
     # stride 7 does not divide the 100 steps: the final partial interval is recorded
     cost, dither = quartic_cost(), new_dither([0.02], [1], 10.0)
-    traj = simulate_rmspesc(cost, dither, FIG1, [1.0, 0.1, 0.0], 0.0, 1.0, 0.01, 7)
+    traj = simulate_rmspesc(cost, dither, FIG1, [1.0, 0.1, 0.0], 1.0, 0.01, 7)
     np.testing.assert_allclose(traj.times, [*(0.07 * np.arange(15)), 1.0], atol=1e-12)
-    dense = simulate_rmspesc(cost, dither, FIG1, [1.0, 0.1, 0.0], 0.0, 1.0, 0.01)
+    dense = simulate_rmspesc(cost, dither, FIG1, [1.0, 0.1, 0.0], 1.0, 0.01)
     np.testing.assert_array_equal(traj.states, dense.states[[*range(0, 100, 7), 100]])
 
 
 def test_step_must_divide_span():
     cost, dither = quartic_cost(), new_dither([0.02], [1], 10.0)
     with pytest.raises(ValueError, match="divide"):
-        simulate_rmspesc(cost, dither, FIG1, [1.0, 0.1, 0.0], 0.0, 1.0, 0.03, 1)
+        simulate_rmspesc(cost, dither, FIG1, [1.0, 0.1, 0.0], 1.0, 0.03, 1)
     with pytest.raises(ValueError, match="divide"):
-        simulate_average(cost, dither, FIG1, [1.0, 0.1, 0.0], 0.0, 1.0, 0.03, 1)
+        simulate_average(cost, dither, FIG1, [1.0, 0.1, 0.0], 1.0, 0.03, 1)
 
 
 def test_parsed_quartic_matches_builtin():
     dither = new_dither([0.02], [1], 10.0)
     for driver in (simulate_rmspesc, simulate_average):
-        traj = driver(parse_cost("theta1^4 / 24", 1), dither, FIG1, [2.0, 0.81, 0.0], 0.0, 1.0,
-                      0.01, 10)
-        ref = driver(quartic_cost(), dither, FIG1, [2.0, 0.81, 0.0], 0.0, 1.0, 0.01, 10)
+        traj = driver(parse_cost("theta1^4 / 24", 1), dither, FIG1, [2.0, 0.81, 0.0], 1.0, 0.01,
+                      10)
+        ref = driver(quartic_cost(), dither, FIG1, [2.0, 0.81, 0.0], 1.0, 0.01, 10)
         assert np.array_equal(traj.states, ref.states), driver.__name__
 
 
@@ -219,13 +218,15 @@ MULTI_PARAMS = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25, 0.5], omega_xi=1.0)
     # xi0 = J(theta0): from xi0 = 0 the unnormalized baseline diverges within 0.1 s
     (simulate_gesc, gesc_flat_rhs, [1.0, -1.0, 1.176], None),
     (simulate_average, average_flat_rhs, [1.0, -1.0, 0.1, 0.2, 0.0], [2, 3]),
-    # a (2, d) batch of the full loops is one run as well
+    # a (2, d) batch is one run as well
     (simulate_rmspesc, rmspesc_flat_rhs, [[1.0, -1.0, 0.1, 0.2, 0.0], [0.5, 0.3, 0.0, 1.0, 2.0]],
      [2, 3]),
     (simulate_gesc, gesc_flat_rhs, [[1.0, -1.0, 1.176], [0.5, 0.3, 0.9]], None),
+    (simulate_average, average_flat_rhs, [[1.0, -1.0, 0.1, 0.2, 0.0], [0.5, 0.3, 0.0, 1.0, 2.0]],
+     [2, 3]),
 ])
 def test_driver_is_one_integrator_run(driver, rhs, state0, clamp):
-    traj = driver(MULTI_COST, MULTI_DITHER, MULTI_PARAMS, state0, 0.0, 1.0, 0.002, 25)
+    traj = driver(MULTI_COST, MULTI_DITHER, MULTI_PARAMS, state0, 1.0, 0.002, 25)
     ref = integrate_fixed(rhs(MULTI_PARAMS, MULTI_COST, MULTI_DITHER), state0, 0.0, 1.0, 0.002, 25,
                           clamp_nonneg=clamp)
     np.testing.assert_array_equal(traj.times, ref.times)
@@ -239,7 +240,7 @@ def test_simulate_average_rejects_mismatched_gains():
     params = EscParams(1.0, 0.05, [0.25, 0.25], 1.0)
     with pytest.raises(ValueError, match="dimension mismatch"):
         simulate_average(quartic_cost(), new_dither([0.02], [1], 10), params,
-                         [2, 2, 0.81, 0.81, 0], 0, 1, 0.01, 10)
+                         [2, 2, 0.81, 0.81, 0], 1, 0.01, 10)
 
 
 def test_simulate_rejects_state_length():
@@ -248,10 +249,9 @@ def test_simulate_rejects_state_length():
                            (simulate_average, [1.0, 0.1, 0.0, 0.0]),
                            (simulate_rmspesc, [[1.0, 0.1], [1.0, 0.1]]),
                            (simulate_rmspesc, np.zeros((2, 2, 3))),
-                           # the average system takes a single state only
-                           (simulate_average, [[1.0, 0.1, 0.0], [1.0, 0.1, 0.0]])):
+                           (simulate_average, np.zeros((2, 2, 3)))):
         with pytest.raises(ValueError, match="initial state of length"):
-            driver(cost, dither, FIG1, state0, 0.0, 1.0, 0.01)
+            driver(cost, dither, FIG1, state0, 1.0, 0.01)
 
 
 # The numpy oracle: the RK4 loop and the flat rhs math as they ran on (..., d)
@@ -280,7 +280,7 @@ def numpy_integrate(rhs, state0, t0, t1, h, stride=1, clamp=None):
                                       None if y.ndim == 1 else int(np.argmin(finite)))
         if (j + 1) % stride == 0 or j + 1 == nsteps:
             times[rec], states[rec], rec = t0 + (j + 1) * h, y, rec + 1
-    return Trajectory(times, states, h, stride, events)
+    return Trajectory(times, states, events)
 
 
 def numpy_rhs(system, params, cost, dither, drift=None):

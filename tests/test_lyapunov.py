@@ -276,16 +276,16 @@ def test_quantized_radius_levels(quad_ctx):
 def test_monitor_descent_from_equilibrium(quad_ctx):
     cost, dither, eq, spec = quad_ctx
     traj = simulate_average(cost, dither, FIG1, [*eq.theta_star, *eq.v_star, eq.xi_star],
-                            0.0, 5.0, 0.0125, 40)
-    report = monitor_descent(traj, cost, dither, eq, spec)
+                            5.0, 0.0125, 40)
+    report = monitor_descent(LevelSetOracle(cost, dither, eq, spec), traj)
     assert report.passed
     assert np.all(np.abs(report.values) <= 1e-6)
 
 
 def test_monitor_descent_short_quadratic(quad_ctx):
     cost, dither, eq, spec = quad_ctx
-    traj = simulate_average(cost, dither, FIG1, [2.0, 0.81, 0.0], 0.0, 20.0, 0.0125, 4)
-    report = monitor_descent(traj, cost, dither, eq, spec)
+    traj = simulate_average(cost, dither, FIG1, [2.0, 0.81, 0.0], 20.0, 0.0125, 4)
+    report = monitor_descent(LevelSetOracle(cost, dither, eq, spec), traj)
     assert report.passed, report.summary()
     assert report.values[-1] < report.values[0]
     assert "PASS" in report.summary()
@@ -300,8 +300,8 @@ def test_monitor_flags_artificial_violation(quad_ctx):
         np.full(11, eq.v_star[0]),
         np.full(11, eq.xi_star),
     ], axis=1)
-    traj = Trajectory(times=times, states=states, h=0.1, record_stride=1)
-    report = monitor_descent(traj, cost, dither, eq, spec)
+    traj = Trajectory(times=times, states=states)
+    report = monitor_descent(LevelSetOracle(cost, dither, eq, spec), traj)
     assert not report.passed
     assert report.first_violation is not None
     assert "FAIL" in report.summary()
@@ -310,11 +310,12 @@ def test_monitor_flags_artificial_violation(quad_ctx):
 def test_monitor_rejects_states_of_another_layout(quad_ctx):
     # the monitor slices each state as (theta, v, xi), so a record must be (m, 2n + 1)
     cost, dither, eq, spec = quad_ctx
+    oracle = LevelSetOracle(cost, dither, eq, spec)
     times = np.linspace(0.0, 1.0, 4)
     for states in (np.zeros((4, 2)), np.zeros((4, 5)), np.zeros(4), np.zeros((4, 3, 1))):
-        traj = Trajectory(times=times, states=states, h=0.1, record_stride=1)
+        traj = Trajectory(times=times, states=states)
         with pytest.raises(ValueError, match="flat states of length 3"):
-            monitor_descent(traj, cost, dither, eq, spec)
+            monitor_descent(oracle, traj)
 
 
 def test_two_dimensional_grid_radii():
@@ -401,8 +402,8 @@ def test_targets_refine_with_the_grid_tables(quad_ctx, quartic_ctx):
 
 def _assert_monitor_matches_single_samples(traj, cost, dither, eq, spec):
     """The lockstep monitor equals one batch-of-one evaluation per sample, bit for bit."""
-    report = monitor_descent(traj, cost, dither, eq, spec)
     oracle = LevelSetOracle(cost, dither, eq, spec)
+    report = monitor_descent(oracle, traj)
     singles = [_value(oracle, state) for state in traj.states]
     assert np.array_equal(report.values, [r["v_total"] for r in singles])
     assert np.array_equal(report.v_theta_terms, [r["v_theta"] for r in singles])
@@ -413,7 +414,7 @@ def _assert_monitor_matches_single_samples(traj, cost, dither, eq, spec):
 
 def test_monitor_matches_single_samples(quad_ctx, quartic_ctx):
     for cost, dither, eq, spec in (quad_ctx, quartic_ctx):
-        traj = simulate_average(cost, dither, FIG1, [2.0, 0.81, 0.0], 0.0, 5.0, 0.0125, 4)
+        traj = simulate_average(cost, dither, FIG1, [2.0, 0.81, 0.0], 5.0, 0.0125, 4)
         _assert_monitor_matches_single_samples(traj, cost, dither, eq, spec)
 
 
@@ -425,7 +426,7 @@ def _across_chunks_case():
     eq = equilibrium(cost, dither)
     spec = LevelSpec(box=[[-3.0, 3.0], [-3.0, 3.0]], grid_theta=101)
     params = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25, 0.25], omega_xi=1.0)
-    traj = simulate_average(cost, dither, params, [1.2, -1.0, 0.5, 0.5, 0.0], 0.0, 3.0, 0.0125, 4)
+    traj = simulate_average(cost, dither, params, [1.2, -1.0, 0.5, 0.5, 0.0], 3.0, 0.0125, 4)
     return traj, cost, dither, eq, spec
 
 
@@ -442,7 +443,7 @@ def test_monitor_matches_single_samples_sampled_path():
     spec = LevelSpec(box=[[-2, 2]] * 3, n_samples=4000)
     params = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25] * 3, omega_xi=1.0)
     state0 = [0.6, -0.4, 0.5, 0.5, 0.5, 0.5, 0.0]
-    traj = simulate_average(cost, dither, params, state0, 0.0, 1.0, 0.0125, 4)
+    traj = simulate_average(cost, dither, params, state0, 1.0, 0.0125, 4)
     _assert_monitor_matches_single_samples(traj, cost, dither, eq, spec)
 
 
@@ -454,7 +455,7 @@ def _monitor_levels(oracle, traj):
 
 def _refinement_cases(quad_ctx, quartic_ctx):
     for cost, dither, eq, spec in (quad_ctx, quartic_ctx):
-        traj = simulate_average(cost, dither, FIG1, [2.0, 0.81, 0.0], 0.0, 5.0, 0.0125, 4)
+        traj = simulate_average(cost, dither, FIG1, [2.0, 0.81, 0.0], 5.0, 0.0125, 4)
         yield traj, cost, dither, eq, spec
     yield _across_chunks_case()
 

@@ -178,7 +178,7 @@ def _params(omega_l):
 def test_rmspesc_filter_state_stays_nonnegative(state):
     theta0, v0, xi0, omega_l = state
     traj = simulate_rmspesc(quartic_cost(), new_dither([0.2], [1], 10.0), _params(omega_l),
-                            [theta0, v0, xi0], 0.0, 1.0, 0.01)
+                            [theta0, v0, xi0], 1.0, 0.01)
     assert np.all(traj.states[:, 1] >= 0.0)
 
 
@@ -187,7 +187,7 @@ def test_rmspesc_filter_state_stays_nonnegative(state):
 def test_average_filter_state_stays_nonnegative(state):
     theta0, v0, xi0, omega_l = state
     traj = simulate_average(quartic_cost(), new_dither([0.2], [1], 10.0), _params(omega_l),
-                            [theta0, v0, xi0], 0.0, 1.0, 0.05)
+                            [theta0, v0, xi0], 1.0, 0.05)
     assert np.all(traj.states[:, 1] >= 0.0)
 
 
@@ -223,10 +223,11 @@ def test_batched_run_equals_single_runs(cost, data, omega_l):
     rows = np.array([np.concatenate([theta, v, [xi]]) for theta, v, xi in members])
     params = EscParams(k=1.0, epsilon=0.05, omega_l=[omega_l] * n, omega_xi=1.0)
     system = (cost, new_dither([0.2] * n, list(range(1, n + 1)), 10.0), params)
-    for driver, state0 in ((simulate_rmspesc, rows), (simulate_gesc, rows[:, [*range(n), 2 * n]])):
+    for driver, state0 in ((simulate_rmspesc, rows), (simulate_gesc, rows[:, [*range(n), 2 * n]]),
+                           (simulate_average, rows)):
         with np.errstate(over="ignore", invalid="ignore"):
-            batch = _run_or_abort(driver, *system, state0, 0.0, 1.0, 0.01)
-            singles = [_run_or_abort(driver, *system, s, 0.0, 1.0, 0.01) for s in state0]
+            batch = _run_or_abort(driver, *system, state0, 1.0, 0.01)
+            singles = [_run_or_abort(driver, *system, s, 1.0, 0.01) for s in state0]
         aborts = [s.t if isinstance(s, NonFiniteStateError) else np.inf for s in singles]
         if isinstance(batch, NonFiniteStateError):
             # the batch stops at the earliest abort and names the first member aborting then
