@@ -21,10 +21,12 @@ full loop measures it each rhs stage: through the cost's row form
 (``CostFunction.f_rows``), and through ``f`` on the stacked points (the row
 form a cost without one gets). The parsed-cost
 rows evaluate the 2-D expression of the ``compare_expr2d`` benchmark workload
-(dither rates 1, 2, so 512 quadrature nodes) on one (2,) point and on the
-(513, 2) array one average-system rhs call sweeps, and call that average rhs,
-each per call; the quartic average-rhs row calls the average rhs of the
-closed-loop settings above, whose one cost sweep covers a (257, 1) array. The two compare rows run ``esc_lab.cli.main`` end to end on
+(degree 4 at dither rates 1, 2, so 21 quadrature nodes) on one (2,) point and
+on the (22, 2) array one average-system rhs call sweeps, and call that average
+rhs, each per call; the quartic average-rhs row calls the average rhs of the
+closed-loop settings above, whose one cost sweep covers a (12, 1) array. The
+row names print the node counts of the tree that ran. The two compare rows
+run ``esc_lab.cli.main`` end to end on
 seed 0 of the ``compare_expr2d`` benchmark workload (``perfbench/workloads.py``):
 once as shipped, the average system in a forked child beside the full loop,
 and once with ``os.fork`` hidden, so the CLI runs the two one after another.
@@ -143,10 +145,11 @@ def main() -> int:
     expr_params = el.EscParams(k=1.0, epsilon=0.05, omega_l=[0.25, 0.25], omega_xi=1.0)
     expr_state = np.array([1.5, -1.0, 0.81, 0.81, 0.0])
     expr_point = expr_state[:2]
-    expr_sweep = np.vstack([expr_point, expr_point + el.PeriodQuadrature(expr_dither).s])
+    expr_quad = el.PeriodQuadrature(expr_cost, expr_dither)
+    expr_sweep = np.vstack([expr_point, expr_point + expr_quad.s])
     expr_rhs = average_flat_rhs(expr_params, expr_cost, expr_dither)
     quartic_rhs = average_flat_rhs(params, cost, dither)
-    quartic_nodes = el.PeriodQuadrature(dither).n_q + 1
+    quartic_nodes = el.PeriodQuadrature(cost, dither).n_q + 1
 
     def batch(size):
         states = np.tile(state0, (size, 1))

@@ -12,7 +12,10 @@ bundled config or workload has these) through ``python -m esc_lab.cli``, once
 from the parent's ``src`` and once from this checkout's, each run into its own output
 directory. The two trees run side by side, one process each. Every file
 either run wrote is compared byte for byte, and so is the exit code. Prints
-one line per run; exits 1 if any run differs. Run from anywhere inside the
+one line per run, and under it one line per differing column of each
+differing CSV that both runs wrote with the same header and shape: the worst
+relative and the worst absolute difference, each with the parent's magnitude
+there. Exits 1 if any run differs in any byte. Run from anywhere inside the
 repo:
 
     python3 benchmarks/same_outputs.py PARENT_REF
@@ -26,6 +29,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (0, 3)
@@ -92,6 +97,37 @@ def differences(a: Path, b: Path) -> list[str]:
     return diff
 
 
+def column_moves(a: Path, b: Path) -> list[str]:
+    """One line per column that differs between CSV files ``a`` (parent) and ``b``.
+
+    Each line gives the worst relative difference |b - a| / |a| and the worst
+    absolute one, each with |a| at that row. Empty when the two files do not
+    share a header and a table shape, or do not parse as numbers.
+    """
+    try:
+        header = a.read_text().partition("\n")[0]
+        if b.read_text().partition("\n")[0] != header:
+            return []
+        old, new = (np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2) for p in (a, b))
+    except (OSError, ValueError):     # one run wrote no such file, or it holds no numbers
+        return []
+    header = header.split(",")
+    if old.shape != new.shape or old.shape[1] != len(header):
+        return []
+    lines = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for name, x, y in zip(header, old.T, new.T):
+            same = (x == y) | (np.isnan(x) & np.isnan(y))
+            diff = np.where(same, 0.0, np.nan_to_num(np.abs(y - x), nan=np.inf))
+            if not diff.any():
+                continue
+            rel = np.where(same, 0.0, np.nan_to_num(diff / np.abs(x), nan=np.inf))
+            i, j = int(np.argmax(rel)), int(np.argmax(diff))
+            lines.append(f"    {a.name} {name}: relative {rel[i]:.2g} at |parent| "
+                         f"{abs(x[i]):.3g}, absolute {diff[j]:.2g} at |parent| {abs(x[j]):.3g}")
+    return lines
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_ref", metavar="PARENT_REF", help="git ref of the parent commit")
@@ -111,8 +147,11 @@ def main() -> int:
             if codes["parent"] != codes["this"]:
                 diff.insert(0, f"exit code {codes['parent']} -> {codes['this']}")
             status = "differs: " + ", ".join(diff) if diff else "identical"
-            print(f"{label:34s} {mode:9s} exit {codes['this']}, {files} files {status}",
-                  flush=True)
+            print(f"{label:34s} {mode:9s} exit {codes['this']}, {files} files {status}")
+            for name in diff:
+                for line in column_moves(outs["parent"] / name, outs["this"] / name):
+                    print(line)
+            sys.stdout.flush()
             failed += bool(diff)
     print(f"{failed} run(s) differ" if failed else "all runs identical")
     return 1 if failed else 0

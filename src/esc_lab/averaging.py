@@ -10,9 +10,12 @@ system in (theta_bar, v_bar, xi_bar) driven by three maps:
 * ``g2_bar(theta, xi)``  — average squared gradient estimate per channel.
 
 All three are computed by composite trapezoid quadrature on one period with
-uniform nodes, whose tables one :class:`PeriodQuadrature` holds per dither;
-for smooth periodic integrands that rule converges spectrally, so its
-256 * r_max nodes reproduce closed forms to near machine precision. The
+uniform nodes, whose tables one :class:`PeriodQuadrature` holds per cost and
+dither. On N nodes that rule is exact for trigonometric polynomials of degree
+below N, and every integrand is one when J is a polynomial, so a polynomial
+cost gets enough nodes to make all three averages exact; any other cost gets
+256 * r_max, where the rule's spectral convergence for smooth periodic
+integrands reproduces closed forms to near machine precision. The
 integrands depend on time only through sin(omega * r_i * t), so the averages
 are independent of omega itself. :func:`avg_maps`, :func:`equilibrium` and
 :func:`average_flat_rhs` share one kernel, which evaluates J in one cost
@@ -30,6 +33,7 @@ import numpy as np
 
 from .cost import CostFunction, grad_cost
 from .dynamics import _check_dims
+from .expressions import polynomial_degree
 from .integrate import nonneg
 from .signals import DitherConfig
 
@@ -69,18 +73,28 @@ class Equilibrium:
 
 
 class PeriodQuadrature:
-    """Uniform-node trapezoid rule over one dither period, built once per dither.
+    """Uniform-node trapezoid rule over one dither period, built once per cost and dither.
 
-    There are n_q = 256 * r_max nodes; node j sits at phase 2*pi*j/n_q of the
-    slowest harmonic, and omega cancels. ``s`` (n_q, n) holds the dither at
-    each node and ``m`` (n, n_q) the demodulation signal; ``m2 = m * m`` and
-    ``r = mean(m2)`` (= 2 / a_i^2) serve the squared-estimate average
-    (:meth:`g2_coeffs`).
+    N uniform nodes integrate a trigonometric polynomial of degree below N
+    exactly (Trefethen & Weideman, SIAM Review 56, 2014). For a cost whose
+    ``expr`` is a polynomial of degree d (:func:`polynomial_degree`), J at the
+    nodes has degree at most d * r_max in the phase, and the highest-degree
+    integrand, g2_bar's m_i^2 (J - xi)^2, at most (2d + 2) * r_max. So
+    n_q = (2d + 2) * r_max + 1 nodes give every average exactly up to
+    rounding, with a floor of 8 * r_max and a cap of 256 * r_max. A cost with
+    no ``expr``, or one the rule finds no degree for, gets the cap. Node j
+    sits at phase 2*pi*j/n_q of the slowest harmonic, and omega cancels.
+    ``s`` (n_q, n) holds the dither at each node and ``m`` (n, n_q) the
+    demodulation signal; ``m2 = m * m`` and ``r = mean(m2)`` (= 2 / a_i^2)
+    serve the squared-estimate average (:meth:`g2_coeffs`).
     """
 
-    def __init__(self, dither: DitherConfig):
+    def __init__(self, cost: CostFunction, dither: DitherConfig):
         self.n = dither.n
-        self.n_q = n_q = 256 * dither.r_max
+        r_max = dither.r_max
+        degree = None if cost.expr is None else polynomial_degree(cost.expr, cost.n)
+        self.n_q = n_q = (256 * r_max if degree is None
+                          else max(8 * r_max, min(256 * r_max, (2 * degree + 2) * r_max + 1)))
         phases = 2.0 * np.pi * np.arange(n_q) / n_q
         sin_rt = np.sin(dither.rates[:, None] * phases[None, :])  # (n, n_q)
         self.s = (dither.amplitudes[:, None] * sin_rt).T
@@ -187,7 +201,7 @@ def average_flat_rhs(params, cost: CostFunction, dither: DitherConfig):
     n = params.n
     neg_k, eps, wxi = -float(params.k), float(params.epsilon), float(params.omega_xi)
     wl = params.omega_l.tolist()
-    quad = PeriodQuadrature(dither)
+    quad = PeriodQuadrature(cost, dither)
     sums, n_q = _map_sums(cost, quad), quad.n_q
 
     def rhs(t: float, rows: list[list[float]]) -> list[list[float]]:
@@ -220,7 +234,7 @@ def equilibrium(cost: CostFunction, dither: DitherConfig) -> Equilibrium:
     """
     tol, max_iter = 1e-10, 100_000
     theta = np.zeros(cost.n) if cost.theta_star is None else np.array(cost.theta_star, dtype=float)
-    quad = PeriodQuadrature(dither)
+    quad = PeriodQuadrature(cost, dither)
     sums = _map_sums(cost, quad)
 
     def maps_at(th, xi=0.0):
@@ -305,7 +319,7 @@ def convergence_sweep(
     rows = []
     for a0 in a0_list:
         cfg = dither.scaled(a0)
-        maps = avg_maps(cost, PeriodQuadrature(cfg), theta_bar, 0.0)
+        maps = avg_maps(cost, PeriodQuadrature(cost, cfg), theta_bar, 0.0)
         eq = equilibrium(cost, cfg)
         rows.append(
             SweepRow(

@@ -12,11 +12,13 @@ plot       render CSV columns to an SVG
 
 Runs start at t = 0, where the dither is zero, so ``y0`` in init.xi is
 J(init.theta) in every mode. The average system, its equilibrium and the
-descent monitor run at their library defaults (256 * max(rates) quadrature
-nodes, LevelSpec's grid, the fixed descent tolerance); no config key sets them.
-lyapunov reads its box, searches for the equilibrium and builds the level-set
-oracle before it integrates the average system, so a bad box, a failed search
-or a box on which the fields are not finite exits before the run.
+descent monitor run at their library defaults (the quadrature node count
+derived from the cost, LevelSpec's grid, the fixed descent tolerance); no
+config key sets them. lyapunov reads its box, searches for the equilibrium,
+builds the level-set oracle and evaluates V at the initial state before it
+integrates the average system, so a bad box, a failed search, a box on which
+the fields are not finite or one the initial state escapes exits before the
+run.
 
 The washout seeds of simulate (one per init.xi entry) run as one lockstep
 batch: a single RK4 loop steps one member row per seed, and each member's CSV
@@ -391,6 +393,10 @@ def _mode_lyapunov(cfg: ExperimentConfig, out_dir: Path) -> int:
     if hw is None:
         hw = np.maximum(1.0, 2.0 * np.abs(run.theta0 - eq.theta_star))
     oracle = LevelSetOracle(cost, dither, eq, LevelSpec(box=np.stack([-hw, hw], axis=-1)))
+    # V at the initial state: a box that state escapes raises BoxEscapeError before the run
+    n = cost.n
+    oracle._evaluate((state0[:n] - eq.theta_star)[None], (state0[n : 2 * n] - eq.v_star)[None],
+                     state0[2 * n :] - eq.xi_star)
     traj = simulate_average(*run.system, state0, *run.grid)
     report = monitor_descent(oracle, traj)
 

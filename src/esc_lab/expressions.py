@@ -27,6 +27,10 @@ call. Any other exponent uses plain ``power``, so odd powers keep their sign
 and a negative base to a non-integer power is NaN. Literals combine as
 Python floats, so a subexpression of literals that divides by zero is
 rejected when the expression is compiled.
+
+:func:`polynomial_degree` reads the same tree for the degree of the cost as a
+polynomial in theta, or None where the syntax shows none; the period
+quadrature sizes its node count from it.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import re
 
 import numpy as np
 
-__all__ = ["ExpressionError", "MAX_NESTING", "compile_expression"]
+__all__ = ["ExpressionError", "MAX_NESTING", "compile_expression", "polynomial_degree"]
 
 MAX_NESTING = 100
 
@@ -178,6 +182,27 @@ def _is_even_integer(node) -> bool:
     return node[0] == "const" and node[1].is_integer() and node[1] % 2 == 0
 
 
+def _fold(tree, visit):
+    """``visit(node, values)`` on every node, operands first; returns the root's value.
+
+    ``values`` holds the values of the node's operands, left to right, and is
+    empty for a literal or a variable. The walk runs on an explicit stack, so a
+    tree of any depth (a left-nested chain of thousands of additions) is folded
+    without Python recursion.
+    """
+    stack = [(tree, [])]                      # (node, values of its operands so far)
+    while True:
+        node, values = stack[-1]
+        if node[0] not in ("const", "var") and len(values) < len(node) - 1:
+            stack.append((node[1 + len(values)], []))
+            continue
+        value = visit(node, values)
+        stack.pop()
+        if not stack:
+            return value
+        stack[-1][1].append(value)
+
+
 def _emit(tree):
     """Lower ``tree`` to straight-line Python: one assignment per distinct operation.
 
@@ -187,49 +212,42 @@ def _emit(tree):
     again: each is keyed by its text (operator and operand names), each literal
     by its ``repr``, and a repeat reuses the first one's name, so
     ``(theta1 - 1)^2 + (theta1 - 1)^2`` makes one subtraction and one power.
-    The walk runs on an explicit stack, so a tree of any depth (a left-nested
-    chain of thousands of additions) is lowered without Python recursion. A
-    tree that names no variable returns its constant once per point, shape
-    (...). Literals are bound by name (``1e999`` has no source form but
-    ``inf``), and the code is flat, so the Python compiler sees no nesting.
+    The tree is walked by :func:`_fold`, so one of any depth is lowered without
+    Python recursion. A tree that names no variable returns its constant once
+    per point, shape (...). Literals are bound by name (``1e999`` has no source
+    form but ``inf``), and the code is flat, so the Python compiler sees no
+    nesting.
     """
     lines: list[str] = []
     constants: dict[str, float] = {}
     names: dict[str, str] = {}                # literal repr or operation text -> its name
     variables: set[int] = set()
-    stack = [(tree, [])]                      # (node, names of its lowered operands)
-    while True:
-        node, operands = stack[-1]
+
+    def visit(node, operands):
         op = node[0]
         if op == "const":
             name = names.setdefault(repr(node[1]), f"c{len(constants)}")
             constants[name] = node[1]
-        elif op == "var":
+            return name
+        if op == "var":
             variables.add(node[1])
-            name = f"x{node[1]}"
-        elif len(operands) < len(node) - 1:
-            stack.append((node[1 + len(operands)], []))
-            continue
+            return f"x{node[1]}"
+        if op == "neg":
+            expr = f"-{operands[0]}"
+        elif op == "pow":
+            base = operands[0]
+            if _is_even_integer(node[2]):
+                base = f"absolute({base})"
+            expr = f"power({base}, {operands[1]})"
         else:
-            if op == "neg":
-                expr = f"-{operands[0]}"
-            elif op == "pow":
-                base = operands[0]
-                if _is_even_integer(node[2]):
-                    base = f"absolute({base})"
-                expr = f"power({base}, {operands[1]})"
-            else:
-                expr = f"{operands[0]} {_BINARY[op]} {operands[1]}"
-            name = names.get(expr)
-            if name is None:
-                name = names[expr] = f"t{len(lines)}"
-                lines.append(f"    {name} = {expr}")
-        stack.pop()
-        if not stack:
-            break
-        stack[-1][1].append(name)
+            expr = f"{operands[0]} {_BINARY[op]} {operands[1]}"
+        name = names.get(expr)
+        if name is None:
+            name = names[expr] = f"t{len(lines)}"
+            lines.append(f"    {name} = {expr}")
+        return name
 
-    result = name
+    result = _fold(tree, visit)
     header = [f"    x{i} = x[..., {i}]" for i in sorted(variables)]
     if variables:
         value = f"asarray({result}, dtype=float)"
@@ -255,3 +273,36 @@ def compile_expression(text: str, n: int):
     except ZeroDivisionError:
         raise ValueError("a subexpression of literals divides by zero") from None
     return evaluate
+
+
+def polynomial_degree(text: str, n: int) -> int | None:
+    """The degree of ``text`` as a polynomial in theta1..thetaN, or None if the rule finds none.
+
+    A literal has degree 0 and a variable degree 1; +, - and unary minus take
+    the larger degree of their operands, and * their sum. A division keeps a
+    polynomial only when its divisor names no variable, and ``^`` only when
+    its exponent is a non-negative integer literal (it multiplies the base's
+    degree) or both of its operands name no variable. Anything else has no
+    degree. A subexpression that names no variable is a constant, so it
+    always has degree 0. The rule reads the syntax only: ``theta1^(1 + 1)``
+    or ``theta1^0.5 * 0`` have no degree.
+    """
+
+    def visit(node, operands):
+        op = node[0]
+        if op in ("const", "var"):
+            return int(op == "var")
+        if None in operands:
+            return None
+        if op in ("add", "sub", "neg"):
+            return max(operands)
+        if op == "mul":
+            return operands[0] + operands[1]
+        if op == "div":
+            return operands[0] if operands[1] == 0 else None
+        exponent = node[2]
+        if exponent[0] == "const" and exponent[1].is_integer() and exponent[1] >= 0:
+            return operands[0] * int(exponent[1])
+        return 0 if operands == [0, 0] else None
+
+    return _fold(_Parser(text, n).parse(), visit)

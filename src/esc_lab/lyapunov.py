@@ -239,7 +239,7 @@ class LevelSetOracle:
             raise ValueError("spec, dither, and cost dimensions differ")
         self.cost = cost
         self.eq = eq
-        self.quad = PeriodQuadrature(dither)
+        self.quad = PeriodQuadrature(cost, dither)
         self._j_star = float(cost.f(eq.theta_star))
         self._node_base = eq.theta_star[:, None] + self.quad.s.T  # theta* + s_j, (n, n_q)
         xi = _Target(lambda y_c: (np.mean(y_c, axis=-1),), lambda f: np.abs(f[0]))

@@ -63,7 +63,7 @@ def test_criterion_1_quadratic_closed_form_agreement():
             model = el.QuadraticModel(h=h, j_opt=0.0, a=a)
             cost = el.quadratic_cost(h)
             dither = el.new_dither([a], [1], 10.0)
-            maps = el.avg_maps(cost, el.PeriodQuadrature(dither), [theta], xi)
+            maps = el.avg_maps(cost, el.PeriodQuadrature(cost, dither), [theta], xi)
             b0 = el.fourier_coeffs(model, theta)[0]
             g_cf, g2_cf = el.quad_avg_maps(model, theta, xi)
             for num, ref in ((maps.j_bar, b0), (maps.g_bar[0], g_cf), (maps.g2_bar[0], g2_cf)):

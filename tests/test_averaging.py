@@ -45,19 +45,19 @@ def closed_form_g2(h, j_opt, a, theta, xi):
 
 def test_quadratic_closed_forms():
     cost, dither = quad_setup()
-    maps = avg_maps(cost, PeriodQuadrature(dither), [1.0], 0.0)
+    maps = avg_maps(cost, PeriodQuadrature(cost, dither), [1.0], 0.0)
     assert maps.j_bar == pytest.approx(3.51, rel=1e-12)       # b0 at theta=1
     assert maps.g_bar == pytest.approx([1.0], rel=1e-12)      # H*theta
     # at theta=0, xi = equilibrium washout value, the squared average is b2^2/a^2
     eq = equilibrium(cost, dither)
-    m0 = avg_maps(cost, PeriodQuadrature(dither), [0.0], eq.xi_star)
+    m0 = avg_maps(cost, PeriodQuadrature(cost, dither), [0.0], eq.xi_star)
     assert m0.g2_bar == pytest.approx([0.0025], abs=1e-12)
 
 
 def test_quartic_average_gradient_analytic():
     cost, dither = quartic_setup()
     theta, a = 2.0, 0.02
-    maps = avg_maps(cost, PeriodQuadrature(dither), [theta], 0.0)
+    maps = avg_maps(cost, PeriodQuadrature(cost, dither), [theta], 0.0)
     # mean of (theta + a sin)^4 / 24 and its demodulated slope: the cubic term plus a^2*theta/8
     j_bar = (theta**4 + 3 * a**2 * theta**2 + 3 * a**4 / 8) / 24
     g_bar = theta**3 / 6 + a**2 * theta / 8
@@ -67,8 +67,8 @@ def test_quartic_average_gradient_analytic():
 
 def test_g_bar_independent_of_xi():
     cost, dither = quartic_setup()
-    a = avg_maps(cost, PeriodQuadrature(dither), [1.7], -4.0)
-    b = avg_maps(cost, PeriodQuadrature(dither), [1.7], 12.0)
+    a = avg_maps(cost, PeriodQuadrature(cost, dither), [1.7], -4.0)
+    b = avg_maps(cost, PeriodQuadrature(cost, dither), [1.7], 12.0)
     np.testing.assert_allclose(a.g_bar, b.g_bar, atol=1e-12)
 
 
@@ -78,10 +78,10 @@ def test_g2_nonnegative_and_xi_dependent():
     for _ in range(20):
         theta = rng.uniform(-3, 3, 1)
         xi = rng.uniform(-5, 5)
-        maps = avg_maps(cost, PeriodQuadrature(dither), theta, xi)
+        maps = avg_maps(cost, PeriodQuadrature(cost, dither), theta, xi)
         assert maps.g2_bar[0] >= 0.0
-    a = avg_maps(cost, PeriodQuadrature(dither), [1.0], 0.0)
-    b = avg_maps(cost, PeriodQuadrature(dither), [1.0], 1.0)
+    a = avg_maps(cost, PeriodQuadrature(cost, dither), [1.0], 0.0)
+    b = avg_maps(cost, PeriodQuadrature(cost, dither), [1.0], 1.0)
     assert abs(a.g2_bar[0] - b.g2_bar[0]) > 1e-6
 
 
@@ -94,7 +94,7 @@ def test_g2_quadratic_in_xi_decomposition():
     ]
     xi_ref = 0.7
     for (cost, dither), thetas in cases:
-        quad = PeriodQuadrature(dither)
+        quad = PeriodQuadrature(cost, dither)
         thetas = np.asarray(thetas, dtype=float)
         y_c = cost.f(thetas[:, None, :] + quad.s) - xi_ref  # (B, n_q)
         np.testing.assert_allclose(quad.r, 2.0 / dither.amplitudes**2, rtol=1e-12)
@@ -129,7 +129,7 @@ def two_sweep_maps(cost, quad, theta_bar, xi_bar):
      new_dither([0.05, 0.04, 0.03], [1, 2, 3], 10.0)),
 ], ids=["quartic", "expr2d", "quadratic3d"])
 def test_avg_maps_equals_two_sweep_formulation(cost, dither):
-    quad = PeriodQuadrature(dither)
+    quad = PeriodQuadrature(cost, dither)
     rng = np.random.default_rng(5)
     for _ in range(50):
         theta, xi = rng.uniform(-3.0, 3.0, cost.n), rng.uniform(-2.0, 2.0)
@@ -167,7 +167,7 @@ def rhs_rows(n, count=12):
 
 @pytest.mark.parametrize("cost, dither, params", RHS_CASES, ids=RHS_IDS)
 def test_average_flat_rhs_equals_rhs_of_two_sweep_maps(cost, dither, params):
-    n, quad = cost.n, PeriodQuadrature(dither)
+    n, quad = cost.n, PeriodQuadrature(cost, dither)
     rows = rhs_rows(n)
     assert any(x < 0.0 for r in rows for x in r[n : 2 * n])
     assert any(r[-1] > 0.0 for r in rows) and any(r[-1] < 0.0 for r in rows)
@@ -218,7 +218,7 @@ def test_average_flat_rhs_one_sweep_and_one_reduction_per_row(cost, dither, para
     rows = rhs_rows(cost.n, count=5)
     out = rhs(0.0, rows)
     monkeypatch.undo()
-    n_q = PeriodQuadrature(dither).n_q
+    n_q = PeriodQuadrature(cost, dither).n_q
     assert sweeps == [(n_q + 1, cost.n)] * len(rows)
     assert counting_np.add.reduces == len(rows)
     assert out == average_flat_rhs(params, cost, dither)(0.0, rows)
@@ -226,12 +226,85 @@ def test_average_flat_rhs_one_sweep_and_one_reduction_per_row(cost, dither, para
 
 def test_quadrature_tables():
     dither = new_dither([0.2, 0.05], [1, 3], 10.0)
-    quad = PeriodQuadrature(dither)
-    assert quad.n_q == 256 * 3
-    assert quad.s.shape == (768, 2) and quad.m.shape == (2, 768)
+    # degree 4 at r_max = 3: (2*4 + 2)*3 + 1 nodes
+    quad = PeriodQuadrature(parse_cost("theta1^4 + theta2^2", 2), dither)
+    assert quad.n_q == 31
+    assert quad.s.shape == (31, 2) and quad.m.shape == (2, 31)
     np.testing.assert_allclose(quad.r, 2.0 / dither.amplitudes**2, rtol=1e-12)
     with pytest.raises(ValueError, match="dimensions"):
         avg_maps(quadratic_cost(1.0), quad, [1.0])
+
+
+@pytest.mark.parametrize("expr, n_q", [
+    ("theta1 + theta2", 24),              # (2*1 + 2)*3 + 1 = 13, raised to the 8 * r_max floor
+    ("theta1^2 * theta2", 25),            # degree 3
+    ("theta1^40", 247),
+    ("theta1^200", 768),                  # capped at 256 * r_max
+    ("theta1^0.5 + theta2", 768),         # no degree: 256 * r_max, as before
+    ("theta1^-2", 768),
+    ("1/(1 + theta1^2)", 768),
+    (None, 768),                          # a cost with no expression
+])
+def test_node_count_from_degree(expr, n_q):
+    dither = new_dither([0.2, 0.05], [1, 3], 10.0)
+    cost = replace(parse_cost("theta1", 2), expr=None) if expr is None else parse_cost(expr, 2)
+    assert PeriodQuadrature(cost, dither).n_q == n_q
+
+
+# the quartic, a 3-D quadratic with theta* != 0 and compare_expr2d's parsed cost,
+# with their derived node counts; amplitudes large enough that an aliased harmonic
+# would move the averages far beyond rounding
+EXACT_CASES = [
+    (quartic_cost(), new_dither([0.3], [1], 10.0), 11),
+    (quadratic_cost([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 3.0]], 0.5, [0.2, -0.4, 1.0]),
+     new_dither([0.3, 0.2, 0.25], [1, 2, 3], 10.0), 24),
+    (parse_cost("theta1^4 + 2*theta2^4 + theta1^2*theta2^2 + 0.5*(theta1 - theta2)^2", 2),
+     new_dither([0.3, 0.2], [1, 2], 10.0), 21),
+]
+
+
+@pytest.mark.parametrize("cost, dither, n_q", EXACT_CASES, ids=["quartic", "quadratic3d", "expr2d"])
+def test_derived_node_count_is_exact(cost, dither, n_q):
+    # the reference is the same cost without its expression: 256 * r_max nodes
+    quad, ref = PeriodQuadrature(cost, dither), PeriodQuadrature(replace(cost, expr=None), dither)
+    assert quad.n_q == n_q and ref.n_q == 256 * dither.r_max
+
+    def close(a, b):  # relative to the norm of the reference vector
+        return np.linalg.norm(np.subtract(a, b)) <= 1e-13 * np.linalg.norm(b)
+
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        theta, xi = rng.uniform(-2.0, 2.0, cost.n), rng.uniform(-2.0, 2.0)
+        maps, exact = avg_maps(cost, quad, theta, xi), avg_maps(cost, ref, theta, xi)
+        assert close(maps.j_bar, exact.j_bar)
+        assert close(maps.g_bar, exact.g_bar) and close(maps.g2_bar, exact.g2_bar)
+        for i in range(cost.n):
+            p, q = quad.g2_coeffs(cost.f(theta + quad.s) - xi, i)
+            p_ref, q_ref = ref.g2_coeffs(cost.f(theta + ref.s) - xi, i)
+            assert close(p, p_ref) and close(q, q_ref)
+
+
+def trapezoid_g2(cost, dither, theta, xi, nodes):
+    """g2_bar by the trapezoid rule on ``nodes`` uniform nodes, written out."""
+    phases = 2.0 * np.pi * np.arange(nodes) / nodes
+    sin_rt = np.sin(dither.rates[:, None] * phases)
+    y = cost.f(theta + (dither.amplitudes[:, None] * sin_rt).T) - xi
+    m = (2.0 / dither.amplitudes[:, None]) * sin_rt
+    return np.mean((m * y) ** 2, axis=1)
+
+
+@pytest.mark.parametrize("expr, rates, channel", [
+    ("theta1^4", [1], 0),
+    ("theta2^4", [1, 2], 1),              # m_2^2 J^2 has degree 2*2 + 8*2 = 20
+])
+def test_one_node_fewer_aliases_g2(expr, rates, channel):
+    # at theta = 0, xi = 0 the integrand's top harmonic carries a fixed share of g2_bar
+    cost, dither = parse_cost(expr, len(rates)), new_dither([0.5] * len(rates), rates, 10.0)
+    theta, quad = np.zeros(cost.n), PeriodQuadrature(cost, dither)
+    n_q, g2 = quad.n_q, avg_maps(cost, quad, theta, 0.0).g2_bar
+    np.testing.assert_allclose(trapezoid_g2(cost, dither, theta, 0.0, n_q), g2, rtol=1e-14)
+    fewer = trapezoid_g2(cost, dither, theta, 0.0, n_q - 1)
+    assert abs(fewer[channel] / g2[channel] - 1.0) > 1e-3
 
 
 def test_average_rhs_at_equilibrium_vanishes():
@@ -257,7 +330,7 @@ def test_average_rhs_washout_sign():
         xi = rng.uniform(-2, 2)
         state = np.array([theta[0], 0.1, xi])
         d = average_rhs(state, FIG1, cost, dither)
-        j_bar = avg_maps(cost, PeriodQuadrature(dither), theta, xi).j_bar
+        j_bar = avg_maps(cost, PeriodQuadrature(cost, dither), theta, xi).j_bar
         assert np.sign(d[2]) == np.sign(FIG1.omega_xi * (j_bar - xi))
 
 

@@ -553,6 +553,10 @@ def test_invalid_setting_error_names_the_key(mode, config, sets, message, tmp_pa
      "error: field 'lyapunov.box_halfwidth' entries must be positive"),
     ("quartic_lyapunov", ["cost.kind=expr", "cost.expr=theta1^3"], 3,
      "runtime abort: g_bar vanished at theta = [-"),
+    # the initial state escapes the box, which V at that state shows once the oracle is built
+    ("quadratic_lyapunov", ["lyapunov.box_halfwidth=0.5"], 2,
+     "error: sublevel set V_theta <= 2.00101 reaches the search box boundary "
+     "(min boundary level 0.125); widen the box"),
 ])
 def test_lyapunov_fails_before_it_integrates(config, sets, code, message, tmp_path, monkeypatch,
                                              capsys):

@@ -10,7 +10,7 @@ from esc_lab import (
     shifted_quartic_cost,
 )
 from esc_lab.cost import _offsets, finite_difference_gradient
-from esc_lab.expressions import MAX_NESTING, ExpressionError
+from esc_lab.expressions import MAX_NESTING, ExpressionError, polynomial_degree
 
 
 def test_quartic_values():
@@ -175,11 +175,44 @@ def test_division_and_parentheses():
 
 
 def test_long_flat_sum_compiles():
-    # a left-nested chain of 1,499 additions: parsed and lowered by loops, not recursion
+    # a left-nested chain of 1,499 additions: parsed, lowered and read by loops, not recursion
     parsed = parse_cost(" + ".join(["theta1"] * 1500), 1)
     assert eval_cost(parsed, [2.0]) == 3000.0
+    assert polynomial_degree(parsed.expr, 1) == 1
     assert np.array_equal(parsed.f(np.array([[1.0], [-0.5]])), [1500.0, -750.0])
     assert parse_cost(" - ".join(["1"] * 1500), 1).f(np.zeros((2, 1))).tolist() == [-1498.0] * 2
+
+
+def test_builtin_degrees():
+    # every builtin's f is its expression compiled, so the rule reads the builtins too
+    assert polynomial_degree(quartic_cost().expr, 1) == 4
+    assert polynomial_degree(shifted_quartic_cost([1.5, -0.5]).expr, 2) == 4
+    for cost in (quadratic_cost(1.0, 3.0),
+                 quadratic_cost([[2.0, 0.4], [0.4, 1.5]], -1.0, [0.25, -0.5])):
+        assert polynomial_degree(cost.expr, cost.n) == 2
+
+
+@pytest.mark.parametrize("expr, degree", [
+    ("theta1^4 + 2*theta2^4 + theta1^2*theta2^2 + 0.5*(theta1 - theta2)^2", 4),
+    ("3", 0),
+    ("2^0.5 / 3^-1", 0),                           # names no variable: a constant
+    ("theta2^0", 0),
+    ("-theta1 * theta2 * theta1", 3),
+    ("(theta1 - 1)^3 / 6 - theta2", 3),
+    ("theta1 / (2 - 2^0.5)", 1),                    # a divisor that names no variable
+    ("((theta1 + 1)^2)^3", 6),
+    ("theta1^2 - theta1^2", 2),                     # the rule reads syntax, not values
+])
+def test_polynomial_degree(expr, degree):
+    assert polynomial_degree(expr, 2) == degree
+
+
+@pytest.mark.parametrize("expr", [
+    "theta1^0.5", "theta1^-2", "1/(1 + theta1^2)", "theta1 / theta2", "2^theta1",
+    "theta1^theta2", "theta1^(1 + 1)", "theta1^0.5 * 0", "theta2 + (theta1^0.5)^2",
+])
+def test_non_polynomials_have_no_degree(expr):
+    assert polynomial_degree(expr, 2) is None
 
 
 @pytest.mark.parametrize("opener, closer", [("(", ")"), ("-", ""), ("1^", "")])

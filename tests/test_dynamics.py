@@ -72,7 +72,7 @@ def test_grad_estimate_time_average_matches_average_map():
     ts = np.linspace(0.0, dither.period, 8193)
     vals = np.array([grad_estimate(t, theta, xi, cost, dither)[0] for t in ts])
     time_avg = np.trapezoid(vals, ts) / dither.period
-    maps = avg_maps(cost, PeriodQuadrature(dither), theta, xi)
+    maps = avg_maps(cost, PeriodQuadrature(cost, dither), theta, xi)
     assert time_avg == pytest.approx(maps.g_bar[0], abs=1e-9)
 
 

@@ -288,7 +288,7 @@ def numpy_rhs(system, params, cost, dither, drift=None):
     n = params.n
     k, eps, wl, wxi = params.k, params.epsilon, params.omega_l, params.omega_xi
     amps, freqs, demod = dither.amplitudes, dither.omega * dither.rates, 2.0 / dither.amplitudes
-    quad = PeriodQuadrature(dither)
+    quad = PeriodQuadrature(cost, dither)
 
     def average_row(y):
         v = np.maximum(y[n : 2 * n], 0.0)

@@ -330,7 +330,7 @@ def test_two_dimensional_grid_radii():
         assert r == pytest.approx(c, rel=5e-3)
 
     # cross-check one r_v value against a coarse scan of the quadrature maps
-    quad = PeriodQuadrature(dither)
+    quad = PeriodQuadrature(cost, dither)
     c_theta, c_xi, channel = 0.5, 0.5, 1
     r = _v_radii(oracle, c_theta, c_xi, channel)[0]
     best = 0.0

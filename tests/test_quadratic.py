@@ -62,7 +62,7 @@ def test_quad_avg_maps_matches_quadrature():
     model = QuadraticModel(h=1.0, j_opt=3.0, a=0.2)
     cost = quadratic_cost(model.h, model.j_opt)
     dither = new_dither([model.a], [1], 10.0)
-    maps = avg_maps(cost, PeriodQuadrature(dither), [0.7], 1.1)
+    maps = avg_maps(cost, PeriodQuadrature(cost, dither), [0.7], 1.1)
     g, g2 = quad_avg_maps(model, 0.7, 1.1)
     assert maps.g_bar[0] == pytest.approx(g, abs=1e-10)
     assert maps.g2_bar[0] == pytest.approx(g2, rel=1e-10)
@@ -78,7 +78,7 @@ def test_quad_avg_maps_matches_quadrature_random():
         model = QuadraticModel(h=h, j_opt=0.0, a=a)
         cost = quadratic_cost(h)
         dither = new_dither([a], [1], 10.0)
-        maps = avg_maps(cost, PeriodQuadrature(dither), [theta], xi)
+        maps = avg_maps(cost, PeriodQuadrature(cost, dither), [theta], xi)
         g, g2 = quad_avg_maps(model, theta, xi)
         assert maps.g_bar[0] == pytest.approx(g, rel=1e-9, abs=1e-12)
         assert maps.g2_bar[0] == pytest.approx(g2, rel=1e-9)
