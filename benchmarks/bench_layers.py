@@ -26,10 +26,13 @@ on the (22, 2) array one average-system rhs call sweeps, and call that average
 rhs, each per call; the quartic average-rhs row calls the average rhs of the
 closed-loop settings above, whose one cost sweep covers a (12, 1) array. The
 row names print the node counts of the tree that ran. The two compare rows
-run ``esc_lab.cli.main`` end to end on
-seed 0 of the ``compare_expr2d`` benchmark workload (``perfbench/workloads.py``):
-once as shipped, the average system in a forked child beside the full loop,
-and once with ``os.fork`` hidden, so the CLI runs the two one after another.
+run seed 0 of the ``compare_expr2d`` benchmark workload
+(``perfbench/workloads.py``): once through ``esc_lab.cli.main`` end to end, as
+shipped, the average system in a one-worker process pool beside the full
+loop, and once in process, one after another: ``simulate_rmspesc`` on the
+run ``esc_lab.cli._setup`` builds, then ``esc_lab.cli._average_run`` on the
+same config values. The second row leaves out config loading and CSV
+writing, so the gap between the rows is what the pool saves, less those.
 The host's speed is measured with perfbench's calibration loop
 (``perfbench/run.py``'s ``calibration_s``, imported read-only) right before
 the first row and right after the last; the header reports the scale
@@ -58,9 +61,10 @@ from pathlib import Path
 import numpy as np
 
 import esc_lab as el
+from esc_lab import cli
 from esc_lab.averaging import average_flat_rhs
-from esc_lab.cli import main as cli_main
 from esc_lab.cli import write_trajectory_csv
+from esc_lab.config import ExperimentConfig, load_config
 from esc_lab.integrate import fit_step
 from esc_lab.lyapunov import _quantize_up
 
@@ -88,22 +92,22 @@ def fmt(stats):
     return f"{med:9.1f} ms [{q1:.1f}, {q3:.1f}]"
 
 
-@contextlib.contextmanager
-def fork_hidden():
-    """Run the body as on a platform without ``os.fork``."""
-    fork = os.__dict__.pop("fork")
-    try:
-        yield
-    finally:
-        os.fork = fork
-
-
-def compare_run(config, out_dir, sequential=False):
+def compare_run(config, out_dir):
     """One quiet ``esc-lab compare`` invocation, in process."""
     def run():
-        with contextlib.redirect_stdout(io.StringIO()), \
-                (fork_hidden() if sequential else contextlib.nullcontext()):
-            assert cli_main(["compare", "--config", str(config), "--out", str(out_dir)]) == 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["compare", "--config", str(config), "--out", str(out_dir)]) == 0
+    return run
+
+
+def compare_in_order(config):
+    """compare's two runs in this process, the full loop first, without the CSVs."""
+    values = load_config(str(config))
+
+    def run():
+        setup = cli._setup(ExperimentConfig(values), oscillatory=True)
+        el.simulate_rmspesc(*setup.system, setup.state0(setup.washout[1]), *setup.grid)
+        cli._average_run(values)
     return run
 
 
@@ -230,9 +234,8 @@ def main() -> int:
             lambda: write_trajectory_csv(csv_path, loop, cost, with_v=True),
             None,
         ),
-        ("compare_expr2d, forked average run", compare_run(compare_cfg, csv_dir.name), None),
-        ("compare_expr2d, one after another",
-         compare_run(compare_cfg, csv_dir.name, sequential=True), None),
+        ("compare_expr2d, average run in a pool", compare_run(compare_cfg, csv_dir.name), None),
+        ("compare_expr2d, one after another", compare_in_order(compare_cfg), None),
     ]
 
     rows, lines = [], []

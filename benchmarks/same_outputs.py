@@ -3,15 +3,17 @@
 
 Exports PARENT_REF with ``git archive`` into a temporary directory, then runs
 every bundled config, seeds 0 and 3 of each benchmark workload
-(``perfbench/workloads.py``, imported read-only for its config text) and six
+(``perfbench/workloads.py``, imported read-only for its config text) and seven
 bundled configs with ``--set`` overrides (2-D and 3-D builtin costs in
 ``average``; a parsed cost in ``lyapunov``, whose equilibrium search starts at
-the origin and iterates; the plain-gradient baseline in ``simulate``; and a
-2-D quadratic in ``lyapunov``, which builds the 2-D level-set oracle; no
-bundled config or workload has these) through ``python -m esc_lab.cli``, once
-from the parent's ``src`` and once from this checkout's, each run into its own output
-directory. The two trees run side by side, one process each. Every file
-either run wrote is compared byte for byte, and so is the exit code. Prints
+the origin and iterates; the plain-gradient baseline in ``simulate``; a
+2-D quadratic in ``lyapunov``, which builds the 2-D level-set oracle; and a
+``compare`` whose average-run worker rebuilds a ``y0`` washout at an overridden
+initial theta; no bundled config or workload has these) through
+``python -m esc_lab.cli``, once from the parent's ``src`` and once from this
+checkout's, each run into its own output directory. The two trees run side
+by side, one process each. Every file either run wrote is compared byte for
+byte, and so is the exit code. Prints
 one line per run, and under it one line per differing column of each
 differing CSV that both runs wrote with the same header and shape: the worst
 relative and the worst absolute difference, each with the parent's magnitude
@@ -52,6 +54,8 @@ OVERRIDE_RUNS = {    # label: (mode, bundled config, overrides)
     "2-D quadratic, 2-D oracle": ("lyapunov", "quadratic_lyapunov", [
         "cost.h=1,2", "dither.amplitudes=0.2,0.2", "dither.rates=1,2", "gains.omega_l=0.25,0.25",
         "init.theta=2,-1", "init.v=0.81,0.81", "time.t1=5"]),
+    "compare, y0 washout at theta 1.7": ("compare", "quartic_compare", [
+        "init.xi=2*y0", "init.theta=1.7"]),
 }
 
 sys.path.insert(0, str(ROOT / "perfbench"))

@@ -26,11 +26,11 @@ is bit-identical to a run of that seed alone. An abort in any member stops the
 whole batch before any CSV is written. The stdout summary of simulate, average
 and compare reports each run's clamp events: steps on which the v >= 0 clamp
 fired, summed over the members (gesc has no v and reports 0). compare runs its
-average system in a forked child process while the parent runs the full loop,
-and receives the average trajectory (or its error) through a pipe; where
-``os.fork`` does not exist the two runs execute one after another. Either way
-the CSVs are bit-identical, and a failure in both runs reports the full run's
-error.
+average system in a one-worker ``ProcessPoolExecutor`` while this process runs
+the full loop; the worker rebuilds the run from the config values. If the full
+run fails, the worker is killed and the full run's error is reported; otherwise
+an error of the average run is reported, and a worker that dies raises
+BrokenProcessPool.
 
 Exit codes: 0 success, 2 configuration/validation error (including cost,
 dither and gains of different dimensions in a trajectory mode: simulate,
@@ -48,12 +48,8 @@ an equilibrium search that stalls or outruns the dither's resolution).
 from __future__ import annotations
 
 import argparse
-import os
-import pickle
 import re
-import signal
 import sys
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -253,67 +249,40 @@ def _mode_average(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def _concurrently(first, second):
-    """Return ``(first(), second())``, running ``second`` in a forked child.
+def _average_grid(run: _Run) -> tuple[float, float, int]:
+    """compare's average-system grid (t1, h, stride): the full loop's sample
+    times, stepped at most a quarter sample apart and within the gain step."""
+    t1, h, stride = run.grid
+    sample_dt = h * stride
+    return (t1, *fit_step(sample_dt, min(sample_dt / 4, _gain_step(run.params)[0])))
 
-    The child pickles ``(ok, result or exception)`` into a pipe that the parent
-    reads once ``first`` returns; an exception that does not survive pickling
-    comes back as a RuntimeError with its text. If ``first`` raises, the child
-    is killed (it may be blocked writing a result larger than the pipe buffer)
-    and ``first``'s error propagates. Without ``os.fork`` both run in order.
-    """
-    if not hasattr(os, "fork"):
-        return first(), second()
-    sys.stdout.flush()
-    sys.stderr.flush()
-    read_fd, write_fd = os.pipe()
-    with warnings.catch_warnings():
-        # Python >= 3.12 warns when numpy's BLAS threads exist; the child does no BLAS work
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            try:
-                payload = pickle.dumps((True, second()), pickle.HIGHEST_PROTOCOL)
-            except BaseException as exc:
-                try:
-                    payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
-                    pickle.loads(payload)
-                except Exception:
-                    payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(payload)
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    with os.fdopen(read_fd, "rb") as pipe:
-        try:
-            result = first()
-        except BaseException:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise
-        payload = pipe.read()
-    os.waitpid(pid, 0)
-    try:
-        ok, value = pickle.loads(payload)
-    except (EOFError, pickle.UnpicklingError):
-        raise RuntimeError("the child process exited without a complete result") from None
-    if not ok:
-        raise value
-    return result, value
+
+def _average_run(values: dict[str, str]) -> Trajectory:
+    """compare's average run, rebuilt from the config values in the worker
+    process: a compiled cost's ``f`` and ``f_rows`` are closures, which the
+    executor cannot send there."""
+    run = _setup(ExperimentConfig(values), oscillatory=True)
+    return simulate_average(*run.system, run.state0(run.washout[1]), *_average_grid(run))
 
 
 def _mode_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
+    import multiprocessing                  # here, not at module level: ~20 ms no other mode needs
+    from concurrent.futures import ProcessPoolExecutor
+
     run = _setup(cfg, oscillatory=True)
     cost, state0 = run.cost, run.state0(run.washout[1])
-    t1, h, stride = run.grid
-    sample_dt = h * stride
-    h_avg, avg_stride = fit_step(sample_dt, min(sample_dt / 4, _gain_step(run.params)[0]))
-    full, avg = _concurrently(lambda: simulate_rmspesc(*run.system, state0, t1, h, stride),
-                              lambda: simulate_average(*run.system, state0, t1, h_avg, avg_stride))
+    t1, h, _ = run.grid
+    before = set(multiprocessing.active_children())
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        average = pool.submit(_average_run, cfg.values)
+        try:
+            full = simulate_rmspesc(*run.system, state0, *run.grid)
+        except BaseException:
+            # the worker may be hours from done: kill it, not the caller's own children
+            for child in set(multiprocessing.active_children()) - before:
+                child.kill()
+            raise
+        avg = average.result()
     if len(full.times) != len(avg.times) or not np.allclose(full.times, avg.times, atol=1e-9):
         raise RuntimeError("full and average runs recorded different time grids")
     path_full = write_trajectory_csv(out_dir / "trajectory_full.csv", full, cost, with_v=True)
@@ -321,7 +290,7 @@ def _mode_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
     gaps = np.max(np.abs(full.states[:, : cost.n] - avg.states[:, : cost.n]), axis=0)
     lines = [
         f"time span: [0, {t1:.6g}], samples: {len(full.times)}",
-        f"full-system step h = {h:.6g}, average-system step h = {h_avg:.6g}",
+        f"full-system step h = {h:.6g}, average-system step h = {_average_grid(run)[1]:.6g}",
     ]
     for i in range(cost.n):
         lines.append(f"sup |theta_{i + 1}(full) - theta_{i + 1}(average)| = {gaps[i]:.6g}")
@@ -394,9 +363,7 @@ def _mode_lyapunov(cfg: ExperimentConfig, out_dir: Path) -> int:
         hw = np.maximum(1.0, 2.0 * np.abs(run.theta0 - eq.theta_star))
     oracle = LevelSetOracle(cost, dither, eq, LevelSpec(box=np.stack([-hw, hw], axis=-1)))
     # V at the initial state: a box that state escapes raises BoxEscapeError before the run
-    n = cost.n
-    oracle._evaluate((state0[:n] - eq.theta_star)[None], (state0[n : 2 * n] - eq.v_star)[None],
-                     state0[2 * n :] - eq.xi_star)
+    monitor_descent(oracle, Trajectory(times=np.zeros(1), states=state0[None]))
     traj = simulate_average(*run.system, state0, *run.grid)
     report = monitor_descent(oracle, traj)
 

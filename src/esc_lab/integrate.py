@@ -65,7 +65,7 @@ class NonFiniteStateError(RuntimeError):
         self.name = name
 
     def __reduce__(self):
-        # rebuild from the constructor's arguments, so the error crosses a pipe intact
+        # rebuild from the constructor's arguments, so the error crosses a process boundary
         return type(self), (self.t, self.state, self.member, self.name)
 
 

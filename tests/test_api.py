@@ -36,7 +36,7 @@ REMOVED = {
                 "to_error_coords", "from_error_coords"],
     lyapunov: ["radius_xi", "radius_v", "lyapunov_value", "_as_equilibrium", "LyapunovReport",
                "v_theta"],
-    cli: ["_parallel", "_max_workers", "ThreadPoolExecutor", "_n_q"],
+    cli: ["_parallel", "_max_workers", "ThreadPoolExecutor", "_n_q", "_concurrently"],
     simulate: ["_resolve_path", "_run_kernel"],
     cost: ["CostKernelSpec", "KERNEL_QUADRATIC", "KERNEL_QUARTIC", "Verdict", "AssumptionReport",
            "_grid_points", "_local_minima_mask", "_connected_components", "check_assumptions"],

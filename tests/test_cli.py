@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from esc_lab import cli
-from esc_lab.cli import _concurrently, main, run_experiment, write_trajectory_csv
+from esc_lab.cli import main, run_experiment, write_trajectory_csv
 from esc_lab.config import (
     ConfigError,
     ExperimentConfig,
@@ -255,7 +255,7 @@ def test_compare_mode(tmp_path, capsys):
 
 
 
-# -- compare's forked average run ---------------------------------------------
+# -- compare's average run in a worker process -------------------------------
 
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
@@ -266,13 +266,14 @@ def test_compare_csvs_match_in_process_runs(tmp_path):
     from esc_lab import EscParams, new_dither, quartic_cost, simulate_average, simulate_rmspesc
     from esc_lab.integrate import fit_step
 
+    # the worker rebuilds its run from the config values, --set overrides included
     assert main(["compare", "--config", "quartic_compare", "--set", "time.t1=5",
-                 "--out", str(tmp_path / "cli")]) == 0
+                 "--set", "init.theta=1.7", "--out", str(tmp_path / "cli")]) == 0
     assert_no_child_left()
     cost = quartic_cost()
     dither = new_dither([0.02], [1], 10.0)
     params = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
-    state0 = np.array([2.0, 0.81, 0.0])
+    state0 = np.array([1.7, 0.81, 0.0])
     h, stride = fit_step(0.05, dither.max_step)
     h_avg, avg_stride = fit_step(0.05, 0.05 / 4)
     runs = {
@@ -293,20 +294,12 @@ def test_compare_csvs_match_in_process_runs(tmp_path):
     ("compare", "quartic_compare", "simulate_average", "clamp events: full 0, average 7"),
 ])
 def test_summary_reports_clamp_events(mode, config, driver, line, tmp_path, monkeypatch, capsys):
-    # the printed count is the run's Trajectory.clamp_events, here set to 7
+    # the printed count is the run's Trajectory.clamp_events, here set to 7; in compare the
+    # patch reaches the worker only because Linux forks it
     real = getattr(cli, driver)
     monkeypatch.setattr(cli, driver, lambda *args: replace(real(*args), clamp_events=7))
     assert main([mode, "--config", config, "--set", "time.t1=1", "--out", str(tmp_path)]) == 0
     assert line.format(out=tmp_path) in capsys.readouterr().out.splitlines()
-
-
-def test_compare_without_fork_writes_the_same_files(tmp_path, monkeypatch):
-    args = ["compare", "--config", "quartic_compare", "--set", "time.t1=2"]
-    assert main([*args, "--out", str(tmp_path / "forked")]) == 0
-    monkeypatch.delattr(os, "fork")
-    assert main([*args, "--out", str(tmp_path / "sequential")]) == 0
-    for path in (tmp_path / "forked").iterdir():
-        assert (tmp_path / "sequential" / path.name).read_bytes() == path.read_bytes()
 
 
 def test_compare_average_abort_exit_code_3(tmp_path, monkeypatch, capsys):
@@ -314,15 +307,13 @@ def test_compare_average_abort_exit_code_3(tmp_path, monkeypatch, capsys):
         raise NonFiniteStateError(1.5, np.array([[1.0, np.inf, 0.0], [2.0, 0.5, 0.0]]), 0,
                                   "init.xi=0")
 
+    # the patch reaches the worker only because Linux forks it
     monkeypatch.setattr(cli, "simulate_average", abort)
     args = ["compare", "--config", "quartic_compare", "--set", "time.t1=1", "--out", str(tmp_path)]
     assert main(args) == 3
-    forked = capsys.readouterr().err
+    assert capsys.readouterr().err == ("runtime abort: non-finite state of init.xi=0 at t=1.5: "
+                                       "[ 1. inf  0.]\n")
     assert_no_child_left()
-    assert forked == "runtime abort: non-finite state of init.xi=0 at t=1.5: [ 1. inf  0.]\n"
-    monkeypatch.delattr(os, "fork")
-    assert main(args) == 3
-    assert capsys.readouterr().err == forked
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -341,42 +332,36 @@ def test_compare_full_abort_exits_promptly(tmp_path, monkeypatch, capsys):
     assert_no_child_left()
 
 
-def test_concurrently_returns_both_results_in_order():
-    first, second = _concurrently(lambda: 1, lambda: np.arange(1e5))
-    assert first == 1
-    np.testing.assert_array_equal(second, np.arange(1e5))
+def test_compare_worker_that_dies_raises_broken_pool(tmp_path, monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    # the patch reaches the worker only because Linux forks it
+    monkeypatch.setattr(cli, "simulate_average", lambda *args: os._exit(1))
+    with pytest.raises(BrokenProcessPool):
+        main(["compare", "--config", "quartic_compare", "--set", "time.t1=1",
+              "--out", str(tmp_path)])
     assert_no_child_left()
+    assert not list(tmp_path.glob("*.csv"))
 
 
-def test_concurrently_first_error_wins_over_blocked_child():
-    # the child's 800 kB result fills the pipe buffer, so it blocks writing
-    def fail():
-        time.sleep(0.2)
-        raise KeyError("full run")
+def test_compare_full_abort_spares_the_callers_children(tmp_path, monkeypatch, capsys):
+    import multiprocessing
 
-    with pytest.raises(KeyError, match="full run"):
-        _concurrently(fail, lambda: np.zeros(100_000))
-    assert_no_child_left()
-    with pytest.raises(KeyError, match="full run"):
-        _concurrently(fail, lambda: 1 / 0)
-    assert_no_child_left()
+    def abort(*args):
+        raise NonFiniteStateError(0.25, np.array([np.nan, 0.0, 0.0]))
 
-
-def test_concurrently_unpicklable_error_keeps_its_text():
-    class Local(Exception):
-        pass
-
-    def fail():
-        raise Local("average run")
-
-    with pytest.raises(RuntimeError, match="Local: average run"):
-        _concurrently(lambda: 1, fail)
-    assert_no_child_left()
-
-
-def test_concurrently_reports_a_child_that_died():
-    with pytest.raises(RuntimeError, match="without a complete result"):
-        _concurrently(lambda: 1, lambda: os._exit(1))
+    monkeypatch.setattr(cli, "simulate_rmspesc", abort)
+    own = multiprocessing.Process(target=time.sleep, args=(60,))
+    own.start()
+    try:
+        assert main(["compare", "--config", "quartic_compare", "--set", "time.t1=1000",
+                     "--out", str(tmp_path)]) == 3
+        assert multiprocessing.active_children() == [own]
+        assert own.is_alive()
+    finally:
+        own.kill()
+        own.join()
+    assert "runtime abort: non-finite state at t=0.25" in capsys.readouterr().err
     assert_no_child_left()
 
 
