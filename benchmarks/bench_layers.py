@@ -1,58 +1,94 @@
 #!/usr/bin/env python3
-"""Time the simulation layers in process.
+"""Time the simulation layers in process, or in child processes against a second tree.
 
-Times the quartic closed-loop run, the same run as a lockstep batch of B
-members for B in (1, 3, 16, 64) (washout seeds spread over [0, 2 y0], as in
-the bundled fig1 config), its plain-gradient baseline, the average-system
-counterpart, the same batches of the average system over a tenth of the
-horizon, the level-set oracle build, one batched radius pass per filter
-target kind, the descent monitor and CSV writing, and prints the median and
-the quartiles of the repeats for each. The oracle rows use the quartic
-average run of t1 = 25 s, sample_dt = 0.05 (501 samples) and box +-4: the
-build tabulates the radius grid; the radius rows run one ``_radii`` pass for
-xi and one for v_1 over the monitor's 501 (quantized) levels; the monitor row
-evaluates V at every sample on the oracle already built, so it leaves out the
-build. The batch rows add their cost per member-step,
-the radius and monitor rows per sample. The CSV row writes the closed-loop
-trajectory recorded every 0.01 s (10,001 rows at t1 = 100) with
-``esc_lab.cli.write_trajectory_csv`` into a temporary directory. The two sweep
-rows measure the quartic at the 3 member rows of a fig1 batch, per call, as the
-full loop measures it each rhs stage: through the cost's row form
-(``CostFunction.f_rows``), and through ``f`` on the stacked points (the row
-form a cost without one gets). The parsed-cost
-rows evaluate the 2-D expression of the ``compare_expr2d`` benchmark workload
-(degree 4 at dither rates 1, 2, so 21 quadrature nodes) on one (2,) point and
-on the (22, 2) array one average-system rhs call sweeps, and call that average
-rhs, each per call; the quartic average-rhs row calls the average rhs of the
-closed-loop settings above, whose one cost sweep covers a (12, 1) array. The
-row names print the node counts of the tree that ran. The two compare rows
-run seed 0 of the ``compare_expr2d`` benchmark workload
-(``perfbench/workloads.py``): once through ``esc_lab.cli.main`` end to end, as
-shipped, the average system in a one-worker process pool beside the full
-loop, and once in process, one after another: ``simulate_rmspesc`` on the
-run ``esc_lab.cli._setup`` builds, then ``esc_lab.cli._average_run`` on the
-same config values. The second row leaves out config loading and CSV
-writing, so the gap between the rows is what the pool saves, less those.
-The host's speed is measured with perfbench's calibration loop
+Each row has a fixed key, listed below, and is built only when it runs. The
+rows time:
+
+* ``loop``, ``loop_b{1,3,16,64}``, ``baseline``: the quartic closed-loop run,
+  the same run as a lockstep batch of B members (washout seeds spread over
+  [0, 2 y0], as in the bundled fig1 config) and its plain-gradient baseline;
+* ``average``, ``average_b{1,3,16,64}``: the average-system counterpart, and
+  the same batches of it over a tenth of the horizon;
+* ``oracle``, ``radius_xi``, ``radius_v1``, ``monitor``: on the quartic
+  average run of t1 = 25 s, sample_dt = 0.05 (501 samples) and box +-4, the
+  level-set oracle build (it tabulates the radius grid), one batched
+  ``_radii`` pass for xi and one for v_1 over the monitor's 501 (quantized)
+  levels, and the descent monitor evaluating V at every sample on the
+  oracle already built;
+* ``csv``: the closed-loop trajectory recorded every 0.01 s (10,001 rows at
+  t1 = 100) written with ``esc_lab.cli.write_trajectory_csv`` into a
+  temporary directory;
+* ``sweep_rows``, ``sweep_stacked``: the quartic at the 3 member rows of a
+  fig1 batch, per call, as the full loop measures it each rhs stage:
+  through the cost's row form (``CostFunction.f_rows``), and through ``f``
+  on the stacked points (the row form a cost without one gets);
+* ``cost_point``, ``cost_sweep``, ``rhs_expr2d``: the 2-D expression of the
+  ``compare_expr2d`` benchmark workload evaluated on one (2,) point and on
+  the (n_q + 1, 2) array one quadrature rhs call sweeps (n_q = 21 at dither
+  rates 1, 2), and its average rhs, each per call; ``rhs_quartic``: the
+  average rhs of the closed-loop settings above, per call;
+* ``compare_pool``, ``compare_in_order``, ``compare_average``: seed 0 of the
+  ``compare_expr2d`` workload (``perfbench/workloads.py``), once through
+  ``esc_lab.cli.main`` end to end as shipped, the average system in a
+  one-worker process pool beside the full loop; once in process, one after
+  the other: ``simulate_rmspesc`` on the run ``esc_lab.cli._setup`` builds,
+  then ``esc_lab.cli._average_run`` on the same config values; and
+  ``_average_run`` alone. The in-process rows leave out config loading and
+  CSV writing;
+* ``dense{2..8}``: the average rhs of a dense n-D quadratic (theta* != 0,
+  rates 1..n), per call, with the closed-form term cap
+  (``esc_lab.averaging.MAX_TERMS``) lifted where the tree has one, so the
+  closed form runs at every n; the label gives its term count and the node
+  count of the quadrature; ``power{16,24,28,32,40}``: the same for the 1-D
+  cost (theta1 - 0.5)^d, whose quadrature makes the fewest numpy calls per
+  term of its closed form. Against a tree without the closed form, each of
+  these ratios is closed form over quadrature, and the term count where it
+  crosses 1 sets the cap;
+* ``fallback_dense8``, ``fallback_power40``: the average rhs of the dense 8-D
+  quadratic and of (theta1/2)^40 + (theta1 - 1)^2, both over the term cap,
+  built and then called 1,000 times, the rhs work of a short average run:
+  against a tree without the closed form, the ratio is what trying the
+  closed form and giving up adds to such a run.
+
+The batch rows add their cost per member-step, the radius and monitor rows
+per sample, the per-call rows per call. Labels print the node and term
+counts of the tree that ran.
+
+Alone, the script times every row (or the ``--rows`` named) ``--repeats``
+times in this process and prints the median and the quartiles of each. The
+host's speed is measured with perfbench's calibration loop
 (``perfbench/run.py``'s ``calibration_s``, imported read-only) right before
 the first row and right after the last; the header reports the scale
 ``REFERENCE_S`` / (mean of the two loop times), the factor that takes this
-run's times to the speed perfbench's reference host had. The rows print
-once that second loop has run, and stay unscaled: multiply a row by the
-scale before comparing it with a file from another run.
-``--json PATH`` also writes every row's median and quartiles, the scale and
-the two loop times, the Python and numpy versions, the CPU count and the
-integrator path that ran to PATH. Run from the repo root:
+run's times to the speed perfbench's reference host had. The rows stay
+unscaled: multiply a row by the scale before comparing it with a file from
+another run. ``--json PATH`` also writes every row's median and quartiles,
+the scale and the two loop times, the Python and numpy versions, the CPU
+count and the integrator path that ran to PATH.
 
-    python3 benchmarks/bench_layers.py [--t1 SECONDS] [--repeats N] [--json PATH]
+``--against TREE`` compares this checkout with another one (a ``git
+archive`` export of a parent commit, say): for each row in turn it runs
+``--pairs`` pairs of child processes, one per tree, with ``src`` of that tree
+first on ``PYTHONPATH`` and this script's row definitions, alternating which
+tree goes first. Each child reports the median of its ``--repeats``
+timings. Per row it prints each tree's median and quartiles over the
+pairs, the ratio this / TREE of the two medians, and the quartiles of the
+per-pair ratios: an unchanged row's ratio sits within them, whatever the
+host's drift between rows. ``--json`` writes all of it. Run from the repo
+root:
+
+    python3 benchmarks/bench_layers.py [--t1 SECONDS] [--repeats N] [--rows KEY,...] [--json PATH]
+    python3 benchmarks/bench_layers.py --against TREE [--pairs K] [--rows KEY,...] [--json PATH]
 """
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 import time
@@ -61,19 +97,24 @@ from pathlib import Path
 import numpy as np
 
 import esc_lab as el
-from esc_lab import cli
+from esc_lab import averaging, cli
 from esc_lab.averaging import average_flat_rhs
 from esc_lab.cli import write_trajectory_csv
 from esc_lab.config import ExperimentConfig, load_config
 from esc_lab.integrate import fit_step
 from esc_lab.lyapunov import _quantize_up
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 from run import REFERENCE_S, calibration_s  # noqa: E402
 from workloads import WORKLOADS, config_text  # noqa: E402
 
 # the integrator path every trajectory row below runs through
 PATH = "esc_lab.integrate.integrate_fixed: one RK4 loop over member rows of Python floats"
+CALLS = 1000          # calls per timing of a per-call row
+BATCHES = (1, 3, 16, 64)
+DENSE = range(2, 9)
+POWERS = (16, 24, 28, 32, 40)
 
 
 def timings(repeats, fn):
@@ -92,175 +133,351 @@ def fmt(stats):
     return f"{med:9.1f} ms [{q1:.1f}, {q3:.1f}]"
 
 
-def compare_run(config, out_dir):
-    """One quiet ``esc-lab compare`` invocation, in process."""
+def repeat(fn, *args):
     def run():
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["compare", "--config", str(config), "--out", str(out_dir)]) == 0
+        for _ in range(CALLS):
+            fn(*args)
     return run
 
 
-def compare_in_order(config):
-    """compare's two runs in this process, the full loop first, without the CSVs."""
-    values = load_config(str(config))
+class Rows:
+    """Every row's inputs, built on first use; :meth:`build` returns (label, run, per)."""
 
-    def run():
-        setup = cli._setup(ExperimentConfig(values), oscillatory=True)
-        el.simulate_rmspesc(*setup.system, setup.state0(setup.washout[1]), *setup.grid)
-        cli._average_run(values)
-    return run
+    def __init__(self, t1: float, tmp: Path):
+        self.t1, self.tmp = t1, Path(tmp)
+        self.cost = el.quartic_cost()
+        self.dither = el.new_dither([0.02], [1], 10.0)
+        self.params = el.EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
+        self.state0 = np.array([2.0, 0.81, 0.0])
+        self.h, self.stride = fit_step(0.05, self.dither.max_step)
+        self.nsteps = int(round(t1 / self.h))
+        self.avg_t1 = t1 / 10
+        self.avg_steps = int(round(self.avg_t1 / 0.0125))
+        self.expr_cost = el.parse_cost(
+            "theta1^4 + 2*theta2^4 + theta1^2*theta2^2 + 0.5*(theta1 - theta2)^2", 2)
+        self.expr_dither = el.new_dither([0.02, 0.02], [1, 2], 10.0)
+        self.expr_params = el.EscParams(k=1.0, epsilon=0.05, omega_l=[0.25, 0.25], omega_xi=1.0)
+        self.expr_state = np.array([1.5, -1.0, 0.81, 0.81, 0.0])
+
+    def keys(self):
+        return (["loop", *(f"loop_b{b}" for b in BATCHES), "baseline", "average",
+                 *(f"average_b{b}" for b in BATCHES), "sweep_rows", "sweep_stacked",
+                 "cost_point", "cost_sweep", "rhs_expr2d", "rhs_quartic", "oracle", "radius_xi",
+                 "radius_v1", "monitor", "csv", "compare_pool", "compare_in_order",
+                 "compare_average", *(f"dense{n}" for n in DENSE),
+                 *(f"power{d}" for d in POWERS), "fallback_dense8", "fallback_power40"])
+
+    def build(self, key):
+        for prefix in ("loop_b", "average_b", "dense", "power"):
+            if key.startswith(prefix):
+                return getattr(self, prefix)(int(key[len(prefix):]))
+        return getattr(self, key)()
+
+    def batch(self, size):
+        states = np.tile(self.state0, (size, 1))
+        states[:, 2] = np.linspace(0.0, 2.0 * self.cost.f(self.state0[:1]), size)
+        return states
+
+    # -- trajectories --------------------------------------------------------
+
+    def loop(self):
+        return (f"closed loop ({self.nsteps} RK4 steps)",
+                lambda: el.simulate_rmspesc(self.cost, self.dither, self.params, self.state0,
+                                            self.t1, self.h, self.stride), None)
+
+    def loop_b(self, size):
+        states = self.batch(size)
+        return (f"closed loop, B = {size} lockstep",
+                lambda: el.simulate_rmspesc(self.cost, self.dither, self.params, states,
+                                            self.t1, self.h, self.stride),
+                (size * self.nsteps, "member-step"))
+
+    def baseline(self):
+        return (f"baseline loop ({self.nsteps} RK4 steps)",
+                lambda: el.simulate_gesc(self.cost, self.dither, self.params,
+                                         self.state0[[0, 2]], self.t1, self.h, self.stride), None)
+
+    def average(self):
+        steps = int(round(self.t1 / 0.0125))
+        return (f"average system ({steps} RK4 steps)",
+                lambda: el.simulate_average(self.cost, self.dither, self.params, self.state0,
+                                            self.t1, 0.0125, 4), None)
+
+    def average_b(self, size):
+        states = self.batch(size)
+        return (f"average system, B = {size} lockstep",
+                lambda: el.simulate_average(self.cost, self.dither, self.params, states,
+                                            self.avg_t1, 0.0125, 4),
+                (size * self.avg_steps, "member-step"))
+
+    # -- cost evaluations and rhs calls --------------------------------------
+
+    def sweep_rows(self):
+        rows = self.batch(3).tolist()
+        shift = el.dither_value(self.dither, 0.1).tolist()
+        return ("quartic sweep, 3 rows, row form", repeat(self.cost.f_rows, rows, shift),
+                (CALLS, "call"))
+
+    def sweep_stacked(self):
+        rows = self.batch(3).tolist()
+        shift = el.dither_value(self.dither, 0.1).tolist()
+        stacked = el.CostFunction(self.cost.n, self.cost.f).f_rows
+        return ("quartic sweep, 3 rows, f stacked", repeat(stacked, rows, shift), (CALLS, "call"))
+
+    def cost_point(self):
+        return ("parsed cost, (2,) point", repeat(self.expr_cost.f, self.expr_state[:2]),
+                (CALLS, "call"))
+
+    def cost_sweep(self):
+        point = self.expr_state[:2]
+        sweep = np.vstack([point, point + el.PeriodQuadrature(self.expr_cost, self.expr_dither).s])
+        return (f"parsed cost, {sweep.shape} sweep", repeat(self.expr_cost.f, sweep),
+                (CALLS, "call"))
+
+    def rhs_expr2d(self):
+        rhs = average_flat_rhs(self.expr_params, self.expr_cost, self.expr_dither)
+        return ("average rhs, parsed 2-D cost", repeat(rhs, 0.0, [self.expr_state.tolist()]),
+                (CALLS, "call"))
+
+    def rhs_quartic(self):
+        rhs = average_flat_rhs(self.params, self.cost, self.dither)
+        return ("average rhs, quartic", repeat(rhs, 0.0, [self.state0.tolist()]), (CALLS, "call"))
+
+    @staticmethod
+    def dense_case(n):
+        """A dense n-D quadratic with theta* != 0 at rates 1 .. n, and an rhs row."""
+        rng = np.random.default_rng(n)
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        cost = el.quadratic_cost(a @ a.T + n * np.eye(n), 0.5, rng.uniform(-1.0, 1.0, n))
+        dither = el.new_dither(np.linspace(0.02, 0.04, n), np.arange(1, n + 1), 10.0)
+        return cost, dither, [*rng.uniform(-2.0, 2.0, n), *[0.81] * n, 0.5]
+
+    def dense(self, n):
+        return self.uncapped_rhs(f"dense {n}-D quadratic", *self.dense_case(n))
+
+    def power(self, degree):
+        cost = el.parse_cost(f"(theta1 - 0.5)^{degree}", 1)
+        return self.uncapped_rhs(f"(theta1 - 0.5)^{degree}", cost, self.dither, [0.9, 0.3, 0.1])
+
+    def fallback_dense8(self):
+        return self.built_rhs("dense 8-D quadratic", *self.dense_case(8))
+
+    def fallback_power40(self):
+        cost = el.parse_cost("(theta1/2)^40 + (theta1 - 1)^2", 1)
+        return self.built_rhs("1-D, degree 40", cost, self.dither, [2.0, 0.81, 0.0])
+
+    @staticmethod
+    def built_rhs(what, cost, dither, state):
+        """The average rhs of ``cost`` built, then called CALLS times: the rhs work of a
+        short run, build included."""
+        n = cost.n
+        params = el.EscParams(k=1.0, epsilon=0.05, omega_l=[0.25] * n, omega_xi=1.0)
+
+        def run():
+            rhs = average_flat_rhs(params, cost, dither)
+            for _ in range(CALLS):
+                rhs(0.0, [state])
+
+        closed = getattr(averaging, "_closed_form_maps", lambda *_: None)(cost, dither)
+        path = "closed form" if closed else f"{el.PeriodQuadrature(cost, dither).n_q} nodes"
+        return f"average rhs built + {CALLS} calls, {what} ({path})", run, None
+
+    @staticmethod
+    def uncapped_rhs(what, cost, dither, state):
+        """The average rhs of ``cost`` per call, in closed form at any term count where the tree
+        has one; the label counts its terms and the quadrature's nodes."""
+        n = cost.n
+        params = el.EscParams(k=1.0, epsilon=0.05, omega_l=[0.25] * n, omega_xi=1.0)
+        terms = "no closed form"
+        if hasattr(averaging, "MAX_TERMS"):
+            cap, code_class, codes = averaging.MAX_TERMS, averaging.FloatCode, []
+            averaging.MAX_TERMS = 10**6
+            averaging.FloatCode = lambda: codes.append(code_class()) or codes[-1]
+            try:
+                rhs = average_flat_rhs(params, cost, dither)
+            finally:
+                averaging.MAX_TERMS, averaging.FloatCode = cap, code_class
+            terms = f"{codes[-1].terms} terms"
+        else:
+            rhs = average_flat_rhs(params, cost, dither)
+        n_q = el.PeriodQuadrature(cost, dither).n_q
+        return (f"average rhs, {what} ({terms}, {n_q} nodes)", repeat(rhs, 0.0, [state]),
+                (CALLS, "call"))
+
+    # -- the level-set oracle --------------------------------------------------
+
+    @functools.cached_property
+    def oracle_setup(self):
+        avg = el.simulate_average(self.cost, self.dither, self.params, self.state0, 25.0, 0.01, 5)
+        eq = el.equilibrium(self.cost, self.dither)
+        spec = el.LevelSpec(box=[[-4.0, 4.0]])
+        oracle = el.LevelSetOracle(self.cost, self.dither, eq, spec)
+        levels = _quantize_up(np.maximum(oracle._v_theta(avg.states[:, :1] - eq.theta_star), 0.0))
+        return avg, eq, spec, oracle, levels
+
+    def oracle(self):
+        avg, eq, spec, oracle, _ = self.oracle_setup
+        return (f"oracle build ({len(oracle._points)}-point grid)",
+                lambda: el.LevelSetOracle(self.cost, self.dither, eq, spec), None)
+
+    def radius_xi(self):
+        avg, _, _, oracle, levels = self.oracle_setup
+        m = len(avg.times)
+        return (f"radius pass xi ({m} levels)", lambda: oracle._radii(oracle._targets[0], levels),
+                (m, "sample"))
+
+    def radius_v1(self):
+        avg, eq, _, oracle, levels = self.oracle_setup
+        xi, v1 = oracle._targets[:2]
+        v_xi = np.maximum(oracle._radii(xi, levels), np.abs(avg.states[:, 2] - eq.xi_star))
+        c_xi, m = _quantize_up(v_xi), len(avg.times)
+        return (f"radius pass v_1 ({m} levels)", lambda: oracle._radii(v1, levels, c_xi),
+                (m, "sample"))
+
+    def monitor(self):
+        avg, _, _, oracle, _ = self.oracle_setup
+        m = len(avg.times)
+        return (f"descent monitor ({m} samples)", lambda: el.monitor_descent(oracle, avg),
+                (m, "sample"))
+
+    # -- CSV writing and compare ---------------------------------------------
+
+    def csv(self):
+        h, stride = fit_step(0.01, self.dither.max_step)
+        loop = el.simulate_rmspesc(self.cost, self.dither, self.params, self.state0, self.t1,
+                                   h, stride)
+        path = self.tmp / "trajectory.csv"
+        return (f"CSV writing ({len(loop.times)} rows)",
+                lambda: write_trajectory_csv(path, loop, self.cost, with_v=True), None)
+
+    @functools.cached_property
+    def compare_config(self):
+        path = self.tmp / "compare_expr2d.cfg"
+        path.write_text(config_text(WORKLOADS["compare_expr2d"], 0))
+        return path
+
+    def compare_pool(self):
+        """One quiet ``esc-lab compare`` invocation, in process."""
+        argv = ["compare", "--config", str(self.compare_config), "--out", str(self.tmp)]
+
+        def run():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+        return "compare_expr2d, average run in a pool", run, None
+
+    def compare_in_order(self):
+        """compare's two runs in this process, the full loop first, without the CSVs."""
+        values = load_config(str(self.compare_config))
+
+        def run():
+            setup = cli._setup(ExperimentConfig(values), oscillatory=True)
+            el.simulate_rmspesc(*setup.system, setup.state0(setup.washout[1]), *setup.grid)
+            cli._average_run(values)
+        return "compare_expr2d, one after another", run, None
+
+    def compare_average(self):
+        values = load_config(str(self.compare_config))
+        return "compare_expr2d, _average_run", lambda: cli._average_run(values), None
+
+
+def time_rows(rows: Rows, keys, repeats):
+    """Time each row; returns the JSON rows and the printed lines."""
+    out, lines = [], []
+    for key in keys:
+        name, run, per = rows.build(key)
+        stats = timings(repeats, run)
+        extra = f"   {1e6 * stats[0] / per[0]:.1f} us per {per[1]}" if per else ""
+        lines.append(f"{name:56s} {fmt(stats):>30s}{extra}")
+        med, q1, q3 = (1e3 * float(x) for x in stats)
+        row = {"key": key, "name": name, "median_ms": med, "q1_ms": q1, "q3_ms": q3}
+        if per:
+            row.update(per=per[1], us_per=1e6 * stats[0] / per[0])
+        out.append(row)
+    return out, lines
+
+
+def quartiles(values):
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(med), "q1": float(q1), "q3": float(q3), "values": values}
+
+
+def child_row(tree: Path, key: str, args) -> dict:
+    """Time one row in a child process that imports ``esc_lab`` from ``tree``/src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--child", "--rows", key,
+           "--repeats", str(args.repeats), "--t1", str(args.t1)]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=1800)
+    if done.returncode != 0:
+        raise RuntimeError(f"{key} on {tree} exited with {done.returncode}:\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])[0]
+
+
+def run_against(args, keys) -> dict:
+    trees = {"this": ROOT, "against": Path(args.against).resolve()}
+    report = []
+    print(f"{args.pairs} pairs of children per row, {args.repeats} repeats each; "
+          f"this = {ROOT}, against = {trees['against']}")
+    print(f"{'row':52s} {'this ms [q1, q3]':>26s} {'against ms [q1, q3]':>26s} "
+          f"{'ratio':>7s} {'[q1, q3]':>16s}")
+    for key in keys:
+        times = {"this": [], "against": []}
+        names = {}
+        for k in range(args.pairs):
+            for side in (("this", "against") if k % 2 == 0 else ("against", "this")):
+                row = child_row(trees[side], key, args)
+                times[side].append(row["median_ms"])
+                names[side] = row["name"]
+        ratios = [a / b for a, b in zip(times["this"], times["against"])]
+        this, other, spread = quartiles(times["this"]), quartiles(times["against"]), quartiles(ratios)
+        ratio = this["median"] / other["median"]
+        report.append({"key": key, "name": names["this"], "name_against": names["against"],
+                       "this_ms": this, "against_ms": other, "ratio": ratio,
+                       "pair_ratios": spread})
+        print(f"{names['this'][:52]:52s} "
+              f"{this['median']:9.3f} [{this['q1']:.3f}, {this['q3']:.3f}] "
+              f"{other['median']:9.3f} [{other['q1']:.3f}, {other['q3']:.3f}] "
+              f"{ratio:7.3f} [{spread['q1']:.3f}, {spread['q3']:.3f}]")
+    return {"against": str(trees["against"]), "pairs": args.pairs, "rows": report}
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--t1", type=float, default=100.0, help="simulated horizon (default 100)")
     ap.add_argument("--repeats", type=int, default=5, help="timing repeats (default 5)")
+    ap.add_argument("--rows", help="comma-separated row keys (default: every row)")
+    ap.add_argument("--against", metavar="TREE", help="compare with the checkout at TREE")
+    ap.add_argument("--pairs", type=int, default=10, help="child pairs per row (default 10)")
+    ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--json", metavar="PATH", help="also write the results as JSON to PATH")
     args = ap.parse_args()
 
-    cost = el.quartic_cost()
-    dither = el.new_dither([0.02], [1], 10.0)
-    params = el.EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
-    state0 = np.array([2.0, 0.81, 0.0])
-    h, stride = fit_step(0.05, dither.max_step)
-    nsteps = int(round(args.t1 / h))
-    avg_t1 = args.t1 / 10
-    avg_steps = int(round(avg_t1 / 0.0125))
-
-    avg = el.simulate_average(cost, dither, params, state0, 25.0, 0.01, 5)
-    eq = el.equilibrium(cost, dither)
-    spec = el.LevelSpec(box=[[-4.0, 4.0]])
-    m = len(avg.times)
-    oracle = el.LevelSetOracle(cost, dither, eq, spec)
-    xi, v1 = oracle._targets[:2]
-    levels = _quantize_up(np.maximum(oracle._v_theta(avg.states[:, :1] - eq.theta_star), 0.0))
-    v_xi = np.maximum(oracle._radii(xi, levels), np.abs(avg.states[:, 2] - eq.xi_star))
-    c_xi = _quantize_up(v_xi)
-    h_csv, stride_csv = fit_step(0.01, dither.max_step)
-    loop = el.simulate_rmspesc(cost, dither, params, state0, args.t1, h_csv, stride_csv)
-    csv_dir = tempfile.TemporaryDirectory()
-    csv_path = Path(csv_dir.name, "trajectory.csv")
-    compare_cfg = Path(csv_dir.name, "compare_expr2d.cfg")
-    compare_cfg.write_text(config_text(WORKLOADS["compare_expr2d"], 0))
-
-    expr_cost = el.parse_cost(
-        "theta1^4 + 2*theta2^4 + theta1^2*theta2^2 + 0.5*(theta1 - theta2)^2", 2)
-    expr_dither = el.new_dither([0.02, 0.02], [1, 2], 10.0)
-    expr_params = el.EscParams(k=1.0, epsilon=0.05, omega_l=[0.25, 0.25], omega_xi=1.0)
-    expr_state = np.array([1.5, -1.0, 0.81, 0.81, 0.0])
-    expr_point = expr_state[:2]
-    expr_quad = el.PeriodQuadrature(expr_cost, expr_dither)
-    expr_sweep = np.vstack([expr_point, expr_point + expr_quad.s])
-    expr_rhs = average_flat_rhs(expr_params, expr_cost, expr_dither)
-    quartic_rhs = average_flat_rhs(params, cost, dither)
-    quartic_nodes = el.PeriodQuadrature(cost, dither).n_q + 1
-
-    def batch(size):
-        states = np.tile(state0, (size, 1))
-        states[:, 2] = np.linspace(0.0, 2.0 * cost.f(state0[:1]), size)
-        return states
-
-    calls = 1000
-    sweep_rows = batch(3).tolist()
-    sweep_shift = el.dither_value(dither, 0.1).tolist()
-    stacked = el.CostFunction(cost.n, cost.f).f_rows
-
-    def repeat(fn, *args):
-        def run():
-            for _ in range(calls):
-                fn(*args)
-        return run
-
-    cases = [
-        (
-            f"closed loop ({nsteps} RK4 steps)",
-            lambda: el.simulate_rmspesc(cost, dither, params, state0, args.t1, h, stride),
-            None,
-        ),
-        *(
-            (
-                f"closed loop, B = {size} lockstep",
-                lambda states=batch(size): el.simulate_rmspesc(cost, dither, params, states,
-                                                               args.t1, h, stride),
-                (size * nsteps, "member-step"),
-            )
-            for size in (1, 3, 16, 64)
-        ),
-        (
-            f"baseline loop ({nsteps} RK4 steps)",
-            lambda: el.simulate_gesc(cost, dither, params, state0[[0, 2]], args.t1, h, stride),
-            None,
-        ),
-        (
-            "average system (quadrature rhs)",
-            lambda: el.simulate_average(cost, dither, params, state0, args.t1, 0.0125, 4),
-            None,
-        ),
-        *(
-            (
-                f"average system, B = {size} lockstep",
-                lambda states=batch(size): el.simulate_average(cost, dither, params, states,
-                                                               avg_t1, 0.0125, 4),
-                (size * avg_steps, "member-step"),
-            )
-            for size in (1, 3, 16, 64)
-        ),
-        ("quartic sweep, 3 rows, row form", repeat(cost.f_rows, sweep_rows, sweep_shift),
-         (calls, "call")),
-        ("quartic sweep, 3 rows, f stacked", repeat(stacked, sweep_rows, sweep_shift),
-         (calls, "call")),
-        ("parsed cost, (2,) point", repeat(expr_cost.f, expr_point), (calls, "call")),
-        (f"parsed cost, {expr_sweep.shape} sweep", repeat(expr_cost.f, expr_sweep),
-         (calls, "call")),
-        ("average rhs, parsed 2-D cost", repeat(expr_rhs, 0.0, [expr_state.tolist()]),
-         (calls, "call")),
-        (f"average rhs, quartic ({quartic_nodes}, 1) sweep",
-         repeat(quartic_rhs, 0.0, [state0.tolist()]), (calls, "call")),
-        (
-            f"oracle build ({len(oracle._points)}-point grid)",
-            lambda: el.LevelSetOracle(cost, dither, eq, spec),
-            None,
-        ),
-        (f"radius pass xi ({m} levels)", lambda: oracle._radii(xi, levels),
-         (m, "sample")),
-        (f"radius pass v_1 ({m} levels)", lambda: oracle._radii(v1, levels, c_xi), (m, "sample")),
-        (
-            f"descent monitor ({m} samples)",
-            lambda: el.monitor_descent(oracle, avg),
-            (m, "sample"),
-        ),
-        (
-            f"CSV writing ({len(loop.times)} rows)",
-            lambda: write_trajectory_csv(csv_path, loop, cost, with_v=True),
-            None,
-        ),
-        ("compare_expr2d, average run in a pool", compare_run(compare_cfg, csv_dir.name), None),
-        ("compare_expr2d, one after another", compare_in_order(compare_cfg), None),
-    ]
-
-    rows, lines = [], []
-    with csv_dir:
-        before = calibration_s()
-        for name, run, per in cases:
-            stats = timings(args.repeats, run)
-            extra = f"   {1e6 * stats[0] / per[0]:.1f} us per {per[1]}" if per else ""
-            lines.append(f"{name:38s} {fmt(stats):>30s}{extra}")
-            med, q1, q3 = (1e3 * float(x) for x in stats)
-            row = {"name": name, "median_ms": med, "q1_ms": q1, "q3_ms": q3}
-            if per:
-                row.update(per=per[1], us_per=1e6 * stats[0] / per[0])
-            rows.append(row)
-        after = calibration_s()
-    scale = 2 * REFERENCE_S / (before + after)
-    print(f"median [q1, q3] of {args.repeats} repeats; speed scale {scale:.3f} "
-          f"(calibration loop {before:.3f} s before, {after:.3f} s after, "
-          f"reference {REFERENCE_S} s)")
-    print("\n".join(lines))
-    if args.json:
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = Rows(args.t1, tmp)
+        keys = args.rows.split(",") if args.rows else rows.keys()
+        unknown = sorted(set(keys) - set(rows.keys()))
+        if unknown:
+            ap.error(f"unknown row keys: {', '.join(unknown)}")
+        if args.child:
+            print(json.dumps(time_rows(rows, keys, args.repeats)[0]))
+            return 0
         record = {"path": PATH, "python": platform.python_version(), "numpy": np.__version__,
                   "machine": platform.machine(), "nproc": os.cpu_count(), "t1": args.t1,
-                  "repeats": args.repeats, "scale": scale, "calibration_s": [before, after],
-                  "reference_s": REFERENCE_S, "rows": rows}
+                  "repeats": args.repeats}
+        if args.against:
+            record.update(run_against(args, keys))
+        else:
+            before = calibration_s()
+            out, lines = time_rows(rows, keys, args.repeats)
+            after = calibration_s()
+            scale = 2 * REFERENCE_S / (before + after)
+            print(f"median [q1, q3] of {args.repeats} repeats; speed scale {scale:.3f} "
+                  f"(calibration loop {before:.3f} s before, {after:.3f} s after, "
+                  f"reference {REFERENCE_S} s)")
+            print("\n".join(lines))
+            record.update(scale=scale, calibration_s=[before, after], reference_s=REFERENCE_S,
+                          rows=out)
+    if args.json:
         Path(args.json).write_text(json.dumps(record, indent=2) + "\n")
     return 0
 

@@ -3,13 +3,16 @@
 
 Exports PARENT_REF with ``git archive`` into a temporary directory, then runs
 every bundled config, seeds 0 and 3 of each benchmark workload
-(``perfbench/workloads.py``, imported read-only for its config text) and seven
+(``perfbench/workloads.py``, imported read-only for its config text) and nine
 bundled configs with ``--set`` overrides (2-D and 3-D builtin costs in
 ``average``; a parsed cost in ``lyapunov``, whose equilibrium search starts at
 the origin and iterates; the plain-gradient baseline in ``simulate``; a
-2-D quadratic in ``lyapunov``, which builds the 2-D level-set oracle; and a
+2-D quadratic in ``lyapunov``, which builds the 2-D level-set oracle; a
 ``compare`` whose average-run worker rebuilds a ``y0`` washout at an overridden
-initial theta; no bundled config or workload has these) through
+initial theta; and, in ``average``, a parsed cost that is no polynomial and a
+polynomial whose closed form would exceed the term cap, whose average systems
+run on the period quadrature where every other polynomial cost's runs on
+closed-form maps; no bundled config or workload has these) through
 ``python -m esc_lab.cli``, once from the parent's ``src`` and once from this
 checkout's, each run into its own output directory. The two trees run side
 by side, one process each. Every file either run wrote is compared byte for
@@ -56,6 +59,10 @@ OVERRIDE_RUNS = {    # label: (mode, bundled config, overrides)
         "init.theta=2,-1", "init.v=0.81,0.81", "time.t1=5"]),
     "compare, y0 washout at theta 1.7": ("compare", "quartic_compare", [
         "init.xi=2*y0", "init.theta=1.7"]),
+    "non-polynomial parsed cost": ("average", "quartic_average", [
+        "cost.kind=expr", "cost.expr=theta1^2 + 1/(1 + theta1^2)", "time.t1=20"]),
+    "polynomial over the term cap": ("average", "quartic_average", [
+        "cost.kind=expr", "cost.expr=(theta1/2)^40 + (theta1 - 1)^2", "time.t1=20"]),
 }
 
 sys.path.insert(0, str(ROOT / "perfbench"))

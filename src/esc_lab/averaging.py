@@ -17,23 +17,31 @@ cost gets enough nodes to make all three averages exact; any other cost gets
 256 * r_max, where the rule's spectral convergence for smooth periodic
 integrands reproduces closed forms to near machine precision. The
 integrands depend on time only through sin(omega * r_i * t), so the averages
-are independent of omega itself. :func:`avg_maps`, :func:`equilibrium` and
-:func:`average_flat_rhs` share one kernel, which evaluates J in one cost
-sweep per call, over theta_bar and the n_q nodes together, and then sums all
-2n + 1 integrands in one stacked reduction over reused buffers; a kernel is
-therefore not reentrant.
+are independent of omega itself. :func:`avg_maps`, :func:`equilibrium`,
+:func:`convergence_sweep` and the level-set oracle run on one kernel, which
+evaluates J in one cost sweep per call, over theta_bar and the n_q nodes
+together, and then sums all 2n + 1 integrands in one stacked reduction over
+reused buffers; a kernel is therefore not reentrant.
+
+:func:`average_flat_rhs`, which the integrator calls at every RK4 stage,
+takes that kernel only for a cost that is no polynomial, has no ``expr``,
+or whose closed form would exceed :data:`MAX_TERMS` terms. For any other
+cost the averages are finite sums of the period means of products of
+sines, so it builds them once as straight-line float code
+(:func:`_closed_form_maps`), which evaluates no J and sweeps no nodes per
+call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import comb, isfinite, sqrt
 
 import numpy as np
 
 from .cost import CostFunction, grad_cost
 from .dynamics import _check_dims
-from .expressions import polynomial_degree
+from .expressions import FloatCode, dither_expansion, polynomial_degree
 from .integrate import nonneg
 from .signals import DitherConfig
 
@@ -182,40 +190,168 @@ def avg_maps(
     """Evaluate (J_bar, g_bar, g2_bar) at one point of the average state space.
 
     One call of the :func:`_map_sums` kernel, which :func:`average_flat_rhs`
-    runs too: one cost sweep and one stacked reduction, then each sum divided
-    by n_q.
+    runs too for a cost without closed-form maps: one cost sweep and one
+    stacked reduction, then each sum divided by n_q.
     """
     return _as_maps(_map_sums(cost, quad)(theta_bar, xi_bar), quad)
 
 
+# The closed-form maps cost about one multiply-add per term, the quadrature
+# about one numpy call per operation of the cost's expression. Measured per rhs
+# call (BENCH_closedavg.json), dense 2-D to 8-D quadratics stay 3-4x faster in
+# closed form up to 435 terms, while (theta1 - 0.5)^d, whose expression is the
+# cheapest per term, breaks even near 380 terms (0.92x at 338, 1.22x at 502).
+# The cap sits below that earliest crossover.
+MAX_TERMS = 350
+
+
+def _sine_mean(rates: list[int], beta: tuple[int, ...]) -> float:
+    """The exact period mean of prod_i sin(r_i * phi)^beta_i.
+
+    (2i sin(r phi))^b = sum_j (-1)^j C(b, j) e^{i r (b - 2j) phi}, so the
+    product times (2i)^k, k = sum(beta), is a sum of exponentials with
+    integer coefficients, and its mean is the coefficient of frequency 0. The
+    factors are multiplied out but for the last, of which only the terms
+    that cancel a frequency are taken. The mean is 0 for odd k, where the
+    product is an odd function of phi.
+
+    The means of :class:`PeriodQuadrature`'s tables are not exact enough to
+    stand in. Where a mean is 0 they leave rounding, up to 1.9e-16 on the
+    tables of the ``compare_expr2d`` benchmark's 2-D cost. Snapped to the
+    multiples of 2^-k, on which the exact mean lies, they read a wrong count
+    from k = 50 on: measured on the 1-D tables of (theta1 - 0.5)^24, whose
+    g2_bar needs k up to 50, while the term cap admits (theta1 - 0.5)^32,
+    whose g2_bar needs k = 66.
+    """
+    k = sum(beta)
+    if k % 2:
+        return 0.0
+    factors = [[(r * (b - 2 * j), (-1) ** j * comb(b, j)) for j in range(b + 1)]
+               for r, b in zip(rates, beta) if b]
+    counts = {0: 1}                                   # frequency -> integer coefficient
+    for factor in factors[:-1]:
+        step: dict[int, int] = {}
+        for shift, w in factor:
+            for f, c in counts.items():
+                step[f + shift] = step.get(f + shift, 0) + w * c
+        counts = step
+    count = sum(w * counts.get(-shift, 0) for shift, w in factors[-1]) if factors else 1
+    return (-1) ** (k // 2) * count / 2**k if count else 0.0
+
+
+def _closed_form_maps(cost: CostFunction, dither: DitherConfig):
+    """The averaged maps of a polynomial cost as one float function of a row, or None.
+
+    :func:`~esc_lab.expressions.dither_expansion` gives J(theta + a * sigma)
+    as sum_alpha c_alpha(theta) * sigma^alpha, each c_alpha float code in
+    theta. With M(beta) the exact period mean of sigma^beta
+    (:func:`_sine_mean`), e_i the i-th unit exponent and d the coefficients
+    with d_0 = J(theta) - xi_bar (centred as :func:`_map_sums` centres its
+    residual):
+
+    * J_bar = sum_alpha M(alpha) c_alpha;
+    * g_bar_i = (2 / a_i) sum_alpha M(alpha + e_i) c_alpha;
+    * g2_bar_i = (4 / a_i^2) sum_{alpha, beta} M(alpha + beta + 2 e_i) d_alpha d_beta.
+
+    The returned function maps a row [theta_bar, v_bar, xi_bar] of Python
+    floats to the list [g_bar, g2_bar, J_bar] and keeps no state, so it is
+    reentrant. Returns None for a cost without ``expr``, where the expansion
+    finds no polynomial, and where the code would exceed :data:`MAX_TERMS`;
+    the expansion and the g2_bar pair loop each stop at the first term over.
+    """
+    if cost.expr is None:
+        return None
+    n, code = cost.n, FloatCode()
+    amps, rates = dither.amplitudes.tolist(), dither.rates.tolist()
+    poly = dither_expansion(cost.expr, n, amps, code, MAX_TERMS)
+    if poly is None:
+        return None
+    means: dict[tuple, float] = {}
+
+    def mean(alpha, i=0, k=0):                        # M(alpha + k e_i)
+        beta = alpha[:i] + (alpha[i] + k,) + alpha[i + 1 :]
+        if beta not in means:
+            means[beta] = _sine_mean(rates, beta)
+        return means[beta]
+
+    j_bar, g_bar = {}, [{} for _ in range(n)]
+    for alpha, c in poly.items():
+        j_bar = code.add(j_bar, c, mean(alpha))
+        for i, a in enumerate(amps):
+            g_bar[i] = code.add(g_bar[i], c, 2.0 / a * mean(alpha, i, 1))
+    zero = (0,) * n
+    resid = {**poly, zero: code.add(poly.get(zero, {}), {("xi",): 1.0}, -1.0)}
+    resid = [(alpha, *code.atom(d).items()) for alpha, d in resid.items() if d]
+    # the terms left for g2_bar: its pair loop gives up once a new key overdraws them
+    budget = MAX_TERMS - code.terms - sum(1 for total in (j_bar, *g_bar) for key in total if key)
+    g2_bar = []
+    for i, a in enumerate(amps):
+        total: dict[tuple, float] = {}
+        for j, (alpha, (k1, w1)) in enumerate(resid):
+            for beta, (k2, w2) in resid[j:]:
+                m = mean(tuple(x + y for x, y in zip(alpha, beta)), i, 2)
+                if m:
+                    key, w = code.key(k1, k2), (4.0 if beta == alpha else 8.0) / (a * a) * m
+                    if key not in total:
+                        budget -= bool(key)
+                        if budget < 0:
+                            return None
+                    total[key] = total.get(key, 0.0) + w * w1 * w2
+        g2_bar.append(code.add({}, total))
+    results = [*g_bar, *g2_bar, j_bar]
+    if not all(isfinite(w) for total in results for w in total.values()):
+        return None                                   # an amplitude too small for 4 / a_i^2
+    head = ", ".join([f"x{i}" for i in range(n)] + ["_"] * n + ["xi"]) + " = r"
+    return code.function(head, results)
+
+
+def _quadrature_maps(cost: CostFunction, dither: DitherConfig):
+    """The averaged maps as a function of a row, through one :func:`_map_sums` call.
+
+    Returns [g_bar, g2_bar, J_bar] as Python floats; shares the kernel's
+    buffers, so it is not reentrant.
+    """
+    quad = PeriodQuadrature(cost, dither)
+    sums, n, n_q = _map_sums(cost, quad), quad.n, quad.n_q
+
+    def maps(r):
+        return (sums(r[:n], r[2 * n]) / n_q).tolist()
+
+    return maps
+
+
 def average_flat_rhs(params, cost: CostFunction, dither: DitherConfig):
     """Integrator-facing closure for the autonomous average system, over rows
-    [theta_bar, v_bar, xi_bar]: one :func:`_map_sums` call per row, so one
-    cost sweep and one stacked reduction, with the division by n_q and the
-    rest of the rhs in Python floats.
+    [theta_bar, v_bar, xi_bar].
 
-    The closure reuses its kernel's buffers and is not reentrant. Clamps v to
-    zero before the square root, like the full-loop closure.
+    A polynomial cost whose float code stays within :data:`MAX_TERMS` terms
+    gets the closed-form maps of :func:`_closed_form_maps`: straight-line
+    float code built once here, with no call of ``cost.f`` and no quadrature
+    per row; that closure is reentrant. Every other cost (no ``expr``, not a
+    polynomial, or above the cap) gets one :func:`_map_sums` call per row, so
+    one cost sweep and one stacked reduction, through a kernel whose buffers
+    make the closure non-reentrant. The rest of the rhs is Python floats on
+    either path. Clamps v to zero before the square root, like the full-loop
+    closure.
     """
     _check_dims(params, cost, dither)
     n = params.n
     neg_k, eps, wxi = -float(params.k), float(params.epsilon), float(params.omega_xi)
     wl = params.omega_l.tolist()
-    quad = PeriodQuadrature(cost, dither)
-    sums, n_q = _map_sums(cost, quad), quad.n_q
+    maps = _closed_form_maps(cost, dither) or _quadrature_maps(cost, dither)
 
     def rhs(t: float, rows: list[list[float]]) -> list[list[float]]:
         out = []
         for r in rows:
             xi = r[2 * n]
-            total = sums(r[:n], xi).tolist()
+            total = maps(r)
             d_theta, d_v = [], []
             for g, g2, x, l in zip(total[:n], total[n : 2 * n], r[n : 2 * n], wl):
                 v = nonneg(x)
-                d_theta.append(neg_k * (g / n_q) / (sqrt(v) + eps))
-                d_v.append(l * (g2 / n_q - v))
+                d_theta.append(neg_k * g / (sqrt(v) + eps))
+                d_v.append(l * (g2 - v))
             d_theta += d_v
-            d_theta.append(wxi * (total[2 * n] / n_q - xi))
+            d_theta.append(wxi * (total[2 * n] - xi))
             out.append(d_theta)
         return out
 

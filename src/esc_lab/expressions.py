@@ -30,16 +30,22 @@ rejected when the expression is compiled.
 
 :func:`polynomial_degree` reads the same tree for the degree of the cost as a
 polynomial in theta, or None where the syntax shows none; the period
-quadrature sizes its node count from it.
+quadrature sizes its node count from it. :func:`dither_expansion` folds the
+tree once more, into the polynomial that J(theta + a * sigma) is in the
+dither phases sigma, with each coefficient written as straight-line float
+code in theta (:class:`FloatCode`); the average system contracts it with
+the phases' period means.
 """
 
 from __future__ import annotations
 
 import re
+from math import isfinite
 
 import numpy as np
 
-__all__ = ["ExpressionError", "MAX_NESTING", "compile_expression", "polynomial_degree"]
+__all__ = ["ExpressionError", "MAX_NESTING", "FloatCode", "compile_expression", "dither_expansion",
+           "polynomial_degree"]
 
 MAX_NESTING = 100
 
@@ -304,5 +310,164 @@ def polynomial_degree(text: str, n: int) -> int | None:
         if exponent[0] == "const" and exponent[1].is_integer() and exponent[1] >= 0:
             return operands[0] * int(exponent[1])
         return 0 if operands == [0, 0] else None
+
+    return _fold(_Parser(text, n).parse(), visit)
+
+
+class FloatCode:
+    """Straight-line Python over floats under construction, and the terms it evaluates.
+
+    A value is held as a *sum*: a dict from a key, a sorted tuple of at most
+    two names (``()`` for the constant), to a nonzero float weight, meaning
+    the sum of weight * product(names). Sums add and scale as dicts, without
+    code. :meth:`atom` turns any other sum into one weighted name by emitting
+    one assignment for it, so that the product of two atoms is again a key.
+    :attr:`terms` counts the non-constant terms of all the code emitted, one
+    multiply-add each: what a call of the finished function costs.
+    """
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.terms = 0
+        self.products: dict[tuple, str] = {}  # a two-name key -> the name assigned its product
+
+    def text(self, total: dict) -> str:
+        """``total`` as a Python expression."""
+        if not total:
+            return "0.0"
+        self.terms += sum(1 for key in total if key)
+        return " + ".join("*".join([repr(w)] * (w != 1.0 or not key) + list(key))
+                          for key, w in total.items())
+
+    def atom(self, total: dict) -> dict:
+        """``total`` as a sum of at most one key of at most one name."""
+        if len(total) <= 1 and all(len(key) <= 1 for key in total):
+            return total
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"    {name} = {self.text(total)}")
+        if len(total) == 1:
+            (key, w), = total.items()
+            if len(key) == 2 and w == 1.0:
+                self.products[key] = name
+        return {(name,): 1.0}
+
+    def key(self, k1: tuple, k2: tuple) -> tuple:
+        """The key of the product of two keys of at most one name each; a product
+        already assigned to a name is that name."""
+        key = tuple(sorted(k1 + k2))
+        return (self.products[key],) if key in self.products else key
+
+    @staticmethod
+    def add(a: dict, b: dict, weight: float = 1.0) -> dict:
+        """The sum a + weight * b, without its zero terms."""
+        out = dict(a)
+        for key, w in b.items():
+            out[key] = out.get(key, 0.0) + weight * w
+        return {key: w for key, w in out.items() if w != 0.0}
+
+    def function(self, head: str, results: list[dict]):
+        """Compile ``def f(r):`` from the line ``head``, the lines emitted so far and
+        ``return [results]``, each result a sum."""
+        returns = ", ".join(self.text(total) for total in results)
+        source = "\n".join(["def f(r):", f"    {head}", *self.lines, f"    return [{returns}]"])
+        namespace: dict = {}
+        exec(compile(source + "\n", "<float code>", "exec"), namespace)
+        return namespace["f"]
+
+
+def _constant(poly: dict):
+    """The value of a polynomial that holds no sigma and no name, else None."""
+    if not poly:
+        return 0.0
+    if len(poly) == 1:
+        (alpha, total), = poly.items()
+        if not any(alpha) and set(total) == {()}:
+            return total[()]
+    return None
+
+
+def dither_expansion(text: str, n: int, amplitudes, code: FloatCode, max_terms: int):
+    """J(theta + a * sigma) for the expression ``text``, as a polynomial in sigma, or None.
+
+    Returns a dict from an exponent tuple (one power per channel) to the
+    coefficient of that sigma monomial, a sum of ``code`` (:class:`FloatCode`)
+    over the names ``x0`` .. ``x{n-1}`` for theta. The coefficient of the zero
+    tuple is J(theta), computed as the tree computes it: there is no expansion
+    about a reference point, so ``(theta1 - 100)^4`` raises theta1 - 100 to
+    the fourth. The fold follows :func:`polynomial_degree`: ``theta_i``
+    becomes theta_i + a_i * sigma_i; +, - and * combine coefficients; ``^`` by
+    a non-negative integer literal repeats the product; / divides by a
+    constant only; and an operation on constants folds to a number. Returns
+    None where that rule finds no polynomial, where a folded constant or a
+    weight is not finite or a divisor is 0, and once ``code`` holds more than
+    ``max_terms`` terms or a node more than ``max_terms`` monomials.
+    """
+    zero = (0,) * n
+    amplitudes = [float(a) for a in amplitudes]
+
+    def atoms(p):
+        return {alpha: code.atom(c) for alpha, c in p.items()}
+
+    def product(p, q):
+        p, q, out = atoms(p), atoms(q), {}
+        for alpha, c in p.items():
+            (k1, w1), = c.items()
+            for beta, d in q.items():
+                (k2, w2), = d.items()
+                gamma = tuple(x + y for x, y in zip(alpha, beta))
+                out[gamma] = code.add(out.get(gamma, {}), {code.key(k1, k2): w1 * w2})
+        return {gamma: c for gamma, c in out.items() if c}
+
+    def fold(node, operands):
+        op = node[0]
+        if op == "const":
+            return {zero: {(): node[1]}} if node[1] != 0.0 else {}
+        if op == "var":
+            i = node[1]
+            return {zero: {(f"x{i}",): 1.0},
+                    tuple(int(j == i) for j in range(n)): {(): amplitudes[i]}}
+        if None in operands:
+            return None
+        if op in ("add", "sub"):
+            p, q = operands
+            sign, out = (1.0 if op == "add" else -1.0), dict(p)
+            for alpha, d in q.items():            # p's other coefficients stand as they are
+                if c := code.add(p.get(alpha, {}), d, sign):
+                    out[alpha] = c
+                else:
+                    out.pop(alpha, None)
+            return out
+        if op == "neg":
+            return {alpha: {key: -w for key, w in c.items()} for alpha, c in operands[0].items()}
+        if op == "mul":
+            return product(*operands)
+        if op == "div":
+            divisor = _constant(operands[1])
+            if not divisor:                       # a variable divisor, or a zero one
+                return None
+            return {alpha: c for alpha, d in operands[0].items()
+                    if (c := {key: w / divisor for key, w in d.items() if w / divisor != 0.0})}
+        base, exponent = _constant(operands[0]), _constant(operands[1])
+        if base is not None and exponent is not None:
+            value = float(np.power(base, exponent))
+            return {zero: {(): value}} if value != 0.0 else {}
+        literal = node[2]
+        if literal[0] != "const" or not literal[1].is_integer() or literal[1] < 0:
+            return None
+        if literal[1] > max_terms:                # a power of a non-constant has more monomials
+            return None
+        base, out = atoms(operands[0]), {zero: {(): 1.0}}
+        for _ in range(int(literal[1])):
+            out = product(out, base)
+            if code.terms > max_terms or len(out) > max_terms:
+                return None
+        return out
+
+    def visit(node, operands):
+        poly = fold(node, operands)
+        if poly is None or code.terms > max_terms or len(poly) > max_terms:
+            return None
+        finite = all(isfinite(w) for c in poly.values() for w in c.values())
+        return poly if finite else None
 
     return _fold(_Parser(text, n).parse(), visit)

@@ -45,7 +45,7 @@ class DitherConfig:
         object.__setattr__(self, "rates", rates)
         if np.any(rates < 1):
             raise ValueError("dither rates must be positive integers (r_i >= 1)")
-        if np.unique(rates).size != rates.size:
+        if len(set(rates.tolist())) != rates.size:       # np.unique would import numpy.ma
             raise ValueError("dither rates must be pairwise distinct")
         if not (np.isfinite(self.omega) and self.omega > 0.0):
             raise ValueError("base frequency omega must be a positive real")

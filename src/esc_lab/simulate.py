@@ -4,10 +4,13 @@ Each driver checks the shape of the flat initial state and runs classical RK4
 (:func:`esc_lab.integrate.integrate_fixed`) from t = 0 over the system's flat
 rhs closure: :func:`esc_lab.dynamics.rmspesc_flat_rhs`,
 :func:`esc_lab.dynamics.gesc_flat_rhs` or
-:func:`esc_lab.averaging.average_flat_rhs`. The same path serves every cost,
-builtin or parsed. ``integrate_fixed`` validates the time span with
-:func:`esc_lab.integrate.step_grid`, and the average system reads its node
-tables from one :class:`esc_lab.averaging.PeriodQuadrature` per run.
+:func:`esc_lab.averaging.average_flat_rhs`. The full-loop closures serve
+every cost, builtin or parsed, on one path; the average system's closure
+evaluates closed-form maps, built once per run, for a polynomial cost within
+:data:`esc_lab.averaging.MAX_TERMS` terms, and the node sums of one
+:class:`esc_lab.averaging.PeriodQuadrature` per run for any other.
+``integrate_fixed`` validates the time span with
+:func:`esc_lab.integrate.step_grid`.
 
 The closures follow the integrator's row contract, ``rhs(t, rows) -> rows``
 over member rows of Python floats. Each of the three functions here takes a

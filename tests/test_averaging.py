@@ -17,8 +17,10 @@ from esc_lab import (
     parse_cost,
     quadratic_cost,
     quartic_cost,
+    shifted_quartic_cost,
 )
 from esc_lab.averaging import average_flat_rhs
+from esc_lab.quadratic import QuadraticModel, fourier_coeffs, quad_avg_maps
 
 FIG1 = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
 
@@ -165,13 +167,9 @@ def rhs_rows(n, count=12):
     return rows
 
 
-@pytest.mark.parametrize("cost, dither, params", RHS_CASES, ids=RHS_IDS)
-def test_average_flat_rhs_equals_rhs_of_two_sweep_maps(cost, dither, params):
-    n, quad = cost.n, PeriodQuadrature(cost, dither)
-    rows = rhs_rows(n)
-    assert any(x < 0.0 for r in rows for x in r[n : 2 * n])
-    assert any(r[-1] > 0.0 for r in rows) and any(r[-1] < 0.0 for r in rows)
-    expected = []
+def two_sweep_rhs(cost, quad, params, rows):
+    """The average rhs of ``rows`` written out on :func:`two_sweep_maps`."""
+    n, out = cost.n, []
     for r in rows:
         xi = r[2 * n]
         j_bar, g_bar, g2_bar = two_sweep_maps(cost, quad, r[:n], xi)
@@ -179,7 +177,19 @@ def test_average_flat_rhs_equals_rhs_of_two_sweep_maps(cost, dither, params):
         d_theta = [-float(params.k) * g / (sqrt(x) + params.epsilon)
                    for g, x in zip(g_bar.tolist(), v)]
         d_v = [l * (g2 - x) for l, g2, x in zip(params.omega_l.tolist(), g2_bar.tolist(), v)]
-        expected.append(d_theta + d_v + [params.omega_xi * (j_bar - xi)])
+        out.append(d_theta + d_v + [params.omega_xi * (j_bar - xi)])
+    return out
+
+
+@pytest.mark.parametrize("cost, dither, params", RHS_CASES, ids=RHS_IDS)
+def test_average_flat_rhs_equals_rhs_of_two_sweep_maps(cost, dither, params):
+    # without its expression a cost takes the quadrature path, as a non-polynomial one does
+    cost = replace(cost, expr=None)
+    n, quad = cost.n, PeriodQuadrature(cost, dither)
+    rows = rhs_rows(n)
+    assert any(x < 0.0 for r in rows for x in r[n : 2 * n])
+    assert any(r[-1] > 0.0 for r in rows) and any(r[-1] < 0.0 for r in rows)
+    expected = two_sweep_rhs(cost, quad, params, rows)
     rhs = average_flat_rhs(params, cost, dither)
     assert rhs(0.0, rows) == expected
     assert [rhs(0.0, [r])[0] for r in rows] == expected
@@ -211,17 +221,114 @@ class _CountingNumpy:
 def test_average_flat_rhs_one_sweep_and_one_reduction_per_row(cost, dither, params,
                                                               monkeypatch):
     sweeps = []
+    rows = rhs_rows(cost.n, count=5)
+    # the closed form of a polynomial cost evaluates no J at all
+    polynomial = replace(cost, f=lambda x: sweeps.append(x.shape) or cost.f(x))
+    average_flat_rhs(params, polynomial, dither)(0.0, rows)
+    assert sweeps == []
+    # the quadrature path, which a cost without its expression takes
+    cost = replace(cost, expr=None)
     counted = replace(cost, f=lambda x: sweeps.append(x.shape) or cost.f(x))
     counting_np = _CountingNumpy()
     monkeypatch.setattr(averaging, "np", counting_np)
     rhs = average_flat_rhs(params, counted, dither)
-    rows = rhs_rows(cost.n, count=5)
     out = rhs(0.0, rows)
     monkeypatch.undo()
     n_q = PeriodQuadrature(cost, dither).n_q
     assert sweeps == [(n_q + 1, cost.n)] * len(rows)
     assert counting_np.add.reduces == len(rows)
     assert out == average_flat_rhs(params, cost, dither)(0.0, rows)
+
+
+# (cost, dither, params, theta offset, xi offset from J(theta) or None for rhs_rows' xi)
+CLOSED_FORM_CASES = {
+    "quartic": (*RHS_CASES[0], 0.0, None),
+    "shifted_quartic_100": (shifted_quartic_cost([100.0]), new_dither([0.02], [1], 10.0), FIG1,
+                            100.0, None),
+    "parsed_quartic_100": (parse_cost("(theta1 - 100)^4/24", 1), new_dither([0.02], [1], 10.0),
+                           FIG1, 100.0, None),
+    "quadratic3d": (*RHS_CASES[2], 0.0, None),
+    "quadratic_xi_far": (quadratic_cost(1.0, 3.0), new_dither([0.2], [1], 10.0), FIG1, 0.0, 10.0),
+    "quadratic_xi_far_below": (quadratic_cost(1.0, 3.0), new_dither([0.2], [1], 10.0), FIG1, 0.0,
+                               -10.0),
+    "expr2d": (*RHS_CASES[1], 0.0, None),
+    "folded_constants": (parse_cost("2^2*theta1^2/(1 + 1)", 1), new_dither([0.3], [1], 10.0), FIG1,
+                         0.0, None),
+}
+
+
+def closed_form_rows(cost, theta_offset, xi_offset):
+    rows = rhs_rows(cost.n)
+    for r in rows:
+        r[: cost.n] = [x + theta_offset for x in r[: cost.n]]
+        if xi_offset is not None:
+            r[-1] = float(cost.f(np.array(r[: cost.n]))) + xi_offset
+    return rows
+
+
+@pytest.mark.parametrize("case", CLOSED_FORM_CASES)
+def test_closed_form_rhs_matches_reference_quadrature(case):
+    cost, dither, params, theta_offset, xi_offset = CLOSED_FORM_CASES[case]
+    n, calls = cost.n, []
+    rhs = average_flat_rhs(params, replace(cost, f=lambda x: calls.append(x) or cost.f(x)), dither)
+    # the reference is the same cost without its expression: 256 * r_max nodes
+    ref = average_flat_rhs(params, replace(cost, expr=None), dither)
+
+    def close(a, b):  # relative to the norm of the reference vector
+        return np.linalg.norm(np.subtract(a, b)) <= 1e-13 * np.linalg.norm(b)
+
+    for r in closed_form_rows(cost, theta_offset, xi_offset):
+        (got,), (exact,) = rhs(0.0, [r]), ref(0.0, [r])
+        for block in (slice(0, n), slice(n, 2 * n), slice(2 * n, None)):
+            assert close(got[block], exact[block]), (r, got, exact)
+    assert calls == []
+
+
+def test_closed_form_rhs_matches_scalar_quadratic_closed_forms():
+    model = QuadraticModel(h=1.0, j_opt=3.0, a=0.2)
+    cost, dither = quadratic_cost(model.h, model.j_opt), new_dither([model.a], [1], 10.0)
+    rhs = average_flat_rhs(FIG1, cost, dither)
+    for theta, v, xi in rhs_rows(1):
+        got = rhs(0.0, [[theta, v, xi]])[0]
+        g_bar, g2_bar = quad_avg_maps(model, theta, xi)
+        b0, _, _ = fourier_coeffs(model, theta)
+        v = max(v, 0.0)
+        expected = [-FIG1.k * g_bar / (sqrt(v) + FIG1.epsilon), FIG1.omega_l[0] * (g2_bar - v),
+                    FIG1.omega_xi * (b0 - xi)]
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-15)
+
+
+def dense_quadratic(n):
+    """A dense n-D quadratic with theta* != 0, dithered at rates 1 .. n."""
+    rng = np.random.default_rng(n)
+    a = rng.uniform(-1.0, 1.0, (n, n))
+    cost = quadratic_cost(a @ a.T + n * np.eye(n), 0.5, rng.uniform(-1.0, 1.0, n))
+    return cost, new_dither(np.linspace(0.02, 0.04, n), np.arange(1, n + 1), 10.0)
+
+
+# (cost, dither, node count): a cost that is no polynomial gets 256 * r_max nodes,
+# a polynomial whose closed form would exceed MAX_TERMS terms its derived count
+QUADRATURE_CASES = {
+    "non_polynomial": (parse_cost("theta1^2 + 1/(1 + theta1^2)", 1), new_dither([0.2], [1], 10.0),
+                       256),
+    "power40": (parse_cost("(theta1 - 0.5)^40", 1), new_dither([0.02], [1], 10.0), 83),
+    "dense8": (*dense_quadratic(8), 64),
+}
+
+
+@pytest.mark.parametrize("case", QUADRATURE_CASES)
+def test_cost_without_closed_form_takes_the_quadrature(case):
+    cost, dither, n_q = QUADRATURE_CASES[case]
+    n, quad = cost.n, PeriodQuadrature(cost, dither)
+    assert quad.n_q == n_q
+    assert averaging._closed_form_maps(cost, dither) is None
+    params = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25] * n, omega_xi=1.0)
+    calls = []
+    counted = replace(cost, f=lambda x: calls.append(x.shape) or cost.f(x))
+    rows = rhs_rows(n, count=4)
+    out = average_flat_rhs(params, counted, dither)(0.0, rows)
+    assert calls == [(n_q + 1, n)] * len(rows)
+    assert out == two_sweep_rhs(cost, quad, params, rows)
 
 
 def test_quadrature_tables():

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -377,6 +379,23 @@ def test_lyapunov_mode(tmp_path, capsys):
     assert header[:2] == ["t", "V"]
     v = cols[1]
     assert v[-1] <= v[0] + 1e-9
+
+
+def test_lyapunov_run_leaves_numpy_ma_unimported(tmp_path):
+    # importing numpy.ma took 10-14 ms of every run's set-up; np.unique was its one importer
+    script = (
+        "import sys\n"
+        "from esc_lab.cli import main\n"
+        f"code = main(['lyapunov', '--config', 'quartic_lyapunov', '--set', 'time.t1=1', "
+        f"'--out', {str(tmp_path)!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_runtime_abort_exit_code_3(tmp_path, capsys):
