@@ -27,14 +27,11 @@ rows time:
   the (n_q + 1, 2) array one quadrature rhs call sweeps (n_q = 21 at dither
   rates 1, 2), and its average rhs, each per call; ``rhs_quartic``: the
   average rhs of the closed-loop settings above, per call;
-* ``compare_pool``, ``compare_in_order``, ``compare_average``: seed 0 of the
-  ``compare_expr2d`` workload (``perfbench/workloads.py``), once through
-  ``esc_lab.cli.main`` end to end as shipped, the average system in a
-  one-worker process pool beside the full loop; once in process, one after
-  the other: ``simulate_rmspesc`` on the run ``esc_lab.cli._setup`` builds,
-  then ``esc_lab.cli._average_run`` on the same config values; and
-  ``_average_run`` alone. The in-process rows leave out config loading and
-  CSV writing;
+* ``compare``, ``compare_average``: seed 0 of the ``compare_expr2d``
+  workload (``perfbench/workloads.py``), once through ``esc_lab.cli.main``
+  end to end, config loading and CSV writing included; and its average run
+  alone: ``simulate_average`` on the run ``esc_lab.cli._setup`` builds, at
+  compare's average-system grid;
 * ``dense{2..8}``: the average rhs of a dense n-D quadratic (theta* != 0,
   rates 1..n), per call, with the closed-form term cap
   (``esc_lab.averaging.MAX_TERMS``) lifted where the tree has one, so the
@@ -163,8 +160,8 @@ class Rows:
         return (["loop", *(f"loop_b{b}" for b in BATCHES), "baseline", "average",
                  *(f"average_b{b}" for b in BATCHES), "sweep_rows", "sweep_stacked",
                  "cost_point", "cost_sweep", "rhs_expr2d", "rhs_quartic", "oracle", "radius_xi",
-                 "radius_v1", "monitor", "csv", "compare_pool", "compare_in_order",
-                 "compare_average", *(f"dense{n}" for n in DENSE),
+                 "radius_v1", "monitor", "csv", "compare", "compare_average",
+                 *(f"dense{n}" for n in DENSE),
                  *(f"power{d}" for d in POWERS), "fallback_dense8", "fallback_power40"])
 
     def build(self, key):
@@ -356,28 +353,26 @@ class Rows:
         path.write_text(config_text(WORKLOADS["compare_expr2d"], 0))
         return path
 
-    def compare_pool(self):
+    def compare(self):
         """One quiet ``esc-lab compare`` invocation, in process."""
         argv = ["compare", "--config", str(self.compare_config), "--out", str(self.tmp)]
 
         def run():
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv) == 0
-        return "compare_expr2d, average run in a pool", run, None
-
-    def compare_in_order(self):
-        """compare's two runs in this process, the full loop first, without the CSVs."""
-        values = load_config(str(self.compare_config))
-
-        def run():
-            setup = cli._setup(ExperimentConfig(values), oscillatory=True)
-            el.simulate_rmspesc(*setup.system, setup.state0(setup.washout[1]), *setup.grid)
-            cli._average_run(values)
-        return "compare_expr2d, one after another", run, None
+        return "compare_expr2d, end to end", run, None
 
     def compare_average(self):
-        values = load_config(str(self.compare_config))
-        return "compare_expr2d, _average_run", lambda: cli._average_run(values), None
+        """compare's average run: the full loop's sample times, stepped at most a quarter
+        sample apart and within the gain step."""
+        setup = cli._setup(ExperimentConfig(load_config(str(self.compare_config))),
+                           oscillatory=True)
+        t1, h, stride = setup.grid
+        sample_dt = h * stride
+        grid = (t1, *fit_step(sample_dt, min(sample_dt / 4, cli._gain_step(setup.params)[0])))
+        state0 = setup.state0(setup.washout[1])
+        return ("compare_expr2d, average run",
+                lambda: el.simulate_average(*setup.system, state0, *grid), None)
 
 
 def time_rows(rows: Rows, keys, repeats):

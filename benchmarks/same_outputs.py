@@ -8,11 +8,11 @@ bundled configs with ``--set`` overrides (2-D and 3-D builtin costs in
 ``average``; a parsed cost in ``lyapunov``, whose equilibrium search starts at
 the origin and iterates; the plain-gradient baseline in ``simulate``; a
 2-D quadratic in ``lyapunov``, which builds the 2-D level-set oracle; a
-``compare`` whose average-run worker rebuilds a ``y0`` washout at an overridden
-initial theta; and, in ``average``, a parsed cost that is no polynomial and a
-polynomial whose closed form would exceed the term cap, whose average systems
-run on the period quadrature where every other polynomial cost's runs on
-closed-form maps; no bundled config or workload has these) through
+``compare`` whose full and average runs start from a ``y0`` washout at an
+overridden initial theta; and, in ``average``, a parsed cost that is no
+polynomial and a polynomial whose closed form would exceed the term cap, whose
+average systems run on the period quadrature where every other polynomial
+cost's runs on closed-form maps; no bundled config or workload has these) through
 ``python -m esc_lab.cli``, once from the parent's ``src`` and once from this
 checkout's, each run into its own output directory. The two trees run side
 by side, one process each. Every file either run wrote is compared byte for

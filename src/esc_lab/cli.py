@@ -25,12 +25,9 @@ batch: a single RK4 loop steps one member row per seed, and each member's CSV
 is bit-identical to a run of that seed alone. An abort in any member stops the
 whole batch before any CSV is written. The stdout summary of simulate, average
 and compare reports each run's clamp events: steps on which the v >= 0 clamp
-fired, summed over the members (gesc has no v and reports 0). compare runs its
-average system in a one-worker ``ProcessPoolExecutor`` while this process runs
-the full loop; the worker rebuilds the run from the config values. If the full
-run fails, the worker is killed and the full run's error is reported; otherwise
-an error of the average run is reported, and a worker that dies raises
-BrokenProcessPool.
+fired, summed over the members (gesc has no v and reports 0). compare runs the
+full loop and then its average system in this process, on the same setup; an
+abort of the full run is reported before the average run starts.
 
 Exit codes: 0 success, 2 configuration/validation error (including cost,
 dither and gains of different dimensions in a trajectory mode: simulate,
@@ -249,40 +246,16 @@ def _mode_average(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def _average_grid(run: _Run) -> tuple[float, float, int]:
-    """compare's average-system grid (t1, h, stride): the full loop's sample
-    times, stepped at most a quarter sample apart and within the gain step."""
-    t1, h, stride = run.grid
-    sample_dt = h * stride
-    return (t1, *fit_step(sample_dt, min(sample_dt / 4, _gain_step(run.params)[0])))
-
-
-def _average_run(values: dict[str, str]) -> Trajectory:
-    """compare's average run, rebuilt from the config values in the worker
-    process: a compiled cost's ``f`` and ``f_rows`` are closures, which the
-    executor cannot send there."""
-    run = _setup(ExperimentConfig(values), oscillatory=True)
-    return simulate_average(*run.system, run.state0(run.washout[1]), *_average_grid(run))
-
-
 def _mode_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
-    import multiprocessing                  # here, not at module level: ~20 ms no other mode needs
-    from concurrent.futures import ProcessPoolExecutor
-
     run = _setup(cfg, oscillatory=True)
     cost, state0 = run.cost, run.state0(run.washout[1])
-    t1, h, _ = run.grid
-    before = set(multiprocessing.active_children())
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        average = pool.submit(_average_run, cfg.values)
-        try:
-            full = simulate_rmspesc(*run.system, state0, *run.grid)
-        except BaseException:
-            # the worker may be hours from done: kill it, not the caller's own children
-            for child in set(multiprocessing.active_children()) - before:
-                child.kill()
-            raise
-        avg = average.result()
+    t1, h, stride = run.grid
+    # the average system at the full loop's sample times, stepped at most a
+    # quarter sample apart and within the gain step
+    sample_dt = h * stride
+    avg_grid = (t1, *fit_step(sample_dt, min(sample_dt / 4, _gain_step(run.params)[0])))
+    full = simulate_rmspesc(*run.system, state0, *run.grid)
+    avg = simulate_average(*run.system, state0, *avg_grid)
     if len(full.times) != len(avg.times) or not np.allclose(full.times, avg.times, atol=1e-9):
         raise RuntimeError("full and average runs recorded different time grids")
     path_full = write_trajectory_csv(out_dir / "trajectory_full.csv", full, cost, with_v=True)
@@ -290,7 +263,7 @@ def _mode_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
     gaps = np.max(np.abs(full.states[:, : cost.n] - avg.states[:, : cost.n]), axis=0)
     lines = [
         f"time span: [0, {t1:.6g}], samples: {len(full.times)}",
-        f"full-system step h = {h:.6g}, average-system step h = {_average_grid(run)[1]:.6g}",
+        f"full-system step h = {h:.6g}, average-system step h = {avg_grid[1]:.6g}",
     ]
     for i in range(cost.n):
         lines.append(f"sup |theta_{i + 1}(full) - theta_{i + 1}(average)| = {gaps[i]:.6g}")

@@ -64,10 +64,6 @@ class NonFiniteStateError(RuntimeError):
         self.member = member
         self.name = name
 
-    def __reduce__(self):
-        # rebuild from the constructor's arguments, so the error crosses a process boundary
-        return type(self), (self.t, self.state, self.member, self.name)
-
 
 @dataclass(frozen=True)
 class Trajectory:

@@ -29,14 +29,17 @@ from esc_lab import (averaging, cli, config, cost, dynamics, expressions, integr
 # LevelSetOracle._v_theta takes batches); the flat equilibrium state and the
 # quadrature's dimension check, each with one caller (tests build the state
 # row, and the map kernel checks the dimensions); the trajectory's step and
-# record stride, which no program code read.
+# record stride, which no program code read; compare's process-pool worker,
+# which rebuilt the average run from the config values, and its one-caller
+# grid helper (compare runs both systems in process, on one setup).
 REMOVED = {
     dynamics: ["EscState", "EscDerivative", "rmspesc_rhs", "gesc_rhs", "grad_estimate"],
     averaging: ["average_rhs", "default_nodes", "_node_signals", "avg_g2_coeffs", "ErrorState",
                 "to_error_coords", "from_error_coords"],
     lyapunov: ["radius_xi", "radius_v", "lyapunov_value", "_as_equilibrium", "LyapunovReport",
                "v_theta"],
-    cli: ["_parallel", "_max_workers", "ThreadPoolExecutor", "_n_q", "_concurrently"],
+    cli: ["_parallel", "_max_workers", "ThreadPoolExecutor", "_n_q", "_concurrently",
+          "_average_run", "_average_grid"],
     simulate: ["_resolve_path", "_run_kernel"],
     cost: ["CostKernelSpec", "KERNEL_QUADRATIC", "KERNEL_QUARTIC", "Verdict", "AssumptionReport",
            "_grid_points", "_local_minima_mask", "_connected_components", "check_assumptions"],

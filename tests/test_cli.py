@@ -257,7 +257,7 @@ def test_compare_mode(tmp_path, capsys):
 
 
 
-# -- compare's average run in a worker process -------------------------------
+# -- compare's full and average runs, one after the other in process ----------
 
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
@@ -268,7 +268,6 @@ def test_compare_csvs_match_in_process_runs(tmp_path):
     from esc_lab import EscParams, new_dither, quartic_cost, simulate_average, simulate_rmspesc
     from esc_lab.integrate import fit_step
 
-    # the worker rebuilds its run from the config values, --set overrides included
     assert main(["compare", "--config", "quartic_compare", "--set", "time.t1=5",
                  "--set", "init.theta=1.7", "--out", str(tmp_path / "cli")]) == 0
     assert_no_child_left()
@@ -296,8 +295,7 @@ def test_compare_csvs_match_in_process_runs(tmp_path):
     ("compare", "quartic_compare", "simulate_average", "clamp events: full 0, average 7"),
 ])
 def test_summary_reports_clamp_events(mode, config, driver, line, tmp_path, monkeypatch, capsys):
-    # the printed count is the run's Trajectory.clamp_events, here set to 7; in compare the
-    # patch reaches the worker only because Linux forks it
+    # the printed count is the run's Trajectory.clamp_events, here set to 7
     real = getattr(cli, driver)
     monkeypatch.setattr(cli, driver, lambda *args: replace(real(*args), clamp_events=7))
     assert main([mode, "--config", config, "--set", "time.t1=1", "--out", str(tmp_path)]) == 0
@@ -309,7 +307,6 @@ def test_compare_average_abort_exit_code_3(tmp_path, monkeypatch, capsys):
         raise NonFiniteStateError(1.5, np.array([[1.0, np.inf, 0.0], [2.0, 0.5, 0.0]]), 0,
                                   "init.xi=0")
 
-    # the patch reaches the worker only because Linux forks it
     monkeypatch.setattr(cli, "simulate_average", abort)
     args = ["compare", "--config", "quartic_compare", "--set", "time.t1=1", "--out", str(tmp_path)]
     assert main(args) == 3
@@ -332,18 +329,6 @@ def test_compare_full_abort_exits_promptly(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert "runtime abort: non-finite state at t=0.25" in capsys.readouterr().err
     assert_no_child_left()
-
-
-def test_compare_worker_that_dies_raises_broken_pool(tmp_path, monkeypatch):
-    from concurrent.futures.process import BrokenProcessPool
-
-    # the patch reaches the worker only because Linux forks it
-    monkeypatch.setattr(cli, "simulate_average", lambda *args: os._exit(1))
-    with pytest.raises(BrokenProcessPool):
-        main(["compare", "--config", "quartic_compare", "--set", "time.t1=1",
-              "--out", str(tmp_path)])
-    assert_no_child_left()
-    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_compare_full_abort_spares_the_callers_children(tmp_path, monkeypatch, capsys):
@@ -390,6 +375,31 @@ def test_lyapunov_run_leaves_numpy_ma_unimported(tmp_path):
         f"'--out', {str(tmp_path)!r}])\n"
         "assert code == 0, code\n"
         "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_compare_run_starts_no_process(tmp_path):
+    # compare runs its full loop and average system in this process: no process pool,
+    # so neither pool module is imported and no child is left to reap
+    script = (
+        "import os, sys\n"
+        "from esc_lab.cli import main\n"
+        f"code = main(['compare', '--config', 'quartic_compare', '--set', 'time.t1=1', "
+        f"'--out', {str(tmp_path)!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('compare left a child process')\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -1,4 +1,3 @@
-import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -87,17 +86,6 @@ def test_nonfinite_abort_names_first_batch_member():
     assert err.value.member is None
     assert str(err.value).startswith("non-finite state at t=")
 
-
-
-@pytest.mark.parametrize("member, name", [(None, None), (1, None), (0, "init.xi=y0")])
-def test_nonfinite_error_survives_pickling(member, name):
-    state = np.array([1.0, np.inf, 0.5]) if member is None else np.array([[0.0, 1.0], [np.nan, 2.0]])
-    err = NonFiniteStateError(0.75, state, member, name)
-    copy = pickle.loads(pickle.dumps(err))
-    assert type(copy) is NonFiniteStateError
-    assert str(copy) == str(err)
-    assert (copy.t, copy.member, copy.name) == (0.75, member, name)
-    np.testing.assert_array_equal(copy.state, state)
 
 def test_batched_clamp_counts_each_member():
     # member 0 is clamped on every step, member 1 never, member 2 from t = 0.5 on
