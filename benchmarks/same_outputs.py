@@ -3,16 +3,19 @@
 
 Exports PARENT_REF with ``git archive`` into a temporary directory, then runs
 every bundled config, seeds 0 and 3 of each benchmark workload
-(``perfbench/workloads.py``, imported read-only for its config text) and nine
+(``perfbench/workloads.py``, imported read-only for its config text) and eleven
 bundled configs with ``--set`` overrides (2-D and 3-D builtin costs in
 ``average``; a parsed cost in ``lyapunov``, whose equilibrium search starts at
 the origin and iterates; the plain-gradient baseline in ``simulate``; a
 2-D quadratic in ``lyapunov``, which builds the 2-D level-set oracle; a
 ``compare`` whose full and average runs start from a ``y0`` washout at an
-overridden initial theta; and, in ``average``, a parsed cost that is no
+overridden initial theta; in ``average``, a parsed cost that is no
 polynomial and a polynomial whose closed form would exceed the term cap, whose
 average systems run on the period quadrature where every other polynomial
-cost's runs on closed-form maps; no bundled config or workload has these) through
+cost's runs on closed-form maps; and in ``converge``, the quartic parsed once
+as a polynomial, whose exact gradient is read from its parse tree, and once
+with an exponent that has no degree by the syntax rule, whose gradient is
+taken by finite differences; no bundled config or workload has these) through
 ``python -m esc_lab.cli``, once from the parent's ``src`` and once from this
 checkout's, each run into its own output directory. The two trees run side
 by side, one process each. Every file either run wrote is compared byte for
@@ -63,6 +66,10 @@ OVERRIDE_RUNS = {    # label: (mode, bundled config, overrides)
         "cost.kind=expr", "cost.expr=theta1^2 + 1/(1 + theta1^2)", "time.t1=20"]),
     "polynomial over the term cap": ("average", "quartic_average", [
         "cost.kind=expr", "cost.expr=(theta1/2)^40 + (theta1 - 1)^2", "time.t1=20"]),
+    "parsed quartic, exact gradient": ("converge", "quartic_converge", [
+        "cost.kind=expr", "cost.expr=theta1^4/24", "converge.a0=0.08,0.01,0.001,0.0001"]),
+    "parsed quartic without a degree": ("converge", "quartic_converge", [
+        "cost.kind=expr", "cost.expr=theta1^(2 + 2)/24", "converge.a0=0.08,0.01,0.001,0.0001"]),
 }
 
 sys.path.insert(0, str(ROOT / "perfbench"))

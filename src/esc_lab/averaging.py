@@ -41,7 +41,7 @@ import numpy as np
 
 from .cost import CostFunction, grad_cost
 from .dynamics import _check_dims
-from .expressions import FloatCode, dither_expansion, polynomial_degree
+from .expressions import MAX_TERMS, FloatCode, dither_expansion, polynomial_degree
 from .integrate import nonneg
 from .signals import DitherConfig
 
@@ -194,15 +194,6 @@ def avg_maps(
     stacked reduction, then each sum divided by n_q.
     """
     return _as_maps(_map_sums(cost, quad)(theta_bar, xi_bar), quad)
-
-
-# The closed-form maps cost about one multiply-add per term, the quadrature
-# about one numpy call per operation of the cost's expression. Measured per rhs
-# call (BENCH_closedavg.json), dense 2-D to 8-D quadratics stay 3-4x faster in
-# closed form up to 435 terms, while (theta1 - 0.5)^d, whose expression is the
-# cheapest per term, breaks even near 380 terms (0.92x at 338, 1.22x at 502).
-# The cap sits below that earliest crossover.
-MAX_TERMS = 350
 
 
 def _sine_mean(rates: list[int], beta: tuple[int, ...]) -> float:

@@ -1,12 +1,14 @@
 """Cost functions: builtin families and gradients.
 
-A :class:`CostFunction` bundles a scalar field J with an optional analytic
-gradient and an optional known minimizer. Every cost's evaluator is compiled
-from its expression text by :func:`~esc_lab.expressions.compile_expression`:
-the builtins write their ``expr`` and compile it as :func:`parse_cost` does,
-so J has one evaluator. It is vectorized: it accepts arrays of shape (..., n)
-and returns shape (...). Each cost also has a row form for the full loop,
-which holds its members as rows of floats.
+A :class:`CostFunction` bundles a scalar field J with an optional known
+minimizer. Every cost's evaluator is compiled from its expression text by
+:func:`~esc_lab.expressions.compile_expression`: the builtins write their
+``expr`` and compile it as :func:`parse_cost` does, so J has one evaluator.
+It is vectorized: it accepts arrays of shape (..., n) and returns shape
+(...). Each cost also has a row form for the full loop, which holds its
+members as rows of floats. The gradient has one rule too
+(:func:`grad_cost`): exact from the expression's parse tree for a
+polynomial, central finite differences for any other cost.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expressions import compile_expression
+from .expressions import compile_expression, gradient
 
 __all__ = [
     "CostFunction",
@@ -49,7 +51,6 @@ class CostFunction:
 
     n: int
     f: Callable[[np.ndarray], np.ndarray]
-    grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     theta_star: Optional[np.ndarray] = None
     expr: Optional[str] = None
     f_rows: Optional[Callable[[Sequence[Sequence[float]], Sequence[float]], list[float]]] = None
@@ -82,13 +83,17 @@ def finite_difference_gradient(cost: CostFunction, theta: np.ndarray) -> np.ndar
 
 
 def grad_cost(cost: CostFunction, theta) -> np.ndarray:
-    """Gradient of J: analytic when available, otherwise central finite differences."""
+    """Gradient of J: exact where :func:`~esc_lab.expressions.gradient` reads one from
+    ``expr``; central finite differences for a cost without ``expr``, for one that is no
+    polynomial, and for one over the term cap.
+    """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.shape != (cost.n,):
         raise ValueError(f"expected parameter vector of length {cost.n}, got shape {theta.shape}")
-    if cost.grad is not None:
-        return np.asarray(cost.grad(theta), dtype=float)
-    return finite_difference_gradient(cost, theta)
+    exact = None if cost.expr is None else gradient(cost.expr, cost.n)
+    if exact is None:
+        return finite_difference_gradient(cost, theta)
+    return np.array(exact(theta.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +140,11 @@ def quadratic_cost(h, j_opt: float = 0.0, theta_star=None) -> CostFunction:
     if np.any(np.linalg.eigvalsh(hmat) <= 0.0):
         raise ValueError("curvature matrix must be positive definite")
 
-    def grad(x):
-        return (x - star) @ hmat
-
     d, rows = _offsets(star), hmat.tolist()
     products = " + ".join(f"({d[i]}*{rows[i][j]!r})*{d[j]}" for i in range(n) for j in range(n)
                           if rows[i][j] != 0.0)
     expr = f"{float(j_opt)!r} + 0.5*({products})"
-    return CostFunction(n=n, f=compile_expression(expr, n), grad=grad, theta_star=star, expr=expr)
+    return CostFunction(n=n, f=compile_expression(expr, n), theta_star=star, expr=expr)
 
 
 def quartic_cost() -> CostFunction:
@@ -155,9 +157,6 @@ def shifted_quartic_cost(theta_star) -> CostFunction:
     star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     _finite(theta_star=star)
     n = star.size
-
-    def grad(x):
-        return (x - star) ** 3 / 6.0
 
     # one power call, with f's scalar exponent, over |theta - theta*| of every
     # channel (outer) and row (inner); then each row summed left to right, as f sums
@@ -173,13 +172,13 @@ def shifted_quartic_cost(theta_star) -> CostFunction:
         return [a / 24.0 for a in total]
 
     expr = "(" + " + ".join(f"{d}^4" for d in _offsets(star)) + ") / 24"
-    return CostFunction(n=n, f=compile_expression(expr, n), grad=grad, theta_star=star,
-                        expr=expr, f_rows=f_rows)
+    return CostFunction(n=n, f=compile_expression(expr, n), theta_star=star, expr=expr,
+                        f_rows=f_rows)
 
 
 def parse_cost(expr: str, n: int) -> CostFunction:
     """Build a cost from an arithmetic expression over theta1..thetaN.
 
-    The gradient falls back to central finite differences.
+    Its gradient is :func:`grad_cost`'s, as for every builtin.
     """
     return CostFunction(n=n, f=compile_expression(expr, n), expr=expr)

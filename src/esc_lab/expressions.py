@@ -24,30 +24,44 @@ even integer literal raises the absolute value of its base: the value is the
 same, J is exactly even in that base, and numpy's ``power`` stays on its
 fast path, which a negative base leaves for a much slower scalar ``pow``
 call. Any other exponent uses plain ``power``, so odd powers keep their sign
-and a negative base to a non-integer power is NaN. Literals combine as
-Python floats, so a subexpression of literals that divides by zero is
-rejected when the expression is compiled.
+and a negative base to a non-integer power is NaN. An operation whose
+operands name no variable is folded to a Python float when the expression
+is compiled (a ``^`` through numpy's ``power``, by the same rule), so a
+subexpression of literals that divides by zero is rejected there.
 
 :func:`polynomial_degree` reads the same tree for the degree of the cost as a
 polynomial in theta, or None where the syntax shows none; the period
 quadrature sizes its node count from it. :func:`dither_expansion` folds the
 tree once more, into the polynomial that J(theta + a * sigma) is in the
 dither phases sigma, with each coefficient written as straight-line float
-code in theta (:class:`FloatCode`); the average system contracts it with
-the phases' period means.
+code in theta (:class:`FloatCode`). It has two callers: the average system
+contracts it with the phases' period means, and :func:`gradient` reads the
+coefficients of the first powers of sigma at unit amplitudes, which are
+exactly dJ/dtheta.
 """
 
 from __future__ import annotations
 
+import operator
 import re
+import struct
+from functools import lru_cache
 from math import isfinite
 
 import numpy as np
 
-__all__ = ["ExpressionError", "MAX_NESTING", "FloatCode", "compile_expression", "dither_expansion",
-           "polynomial_degree"]
+__all__ = ["ExpressionError", "MAX_NESTING", "MAX_TERMS", "FloatCode", "compile_expression",
+           "dither_expansion", "gradient", "polynomial_degree"]
 
 MAX_NESTING = 100
+
+# The closed-form maps cost about one multiply-add per term, the quadrature
+# about one numpy call per operation of the cost's expression. Measured per rhs
+# call (BENCH_closedavg.json), dense 2-D to 8-D quadratics stay 3-4x faster in
+# closed form up to 435 terms, while (theta1 - 0.5)^d, whose expression is the
+# cheapest per term, breaks even near 380 terms (0.92x at 338, 1.22x at 502).
+# The cap sits below that earliest crossover.
+MAX_TERMS = 350
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -181,11 +195,31 @@ class _Parser:
         raise ExpressionError("expected a number, variable, or '('", pos)
 
 
-_BINARY = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+_BINARY = {"add": ("+", operator.add), "sub": ("-", operator.sub),
+           "mul": ("*", operator.mul), "div": ("/", operator.truediv)}
 
 
 def _is_even_integer(node) -> bool:
     return node[0] == "const" and node[1].is_integer() and node[1] % 2 == 0
+
+
+def _fold_literals(node, values: list[float]) -> float:
+    """The operation ``node`` on operands that name no variable, as a Python float.
+
+    A ``^`` goes through numpy's ``power`` by the rule the compiled code
+    applies: of |base| under an even integer literal exponent.
+    """
+    op = node[0]
+    if op == "neg":
+        return -values[0]
+    if op == "pow":
+        base, exponent = values
+        with np.errstate(all="ignore"):
+            return float(np.power(abs(base) if _is_even_integer(node[2]) else base, exponent))
+    try:
+        return _BINARY[op][1](*values)
+    except ZeroDivisionError:
+        raise ValueError("a subexpression of literals divides by zero") from None
 
 
 def _fold(tree, visit):
@@ -212,32 +246,43 @@ def _fold(tree, visit):
 def _emit(tree):
     """Lower ``tree`` to straight-line Python: one assignment per distinct operation.
 
-    Returns (source, constants). Operands are evaluated left to right, so the
-    function makes the numpy calls a recursive walk of the tree would make, in
-    the same order, except that an operation already emitted is not emitted
-    again: each is keyed by its text (operator and operand names), each literal
-    by its ``repr``, and a repeat reuses the first one's name, so
+    Returns (source, constants). An operation whose operands name no variable
+    is folded to a Python float here (:func:`_fold_literals`), which raises
+    ValueError for a division by zero. Every other operand is evaluated left
+    to right, so the function makes the numpy calls a recursive walk of the
+    tree would make, in the same order, except that an operation already
+    emitted is not emitted again: each is keyed by its text (operator and
+    operand names), each literal by its bits (a folded NaN of either sign has
+    one repr), and a repeat reuses the first one's name, so
     ``(theta1 - 1)^2 + (theta1 - 1)^2`` makes one subtraction and one power.
-    The tree is walked by :func:`_fold`, so one of any depth is lowered without
-    Python recursion. A tree that names no variable returns its constant once
-    per point, shape (...). Literals are bound by name (``1e999`` has no source
-    form but ``inf``), and the code is flat, so the Python compiler sees no
-    nesting.
+    The tree is walked by :func:`_fold`, so one of any depth is lowered
+    without Python recursion. A tree that names no variable returns its
+    constant once per point, shape (...). Literals are bound by name
+    (``1e999`` has no source form but ``inf``), and the code is flat, so the
+    Python compiler sees no nesting.
     """
     lines: list[str] = []
     constants: dict[str, float] = {}
-    names: dict[str, str] = {}                # literal repr or operation text -> its name
+    names: dict = {}                          # literal bits or operation text -> its name
     variables: set[int] = set()
+
+    def name(operand) -> str:
+        if isinstance(operand, str):
+            return operand
+        key = names.setdefault(struct.pack("<d", operand), f"c{len(constants)}")
+        constants[key] = operand
+        return key
 
     def visit(node, operands):
         op = node[0]
         if op == "const":
-            name = names.setdefault(repr(node[1]), f"c{len(constants)}")
-            constants[name] = node[1]
-            return name
+            return node[1]
         if op == "var":
             variables.add(node[1])
             return f"x{node[1]}"
+        if not any(isinstance(v, str) for v in operands):
+            return _fold_literals(node, operands)
+        operands = [name(v) for v in operands]
         if op == "neg":
             expr = f"-{operands[0]}"
         elif op == "pow":
@@ -246,14 +291,13 @@ def _emit(tree):
                 base = f"absolute({base})"
             expr = f"power({base}, {operands[1]})"
         else:
-            expr = f"{operands[0]} {_BINARY[op]} {operands[1]}"
-        name = names.get(expr)
-        if name is None:
-            name = names[expr] = f"t{len(lines)}"
-            lines.append(f"    {name} = {expr}")
-        return name
+            expr = f"{operands[0]} {_BINARY[op][0]} {operands[1]}"
+        if expr not in names:
+            names[expr] = f"t{len(lines)}"
+            lines.append(f"    {names[expr]} = {expr}")
+        return names[expr]
 
-    result = _fold(tree, visit)
+    result = name(_fold(tree, visit))
     header = [f"    x{i} = x[..., {i}]" for i in sorted(variables)]
     if variables:
         value = f"asarray({result}, dtype=float)"
@@ -272,13 +316,7 @@ def compile_expression(text: str, n: int):
     namespace = {"asarray": np.asarray, "full": np.full, "absolute": np.abs, "power": np.power,
                  **constants}
     exec(compile(source, "<cost expression>", "exec"), namespace)
-    evaluate = namespace["evaluate"]
-    try:  # a subexpression of literals names no variable: any point evaluates it
-        with np.errstate(all="ignore"):
-            evaluate(np.zeros(n))
-    except ZeroDivisionError:
-        raise ValueError("a subexpression of literals divides by zero") from None
-    return evaluate
+    return namespace["evaluate"]
 
 
 def polynomial_degree(text: str, n: int) -> int | None:
@@ -449,7 +487,7 @@ def dither_expansion(text: str, n: int, amplitudes, code: FloatCode, max_terms: 
                     if (c := {key: w / divisor for key, w in d.items() if w / divisor != 0.0})}
         base, exponent = _constant(operands[0]), _constant(operands[1])
         if base is not None and exponent is not None:
-            value = float(np.power(base, exponent))
+            value = _fold_literals(node, [base, exponent])
             return {zero: {(): value}} if value != 0.0 else {}
         literal = node[2]
         if literal[0] != "const" or not literal[1].is_integer() or literal[1] < 0:
@@ -471,3 +509,22 @@ def dither_expansion(text: str, n: int, amplitudes, code: FloatCode, max_terms: 
         return poly if finite else None
 
     return _fold(_Parser(text, n).parse(), visit)
+
+
+@lru_cache(maxsize=None)
+def gradient(text: str, n: int):
+    """dJ/dtheta of the expression ``text`` as float code, or None; built once per (text, n).
+
+    The coefficient of sigma_i in :func:`dither_expansion` at unit amplitudes,
+    J(theta + sigma) = J(theta) + sum_i c_i(theta) sigma_i + ..., is exactly
+    dJ/dtheta_i for a polynomial. Returns a function that maps a list of n
+    floats to the list of the n partial derivatives, or None where the
+    expansion gives None: no polynomial, a weight that is not finite, or more
+    than :data:`MAX_TERMS` terms.
+    """
+    code = FloatCode()
+    poly = dither_expansion(text, n, [1.0] * n, code, MAX_TERMS)
+    if poly is None:
+        return None
+    firsts = [poly.get(tuple(int(j == i) for j in range(n)), {}) for i in range(n)]
+    return code.function(", ".join(f"x{i}" for i in range(n)) + ", = r", firsts)

@@ -7,7 +7,7 @@ rhs closure: :func:`esc_lab.dynamics.rmspesc_flat_rhs`,
 :func:`esc_lab.averaging.average_flat_rhs`. The full-loop closures serve
 every cost, builtin or parsed, on one path; the average system's closure
 evaluates closed-form maps, built once per run, for a polynomial cost within
-:data:`esc_lab.averaging.MAX_TERMS` terms, and the node sums of one
+:data:`esc_lab.expressions.MAX_TERMS` terms, and the node sums of one
 :class:`esc_lab.averaging.PeriodQuadrature` per run for any other.
 ``integrate_fixed`` validates the time span with
 :func:`esc_lab.integrate.step_grid`.

@@ -44,7 +44,7 @@ REMOVED = {
     cost: ["CostKernelSpec", "KERNEL_QUADRATIC", "KERNEL_QUARTIC", "Verdict", "AssumptionReport",
            "_grid_points", "_local_minima_mask", "_connected_components", "check_assumptions"],
     integrate: ["oscillation_step"],
-    cost.CostFunction: ["name"],
+    cost.CostFunction: ["name", "grad"],
     integrate.Trajectory: ["column", "label", "h", "record_stride"],
     signals.DitherConfig: ["phase_grid", "dither_matrix", "demod_matrix"],
     averaging.AverageMaps: ["n_q"],

@@ -193,13 +193,15 @@ def test_deep_expression_cost_exits_2(tmp_path, capsys):
     ("simulate", "quartic_fig1"),
 ])
 def test_literal_division_by_zero_exits_2(mode, config, tmp_path, capsys):
-    # the compiled cost divides literals as Python floats: this used to end in a traceback
-    code = main([mode, "--config", config, "--set", "cost.kind=expr",
-                 "--set", "cost.expr=theta1^4/24 + 1/(2-2)", "--out", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "cost.expr" in err and "divides by zero" in err
-    assert not list(tmp_path.iterdir())
+    # compiling folds literals to Python floats, a power of literals too, so a division
+    # of literals by zero is found before any run
+    for expr in ("theta1^4/24 + 1/(2-2)", "theta1^4/24 + 2^2/0"):
+        code = main([mode, "--config", config, "--set", "cost.kind=expr",
+                     "--set", f"cost.expr={expr}", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cost.expr" in err and "divides by zero" in err
+        assert not list(tmp_path.iterdir())
 
 
 def test_long_sum_expression_cost_runs(tmp_path, capsys):
@@ -229,6 +231,18 @@ def test_converge_mode_csv(tmp_path):
     assert cols[0] == [0.08, 0.04, 0.02, 0.01]
     errs = cols[1]
     assert errs[0] > errs[1] > errs[2] > errs[3]
+
+
+def test_parsed_quartic_converges_like_the_builtin(tmp_path):
+    # both read grad J exactly from the same parse tree, so the parsed cost's grad_error
+    # carries no finite-difference error, which at a0 = 1e-4 would be 12 % of it
+    a0 = ["--set", "converge.a0=0.08,0.01,0.001,0.0001"]
+    parsed = ["--set", "cost.kind=expr", "--set", "cost.expr=theta1^4/24"]
+    for name, sets in (("builtin", a0), ("parsed", a0 + parsed)):
+        assert main(["converge", "--config", "quartic_converge", *sets,
+                     "--out", str(tmp_path / name)]) == 0
+    csv = [(tmp_path / name / "converge.csv").read_bytes() for name in ("builtin", "parsed")]
+    assert csv[0] == csv[1]
 
 
 @pytest.mark.parametrize("key", ["converge.theta", "init.theta"])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from esc_lab import (
+    CostFunction,
     eval_cost,
     grad_cost,
     parse_cost,
@@ -207,10 +208,13 @@ def test_polynomial_degree(expr, degree):
     assert polynomial_degree(expr, 2) == degree
 
 
-@pytest.mark.parametrize("expr", [
+NON_POLYNOMIALS = [
     "theta1^0.5", "theta1^-2", "1/(1 + theta1^2)", "theta1 / theta2", "2^theta1",
     "theta1^theta2", "theta1^(1 + 1)", "theta1^0.5 * 0", "theta2 + (theta1^0.5)^2",
-])
+]
+
+
+@pytest.mark.parametrize("expr", NON_POLYNOMIALS)
 def test_non_polynomials_have_no_degree(expr):
     assert polynomial_degree(expr, 2) is None
 
@@ -228,10 +232,47 @@ def test_nesting_beyond_the_limit_is_rejected_with_its_position(opener, closer):
         parse_cost(nested(4 * MAX_NESTING), 1)
 
 
-def test_parsed_cost_uses_fd_gradient():
-    parsed = parse_cost("theta1^4 / 24", 1)
-    assert parsed.grad is None
-    assert grad_cost(parsed, [2.0]) == pytest.approx([2.0**3 / 6.0], abs=1e-6)
+def test_parsed_polynomial_gets_the_builtins_exact_gradient():
+    parsed = grad_cost(parse_cost("theta1^4 / 24", 1), [2.0])
+    assert parsed.tobytes() == grad_cost(quartic_cost(), [2.0]).tobytes()
+    assert parsed.tolist() == [2.0**3 / 6.0]
+
+
+def test_builtin_gradients_match_their_closed_forms():
+    # the closed forms the builtins once carried as hand-written gradients
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3):
+        for _ in range(20):
+            a = rng.uniform(-2, 2, (n, n))
+            hmat, star = a @ a.T + 0.1 * np.eye(n), rng.uniform(-2, 2, n)
+            quadratic, quartic = quadratic_cost(hmat, 1.0, star), shifted_quartic_cost(star)
+            theta = rng.uniform(-3, 3, n)
+            d = theta - star
+            for cost, want, scale in ((quadratic, d @ hmat, np.abs(d) @ np.abs(hmat)),
+                                      (quartic, d**3 / 6.0, np.abs(d) ** 3 / 6.0)):
+                assert np.all(np.abs(grad_cost(cost, theta) - want) <= 1e-14 * scale), cost.expr
+
+
+@pytest.mark.parametrize("expr", NON_POLYNOMIALS + ["(theta1 - 0.5)^400"])   # one over the cap
+def test_gradient_falls_back_to_finite_differences(expr):
+    cost, theta = parse_cost(expr, 2), np.array([1.5, 0.75])
+    with np.errstate(all="ignore"):
+        assert grad_cost(cost, theta).tobytes() == finite_difference_gradient(cost, theta).tobytes()
+
+
+def test_cost_without_expr_gets_finite_differences():
+    quartic = quartic_cost()
+    bare, theta = CostFunction(n=1, f=quartic.f), np.array([0.7])
+    assert grad_cost(bare, theta).tobytes() == finite_difference_gradient(quartic, theta).tobytes()
+
+
+def test_folded_nans_keep_their_sign_bits():
+    # (-1)^0.5 folds to a NaN, and its negation to a NaN of the other sign with the same
+    # repr; the second drops out under ^0, so J is theta1 plus the first, sign bit and all
+    with np.errstate(invalid="ignore"):
+        j = parse_cost("(theta1 + -((-1)^0.5)) * ((-1)^0.5 + theta1)^0", 1).f([[0.0]])
+        want = np.array([0.0]) + -float(np.power(-1.0, 0.5))
+    assert j.tobytes() == want.tobytes()
 
 
 def test_overflowing_literal_is_infinite():

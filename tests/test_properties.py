@@ -123,8 +123,11 @@ def walk(node, x):
     if op != "pow":
         return _BINARY[op][1](a, b)
     if node[2][0] == "const" and node[2][1] % 2 == 0:
-        return np.power(np.abs(a), b)      # an even integer literal exponent raises |base|
-    return np.power(a, b)
+        value = np.power(np.abs(a), b)     # an even integer literal exponent raises |base|
+    else:
+        value = np.power(a, b)
+    # a power of two literals folds to a Python float, as compiling folds it
+    return float(value) if type(a) is float and type(b) is float else value
 
 
 def _outcome(evaluate, x):
@@ -135,8 +138,9 @@ def _outcome(evaluate, x):
 def _parsed(tree, n):
     """parse_cost of the rendered tree, or None where building rejects it.
 
-    The walk divides literals as Python floats, so a literal divided by a literal
-    zero raises ZeroDivisionError at any point; building must reject exactly those.
+    The walk combines literals as Python floats, so a literal-only subtree divided
+    by a literal-only zero raises ZeroDivisionError at any point; building must
+    reject exactly those.
     """
     try:
         _outcome(lambda pts: walk(tree, pts), np.zeros(n))
