@@ -20,8 +20,9 @@ rows time:
   temporary directory;
 * ``sweep_rows``, ``sweep_stacked``: the quartic at the 3 member rows of a
   fig1 batch, per call, as the full loop measures it each rhs stage:
-  through the cost's row form (``CostFunction.f_rows``), and through ``f``
-  on the stacked points (the row form a cost without one gets);
+  through the row form of its ``f`` (``esc_lab.cost.row_form``; a tree
+  without it, the cost's ``f_rows``), and through ``f`` on the stacked
+  points (the row form of an ``f`` that carries none);
 * ``cost_point``, ``cost_sweep``, ``rhs_expr2d``: the 2-D expression of the
   ``compare_expr2d`` benchmark workload evaluated on one (2,) point and on
   the (n_q + 1, 2) array one quadrature rhs call sweeps (n_q = 21 at dither
@@ -212,13 +213,17 @@ class Rows:
     def sweep_rows(self):
         rows = self.batch(3).tolist()
         shift = el.dither_value(self.dither, 0.1).tolist()
-        return ("quartic sweep, 3 rows, row form", repeat(self.cost.f_rows, rows, shift),
-                (CALLS, "call"))
+        row_form = getattr(el.cost, "row_form", None)
+        measure = row_form(self.cost.f) if row_form else self.cost.f_rows
+        return ("quartic sweep, 3 rows, row form", repeat(measure, rows, shift), (CALLS, "call"))
 
     def sweep_stacked(self):
         rows = self.batch(3).tolist()
         shift = el.dither_value(self.dither, 0.1).tolist()
-        stacked = el.CostFunction(self.cost.n, self.cost.f).f_rows
+        f = self.cost.f
+
+        def stacked(rows, shift):   # what the row form of an f without one runs
+            return f(np.array([[x + s for x, s in zip(r, shift)] for r in rows])).tolist()
         return ("quartic sweep, 3 rows, f stacked", repeat(stacked, rows, shift), (CALLS, "call"))
 
     def cost_point(self):

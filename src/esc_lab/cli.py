@@ -32,14 +32,16 @@ abort of the full run is reported before the average run starts.
 Exit codes: 0 success, 2 configuration/validation error (including cost,
 dither and gains of different dimensions in a trajectory mode: simulate,
 average, compare or lyapunov; a non-finite number in a list setting, a gain,
-cost.j_opt or init.xi; a step size that does not divide the time span or
-time.sample_dt, or that exceeds 2.5 / max(omega_l, omega_xi); a time span of
-more than MAX_STEPS = 1e8 RK4 steps of the largest step the settings allow; a
-lyapunov search box on which J or an averaged filter target is not finite; two
-init.xi entries that would write the same CSV name; more than one init.xi
-entry in average, compare or lyapunov mode; and a quadratic report given
-more than one curvature or amplitude), 3 runtime abort (non-finite state, or
-an equilibrium search that stalls or outruns the dither's resolution).
+cost.j_opt or init.xi; a step size that does not divide time.sample_dt, or
+that exceeds 2.5 / max(omega_l, omega_xi); a time.t1 that the step of a grid
+the mode runs (compare's average grid too) does not divide, or of more than
+MAX_STEPS = 1e8 RK4 steps of the largest step allowed, each found before any
+run and named with the keys that set the step; a lyapunov search box on
+which J or an averaged filter target is not finite; two init.xi entries that
+would write the same CSV name; more than one init.xi entry in average,
+compare or lyapunov mode; and a quadratic report given more than one
+curvature or amplitude), 3 runtime abort (non-finite state, or an
+equilibrium search that stalls or outruns the dither's resolution).
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .averaging import ConvergenceError, convergence_sweep, equilibrium
 from .config import MODES, ConfigError, ExperimentConfig, apply_overrides, load_config
 from .cost import CostFunction
 from .dynamics import EscParams
-from .integrate import NonFiniteStateError, Trajectory, fit_step
+from .integrate import NonFiniteStateError, Trajectory, fit_step, step_grid
 from .lyapunov import LevelSetOracle, LevelSpec, monitor_descent
 from .plotting import PlotError, emit_plot
 from .quadratic import QuadraticModel, quad_jacobian
@@ -107,18 +109,23 @@ def _gain_step(params: EscParams) -> tuple[float, str]:
 MAX_STEPS = 10**8
 
 
-def _check_steps(t1: float, h_max: float, keys: str) -> None:
-    """Reject a span of more than MAX_STEPS steps of the largest step ``h_max``."""
+def _check_grid(grid: tuple[float, float, int], key: str, h_max: float, keys: str):
+    """``grid`` = (t1, h, stride) if a run takes it: at most MAX_STEPS steps of the largest
+    step ``h_max`` (bounded by ``keys``), and h (set by ``key``) dividing t1 as step_grid asks."""
+    t1, h, _ = grid
     if not t1 <= MAX_STEPS * h_max:     # also an h_max that underflowed to 0
         raise ConfigError(f"field 'time.t1' = {t1:.6g} takes more than {MAX_STEPS:.0e} RK4 "
                           f"steps of h <= {h_max:.6g}, bounded by {keys}")
+    try:
+        step_grid(0.0, *grid)
+    except ValueError:
+        raise ConfigError(f"field 'time.t1' = {t1:.6g}: the RK4 step h = {h:.6g}, set by "
+                          f"{key}, does not divide the span [0, {t1:.6g}]") from None
+    return grid
 
 
 def _time_grid(cfg: ExperimentConfig, params: EscParams, dither: DitherConfig, oscillatory: bool):
-    """Runs start at t = 0; returns (t1, h, record stride).
-
-    Rejects a span of more than MAX_STEPS steps, naming the keys that set the step.
-    """
+    """Runs start at t = 0; returns (t1, h, record stride), checked by :func:`_check_grid`."""
     t1 = cfg.number("time.t1")
     if not 0 < t1 < np.inf:
         raise ConfigError("field 'time.t1' must be positive and finite")
@@ -137,13 +144,11 @@ def _time_grid(cfg: ExperimentConfig, params: EscParams, dither: DitherConfig, o
         if h > h_gain:
             raise ConfigError(f"field 'time.h' = {h:.6g} exceeds 2.5 / {gain_name} = {h_gain:.6g}; "
                               "RK4 is unstable for the filters beyond that step")
-        _check_steps(t1, h, "time.h")
-        return t1, h, stride
+        return _check_grid((t1, h, stride), "time.h", h, "time.h")
     h_max, keys = min((dither.max_step, "dither.omega and dither.rates")
                       if oscillatory else (0.01, "the average system's 0.01 cap"),
                       (h_gain, gain_name), (sample_dt, "time.sample_dt"))
-    _check_steps(t1, h_max, keys)
-    return (t1, *fit_step(sample_dt, h_max))
+    return _check_grid((t1, *fit_step(sample_dt, h_max)), "time.sample_dt", h_max, keys)
 
 
 @dataclass(frozen=True)
@@ -251,9 +256,10 @@ def _mode_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
     cost, state0 = run.cost, run.state0(run.washout[1])
     t1, h, stride = run.grid
     # the average system at the full loop's sample times, stepped at most a
-    # quarter sample apart and within the gain step
-    sample_dt = h * stride
+    # quarter sample apart and within the gain step; checked before either run
+    sample_dt, key = h * stride, "time.sample_dt for the average system"
     avg_grid = (t1, *fit_step(sample_dt, min(sample_dt / 4, _gain_step(run.params)[0])))
+    _check_grid(avg_grid, key, avg_grid[1], key)
     full = simulate_rmspesc(*run.system, state0, *run.grid)
     avg = simulate_average(*run.system, state0, *avg_grid)
     if len(full.times) != len(avg.times) or not np.allclose(full.times, avg.times, atol=1e-9):

@@ -5,16 +5,16 @@ minimizer. Every cost's evaluator is compiled from its expression text by
 :func:`~esc_lab.expressions.compile_expression`: the builtins write their
 ``expr`` and compile it as :func:`parse_cost` does, so J has one evaluator.
 It is vectorized: it accepts arrays of shape (..., n) and returns shape
-(...). Each cost also has a row form for the full loop, which holds its
-members as rows of floats. The gradient has one rule too
-(:func:`grad_cost`): exact from the expression's parse tree for a
+(...). The full loop, which holds its members as rows of floats, measures J
+through :func:`row_form`, derived from that evaluator. The gradient has one
+rule too (:func:`grad_cost`): exact from the expression's parse tree for a
 polynomial, central finite differences for any other cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,40 +29,30 @@ __all__ = [
     "grad_cost",
     "finite_difference_gradient",
     "parse_cost",
+    "row_form",
 ]
 
 @dataclass(frozen=True)
 class CostFunction:
-    """J on arrays (``f``), on member rows (``f_rows``), and what is known of it.
-
-    ``f`` is ``compile_expression(expr, n)`` for every builtin and parsed cost.
-
-    ``f_rows(rows, shift)`` takes member rows, sequences of floats whose first
-    n entries are theta, and n dither shifts; it returns one J value per row,
-    equal bit for bit to ``f(np.array(points)).tolist()`` for the points
-    ``[x + s for x, s in zip(row, shift)]``. A builder that gives no row form
-    gets exactly that expression. :func:`shifted_quartic_cost` gives float
-    code with one numpy power call instead: at the full loop's few rows of few
-    floats, a numpy call's fixed cost exceeds its arithmetic. Its bit equality
-    rests on numpy's power rounding an element the same wherever it sits in
-    the array; that holds on the numpy builds and CPUs the tests ran on, and
-    ``tests/test_properties.py`` is the guard for any other.
-    """
+    """J on arrays (``f``, ``compile_expression(expr, n)`` for every builtin and parsed
+    cost) and what is known of it."""
 
     n: int
     f: Callable[[np.ndarray], np.ndarray]
     theta_star: Optional[np.ndarray] = None
     expr: Optional[str] = None
-    f_rows: Optional[Callable[[Sequence[Sequence[float]], Sequence[float]], list[float]]] = None
 
-    def __post_init__(self):
-        if self.f_rows is None:
-            f = self.f
 
-            def f_rows(rows, shift):
-                return f(np.array([[x + s for x, s in zip(r, shift)] for r in rows])).tolist()
+def row_form(f: Callable[[np.ndarray], np.ndarray]):
+    """J on member rows: ``rows(rows, shift)`` takes rows of floats whose first n entries
+    are theta, and n dither shifts, and returns ``f(np.array(points)).tolist()`` for the
+    points ``[x + s for x, s in zip(row, shift)]``: that expression, or the row form ``f``
+    carries as ``f.rows``, equal to it bit for bit (``functools.wraps`` copies it)."""
 
-            object.__setattr__(self, "f_rows", f_rows)
+    def stacked(rows, shift):
+        return f(np.array([[x + s for x, s in zip(r, shift)] for r in rows])).tolist()
+
+    return getattr(f, "rows", stacked)
 
 
 def eval_cost(cost: CostFunction, theta) -> float:
@@ -158,11 +148,14 @@ def shifted_quartic_cost(theta_star) -> CostFunction:
     _finite(theta_star=star)
     n = star.size
 
-    # one power call, with f's scalar exponent, over |theta - theta*| of every
-    # channel (outer) and row (inner); then each row summed left to right, as f sums
+    # f's row form (see row_form): at the full loop's few rows a numpy call costs more than
+    # its arithmetic, so one power call, with f's scalar exponent, over |theta - theta*| of
+    # every channel (outer) and row (inner); then each row summed left to right, as f sums.
+    # Bit equality rests on numpy's power rounding an element alike wherever it sits in the
+    # array; tests/test_properties.py guards it
     channels, star_list = range(n), star.tolist()
 
-    def f_rows(rows, shift):
+    def rows_j(rows, shift):
         powers = np.power([abs(r[i] + s - c) for i, s, c in zip(channels, shift, star_list)
                            for r in rows], 4.0).tolist()
         b = len(rows)
@@ -172,8 +165,9 @@ def shifted_quartic_cost(theta_star) -> CostFunction:
         return [a / 24.0 for a in total]
 
     expr = "(" + " + ".join(f"{d}^4" for d in _offsets(star)) + ") / 24"
-    return CostFunction(n=n, f=compile_expression(expr, n), theta_star=star, expr=expr,
-                        f_rows=f_rows)
+    f = compile_expression(expr, n)
+    f.rows = rows_j
+    return CostFunction(n=n, f=f, theta_star=star, expr=expr)
 
 
 def parse_cost(expr: str, n: int) -> CostFunction:

@@ -15,9 +15,9 @@ Flat state layout used by the integrator: ``[theta_hat (n), v_hat (n), xi]``
 for the RMSp loop and ``[theta_hat (n), xi]`` for the baseline. The closures
 follow :func:`esc_lab.integrate.integrate_fixed`'s row contract: they map a
 list of B member rows, each a list of d floats, to B derivative rows. Each
-call measures J at the members' points through the cost's row form
-(``CostFunction.f_rows``: one numpy power call for the quartic, one cost sweep
-over the stacked points for any other cost) and does the per-channel
+call measures J at the members' points through :func:`esc_lab.cost.row_form`
+of the cost's ``f`` (one numpy power call for the quartic, one sweep of ``f``
+over the stacked points for any other ``f``) and does the per-channel
 arithmetic in floats. The dither phase comes from ``math.sin``, once per
 distinct time (RK4's two midpoint stages share one). The outputs equal those
 of :func:`esc_lab.signals.dither_value`'s ``np.sin`` only while the two round
@@ -33,7 +33,7 @@ from math import sin, sqrt
 
 import numpy as np
 
-from .cost import CostFunction
+from .cost import CostFunction, row_form
 from .signals import DitherConfig
 
 __all__ = ["EscParams", "rmspesc_flat_rhs", "gesc_flat_rhs"]
@@ -102,12 +102,12 @@ def rmspesc_flat_rhs(params: EscParams, cost: CostFunction, dither: DitherConfig
     n = params.n
     neg_k, eps, wxi = -float(params.k), float(params.epsilon), float(params.omega_xi)
     wl = params.omega_l.tolist()
-    phase, f_rows = _phase(dither), cost.f_rows
+    phase, j_rows = _phase(dither), row_form(cost.f)
 
     def rhs(t: float, rows: list[list[float]]) -> list[list[float]]:
         shift, weight = phase(t)
         out = []
-        for r, j in zip(rows, f_rows(rows, shift)):
+        for r, j in zip(rows, j_rows(rows, shift)):
             err = j - r[2 * n]                   # measurement less washout
             d_theta, d_v = [], []
             for w, x, l in zip(weight, r[n : 2 * n], wl):
@@ -128,12 +128,12 @@ def gesc_flat_rhs(params: EscParams, cost: CostFunction, dither: DitherConfig):
     _check_dims(params, cost, dither)
     n = params.n
     neg_k, wxi = -float(params.k), float(params.omega_xi)
-    phase, f_rows = _phase(dither), cost.f_rows
+    phase, j_rows = _phase(dither), row_form(cost.f)
 
     def rhs(t: float, rows: list[list[float]]) -> list[list[float]]:
         shift, weight = phase(t)
         out = []
-        for r, j in zip(rows, f_rows(rows, shift)):
+        for r, j in zip(rows, j_rows(rows, shift)):
             err = j - r[n]
             row = [neg_k * (w * err) for w in weight]
             row.append(wxi * err)

@@ -44,7 +44,7 @@ REMOVED = {
     cost: ["CostKernelSpec", "KERNEL_QUADRATIC", "KERNEL_QUARTIC", "Verdict", "AssumptionReport",
            "_grid_points", "_local_minima_mask", "_connected_components", "check_assumptions"],
     integrate: ["oscillation_step"],
-    cost.CostFunction: ["name", "grad"],
+    cost.CostFunction: ["name", "grad", "f_rows", "__post_init__"],
     integrate.Trajectory: ["column", "label", "h", "record_stride"],
     signals.DitherConfig: ["phase_grid", "dither_matrix", "demod_matrix"],
     averaging.AverageMaps: ["n_q"],
@@ -139,6 +139,11 @@ def test_emit_computes_a_repeated_operation_once():
 def test_kernel_module_is_gone():
     assert importlib.util.find_spec("esc_lab._kernels") is None
     assert "kernel" not in {f.name for f in fields(cost.CostFunction)}
+
+
+def test_cost_function_fields():
+    # a plain record: the full loop derives its row form from f (cost.row_form)
+    assert [f.name for f in fields(cost.CostFunction)] == ["n", "f", "theta_star", "expr"]
 
 
 def test_level_spec_fields():

@@ -641,6 +641,25 @@ def test_step_not_dividing_span_exit_code_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("mode, config, t1, h", [
+    ("simulate", "quartic_fig1", "1", "0.015"),
+    # the full loop's h = 0.015 divides 20.01, the average system's h = 0.075 does not
+    ("compare", "quartic_compare", "20.01", "0.075"),
+])
+def test_grid_checked_before_any_run(mode, config, t1, h, tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a driver ran")
+    monkeypatch.setattr(cli, "simulate_rmspesc", no_run)
+    code = main([mode, "--config", config, "--set", "time.sample_dt=0.3",
+                 "--set", f"time.t1={t1}", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: field 'time.t1' = {t1}: the RK4 step h = {h}, set by time.sample_dt"
+        f"{' for the average system' if mode == 'compare' else ''}, does not divide the span "
+        f"[0, {t1}]\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_step_not_dividing_sample_dt_exit_code_2(tmp_path, capsys):
     # h = 0.03 divides t1 = 0.6 but not sample_dt = 0.05: samples would land on 0.06, 0.12, ...
     code = main([

@@ -1,3 +1,6 @@
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from esc_lab import (
     quartic_cost,
     shifted_quartic_cost,
 )
-from esc_lab.cost import _offsets, finite_difference_gradient
+from esc_lab.cost import _offsets, finite_difference_gradient, row_form
 from esc_lab.expressions import MAX_NESTING, ExpressionError, polynomial_degree
 
 
@@ -305,3 +308,16 @@ def test_even_power_of_negated_point_is_identical():
     cost = parse_cost("theta1^4 + 2*theta2^4 + theta1^2*theta2^2 + 0.5*(theta1 - theta2)^2", 2)
     x = np.random.default_rng(4).uniform(-3, 3, (200, 2))
     assert np.array_equal(cost.f(-x), cost.f(x))
+
+
+def test_row_form_travels_with_f():
+    # the quartic's row form is f's own: a record copy and a functools.wraps wrapper keep
+    # it, and any other f, a plain wrapper of the quartic's f included, gets f stacked
+    quartic = shifted_quartic_cost([0.5, -1.0])
+    f, rows, shift = quartic.f, [[1.0, 2.0, 0.3], [-0.2, 0.4, 0.0]], [0.01, -0.02]
+    assert row_form(f) is f.rows
+    assert row_form(replace(quartic, expr=None).f) is f.rows
+    assert row_form(functools.wraps(f)(lambda x: f(x))) is f.rows
+    stacked = row_form(lambda x: f(x))
+    assert stacked is not f.rows and stacked(rows, shift) == f.rows(rows, shift)
+    assert not hasattr(parse_cost("theta1^4", 1).f, "rows")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,9 @@ from esc_lab import (
     EscParams,
     PeriodQuadrature,
     avg_maps,
+    dither_value,
     new_dither,
+    parse_cost,
     quadratic_cost,
     quartic_cost,
     shifted_quartic_cost,
@@ -184,3 +188,24 @@ def test_full_loop_stage_numpy_calls(build, monkeypatch):
             seen.clear()
             rhs(t, member_rows)
             assert seen == ["power"], (make.__name__, t)
+
+
+@pytest.mark.parametrize("build", [lambda: parse_cost("theta1^2 + theta1*theta2", 2),
+                                   lambda: shifted_quartic_cost([0.5, -1.0])])
+def test_replaced_f_is_what_the_loop_measures(build):
+    # the loop knows J only through its measurements: a cost whose f is replaced
+    # must feed the rhs the new J, whatever row form the old f had
+    cost = build()
+
+    def g(x):
+        return cost.f(x) + 1.0
+
+    replaced = replace(cost, f=g)
+    dither = new_dither([0.02, 0.03], [1, 2], 10.0)
+    params = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25, 0.25], omega_xi=0.7)
+    t, theta, xi = 0.1, [1.0, -0.4], 0.3
+    want = 0.7 * (float(g(np.array(theta) + dither_value(dither, t))) - xi)
+    got_rmsp = rmspesc_flat_rhs(params, replaced, dither)(t, [[*theta, 0.8, 0.8, xi]])[0][-1]
+    got_gesc = gesc_flat_rhs(params, replaced, dither)(t, [[*theta, xi]])[0][-1]
+    assert got_rmsp == pytest.approx(want, rel=1e-12)
+    assert got_gesc == pytest.approx(want, rel=1e-12)

@@ -22,6 +22,7 @@ from esc_lab import (
     simulate_gesc,
     simulate_rmspesc,
 )
+from esc_lab.cost import row_form
 from esc_lab.dynamics import _phase
 
 coords = st.floats(-3.0, 3.0)
@@ -269,7 +270,7 @@ def _same_as_f(cost, rows, shift):
     points = np.array([[x + s for x, s in zip(r, shift)] for r in rows])
     want = _outcome(cost.f, points)
     with np.errstate(all="ignore"):
-        got = cost.f_rows(rows, shift)
+        got = row_form(cost.f)(rows, shift)
     assert type(got) is list and all(type(v) is float for v in got)
     assert np.array(got).tobytes() == want.tobytes(), (cost.expr, rows, shift)
 
