@@ -18,11 +18,15 @@ rows time:
 * ``csv``: the closed-loop trajectory recorded every 0.01 s (10,001 rows at
   t1 = 100) written with ``esc_lab.cli.write_trajectory_csv`` into a
   temporary directory;
+* ``stepper_build``: what a fig1 run of 3 members builds before its first
+  step: the emitted RK4 loop, compiled (``esc_lab.integrate._loop``; a tree
+  without it, the rmspesc rhs closure);
 * ``sweep_rows``, ``sweep_stacked``: the quartic at the 3 member rows of a
-  fig1 batch, per call, as the full loop measures it each rhs stage:
-  through the row form of its ``f`` (``esc_lab.cost.row_form``; a tree
-  without it, the cost's ``f_rows``), and through ``f`` on the stacked
-  points (the row form of an ``f`` that carries none);
+  fig1 batch, per call, as the full loop measures it each stage: through
+  the scalar form its ``f`` carries, compiled on its own from the lines the
+  loop inlines (``esc_lab.dynamics._measure``; a tree without it, the row
+  form ``esc_lab.cost.row_form`` or the cost's ``f_rows``), and through
+  ``f`` on the stacked points (what an ``f`` without a scalar form gets);
 * ``cost_point``, ``cost_sweep``, ``rhs_expr2d``: the 2-D expression of the
   ``compare_expr2d`` benchmark workload evaluated on one (2,) point and on
   the (n_q + 1, 2) array one quadrature rhs call sweeps (n_q = 21 at dither
@@ -33,20 +37,22 @@ rows time:
   end to end, config loading and CSV writing included; and its average run
   alone: ``simulate_average`` on the run ``esc_lab.cli._setup`` builds, at
   compare's average-system grid;
-* ``dense{2..8}``: the average rhs of a dense n-D quadratic (theta* != 0,
-  rates 1..n), per call, with the closed-form term cap
-  (``esc_lab.averaging.MAX_TERMS``) lifted where the tree has one, so the
-  closed form runs at every n; the label gives its term count and the node
-  count of the quadrature; ``power{16,24,28,32,40}``: the same for the 1-D
-  cost (theta1 - 0.5)^d, whose quadrature makes the fewest numpy calls per
-  term of its closed form. Against a tree without the closed form, each of
-  these ratios is closed form over quadrature, and the term count where it
+* ``dense{2..8}``: a short average run (250 RK4 steps, 1,000 stages) of a
+  dense n-D quadratic (theta* != 0, rates 1..n), its build included, with
+  the closed-form term cap (``esc_lab.averaging.MAX_TERMS``) lifted where
+  the tree has one, so the closed form runs at every n; the label gives its
+  term count, the node count of the quadrature and, on a tree with the
+  emitted stepper, the time of the build alone; ``power{16,24,28,32,40}``:
+  the same for the 1-D cost (theta1 - 0.5)^d, whose quadrature makes the
+  fewest numpy calls per term of its closed form; ``quad_dense{2..8}`` and
+  ``quad_power{...}``: the same runs on the period quadrature
+  (``_closed_form_maps`` patched to give none). Each ratio of a row to its
+  ``quad_`` row is closed form over quadrature, and the term count where it
   crosses 1 sets the cap;
-* ``fallback_dense8``, ``fallback_power40``: the average rhs of the dense 8-D
-  quadratic and of (theta1/2)^40 + (theta1 - 1)^2, both over the term cap,
-  built and then called 1,000 times, the rhs work of a short average run:
-  against a tree without the closed form, the ratio is what trying the
-  closed form and giving up adds to such a run.
+* ``fallback_dense8``, ``fallback_power40``: the same short run of the dense
+  8-D quadratic and of (theta1/2)^40 + (theta1 - 1)^2, both over the term
+  cap, at the cap the tree has: against a tree without the closed form, the
+  ratio is what trying the closed form and giving up adds to such a run.
 
 The batch rows add their cost per member-step, the radius and monitor rows
 per sample, the per-call rows per call. Labels print the node and term
@@ -108,8 +114,10 @@ from run import REFERENCE_S, calibration_s  # noqa: E402
 from workloads import WORKLOADS, config_text  # noqa: E402
 
 # the integrator path every trajectory row below runs through
-PATH = "esc_lab.integrate.integrate_fixed: one RK4 loop over member rows of Python floats"
-CALLS = 1000          # calls per timing of a per-call row
+PATH = ("esc_lab.integrate.integrate: one RK4 loop per run, emitted as straight-line code over "
+        "scalar floats from the system's spec")
+CALLS = 1000          # calls per timing of a per-call row, and stages of a short average run
+BUILDS = 100          # builds per timing of stepper_build
 BATCHES = (1, 3, 16, 64)
 DENSE = range(2, 9)
 POWERS = (16, 24, 28, 32, 40)
@@ -131,9 +139,9 @@ def fmt(stats):
     return f"{med:9.1f} ms [{q1:.1f}, {q3:.1f}]"
 
 
-def repeat(fn, *args):
+def repeat(fn, *args, times=CALLS):
     def run():
-        for _ in range(CALLS):
+        for _ in range(times):
             fn(*args)
     return run
 
@@ -159,14 +167,16 @@ class Rows:
 
     def keys(self):
         return (["loop", *(f"loop_b{b}" for b in BATCHES), "baseline", "average",
-                 *(f"average_b{b}" for b in BATCHES), "sweep_rows", "sweep_stacked",
+                 *(f"average_b{b}" for b in BATCHES), "stepper_build", "sweep_rows",
+                 "sweep_stacked",
                  "cost_point", "cost_sweep", "rhs_expr2d", "rhs_quartic", "oracle", "radius_xi",
                  "radius_v1", "monitor", "csv", "compare", "compare_average",
-                 *(f"dense{n}" for n in DENSE),
-                 *(f"power{d}" for d in POWERS), "fallback_dense8", "fallback_power40"])
+                 *(f"dense{n}" for n in DENSE), *(f"quad_dense{n}" for n in DENSE),
+                 *(f"power{d}" for d in POWERS), *(f"quad_power{d}" for d in POWERS),
+                 "fallback_dense8", "fallback_power40"])
 
     def build(self, key):
-        for prefix in ("loop_b", "average_b", "dense", "power"):
+        for prefix in ("loop_b", "average_b", "quad_dense", "quad_power", "dense", "power"):
             if key.startswith(prefix):
                 return getattr(self, prefix)(int(key[len(prefix):]))
         return getattr(self, key)()
@@ -208,14 +218,39 @@ class Rows:
                                             self.avg_t1, 0.0125, 4),
                 (size * self.avg_steps, "member-step"))
 
-    # -- cost evaluations and rhs calls --------------------------------------
+    # -- cost evaluations, rhs calls and builds --------------------------------
+
+    def stepper_build(self):
+        states, integrate = self.batch(3), el.integrate
+        if hasattr(integrate, "_loop"):
+            system = el.dynamics.rmspesc_system(self.params, self.cost, self.dither)
+
+            def build():
+                integrate._compile(system, integrate._loop(system, len(states)), "loop",
+                                   nonfinite=None)
+            return ("stepper build, fig1 loop of 3 members", repeat(build, times=BUILDS),
+                    (BUILDS, "build"))
+        return ("rhs build, fig1 loop", repeat(el.dynamics.rmspesc_flat_rhs, self.params,
+                                               self.cost, self.dither, times=BUILDS),
+                (BUILDS, "build"))
 
     def sweep_rows(self):
         rows = self.batch(3).tolist()
         shift = el.dither_value(self.dither, 0.1).tolist()
-        row_form = getattr(el.cost, "row_form", None)
-        measure = row_form(self.cost.f) if row_form else self.cost.f_rows
-        return ("quartic sweep, 3 rows, row form", repeat(measure, rows, shift), (CALLS, "call"))
+        measure = getattr(el.dynamics, "_measure", None)
+        if measure is None:
+            row_form = getattr(el.cost, "row_form", None)
+            measure = row_form(self.cost.f) if row_form else self.cost.f_rows
+            return ("quartic sweep, 3 rows, row form", repeat(measure, rows, shift),
+                    (CALLS, "call"))
+        # the lines the loop inlines, as one function of the members' theta and the shift
+        y = [[f"y{b}"] for b in range(len(rows))]
+        lines = [f"def sweep({', '.join(r[0] for r in y)}, a0):", *(f"    {line}" for line in
+                 measure(self.cost, y)), f"    return {', '.join(f'j{b}' for b in range(len(y)))}"]
+        namespace = {"f": self.cost.f, "array": np.array}
+        exec("\n".join(lines), namespace)
+        return ("quartic sweep, 3 rows, scalar form", repeat(namespace["sweep"],
+                *(r[0] for r in rows), shift[0]), (CALLS, "call"))
 
     def sweep_stacked(self):
         rows = self.batch(3).tolist()
@@ -255,56 +290,73 @@ class Rows:
         return cost, dither, [*rng.uniform(-2.0, 2.0, n), *[0.81] * n, 0.5]
 
     def dense(self, n):
-        return self.uncapped_rhs(f"dense {n}-D quadratic", *self.dense_case(n))
+        return self.average_run(f"dense {n}-D quadratic", *self.dense_case(n), "uncapped")
+
+    def quad_dense(self, n):
+        return self.average_run(f"dense {n}-D quadratic", *self.dense_case(n), "quadrature")
 
     def power(self, degree):
         cost = el.parse_cost(f"(theta1 - 0.5)^{degree}", 1)
-        return self.uncapped_rhs(f"(theta1 - 0.5)^{degree}", cost, self.dither, [0.9, 0.3, 0.1])
+        return self.average_run(f"(theta1 - 0.5)^{degree}", cost, self.dither, [0.9, 0.3, 0.1],
+                                "uncapped")
+
+    def quad_power(self, degree):
+        cost = el.parse_cost(f"(theta1 - 0.5)^{degree}", 1)
+        return self.average_run(f"(theta1 - 0.5)^{degree}", cost, self.dither, [0.9, 0.3, 0.1],
+                                "quadrature")
 
     def fallback_dense8(self):
-        return self.built_rhs("dense 8-D quadratic", *self.dense_case(8))
+        return self.average_run("dense 8-D quadratic", *self.dense_case(8))
 
     def fallback_power40(self):
         cost = el.parse_cost("(theta1/2)^40 + (theta1 - 1)^2", 1)
-        return self.built_rhs("1-D, degree 40", cost, self.dither, [2.0, 0.81, 0.0])
+        return self.average_run("1-D, degree 40", cost, self.dither, [2.0, 0.81, 0.0])
 
     @staticmethod
-    def built_rhs(what, cost, dither, state):
-        """The average rhs of ``cost`` built, then called CALLS times: the rhs work of a
-        short run, build included."""
+    def average_run(what, cost, dither, state, path="capped"):
+        """A short average run of ``cost`` (CALLS stages), its build included, on the path the
+        tree's term cap gives (``capped``), with the cap lifted where the tree has one
+        (``uncapped``), or on the quadrature (``quadrature``). The label counts the closed
+        form's terms and the quadrature's nodes, and times the build alone."""
         n = cost.n
         params = el.EscParams(k=1.0, epsilon=0.05, omega_l=[0.25] * n, omega_xi=1.0)
+        steps, h = CALLS // 4, 0.0125
+        codes, patch = [], {}
+        if path == "uncapped" and hasattr(averaging, "MAX_TERMS"):
+            code_class = averaging.FloatCode
+            patch = {"MAX_TERMS": 10**6,
+                     "FloatCode": lambda: codes.append(code_class()) or codes[-1]}
+        elif path == "quadrature":
+            patch = {"_closed_form_maps": lambda *_: None}
+
+        def patched(fn):
+            saved = {name: getattr(averaging, name) for name in patch}
+            for name, value in patch.items():
+                setattr(averaging, name, value)
+            try:
+                return fn()
+            finally:
+                for name, value in saved.items():
+                    setattr(averaging, name, value)
 
         def run():
-            rhs = average_flat_rhs(params, cost, dither)
-            for _ in range(CALLS):
-                rhs(0.0, [state])
+            patched(lambda: el.simulate_average(cost, dither, params, state, steps * h, h, steps))
 
-        closed = getattr(averaging, "_closed_form_maps", lambda *_: None)(cost, dither)
-        path = "closed form" if closed else f"{el.PeriodQuadrature(cost, dither).n_q} nodes"
-        return f"average rhs built + {CALLS} calls, {what} ({path})", run, None
+        run()
+        if codes:
+            path = f"closed form, {codes[-1].terms} terms"
+        elif path != "quadrature":
+            closed = getattr(averaging, "_closed_form_maps", lambda *_: None)(cost, dither)
+            path = "closed form" if closed else "quadrature"
+        if hasattr(averaging, "average_system"):     # the build alone: the system and its loop
+            integrate = el.integrate
 
-    @staticmethod
-    def uncapped_rhs(what, cost, dither, state):
-        """The average rhs of ``cost`` per call, in closed form at any term count where the tree
-        has one; the label counts its terms and the quadrature's nodes."""
-        n = cost.n
-        params = el.EscParams(k=1.0, epsilon=0.05, omega_l=[0.25] * n, omega_xi=1.0)
-        terms = "no closed form"
-        if hasattr(averaging, "MAX_TERMS"):
-            cap, code_class, codes = averaging.MAX_TERMS, averaging.FloatCode, []
-            averaging.MAX_TERMS = 10**6
-            averaging.FloatCode = lambda: codes.append(code_class()) or codes[-1]
-            try:
-                rhs = average_flat_rhs(params, cost, dither)
-            finally:
-                averaging.MAX_TERMS, averaging.FloatCode = cap, code_class
-            terms = f"{codes[-1].terms} terms"
-        else:
-            rhs = average_flat_rhs(params, cost, dither)
+            def build():
+                system = averaging.average_system(params, cost, dither)
+                integrate._compile(system, integrate._loop(system, 1), "loop", nonfinite=None)
+            path += f", build {1e3 * timings(3, lambda: patched(build))[0]:.1f} ms"
         n_q = el.PeriodQuadrature(cost, dither).n_q
-        return (f"average rhs, {what} ({terms}, {n_q} nodes)", repeat(rhs, 0.0, [state]),
-                (CALLS, "call"))
+        return (f"average run + build, {what} ({path}, {n_q} nodes)", run, (CALLS, "stage"))
 
     # -- the level-set oracle --------------------------------------------------
 

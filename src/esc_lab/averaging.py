@@ -23,26 +23,26 @@ evaluates J in one cost sweep per call, over theta_bar and the n_q nodes
 together, and then sums all 2n + 1 integrands in one stacked reduction over
 reused buffers; a kernel is therefore not reentrant.
 
-:func:`average_flat_rhs`, which the integrator calls at every RK4 stage,
-takes that kernel only for a cost that is no polynomial, has no ``expr``,
-or whose closed form would exceed :data:`MAX_TERMS` terms. For any other
-cost the averages are finite sums of the period means of products of
-sines, so it builds them once as straight-line float code
-(:func:`_closed_form_maps`), which evaluates no J and sweeps no nodes per
-call.
+The average system (:func:`average_system`) is a spec for the integrator's
+one emitted RK4 loop. For a polynomial cost within :data:`MAX_TERMS` terms
+the averages are finite sums of the period means of products of sines, so
+it builds them once per run as straight-line float code
+(:func:`_closed_form_maps`), which the loop inlines: no J evaluation and no
+node sweep per stage. A cost that is no polynomial, has no ``expr``, or is
+over the cap calls the kernel once per member and stage instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isfinite, sqrt
+from math import comb, isfinite
 
 import numpy as np
 
 from .cost import CostFunction, grad_cost
-from .dynamics import _check_dims
-from .expressions import MAX_TERMS, FloatCode, dither_expansion, polynomial_degree
-from .integrate import nonneg
+from .dynamics import _check_dims, _normalized_rates
+from .expressions import MAX_TERMS, FloatCode, _literal, dither_expansion, polynomial_degree
+from .integrate import System, derivative
 from .signals import DitherConfig
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "ConvergenceError",
     "PeriodQuadrature",
     "avg_maps",
+    "average_system",
     "average_flat_rhs",
     "equilibrium",
     "convergence_sweep",
@@ -189,7 +190,7 @@ def avg_maps(
 ) -> AverageMaps:
     """Evaluate (J_bar, g_bar, g2_bar) at one point of the average state space.
 
-    One call of the :func:`_map_sums` kernel, which :func:`average_flat_rhs`
+    One call of the :func:`_map_sums` kernel, which the average system's stage
     runs too for a cost without closed-form maps: one cost sweep and one
     stacked reduction, then each sum divided by n_q.
     """
@@ -231,7 +232,7 @@ def _sine_mean(rates: list[int], beta: tuple[int, ...]) -> float:
 
 
 def _closed_form_maps(cost: CostFunction, dither: DitherConfig):
-    """The averaged maps of a polynomial cost as one float function of a row, or None.
+    """The averaged maps of a polynomial cost as straight-line float code, or None.
 
     :func:`~esc_lab.expressions.dither_expansion` gives J(theta + a * sigma)
     as sum_alpha c_alpha(theta) * sigma^alpha, each c_alpha float code in
@@ -244,11 +245,12 @@ def _closed_form_maps(cost: CostFunction, dither: DitherConfig):
     * g_bar_i = (2 / a_i) sum_alpha M(alpha + e_i) c_alpha;
     * g2_bar_i = (4 / a_i^2) sum_{alpha, beta} M(alpha + beta + 2 e_i) d_alpha d_beta.
 
-    The returned function maps a row [theta_bar, v_bar, xi_bar] of Python
-    floats to the list [g_bar, g2_bar, J_bar] and keeps no state, so it is
-    reentrant. Returns None for a cost without ``expr``, where the expansion
-    finds no polynomial, and where the code would exceed :data:`MAX_TERMS`;
-    the expansion and the g2_bar pair loop each stop at the first term over.
+    Returns (lines, results): the lines, over the names ``x0`` .. ``x{n-1}``
+    for theta_bar and ``xi`` for xi_bar, and the expressions of [g_bar,
+    g2_bar, J_bar] that read them (:meth:`~esc_lab.expressions.FloatCode.source`).
+    Returns None for a cost without ``expr``, where the expansion finds no
+    polynomial, and where the code would exceed :data:`MAX_TERMS` terms; the
+    expansion and the g2_bar pair loop each stop at the first term over.
     """
     if cost.expr is None:
         return None
@@ -292,8 +294,7 @@ def _closed_form_maps(cost: CostFunction, dither: DitherConfig):
     results = [*g_bar, *g2_bar, j_bar]
     if not all(isfinite(w) for total in results for w in total.values()):
         return None                                   # an amplitude too small for 4 / a_i^2
-    head = ", ".join([f"x{i}" for i in range(n)] + ["_"] * n + ["xi"]) + " = r"
-    return code.function(head, results)
+    return code.source(results)
 
 
 def _quadrature_maps(cost: CostFunction, dither: DitherConfig):
@@ -311,42 +312,45 @@ def _quadrature_maps(cost: CostFunction, dither: DitherConfig):
     return maps
 
 
-def average_flat_rhs(params, cost: CostFunction, dither: DitherConfig):
-    """Integrator-facing closure for the autonomous average system, over rows
-    [theta_bar, v_bar, xi_bar].
+def average_system(params, cost: CostFunction, dither: DitherConfig) -> System:
+    """The autonomous average system over [theta_bar, v_bar, xi_bar], for the integrator.
 
     A polynomial cost whose float code stays within :data:`MAX_TERMS` terms
-    gets the closed-form maps of :func:`_closed_form_maps`: straight-line
-    float code built once here, with no call of ``cost.f`` and no quadrature
-    per row; that closure is reentrant. Every other cost (no ``expr``, not a
-    polynomial, or above the cap) gets one :func:`_map_sums` call per row, so
-    one cost sweep and one stacked reduction, through a kernel whose buffers
-    make the closure non-reentrant. The rest of the rhs is Python floats on
-    either path. Clamps v to zero before the square root, like the full-loop
-    closure.
+    gets the closed-form maps of :func:`_closed_form_maps`, built once here
+    and inlined per member and stage: no call of ``cost.f`` and no
+    quadrature. Every other cost (no ``expr``, not a polynomial, or above the
+    cap) gets one :func:`_quadrature_maps` call per member and stage, so one
+    cost sweep and one stacked reduction, through a kernel whose buffers make
+    the stage non-reentrant. The rest of the stage is Python floats on either
+    path, with v clamped to >= 0 before the square root, as in the full loop.
     """
     _check_dims(params, cost, dither)
-    n = params.n
-    neg_k, eps, wxi = -float(params.k), float(params.epsilon), float(params.omega_xi)
-    wl = params.omega_l.tolist()
-    maps = _closed_form_maps(cost, dither) or _quadrature_maps(cost, dither)
+    n, wxi = params.n, _literal(float(params.omega_xi))
+    maps = [*(f"g{i}" for i in range(n)), *(f"q{i}" for i in range(n)), "jb"]
+    closed = _closed_form_maps(cost, dither)
+    names = {} if closed else {"maps": _quadrature_maps(cost, dither)}
 
-    def rhs(t: float, rows: list[list[float]]) -> list[list[float]]:
-        out = []
-        for r in rows:
-            xi = r[2 * n]
-            total = maps(r)
-            d_theta, d_v = [], []
-            for g, g2, x, l in zip(total[:n], total[n : 2 * n], r[n : 2 * n], wl):
-                v = nonneg(x)
-                d_theta.append(neg_k * g / (sqrt(v) + eps))
-                d_v.append(l * (g2 - v))
-            d_theta += d_v
-            d_theta.append(wxi * (total[2 * n] - xi))
-            out.append(d_theta)
-        return out
+    def stage(y, k):
+        lines = []
+        for row, out in zip(y, k):
+            if closed:
+                code, results = closed
+                lines += [*(f"x{i} = {row[i]}" for i in range(n)), f"xi = {row[2 * n]}", *code,
+                          *(f"{name} = {value}" for name, value in zip(maps, results))]
+            else:
+                lines.append(f"{', '.join(maps)}, = maps(({', '.join(row)},))")
+            for i in range(n):
+                lines += _normalized_rates(params, row, out, i, f"g{i}", f"q{i}")
+            lines.append(f"{out[2 * n]} = {wxi} * (jb - {row[2 * n]})")
+        return lines
 
-    return rhs
+    return System(2 * n + 1, stage, clamp=tuple(range(n, 2 * n)), names=names)
+
+
+def average_flat_rhs(params, cost: CostFunction, dither: DitherConfig):
+    """``rhs(t, rows)`` over rows [theta_bar, v_bar, xi_bar]: one stage of
+    :func:`average_system`."""
+    return derivative(average_system(params, cost, dither))
 
 
 def equilibrium(cost: CostFunction, dither: DitherConfig) -> Equilibrium:

@@ -5,8 +5,9 @@ minimizer. Every cost's evaluator is compiled from its expression text by
 :func:`~esc_lab.expressions.compile_expression`: the builtins write their
 ``expr`` and compile it as :func:`parse_cost` does, so J has one evaluator.
 It is vectorized: it accepts arrays of shape (..., n) and returns shape
-(...). The full loop, which holds its members as rows of floats, measures J
-through :func:`row_form`, derived from that evaluator. The gradient has one
+(...), and it carries the same operations over Python floats as text
+(``f.scalar``), which the full loop inlines to measure J at its few
+members without a numpy call. The gradient has one
 rule too (:func:`grad_cost`): exact from the expression's parse tree for a
 polynomial, central finite differences for any other cost.
 """
@@ -29,7 +30,6 @@ __all__ = [
     "grad_cost",
     "finite_difference_gradient",
     "parse_cost",
-    "row_form",
 ]
 
 @dataclass(frozen=True)
@@ -41,18 +41,6 @@ class CostFunction:
     f: Callable[[np.ndarray], np.ndarray]
     theta_star: Optional[np.ndarray] = None
     expr: Optional[str] = None
-
-
-def row_form(f: Callable[[np.ndarray], np.ndarray]):
-    """J on member rows: ``rows(rows, shift)`` takes rows of floats whose first n entries
-    are theta, and n dither shifts, and returns ``f(np.array(points)).tolist()`` for the
-    points ``[x + s for x, s in zip(row, shift)]``: that expression, or the row form ``f``
-    carries as ``f.rows``, equal to it bit for bit (``functools.wraps`` copies it)."""
-
-    def stacked(rows, shift):
-        return f(np.array([[x + s for x, s in zip(r, shift)] for r in rows])).tolist()
-
-    return getattr(f, "rows", stacked)
 
 
 def eval_cost(cost: CostFunction, theta) -> float:
@@ -147,27 +135,8 @@ def shifted_quartic_cost(theta_star) -> CostFunction:
     star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     _finite(theta_star=star)
     n = star.size
-
-    # f's row form (see row_form): at the full loop's few rows a numpy call costs more than
-    # its arithmetic, so one power call, with f's scalar exponent, over |theta - theta*| of
-    # every channel (outer) and row (inner); then each row summed left to right, as f sums.
-    # Bit equality rests on numpy's power rounding an element alike wherever it sits in the
-    # array; tests/test_properties.py guards it
-    channels, star_list = range(n), star.tolist()
-
-    def rows_j(rows, shift):
-        powers = np.power([abs(r[i] + s - c) for i, s, c in zip(channels, shift, star_list)
-                           for r in rows], 4.0).tolist()
-        b = len(rows)
-        total = powers[:b]
-        for i in range(b, n * b, b):
-            total = [a + p for a, p in zip(total, powers[i : i + b])]
-        return [a / 24.0 for a in total]
-
     expr = "(" + " + ".join(f"{d}^4" for d in _offsets(star)) + ") / 24"
-    f = compile_expression(expr, n)
-    f.rows = rows_j
-    return CostFunction(n=n, f=f, theta_star=star, expr=expr)
+    return CostFunction(n=n, f=compile_expression(expr, n), theta_star=star, expr=expr)
 
 
 def parse_cost(expr: str, n: int) -> CostFunction:

@@ -12,16 +12,23 @@ before demodulation):
   the normalization.
 
 Flat state layout used by the integrator: ``[theta_hat (n), v_hat (n), xi]``
-for the RMSp loop and ``[theta_hat (n), xi]`` for the baseline. The closures
-follow :func:`esc_lab.integrate.integrate_fixed`'s row contract: they map a
-list of B member rows, each a list of d floats, to B derivative rows. Each
-call measures J at the members' points through :func:`esc_lab.cost.row_form`
-of the cost's ``f`` (one numpy power call for the quartic, one sweep of ``f``
-over the stacked points for any other ``f``) and does the per-channel
-arithmetic in floats. The dither phase comes from ``math.sin``, once per
-distinct time (RK4's two midpoint stages share one). The outputs equal those
-of :func:`esc_lab.signals.dither_value`'s ``np.sin`` only while the two round
-alike: they do on the numpy builds and CPUs the tests ran on, and
+for the RMSp loop and ``[theta_hat (n), xi]`` for the baseline. Each loop is
+a :class:`esc_lab.integrate.System` (:func:`rmspesc_system`,
+:func:`gesc_system`): straight-line float code per member, with the gains
+and the dither as literals, which the integrator inlines into its one RK4
+loop; :func:`rmspesc_flat_rhs` and :func:`gesc_flat_rhs` emit one stage of
+the same code as ``rhs(t, rows) -> rows``.
+
+A stage measures J at theta + a sin(omega r t) through the scalar form that
+the cost's ``f`` carries (``f.scalar``, which
+:func:`esc_lab.expressions.compile_expression` records, inlined per member;
+where those floats raise, that point's J comes from ``f``), and through one
+sweep of ``f`` over the members' stacked points for an ``f`` without one. So
+a replaced ``f`` is what the loop measures. The dither phase comes from
+``math.sin``, once per distinct stage time (RK4's two midpoint stages share
+one). The outputs equal those of :func:`esc_lab.signals.dither_value`'s
+``np.sin`` only while the two round alike: they do on the numpy builds and
+CPUs the tests ran on, and
 ``tests/test_properties.py::test_phase_matches_dither_signals`` is the guard
 for any other.
 """
@@ -29,14 +36,15 @@ for any other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sin, sqrt
 
 import numpy as np
 
-from .cost import CostFunction, row_form
+from .cost import CostFunction
+from .expressions import _literal
+from .integrate import Names, System, derivative
 from .signals import DitherConfig
 
-__all__ = ["EscParams", "rmspesc_flat_rhs", "gesc_flat_rhs"]
+__all__ = ["EscParams", "rmspesc_system", "gesc_system", "rmspesc_flat_rhs", "gesc_flat_rhs"]
 
 
 @dataclass(frozen=True)
@@ -71,73 +79,85 @@ def _check_dims(params: EscParams, cost: CostFunction, dither: DitherConfig) -> 
         raise ValueError("dimension mismatch between gains, cost, and dither")
 
 
-def _phase(dither: DitherConfig):
-    """``phase(t)``: the dither shifts a_i sin(omega r_i t) and demodulation
-    weights (2 / a_i) sin(omega r_i t) as float lists, kept for the last t.
+def _dither_phase(dither: DitherConfig) -> tuple[str, ...]:
+    """Lines setting, per channel i, ``s<i>`` = sin(omega r_i ts), the dither shift ``a<i>``
+    = a_i s<i> and the demodulation weight ``m<i>`` = (2 / a_i) s<i>."""
+    columns = zip(range(dither.n), (dither.omega * dither.rates).tolist(),
+                  dither.amplitudes.tolist(), (2.0 / dither.amplitudes).tolist())
+    return tuple(line for i, w, a, m in columns for line in (
+        f"s{i} = sin({_literal(w)} * ts)", f"a{i} = {_literal(a)} * s{i}",
+        f"m{i} = {_literal(m)} * s{i}"))
 
-    ``math.sin`` here, ``np.sin`` in :mod:`esc_lab.signals`: bit equal where the
-    property tests ran (see the module docstring)."""
-    amps, demod = dither.amplitudes.tolist(), (2.0 / dither.amplitudes).tolist()
-    freqs = (dither.omega * dither.rates).tolist()
-    last = [None, None]
 
-    def phase(t: float):
-        if last[0] != t:
-            sin_t = [sin(w * t) for w in freqs]
-            shift = [a * s for a, s in zip(amps, sin_t)]
-            last[:] = t, (shift, [m * s for m, s in zip(demod, sin_t)])
-        return last[1]
+def _measure(cost: CostFunction, y: Names) -> list[str]:
+    """Lines setting ``j<b>`` to J at member b's theta, ``y[b][:n]``, shifted by the dither."""
+    n, scalar = cost.n, getattr(cost.f, "scalar", None)
+    points = [[f"{row[i]} + a{i}" for i in range(n)] for row in y]
+    if scalar is None:
+        stacked = ", ".join(f"({', '.join(p)},)" for p in points)
+        return [f"{', '.join(f'j{b}' for b in range(len(y)))}, = f(array(({stacked},))).tolist()"]
+    lines, value = scalar
+    x = ", ".join(f"x{i}" for i in range(n))
+    out = []
+    for b, point in enumerate(points):
+        out += [*(f"x{i} = {p}" for i, p in enumerate(point)), "try:",
+                *(f"    {line}" for line in lines), f"    j{b} = {value}",
+                "except (ZeroDivisionError, OverflowError, ValueError):",  # numpy: inf or NaN
+                f"    j{b} = float(f(array(({x},))))"]
+    return out
 
-    return phase
+
+def _normalized_rates(params: EscParams, row: list[str], out: list[str], i: int, g: str,
+                      g2: str) -> list[str]:
+    """Lines setting channel i's rates of theta and v: -k g / (sqrt(v) + eps) and
+    omega_l (g2 - v), with v = ``row[n + i]`` clamped to >= 0 (integration round-off can
+    leave it slightly negative) and g, g2 the gradient estimate and its square."""
+    n, v = params.n, row[params.n + i]
+    return [f"v = 0.0 if {v} <= 0.0 else {v}",
+            f"{out[i]} = {_literal(-float(params.k))} * {g} / (sqrt(v) + "
+            f"{_literal(float(params.epsilon))})",
+            f"{out[n + i]} = {_literal(float(params.omega_l[i]))} * ({g2} - v)"]
+
+
+def rmspesc_system(params: EscParams, cost: CostFunction, dither: DitherConfig) -> System:
+    """The RMSp loop over [theta, v, xi]; the integrator clamps v to >= 0 after each step."""
+    _check_dims(params, cost, dither)
+    n, wxi = params.n, _literal(float(params.omega_xi))
+
+    def stage(y, k):
+        lines = _measure(cost, y)
+        for b, (row, out) in enumerate(zip(y, k)):
+            lines.append(f"e = j{b} - {row[2 * n]}")           # measurement less washout
+            for i in range(n):
+                lines += [f"g = m{i} * e", *_normalized_rates(params, row, out, i, "g", "g * g")]
+            lines.append(f"{out[2 * n]} = {wxi} * e")
+        return lines
+
+    return System(2 * n + 1, stage, _dither_phase(dither), tuple(range(n, 2 * n)),
+                  {"f": cost.f, "array": np.array})
+
+
+def gesc_system(params: EscParams, cost: CostFunction, dither: DitherConfig) -> System:
+    """The plain-gradient baseline over [theta, xi]."""
+    _check_dims(params, cost, dither)
+    n = params.n
+    neg_k, wxi = _literal(-float(params.k)), _literal(float(params.omega_xi))
+
+    def stage(y, k):
+        lines = _measure(cost, y)
+        for b, (row, out) in enumerate(zip(y, k)):
+            lines += [f"e = j{b} - {row[n]}",
+                      *(f"{out[i]} = {neg_k} * (m{i} * e)" for i in range(n)), f"{out[n]} = {wxi} * e"]
+        return lines
+
+    return System(n + 1, stage, _dither_phase(dither), names={"f": cost.f, "array": np.array})
 
 
 def rmspesc_flat_rhs(params: EscParams, cost: CostFunction, dither: DitherConfig):
-    """Integrator-facing closure over rows [theta, v, xi].
-
-    Clamps v to zero before the square root, as :func:`esc_lab.integrate.nonneg`
-    does (inline here: the call costs more than the comparison); round-off from
-    integration can leave tiny negative filter states.
-    """
-    _check_dims(params, cost, dither)
-    n = params.n
-    neg_k, eps, wxi = -float(params.k), float(params.epsilon), float(params.omega_xi)
-    wl = params.omega_l.tolist()
-    phase, j_rows = _phase(dither), row_form(cost.f)
-
-    def rhs(t: float, rows: list[list[float]]) -> list[list[float]]:
-        shift, weight = phase(t)
-        out = []
-        for r, j in zip(rows, j_rows(rows, shift)):
-            err = j - r[2 * n]                   # measurement less washout
-            d_theta, d_v = [], []
-            for w, x, l in zip(weight, r[n : 2 * n], wl):
-                g = w * err
-                v = 0.0 if x <= 0.0 else x       # nonneg(x)
-                d_theta.append(neg_k * g / (sqrt(v) + eps))
-                d_v.append(l * (g * g - v))
-            d_theta += d_v
-            d_theta.append(wxi * err)
-            out.append(d_theta)
-        return out
-
-    return rhs
+    """``rhs(t, rows)`` over rows [theta, v, xi]: one stage of :func:`rmspesc_system`."""
+    return derivative(rmspesc_system(params, cost, dither))
 
 
 def gesc_flat_rhs(params: EscParams, cost: CostFunction, dither: DitherConfig):
-    """Integrator-facing closure over rows [theta, xi]."""
-    _check_dims(params, cost, dither)
-    n = params.n
-    neg_k, wxi = -float(params.k), float(params.omega_xi)
-    phase, j_rows = _phase(dither), row_form(cost.f)
-
-    def rhs(t: float, rows: list[list[float]]) -> list[list[float]]:
-        shift, weight = phase(t)
-        out = []
-        for r, j in zip(rows, j_rows(rows, shift)):
-            err = j - r[n]
-            row = [neg_k * (w * err) for w in weight]
-            row.append(wxi * err)
-            out.append(row)
-        return out
-
-    return rhs
+    """``rhs(t, rows)`` over rows [theta, xi]: one stage of :func:`gesc_system`."""
+    return derivative(gesc_system(params, cost, dither))

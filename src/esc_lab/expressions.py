@@ -27,7 +27,9 @@ call. Any other exponent uses plain ``power``, so odd powers keep their sign
 and a negative base to a non-integer power is NaN. An operation whose
 operands name no variable is folded to a Python float when the expression
 is compiled (a ``^`` through numpy's ``power``, by the same rule), so a
-subexpression of literals that divides by zero is rejected there.
+subexpression of literals that divides by zero is rejected there. The same
+operations over Python floats travel with the function as text, which the
+full loop inlines to measure J without a numpy call.
 
 :func:`polynomial_degree` reads the same tree for the degree of the cost as a
 polynomial in theta, or None where the syntax shows none; the period
@@ -46,7 +48,7 @@ import operator
 import re
 import struct
 from functools import lru_cache
-from math import isfinite
+from math import copysign, isfinite
 
 import numpy as np
 
@@ -55,12 +57,16 @@ __all__ = ["ExpressionError", "MAX_NESTING", "MAX_TERMS", "FloatCode", "compile_
 
 MAX_NESTING = 100
 
-# The closed-form maps cost about one multiply-add per term, the quadrature
-# about one numpy call per operation of the cost's expression. Measured per rhs
-# call (BENCH_closedavg.json), dense 2-D to 8-D quadratics stay 3-4x faster in
-# closed form up to 435 terms, while (theta1 - 0.5)^d, whose expression is the
-# cheapest per term, breaks even near 380 terms (0.92x at 338, 1.22x at 502).
-# The cap sits below that earliest crossover.
+# The closed-form maps cost about one multiply-add per term and stage, after a build
+# (the expansion and the emitted loop's compile) that grows faster than the term
+# count; the quadrature costs about one numpy call per operation of the cost's
+# expression and stage. Measured on short average runs of 1,000 stages, build
+# included (BENCH_maxterms.json), dense 2-D to 8-D quadratics (33 to 435 terms) run
+# in 0.09-0.42 of the quadrature's time. (theta1 - 0.5)^d, the cheapest expression
+# per term, runs in 0.71 of it at 206 terms but 1.4 at 268 and 1.8 at 338 terms,
+# where a 9-20 ms build outweighs the stages; per stage, build left out, it breaks
+# even between 338 (0.82) and 502 terms (1.12). The cap sits at that crossover of
+# the long runs the modes make (8,000 steps and more at the bundled settings).
 MAX_TERMS = 350
 
 _TOKEN_RE = re.compile(
@@ -243,14 +249,21 @@ def _fold(tree, visit):
         stack[-1][1].append(value)
 
 
+def _literal(value: float) -> str:
+    """``value`` as Python source for scalar code: its repr, in parentheses when negative;
+    ``inf`` and ``nan`` are names the code's namespace binds (a NaN keeps its sign)."""
+    text = repr(value) if value == value else "nan" if copysign(1.0, value) > 0 else "-nan"
+    return f"({text})" if text.startswith("-") else text
+
+
 def _emit(tree):
     """Lower ``tree`` to straight-line Python: one assignment per distinct operation.
 
-    Returns (source, constants). An operation whose operands name no variable
-    is folded to a Python float here (:func:`_fold_literals`), which raises
-    ValueError for a division by zero. Every other operand is evaluated left
-    to right, so the function makes the numpy calls a recursive walk of the
-    tree would make, in the same order, except that an operation already
+    Returns (source, constants, scalar). An operation whose operands name no
+    variable is folded to a Python float here (:func:`_fold_literals`), which
+    raises ValueError for a division by zero. Every other operand is evaluated
+    left to right, so the function makes the numpy calls a recursive walk of
+    the tree would make, in the same order, except that an operation already
     emitted is not emitted again: each is keyed by its text (operator and
     operand names), each literal by its bits (a folded NaN of either sign has
     one repr), and a repeat reuses the first one's name, so
@@ -260,8 +273,13 @@ def _emit(tree):
     constant once per point, shape (...). Literals are bound by name
     (``1e999`` has no source form but ``inf``), and the code is flat, so the
     Python compiler sees no nesting.
+
+    ``scalar`` is the same operations over Python floats, as text: a pair of
+    the lines ``t<k> = ...`` over the names ``x0`` .. ``x{n-1}``, and the
+    expression of J that reads them (see :func:`compile_expression`).
     """
     lines: list[str] = []
+    scalar: list[str] = []
     constants: dict[str, float] = {}
     names: dict = {}                          # literal bits or operation text -> its name
     variables: set[int] = set()
@@ -282,22 +300,33 @@ def _emit(tree):
             return f"x{node[1]}"
         if not any(isinstance(v, str) for v in operands):
             return _fold_literals(node, operands)
+        floats = [v if isinstance(v, str) else _literal(v) for v in operands]
         operands = [name(v) for v in operands]
         if op == "neg":
-            expr = f"-{operands[0]}"
+            expr, value = f"-{operands[0]}", f"-{floats[0]}"
         elif op == "pow":
-            base = operands[0]
+            base, exponent = operands
+            # a float ** an integral float takes |base| and signs the result itself, so it
+            # rounds as numpy's power of |base| does under an even exponent; math.pow
+            # raises where ** would return a complex number
+            integral = node[2][0] == "const" and node[2][1].is_integer()
+            value = (f"{floats[0]} ** {floats[1]}" if integral
+                     else f"pow({floats[0]}, {floats[1]})")
             if _is_even_integer(node[2]):
                 base = f"absolute({base})"
-            expr = f"power({base}, {operands[1]})"
+            expr = f"power({base}, {exponent})"
         else:
-            expr = f"{operands[0]} {_BINARY[op][0]} {operands[1]}"
+            symbol = _BINARY[op][0]
+            expr, value = (f"{operands[0]} {symbol} {operands[1]}",
+                           f"{floats[0]} {symbol} {floats[1]}")
         if expr not in names:
             names[expr] = f"t{len(lines)}"
             lines.append(f"    {names[expr]} = {expr}")
+            scalar.append(f"{names[expr]} = {value}")
         return names[expr]
 
-    result = name(_fold(tree, visit))
+    root = _fold(tree, visit)
+    result = name(root)
     header = [f"    x{i} = x[..., {i}]" for i in sorted(variables)]
     if variables:
         value = f"asarray({result}, dtype=float)"
@@ -305,18 +334,28 @@ def _emit(tree):
         value = f"full(x.shape[:-1], {result}, dtype=float)"
     body = ["def evaluate(x):", "    x = asarray(x, dtype=float)", *header, *lines,
             f"    return {value}"]
-    return "\n".join(body) + "\n", constants
+    j = root if isinstance(root, str) else _literal(root)
+    return "\n".join(body) + "\n", constants, (tuple(scalar), j)
 
 
 def compile_expression(text: str, n: int):
-    """Parse ``text`` and return one compiled function mapping arrays (..., n) -> (...)."""
+    """Parse ``text`` and return one compiled function mapping arrays (..., n) -> (...).
+
+    The function carries its operations over Python floats, as text the full loop
+    inlines (``scalar``, see :func:`_emit`; compiled only there), so they travel with
+    it, also through ``functools.wraps``. Where numpy returns inf or NaN these floats
+    can raise (ZeroDivisionError, OverflowError, or ValueError from ``math.pow``);
+    the loop then evaluates that point's J through the function itself.
+    """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    source, constants = _emit(_Parser(text, n).parse())
+    source, constants, scalar = _emit(_Parser(text, n).parse())
     namespace = {"asarray": np.asarray, "full": np.full, "absolute": np.abs, "power": np.power,
                  **constants}
     exec(compile(source, "<cost expression>", "exec"), namespace)
-    return namespace["evaluate"]
+    evaluate = namespace["evaluate"]
+    evaluate.scalar = scalar
+    return evaluate
 
 
 def polynomial_degree(text: str, n: int) -> int | None:
@@ -382,7 +421,7 @@ class FloatCode:
         if len(total) <= 1 and all(len(key) <= 1 for key in total):
             return total
         name = f"t{len(self.lines)}"
-        self.lines.append(f"    {name} = {self.text(total)}")
+        self.lines.append(f"{name} = {self.text(total)}")
         if len(total) == 1:
             (key, w), = total.items()
             if len(key) == 2 and w == 1.0:
@@ -403,11 +442,17 @@ class FloatCode:
             out[key] = out.get(key, 0.0) + weight * w
         return {key: w for key, w in out.items() if w != 0.0}
 
+    def source(self, results: list[dict]) -> tuple[tuple[str, ...], list[str]]:
+        """The lines emitted so far, and each result, a sum, as an expression over them."""
+        returns = [self.text(total) for total in results]
+        return tuple(self.lines), returns
+
     def function(self, head: str, results: list[dict]):
         """Compile ``def f(r):`` from the line ``head``, the lines emitted so far and
         ``return [results]``, each result a sum."""
-        returns = ", ".join(self.text(total) for total in results)
-        source = "\n".join(["def f(r):", f"    {head}", *self.lines, f"    return [{returns}]"])
+        lines, returns = self.source(results)
+        source = "\n".join(["def f(r):", f"    {head}", *(f"    {line}" for line in lines),
+                            f"    return [{', '.join(returns)}]"])
         namespace: dict = {}
         exec(compile(source + "\n", "<float code>", "exec"), namespace)
         return namespace["f"]

@@ -8,39 +8,37 @@ dither harmonic per period; and,
 for the filters, ``h <= 2.5 / max(omega_l, omega_xi)`` (``cli._gain_step``),
 inside RK4's real-axis stability limit of 2.785.
 
-The state may carry leading batch axes: a state of shape (B, d) steps B
-independent systems in lockstep through one loop, sharing t and h. The loop
-holds the state as B member rows, each a list of d Python floats, and calls
-``rhs(t, rows) -> rows`` with rows of the same layout. The bundled configs
-and benchmark workloads step B <= 3 rows of d <= 5 floats, where a numpy
-call's fixed cost exceeds its arithmetic, so the stages are float arithmetic
-and the full loop's rhs calls numpy only to measure J (through
-:func:`esc_lab.cost.row_form`: one power call for the quartic). The
-trade-off is wide batches: per member-step on the quartic loop, the row loop
-took 43 us at B = 1 and 14 us at B = 3 where a numpy loop over (B, d) arrays
-took 120 and 47 us, but 8.7 and 9.5 us at B = 16 and 64 where the numpy loop
-took 9.2 and 2.1 us
-(``benchmarks/bench_layers.py`` on a shared 2-vCPU x86 host;
-``BENCH_rowcost.json`` against ``BENCH_baseline.json``).
+There is one RK4 loop, and :func:`integrate` emits it as Python source once
+per run, from a :class:`System`: a spec whose stage writes each state entry's
+derivative as straight-line code over scalar floats, with the gains and
+dither constants as literals. The emitted loop holds every entry of every
+member in a local variable and writes each stage out in full, in the order
+``((p + 2q) + 2r) + s`` at the times ``t0 + j*h``, ``+ h/2`` and ``+ h``, so
+it builds no list per stage or step and records straight into the
+preallocated arrays. The bundled configs step B <= 3 members of d <= 5
+entries, where one numpy call costs more than a stage's arithmetic.
+:func:`derivative` emits one stage of the same code as ``rhs(t, rows) ->
+rows``; :func:`integrate_fixed` runs an opaque ``rhs(t, rows)`` as the
+system whose stage calls it.
 
-Each member's samples equal those of its own (d,) run bit for bit whenever the
-rhs treats rows independently. The full-loop closures do for every cost that
-evaluates each point on its own, which every builtin and parsed cost does, and
-the average-system closure steps one row at a time. ``simulate`` mode runs its
-washout seeds this way; the other modes run a single state.
+The state may carry a leading batch axis: a state of shape (B, d) steps B
+members in lockstep through one loop, sharing t and h. Each member's samples
+equal those of its own (d,) run bit for bit whenever the stage treats
+members independently, which every stage in :mod:`esc_lab.dynamics` and
+:mod:`esc_lab.averaging` does. ``simulate`` mode runs its washout seeds
+this way; the other modes run a single state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
-from math import isfinite
+from dataclasses import dataclass, field
+from math import inf, nan, pow, sin, sqrt
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["Trajectory", "NonFiniteStateError", "integrate_fixed", "nonneg", "fit_step",
-           "step_grid"]
+__all__ = ["Trajectory", "NonFiniteStateError", "System", "integrate", "integrate_fixed",
+           "derivative", "fit_step", "step_grid"]
 
 
 class NonFiniteStateError(RuntimeError):
@@ -78,11 +76,6 @@ class Trajectory:
             raise ValueError("times and states must have equal length")
 
 
-def nonneg(x: float) -> float:
-    """``x`` clamped to >= 0 as ``np.maximum(x, 0.0)`` does: -0.0 becomes +0.0, NaN stays."""
-    return 0.0 if x <= 0.0 else x
-
-
 def fit_step(sample_dt: float, h_max: float) -> tuple[float, int]:
     """Largest step h <= h_max that divides ``sample_dt`` evenly, and its stride.
 
@@ -116,6 +109,137 @@ def step_grid(t0: float, t1: float, h: float, record_stride: int) -> tuple[int, 
     return nsteps, 1 + nsteps // record_stride + (1 if nsteps % record_stride else 0)
 
 
+# Names of the members' entries, names[b][i]. The emitted code's own names (y, z and
+# k<s>_ per entry, ts, tj, half, ...) stay clear of the names stages use: x<i>, t<k>,
+# xi, j<b>, e, g, v, g<i>, q<i>, jb and the phase's s<i>, a<i>, m<i>.
+Names = list[list[str]]
+
+
+@dataclass(frozen=True)
+class System:
+    """An ODE over member states of ``width`` floats, as code for :func:`integrate` to emit.
+
+    ``stage(y, k)`` returns the lines that set each entry ``k[b][i]`` of member
+    b's derivative from the names ``y[b]`` holding its state at the stage time
+    ``ts``. They may read what the ``phase`` lines compute from ``ts`` (run once
+    per distinct stage time) and the objects in ``names``. The ``clamp`` entries
+    are clamped as :func:`integrate_fixed`'s ``clamp_nonneg`` are.
+    """
+
+    width: int
+    stage: Callable[[Names, Names], list[str]]
+    phase: tuple[str, ...] = ()
+    clamp: tuple[int, ...] = ()
+    names: dict = field(default_factory=dict)
+
+
+def _names(prefix: str, members: int, width: int) -> Names:
+    return [[f"{prefix}{b}_{i}" for i in range(width)] for b in range(members)]
+
+
+def _rows(names: Names) -> str:
+    """``[a, b], [c, d]``: the members' names as list displays, or as unpacking targets."""
+    return ", ".join("[" + ", ".join(row) + "]" for row in names)
+
+
+def _compile(system: System, lines: list[str], name: str, **names):
+    namespace = {"sin": sin, "sqrt": sqrt, "pow": pow, "inf": inf, "nan": nan,
+                 **system.names, **names}
+    exec(compile("\n".join(lines) + "\n", f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _loop(system: System, members: int) -> list[str]:
+    """The source of ``loop(state0, start, h, nsteps, stride, times, states) -> clamp
+    events``, which records every ``stride``-th step and the last."""
+    y, z = _names("y", members, system.width), _names("z", members, system.width)
+    k1, k2, k3, k4 = (_names(f"k{s}_", members, system.width) for s in range(1, 5))
+    flat = [name for row in y for name in row]
+    step = ["tj = start + step * h", "ts = tj", *system.phase, *system.stage(y, k1),
+            "ts = tj + half", *system.phase]
+    for k_in, k_out, scale in ((k1, k2, "half"), (k2, k3, "half"), (k3, k4, "h")):
+        if k_out is k4:
+            step += ["ts = tj + h", *system.phase]
+        step += [f"{c} = {a} + {scale} * {b}"
+                 for rows in zip(y, k_in, z) for a, b, c in zip(*rows)]
+        step += system.stage(z, k_out)
+    step += [f"{a} = {a} + sixth * ({p} + 2.0 * {q} + 2.0 * {r} + {s})"
+             for rows in zip(y, k1, k2, k3, k4) for a, p, q, r, s in zip(*rows)]
+    if system.clamp:
+        low = [" or ".join(f"{row[c]} < 0.0" for c in system.clamp) for row in y]
+        step += [f"if {' or '.join(low)}:",
+                 "    events += " + " + ".join(f"({test})" for test in low),
+                 *(f"    {row[c]} = 0.0 if {row[c]} <= 0.0 else {row[c]}"
+                   for row in y for c in system.clamp)]
+    state = ", ".join(flat) + ","
+    step += ["done = step + 1",
+             # not finite where an entry is not (or where the finite sum overflows)
+             f"total = {' + '.join(flat)}",
+             "if total - total != 0.0:",
+             f"    nonfinite(start + done * h, ({state}))",
+             "if done % stride == 0 or done == nsteps:",
+             "    times[rec] = start + done * h",
+             f"    states[rec] = ({state})",
+             "    rec += 1"]
+    return ["def loop(state0, start, h, nsteps, stride, times, states):",
+            f"    {state} = state0",
+            "    half, sixth, events, rec = 0.5 * h, h / 6.0, 0, 1",
+            "    for step in range(nsteps):",
+            *(f"        {line}" for line in step),
+            "    return events"]
+
+
+def integrate(system: System, state0, t0: float, t1: float, h: float,
+              record_stride: int = 1) -> Trajectory:
+    """Integrate ``system`` from t0 to t1 with classical RK4 steps of size h.
+
+    ``state0`` has shape (width,) or (*batch, width). States are recorded every
+    ``record_stride`` steps plus the final state, with ``state0``'s shape.
+    Aborts with :class:`NonFiniteStateError` as soon as any member leaves the
+    finite floats.
+    """
+    nsteps, n_rec = step_grid(t0, t1, h, record_stride)
+    y0 = np.array(state0, dtype=float, ndmin=1)
+    shape = y0.shape
+
+    def nonfinite(t, values):
+        y = np.array(values).reshape(shape)
+        finite = np.isfinite(y).reshape(-1, shape[-1]).all(axis=-1)
+        if not finite.all():
+            raise NonFiniteStateError(t, y, None if len(shape) == 1 else int(np.argmin(finite)))
+
+    loop = _compile(system, _loop(system, y0.size // shape[-1]), "loop", nonfinite=nonfinite)
+    times, states = np.empty(n_rec), np.empty((n_rec, y0.size))
+    times[0], states[0] = t0, y0.ravel()
+    events = loop(y0.ravel().tolist(), t0, h, nsteps, record_stride, times, states)
+    return Trajectory(times=times, states=states.reshape(n_rec, *shape), clamp_events=events)
+
+
+def derivative(system: System) -> Callable[[float, list[list[float]]], list[list[float]]]:
+    """``rhs(t, rows) -> rows``: one stage of ``system`` on member rows of floats, the code
+    :func:`integrate` inlines, emitted on the first call with each row count."""
+    built = {}
+
+    def rhs(t, rows):
+        members = len(rows)
+        if members not in built:
+            z = _names("z", members, system.width)
+            k = _names("k", members, system.width)
+            built[members] = _compile(system, [
+                "def rhs(ts, rows):",
+                f"    {_rows(z)}, = rows",
+                *(f"    {line}" for line in (*system.phase, *system.stage(z, k))),
+                f"    return [{_rows(k)}]"], "rhs")
+        return built[members](t, rows)
+
+    return rhs
+
+
+def _call_rhs(y: Names, k: Names) -> list[str]:
+    """The stage of :func:`integrate_fixed`: one call of its ``rhs`` on all members."""
+    return [f"{_rows(k)}, = rhs(ts, [{_rows(y)}])"]
+
+
 def integrate_fixed(
     rhs: Callable[[float, list[list[float]]], list[list[float]]],
     state0,
@@ -125,54 +249,15 @@ def integrate_fixed(
     record_stride: int = 1,
     clamp_nonneg: Optional[Sequence[int]] = None,
 ) -> Trajectory:
-    """Integrate ``rhs`` from t0 to t1 with classical RK4 steps of size h.
+    """:func:`integrate` of the system whose stage calls ``rhs(t, rows)``, which maps a list
+    of member rows (lists of d floats) to their derivatives in the same layout.
 
-    ``state0`` has shape (d,) or (*batch, d); ``rhs(t, rows)`` maps a list of
-    member rows (lists of d floats) to their derivatives in the same layout.
-    States are recorded every ``record_stride`` steps plus the final state,
-    with ``state0``'s shape. ``clamp_nonneg`` lists indices of the last axis
-    clamped to >= 0 after each step (filter states that must stay in the
-    nonnegative orthant): whenever a member is low, those columns of every
-    member go through :func:`nonneg`. Aborts with
-    :class:`NonFiniteStateError` as soon as any member leaves the finite floats.
+    ``clamp_nonneg`` lists indices of the last axis clamped to >= 0 after each
+    step (filter states that must stay in the nonnegative orthant): whenever a
+    member is low, those columns of every member become ``0.0 if x <= 0.0 else
+    x``, as ``np.maximum(x, 0.0)`` does.
     """
-    nsteps, n_rec = step_grid(t0, t1, h, record_stride)
     y0 = np.array(state0, dtype=float, ndmin=1)
-    shape = y0.shape
-    y = y0.reshape(-1, shape[-1]).tolist()
-    clamp = [] if clamp_nonneg is None else [int(c) for c in clamp_nonneg]
-
-    times = np.empty(n_rec)
-    states = np.empty((n_rec, len(y), shape[-1]))
-    times[0] = t0
-    states[0] = y
-    rec = 1
-    clamp_events = 0
-    half, sixth = 0.5 * h, h / 6.0
-    for j in range(nsteps):
-        t = t0 + j * h
-        k1 = rhs(t, y)
-        k2 = rhs(t + half, [[a + half * b for a, b in zip(r, k)] for r, k in zip(y, k1)])
-        k3 = rhs(t + half, [[a + half * b for a, b in zip(r, k)] for r, k in zip(y, k2)])
-        k4 = rhs(t + h, [[a + h * b for a, b in zip(r, k)] for r, k in zip(y, k3)])
-        y = [[a + sixth * (((p + 2.0 * q) + 2.0 * r) + s) for a, p, q, r, s in zip(*m)]
-             for m in zip(y, k1, k2, k3, k4)]
-        if clamp:
-            low = {b for b, r in enumerate(y) for c in clamp if r[c] < 0.0}
-            if low:
-                for r in y:
-                    for c in clamp:
-                        r[c] = nonneg(r[c])
-                clamp_events += len(low)
-        t_next = t0 + (j + 1) * h
-        if not all(map(isfinite, chain.from_iterable(y))):
-            bad = next(b for b, r in enumerate(y) if not all(map(isfinite, r)))
-            raise NonFiniteStateError(t_next, np.array(y).reshape(shape),
-                                      None if len(shape) == 1 else bad)
-        if (j + 1) % record_stride == 0 or j + 1 == nsteps:
-            times[rec] = t_next
-            states[rec] = y
-            rec += 1
-
-    return Trajectory(times=times, states=states.reshape(n_rec, *shape),
-                      clamp_events=clamp_events)
+    clamp = () if clamp_nonneg is None else tuple(int(c) for c in clamp_nonneg)
+    system = System(y0.shape[-1], _call_rhs, clamp=clamp, names={"rhs": rhs})
+    return integrate(system, y0, t0, t1, h, record_stride)

@@ -1,33 +1,30 @@
 """Trajectory drivers for the closed loop, its baseline, and the average system.
 
 Each driver checks the shape of the flat initial state and runs classical RK4
-(:func:`esc_lab.integrate.integrate_fixed`) from t = 0 over the system's flat
-rhs closure: :func:`esc_lab.dynamics.rmspesc_flat_rhs`,
-:func:`esc_lab.dynamics.gesc_flat_rhs` or
-:func:`esc_lab.averaging.average_flat_rhs`. The full-loop closures serve
-every cost, builtin or parsed, on one path; the average system's closure
-evaluates closed-form maps, built once per run, for a polynomial cost within
-:data:`esc_lab.expressions.MAX_TERMS` terms, and the node sums of one
-:class:`esc_lab.averaging.PeriodQuadrature` per run for any other.
-``integrate_fixed`` validates the time span with
-:func:`esc_lab.integrate.step_grid`.
+(:func:`esc_lab.integrate.integrate`) from t = 0 on its system's spec:
+:func:`esc_lab.dynamics.rmspesc_system`, :func:`esc_lab.dynamics.gesc_system`
+or :func:`esc_lab.averaging.average_system`. The integrator emits one
+straight-line step loop per run from that spec, with the gains, the dither
+and the cost's measurement inlined. The full loop measures J through the
+scalar form its ``f`` carries, for every builtin and parsed cost; the average
+system evaluates closed-form maps, built once per run, for a polynomial cost
+within :data:`esc_lab.expressions.MAX_TERMS` terms, and the node sums of one
+:class:`esc_lab.averaging.PeriodQuadrature` per run for any other. The
+integrator validates the time span with :func:`esc_lab.integrate.step_grid`.
 
-The closures follow the integrator's row contract, ``rhs(t, rows) -> rows``
-over member rows of Python floats. Each of the three functions here takes a
-(d,) initial state or a (B, d) batch of them and steps the members in
-lockstep, one RK4 loop for all of them; ``simulate`` mode runs its washout
-seeds this way. The row loop suits the B <= 3 of the bundled configs; see
-:mod:`esc_lab.integrate` for the trade-off at wide batches.
+Each of the three functions here takes a (d,) initial state or a (B, d)
+batch of them and steps the members in lockstep, one loop for all of them;
+``simulate`` mode runs its washout seeds this way.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .averaging import average_flat_rhs
+from .averaging import average_system
 from .cost import CostFunction
-from .dynamics import EscParams, gesc_flat_rhs, rmspesc_flat_rhs
-from .integrate import Trajectory, integrate_fixed
+from .dynamics import EscParams, gesc_system, rmspesc_system
+from .integrate import Trajectory, integrate
 from .signals import DitherConfig
 
 __all__ = ["simulate_rmspesc", "simulate_gesc", "simulate_average"]
@@ -51,10 +48,8 @@ def simulate_rmspesc(
     record_stride: int = 1,
 ) -> Trajectory:
     """Integrate the RMSp loop from a flat state [theta (n), v (n), xi], or a (B, d) batch."""
-    n = params.n
-    state0 = _flat_state(state0, 2 * n + 1)
-    return integrate_fixed(rmspesc_flat_rhs(params, cost, dither), state0, 0.0, t1, h,
-                           record_stride, clamp_nonneg=range(n, 2 * n))
+    state0 = _flat_state(state0, 2 * params.n + 1)
+    return integrate(rmspesc_system(params, cost, dither), state0, 0.0, t1, h, record_stride)
 
 
 def simulate_gesc(
@@ -68,7 +63,7 @@ def simulate_gesc(
 ) -> Trajectory:
     """Integrate the plain-gradient baseline from a flat state [theta (n), xi], or a (B, d) batch."""
     state0 = _flat_state(state0, params.n + 1)
-    return integrate_fixed(gesc_flat_rhs(params, cost, dither), state0, 0.0, t1, h, record_stride)
+    return integrate(gesc_system(params, cost, dither), state0, 0.0, t1, h, record_stride)
 
 
 def simulate_average(
@@ -81,7 +76,5 @@ def simulate_average(
     record_stride: int = 1,
 ) -> Trajectory:
     """Integrate the average system from [theta_bar, v_bar, xi_bar], or a (B, d) batch."""
-    n = params.n
-    state0 = _flat_state(state0, 2 * n + 1)
-    return integrate_fixed(average_flat_rhs(params, cost, dither), state0, 0.0, t1, h,
-                           record_stride, clamp_nonneg=range(n, 2 * n))
+    state0 = _flat_state(state0, 2 * params.n + 1)
+    return integrate(average_system(params, cost, dither), state0, 0.0, t1, h, record_stride)

@@ -31,9 +31,12 @@ from esc_lab import (averaging, cli, config, cost, dynamics, expressions, integr
 # row, and the map kernel checks the dimensions); the trajectory's step and
 # record stride, which no program code read; compare's process-pool worker,
 # which rebuilt the average run from the config values, and its one-caller
-# grid helper (compare runs both systems in process, on one setup).
+# grid helper (compare runs both systems in process, on one setup); the full
+# loop's row form of J, its dither phase closure and the clamp helper (the
+# integrator emits one straight-line loop per system, with J's scalar form,
+# the phase and the clamp inlined).
 REMOVED = {
-    dynamics: ["EscState", "EscDerivative", "rmspesc_rhs", "gesc_rhs", "grad_estimate"],
+    dynamics: ["EscState", "EscDerivative", "rmspesc_rhs", "gesc_rhs", "grad_estimate", "_phase"],
     averaging: ["average_rhs", "default_nodes", "_node_signals", "avg_g2_coeffs", "ErrorState",
                 "to_error_coords", "from_error_coords"],
     lyapunov: ["radius_xi", "radius_v", "lyapunov_value", "_as_equilibrium", "LyapunovReport",
@@ -42,8 +45,9 @@ REMOVED = {
           "_average_run", "_average_grid"],
     simulate: ["_resolve_path", "_run_kernel"],
     cost: ["CostKernelSpec", "KERNEL_QUADRATIC", "KERNEL_QUARTIC", "Verdict", "AssumptionReport",
-           "_grid_points", "_local_minima_mask", "_connected_components", "check_assumptions"],
-    integrate: ["oscillation_step"],
+           "_grid_points", "_local_minima_mask", "_connected_components", "check_assumptions",
+           "row_form"],
+    integrate: ["oscillation_step", "nonneg"],
     cost.CostFunction: ["name", "grad", "f_rows", "__post_init__"],
     integrate.Trajectory: ["column", "label", "h", "record_stride"],
     signals.DitherConfig: ["phase_grid", "dither_matrix", "demod_matrix"],
@@ -128,12 +132,14 @@ def test_run_layers_take_what_runs_use():
 
 
 def test_emit_computes_a_repeated_operation_once():
-    source, constants = expressions._emit(
+    source, constants, scalar = expressions._emit(
         expressions._Parser("(theta1 - 1)^2 + (theta1 - 1)^2", 1).parse())
-    # one subtraction and one power, whose value the sum reads twice
+    # one subtraction and one power, whose value the sum reads twice, in the numpy
+    # source and in its scalar form alike
     operations = [line.strip() for line in source.splitlines() if line.startswith("    t")]
     assert operations == ["t0 = x0 - c0", "t1 = power(absolute(t0), c1)", "t2 = t1 + t1"]
     assert constants == {"c0": 1.0, "c1": 2.0}
+    assert scalar == (("t0 = x0 - 1.0", "t1 = t0 ** 2.0", "t2 = t1 + t1"), "t2")
 
 
 def test_kernel_module_is_gone():
@@ -142,7 +148,7 @@ def test_kernel_module_is_gone():
 
 
 def test_cost_function_fields():
-    # a plain record: the full loop derives its row form from f (cost.row_form)
+    # a plain record: the full loop measures J through the scalar form f carries
     assert [f.name for f in fields(cost.CostFunction)] == ["n", "f", "theta_star", "expr"]
 
 

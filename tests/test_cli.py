@@ -435,6 +435,33 @@ def test_runtime_abort_exit_code_3(tmp_path, capsys):
     assert "runtime abort" in capsys.readouterr().err
 
 
+# Python floats raise where numpy returns inf or NaN: / by zero, ** past the largest
+# float, math.pow of a negative base. The full loop then measures that point's J
+# through f, so each run ends as numpy's J makes it: theta1^400 overflows from
+# theta1 = -6 on, and 1/inf = 0 leaves J = theta1^2; the other two abort.
+ABORT_AT_FIRST_STEP = "runtime abort: non-finite state of init.xi=0 at t=0.01: [nan nan nan]"
+
+
+@pytest.mark.parametrize("expr, theta, code, outcome", [
+    ("1/(theta1^400) + theta1^2", "-2", 0, -4.80570113564),
+    ("1/(theta1^400) + theta1^2", "-6", 0, -9.20651291013),
+    ("theta1/0", "-2", 3, ABORT_AT_FIRST_STEP),
+    ("theta1^0.5", "-2", 3, ABORT_AT_FIRST_STEP),
+])
+def test_float_errors_in_j_follow_numpy(expr, theta, code, outcome, tmp_path, capsys):
+    with np.errstate(all="ignore"):
+        assert main(["simulate", "--config", "quartic_fig1", "--set", "cost.kind=expr",
+                     "--set", "cost.n=1", "--set", f"cost.expr={expr}",
+                     "--set", f"init.theta={theta}", "--set", "init.xi=0",
+                     "--set", "time.t1=1", "--out", str(tmp_path)]) == code
+    if code:
+        assert capsys.readouterr().err.strip() == outcome
+        assert not list(tmp_path.glob("*.csv"))
+    else:
+        header, columns = read_csv_columns(tmp_path / "trajectory.csv")
+        assert columns[header.index("theta_1")][-1] == pytest.approx(outcome, rel=1e-10)
+
+
 @pytest.mark.parametrize("k, xi, member", [
     # both seeds blow up on the first step; the first one is named
     ("1e12", "0, 1", "init.xi=0"),

@@ -13,7 +13,7 @@ from esc_lab import (
     quartic_cost,
     shifted_quartic_cost,
 )
-from esc_lab.cost import _offsets, finite_difference_gradient, row_form
+from esc_lab.cost import _offsets, finite_difference_gradient
 from esc_lab.expressions import MAX_NESTING, ExpressionError, polynomial_degree
 
 
@@ -310,14 +310,16 @@ def test_even_power_of_negated_point_is_identical():
     assert np.array_equal(cost.f(-x), cost.f(x))
 
 
-def test_row_form_travels_with_f():
-    # the quartic's row form is f's own: a record copy and a functools.wraps wrapper keep
-    # it, and any other f, a plain wrapper of the quartic's f included, gets f stacked
+def test_scalar_form_travels_with_f():
+    # every compiled f carries its operations over floats as text: a record copy and a
+    # functools.wraps wrapper keep them, and any other f, a plain wrapper of the
+    # quartic's f included, has none, so the loop measures it through f itself
     quartic = shifted_quartic_cost([0.5, -1.0])
-    f, rows, shift = quartic.f, [[1.0, 2.0, 0.3], [-0.2, 0.4, 0.0]], [0.01, -0.02]
-    assert row_form(f) is f.rows
-    assert row_form(replace(quartic, expr=None).f) is f.rows
-    assert row_form(functools.wraps(f)(lambda x: f(x))) is f.rows
-    stacked = row_form(lambda x: f(x))
-    assert stacked is not f.rows and stacked(rows, shift) == f.rows(rows, shift)
-    assert not hasattr(parse_cost("theta1^4", 1).f, "rows")
+    f = quartic.f
+    assert f.scalar == (("t0 = x0 - 0.5", "t1 = t0 ** 4.0", "t2 = x1 - (-1.0)",
+                         "t3 = t2 ** 4.0", "t4 = t1 + t3", "t5 = t4 / 24.0"), "t5")
+    assert replace(quartic, expr=None).f.scalar is f.scalar
+    assert functools.wraps(f)(lambda x: f(x)).scalar is f.scalar
+    assert not hasattr(lambda x: f(x), "scalar")
+    assert parse_cost("theta1^4", 1).f.scalar == (("t0 = x0 ** 4.0",), "t0")
+    assert parse_cost("2^3", 1).f.scalar == ((), "8.0")

@@ -367,10 +367,12 @@ def test_row_loop_matches_numpy_oracle(case):
     cost, dither = ORACLE_COSTS[case["cost_name"]]
     n = cost.n
     params, state0, drift, system = case["params"], case["state0"], case["drift"], case["system"]
-    if system == "average":
-        # the oracle's rhs takes avg_maps, the quadrature: so must the row rhs, which
-        # takes the quadrature for a cost without its expression
-        cost = replace(cost, expr=None)
+    if system != "drift":
+        # the oracle measures J through f, and its average rhs takes avg_maps, the
+        # quadrature: so must the loop, which measures J through f where f carries no
+        # scalar form, and takes the quadrature for a cost without its expression
+        f = cost.f
+        cost = replace(cost, f=lambda x: f(x), expr=None)
     clamp = None if system == "gesc" else list(range(n, 2 * n))
     if system == "drift":
         row_rhs = lambda t, rows: drift.reshape(-1, drift.shape[-1]).tolist()
