@@ -9,12 +9,18 @@ rows time:
   [0, 2 y0], as in the bundled fig1 config) and its plain-gradient baseline;
 * ``average``, ``average_b{1,3,16,64}``: the average-system counterpart, and
   the same batches of it over a tenth of the horizon;
-* ``oracle``, ``radius_xi``, ``radius_v1``, ``monitor``: on the quartic
-  average run of t1 = 25 s, sample_dt = 0.05 (501 samples) and box +-4, the
-  level-set oracle build (it tabulates the radius grid), one batched
-  ``_radii`` pass for xi and one for v_1 over the monitor's 501 (quantized)
-  levels, and the descent monitor evaluating V at every sample on the
-  oracle already built;
+* ``oracle``, ``radius_xi``, ``radius_v1``, ``monitor``, ``monitor_x16``: on
+  the quartic average run of t1 = 25 s, sample_dt = 0.05 (501 samples) and
+  box +-4, the level-set oracle build (it tabulates the radius grid), one
+  batched ``_radii`` pass for xi and one for v_1 over the monitor's 501
+  (quantized) levels, the descent monitor evaluating V at every sample on
+  the oracle already built, and the monitor on 16 copies of that run in one
+  trajectory (8,016 samples, the scale of a many-start certificate). Each
+  radius pass has two stages: the masked grid argmax over the 401-point
+  grid, in chunks of ``_CHUNK_ELEMENTS`` grid entries (163 samples), then
+  the golden-section refinement, in chunks of ``_CHUNK_ELEMENTS`` quadrature
+  entries: one pass for each row here (a tree that refines inside the grid
+  chunks takes one pass per 163 samples);
 * ``csv``: the closed-loop trajectory recorded every 0.01 s (10,001 rows at
   t1 = 100) written with ``esc_lab.cli.write_trajectory_csv`` into a
   temporary directory;
@@ -36,7 +42,8 @@ rows time:
   workload (``perfbench/workloads.py``), once through ``esc_lab.cli.main``
   end to end, config loading and CSV writing included; and its average run
   alone: ``simulate_average`` on the run ``esc_lab.cli._setup`` builds, at
-  compare's average-system grid;
+  compare's average-system grid; ``lyapunov``: seed 0 of the
+  ``descent_quartic`` workload through ``esc_lab.cli.main`` end to end;
 * ``dense{2..8}``: a short average run (250 RK4 steps, 1,000 stages) of a
   dense n-D quadratic (theta* != 0, rates 1..n), its build included, with
   the closed-form term cap (``esc_lab.averaging.MAX_TERMS``) lifted where
@@ -170,7 +177,8 @@ class Rows:
                  *(f"average_b{b}" for b in BATCHES), "stepper_build", "sweep_rows",
                  "sweep_stacked",
                  "cost_point", "cost_sweep", "rhs_expr2d", "rhs_quartic", "oracle", "radius_xi",
-                 "radius_v1", "monitor", "csv", "compare", "compare_average",
+                 "radius_v1", "monitor", "monitor_x16", "csv", "compare", "compare_average",
+                 "lyapunov",
                  *(f"dense{n}" for n in DENSE), *(f"quad_dense{n}" for n in DENSE),
                  *(f"power{d}" for d in POWERS), *(f"quad_power{d}" for d in POWERS),
                  "fallback_dense8", "fallback_power40"])
@@ -394,7 +402,15 @@ class Rows:
         return (f"descent monitor ({m} samples)", lambda: el.monitor_descent(oracle, avg),
                 (m, "sample"))
 
-    # -- CSV writing and compare ---------------------------------------------
+    def monitor_x16(self):
+        avg, _, _, oracle, _ = self.oracle_setup
+        copies = el.integrate.Trajectory(times=np.tile(avg.times, 16),
+                                         states=np.tile(avg.states, (16, 1)))
+        m = len(copies.times)
+        return (f"descent monitor, 16 copies ({m} samples)",
+                lambda: el.monitor_descent(oracle, copies), (m, "sample"))
+
+    # -- CSV writing, compare and lyapunov ------------------------------------
 
     def csv(self):
         h, stride = fit_step(0.01, self.dither.max_step)
@@ -404,20 +420,31 @@ class Rows:
         return (f"CSV writing ({len(loop.times)} rows)",
                 lambda: write_trajectory_csv(path, loop, self.cost, with_v=True), None)
 
-    @functools.cached_property
-    def compare_config(self):
-        path = self.tmp / "compare_expr2d.cfg"
-        path.write_text(config_text(WORKLOADS["compare_expr2d"], 0))
+    def workload_config(self, name):
+        """Seed 0 of a benchmark workload's config, written into the temporary directory."""
+        path = self.tmp / f"{name}.cfg"
+        path.write_text(config_text(WORKLOADS[name], 0))
         return path
 
-    def compare(self):
-        """One quiet ``esc-lab compare`` invocation, in process."""
-        argv = ["compare", "--config", str(self.compare_config), "--out", str(self.tmp)]
+    @functools.cached_property
+    def compare_config(self):
+        return self.workload_config("compare_expr2d")
+
+    def end_to_end(self, mode, config):
+        """One quiet ``esc-lab`` invocation, in process."""
+        argv = [mode, "--config", str(config), "--out", str(self.tmp)]
 
         def run():
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv) == 0
-        return "compare_expr2d, end to end", run, None
+        return run
+
+    def compare(self):
+        return "compare_expr2d, end to end", self.end_to_end("compare", self.compare_config), None
+
+    def lyapunov(self):
+        return ("descent_quartic, end to end",
+                self.end_to_end("lyapunov", self.workload_config("descent_quartic")), None)
 
     def compare_average(self):
         """compare's average run: the full loop's sample times, stepped at most a quarter

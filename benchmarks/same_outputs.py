@@ -23,8 +23,12 @@ byte, and so is the exit code. Prints
 one line per run, and under it one line per differing column of each
 differing CSV that both runs wrote with the same header and shape: the worst
 relative and the worst absolute difference, each with the parent's magnitude
-there. Exits 1 if any run differs in any byte. Run from anywhere inside the
-repo:
+there, and whether every cell of the column is within the rule by which
+``perfbench/checks.py`` (imported read-only) compares a run with
+``reference.json``: 1e-12 relative plus one unit in the 12th significant
+digit of the parent's value, since the CSVs print 12 digits and a last-digit
+flip of a small leading digit alone reads as up to 1e-11 relative. Exits 1 if
+any run differs in any byte. Run from anywhere inside the repo:
 
     python3 benchmarks/same_outputs.py PARENT_REF
 """
@@ -73,6 +77,7 @@ OVERRIDE_RUNS = {    # label: (mode, bundled config, overrides)
 }
 
 sys.path.insert(0, str(ROOT / "perfbench"))
+from checks import REF_RTOL, _print_unit  # noqa: E402
 from workloads import WORKLOADS, config_text  # noqa: E402
 
 
@@ -119,8 +124,10 @@ def column_moves(a: Path, b: Path) -> list[str]:
     """One line per column that differs between CSV files ``a`` (parent) and ``b``.
 
     Each line gives the worst relative difference |b - a| / |a| and the worst
-    absolute one, each with |a| at that row. Empty when the two files do not
-    share a header and a table shape, or do not parse as numbers.
+    absolute one, each with |a| at that row, and then either "within the pin" when
+    every cell is within REF_RTOL |a| plus one unit in the 12th digit of a, or the
+    count of cells beyond that. Empty when the two files do not share a header and
+    a table shape, or do not parse as numbers.
     """
     try:
         header = a.read_text().partition("\n")[0]
@@ -141,8 +148,12 @@ def column_moves(a: Path, b: Path) -> list[str]:
                 continue
             rel = np.where(same, 0.0, np.nan_to_num(diff / np.abs(x), nan=np.inf))
             i, j = int(np.argmax(rel)), int(np.argmax(diff))
+            limit = np.where(np.isfinite(x), REF_RTOL * np.abs(x) + _print_unit(x), 0.0)
+            beyond = int(np.count_nonzero(diff > limit))
+            pin = f"{beyond} of {len(x)} cells beyond the pin" if beyond else "within the pin"
             lines.append(f"    {a.name} {name}: relative {rel[i]:.2g} at |parent| "
-                         f"{abs(x[i]):.3g}, absolute {diff[j]:.2g} at |parent| {abs(x[j]):.3g}")
+                         f"{abs(x[i]):.3g}, absolute {diff[j]:.2g} at |parent| {abs(x[j]):.3g}; "
+                         f"{pin}")
     return lines
 
 

@@ -40,11 +40,12 @@ the grid. :meth:`LevelSetOracle._radii` answers radius queries and
 :meth:`LevelSetOracle._evaluate` evaluates V; both take batches. V rounds
 each sample's levels upward with a relative quantization of 1e-3 (the radii
 are monotone in their levels, so the error is bounded and one-sided) and
-then evaluates all samples in lockstep: one masked grid argmax per sample,
-and one batched golden-section refinement in which every iteration tests all
-samples' probes against the sublevel constraint and then makes a single
-cost sweep over the quadrature nodes of the feasible probes only (an
-infeasible probe cannot raise a sup, so it scores -inf unswept). Nothing is memoized;
+then evaluates all samples in lockstep, in two stages per target: a masked
+grid argmax per sample, in chunks sized by the grid, then one batched
+golden-section refinement over all samples, in which every iteration tests
+every probe against the sublevel constraint and makes a single cost sweep
+over the quadrature nodes of the feasible probes only (an infeasible probe
+cannot raise a sup, so it scores -inf unswept). Nothing is memoized;
 consecutive samples almost never share a level.
 """
 
@@ -338,9 +339,9 @@ class LevelSetOracle:
 
     def _line_objective(self, target: _Target, base: np.ndarray, axis: np.ndarray,
                         ct: np.ndarray, upstream: list) -> Callable:
-        """The refinement objective of a chunk of k samples: x (k,) -> the target's error sup
-        at ``base`` with coordinate ``axis`` set to x, given the chunk's ``upstream`` levels,
-        or -inf where V_theta exceeds ``ct``.
+        """The refinement objective of k samples (all of a pass, up to ``_CHUNK_ELEMENTS``
+        quadrature entries): x (k,) -> the target's error sup at ``base`` with coordinate
+        ``axis`` set to x, given their ``upstream`` levels, or -inf where V_theta exceeds ``ct``.
 
         V_theta runs on all k probes; the node residuals, the field and the sup only on
         the feasible ones. Each row's value is independent of the others, so it is the
@@ -358,48 +359,54 @@ class LevelSetOracle:
 
         return objective
 
-    def _radii(self, target: _Target, c_theta: np.ndarray, *upstream: np.ndarray) -> np.ndarray:
-        """One target's radii for a batch of levels: the sup of its error over the points
-        with V_theta <= c_theta, given the levels ``upstream`` of it, one array each: none
-        for xi, and c_xi for a v target, whose sup runs over |eta| <= c_xi as well. That
-        is the paper's r_v on the domain c_xi >= r_xi(c_theta), the only one V queries
-        (see the module docstring). A level the target does not read, or one it lacks,
-        raises TypeError.
-
-        Samples run in chunks of at most ``_CHUNK_ELEMENTS`` grid (or quadrature) entries:
-        a masked grid argmax each, then on the grid path one lockstep golden-section
-        refinement along each sample's best axis (:meth:`_line_objective`). Every
-        iteration tests all samples' probes for feasibility and applies the target's
-        field and sup to one cost sweep over the quadrature nodes of the feasible probes
-        only; an infeasible probe scores -inf without a sweep.
-        """
-        if any(np.any(c < 0) for c in (c_theta, *upstream)):
-            raise ValueError("levels must be nonnegative")
+    def _check_levels(self, c_theta: np.ndarray) -> None:
+        """Raise BoxEscapeError at the first level whose sublevel set of V_theta reaches the
+        search box boundary: no radius there is a sup over the whole set."""
         escaped = np.nonzero(c_theta >= self._vt_boundary_min)[0]
         if escaped.size:
             raise BoxEscapeError(
                 f"sublevel set V_theta <= {c_theta[escaped[0]]:.6g} reaches the search box "
                 f"boundary (min boundary level {self._vt_boundary_min:.6g}); widen the box"
             )
-        table = self._tables[target]
-        out = np.empty(len(c_theta))
-        chunk = max(1, _CHUNK_ELEMENTS // max(len(self._vt), self.quad.n_q * self.cost.n))
-        for lo in range(0, len(c_theta), chunk):
-            sl = slice(lo, lo + chunk)
-            ct, up = c_theta[sl], [c[sl] for c in upstream]
-            feasible = self._vt <= ct[:, None]
-            heights = np.broadcast_to(target.sup(table, *(c[:, None] for c in up)), feasible.shape)
+
+    def _radii(self, target: _Target, c_theta: np.ndarray, *upstream: np.ndarray) -> np.ndarray:
+        """One target's radii for a batch of levels: the sup of its error over the points
+        with V_theta <= c_theta, given the levels ``upstream`` of it, one array each: none
+        for xi, and c_xi for a v target, whose sup runs over |eta| <= c_xi as well. That
+        is the paper's r_v on the domain c_xi >= r_xi(c_theta), the only one V queries
+        (see the module docstring). A level the target does not read, or one it lacks,
+        raises TypeError; a level that escapes the box raises BoxEscapeError.
+
+        Two stages, each over chunks of at most ``_CHUNK_ELEMENTS`` entries. The masked
+        grid argmax, chunked by the grid size, leaves each sample's argmax, best grid value
+        and, on the grid path, refinement axis and bracket. Then one lockstep golden-section
+        refinement along each sample's axis (:meth:`_line_objective`), chunked by n_q * n,
+        one pass for any bundled run. Rows are independent, so no chunk size moves a bit.
+        """
+        if any(np.any(c < 0) for c in (c_theta, *upstream)):
+            raise ValueError("levels must be nonnegative")
+        self._check_levels(c_theta)
+        table, m = self._tables[target], len(c_theta)
+        idx, best = np.empty(m, dtype=int), np.empty(m)
+        axis, a, b = np.empty(m, dtype=int), np.empty(m), np.empty(m)
+        chunk = max(1, _CHUNK_ELEMENTS // len(self._vt))
+        for sl in (slice(lo, lo + chunk) for lo in range(0, m, chunk)):
+            feasible = self._vt <= c_theta[sl, None]
+            heights = np.broadcast_to(target.sup(table, *(c[sl, None] for c in upstream)),
+                                      feasible.shape)
             vals = np.where(feasible, heights, -np.inf)
-            idx = np.argmax(vals, axis=1)
-            rows = np.arange(len(idx))
-            best = vals[rows, idx]
+            idx[sl] = np.argmax(vals, axis=1)
+            best[sl] = vals[np.arange(len(vals)), idx[sl]]
             if self._axes is not None:
-                axis, a, b = self._best_axis_bracket(idx, feasible, heights)
-                objective = self._line_objective(target, self._points[idx], axis, ct, up)
-                best = np.maximum(best, _golden_max(objective, a, b))
-            out[sl] = np.maximum(best, 0.0)
+                axis[sl], a[sl], b[sl] = self._best_axis_bracket(idx[sl], feasible, heights)
             del feasible, heights, vals  # free this chunk's (k, N) arrays before the next allocates
-        return out
+        if self._axes is not None:
+            chunk = max(1, _CHUNK_ELEMENTS // (self.quad.n_q * self.cost.n))
+            for sl in (slice(lo, lo + chunk) for lo in range(0, m, chunk)):
+                objective = self._line_objective(target, self._points[idx[sl]], axis[sl],
+                                                 c_theta[sl], [c[sl] for c in upstream])
+                best[sl] = np.maximum(best[sl], _golden_max(objective, a[sl], b[sl]))
+        return np.maximum(best, 0.0)
 
     # -- composite function ---------------------------------------------------
 

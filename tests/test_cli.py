@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from esc_lab import cli
+from esc_lab import cli, lyapunov
 from esc_lab.cli import main, run_experiment, write_trajectory_csv
 from esc_lab.config import (
     ConfigError,
@@ -378,6 +378,38 @@ def test_lyapunov_mode(tmp_path, capsys):
     assert header[:2] == ["t", "V"]
     v = cols[1]
     assert v[-1] <= v[0] + 1e-9
+
+
+@pytest.mark.parametrize("config, sets", [
+    ("quadratic_lyapunov", []),
+    ("quartic_lyapunov", []),
+    ("quadratic_lyapunov", ["cost.h=1,2", "dither.amplitudes=0.2,0.2", "dither.rates=1,2",
+                            "gains.omega_l=0.25,0.25", "init.theta=2,-1", "init.v=0.81,0.81",
+                            "time.t1=5"]),
+])
+def test_lyapunov_evaluates_v_once(config, sets, tmp_path, monkeypatch, capsys):
+    # the box check before the run reads the initial state's V_theta level alone; V is
+    # evaluated once, on the whole trajectory, with one refinement pass per target
+    evaluations, passes = [], []
+    evaluate, golden = lyapunov.LevelSetOracle._evaluate, lyapunov._golden_max
+
+    def counted_evaluate(self, theta_err, *errs):
+        evaluations.append(len(theta_err))
+        return evaluate(self, theta_err, *errs)
+
+    def counted_golden(f, lo, hi):
+        passes.append(len(lo))
+        return golden(f, lo, hi)
+
+    monkeypatch.setattr(lyapunov.LevelSetOracle, "_evaluate", counted_evaluate)
+    monkeypatch.setattr(lyapunov, "_golden_max", counted_golden)
+    assert main(["lyapunov", "--config", config, *(f"--set={kv}" for kv in sets),
+                 "--out", str(tmp_path)]) == 0
+    header, cols = read_csv_columns(tmp_path / "lyapunov.csv")
+    targets = 1 + sum(name.startswith("V_v_") for name in header)   # xi, v_1 .. v_n
+    assert evaluations == [len(cols[0])]
+    assert passes == [len(cols[0])] * targets
+    assert "PASS" in capsys.readouterr().out
 
 
 def test_lyapunov_run_leaves_numpy_ma_unimported(tmp_path):

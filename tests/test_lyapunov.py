@@ -430,10 +430,52 @@ def _across_chunks_case():
     return traj, cost, dither, eq, spec
 
 
-def test_monitor_matches_single_samples_across_chunks():
+def test_monitor_matches_single_samples_across_chunks(monkeypatch):
+    # the grid stage runs in 11 chunks; the refinement runs once per target for each
+    # _evaluate: once over all 61 samples for the monitor, then once per single sample
     traj, cost, dither, eq, spec = _across_chunks_case()
+    passes, golden = [], lyapunov._golden_max
+
+    def counted_golden(f, lo, hi):
+        passes.append(len(lo))
+        return golden(f, lo, hi)
+
+    monkeypatch.setattr(lyapunov, "_golden_max", counted_golden)
     oracle = _assert_monitor_matches_single_samples(traj, cost, dither, eq, spec)
-    assert len(traj.times) > lyapunov._CHUNK_ELEMENTS // len(oracle._vt)
+    m, targets = len(traj.times), len(oracle._targets)
+    assert m > lyapunov._CHUNK_ELEMENTS // len(oracle._vt)
+    assert passes == [m] * targets + [1] * (targets * m)
+
+
+def _escape_cases(quad_ctx):
+    """(oracle, start inside the box, start whose level escapes it) on the 1-D grid, the 2-D
+    grid and the sampled n = 3 path, as flat states."""
+    yield LevelSetOracle(*quad_ctx), [0.5, 0.81, 0.0], [5.0, 0.81, 0.0]
+    traj, cost, dither, eq, spec = _across_chunks_case()
+    yield (LevelSetOracle(cost, dither, eq, spec), traj.states[0],
+           [3.0, 3.0, 0.5, 0.5, 0.0])
+    cost = quadratic_cost([1.0, 2.0, 0.5], 0.0)
+    dither = new_dither([0.1, 0.1, 0.1], [1, 2, 3], 10.0)
+    spec = LevelSpec(box=[[-2, 2]] * 3, n_samples=4000)
+    yield (LevelSetOracle(cost, dither, equilibrium(cost, dither), spec),
+           [0.6, -0.4, 0.5, 0.5, 0.5, 0.5, 0.0], [1.5, 1.5, 1.5, 0.5, 0.5, 0.5, 0.0])
+
+
+def test_level_check_raises_what_v_raises(quad_ctx):
+    # the box check the CLI runs before it integrates reads only the quantized V_theta
+    # level of the start; it raises exactly the error V raises at that start
+    for oracle, inside, outside in _escape_cases(quad_ctx):
+        inside, outside = _error_states(oracle, inside), _error_states(oracle, outside)
+        level_in, level_out = (lyapunov._quantize_up(np.maximum(oracle._v_theta(errs[0]), 0.0))
+                               for errs in (inside, outside))
+        assert oracle._check_levels(level_in) is None
+        assert np.all(np.isfinite(oracle._evaluate(*inside)[-1]))
+        with pytest.raises(BoxEscapeError) as checked:
+            oracle._check_levels(level_out)
+        with pytest.raises(BoxEscapeError) as evaluated:
+            oracle._evaluate(*outside)
+        assert str(checked.value) == str(evaluated.value)
+        assert str(checked.value).startswith(f"sublevel set V_theta <= {level_out[0]:.6g} ")
 
 
 def test_monitor_matches_single_samples_sampled_path():
