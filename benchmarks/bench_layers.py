@@ -26,13 +26,15 @@ rows time:
   temporary directory;
 * ``stepper_build``: what a fig1 run of 3 members builds before its first
   step: the emitted RK4 loop, compiled (``esc_lab.integrate._loop``; a tree
-  without it, the rmspesc rhs closure);
+  without it, one stage of the rmspesc system, emitted by
+  ``esc_lab.integrate.derivative`` on its first call);
 * ``sweep_rows``, ``sweep_stacked``: the quartic at the 3 member rows of a
   fig1 batch, per call, as the full loop measures it each stage: through
   the scalar form its ``f`` carries, compiled on its own from the lines the
   loop inlines (``esc_lab.dynamics._measure``; a tree without it, the row
   form ``esc_lab.cost.row_form`` or the cost's ``f_rows``), and through
-  ``f`` on the stacked points (what an ``f`` without a scalar form gets);
+  ``f`` once on the stacked points (an ``f`` without a scalar form is
+  called once per member instead);
 * ``cost_point``, ``cost_sweep``, ``rhs_expr2d``: the 2-D expression of the
   ``compare_expr2d`` benchmark workload evaluated on one (2,) point and on
   the (n_q + 1, 2) array one quadrature rhs call sweeps (n_q = 21 at dither
@@ -109,10 +111,10 @@ import numpy as np
 
 import esc_lab as el
 from esc_lab import averaging, cli
-from esc_lab.averaging import average_flat_rhs
+from esc_lab.averaging import average_system
 from esc_lab.cli import write_trajectory_csv
 from esc_lab.config import ExperimentConfig, load_config
-from esc_lab.integrate import fit_step
+from esc_lab.integrate import derivative, fit_step
 from esc_lab.lyapunov import _quantize_up
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -238,9 +240,11 @@ class Rows:
                                    nonfinite=None)
             return ("stepper build, fig1 loop of 3 members", repeat(build, times=BUILDS),
                     (BUILDS, "build"))
-        return ("rhs build, fig1 loop", repeat(el.dynamics.rmspesc_flat_rhs, self.params,
-                                               self.cost, self.dither, times=BUILDS),
-                (BUILDS, "build"))
+        rows = states.tolist()
+
+        def build():  # derivative emits its stage on the first call
+            derivative(el.dynamics.rmspesc_system(self.params, self.cost, self.dither))(0.0, rows)
+        return ("rhs build, fig1 loop", repeat(build, times=BUILDS), (BUILDS, "build"))
 
     def sweep_rows(self):
         rows = self.batch(3).tolist()
@@ -265,7 +269,7 @@ class Rows:
         shift = el.dither_value(self.dither, 0.1).tolist()
         f = self.cost.f
 
-        def stacked(rows, shift):   # what the row form of an f without one runs
+        def stacked(rows, shift):   # one call of f over the members' stacked points
             return f(np.array([[x + s for x, s in zip(r, shift)] for r in rows])).tolist()
         return ("quartic sweep, 3 rows, f stacked", repeat(stacked, rows, shift), (CALLS, "call"))
 
@@ -280,12 +284,12 @@ class Rows:
                 (CALLS, "call"))
 
     def rhs_expr2d(self):
-        rhs = average_flat_rhs(self.expr_params, self.expr_cost, self.expr_dither)
+        rhs = derivative(average_system(self.expr_params, self.expr_cost, self.expr_dither))
         return ("average rhs, parsed 2-D cost", repeat(rhs, 0.0, [self.expr_state.tolist()]),
                 (CALLS, "call"))
 
     def rhs_quartic(self):
-        rhs = average_flat_rhs(self.params, self.cost, self.dither)
+        rhs = derivative(average_system(self.params, self.cost, self.dither))
         return ("average rhs, quartic", repeat(rhs, 0.0, [self.state0.tolist()]), (CALLS, "call"))
 
     @staticmethod

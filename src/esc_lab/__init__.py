@@ -19,7 +19,7 @@ from .cost import (
     shifted_quartic_cost,
 )
 from .dynamics import EscParams
-from .integrate import NonFiniteStateError, Trajectory, integrate_fixed
+from .integrate import NonFiniteStateError, Trajectory
 from .lyapunov import (
     BoxEscapeError,
     DescentReport,
@@ -57,7 +57,6 @@ __all__ = [
     "eval_cost",
     "fourier_coeffs",
     "grad_cost",
-    "integrate_fixed",
     "monitor_descent",
     "new_dither",
     "parse_cost",

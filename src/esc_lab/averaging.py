@@ -24,9 +24,10 @@ together, and then sums all 2n + 1 integrands in one stacked reduction over
 reused buffers; a kernel is therefore not reentrant.
 
 The average system (:func:`average_system`) is a spec for the integrator's
-one emitted RK4 loop. For a polynomial cost within :data:`MAX_TERMS` terms
-the averages are finite sums of the period means of products of sines, so
-it builds them once per run as straight-line float code
+one emitted RK4 loop, and ``derivative(average_system(params, cost,
+dither))`` evaluates one stage of it. For a polynomial cost within
+:data:`MAX_TERMS` terms the averages are finite sums of the period means of
+products of sines, so it builds them once per run as straight-line float code
 (:func:`_closed_form_maps`), which the loop inlines: no J evaluation and no
 node sweep per stage. A cost that is no polynomial, has no ``expr``, or is
 over the cap calls the kernel once per member and stage instead.
@@ -42,7 +43,7 @@ import numpy as np
 from .cost import CostFunction, grad_cost
 from .dynamics import _check_dims, _normalized_rates
 from .expressions import MAX_TERMS, FloatCode, _literal, dither_expansion, polynomial_degree
-from .integrate import System, derivative
+from .integrate import System
 from .signals import DitherConfig
 
 __all__ = [
@@ -52,7 +53,6 @@ __all__ = [
     "PeriodQuadrature",
     "avg_maps",
     "average_system",
-    "average_flat_rhs",
     "equilibrium",
     "convergence_sweep",
 ]
@@ -345,12 +345,6 @@ def average_system(params, cost: CostFunction, dither: DitherConfig) -> System:
         return lines
 
     return System(2 * n + 1, stage, clamp=tuple(range(n, 2 * n)), names=names)
-
-
-def average_flat_rhs(params, cost: CostFunction, dither: DitherConfig):
-    """``rhs(t, rows)`` over rows [theta_bar, v_bar, xi_bar]: one stage of
-    :func:`average_system`."""
-    return derivative(average_system(params, cost, dither))
 
 
 def equilibrium(cost: CostFunction, dither: DitherConfig) -> Equilibrium:

@@ -59,7 +59,7 @@ from .config import MODES, ConfigError, ExperimentConfig, apply_overrides, load_
 from .cost import CostFunction
 from .dynamics import EscParams
 from .integrate import NonFiniteStateError, Trajectory, fit_step, step_grid
-from .lyapunov import LevelSetOracle, LevelSpec, _quantize_up, monitor_descent
+from .lyapunov import LevelSetOracle, LevelSpec, monitor_descent
 from .plotting import PlotError, emit_plot
 from .quadratic import QuadraticModel, quad_jacobian
 from .signals import DitherConfig
@@ -341,10 +341,9 @@ def _mode_lyapunov(cfg: ExperimentConfig, out_dir: Path) -> int:
     if hw is None:
         hw = np.maximum(1.0, 2.0 * np.abs(run.theta0 - eq.theta_star))
     oracle = LevelSetOracle(cost, dither, eq, LevelSpec(box=np.stack([-hw, hw], axis=-1)))
-    # the initial state's V_theta level, quantized as V takes it: a box that state escapes
-    # raises BoxEscapeError here, before the run, and without evaluating V
-    phi0 = state0[None, :cost.n] - eq.theta_star
-    oracle._check_levels(_quantize_up(np.maximum(oracle._v_theta(phi0), 0.0)))
+    # a box the initial state's V_theta level escapes raises BoxEscapeError here, before
+    # the run, and without evaluating V
+    oracle._theta_levels(state0[None, :cost.n] - eq.theta_star)
     traj = simulate_average(*run.system, state0, *run.grid)
     report = monitor_descent(oracle, traj)
 

@@ -128,10 +128,6 @@ def apply_overrides(values: dict[str, str], overrides: list[str]) -> dict[str, s
 # Typed access
 # ---------------------------------------------------------------------------
 
-def _split_list(value: str) -> list[str]:
-    return [piece.strip() for piece in value.split(",") if piece.strip()]
-
-
 @dataclass
 class ExperimentConfig:
     """Typed view over a raw key/value mapping; accessors name the field on error."""
@@ -169,17 +165,22 @@ class ExperimentConfig:
             raise ConfigError(f"field {key!r} must be an integer, got {raw!r}") from None
 
     def number_list(self, key: str, default: Optional[str] = None) -> np.ndarray:
-        raw = self.raw(key, default)
+        entries = self.string_list(key, default)
         try:
-            values = np.array([float(x) for x in _split_list(raw)])
+            values = np.array([float(x) for x in entries])
         except ValueError:
             raise ConfigError(f"field {key!r} must be a comma-separated list of numbers") from None
         if not np.all(np.isfinite(values)):
-            raise ConfigError(f"field {key!r} entries must be finite, got {raw!r}")
+            raise ConfigError(f"field {key!r} entries must be finite, "
+                              f"got {self.raw(key, default)!r}")
         return values
 
     def string_list(self, key: str, default: Optional[str] = None) -> list[str]:
-        return _split_list(self.raw(key, default))
+        raw = self.raw(key, default)
+        entries = [piece.strip() for piece in raw.split(",") if piece.strip()]
+        if not entries:
+            raise ConfigError(f"field {key!r} must list at least one entry, got {raw!r}")
+        return entries
 
     # -- domain builders ----------------------------------------------------
 

@@ -15,16 +15,16 @@ Flat state layout used by the integrator: ``[theta_hat (n), v_hat (n), xi]``
 for the RMSp loop and ``[theta_hat (n), xi]`` for the baseline. Each loop is
 a :class:`esc_lab.integrate.System` (:func:`rmspesc_system`,
 :func:`gesc_system`): straight-line float code per member, with the gains
-and the dither as literals, which the integrator inlines into its one RK4
-loop; :func:`rmspesc_flat_rhs` and :func:`gesc_flat_rhs` emit one stage of
-the same code as ``rhs(t, rows) -> rows``.
+and the dither as literals, which :func:`esc_lab.integrate.integrate` inlines
+into its one RK4 loop; ``derivative(rmspesc_system(params, cost, dither))``
+evaluates one stage of the same code as ``rhs(t, rows) -> rows``.
 
 A stage measures J at theta + a sin(omega r t) through the scalar form that
 the cost's ``f`` carries (``f.scalar``, which
-:func:`esc_lab.expressions.compile_expression` records, inlined per member;
-where those floats raise, that point's J comes from ``f``), and through one
-sweep of ``f`` over the members' stacked points for an ``f`` without one. So
-a replaced ``f`` is what the loop measures. The dither phase comes from
+:func:`esc_lab.expressions.compile_expression` records, inlined per member).
+Where those floats raise, and for an ``f`` without a scalar form, that
+member's J comes from ``f`` at its point. So a replaced ``f`` is what the
+loop measures. The dither phase comes from
 ``math.sin``, once per distinct stage time (RK4's two midpoint stages share
 one). The outputs equal those of :func:`esc_lab.signals.dither_value`'s
 ``np.sin`` only while the two round alike: they do on the numpy builds and
@@ -41,10 +41,10 @@ import numpy as np
 
 from .cost import CostFunction
 from .expressions import _literal
-from .integrate import Names, System, derivative
+from .integrate import Names, System
 from .signals import DitherConfig
 
-__all__ = ["EscParams", "rmspesc_system", "gesc_system", "rmspesc_flat_rhs", "gesc_flat_rhs"]
+__all__ = ["EscParams", "rmspesc_system", "gesc_system"]
 
 
 @dataclass(frozen=True)
@@ -92,18 +92,17 @@ def _dither_phase(dither: DitherConfig) -> tuple[str, ...]:
 def _measure(cost: CostFunction, y: Names) -> list[str]:
     """Lines setting ``j<b>`` to J at member b's theta, ``y[b][:n]``, shifted by the dither."""
     n, scalar = cost.n, getattr(cost.f, "scalar", None)
-    points = [[f"{row[i]} + a{i}" for i in range(n)] for row in y]
-    if scalar is None:
-        stacked = ", ".join(f"({', '.join(p)},)" for p in points)
-        return [f"{', '.join(f'j{b}' for b in range(len(y)))}, = f(array(({stacked},))).tolist()"]
-    lines, value = scalar
-    x = ", ".join(f"x{i}" for i in range(n))
+    by_f = f"float(f(array(({', '.join(f'x{i}' for i in range(n))},))))"
     out = []
-    for b, point in enumerate(points):
-        out += [*(f"x{i} = {p}" for i, p in enumerate(point)), "try:",
-                *(f"    {line}" for line in lines), f"    j{b} = {value}",
-                "except (ZeroDivisionError, OverflowError, ValueError):",  # numpy: inf or NaN
-                f"    j{b} = float(f(array(({x},))))"]
+    for b, row in enumerate(y):
+        out += [f"x{i} = {row[i]} + a{i}" for i in range(n)]
+        if scalar is None:
+            out.append(f"j{b} = {by_f}")
+        else:
+            lines, value = scalar
+            out += ["try:", *(f"    {line}" for line in lines), f"    j{b} = {value}",
+                    "except (ZeroDivisionError, OverflowError, ValueError):",  # numpy: inf or NaN
+                    f"    j{b} = {by_f}"]
     return out
 
 
@@ -152,12 +151,3 @@ def gesc_system(params: EscParams, cost: CostFunction, dither: DitherConfig) -> 
 
     return System(n + 1, stage, _dither_phase(dither), names={"f": cost.f, "array": np.array})
 
-
-def rmspesc_flat_rhs(params: EscParams, cost: CostFunction, dither: DitherConfig):
-    """``rhs(t, rows)`` over rows [theta, v, xi]: one stage of :func:`rmspesc_system`."""
-    return derivative(rmspesc_system(params, cost, dither))
-
-
-def gesc_flat_rhs(params: EscParams, cost: CostFunction, dither: DitherConfig):
-    """``rhs(t, rows)`` over rows [theta, xi]: one stage of :func:`gesc_system`."""
-    return derivative(gesc_system(params, cost, dither))

@@ -17,43 +17,43 @@ member in a local variable and writes each stage out in full, in the order
 it builds no list per stage or step and records straight into the
 preallocated arrays. The bundled configs step B <= 3 members of d <= 5
 entries, where one numpy call costs more than a stage's arithmetic.
-:func:`derivative` emits one stage of the same code as ``rhs(t, rows) ->
-rows``; :func:`integrate_fixed` runs an opaque ``rhs(t, rows)`` as the
-system whose stage calls it.
+:func:`integrate` is the only way to run a system; :func:`derivative` emits
+one stage of the same code as ``rhs(t, rows) -> rows``, for evaluating a
+system's right-hand side at given states.
 
-The state may carry a leading batch axis: a state of shape (B, d) steps B
-members in lockstep through one loop, sharing t and h. Each member's samples
-equal those of its own (d,) run bit for bit whenever the stage treats
-members independently, which every stage in :mod:`esc_lab.dynamics` and
-:mod:`esc_lab.averaging` does. ``simulate`` mode runs its washout seeds
-this way; the other modes run a single state.
+The state is one member of ``system.width`` entries, or a (B, width) batch
+of B >= 1 members, which one loop steps in lockstep, sharing t and h. Each
+member's samples equal those of its own (width,) run bit for bit whenever
+the stage treats members independently, which every stage in
+:mod:`esc_lab.dynamics` and :mod:`esc_lab.averaging` does. ``simulate``
+mode runs its washout seeds this way; the other modes run a single state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import inf, nan, pow, sin, sqrt
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["Trajectory", "NonFiniteStateError", "System", "integrate", "integrate_fixed",
-           "derivative", "fit_step", "step_grid"]
+__all__ = ["Trajectory", "NonFiniteStateError", "System", "integrate", "derivative", "fit_step",
+           "step_grid"]
 
 
 class NonFiniteStateError(RuntimeError):
     """Integration produced NaN/inf; carries the offending time and state.
 
-    For a batched state, ``member`` is the flat index over the batch axes of
-    the first member that is not finite, and the message shows that member's
-    state under ``name`` (default "member <index>"); for a (d,) state it is None.
+    For a (B, d) batch, ``member`` is the index of the first member that is
+    not finite, and the message shows that member's state under ``name``
+    (default "member <index>"); for a (d,) state it is None.
     """
 
     def __init__(self, t: float, state: np.ndarray, member: Optional[int] = None,
                  name: Optional[str] = None):
         shown, where = state, ""
         if member is not None:
-            shown = state.reshape(-1, state.shape[-1])[member]
+            shown = state[member]
             where = f" of {name or f'member {member}'}"
         super().__init__(f"non-finite state{where} at t={t:.6g}: "
                          f"{np.array2string(shown, precision=6)}")
@@ -68,7 +68,7 @@ class Trajectory:
     """Recorded samples of one integration run."""
 
     times: np.ndarray           # (m,), the recorded times
-    states: np.ndarray          # (m, d), or (m, *batch, d) for a batched run
+    states: np.ndarray          # (m, d), or (m, B, d) for a batched run
     clamp_events: int = 0       # steps on which the nonnegativity clamp fired, summed over members
 
     def __post_init__(self):
@@ -123,7 +123,10 @@ class System:
     b's derivative from the names ``y[b]`` holding its state at the stage time
     ``ts``. They may read what the ``phase`` lines compute from ``ts`` (run once
     per distinct stage time) and the objects in ``names``. The ``clamp`` entries
-    are clamped as :func:`integrate_fixed`'s ``clamp_nonneg`` are.
+    (filter states that must stay in the nonnegative orthant) are clamped after
+    each step: whenever a member's is below zero, those entries of every member
+    become ``0.0 if x <= 0.0 else x``, as ``np.maximum(x, 0.0)`` does, and each
+    low member counts one clamp event.
     """
 
     width: int
@@ -193,22 +196,25 @@ def integrate(system: System, state0, t0: float, t1: float, h: float,
               record_stride: int = 1) -> Trajectory:
     """Integrate ``system`` from t0 to t1 with classical RK4 steps of size h.
 
-    ``state0`` has shape (width,) or (*batch, width). States are recorded every
-    ``record_stride`` steps plus the final state, with ``state0``'s shape.
-    Aborts with :class:`NonFiniteStateError` as soon as any member leaves the
-    finite floats.
+    ``state0`` has shape (width,) or (B, width) with B >= 1. States are
+    recorded every ``record_stride`` steps plus the final state, with
+    ``state0``'s shape. Aborts with :class:`NonFiniteStateError` as soon as any
+    member leaves the finite floats.
     """
     nsteps, n_rec = step_grid(t0, t1, h, record_stride)
     y0 = np.array(state0, dtype=float, ndmin=1)
     shape = y0.shape
+    if shape[-1] != system.width or y0.ndim > 2 or y0.size == 0:
+        raise ValueError(f"expected flat initial state of length {system.width}, "
+                         f"got shape {shape}")
 
     def nonfinite(t, values):
         y = np.array(values).reshape(shape)
-        finite = np.isfinite(y).reshape(-1, shape[-1]).all(axis=-1)
+        finite = np.isfinite(y).all(axis=-1)
         if not finite.all():
-            raise NonFiniteStateError(t, y, None if len(shape) == 1 else int(np.argmin(finite)))
+            raise NonFiniteStateError(t, y, None if y.ndim == 1 else int(np.argmin(finite)))
 
-    loop = _compile(system, _loop(system, y0.size // shape[-1]), "loop", nonfinite=nonfinite)
+    loop = _compile(system, _loop(system, y0.size // system.width), "loop", nonfinite=nonfinite)
     times, states = np.empty(n_rec), np.empty((n_rec, y0.size))
     times[0], states[0] = t0, y0.ravel()
     events = loop(y0.ravel().tolist(), t0, h, nsteps, record_stride, times, states)
@@ -234,30 +240,3 @@ def derivative(system: System) -> Callable[[float, list[list[float]]], list[list
 
     return rhs
 
-
-def _call_rhs(y: Names, k: Names) -> list[str]:
-    """The stage of :func:`integrate_fixed`: one call of its ``rhs`` on all members."""
-    return [f"{_rows(k)}, = rhs(ts, [{_rows(y)}])"]
-
-
-def integrate_fixed(
-    rhs: Callable[[float, list[list[float]]], list[list[float]]],
-    state0,
-    t0: float,
-    t1: float,
-    h: float,
-    record_stride: int = 1,
-    clamp_nonneg: Optional[Sequence[int]] = None,
-) -> Trajectory:
-    """:func:`integrate` of the system whose stage calls ``rhs(t, rows)``, which maps a list
-    of member rows (lists of d floats) to their derivatives in the same layout.
-
-    ``clamp_nonneg`` lists indices of the last axis clamped to >= 0 after each
-    step (filter states that must stay in the nonnegative orthant): whenever a
-    member is low, those columns of every member become ``0.0 if x <= 0.0 else
-    x``, as ``np.maximum(x, 0.0)`` does.
-    """
-    y0 = np.array(state0, dtype=float, ndmin=1)
-    clamp = () if clamp_nonneg is None else tuple(int(c) for c in clamp_nonneg)
-    system = System(y0.shape[-1], _call_rhs, clamp=clamp, names={"rhs": rhs})
-    return integrate(system, y0, t0, t1, h, record_stride)

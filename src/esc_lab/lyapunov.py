@@ -369,6 +369,15 @@ class LevelSetOracle:
                 f"boundary (min boundary level {self._vt_boundary_min:.6g}); widen the box"
             )
 
+    def _theta_levels(self, theta_err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """V_theta on a batch of error points and the levels V takes its radii at: V_theta
+        rounded up by :func:`_quantize_level`. Raises the BoxEscapeError that :meth:`_evaluate`
+        raises for those points, before any radius is taken."""
+        vt = self._v_theta(theta_err)
+        levels = _quantize_up(np.maximum(vt, 0.0))
+        self._check_levels(levels)
+        return vt, levels
+
     def _radii(self, target: _Target, c_theta: np.ndarray, *upstream: np.ndarray) -> np.ndarray:
         """One target's radii for a batch of levels: the sup of its error over the points
         with V_theta <= c_theta, given the levels ``upstream`` of it, one array each: none
@@ -417,8 +426,7 @@ class LevelSetOracle:
         :func:`_quantize_level`. Returns (V_theta, r_xi, V_xi, r_v, V_v, V); r_v and
         V_v are (m, n).
         """
-        vt = self._v_theta(theta_err)
-        levels = _quantize_up(np.maximum(vt, 0.0))
+        vt, levels = self._theta_levels(theta_err)
         xi, *vs = self._targets
         r_xi = self._radii(xi, levels)
         v_xi = np.maximum(r_xi, np.abs(xi_err))

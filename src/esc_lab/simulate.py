@@ -1,7 +1,7 @@
 """Trajectory drivers for the closed loop, its baseline, and the average system.
 
-Each driver checks the shape of the flat initial state and runs classical RK4
-(:func:`esc_lab.integrate.integrate`) from t = 0 on its system's spec:
+Each driver runs classical RK4 (:func:`esc_lab.integrate.integrate`) from
+t = 0 on its system's spec:
 :func:`esc_lab.dynamics.rmspesc_system`, :func:`esc_lab.dynamics.gesc_system`
 or :func:`esc_lab.averaging.average_system`. The integrator emits one
 straight-line step loop per run from that spec, with the gains, the dither
@@ -10,7 +10,8 @@ scalar form its ``f`` carries, for every builtin and parsed cost; the average
 system evaluates closed-form maps, built once per run, for a polynomial cost
 within :data:`esc_lab.expressions.MAX_TERMS` terms, and the node sums of one
 :class:`esc_lab.averaging.PeriodQuadrature` per run for any other. The
-integrator validates the time span with :func:`esc_lab.integrate.step_grid`.
+integrator checks the initial state's shape against the spec's width and
+validates the time span with :func:`esc_lab.integrate.step_grid`.
 
 Each of the three functions here takes a (d,) initial state or a (B, d)
 batch of them and steps the members in lockstep, one loop for all of them;
@@ -19,8 +20,6 @@ batch of them and steps the members in lockstep, one loop for all of them;
 
 from __future__ import annotations
 
-import numpy as np
-
 from .averaging import average_system
 from .cost import CostFunction
 from .dynamics import EscParams, gesc_system, rmspesc_system
@@ -28,14 +27,6 @@ from .integrate import Trajectory, integrate
 from .signals import DitherConfig
 
 __all__ = ["simulate_rmspesc", "simulate_gesc", "simulate_average"]
-
-
-def _flat_state(state0, dim: int) -> np.ndarray:
-    """A (d,) state or a (B, d) batch of them."""
-    state0 = np.array(state0, dtype=float, ndmin=1)
-    if state0.shape[-1] != dim or state0.ndim > 2:
-        raise ValueError(f"expected flat initial state of length {dim}, got shape {state0.shape}")
-    return state0
 
 
 def simulate_rmspesc(
@@ -48,7 +39,6 @@ def simulate_rmspesc(
     record_stride: int = 1,
 ) -> Trajectory:
     """Integrate the RMSp loop from a flat state [theta (n), v (n), xi], or a (B, d) batch."""
-    state0 = _flat_state(state0, 2 * params.n + 1)
     return integrate(rmspesc_system(params, cost, dither), state0, 0.0, t1, h, record_stride)
 
 
@@ -62,7 +52,6 @@ def simulate_gesc(
     record_stride: int = 1,
 ) -> Trajectory:
     """Integrate the plain-gradient baseline from a flat state [theta (n), xi], or a (B, d) batch."""
-    state0 = _flat_state(state0, params.n + 1)
     return integrate(gesc_system(params, cost, dither), state0, 0.0, t1, h, record_stride)
 
 
@@ -76,5 +65,4 @@ def simulate_average(
     record_stride: int = 1,
 ) -> Trajectory:
     """Integrate the average system from [theta_bar, v_bar, xi_bar], or a (B, d) batch."""
-    state0 = _flat_state(state0, 2 * params.n + 1)
     return integrate(average_system(params, cost, dither), state0, 0.0, t1, h, record_stride)

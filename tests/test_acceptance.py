@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import esc_lab as el
-from esc_lab.averaging import average_flat_rhs
-from esc_lab.dynamics import gesc_flat_rhs, rmspesc_flat_rhs
-from esc_lab.integrate import fit_step
+from esc_lab.averaging import average_system
+from esc_lab.dynamics import gesc_system, rmspesc_system
+from esc_lab.integrate import System, derivative, fit_step, integrate
 from esc_lab.lyapunov import LevelSetOracle
 
 FIG1 = el.EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
@@ -87,8 +87,8 @@ def test_criterion_3_jacobian_and_eigenvalue_asymptotes():
         cost = el.quadratic_cost(model.h, model.j_opt)
         dither = el.new_dither([model.a], [1], 10.0)
         eq = el.equilibrium(cost, dither)
-        flat_rhs = average_flat_rhs(FIG1, cost, dither)
-        rhs = lambda t, y: np.array(flat_rhs(t, [y.tolist()])[0])
+        stage = derivative(average_system(FIG1, cost, dither))
+        rhs = lambda t, y: np.array(stage(t, [y.tolist()])[0])
         x0 = np.array([*eq.theta_star, *eq.v_star, eq.xi_star])
         num = np.zeros((3, 3))
         for j in range(3):
@@ -155,13 +155,13 @@ def test_criterion_6_qualitative_trajectory_reproduction():
                 rmsp_zero = traj
 
         mask = rmsp_zero.times <= 5.0
-        rhs_r = rmspesc_flat_rhs(FIG1, cost, dither)
+        rhs_r = derivative(rmspesc_system(FIG1, cost, dither))
         rmsp_rate = max(
             abs(rhs_r(t, [s.tolist()])[0][0])
             for t, s in zip(rmsp_zero.times[mask], rmsp_zero.states[mask])
         )
         gesc = el.simulate_gesc(cost, dither, FIG1, [2.0, 0.0], 100.0, h, stride)
-        rhs_g = gesc_flat_rhs(FIG1, cost, dither)
+        rhs_g = derivative(gesc_system(FIG1, cost, dither))
         gesc_rate = max(
             abs(rhs_g(t, [s.tolist()])[0][0]) for t, s in zip(gesc.times[mask], gesc.states[mask])
         )
@@ -212,10 +212,10 @@ def test_criterion_8_filter_error_boundedness():
 
 def test_criterion_9_integrator_order():
     with criterion(9, "RK4 error shrinks ~16x per step halving", 1.0):
+        decay = System(1, lambda y, k: [f"{out[0]} = -{row[0]}" for row, out in zip(y, k)])
         errors = []
         for h in (0.2, 0.1, 0.05):
-            traj = el.integrate_fixed(lambda t, rows: [[-x for x in r] for r in rows], [1.0],
-                                      0.0, 1.0, h)
+            traj = integrate(decay, [1.0], 0.0, 1.0, h)
             errors.append(abs(traj.states[-1, 0] - np.exp(-1.0)))
         for coarse, fine in zip(errors, errors[1:]):
             factor = coarse / fine

@@ -9,10 +9,10 @@ import esc_lab
 from esc_lab import (averaging, cli, config, cost, dynamics, expressions, integrate, lyapunov,
                      signals, simulate)
 
-# Names folded into one API per layer: the structured rhs (the flat closures
-# remain), the one-shot Lyapunov wrappers (LevelSetOracle remains), the
-# per-call quadrature builder and the point-wise g2 decomposition
-# (PeriodQuadrature and its g2_coeffs remain), the thread pool and the
+# Names folded into one API per layer: the structured rhs, the one-shot
+# Lyapunov wrappers (LevelSetOracle remains), the per-call quadrature builder
+# and the point-wise g2 decomposition (PeriodQuadrature and its g2_coeffs
+# remain), the thread pool and the
 # compiled-loop fork of the drivers (the numpy path remains), the time-grid
 # dither methods (dither_value and demod_value broadcast), and members of
 # result and config classes that nothing read; the oracle's per-target
@@ -34,20 +34,24 @@ from esc_lab import (averaging, cli, config, cost, dynamics, expressions, integr
 # grid helper (compare runs both systems in process, on one setup); the full
 # loop's row form of J, its dither phase closure and the clamp helper (the
 # integrator emits one straight-line loop per system, with J's scalar form,
-# the phase and the clamp inlined).
+# the phase and the clamp inlined); the second way to run a system, an opaque
+# rhs through a stage that called it, and the flat rhs wrappers around
+# derivative(<system>), which no program path called; the drivers' state
+# shape check (integrate checks the state against the system's width).
 REMOVED = {
-    dynamics: ["EscState", "EscDerivative", "rmspesc_rhs", "gesc_rhs", "grad_estimate", "_phase"],
+    dynamics: ["EscState", "EscDerivative", "rmspesc_rhs", "gesc_rhs", "grad_estimate", "_phase",
+               "rmspesc_flat_rhs", "gesc_flat_rhs"],
     averaging: ["average_rhs", "default_nodes", "_node_signals", "avg_g2_coeffs", "ErrorState",
-                "to_error_coords", "from_error_coords"],
+                "to_error_coords", "from_error_coords", "average_flat_rhs"],
     lyapunov: ["radius_xi", "radius_v", "lyapunov_value", "_as_equilibrium", "LyapunovReport",
                "v_theta"],
     cli: ["_parallel", "_max_workers", "ThreadPoolExecutor", "_n_q", "_concurrently",
           "_average_run", "_average_grid"],
-    simulate: ["_resolve_path", "_run_kernel"],
+    simulate: ["_resolve_path", "_run_kernel", "_flat_state"],
     cost: ["CostKernelSpec", "KERNEL_QUADRATIC", "KERNEL_QUARTIC", "Verdict", "AssumptionReport",
            "_grid_points", "_local_minima_mask", "_connected_components", "check_assumptions",
            "row_form"],
-    integrate: ["oscillation_step", "nonneg"],
+    integrate: ["oscillation_step", "nonneg", "integrate_fixed", "_call_rhs"],
     cost.CostFunction: ["name", "grad", "f_rows", "__post_init__"],
     integrate.Trajectory: ["column", "label", "h", "record_stride"],
     signals.DitherConfig: ["phase_grid", "dither_matrix", "demod_matrix"],
@@ -76,7 +80,6 @@ def test_removed_names_are_gone():
             assert name not in members, f"{owner.__name__}.{name}"
             assert name not in esc_lab.__all__
             assert not hasattr(esc_lab, name)
-    assert "label" not in inspect.signature(integrate.integrate_fixed).parameters
 
 
 def test_oracle_keeps_no_envelope_tables():
@@ -103,7 +106,7 @@ def test_levels_are_always_quantized():
 
 def test_fixed_settings_take_no_parameter():
     # every consumer of the averaged maps builds the default PeriodQuadrature
-    for func in (simulate.simulate_average, averaging.average_flat_rhs, averaging.equilibrium,
+    for func in (simulate.simulate_average, averaging.average_system, averaging.equilibrium,
                  averaging.convergence_sweep, lyapunov.LevelSetOracle, lyapunov.monitor_descent):
         assert "n_q" not in inspect.signature(func).parameters, func.__name__
     assert "tol" not in inspect.signature(lyapunov.monitor_descent).parameters
@@ -120,13 +123,9 @@ def test_fixed_settings_take_no_parameter():
 
 
 def test_run_layers_take_what_runs_use():
-    # runs start at t = 0 (integrate_fixed keeps t0: perfbench's tracer reads the span from
-    # it), each simulate_* takes a (d,) state or a (B, d) batch, and the monitor reads the
-    # equilibrium from the oracle it is given
+    # runs start at t = 0, and the monitor reads the equilibrium from the oracle it is given
     for func in (simulate.simulate_rmspesc, simulate.simulate_gesc, simulate.simulate_average):
         assert "t0" not in inspect.signature(func).parameters, func.__name__
-    assert "t0" in inspect.signature(integrate.integrate_fixed).parameters
-    assert list(inspect.signature(simulate._flat_state).parameters) == ["state0", "dim"]
     assert list(inspect.signature(lyapunov.monitor_descent).parameters) == ["oracle",
                                                                              "avg_trajectory"]
 

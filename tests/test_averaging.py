@@ -19,7 +19,8 @@ from esc_lab import (
     quartic_cost,
     shifted_quartic_cost,
 )
-from esc_lab.averaging import average_flat_rhs
+from esc_lab.averaging import average_system
+from esc_lab.integrate import derivative
 from esc_lab.quadratic import QuadraticModel, fourier_coeffs, quad_avg_maps
 
 FIG1 = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
@@ -27,7 +28,7 @@ FIG1 = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
 
 def average_rhs(state, params, cost, dither):
     row = np.asarray(state, dtype=float).tolist()
-    return np.array(average_flat_rhs(params, cost, dither)(0.0, [row])[0])
+    return np.array(derivative(average_system(params, cost, dither))(0.0, [row])[0])
 
 
 def quad_setup():
@@ -190,7 +191,7 @@ def test_average_flat_rhs_equals_rhs_of_two_sweep_maps(cost, dither, params):
     assert any(x < 0.0 for r in rows for x in r[n : 2 * n])
     assert any(r[-1] > 0.0 for r in rows) and any(r[-1] < 0.0 for r in rows)
     expected = two_sweep_rhs(cost, quad, params, rows)
-    rhs = average_flat_rhs(params, cost, dither)
+    rhs = derivative(average_system(params, cost, dither))
     assert rhs(0.0, rows) == expected
     assert [rhs(0.0, [r])[0] for r in rows] == expected
 
@@ -224,20 +225,20 @@ def test_average_flat_rhs_one_sweep_and_one_reduction_per_row(cost, dither, para
     rows = rhs_rows(cost.n, count=5)
     # the closed form of a polynomial cost evaluates no J at all
     polynomial = replace(cost, f=lambda x: sweeps.append(x.shape) or cost.f(x))
-    average_flat_rhs(params, polynomial, dither)(0.0, rows)
+    derivative(average_system(params, polynomial, dither))(0.0, rows)
     assert sweeps == []
     # the quadrature path, which a cost without its expression takes
     cost = replace(cost, expr=None)
     counted = replace(cost, f=lambda x: sweeps.append(x.shape) or cost.f(x))
     counting_np = _CountingNumpy()
     monkeypatch.setattr(averaging, "np", counting_np)
-    rhs = average_flat_rhs(params, counted, dither)
+    rhs = derivative(average_system(params, counted, dither))
     out = rhs(0.0, rows)
     monkeypatch.undo()
     n_q = PeriodQuadrature(cost, dither).n_q
     assert sweeps == [(n_q + 1, cost.n)] * len(rows)
     assert counting_np.add.reduces == len(rows)
-    assert out == average_flat_rhs(params, cost, dither)(0.0, rows)
+    assert out == derivative(average_system(params, cost, dither))(0.0, rows)
 
 
 # (cost, dither, params, theta offset, xi offset from J(theta) or None for rhs_rows' xi)
@@ -270,9 +271,10 @@ def closed_form_rows(cost, theta_offset, xi_offset):
 def test_closed_form_rhs_matches_reference_quadrature(case):
     cost, dither, params, theta_offset, xi_offset = CLOSED_FORM_CASES[case]
     n, calls = cost.n, []
-    rhs = average_flat_rhs(params, replace(cost, f=lambda x: calls.append(x) or cost.f(x)), dither)
+    counted = replace(cost, f=lambda x: calls.append(x) or cost.f(x))
+    rhs = derivative(average_system(params, counted, dither))
     # the reference is the same cost without its expression: 256 * r_max nodes
-    ref = average_flat_rhs(params, replace(cost, expr=None), dither)
+    ref = derivative(average_system(params, replace(cost, expr=None), dither))
 
     def close(a, b):  # relative to the norm of the reference vector
         return np.linalg.norm(np.subtract(a, b)) <= 1e-13 * np.linalg.norm(b)
@@ -287,7 +289,7 @@ def test_closed_form_rhs_matches_reference_quadrature(case):
 def test_closed_form_rhs_matches_scalar_quadratic_closed_forms():
     model = QuadraticModel(h=1.0, j_opt=3.0, a=0.2)
     cost, dither = quadratic_cost(model.h, model.j_opt), new_dither([model.a], [1], 10.0)
-    rhs = average_flat_rhs(FIG1, cost, dither)
+    rhs = derivative(average_system(FIG1, cost, dither))
     for theta, v, xi in rhs_rows(1):
         got = rhs(0.0, [[theta, v, xi]])[0]
         g_bar, g2_bar = quad_avg_maps(model, theta, xi)
@@ -326,7 +328,7 @@ def test_cost_without_closed_form_takes_the_quadrature(case):
     calls = []
     counted = replace(cost, f=lambda x: calls.append(x.shape) or cost.f(x))
     rows = rhs_rows(n, count=4)
-    out = average_flat_rhs(params, counted, dither)(0.0, rows)
+    out = derivative(average_system(params, counted, dither))(0.0, rows)
     assert calls == [(n_q + 1, n)] * len(rows)
     assert out == two_sweep_rhs(cost, quad, params, rows)
 

@@ -626,6 +626,13 @@ def test_lyapunov_box_overflowing_the_fields_exit_code_2(tmp_path, capsys):
      "field 'cost.n' must be at least 1, got 0"),
     ("lyapunov", "quadratic_lyapunov", ["lyapunov.box_halfwidth=1,2"],
      "field 'lyapunov.box_halfwidth' must have 1 entry"),
+    # a list that splits to no entries: an IndexError traceback and exit 1; a header-only
+    # converge.csv and exit 0; and numpy's "need at least one array to stack", no key named
+    ("simulate", "quartic_fig1", ["cost.kind=quadratic", "cost.h=,"],
+     "field 'cost.h' must list at least one entry, got ','"),
+    ("converge", "quartic_converge", ["converge.a0=,"],
+     "field 'converge.a0' must list at least one entry, got ','"),
+    ("simulate", "quartic_fig1", ["init.xi=,"], "field 'init.xi' must list at least one entry, got ','"),
 ])
 def test_invalid_setting_error_names_the_key(mode, config, sets, message, tmp_path, capsys):
     code = main([mode, "--config", config, *(f"--set={kv}" for kv in sets),

@@ -14,7 +14,8 @@ from esc_lab import (
     quartic_cost,
     shifted_quartic_cost,
 )
-from esc_lab.dynamics import gesc_flat_rhs, rmspesc_flat_rhs
+from esc_lab.dynamics import gesc_system, rmspesc_system
+from esc_lab.integrate import derivative
 
 FIG1 = dict(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
 UNIT_GAIN = EscParams(**FIG1)  # k = 1: the baseline's d theta/dt is -g
@@ -25,12 +26,12 @@ def grad_estimate(t, theta, xi, cost, dither):
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     params = EscParams(**{**FIG1, "omega_l": np.full(theta.size, 0.25)})
     row = np.append(theta, xi).tolist()
-    return -np.array(gesc_flat_rhs(params, cost, dither)(t, [row])[0])[: theta.size]
+    return -np.array(derivative(gesc_system(params, cost, dither))(t, [row])[0])[: theta.size]
 
 
 def rmsp(t, theta, v, xi, cost, dither, params=UNIT_GAIN):
     row = np.array([*theta, *v, xi], dtype=float).tolist()
-    return np.array(rmspesc_flat_rhs(params, cost, dither)(t, [row])[0])
+    return np.array(derivative(rmspesc_system(params, cost, dither))(t, [row])[0])
 
 
 def test_params_validation():
@@ -140,7 +141,7 @@ def test_estimate_linear_in_xi_with_demod_slope():
 def test_gesc_rhs():
     cost = quadratic_cost(1.0)
     dither = new_dither([0.2], [1], 10.0)
-    rhs = gesc_flat_rhs(UNIT_GAIN, cost, dither)
+    rhs = derivative(gesc_system(UNIT_GAIN, cost, dither))
     t = np.pi / 20.0
     dtheta, dxi = rhs(t, [[1.0, 0.0]])[0]
     assert dtheta == pytest.approx(-7.2, rel=1e-12)
@@ -157,9 +158,9 @@ def test_dimension_mismatch_rejected():
     cost = quadratic_cost(1.0)
     dither = new_dither([0.2, 0.1], [1, 2], 10.0)
     with pytest.raises(ValueError, match="dimension"):
-        gesc_flat_rhs(UNIT_GAIN, cost, dither)
+        derivative(gesc_system(UNIT_GAIN, cost, dither))
     with pytest.raises(ValueError, match="dimension"):
-        rmspesc_flat_rhs(UNIT_GAIN, cost, dither)
+        derivative(rmspesc_system(UNIT_GAIN, cost, dither))
 
 
 # the numpy functions a full-loop stage reached or reaches, counted per call
@@ -181,8 +182,8 @@ def test_full_loop_stage_numpy_calls(build, monkeypatch):
     dither = new_dither([0.02] * n, list(range(1, n + 1)), 10.0)
     params = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25] * n, omega_xi=1.0)
     rows = [[1.5] * n + [0.81] * n + [0.0], [-0.5] * n + [0.0] * n + [0.3]]
-    for make, width in ((rmspesc_flat_rhs, 2 * n + 1), (gesc_flat_rhs, n + 1)):
-        rhs = make(params, cost, dither)
+    for make, width in ((rmspesc_system, 2 * n + 1), (gesc_system, n + 1)):
+        rhs = derivative(make(params, cost, dither))
         member_rows = [r[:n] + r[2 * n:] for r in rows] if width == n + 1 else rows
         for t in (0.1, 0.1, 0.35):   # a new time, the same one again, a new one
             seen.clear()
@@ -205,7 +206,8 @@ def test_replaced_f_is_what_the_loop_measures(build):
     params = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25, 0.25], omega_xi=0.7)
     t, theta, xi = 0.1, [1.0, -0.4], 0.3
     want = 0.7 * (float(g(np.array(theta) + dither_value(dither, t))) - xi)
-    got_rmsp = rmspesc_flat_rhs(params, replaced, dither)(t, [[*theta, 0.8, 0.8, xi]])[0][-1]
-    got_gesc = gesc_flat_rhs(params, replaced, dither)(t, [[*theta, xi]])[0][-1]
+    rmsp_rhs = derivative(rmspesc_system(params, replaced, dither))
+    got_rmsp = rmsp_rhs(t, [[*theta, 0.8, 0.8, xi]])[0][-1]
+    got_gesc = derivative(gesc_system(params, replaced, dither))(t, [[*theta, xi]])[0][-1]
     assert got_rmsp == pytest.approx(want, rel=1e-12)
     assert got_gesc == pytest.approx(want, rel=1e-12)

@@ -11,7 +11,6 @@ from esc_lab import (
     PeriodQuadrature,
     Trajectory,
     avg_maps,
-    integrate_fixed,
     new_dither,
     parse_cost,
     quadratic_cost,
@@ -20,39 +19,54 @@ from esc_lab import (
     simulate_gesc,
     simulate_rmspesc,
 )
-from esc_lab.averaging import average_flat_rhs
-from esc_lab.dynamics import gesc_flat_rhs, rmspesc_flat_rhs
-from esc_lab.integrate import fit_step, step_grid
+from esc_lab.averaging import average_system
+from esc_lab.dynamics import gesc_system, rmspesc_system
+from esc_lab.expressions import _literal
+from esc_lab.integrate import System, derivative, fit_step, integrate, step_grid
 
 FIG1 = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
 
 
-def decay(t, rows):
-    return [[-x for x in r] for r in rows]
+def scalar(rate):
+    """The system x' = ``rate(x)`` on one entry, with ``rate`` mapping x's name to code."""
+    return System(1, lambda y, k: [f"{out[0]} = {rate(row[0])}" for row, out in zip(y, k)])
+
+
+def constant(rates, clamp=()):
+    """The system whose rates are the constants ``rates``, one row per member, as literal
+    stage lines (``_literal`` keeps a -0.0)."""
+    rows = np.array(rates, dtype=float, ndmin=2)
+    return System(rows.shape[-1], lambda y, k: [f"{d} = {_literal(float(r))}"
+                                                for out, row in zip(k, rows)
+                                                for d, r in zip(out, row)], clamp=clamp)
+
+
+DECAY = scalar(lambda x: f"-{x}")
+BLOWUP = scalar(lambda x: f"{x} * {x}")  # finite-time escape from y0 = 3
 
 
 def test_exponential_decay():
-    traj = integrate_fixed(decay, [1.0], 0.0, 1.0, 0.1)
+    traj = integrate(DECAY, [1.0], 0.0, 1.0, 0.1)
     assert traj.states[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-6)
 
 
 def test_zero_rhs_keeps_state_exact():
     y0 = np.array([1.5, -2.25, 0.125])
-    traj = integrate_fixed(lambda t, rows: [[0.0] * len(r) for r in rows], y0, 0.0, 3.0, 0.25)
+    traj = integrate(constant([0.0, 0.0, 0.0]), y0, 0.0, 3.0, 0.25)
     np.testing.assert_array_equal(traj.states[-1], y0)
 
 
 def test_step_count_and_final_time():
-    traj = integrate_fixed(decay, [1.0], 0.0, 2.0, 0.125)
+    traj = integrate(DECAY, [1.0], 0.0, 2.0, 0.125)
     nsteps = round(2.0 / 0.125)
     assert len(traj.times) == nsteps + 1
     assert abs(traj.times[-1] - 2.0) <= 0.125 * 1e-9
 
 
 def test_record_stride():
-    traj = integrate_fixed(decay, [1.0], 0.0, 1.0, 0.1, record_stride=5)
+    traj = integrate(DECAY, [1.0], 0.0, 1.0, 0.1, record_stride=5)
     np.testing.assert_allclose(traj.times, [0.0, 0.5, 1.0], atol=1e-12)
-    dense = integrate_fixed(decay, [1.0], 0.0, 1.0, 0.1)
+    dense = integrate(DECAY, [1.0], 0.0, 1.0, 0.1)
     assert traj.states[1, 0] == pytest.approx(dense.states[5, 0], rel=1e-15)
 
 
@@ -60,48 +74,45 @@ def test_order_four_convergence():
     # halving h cuts the final error by ~2^4
     errors = []
     for h in (0.2, 0.1, 0.05):
-        traj = integrate_fixed(decay, [1.0], 0.0, 1.0, h)
+        traj = integrate(DECAY, [1.0], 0.0, 1.0, h)
         errors.append(abs(traj.states[-1, 0] - np.exp(-1.0)))
     for coarse, fine in zip(errors, errors[1:]):
         assert 14.0 <= coarse / fine <= 18.0
 
 
 def test_nonfinite_abort_carries_diagnostics():
-    blowup = lambda t, rows: [[x * x for x in r] for r in rows]  # finite-time escape from y0 = 3
     with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError) as err:
-        integrate_fixed(blowup, [3.0], 0.0, 10.0, 0.05)
+        integrate(BLOWUP, [3.0], 0.0, 10.0, 0.05)
     assert err.value.t > 0.0
     assert "t=" in str(err.value)
 
 
 def test_nonfinite_abort_names_first_batch_member():
-    blowup = lambda t, rows: [[x * x for x in r] for r in rows]
     with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError) as err:
-        integrate_fixed(blowup, [[0.0], [3.0], [3.0]], 0.0, 10.0, 0.05)
+        integrate(BLOWUP, [[0.0], [3.0], [3.0]], 0.0, 10.0, 0.05)
     assert err.value.member == 1
     assert err.value.state.shape == (3, 1)
     assert "non-finite state of member 1 at t=" in str(err.value)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError) as err:
-        integrate_fixed(blowup, [3.0], 0.0, 10.0, 0.05)
+        integrate(BLOWUP, [3.0], 0.0, 10.0, 0.05)
     assert err.value.member is None
     assert str(err.value).startswith("non-finite state at t=")
 
 
 def test_batched_clamp_counts_each_member():
     # member 0 is clamped on every step, member 1 never, member 2 from t = 0.5 on
-    pull_down = lambda t, rows: [[-1.0], [1.0], [-1.0]]
-    traj = integrate_fixed(pull_down, [[0.0], [0.0], [0.55]], 0.0, 1.0, 0.1, clamp_nonneg=[0])
+    pull_down = constant([[-1.0], [1.0], [-1.0]], clamp=(0,))
+    traj = integrate(pull_down, [[0.0], [0.0], [0.55]], 0.0, 1.0, 0.1)
     assert traj.states.shape == (11, 3, 1)
     assert traj.clamp_events == 10 + 0 + 5
     assert type(traj.clamp_events) is int
-    single = integrate_fixed(lambda t, rows: [[-1.0]], [0.55], 0.0, 1.0, 0.1, clamp_nonneg=[0])
+    single = integrate(constant([-1.0], clamp=(0,)), [0.55], 0.0, 1.0, 0.1)
     np.testing.assert_array_equal(traj.states[:, 2], single.states)
     assert single.clamp_events == 5
 
 
 def test_clamp_nonneg():
-    pull_down = lambda t, rows: [[-1.0]]
-    traj = integrate_fixed(pull_down, [0.05], 0.0, 1.0, 0.1, clamp_nonneg=[0])
+    traj = integrate(constant([-1.0], clamp=(0,)), [0.05], 0.0, 1.0, 0.1)
     assert np.all(traj.states[:, 0] >= 0.0)
     assert traj.clamp_events > 0
     assert traj.states[-1, 0] == 0.0
@@ -109,16 +120,16 @@ def test_clamp_nonneg():
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        integrate_fixed(decay, [1.0], 1.0, 0.0, 0.1)
+        integrate(DECAY, [1.0], 1.0, 0.0, 0.1)
     with pytest.raises(ValueError):
-        integrate_fixed(decay, [1.0], 0.0, 1.0, -0.1)
+        integrate(DECAY, [1.0], 0.0, 1.0, -0.1)
     with pytest.raises(ValueError):
-        integrate_fixed(decay, [1.0], 0.0, 1.0, 0.1, record_stride=0)
+        integrate(DECAY, [1.0], 0.0, 1.0, 0.1, record_stride=0)
     # h must divide the span: 1 / 0.3 steps would stop short of t1 at 0.9
     with pytest.raises(ValueError, match="divide"):
-        integrate_fixed(decay, [1.0], 0.0, 1.0, 0.3)
+        integrate(DECAY, [1.0], 0.0, 1.0, 0.3)
     with pytest.raises(ValueError, match="divide"):
-        integrate_fixed(decay, [1.0], 0.0, 1.0, 0.1 * (1.0 + 1e-8))
+        integrate(DECAY, [1.0], 0.0, 1.0, 0.1 * (1.0 + 1e-8))
 
 
 @pytest.mark.parametrize("t0, t1", [(0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)])
@@ -152,11 +163,7 @@ def test_clamp_never_fires_on_quadratic_loop_with_step_rule():
     dither = new_dither([0.2], [1], 10.0)
     params = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
     h, stride = fit_step(0.05, dither.max_step)
-    traj = integrate_fixed(
-        rmspesc_flat_rhs(params, cost, dither),
-        [2.0, 0.81, 0.0], 0.0, 20.0, h, stride,
-        clamp_nonneg=[1],
-    )
+    traj = simulate_rmspesc(cost, dither, params, [2.0, 0.81, 0.0], 20.0, h, stride)
     assert traj.clamp_events == 0
     assert np.all(traj.states[:, 1] >= 0.0)
 
@@ -195,29 +202,37 @@ def test_parsed_quartic_matches_builtin():
         assert np.array_equal(traj.states, ref.states), driver.__name__
 
 
-# Two channels with distinct rates and a coupled curvature: each driver is one
-# integrate_fixed run over its flat rhs closure, bit for bit.
+# Two channels with distinct rates and a coupled curvature: each driver is the
+# numpy RK4 oracle (numpy_integrate, below) over its system's stage, bit for bit.
 MULTI_COST = quadratic_cost([[2.0, 0.3], [0.3, 1.0]], 0.5, [0.2, -0.4])
 MULTI_DITHER = new_dither([0.05, 0.04], [1, 3], 10.0)
 MULTI_PARAMS = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25, 0.5], omega_xi=1.0)
 
 
-@pytest.mark.parametrize("driver, rhs, state0, clamp", [
-    (simulate_rmspesc, rmspesc_flat_rhs, [1.0, -1.0, 0.1, 0.2, 0.0], [2, 3]),
+# The ids are the names these six cases have always run under, from when each
+# driver was checked against a flat rhs closure, so their results compare across runs.
+@pytest.mark.parametrize("driver, make, state0, clamp", [
+    pytest.param(simulate_rmspesc, rmspesc_system, [1.0, -1.0, 0.1, 0.2, 0.0], [2, 3],
+                 id="simulate_rmspesc-rmspesc_flat_rhs-state00-clamp0"),
     # xi0 = J(theta0): from xi0 = 0 the unnormalized baseline diverges within 0.1 s
-    (simulate_gesc, gesc_flat_rhs, [1.0, -1.0, 1.176], None),
-    (simulate_average, average_flat_rhs, [1.0, -1.0, 0.1, 0.2, 0.0], [2, 3]),
+    pytest.param(simulate_gesc, gesc_system, [1.0, -1.0, 1.176], None,
+                 id="simulate_gesc-gesc_flat_rhs-state01-None"),
+    pytest.param(simulate_average, average_system, [1.0, -1.0, 0.1, 0.2, 0.0], [2, 3],
+                 id="simulate_average-average_flat_rhs-state02-clamp2"),
     # a (2, d) batch is one run as well
-    (simulate_rmspesc, rmspesc_flat_rhs, [[1.0, -1.0, 0.1, 0.2, 0.0], [0.5, 0.3, 0.0, 1.0, 2.0]],
-     [2, 3]),
-    (simulate_gesc, gesc_flat_rhs, [[1.0, -1.0, 1.176], [0.5, 0.3, 0.9]], None),
-    (simulate_average, average_flat_rhs, [[1.0, -1.0, 0.1, 0.2, 0.0], [0.5, 0.3, 0.0, 1.0, 2.0]],
-     [2, 3]),
+    pytest.param(simulate_rmspesc, rmspesc_system,
+                 [[1.0, -1.0, 0.1, 0.2, 0.0], [0.5, 0.3, 0.0, 1.0, 2.0]], [2, 3],
+                 id="simulate_rmspesc-rmspesc_flat_rhs-state03-clamp3"),
+    pytest.param(simulate_gesc, gesc_system, [[1.0, -1.0, 1.176], [0.5, 0.3, 0.9]], None,
+                 id="simulate_gesc-gesc_flat_rhs-state04-None"),
+    pytest.param(simulate_average, average_system,
+                 [[1.0, -1.0, 0.1, 0.2, 0.0], [0.5, 0.3, 0.0, 1.0, 2.0]], [2, 3],
+                 id="simulate_average-average_flat_rhs-state05-clamp5"),
 ])
-def test_driver_is_one_integrator_run(driver, rhs, state0, clamp):
+def test_driver_is_one_integrator_run(driver, make, state0, clamp):
     traj = driver(MULTI_COST, MULTI_DITHER, MULTI_PARAMS, state0, 1.0, 0.002, 25)
-    ref = integrate_fixed(rhs(MULTI_PARAMS, MULTI_COST, MULTI_DITHER), state0, 0.0, 1.0, 0.002, 25,
-                          clamp_nonneg=clamp)
+    ref = numpy_integrate(stage_rhs(make(MULTI_PARAMS, MULTI_COST, MULTI_DITHER)), state0, 0.0,
+                          1.0, 0.002, 25, clamp)
     np.testing.assert_array_equal(traj.times, ref.times)
     np.testing.assert_array_equal(traj.states, ref.states)
     assert traj.clamp_events == ref.clamp_events
@@ -232,6 +247,17 @@ def test_simulate_average_rejects_mismatched_gains():
                          [2, 2, 0.81, 0.81, 0], 1, 0.01, 10)
 
 
+def test_integrate_checks_state_against_width():
+    # a (width,) state or a (B, width) batch with B >= 1; anything else is named before
+    # the loop is emitted
+    for state0 in ([1.0, 2.0], [[1.0, 2.0]], [], np.zeros((0, 1)), np.zeros((1, 1, 1))):
+        with pytest.raises(ValueError) as err:
+            integrate(DECAY, state0, 0.0, 1.0, 0.1)
+        assert str(err.value) == ("expected flat initial state of length 1, "
+                                  f"got shape {np.shape(state0)}")
+    assert integrate(DECAY, [[1.0]], 0.0, 1.0, 0.1).states.shape == (11, 1, 1)
+
+
 def test_simulate_rejects_state_length():
     cost, dither = quartic_cost(), new_dither([0.02], [1], 10.0)
     for driver, state0 in ((simulate_rmspesc, [1.0, 0.1]), (simulate_gesc, [1.0, 0.1, 0.0]),
@@ -243,9 +269,9 @@ def test_simulate_rejects_state_length():
             driver(cost, dither, FIG1, state0, 1.0, 0.01)
 
 
-# The numpy oracle: the RK4 loop and the flat rhs math as they ran on (..., d)
-# arrays before the integrator moved to member rows of floats. The row loop
-# must reproduce it bit for bit.
+# The numpy oracle: the RK4 loop and the rhs math as they ran on (..., d) arrays
+# before the integrator moved to member rows of floats. The loop that the drivers
+# emit, with every stage inlined, must reproduce it bit for bit.
 def numpy_integrate(rhs, state0, t0, t1, h, stride=1, clamp=None):
     nsteps, n_rec = step_grid(t0, t1, h, stride)
     y = np.array(state0, dtype=float, ndmin=1)
@@ -272,8 +298,14 @@ def numpy_integrate(rhs, state0, t0, t1, h, stride=1, clamp=None):
     return Trajectory(times, states, events)
 
 
+def stage_rhs(system):
+    """One stage of ``system`` (:func:`derivative`) as ``rhs(t, y)`` on a (d,) or (B, d) array."""
+    stage = derivative(system)
+    return lambda t, y: np.array(stage(t, y.reshape(-1, y.shape[-1]).tolist())).reshape(y.shape)
+
+
 def numpy_rhs(system, params, cost, dither, drift=None):
-    """The flat rhs of ``system`` on (..., d) arrays; "drift" returns the constant ``drift``."""
+    """The rhs of ``system`` on (..., d) arrays; "drift" returns the constant ``drift``."""
     n = params.n
     k, eps, wl, wxi = params.k, params.epsilon, params.omega_l, params.omega_xi
     amps, freqs, demod = dither.amplitudes, dither.omega * dither.rates, 2.0 / dither.amplitudes
@@ -308,7 +340,7 @@ ORACLE_COSTS = {
     "quadratic2d": (MULTI_COST, MULTI_DITHER),
     "parsed2d": (PARSED_2D, new_dither([0.02, 0.02], [1, 2], 10.0)),
 }
-ROW_RHS = {"rmsp": rmspesc_flat_rhs, "gesc": gesc_flat_rhs, "average": average_flat_rhs}
+DRIVERS = {"rmsp": simulate_rmspesc, "gesc": simulate_gesc, "average": simulate_average}
 # v entries: both zeros, and values a step can push below zero
 V_VALUES = st.sampled_from([-0.0, 0.0, 1e-4, 0.81]) | st.floats(0.0, 2.0)
 
@@ -318,9 +350,9 @@ def oracle_cases(draw):
     """A system, a cost, a (d,) or (B, d) initial state for B = 1 ... 5, and a short grid.
 
     One member may start with negative v entries, and one with an overflowing
-    theta (the run then aborts); the drift system, whose rhs is a constant
-    drawn per member with -0.0 among its entries, is the one where a v of
-    -0.0 survives a step and meets the clamp of another member.
+    theta (the run then aborts); the drift system, whose rates are literal
+    constants drawn per member with -0.0 among their entries, is the one
+    where a v of -0.0 survives a step and meets the clamp of another member.
     """
     system = draw(st.sampled_from(["rmsp", "gesc", "average", "drift"]))
     cost_name = "quartic" if system == "drift" else draw(st.sampled_from(sorted(ORACLE_COSTS)))
@@ -374,21 +406,22 @@ def test_row_loop_matches_numpy_oracle(case):
         f = cost.f
         cost = replace(cost, f=lambda x: f(x), expr=None)
     clamp = None if system == "gesc" else list(range(n, 2 * n))
-    if system == "drift":
-        row_rhs = lambda t, rows: drift.reshape(-1, drift.shape[-1]).tolist()
-    else:
-        row_rhs = ROW_RHS[system](params, cost, dither)
-    grid = (0.0, 0.01 * case["nsteps"], 0.01, case["stride"], clamp)
+    t1, h, stride = 0.01 * case["nsteps"], 0.01, case["stride"]
 
-    def run(integrate, rhs):
+    def run(integrate_case):
         try:
             with np.errstate(all="ignore"):
-                return integrate(rhs, state0, *grid), None
+                return integrate_case(), None
         except NonFiniteStateError as exc:
             return None, exc
 
-    got, got_err = run(integrate_fixed, row_rhs)
-    ref, ref_err = run(numpy_integrate, numpy_rhs(system, params, cost, dither, drift))
+    if system == "drift":
+        drifting = constant(drift, clamp=tuple(clamp))
+        got, got_err = run(lambda: integrate(drifting, state0, 0.0, t1, h, stride))
+    else:
+        got, got_err = run(lambda: DRIVERS[system](cost, dither, params, state0, t1, h, stride))
+    ref, ref_err = run(lambda: numpy_integrate(numpy_rhs(system, params, cost, dither, drift),
+                                               state0, 0.0, t1, h, stride, clamp))
     assert (got_err is None) == (ref_err is None)
     if ref_err is not None:
         assert (got_err.t, got_err.member) == (ref_err.t, ref_err.member)

@@ -469,12 +469,15 @@ def test_level_check_raises_what_v_raises(quad_ctx):
         level_in, level_out = (lyapunov._quantize_up(np.maximum(oracle._v_theta(errs[0]), 0.0))
                                for errs in (inside, outside))
         assert oracle._check_levels(level_in) is None
+        assert np.array_equal(oracle._theta_levels(inside[0])[1], level_in)
         assert np.all(np.isfinite(oracle._evaluate(*inside)[-1]))
         with pytest.raises(BoxEscapeError) as checked:
             oracle._check_levels(level_out)
+        with pytest.raises(BoxEscapeError) as started:
+            oracle._theta_levels(outside[0])
         with pytest.raises(BoxEscapeError) as evaluated:
             oracle._evaluate(*outside)
-        assert str(checked.value) == str(evaluated.value)
+        assert str(checked.value) == str(started.value) == str(evaluated.value)
         assert str(checked.value).startswith(f"sublevel set V_theta <= {level_out[0]:.6g} ")
 
 

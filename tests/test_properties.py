@@ -23,7 +23,8 @@ from esc_lab import (
     simulate_gesc,
     simulate_rmspesc,
 )
-from esc_lab.dynamics import gesc_flat_rhs, rmspesc_system
+from esc_lab.dynamics import gesc_system, rmspesc_system
+from esc_lab.integrate import derivative
 
 coords = st.floats(-3.0, 3.0)
 
@@ -274,7 +275,8 @@ def _loop_j(cost, points):
     the dither shift is +0.0 (so a point's -0.0 reads +0.0), with xi = 0 and unit gains."""
     n = cost.n
     params = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25] * n, omega_xi=1.0)
-    rhs = gesc_flat_rhs(params, cost, new_dither([0.1] * n, list(range(1, n + 1)), 10.0))
+    dither = new_dither([0.1] * n, list(range(1, n + 1)), 10.0)
+    rhs = derivative(gesc_system(params, cost, dither))
     with np.errstate(all="ignore"):
         return [row[-1] for row in rhs(0.0, [[*p, 0.0] for p in points])]
 

@@ -13,7 +13,8 @@ from esc_lab import (
     quad_jacobian,
     quadratic_cost,
 )
-from esc_lab.averaging import average_flat_rhs
+from esc_lab.averaging import average_system
+from esc_lab.integrate import derivative
 
 FIG1 = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
 
@@ -137,8 +138,8 @@ def test_jacobian_matches_central_difference_of_average_rhs():
     cost = quadratic_cost(model.h, model.j_opt)
     dither = new_dither([model.a], [1], 10.0)
     eq = equilibrium(cost, dither)
-    flat_rhs = average_flat_rhs(FIG1, cost, dither)
-    rhs = lambda t, y: np.array(flat_rhs(t, [y.tolist()])[0])
+    stage = derivative(average_system(FIG1, cost, dither))
+    rhs = lambda t, y: np.array(stage(t, [y.tolist()])[0])
     x0 = np.array([*eq.theta_star, *eq.v_star, eq.xi_star])  # flat layout (theta, v, xi)
     num = np.zeros((3, 3))
     for j in range(3):
