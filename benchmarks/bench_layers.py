@@ -44,8 +44,16 @@ rows time:
   workload (``perfbench/workloads.py``), once through ``esc_lab.cli.main``
   end to end, config loading and CSV writing included; and its average run
   alone: ``simulate_average`` on the run ``esc_lab.cli._setup`` builds, at
-  compare's average-system grid; ``lyapunov``: seed 0 of the
-  ``descent_quartic`` workload through ``esc_lab.cli.main`` end to end;
+  compare's average-system grid; ``lyapunov`` and ``fig1``: seed 0 of the
+  ``descent_quartic`` and ``closed_loop_fig1`` workloads through
+  ``esc_lab.cli.main`` end to end;
+* ``startup_simulate``, ``startup_compare``, ``startup_lyapunov``: one fresh
+  interpreter per repeat that imports ``esc_lab.cli`` and the modules the
+  mode loads on top of it (averaging for compare, averaging and lyapunov for
+  lyapunov), from the tree under test, so each tree's own import graph is
+  timed, interpreter and numpy start-up included. With
+  ``PYTHONDONTWRITEBYTECODE=1`` (the record notes its value) each start
+  compiles every imported module from source;
 * ``dense{2..8}``: a short average run (250 RK4 steps, 1,000 stages) of a
   dense n-D quadratic (theta* != 0, rates 1..n), its build included, with
   the closed-form term cap (``esc_lab.averaging.MAX_TERMS``) lifted where
@@ -128,6 +136,8 @@ PATH = ("esc_lab.integrate.integrate: one RK4 loop per run, emitted as straight-
 CALLS = 1000          # calls per timing of a per-call row, and stages of a short average run
 BUILDS = 100          # builds per timing of stepper_build
 BATCHES = (1, 3, 16, 64)
+# the modules a mode loads beyond what importing esc_lab.cli loads
+STARTUP = {"simulate": (), "compare": ("averaging",), "lyapunov": ("averaging", "lyapunov")}
 DENSE = range(2, 9)
 POWERS = (16, 24, 28, 32, 40)
 
@@ -180,12 +190,14 @@ class Rows:
                  "sweep_stacked",
                  "cost_point", "cost_sweep", "rhs_expr2d", "rhs_quartic", "oracle", "radius_xi",
                  "radius_v1", "monitor", "monitor_x16", "csv", "compare", "compare_average",
-                 "lyapunov",
+                 "lyapunov", "fig1", *(f"startup_{mode}" for mode in STARTUP),
                  *(f"dense{n}" for n in DENSE), *(f"quad_dense{n}" for n in DENSE),
                  *(f"power{d}" for d in POWERS), *(f"quad_power{d}" for d in POWERS),
                  "fallback_dense8", "fallback_power40"])
 
     def build(self, key):
+        if key.startswith("startup_"):
+            return self.startup(key[len("startup_"):])
         for prefix in ("loop_b", "average_b", "quad_dense", "quad_power", "dense", "power"):
             if key.startswith(prefix):
                 return getattr(self, prefix)(int(key[len(prefix):]))
@@ -450,6 +462,23 @@ class Rows:
         return ("descent_quartic, end to end",
                 self.end_to_end("lyapunov", self.workload_config("descent_quartic")), None)
 
+    def fig1(self):
+        return ("closed_loop_fig1, end to end",
+                self.end_to_end("simulate", self.workload_config("closed_loop_fig1")), None)
+
+    @staticmethod
+    def startup(mode):
+        """A fresh interpreter importing what ``mode`` loads, from the imported tree's src."""
+        modules = ", ".join(["esc_lab.cli", *(f"esc_lab.{name}" for name in STARTUP[mode])])
+        env = dict(os.environ)
+        src = str(Path(el.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        cmd = [sys.executable, "-c", f"import {modules}"]
+        # no timeout: with one, Popen.wait polls in sleeps of up to 50 ms, which would
+        # round every timing up to that grain
+        return (f"start-up, {mode}: import {modules}",
+                lambda: subprocess.run(cmd, env=env, check=True), None)
+
     def compare_average(self):
         """compare's average run: the full loop's sample times, stepped at most a quarter
         sample apart and within the gain step."""
@@ -546,7 +575,8 @@ def main() -> int:
             return 0
         record = {"path": PATH, "python": platform.python_version(), "numpy": np.__version__,
                   "machine": platform.machine(), "nproc": os.cpu_count(), "t1": args.t1,
-                  "repeats": args.repeats}
+                  "repeats": args.repeats,
+                  "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
         if args.against:
             record.update(run_against(args, keys))
         else:

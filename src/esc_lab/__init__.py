@@ -1,71 +1,46 @@
-"""Extremum seeking with RMSprop-normalized updates: simulation and analysis tools."""
+"""Extremum seeking with RMSprop-normalized updates: simulation and analysis tools.
 
-from .averaging import (
-    AverageMaps,
-    ConvergenceError,
-    Equilibrium,
-    PeriodQuadrature,
-    avg_maps,
-    convergence_sweep,
-    equilibrium,
-)
-from .cost import (
-    CostFunction,
-    eval_cost,
-    grad_cost,
-    parse_cost,
-    quadratic_cost,
-    quartic_cost,
-    shifted_quartic_cost,
-)
-from .dynamics import EscParams
-from .integrate import NonFiniteStateError, Trajectory
-from .lyapunov import (
-    BoxEscapeError,
-    DescentReport,
-    LevelSetOracle,
-    LevelSpec,
-    monitor_descent,
-)
-from .quadratic import JacobianReport, QuadraticModel, fourier_coeffs, quad_avg_maps, quad_jacobian
-from .signals import DitherConfig, demod_value, dither_value, new_dither
-from .simulate import simulate_average, simulate_gesc, simulate_rmspesc
+Importing the package loads none of its submodules. Each name in ``__all__``
+is looked up in the submodule that defines it on first access (PEP 562), so a
+program loads only what it uses: ``esc-lab simulate`` runs on ``config``,
+``cost``, ``expressions``, ``signals``, ``dynamics``, ``integrate`` and
+``simulate``, and never loads ``averaging``, ``lyapunov``, ``quadratic`` or
+``plotting``; :mod:`esc_lab.cli` lists what each mode loads. ``from esc_lab
+import *`` binds every exported name.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AverageMaps",
-    "BoxEscapeError",
-    "ConvergenceError",
-    "CostFunction",
-    "DescentReport",
-    "DitherConfig",
-    "Equilibrium",
-    "EscParams",
-    "JacobianReport",
-    "LevelSetOracle",
-    "LevelSpec",
-    "NonFiniteStateError",
-    "PeriodQuadrature",
-    "QuadraticModel",
-    "Trajectory",
-    "avg_maps",
-    "convergence_sweep",
-    "demod_value",
-    "dither_value",
-    "equilibrium",
-    "eval_cost",
-    "fourier_coeffs",
-    "grad_cost",
-    "monitor_descent",
-    "new_dither",
-    "parse_cost",
-    "quad_avg_maps",
-    "quad_jacobian",
-    "quadratic_cost",
-    "quartic_cost",
-    "shifted_quartic_cost",
-    "simulate_average",
-    "simulate_gesc",
-    "simulate_rmspesc",
-]
+# the submodule that defines each exported name
+_EXPORTS = {
+    "averaging": ("AverageMaps", "Equilibrium", "PeriodQuadrature", "avg_maps",
+                  "convergence_sweep", "equilibrium"),
+    "cost": ("CostFunction", "eval_cost", "grad_cost", "parse_cost", "quadratic_cost",
+             "quartic_cost", "shifted_quartic_cost"),
+    "dynamics": ("EscParams",),
+    "integrate": ("ConvergenceError", "NonFiniteStateError", "Trajectory"),
+    "lyapunov": ("BoxEscapeError", "DescentReport", "LevelSetOracle", "LevelSpec",
+                 "monitor_descent"),
+    "quadratic": ("JacobianReport", "QuadraticModel", "fourier_coeffs", "quad_avg_maps",
+                  "quad_jacobian"),
+    "signals": ("DitherConfig", "demod_value", "dither_value", "new_dither"),
+    "simulate": ("simulate_average", "simulate_gesc", "simulate_rmspesc"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

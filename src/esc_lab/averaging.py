@@ -43,7 +43,7 @@ import numpy as np
 from .cost import CostFunction, grad_cost
 from .dynamics import _check_dims, _normalized_rates
 from .expressions import MAX_TERMS, FloatCode, _literal, dither_expansion, polynomial_degree
-from .integrate import System
+from .integrate import ConvergenceError, System
 from .signals import DitherConfig
 
 __all__ = [
@@ -56,10 +56,6 @@ __all__ = [
     "equilibrium",
     "convergence_sweep",
 ]
-
-
-class ConvergenceError(RuntimeError):
-    """Equilibrium search failed to reach the gradient tolerance."""
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["Trajectory", "NonFiniteStateError", "System", "integrate", "derivative", "fit_step",
-           "step_grid"]
+__all__ = ["Trajectory", "NonFiniteStateError", "ConvergenceError", "System", "integrate",
+           "derivative", "fit_step", "step_grid"]
 
 
 class NonFiniteStateError(RuntimeError):
@@ -61,6 +61,15 @@ class NonFiniteStateError(RuntimeError):
         self.state = state
         self.member = member
         self.name = name
+
+
+class ConvergenceError(RuntimeError):
+    """Equilibrium search failed to reach the gradient tolerance.
+
+    Raised by :func:`esc_lab.averaging.equilibrium`, which re-exports it; it is
+    defined here, beside :class:`NonFiniteStateError`, so that the CLI can
+    catch both runtime aborts without importing the averaging module.
+    """
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,13 @@ validates the time span with :func:`esc_lab.integrate.step_grid`.
 Each of the three functions here takes a (d,) initial state or a (B, d)
 batch of them and steps the members in lockstep, one loop for all of them;
 ``simulate`` mode runs its washout seeds this way.
+
+:func:`simulate_average` imports :mod:`esc_lab.averaging` when it is first
+called, so the full-loop drivers, and ``simulate`` mode, never load it.
 """
 
 from __future__ import annotations
 
-from .averaging import average_system
 from .cost import CostFunction
 from .dynamics import EscParams, gesc_system, rmspesc_system
 from .integrate import Trajectory, integrate
@@ -65,4 +67,6 @@ def simulate_average(
     record_stride: int = 1,
 ) -> Trajectory:
     """Integrate the average system from [theta_bar, v_bar, xi_bar], or a (B, d) batch."""
+    from .averaging import average_system
+
     return integrate(average_system(params, cost, dither), state0, 0.0, t1, h, record_stride)

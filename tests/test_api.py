@@ -71,6 +71,17 @@ def test_every_exported_name_resolves():
             assert getattr(module, name, None) is not None, f"{module.__name__}.{name}"
 
 
+def test_lazy_exports_are_listed_and_star_imported():
+    # the package resolves its exports on first access; dir() and import * still see all
+    assert set(esc_lab.__all__) <= set(dir(esc_lab))
+    namespace = {}
+    exec("from esc_lab import *", namespace)
+    assert {name: namespace.get(name) for name in esc_lab.__all__} == {
+        name: getattr(esc_lab, name) for name in esc_lab.__all__}
+    # the equilibrium search's error is the integrator's runtime-abort class, re-exported
+    assert averaging.ConvergenceError is integrate.ConvergenceError is esc_lab.ConvergenceError
+
+
 def test_removed_names_are_gone():
     for owner, names in REMOVED.items():
         # a dataclass field without a default is no class attribute

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from esc_lab import cli, lyapunov
-from esc_lab.cli import main, run_experiment, write_trajectory_csv
+from esc_lab.cli import main, run_experiment, write_csv, write_trajectory_csv
 from esc_lab.config import (
     ConfigError,
     ExperimentConfig,
@@ -454,6 +454,33 @@ def test_compare_run_starts_no_process(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_each_mode_imports_only_the_modules_it_runs(tmp_path):
+    # import esc_lab loads no submodule; simulate never loads the averaging, Lyapunov,
+    # quadratic-report or plotting modules, compare adds averaging, lyapunov adds lyapunov
+    script = (
+        "import sys\n"
+        "import esc_lab\n"
+        "def loaded(names):\n"
+        "    return [f'esc_lab.{name}' for name in names if f'esc_lab.{name}' in sys.modules]\n"
+        "submodules = [m for m in sys.modules if m.startswith('esc_lab.')]\n"
+        "assert not submodules, submodules\n"
+        "from esc_lab.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for mode, config, unused in [\n"
+        "        ('simulate', 'quartic_fig1', ('averaging', 'lyapunov', 'quadratic', 'plotting')),\n"
+        "        ('compare', 'quartic_compare', ('lyapunov', 'quadratic', 'plotting')),\n"
+        "        ('lyapunov', 'quartic_lyapunov', ('quadratic', 'plotting'))]:\n"
+        "    code = main([mode, '--config', config, '--set', 'time.t1=1', '--out', out])\n"
+        "    assert code == 0, (mode, code)\n"
+        "    assert not loaded(unused), (mode, loaded(unused))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_runtime_abort_exit_code_3(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         code = main([
@@ -465,6 +492,25 @@ def test_runtime_abort_exit_code_3(tmp_path, capsys):
         ])
     assert code == 3
     assert "runtime abort" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, line", [
+    (["simulate", "--config", "quartic_fig1", "--set", "algorithm=gesc", "--set", "gains.k=1e12",
+      "--set", "init.xi=0", "--set", "time.t1=5", "--set", "time.h=0.05",
+      "--set", "time.sample_dt=0.05"],
+     "runtime abort: non-finite state of init.xi=0 at t=0.1: [nan nan]"),
+    (["average", "--config", "quartic_average", "--set", "cost.kind=expr",
+      "--set", "cost.expr=1/theta1", "--set", "init.theta=0", "--set", "time.t1=1"],
+     "runtime abort: non-finite state at t=0.01: [nan nan nan]"),
+])
+def test_runtime_abort_prints_one_line(args, line, tmp_path):
+    # numpy's overflow and invalid-value warnings on the way to the abort stay off stderr
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "esc_lab.cli", *args, "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3
+    assert done.stderr == line + "\n"
 
 
 # Python floats raise where numpy returns inf or NaN: / by zero, ** past the largest
@@ -881,3 +927,45 @@ def test_write_trajectory_csv_text(tmp_path):
         "0,-0,0,1e-13,0\n"
         "0.333333333333,0.333333333333,0,123456789012,0.111111111111\n"
     )
+
+
+def write_csv_row_at_a_time(path, header, table):
+    """The reference writer: one ``%`` call and one write per row."""
+    table = np.asarray(table, dtype=float)
+    line = ",".join(["%.12g"] * table.shape[-1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in table:
+            fh.write(line % tuple(row.tolist()))
+    return path
+
+
+# signed zeros and infinities, NaN, subnormals, and the points where %.12g switches
+# between fixed and exponent notation, with their neighbours
+CSV_EDGE_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -2.5e-320,
+                   1e-5, 9.99999999999e-6, 1e-4, 9.999999999995e-5, -1e-4, 1e12, 999999999999.5,
+                   1e13, 9999999999999.0, -1e13, 1.0, -1.0 / 3.0]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 127, 128, 129, 10_001])
+def test_write_csv_matches_the_row_at_a_time_writer(rows, tmp_path):
+    rng = np.random.default_rng(rows)
+    table = rng.standard_normal((rows, 5)) * 10.0 ** rng.integers(-320, 300, (rows, 5))
+    edges = rng.random(table.shape) < 0.25
+    table[edges] = rng.choice(CSV_EDGE_VALUES, int(edges.sum()))
+    table.ravel()[: len(CSV_EDGE_VALUES)] = CSV_EDGE_VALUES[: table.size]
+    header = ["t", "theta_1", "v_1", "xi", "J"]
+    expected = write_csv_row_at_a_time(tmp_path / "rows.csv", header, table).read_bytes()
+    assert write_csv(tmp_path / "blocks.csv", header, table).read_bytes() == expected
+
+
+@pytest.mark.parametrize("table", [
+    [],
+    [[0.5, 1e-5, -0.0]],
+    [[a0, e, v] for a0, e, v in zip([0.4, 0.2, 0.1, 0.05], CSV_EDGE_VALUES, CSV_EDGE_VALUES[4:])],
+])
+def test_write_csv_matches_the_row_at_a_time_writer_on_lists(table, tmp_path):
+    # converge writes a list of [a0, grad_error, v_star_max] rows, empty for no amplitudes
+    header = ["a0", "grad_error", "v_star_max"]
+    expected = write_csv_row_at_a_time(tmp_path / "rows.csv", header, table).read_bytes()
+    assert write_csv(tmp_path / "blocks.csv", header, table).read_bytes() == expected
