@@ -54,6 +54,10 @@ rows time:
   timed, interpreter and numpy start-up included. With
   ``PYTHONDONTWRITEBYTECODE=1`` (the record notes its value) each start
   compiles every imported module from source;
+* ``cli_simulate``, ``cli_lyapunov``, ``cli_compare``: one fresh
+  ``python -m esc_lab.cli <mode>`` per repeat, on the seed-0 config of
+  ``closed_loop_fig1``, ``descent_quartic`` or ``compare_expr2d``, from the
+  tree under test, stdout discarded;
 * ``dense{2..8}``: a short average run (250 RK4 steps, 1,000 stages) of a
   dense n-D quadratic (theta* != 0, rates 1..n), its build included, with
   the closed-form term cap (``esc_lab.averaging.MAX_TERMS``) lifted where
@@ -73,7 +77,13 @@ rows time:
 
 The batch rows add their cost per member-step, the radius and monitor rows
 per sample, the per-call rows per call. Labels print the node and term
-counts of the tree that ran.
+counts of the tree that ran. The rows that start processes (``startup_*``
+and ``cli_*``) also report the CPU time of each repeat's child, user plus
+system, from ``getrusage(RUSAGE_CHILDREN)``: the CPU time of every thread it
+ran, where the wall time shows only the longest. Every child process this
+script starts runs without ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``
+and ``OMP_NUM_THREADS`` (the record lists them), so each tree's own BLAS
+thread default is what runs.
 
 Alone, the script times every row (or the ``--rows`` named) ``--repeats``
 times in this process and prints the median and the quartiles of each. The
@@ -95,7 +105,8 @@ tree goes first. Each child reports the median of its ``--repeats``
 timings. Per row it prints each tree's median and quartiles over the
 pairs, the ratio this / TREE of the two medians, and the quartiles of the
 per-pair ratios: an unchanged row's ratio sits within them, whatever the
-host's drift between rows. ``--json`` writes all of it. Run from the repo
+host's drift between rows; a row that starts processes gets the same for
+its children's CPU time. ``--json`` writes all of it. Run from the repo
 root:
 
     python3 benchmarks/bench_layers.py [--t1 SECONDS] [--repeats N] [--rows KEY,...] [--json PATH]
@@ -109,6 +120,7 @@ import io
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -123,7 +135,6 @@ from esc_lab.averaging import average_system
 from esc_lab.cli import write_trajectory_csv
 from esc_lab.config import ExperimentConfig, load_config
 from esc_lab.integrate import derivative, fit_step
-from esc_lab.lyapunov import _quantize_up
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -138,19 +149,41 @@ BUILDS = 100          # builds per timing of stepper_build
 BATCHES = (1, 3, 16, 64)
 # the modules a mode loads beyond what importing esc_lab.cli loads
 STARTUP = {"simulate": (), "compare": ("averaging",), "lyapunov": ("averaging", "lyapunov")}
+# the workload whose seed-0 config each cli_<mode> row runs
+CLI_WORKLOADS = {"simulate": "closed_loop_fig1", "lyapunov": "descent_quartic",
+                 "compare": "compare_expr2d"}
+# BLAS thread settings removed from every child's environment, so that each tree's own
+# default is what runs
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 DENSE = range(2, 9)
 POWERS = (16, 24, 28, 32, 40)
 
 
+def children_cpu_s():
+    """User plus system CPU time of every child process waited for so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def timings(repeats, fn):
-    """(median, first quartile, third quartile) of ``repeats`` wall times."""
-    times = []
+    """(median, first quartile, third quartile) of ``repeats`` wall times, and the same of
+    the CPU time of the child processes each repeat waited for (zeros for a row that
+    starts none)."""
+    times, cpus = [], []
     for _ in range(repeats):
+        c0 = children_cpu_s()
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    q1, med, q3 = np.percentile(times, [25, 50, 75])
-    return med, q1, q3
+        cpus.append(children_cpu_s() - c0)
+    return tuple(np.percentile(x, [50, 25, 75]) for x in (times, cpus))
+
+
+def child_env(src):
+    """This environment with ``src`` first on ``PYTHONPATH`` and no BLAS thread setting."""
+    env = {key: value for key, value in os.environ.items() if key not in THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
 
 
 def fmt(stats):
@@ -191,6 +224,7 @@ class Rows:
                  "cost_point", "cost_sweep", "rhs_expr2d", "rhs_quartic", "oracle", "radius_xi",
                  "radius_v1", "monitor", "monitor_x16", "csv", "compare", "compare_average",
                  "lyapunov", "fig1", *(f"startup_{mode}" for mode in STARTUP),
+                 *(f"cli_{mode}" for mode in CLI_WORKLOADS),
                  *(f"dense{n}" for n in DENSE), *(f"quad_dense{n}" for n in DENSE),
                  *(f"power{d}" for d in POWERS), *(f"quad_power{d}" for d in POWERS),
                  "fallback_dense8", "fallback_power40"])
@@ -198,6 +232,8 @@ class Rows:
     def build(self, key):
         if key.startswith("startup_"):
             return self.startup(key[len("startup_"):])
+        if key.startswith("cli_"):
+            return self.cli_mode(key[len("cli_"):])
         for prefix in ("loop_b", "average_b", "quad_dense", "quad_power", "dense", "power"):
             if key.startswith(prefix):
                 return getattr(self, prefix)(int(key[len(prefix):]))
@@ -378,7 +414,7 @@ class Rows:
             def build():
                 system = averaging.average_system(params, cost, dither)
                 integrate._compile(system, integrate._loop(system, 1), "loop", nonfinite=None)
-            path += f", build {1e3 * timings(3, lambda: patched(build))[0]:.1f} ms"
+            path += f", build {1e3 * timings(3, lambda: patched(build))[0][0]:.1f} ms"
         n_q = el.PeriodQuadrature(cost, dither).n_q
         return (f"average run + build, {what} ({path}, {n_q} nodes)", run, (CALLS, "stage"))
 
@@ -390,7 +426,7 @@ class Rows:
         eq = el.equilibrium(self.cost, self.dither)
         spec = el.LevelSpec(box=[[-4.0, 4.0]])
         oracle = el.LevelSetOracle(self.cost, self.dither, eq, spec)
-        levels = _quantize_up(np.maximum(oracle._v_theta(avg.states[:, :1] - eq.theta_star), 0.0))
+        levels = oracle._theta_levels(avg.states[:, :1] - eq.theta_star)[1]
         return avg, eq, spec, oracle, levels
 
     def oracle(self):
@@ -405,6 +441,8 @@ class Rows:
                 (m, "sample"))
 
     def radius_v1(self):
+        from esc_lab.lyapunov import _quantize_up
+
         avg, eq, _, oracle, levels = self.oracle_setup
         xi, v1 = oracle._targets[:2]
         v_xi = np.maximum(oracle._radii(xi, levels), np.abs(avg.states[:, 2] - eq.xi_star))
@@ -467,17 +505,26 @@ class Rows:
                 self.end_to_end("simulate", self.workload_config("closed_loop_fig1")), None)
 
     @staticmethod
-    def startup(mode):
-        """A fresh interpreter importing what ``mode`` loads, from the imported tree's src."""
-        modules = ", ".join(["esc_lab.cli", *(f"esc_lab.{name}" for name in STARTUP[mode])])
-        env = dict(os.environ)
-        src = str(Path(el.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        cmd = [sys.executable, "-c", f"import {modules}"]
+    def spawn(cmd):
+        """Run ``cmd`` in a fresh interpreter on the imported tree's src, quietly."""
+        env = child_env(Path(el.__file__).resolve().parents[1])
         # no timeout: with one, Popen.wait polls in sleeps of up to 50 ms, which would
         # round every timing up to that grain
-        return (f"start-up, {mode}: import {modules}",
-                lambda: subprocess.run(cmd, env=env, check=True), None)
+        return lambda: subprocess.run([sys.executable, *cmd], env=env, check=True,
+                                      stdout=subprocess.DEVNULL)
+
+    def startup(self, mode):
+        """A fresh interpreter importing what ``mode`` loads."""
+        modules = ", ".join(["esc_lab.cli", *(f"esc_lab.{name}" for name in STARTUP[mode])])
+        return f"start-up, {mode}: import {modules}", self.spawn(["-c", f"import {modules}"]), None
+
+    def cli_mode(self, mode):
+        """``python -m esc_lab.cli <mode>`` on its workload's seed-0 config, in a fresh
+        interpreter."""
+        name = CLI_WORKLOADS[mode]
+        cmd = ["-m", "esc_lab.cli", mode, "--config", str(self.workload_config(name)),
+               "--out", str(self.tmp / f"cli_{mode}")]
+        return f"{name}, python -m esc_lab.cli {mode}", self.spawn(cmd), None
 
     def compare_average(self):
         """compare's average run: the full loop's sample times, stepped at most a quarter
@@ -497,13 +544,17 @@ def time_rows(rows: Rows, keys, repeats):
     out, lines = [], []
     for key in keys:
         name, run, per = rows.build(key)
-        stats = timings(repeats, run)
+        stats, cpu = timings(repeats, run)
         extra = f"   {1e6 * stats[0] / per[0]:.1f} us per {per[1]}" if per else ""
-        lines.append(f"{name:56s} {fmt(stats):>30s}{extra}")
         med, q1, q3 = (1e3 * float(x) for x in stats)
         row = {"key": key, "name": name, "median_ms": med, "q1_ms": q1, "q3_ms": q3}
         if per:
             row.update(per=per[1], us_per=1e6 * stats[0] / per[0])
+        if cpu.any():
+            extra += f"   children's CPU {fmt(cpu)}"
+            med, q1, q3 = (1e3 * float(x) for x in cpu)
+            row.update(cpu_median_ms=med, cpu_q1_ms=q1, cpu_q3_ms=q3)
+        lines.append(f"{name:56s} {fmt(stats):>30s}{extra}")
         out.append(row)
     return out, lines
 
@@ -515,11 +566,10 @@ def quartiles(values):
 
 def child_row(tree: Path, key: str, args) -> dict:
     """Time one row in a child process that imports ``esc_lab`` from ``tree``/src."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
     cmd = [sys.executable, str(Path(__file__).resolve()), "--child", "--rows", key,
            "--repeats", str(args.repeats), "--t1", str(args.t1)]
-    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=1800)
+    done = subprocess.run(cmd, env=child_env(tree / "src"), capture_output=True, text=True,
+                          timeout=1800)
     if done.returncode != 0:
         raise RuntimeError(f"{key} on {tree} exited with {done.returncode}:\n{done.stderr}")
     return json.loads(done.stdout.splitlines()[-1])[0]
@@ -533,23 +583,28 @@ def run_against(args, keys) -> dict:
     print(f"{'row':52s} {'this ms [q1, q3]':>26s} {'against ms [q1, q3]':>26s} "
           f"{'ratio':>7s} {'[q1, q3]':>16s}")
     for key in keys:
-        times = {"this": [], "against": []}
-        names = {}
+        rows = {"this": [], "against": []}
         for k in range(args.pairs):
             for side in (("this", "against") if k % 2 == 0 else ("against", "this")):
-                row = child_row(trees[side], key, args)
-                times[side].append(row["median_ms"])
-                names[side] = row["name"]
-        ratios = [a / b for a, b in zip(times["this"], times["against"])]
-        this, other, spread = quartiles(times["this"]), quartiles(times["against"]), quartiles(ratios)
-        ratio = this["median"] / other["median"]
-        report.append({"key": key, "name": names["this"], "name_against": names["against"],
-                       "this_ms": this, "against_ms": other, "ratio": ratio,
-                       "pair_ratios": spread})
-        print(f"{names['this'][:52]:52s} "
-              f"{this['median']:9.3f} [{this['q1']:.3f}, {this['q3']:.3f}] "
-              f"{other['median']:9.3f} [{other['q1']:.3f}, {other['q3']:.3f}] "
-              f"{ratio:7.3f} [{spread['q1']:.3f}, {spread['q3']:.3f}]")
+                rows[side].append(child_row(trees[side], key, args))
+        name = rows["this"][-1]["name"]
+        entry = {"key": key, "name": name, "name_against": rows["against"][-1]["name"]}
+        # wall time, and the children's CPU time of a row that starts processes
+        for prefix, field, label in (("", "median_ms", name[:52]),
+                                     ("cpu_", "cpu_median_ms", "  children's CPU")):
+            if field not in rows["this"][-1]:
+                continue
+            this, other = ([row[field] for row in rows[side]] for side in ("this", "against"))
+            ratios = quartiles([a / b for a, b in zip(this, other)])
+            this, other = quartiles(this), quartiles(other)
+            ratio = this["median"] / other["median"]
+            entry.update({f"{prefix}this_ms": this, f"{prefix}against_ms": other,
+                          f"{prefix}ratio": ratio, f"{prefix}pair_ratios": ratios})
+            print(f"{label:52s} "
+                  f"{this['median']:9.3f} [{this['q1']:.3f}, {this['q3']:.3f}] "
+                  f"{other['median']:9.3f} [{other['q1']:.3f}, {other['q3']:.3f}] "
+                  f"{ratio:7.3f} [{ratios['q1']:.3f}, {ratios['q3']:.3f}]")
+        report.append(entry)
     return {"against": str(trees["against"]), "pairs": args.pairs, "rows": report}
 
 
@@ -576,7 +631,8 @@ def main() -> int:
         record = {"path": PATH, "python": platform.python_version(), "numpy": np.__version__,
                   "machine": platform.machine(), "nproc": os.cpu_count(), "t1": args.t1,
                   "repeats": args.repeats,
-                  "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
+                  "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+                  "removed_from_child_env": list(THREAD_VARIABLES)}
         if args.against:
             record.update(run_against(args, keys))
         else:

@@ -15,10 +15,10 @@ J(init.theta) in every mode. The average system, its equilibrium and the
 descent monitor run at their library defaults (the quadrature node count
 derived from the cost, LevelSpec's grid, the fixed descent tolerance); no
 config key sets them. lyapunov reads its box, searches for the equilibrium,
-builds the level-set oracle and evaluates V at the initial state before it
-integrates the average system, so a bad box, a failed search, a box on which
-the fields are not finite or one the initial state escapes exits before the
-run.
+builds the level-set oracle and checks that the initial state's V_theta level
+stays in the box (without evaluating V) before it integrates the average
+system, so a bad box, a failed search, a box on which the fields are not
+finite or one the initial state escapes exits before the run.
 
 The washout seeds of simulate (one per init.xi entry) run as one lockstep
 batch: a single RK4 loop steps one member row per seed, and each member's CSV
@@ -36,6 +36,14 @@ average run), converge adds averaging, lyapunov averaging and lyapunov,
 quadratic the quadratic module and plot the plotting module. numpy's
 floating-point warnings are silenced during a run: a non-finite state, y0
 or search box ends the run with one of the errors below, which names it.
+
+A run uses one thread. Loaded by numpy, OpenBLAS would start nproc - 1 worker
+threads that spin for about 0.13 s of CPU each and are never given work (a
+run's only BLAS calls are norms of n-vectors and eigvalsh of an n x n
+Hessian), so importing this module sets OPENBLAS_NUM_THREADS=1 first. It does
+so only where the caller has not set the variable and numpy is not loaded yet:
+in a process that already loaded numpy the variable would act only on its
+children.
 
 Exit codes: 0 success, 2 configuration/validation error (including cost,
 dither and gains of different dimensions in a trajectory mode: simulate,
@@ -55,10 +63,17 @@ equilibrium search that stalls or outruns the dither's resolution).
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+# one thread (see the module docstring): OpenBLAS reads the variable as numpy loads.
+# Once numpy is loaded it no longer acts on this process and would only reach the
+# children, which an A/B timing of two trees spawns; the caller's value stands.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -481,6 +481,48 @@ def test_each_mode_imports_only_the_modules_it_runs(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _run_without_thread_variables(script, **extra):
+    """Run ``script`` in a fresh interpreter on this tree's src, with none of the BLAS
+    thread variables set except those in ``extra``; returns its stdout."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {key: value for key, value in os.environ.items() if key not in _THREAD_VARIABLES}
+    env.update(extra, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="/proc/self/task does not exist, so threads cannot be counted")
+def test_cli_process_runs_on_one_thread():
+    # OpenBLAS would start nproc - 1 idle workers as numpy loads; the CLI sets
+    # OPENBLAS_NUM_THREADS=1 before it imports numpy
+    out = _run_without_thread_variables(
+        "import esc_lab.cli, os; print(len(os.listdir('/proc/self/task')))")
+    assert out.split() == ["1"]
+
+
+def test_cli_keeps_the_callers_blas_threads():
+    out = _run_without_thread_variables(
+        "import esc_lab.cli, os; print(os.environ['OPENBLAS_NUM_THREADS'])",
+        OPENBLAS_NUM_THREADS="2")
+    assert out.split() == ["2"]
+
+
+def test_cli_imported_after_numpy_leaves_the_environment_alone():
+    # the variable can no longer act on a process that loaded numpy, only on its children
+    out = _run_without_thread_variables(
+        "import os, numpy\n"
+        "before = dict(os.environ)\n"
+        "import esc_lab.cli\n"
+        "print(dict(os.environ) == before)\n")
+    assert out.split() == ["True"]
+
+
 def test_runtime_abort_exit_code_3(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         code = main([
