@@ -25,16 +25,13 @@ rows time:
   t1 = 100) written with ``esc_lab.cli.write_trajectory_csv`` into a
   temporary directory;
 * ``stepper_build``: what a fig1 run of 3 members builds before its first
-  step: the emitted RK4 loop, compiled (``esc_lab.integrate._loop``; a tree
-  without it, one stage of the rmspesc system, emitted by
-  ``esc_lab.integrate.derivative`` on its first call);
+  step: the emitted RK4 loop, compiled (``esc_lab.integrate._loop``);
 * ``sweep_rows``, ``sweep_stacked``: the quartic at the 3 member rows of a
   fig1 batch, per call, as the full loop measures it each stage: through
   the scalar form its ``f`` carries, compiled on its own from the lines the
-  loop inlines (``esc_lab.dynamics._measure``; a tree without it, the row
-  form ``esc_lab.cost.row_form`` or the cost's ``f_rows``), and through
-  ``f`` once on the stacked points (an ``f`` without a scalar form is
-  called once per member instead);
+  loop inlines (``esc_lab.dynamics._measure``), and through ``f`` once on
+  the stacked points (an ``f`` without a scalar form is called once per
+  member instead);
 * ``cost_point``, ``cost_sweep``, ``rhs_expr2d``: the 2-D expression of the
   ``compare_expr2d`` benchmark workload evaluated on one (2,) point and on
   the (n_q + 1, 2) array one quadrature rhs call sweeps (n_q = 21 at dither
@@ -57,13 +54,16 @@ rows time:
 * ``cli_simulate``, ``cli_lyapunov``, ``cli_compare``: one fresh
   ``python -m esc_lab.cli <mode>`` per repeat, on the seed-0 config of
   ``closed_loop_fig1``, ``descent_quartic`` or ``compare_expr2d``, from the
-  tree under test, stdout discarded;
+  tree under test, stdout discarded; ``cli_converge`` and ``cli_converge40``:
+  the same for ``converge`` on the bundled ``quartic_converge``, as it is and
+  with the cost (theta1/2)^40 + (theta1 - 1)^2 at theta = 1.3, the two runs
+  that take grad J from ``esc_lab.cost.grad_cost`` once each;
 * ``dense{2..8}``: a short average run (250 RK4 steps, 1,000 stages) of a
   dense n-D quadratic (theta* != 0, rates 1..n), its build included, with
-  the closed-form term cap (``esc_lab.averaging.MAX_TERMS``) lifted where
-  the tree has one, so the closed form runs at every n; the label gives its
-  term count, the node count of the quadrature and, on a tree with the
-  emitted stepper, the time of the build alone; ``power{16,24,28,32,40}``:
+  the closed-form term cap (``esc_lab.averaging.MAX_TERMS``) lifted, so the
+  closed form runs at every n; the label gives its term count, the node
+  count of the quadrature and the time of the build alone;
+  ``power{16,24,28,32,40}``:
   the same for the 1-D cost (theta1 - 0.5)^d, whose quadrature makes the
   fewest numpy calls per term of its closed form; ``quad_dense{2..8}`` and
   ``quad_power{...}``: the same runs on the period quadrature
@@ -149,9 +149,14 @@ BUILDS = 100          # builds per timing of stepper_build
 BATCHES = (1, 3, 16, 64)
 # the modules a mode loads beyond what importing esc_lab.cli loads
 STARTUP = {"simulate": (), "compare": ("averaging",), "lyapunov": ("averaging", "lyapunov")}
-# the workload whose seed-0 config each cli_<mode> row runs
-CLI_WORKLOADS = {"simulate": "closed_loop_fig1", "lyapunov": "descent_quartic",
-                 "compare": "compare_expr2d"}
+# each cli_<key> row: the mode, the workload whose seed-0 config it runs (or a bundled
+# config), and its overrides
+CLI_RUNS = {"simulate": ("simulate", "closed_loop_fig1", []),
+            "lyapunov": ("lyapunov", "descent_quartic", []),
+            "compare": ("compare", "compare_expr2d", []),
+            "converge": ("converge", "quartic_converge", []),
+            "converge40": ("converge", "quartic_converge", ["cost.kind=expr",
+                           "cost.expr=(theta1/2)^40 + (theta1 - 1)^2", "converge.theta=1.3"])}
 # BLAS thread settings removed from every child's environment, so that each tree's own
 # default is what runs
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -224,7 +229,7 @@ class Rows:
                  "cost_point", "cost_sweep", "rhs_expr2d", "rhs_quartic", "oracle", "radius_xi",
                  "radius_v1", "monitor", "monitor_x16", "csv", "compare", "compare_average",
                  "lyapunov", "fig1", *(f"startup_{mode}" for mode in STARTUP),
-                 *(f"cli_{mode}" for mode in CLI_WORKLOADS),
+                 *(f"cli_{key}" for key in CLI_RUNS),
                  *(f"dense{n}" for n in DENSE), *(f"quad_dense{n}" for n in DENSE),
                  *(f"power{d}" for d in POWERS), *(f"quad_power{d}" for d in POWERS),
                  "fallback_dense8", "fallback_power40"])
@@ -279,34 +284,22 @@ class Rows:
     # -- cost evaluations, rhs calls and builds --------------------------------
 
     def stepper_build(self):
-        states, integrate = self.batch(3), el.integrate
-        if hasattr(integrate, "_loop"):
-            system = el.dynamics.rmspesc_system(self.params, self.cost, self.dither)
+        integrate = el.integrate
+        system = el.dynamics.rmspesc_system(self.params, self.cost, self.dither)
 
-            def build():
-                integrate._compile(system, integrate._loop(system, len(states)), "loop",
-                                   nonfinite=None)
-            return ("stepper build, fig1 loop of 3 members", repeat(build, times=BUILDS),
-                    (BUILDS, "build"))
-        rows = states.tolist()
-
-        def build():  # derivative emits its stage on the first call
-            derivative(el.dynamics.rmspesc_system(self.params, self.cost, self.dither))(0.0, rows)
-        return ("rhs build, fig1 loop", repeat(build, times=BUILDS), (BUILDS, "build"))
+        def build():
+            integrate._compile(system, integrate._loop(system, 3), "loop", nonfinite=None)
+        return ("stepper build, fig1 loop of 3 members", repeat(build, times=BUILDS),
+                (BUILDS, "build"))
 
     def sweep_rows(self):
         rows = self.batch(3).tolist()
         shift = el.dither_value(self.dither, 0.1).tolist()
-        measure = getattr(el.dynamics, "_measure", None)
-        if measure is None:
-            row_form = getattr(el.cost, "row_form", None)
-            measure = row_form(self.cost.f) if row_form else self.cost.f_rows
-            return ("quartic sweep, 3 rows, row form", repeat(measure, rows, shift),
-                    (CALLS, "call"))
         # the lines the loop inlines, as one function of the members' theta and the shift
         y = [[f"y{b}"] for b in range(len(rows))]
-        lines = [f"def sweep({', '.join(r[0] for r in y)}, a0):", *(f"    {line}" for line in
-                 measure(self.cost, y)), f"    return {', '.join(f'j{b}' for b in range(len(y)))}"]
+        lines = [f"def sweep({', '.join(r[0] for r in y)}, a0):",
+                 *(f"    {line}" for line in el.dynamics._measure(self.cost, y)),
+                 f"    return {', '.join(f'j{b}' for b in range(len(y)))}"]
         namespace = {"f": self.cost.f, "array": np.array}
         exec("\n".join(lines), namespace)
         return ("quartic sweep, 3 rows, scalar form", repeat(namespace["sweep"],
@@ -375,14 +368,14 @@ class Rows:
     @staticmethod
     def average_run(what, cost, dither, state, path="capped"):
         """A short average run of ``cost`` (CALLS stages), its build included, on the path the
-        tree's term cap gives (``capped``), with the cap lifted where the tree has one
-        (``uncapped``), or on the quadrature (``quadrature``). The label counts the closed
-        form's terms and the quadrature's nodes, and times the build alone."""
+        tree's term cap gives (``capped``), with the cap lifted (``uncapped``), or on the
+        quadrature (``quadrature``). The label counts the closed form's terms and the
+        quadrature's nodes, and times the build alone."""
         n = cost.n
         params = el.EscParams(k=1.0, epsilon=0.05, omega_l=[0.25] * n, omega_xi=1.0)
         steps, h = CALLS // 4, 0.0125
         codes, patch = [], {}
-        if path == "uncapped" and hasattr(averaging, "MAX_TERMS"):
+        if path == "uncapped":
             code_class = averaging.FloatCode
             patch = {"MAX_TERMS": 10**6,
                      "FloatCode": lambda: codes.append(code_class()) or codes[-1]}
@@ -406,15 +399,13 @@ class Rows:
         if codes:
             path = f"closed form, {codes[-1].terms} terms"
         elif path != "quadrature":
-            closed = getattr(averaging, "_closed_form_maps", lambda *_: None)(cost, dither)
-            path = "closed form" if closed else "quadrature"
-        if hasattr(averaging, "average_system"):     # the build alone: the system and its loop
-            integrate = el.integrate
+            path = "closed form" if averaging._closed_form_maps(cost, dither) else "quadrature"
+        integrate = el.integrate
 
-            def build():
-                system = averaging.average_system(params, cost, dither)
-                integrate._compile(system, integrate._loop(system, 1), "loop", nonfinite=None)
-            path += f", build {1e3 * timings(3, lambda: patched(build))[0][0]:.1f} ms"
+        def build():                                   # the build alone: the system and its loop
+            system = averaging.average_system(params, cost, dither)
+            integrate._compile(system, integrate._loop(system, 1), "loop", nonfinite=None)
+        path += f", build {1e3 * timings(3, lambda: patched(build))[0][0]:.1f} ms"
         n_q = el.PeriodQuadrature(cost, dither).n_q
         return (f"average run + build, {what} ({path}, {n_q} nodes)", run, (CALLS, "stage"))
 
@@ -518,13 +509,15 @@ class Rows:
         modules = ", ".join(["esc_lab.cli", *(f"esc_lab.{name}" for name in STARTUP[mode])])
         return f"start-up, {mode}: import {modules}", self.spawn(["-c", f"import {modules}"]), None
 
-    def cli_mode(self, mode):
-        """``python -m esc_lab.cli <mode>`` on its workload's seed-0 config, in a fresh
+    def cli_mode(self, key):
+        """``python -m esc_lab.cli <mode>`` on the row's config and overrides, in a fresh
         interpreter."""
-        name = CLI_WORKLOADS[mode]
-        cmd = ["-m", "esc_lab.cli", mode, "--config", str(self.workload_config(name)),
-               "--out", str(self.tmp / f"cli_{mode}")]
-        return f"{name}, python -m esc_lab.cli {mode}", self.spawn(cmd), None
+        mode, name, sets = CLI_RUNS[key]
+        config = str(self.workload_config(name)) if name in WORKLOADS else name
+        sets = [f"--set={kv}" for kv in sets]
+        cmd = ["-m", "esc_lab.cli", mode, "--config", config, *sets,
+               "--out", str(self.tmp / f"cli_{key}")]
+        return f"cli_{key}: " + " ".join([f"{name}, {mode}", *sets]), self.spawn(cmd), None
 
     def compare_average(self):
         """compare's average run: the full loop's sample times, stepped at most a quarter

@@ -3,7 +3,7 @@
 
 Exports PARENT_REF with ``git archive`` into a temporary directory, then runs
 every bundled config, seeds 0 and 3 of each benchmark workload
-(``perfbench/workloads.py``, imported read-only for its config text) and eleven
+(``perfbench/workloads.py``, imported read-only for its config text) and twelve
 bundled configs with ``--set`` overrides (2-D and 3-D builtin costs in
 ``average``; a parsed cost in ``lyapunov``, whose equilibrium search starts at
 the origin and iterates; the plain-gradient baseline in ``simulate``; a
@@ -13,11 +13,12 @@ overridden initial theta; in ``average``, a parsed cost that is no
 polynomial and a polynomial whose closed form would exceed the term cap, whose
 average systems run on the period quadrature where every other polynomial
 cost's runs on closed-form maps; and in ``converge``, the quartic parsed once
-as a polynomial, whose exact gradient is read from its parse tree, and once
-with an exponent that has no degree by the syntax rule, whose gradient is
-taken by finite differences; no bundled config or workload has these) through
-``python -m esc_lab.cli``, once from the parent's ``src`` and once from this
-checkout's, each run into its own output directory. The two trees run side
+as a polynomial and once with an exponent that has no degree by the syntax
+rule, and a cost that is no polynomial, which pins the rules of the jet fold
+over the parse tree, the gradient of every parsed cost, for a quotient and
+for a power of a non-polynomial; no bundled config or workload has these)
+through ``python -m esc_lab.cli``, once from the parent's ``src`` and once
+from this checkout's, each run into its own output directory. The two trees run side
 by side, one process each. Every file either run wrote is compared byte for
 byte, and so is the exit code. Prints
 one line per run, and under it one line per differing column of each
@@ -74,6 +75,9 @@ OVERRIDE_RUNS = {    # label: (mode, bundled config, overrides)
         "cost.kind=expr", "cost.expr=theta1^4/24", "converge.a0=0.08,0.01,0.001,0.0001"]),
     "parsed quartic without a degree": ("converge", "quartic_converge", [
         "cost.kind=expr", "cost.expr=theta1^(2 + 2)/24", "converge.a0=0.08,0.01,0.001,0.0001"]),
+    "non-polynomial cost, converge": ("converge", "quartic_converge", [
+        "cost.kind=expr", "cost.expr=theta1^2 + 1/(1 + theta1^2)",
+        "converge.a0=0.08,0.01,0.001,0.0001"]),
 }
 
 sys.path.insert(0, str(ROOT / "perfbench"))

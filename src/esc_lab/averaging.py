@@ -36,13 +36,13 @@ over the cap calls the kernel once per member and stage instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isfinite
+from math import comb, hypot, isfinite
 
 import numpy as np
 
 from .cost import CostFunction, grad_cost
 from .dynamics import _check_dims, _normalized_rates
-from .expressions import MAX_TERMS, FloatCode, _literal, dither_expansion, polynomial_degree
+from .expressions import FloatCode, _literal, dither_expansion, polynomial_degree
 from .integrate import ConvergenceError, System
 from .signals import DitherConfig
 
@@ -56,6 +56,15 @@ __all__ = [
     "equilibrium",
     "convergence_sweep",
 ]
+
+# The closed form costs about one multiply-add per term and stage, after a build that
+# grows faster than its terms; the quadrature about one numpy call per operation and
+# stage. On 1,000-stage average runs, build included (BENCH_maxterms.json), dense 2-D to
+# 8-D quadratics (33-435 terms) run in 0.09-0.42 of the quadrature's time, and
+# (theta1 - 0.5)^d in 0.71 of it at 206 terms but 1.4 at 268 and 1.8 at 338, where a
+# 9-20 ms build outweighs the stages; per stage alone it breaks even between 338 (0.82)
+# and 502 terms (1.12). The cap sits at that crossover of the modes' long runs.
+MAX_TERMS = 350
 
 
 @dataclass(frozen=True)
@@ -243,7 +252,7 @@ def _closed_form_maps(cost: CostFunction, dither: DitherConfig):
 
     Returns (lines, results): the lines, over the names ``x0`` .. ``x{n-1}``
     for theta_bar and ``xi`` for xi_bar, and the expressions of [g_bar,
-    g2_bar, J_bar] that read them (:meth:`~esc_lab.expressions.FloatCode.source`).
+    g2_bar, J_bar] that read them (:meth:`~esc_lab.expressions.FloatCode.text`).
     Returns None for a cost without ``expr``, where the expansion finds no
     polynomial, and where the code would exceed :data:`MAX_TERMS` terms; the
     expansion and the g2_bar pair loop each stop at the first term over.
@@ -290,7 +299,7 @@ def _closed_form_maps(cost: CostFunction, dither: DitherConfig):
     results = [*g_bar, *g2_bar, j_bar]
     if not all(isfinite(w) for total in results for w in total.values()):
         return None                                   # an amplitude too small for 4 / a_i^2
-    return code.source(results)
+    return tuple(code.lines), [code.text(total) for total in results]
 
 
 def _quadrature_maps(cost: CostFunction, dither: DitherConfig):
@@ -428,7 +437,8 @@ def convergence_sweep(
 
     For each overall amplitude a0 (amplitude ratios held fixed), reports
     ||g_bar - grad J|| at ``theta_bar`` and the equilibrium magnitude
-    max_i v*_i. Both vanish as a0 -> 0 for smooth costs.
+    max_i v*_i. Both vanish as a0 -> 0 for smooth costs. The norm is
+    ``math.hypot``'s, which does not overflow where a finite error's square would.
     """
     a0_list = [float(a) for a in a0_list]
     if any(a <= 0 for a in a0_list):
@@ -442,11 +452,6 @@ def convergence_sweep(
         cfg = dither.scaled(a0)
         maps = avg_maps(cost, PeriodQuadrature(cost, cfg), theta_bar, 0.0)
         eq = equilibrium(cost, cfg)
-        rows.append(
-            SweepRow(
-                a0=a0,
-                grad_error=float(np.linalg.norm(maps.g_bar - true_grad)),
-                v_star_max=float(np.max(eq.v_star)),
-            )
-        )
+        rows.append(SweepRow(a0=a0, grad_error=hypot(*(maps.g_bar - true_grad).tolist()),
+                             v_star_max=float(np.max(eq.v_star))))
     return rows

@@ -7,9 +7,9 @@ minimizer. Every cost's evaluator is compiled from its expression text by
 It is vectorized: it accepts arrays of shape (..., n) and returns shape
 (...), and it carries the same operations over Python floats as text
 (``f.scalar``), which the full loop inlines to measure J at its few
-members without a numpy call. The gradient has one
-rule too (:func:`grad_cost`): exact from the expression's parse tree for a
-polynomial, central finite differences for any other cost.
+members without a numpy call. The gradient has one rule too
+(:func:`grad_cost`): a jet fold over the parse tree of every builtin and
+parsed cost, and central finite differences only for a cost given as ``f``.
 """
 
 from __future__ import annotations
@@ -43,12 +43,16 @@ class CostFunction:
     expr: Optional[str] = None
 
 
-def eval_cost(cost: CostFunction, theta) -> float:
-    """Evaluate J(theta) for a single parameter vector."""
+def _point(cost: CostFunction, theta) -> np.ndarray:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.shape != (cost.n,):
         raise ValueError(f"expected parameter vector of length {cost.n}, got shape {theta.shape}")
-    return float(cost.f(theta))
+    return theta
+
+
+def eval_cost(cost: CostFunction, theta) -> float:
+    """Evaluate J(theta) for a single parameter vector."""
+    return float(cost.f(_point(cost, theta)))
 
 
 def finite_difference_gradient(cost: CostFunction, theta: np.ndarray) -> np.ndarray:
@@ -61,17 +65,12 @@ def finite_difference_gradient(cost: CostFunction, theta: np.ndarray) -> np.ndar
 
 
 def grad_cost(cost: CostFunction, theta) -> np.ndarray:
-    """Gradient of J: exact where :func:`~esc_lab.expressions.gradient` reads one from
-    ``expr``; central finite differences for a cost without ``expr``, for one that is no
-    polynomial, and for one over the term cap.
-    """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.shape != (cost.n,):
-        raise ValueError(f"expected parameter vector of length {cost.n}, got shape {theta.shape}")
-    exact = None if cost.expr is None else gradient(cost.expr, cost.n)
-    if exact is None:
+    """Gradient of J: :func:`~esc_lab.expressions.gradient`'s jet fold over ``expr``, exact up
+    to rounding; central finite differences for a cost without ``expr``."""
+    theta = _point(cost, theta)
+    if cost.expr is None:
         return finite_difference_gradient(cost, theta)
-    return np.array(exact(theta.tolist()))
+    return gradient(cost.expr, theta)
 
 
 # ---------------------------------------------------------------------------

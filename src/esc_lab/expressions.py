@@ -36,10 +36,9 @@ polynomial in theta, or None where the syntax shows none; the period
 quadrature sizes its node count from it. :func:`dither_expansion` folds the
 tree once more, into the polynomial that J(theta + a * sigma) is in the
 dither phases sigma, with each coefficient written as straight-line float
-code in theta (:class:`FloatCode`). It has two callers: the average system
-contracts it with the phases' period means, and :func:`gradient` reads the
-coefficients of the first powers of sigma at unit amplitudes, which are
-exactly dJ/dtheta.
+code in theta (:class:`FloatCode`); the average system contracts it with the
+phases' period means. :func:`gradient` folds the tree into dJ/dtheta at a
+point, carrying each node's value and gradient, for every expression.
 """
 
 from __future__ import annotations
@@ -47,27 +46,14 @@ from __future__ import annotations
 import operator
 import re
 import struct
-from functools import lru_cache
 from math import copysign, isfinite
 
 import numpy as np
 
-__all__ = ["ExpressionError", "MAX_NESTING", "MAX_TERMS", "FloatCode", "compile_expression",
-           "dither_expansion", "gradient", "polynomial_degree"]
+__all__ = ["ExpressionError", "MAX_NESTING", "FloatCode", "compile_expression", "dither_expansion",
+           "gradient", "polynomial_degree"]
 
 MAX_NESTING = 100
-
-# The closed-form maps cost about one multiply-add per term and stage, after a build
-# (the expansion and the emitted loop's compile) that grows faster than the term
-# count; the quadrature costs about one numpy call per operation of the cost's
-# expression and stage. Measured on short average runs of 1,000 stages, build
-# included (BENCH_maxterms.json), dense 2-D to 8-D quadratics (33 to 435 terms) run
-# in 0.09-0.42 of the quadrature's time. (theta1 - 0.5)^d, the cheapest expression
-# per term, runs in 0.71 of it at 206 terms but 1.4 at 268 and 1.8 at 338 terms,
-# where a 9-20 ms build outweighs the stages; per stage, build left out, it breaks
-# even between 338 (0.82) and 502 terms (1.12). The cap sits at that crossover of
-# the long runs the modes make (8,000 steps and more at the bundled settings).
-MAX_TERMS = 350
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -442,21 +428,6 @@ class FloatCode:
             out[key] = out.get(key, 0.0) + weight * w
         return {key: w for key, w in out.items() if w != 0.0}
 
-    def source(self, results: list[dict]) -> tuple[tuple[str, ...], list[str]]:
-        """The lines emitted so far, and each result, a sum, as an expression over them."""
-        returns = [self.text(total) for total in results]
-        return tuple(self.lines), returns
-
-    def function(self, head: str, results: list[dict]):
-        """Compile ``def f(r):`` from the line ``head``, the lines emitted so far and
-        ``return [results]``, each result a sum."""
-        lines, returns = self.source(results)
-        source = "\n".join(["def f(r):", f"    {head}", *(f"    {line}" for line in lines),
-                            f"    return [{', '.join(returns)}]"])
-        namespace: dict = {}
-        exec(compile(source + "\n", "<float code>", "exec"), namespace)
-        return namespace["f"]
-
 
 def _constant(poly: dict):
     """The value of a polynomial that holds no sigma and no name, else None."""
@@ -556,20 +527,38 @@ def dither_expansion(text: str, n: int, amplitudes, code: FloatCode, max_terms: 
     return _fold(_Parser(text, n).parse(), visit)
 
 
-@lru_cache(maxsize=None)
-def gradient(text: str, n: int):
-    """dJ/dtheta of the expression ``text`` as float code, or None; built once per (text, n).
+def gradient(text: str, theta) -> np.ndarray:
+    """dJ/dtheta of the expression ``text`` at ``theta`` (n floats): a first-order jet fold.
 
-    The coefficient of sigma_i in :func:`dither_expansion` at unit amplitudes,
-    J(theta + sigma) = J(theta) + sum_i c_i(theta) sigma_i + ..., is exactly
-    dJ/dtheta_i for a polynomial. Returns a function that maps a list of n
-    floats to the list of the n partial derivatives, or None where the
-    expansion gives None: no polynomial, a weight that is not finite, or more
-    than :data:`MAX_TERMS` terms.
+    Each node of the parse tree carries its value and gradient in float64 (Griewank &
+    Walther, *Evaluating Derivatives*, ch. 13). u/v gives (u' - (u/v) v') / v; a ``^``
+    whose exponent names no variable gives c u^(c-1) u', exactly 0 for c = 0, any other
+    u^v (v' ln u + v u'/u); values are the compiled function's (|u| under an even integer
+    literal exponent). A derivative that is not finite reads inf or NaN.
     """
-    code = FloatCode()
-    poly = dither_expansion(text, n, [1.0] * n, code, MAX_TERMS)
-    if poly is None:
-        return None
-    firsts = [poly.get(tuple(int(j == i) for j in range(n)), {}) for i in range(n)]
-    return code.function(", ".join(f"x{i}" for i in range(n)) + ", = r", firsts)
+    n = len(theta)
+
+    def visit(node, operands):
+        op = node[0]
+        if op == "const":
+            return np.float64(node[1]), np.zeros(n)
+        if op == "var":
+            return np.float64(theta[node[1]]), np.eye(n)[node[1]]
+        if op == "neg":
+            (u, du), = operands
+            return -u, -du
+        (u, du), (v, dv) = operands
+        if op in ("add", "sub"):
+            combine = _BINARY[op][1]
+            return combine(u, v), combine(du, dv)
+        if op == "mul":
+            return u * v, du * v + u * dv
+        if op == "div":
+            return u / v, (du - u / v * dv) / v
+        value = np.power(abs(u) if _is_even_integer(node[2]) else u, v)
+        if not _fold(node[2], lambda sub, names: sub[0] == "var" or any(names)):
+            return value, (v * np.power(u, v - 1.0) * du if v != 0.0 else np.zeros(n))
+        return value, value * (dv * np.log(u) + v * du / u)
+
+    with np.errstate(all="ignore"):
+        return _fold(_Parser(text, n).parse(), visit)[1]

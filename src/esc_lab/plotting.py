@@ -8,6 +8,7 @@ without an image toolchain.
 from __future__ import annotations
 
 import csv
+from math import isfinite
 from pathlib import Path
 
 __all__ = ["PlotError", "read_csv_columns", "emit_plot"]
@@ -61,7 +62,7 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 
 
 def emit_plot(csv_path, columns: list[str], out_path) -> Path:
-    """Render selected CSV columns against the time column as SVG polylines."""
+    """Render selected CSV columns against the time column as SVG polylines (finite values only)."""
     header, data = read_csv_columns(csv_path)
     if not columns:
         raise PlotError("no columns selected")
@@ -72,6 +73,11 @@ def emit_plot(csv_path, columns: list[str], out_path) -> Path:
         if name not in header:
             raise PlotError(f"unknown column {name!r}; available: {', '.join(header)}")
         series.append((name, data[header.index(name)]))
+    names = [x_name, *columns]
+    for row, values in enumerate(zip(x, *(vals for _, vals in series)), start=2):
+        for name, value in zip(names, values):
+            if not isfinite(value):
+                raise PlotError(f"column {name!r} is not finite at row {row}: {value!r}")
 
     x_lo, x_hi = min(x), max(x)
     y_lo = min(min(vals) for _, vals in series)

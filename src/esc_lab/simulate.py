@@ -8,7 +8,7 @@ straight-line step loop per run from that spec, with the gains, the dither
 and the cost's measurement inlined. The full loop measures J through the
 scalar form its ``f`` carries, for every builtin and parsed cost; the average
 system evaluates closed-form maps, built once per run, for a polynomial cost
-within :data:`esc_lab.expressions.MAX_TERMS` terms, and the node sums of one
+within :data:`esc_lab.averaging.MAX_TERMS` terms, and the node sums of one
 :class:`esc_lab.averaging.PeriodQuadrature` per run for any other. The
 integrator checks the initial state's shape against the spec's width and
 validates the time span with :func:`esc_lab.integrate.step_grid`.

@@ -37,7 +37,11 @@ from esc_lab import (averaging, cli, config, cost, dynamics, expressions, integr
 # the phase and the clamp inlined); the second way to run a system, an opaque
 # rhs through a stage that called it, and the flat rhs wrappers around
 # derivative(<system>), which no program path called; the drivers' state
-# shape check (integrate checks the state against the system's width).
+# shape check (integrate checks the state against the system's width); the
+# float code's compiler, which only the expansion-based gradient called, and
+# its one-caller source helper (the jet fold gives every gradient, and the
+# closed-form maps read the lines and terms themselves); the term cap in
+# expressions (the closed-form maps own it as averaging.MAX_TERMS).
 REMOVED = {
     dynamics: ["EscState", "EscDerivative", "rmspesc_rhs", "gesc_rhs", "grad_estimate", "_phase",
                "rmspesc_flat_rhs", "gesc_flat_rhs"],
@@ -60,7 +64,8 @@ REMOVED = {
     averaging.PeriodQuadrature: ["check"],
     lyapunov.LevelSetOracle: ["_batch_fields", "_radii_chunk", "_eta_abs_max", "radius_xi",
                               "radius_v", "value", "_env_r_xi"],
-    expressions: ["_evaluate"],
+    expressions: ["_evaluate", "MAX_TERMS"],
+    expressions.FloatCode: ["function", "source"],
 }
 
 

@@ -245,6 +245,28 @@ def test_parsed_quartic_converges_like_the_builtin(tmp_path):
     assert csv[0] == csv[1]
 
 
+def test_quartic_without_a_degree_converges_like_the_quartic(tmp_path):
+    # theta1^(2 + 2) has no degree by the syntax rule, but its gradient comes from the
+    # same jet fold, so at a0 = 1e-4 its grad_error carries no finite-difference error,
+    # which would be 12 % of it
+    errors = []
+    for name, expr in (("degree", "theta1^4/24"), ("no_degree", "theta1^(2 + 2)/24")):
+        assert main(["converge", "--config", "quartic_converge", "--set", "cost.kind=expr",
+                     "--set", f"cost.expr={expr}", "--set", "converge.a0=0.08,0.01,0.001,0.0001",
+                     "--out", str(tmp_path / name)]) == 0
+        errors.append(read_csv_columns(tmp_path / name / "converge.csv")[1][1][-1])
+    assert errors[1] == pytest.approx(errors[0], rel=1e-3)
+
+
+def test_converge_grad_error_above_the_square_root_of_the_float_range_is_finite(tmp_path):
+    # g_bar is 1.2e165 and grad J 2.4e161 here: the squares of their difference overflow
+    assert main(["converge", "--config", "quartic_converge", "--set", "cost.kind=expr",
+                 "--set", "cost.expr=(theta1-0.5)^400", "--set", "converge.theta=3",
+                 "--out", str(tmp_path)]) == 0
+    errors = read_csv_columns(tmp_path / "converge.csv")[1][1]
+    assert all(np.isfinite(errors)) and errors[0] > 1e164 and errors[0] > errors[-1]
+
+
 @pytest.mark.parametrize("key", ["converge.theta", "init.theta"])
 def test_converge_theta_size_error_names_key_read(key, tmp_path, capsys):
     # converge.theta falls back to init.theta; the size error names whichever was read
@@ -896,6 +918,19 @@ def test_emit_plot_deterministic(sample_csv, tmp_path):
 def test_emit_plot_unknown_column(sample_csv, tmp_path):
     with pytest.raises(PlotError, match="unknown column 'nope'"):
         emit_plot(sample_csv, ["nope"], tmp_path / "x.svg")
+
+
+@pytest.mark.parametrize("cells, column, row", [
+    ("0,1\n1,inf\n2,nan\n", "a", 3),
+    ("0,1\nnan,2\n", "t", 3),
+    ("0,-inf\n", "a", 2),
+])
+def test_emit_plot_rejects_values_that_are_not_finite(cells, column, row, tmp_path):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text("t,a\n" + cells)
+    with pytest.raises(PlotError, match=f"column '{column}' is not finite at row {row}"):
+        emit_plot(path, ["a"], tmp_path / "x.svg")
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_malformed_csv_row_reports_number(tmp_path):

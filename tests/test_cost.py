@@ -1,4 +1,5 @@
 import functools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -256,11 +257,40 @@ def test_builtin_gradients_match_their_closed_forms():
                 assert np.all(np.abs(grad_cost(cost, theta) - want) <= 1e-14 * scale), cost.expr
 
 
-@pytest.mark.parametrize("expr", NON_POLYNOMIALS + ["(theta1 - 0.5)^400"])   # one over the cap
-def test_gradient_falls_back_to_finite_differences(expr):
-    cost, theta = parse_cost(expr, 2), np.array([1.5, 0.75])
-    with np.errstate(all="ignore"):
-        assert grad_cost(cost, theta).tobytes() == finite_difference_gradient(cost, theta).tobytes()
+def _written_gradient(expr, t1, t2):
+    """dJ/dtheta of each expression at (t1, t2), written out."""
+    return {
+        "theta1^0.5": [0.5 / t1**0.5, 0.0],
+        "theta1^-2": [-2.0 / t1**3, 0.0],
+        "1/(1 + theta1^2)": [-2.0 * t1 / (1.0 + t1**2) ** 2, 0.0],
+        "theta1 / theta2": [1.0 / t2, -t1 / t2**2],
+        "2^theta1": [2.0**t1 * math.log(2.0), 0.0],
+        "theta1^theta2": [t2 * t1 ** (t2 - 1.0), t1**t2 * math.log(t1)],
+        "theta1^(1 + 1)": [2.0 * t1, 0.0],
+        "theta1^0.5 * 0": [0.0, 0.0],
+        "theta2 + (theta1^0.5)^2": [1.0, 1.0],
+        "(theta1 - 0.5)^400": [400.0 * (t1 - 0.5) ** 399, 0.0],
+    }[expr]
+
+
+@pytest.mark.parametrize("expr", NON_POLYNOMIALS + ["(theta1 - 0.5)^400"])
+def test_gradient_of_any_parsed_cost_is_exact(expr):
+    cost, theta = parse_cost(expr, 2), np.array([1.25, 0.75])
+    got = grad_cost(cost, theta)
+    np.testing.assert_allclose(got, _written_gradient(expr, *theta), rtol=1e-14, atol=0.0)
+    # central differences at step h ~ 2.25e-5 err by h^2 J''' / 6, which is 2.4e-5 of
+    # the derivative for the 400th power and below 1e-9 of it for the others
+    fd = finite_difference_gradient(cost, theta)
+    assert np.all(np.abs(got - fd) <= 1e-4 * np.abs(got) + 1e-10), (got, fd)
+
+
+def test_gradient_of_a_degree_40_polynomial_is_exact():
+    got = grad_cost(parse_cost("(theta1/2)^40 + (theta1 - 1)^2", 1), [1.3])
+    assert got == pytest.approx([20.0 * 0.65**39 + 0.6], rel=1e-15, abs=0.0)
+
+
+def test_gradient_of_a_zeroth_power_is_zero():
+    assert grad_cost(parse_cost("theta1^0", 1), [0.0]).tolist() == [0.0]
 
 
 def test_cost_without_expr_gets_finite_differences():

@@ -14,6 +14,7 @@ from esc_lab import (
     NonFiniteStateError,
     demod_value,
     dither_value,
+    grad_cost,
     new_dither,
     parse_cost,
     quadratic_cost,
@@ -165,6 +166,87 @@ def test_compiled_expression_matches_tree_walk(tree_and_points):
     # J is one value per point, also for a tree that names no variable
     want = _outcome(lambda pts: np.broadcast_to(walk(tree, pts), pts.shape[:-1]), x)
     assert got.shape == want.shape and got.tobytes() == want.tobytes(), render(tree)
+
+
+# The complex step: J over complex numbers at theta + i h e_k has imaginary part
+# h dJ/dtheta_k up to h^3 J''' / 6, wherever J is analytic (Squire & Trapp, SIAM
+# Review 40, 1998), and it subtracts nothing, so it rounds like J itself.
+STEP = 1e-100
+
+
+class _NoStep(Exception):
+    pass
+
+
+def complex_walk(node, z):
+    """``walk`` over Python complex numbers, every ``^`` a plain ``**``, and m.
+
+    m bounds the magnitudes of the terms of the derivative along the step: the
+    jet rules with every term taken in absolute value. Raises _NoStep where J is
+    not real on both sides of the point (a base <= 0 under an exponent that is
+    no integer or names a variable), where a value is not 0 and not within
+    1e+-100 (then the products inside an integer power, from 1e-100 up, times
+    the step stay normal floats) and where the step times m underflows.
+    """
+    op = node[0]
+    if op == "const":
+        return complex(node[1]), 0.0
+    if op == "var":
+        return z[node[1]], abs(z[node[1]].imag) / STEP
+    if op == "neg":
+        a, m = complex_walk(node[1], z)
+        return -a, m
+    (a, ma), (b, mb) = complex_walk(node[1], z), complex_walk(node[2], z)
+    u, v = a.real, b.real
+    if op in ("add", "sub"):
+        value, m = _BINARY[op][1](a, b), ma + mb
+    elif op == "mul":
+        value, m = a * b, ma * abs(v) + abs(u) * mb
+    elif op == "div":
+        value, m = a / b, (ma + abs(u / v) * mb) / abs(v)
+    else:
+        if u <= 0 and (mb or b.imag or not v.is_integer()):
+            raise _NoStep
+        value = a**b
+        m = ((abs(v * u ** (v - 1)) * ma if ma else 0.0)
+             + (abs(value.real * math.log(u)) * mb if mb else 0.0))
+    if value.real and not 1e-100 <= abs(value.real) <= 1e100 or m and m * STEP < 1e-290:
+        raise _NoStep
+    return value, m
+
+
+# 0 or at least 1e-30 from it, so that the step is small beside every coordinate
+step_points = coords.filter(lambda c: c == 0.0 or abs(c) >= 1e-30)
+
+
+# every rule the fold has, at a point where the step applies
+@example((("pow", ("var", 0), ("var", 1)), np.array([1.5, 0.75])))
+@example((("div", ("neg", ("var", 0)), ("add", ("const", 1.0), ("pow", ("var", 0), ("const", 3.0)))),
+          np.array([0.7])))
+@example((("mul", ("sub", ("const", 2.0), ("var", 0)), ("var", 0)), np.array([0.5])))
+@settings(deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    expression_trees(n), arrays(float, n, elements=step_points))))
+def test_gradient_matches_complex_step(case):
+    # Bound: |fold - step| <= 1e-11 m + 1e-150. Each side rounds by a few units of
+    # 1e-16 in m, times the condition of a power's value (|v ln u|, up to about 700);
+    # the worst of 40,000 drawn cases was 5.9e-14 m. 1e-150 covers the step's
+    # h^2 J''' / 6 where m is 0, as for theta1^3 at 0.
+    tree, x = case
+    cost = _parsed(tree, len(x))
+    if cost is None:
+        return
+    got = grad_cost(cost, x)
+    try:
+        value = complex_walk(tree, [complex(c) for c in x])[0]
+        steps = [complex_walk(tree, [complex(c, STEP * (j == k)) for j, c in enumerate(x)])
+                 for k in range(len(x))]
+    except (ZeroDivisionError, OverflowError, _NoStep):
+        return
+    step = np.array([z.imag / STEP for z, _ in steps])
+    m = np.array([m for _, m in steps])
+    if value.imag == 0.0 and np.all(np.isfinite([value.real, *got, *step, *m])):
+        assert np.all(np.abs(got - step) <= 1e-11 * m + 1e-150), (render(tree), x, got, step)
 
 
 loop_states = st.tuples(
