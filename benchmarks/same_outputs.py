@@ -13,10 +13,11 @@ overridden initial theta; in ``average``, a parsed cost that is no
 polynomial and a polynomial whose closed form would exceed the term cap, whose
 average systems run on the period quadrature where every other polynomial
 cost's runs on closed-form maps; and in ``converge``, the quartic parsed once
-as a polynomial and once with an exponent that has no degree by the syntax
-rule, and a cost that is no polynomial, which pins the rules of the jet fold
-over the parse tree, the gradient of every parsed cost, for a quotient and
-for a power of a non-polynomial; no bundled config or workload has these)
+with a literal exponent and once with literal arithmetic in its exponent,
+which the parser folds to the same tree, and a cost that is no polynomial,
+which pins the rules of the jet fold over the parse tree, the gradient of
+every parsed cost, for a quotient and for a power of a non-polynomial; no
+bundled config or workload has these)
 through ``python -m esc_lab.cli``, once from the parent's ``src`` and once
 from this checkout's, each run into its own output directory. The two trees run side
 by side, one process each. Every file either run wrote is compared byte for
@@ -73,7 +74,7 @@ OVERRIDE_RUNS = {    # label: (mode, bundled config, overrides)
         "cost.kind=expr", "cost.expr=(theta1/2)^40 + (theta1 - 1)^2", "time.t1=20"]),
     "parsed quartic, exact gradient": ("converge", "quartic_converge", [
         "cost.kind=expr", "cost.expr=theta1^4/24", "converge.a0=0.08,0.01,0.001,0.0001"]),
-    "parsed quartic without a degree": ("converge", "quartic_converge", [
+    "parsed quartic, folded exponent": ("converge", "quartic_converge", [
         "cost.kind=expr", "cost.expr=theta1^(2 + 2)/24", "converge.a0=0.08,0.01,0.001,0.0001"]),
     "non-polynomial cost, converge": ("converge", "quartic_converge", [
         "cost.kind=expr", "cost.expr=theta1^2 + 1/(1 + theta1^2)",

@@ -29,8 +29,8 @@ dither))`` evaluates one stage of it. For a polynomial cost within
 :data:`MAX_TERMS` terms the averages are finite sums of the period means of
 products of sines, so it builds them once per run as straight-line float code
 (:func:`_closed_form_maps`), which the loop inlines: no J evaluation and no
-node sweep per stage. A cost that is no polynomial, has no ``expr``, or is
-over the cap calls the kernel once per member and stage instead.
+node sweep per stage. A cost that is no polynomial, over the cap, or whose
+``f`` carries no parse tree calls the kernel once per member and stage instead.
 """
 
 from __future__ import annotations
@@ -91,12 +91,12 @@ class PeriodQuadrature:
 
     N uniform nodes integrate a trigonometric polynomial of degree below N
     exactly (Trefethen & Weideman, SIAM Review 56, 2014). For a cost whose
-    ``expr`` is a polynomial of degree d (:func:`polynomial_degree`), J at the
+    parse tree is a polynomial of degree d (:func:`polynomial_degree`), J at the
     nodes has degree at most d * r_max in the phase, and the highest-degree
     integrand, g2_bar's m_i^2 (J - xi)^2, at most (2d + 2) * r_max. So
     n_q = (2d + 2) * r_max + 1 nodes give every average exactly up to
     rounding, with a floor of 8 * r_max and a cap of 256 * r_max. A cost with
-    no ``expr``, or one the rule finds no degree for, gets the cap. Node j
+    no parse tree, or one the rule finds no degree for, gets the cap. Node j
     sits at phase 2*pi*j/n_q of the slowest harmonic, and omega cancels.
     ``s`` (n_q, n) holds the dither at each node and ``m`` (n, n_q) the
     demodulation signal; ``m2 = m * m`` and ``r = mean(m2)`` (= 2 / a_i^2)
@@ -106,7 +106,7 @@ class PeriodQuadrature:
     def __init__(self, cost: CostFunction, dither: DitherConfig):
         self.n = dither.n
         r_max = dither.r_max
-        degree = None if cost.expr is None else polynomial_degree(cost.expr, cost.n)
+        degree = None if cost.tree is None else polynomial_degree(cost.tree)
         self.n_q = n_q = (256 * r_max if degree is None
                           else max(8 * r_max, min(256 * r_max, (2 * degree + 2) * r_max + 1)))
         phases = 2.0 * np.pi * np.arange(n_q) / n_q
@@ -253,15 +253,15 @@ def _closed_form_maps(cost: CostFunction, dither: DitherConfig):
     Returns (lines, results): the lines, over the names ``x0`` .. ``x{n-1}``
     for theta_bar and ``xi`` for xi_bar, and the expressions of [g_bar,
     g2_bar, J_bar] that read them (:meth:`~esc_lab.expressions.FloatCode.text`).
-    Returns None for a cost without ``expr``, where the expansion finds no
+    Returns None for a cost without a parse tree, where the expansion finds no
     polynomial, and where the code would exceed :data:`MAX_TERMS` terms; the
     expansion and the g2_bar pair loop each stop at the first term over.
     """
-    if cost.expr is None:
+    if cost.tree is None:
         return None
     n, code = cost.n, FloatCode()
     amps, rates = dither.amplitudes.tolist(), dither.rates.tolist()
-    poly = dither_expansion(cost.expr, n, amps, code, MAX_TERMS)
+    poly = dither_expansion(cost.tree, amps, code, MAX_TERMS)
     if poly is None:
         return None
     means: dict[tuple, float] = {}
@@ -323,7 +323,7 @@ def average_system(params, cost: CostFunction, dither: DitherConfig) -> System:
     A polynomial cost whose float code stays within :data:`MAX_TERMS` terms
     gets the closed-form maps of :func:`_closed_form_maps`, built once here
     and inlined per member and stage: no call of ``cost.f`` and no
-    quadrature. Every other cost (no ``expr``, not a polynomial, or above the
+    quadrature. Every other cost (no parse tree, not a polynomial, or above the
     cap) gets one :func:`_quadrature_maps` call per member and stage, so one
     cost sweep and one stacked reduction, through a kernel whose buffers make
     the stage non-reentrant. The rest of the stage is Python floats on either

@@ -55,9 +55,10 @@ MAX_STEPS = 1e8 RK4 steps of the largest step allowed, each found before any
 run and named with the keys that set the step; a lyapunov search box on
 which J or an averaged filter target is not finite; two init.xi entries that
 would write the same CSV name; more than one init.xi entry in average,
-compare or lyapunov mode; and a quadratic report given more than one
-curvature or amplitude), 3 runtime abort (non-finite state, or an
-equilibrium search that stalls or outruns the dither's resolution).
+compare or lyapunov mode; and a quadratic report on a cost.kind other than
+quadratic or given more than one curvature or amplitude), 3 runtime abort
+(non-finite state, or an equilibrium search that stalls or outruns the
+dither's resolution).
 """
 
 from __future__ import annotations
@@ -311,6 +312,7 @@ def _mode_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
 def _mode_quadratic(cfg: ExperimentConfig, out_dir: Path) -> int:
     from .quadratic import QuadraticModel, quad_jacobian
 
+    cfg.string("cost.kind", choices=("quadratic",))
     h = cfg.number_list("cost.h")
     if h.size != 1:
         raise ConfigError("field 'cost.h' must be a single curvature for the quadratic report")

@@ -2,14 +2,13 @@
 
 A :class:`CostFunction` bundles a scalar field J with an optional known
 minimizer. Every cost's evaluator is compiled from its expression text by
-:func:`~esc_lab.expressions.compile_expression`: the builtins write their
-``expr`` and compile it as :func:`parse_cost` does, so J has one evaluator.
-It is vectorized: it accepts arrays of shape (..., n) and returns shape
-(...), and it carries the same operations over Python floats as text
-(``f.scalar``), which the full loop inlines to measure J at its few
-members without a numpy call. The gradient has one rule too
-(:func:`grad_cost`): a jet fold over the parse tree of every builtin and
-parsed cost, and central finite differences only for a cost given as ``f``.
+:func:`~esc_lab.expressions.compile_expression`, a builtin's as
+:func:`parse_cost` compiles it, so J has one evaluator. It is vectorized
+(arrays (..., n) to (...)), and it carries J's parse tree (``f.tree``),
+which every rule over J folds, and its operations over Python floats as text
+(``f.scalar``), which the full loop inlines. So a replaced ``f`` is what
+every layer reads. The gradient has one rule too (:func:`grad_cost`): a jet
+fold over the tree, and central finite differences only for a black-box ``f``.
 """
 
 from __future__ import annotations
@@ -34,13 +33,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CostFunction:
-    """J on arrays (``f``, ``compile_expression(expr, n)`` for every builtin and parsed
+    """J on arrays (``f``, compiled by ``compile_expression`` for every builtin and parsed
     cost) and what is known of it."""
 
     n: int
     f: Callable[[np.ndarray], np.ndarray]
     theta_star: Optional[np.ndarray] = None
-    expr: Optional[str] = None
+
+    @property
+    def tree(self):
+        """J's parse tree, which a compiled ``f`` carries; None for a black-box ``f``."""
+        return getattr(self.f, "tree", None)
 
 
 def _point(cost: CostFunction, theta) -> np.ndarray:
@@ -65,12 +68,12 @@ def finite_difference_gradient(cost: CostFunction, theta: np.ndarray) -> np.ndar
 
 
 def grad_cost(cost: CostFunction, theta) -> np.ndarray:
-    """Gradient of J: :func:`~esc_lab.expressions.gradient`'s jet fold over ``expr``, exact up
-    to rounding; central finite differences for a cost without ``expr``."""
+    """Gradient of J: :func:`~esc_lab.expressions.gradient`'s jet fold over the parse tree,
+    exact up to rounding; central finite differences for an ``f`` without one."""
     theta = _point(cost, theta)
-    if cost.expr is None:
+    if cost.tree is None:
         return finite_difference_gradient(cost, theta)
-    return gradient(cost.expr, theta)
+    return gradient(cost.tree, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +97,7 @@ def quadratic_cost(h, j_opt: float = 0.0, theta_star=None) -> CostFunction:
     """J(theta) = j_opt + 0.5 * (theta - theta*)' H (theta - theta*), H symmetric positive definite.
 
     ``h`` may be a scalar (n = 1), a vector of diagonal curvatures, or a full matrix.
-    ``expr`` sums (d_i * H_ij) * d_j over the nonzero entries of H in C order, with
+    The expression sums (d_i * H_ij) * d_j over the nonzero entries of H in C order, with
     d = theta - theta*. The sum starts at (d_1 * H_11) * d_1 >= +0 and is never -0,
     so a left-out +-0 term would not change a finite value's bits.
     """
@@ -121,7 +124,7 @@ def quadratic_cost(h, j_opt: float = 0.0, theta_star=None) -> CostFunction:
     products = " + ".join(f"({d[i]}*{rows[i][j]!r})*{d[j]}" for i in range(n) for j in range(n)
                           if rows[i][j] != 0.0)
     expr = f"{float(j_opt)!r} + 0.5*({products})"
-    return CostFunction(n=n, f=compile_expression(expr, n), theta_star=star, expr=expr)
+    return CostFunction(n=n, f=compile_expression(expr, n), theta_star=star)
 
 
 def quartic_cost() -> CostFunction:
@@ -130,12 +133,12 @@ def quartic_cost() -> CostFunction:
 
 
 def shifted_quartic_cost(theta_star) -> CostFunction:
-    """J(theta) = sum_i (theta_i - theta*_i)^4 / 24; ``expr`` is ``(d_1^4 + ... + d_n^4) / 24``."""
+    """J(theta) = sum_i (theta_i - theta*_i)^4 / 24, written ``(d_1^4 + ... + d_n^4) / 24``."""
     star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     _finite(theta_star=star)
     n = star.size
     expr = "(" + " + ".join(f"{d}^4" for d in _offsets(star)) + ") / 24"
-    return CostFunction(n=n, f=compile_expression(expr, n), theta_star=star, expr=expr)
+    return CostFunction(n=n, f=compile_expression(expr, n), theta_star=star)
 
 
 def parse_cost(expr: str, n: int) -> CostFunction:
@@ -143,4 +146,4 @@ def parse_cost(expr: str, n: int) -> CostFunction:
 
     Its gradient is :func:`grad_cost`'s, as for every builtin.
     """
-    return CostFunction(n=n, f=compile_expression(expr, n), expr=expr)
+    return CostFunction(n=n, f=compile_expression(expr, n))

@@ -24,21 +24,19 @@ even integer literal raises the absolute value of its base: the value is the
 same, J is exactly even in that base, and numpy's ``power`` stays on its
 fast path, which a negative base leaves for a much slower scalar ``pow``
 call. Any other exponent uses plain ``power``, so odd powers keep their sign
-and a negative base to a non-integer power is NaN. An operation whose
-operands name no variable is folded to a Python float when the expression
-is compiled (a ``^`` through numpy's ``power``, by the same rule), so a
-subexpression of literals that divides by zero is rejected there. The same
-operations over Python floats travel with the function as text, which the
-full loop inlines to measure J without a numpy call.
+and a negative base to a non-integer power is NaN.
 
-:func:`polynomial_degree` reads the same tree for the degree of the cost as a
-polynomial in theta, or None where the syntax shows none; the period
-quadrature sizes its node count from it. :func:`dither_expansion` folds the
-tree once more, into the polynomial that J(theta + a * sigma) is in the
-dither phases sigma, with each coefficient written as straight-line float
-code in theta (:class:`FloatCode`); the average system contracts it with the
-phases' period means. :func:`gradient` folds the tree into dJ/dtheta at a
-point, carrying each node's value and gradient, for every expression.
+The parser folds an operation on literals into one literal (a ``^`` through
+numpy's ``power``, by the same rule), so a subexpression of literals that
+divides by zero is rejected, and every fold of the tree sees
+``theta1^(2 + 2)`` as ``theta1^4``. The compiled function carries the tree
+(``tree``) and its operations over Python floats as text (``scalar``), which
+the full loop inlines. :func:`polynomial_degree` folds the tree into the
+degree of J as a polynomial in theta, or None, which sizes the period
+quadrature; :func:`dither_expansion` into the polynomial that
+J(theta + a * sigma) is in the dither phases sigma, with coefficients as
+float code in theta (:class:`FloatCode`), which the average system contracts
+with the phases' period means; and :func:`gradient` into dJ/dtheta at a point.
 """
 
 from __future__ import annotations
@@ -136,7 +134,7 @@ class _Parser:
             if kind == "op" and value in "+-":
                 self.advance()
                 rhs = self.term()
-                node = (("add" if value == "+" else "sub"), node, rhs)
+                node = _node("add" if value == "+" else "sub", node, rhs)
             else:
                 return node
 
@@ -147,7 +145,7 @@ class _Parser:
             if kind == "op" and value in "*/":
                 self.advance()
                 rhs = self.unary()
-                node = (("mul" if value == "*" else "div"), node, rhs)
+                node = _node("mul" if value == "*" else "div", node, rhs)
             else:
                 return node
 
@@ -155,7 +153,7 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return ("neg", self.nested(self.unary, pos))
+            return _node("neg", self.nested(self.unary, pos))
         return self.power()
 
     def power(self):
@@ -163,7 +161,7 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            return ("pow", base, self.nested(self.unary, pos))
+            return _node("pow", base, self.nested(self.unary, pos))
         return base
 
     def atom(self):
@@ -195,23 +193,30 @@ def _is_even_integer(node) -> bool:
     return node[0] == "const" and node[1].is_integer() and node[1] % 2 == 0
 
 
-def _fold_literals(node, values: list[float]) -> float:
-    """The operation ``node`` on operands that name no variable, as a Python float.
+def _fold_literals(op: str, *operands) -> float:
+    """The operation ``op`` on literal nodes, as a Python float.
 
     A ``^`` goes through numpy's ``power`` by the rule the compiled code
     applies: of |base| under an even integer literal exponent.
     """
-    op = node[0]
+    values = [operand[1] for operand in operands]
     if op == "neg":
         return -values[0]
     if op == "pow":
         base, exponent = values
         with np.errstate(all="ignore"):
-            return float(np.power(abs(base) if _is_even_integer(node[2]) else base, exponent))
+            return float(np.power(abs(base) if _is_even_integer(operands[1]) else base, exponent))
     try:
         return _BINARY[op][1](*values)
     except ZeroDivisionError:
         raise ValueError("a subexpression of literals divides by zero") from None
+
+
+def _node(op: str, *operands):
+    """The node ``(op, *operands)``, folded to a literal where every operand is one."""
+    if all(operand[0] == "const" for operand in operands):
+        return ("const", _fold_literals(op, *operands))
+    return (op, *operands)
 
 
 def _fold(tree, visit):
@@ -245,11 +250,10 @@ def _literal(value: float) -> str:
 def _emit(tree):
     """Lower ``tree`` to straight-line Python: one assignment per distinct operation.
 
-    Returns (source, constants, scalar). An operation whose operands name no
-    variable is folded to a Python float here (:func:`_fold_literals`), which
-    raises ValueError for a division by zero. Every other operand is evaluated
-    left to right, so the function makes the numpy calls a recursive walk of
-    the tree would make, in the same order, except that an operation already
+    Returns (source, constants, scalar). The parser has folded every
+    operation on literals, so each operation names a variable. Operands are
+    evaluated left to right, so the function makes the numpy calls a recursive
+    walk of the tree would make, in the same order, except that an operation already
     emitted is not emitted again: each is keyed by its text (operator and
     operand names), each literal by its bits (a folded NaN of either sign has
     one repr), and a repeat reuses the first one's name, so
@@ -284,8 +288,6 @@ def _emit(tree):
         if op == "var":
             variables.add(node[1])
             return f"x{node[1]}"
-        if not any(isinstance(v, str) for v in operands):
-            return _fold_literals(node, operands)
         floats = [v if isinstance(v, str) else _literal(v) for v in operands]
         operands = [name(v) for v in operands]
         if op == "neg":
@@ -325,36 +327,36 @@ def _emit(tree):
 
 
 def compile_expression(text: str, n: int):
-    """Parse ``text`` and return one compiled function mapping arrays (..., n) -> (...).
+    """Parse ``text`` once and return one compiled function mapping arrays (..., n) -> (...).
 
-    The function carries its operations over Python floats, as text the full loop
-    inlines (``scalar``, see :func:`_emit`; compiled only there), so they travel with
-    it, also through ``functools.wraps``. Where numpy returns inf or NaN these floats
-    can raise (ZeroDivisionError, OverflowError, or ValueError from ``math.pow``);
-    the loop then evaluates that point's J through the function itself.
+    The function carries the parse tree (``tree``) and its operations over Python floats
+    as text the full loop inlines (``scalar``, see :func:`_emit`), also through
+    ``functools.wraps``. Where numpy returns inf or NaN these floats can raise
+    (ZeroDivisionError, OverflowError, or ValueError from ``math.pow``); the loop then
+    evaluates that point's J through the function itself.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    source, constants, scalar = _emit(_Parser(text, n).parse())
+    tree = _Parser(text, n).parse()
+    source, constants, scalar = _emit(tree)
     namespace = {"asarray": np.asarray, "full": np.full, "absolute": np.abs, "power": np.power,
                  **constants}
     exec(compile(source, "<cost expression>", "exec"), namespace)
     evaluate = namespace["evaluate"]
-    evaluate.scalar = scalar
+    evaluate.tree, evaluate.scalar = tree, scalar
     return evaluate
 
 
-def polynomial_degree(text: str, n: int) -> int | None:
-    """The degree of ``text`` as a polynomial in theta1..thetaN, or None if the rule finds none.
+def polynomial_degree(tree) -> int | None:
+    """The degree of the parse tree ``tree`` as a polynomial in theta, or None if it has none.
 
     A literal has degree 0 and a variable degree 1; +, - and unary minus take
     the larger degree of their operands, and * their sum. A division keeps a
-    polynomial only when its divisor names no variable, and ``^`` only when
-    its exponent is a non-negative integer literal (it multiplies the base's
-    degree) or both of its operands name no variable. Anything else has no
-    degree. A subexpression that names no variable is a constant, so it
-    always has degree 0. The rule reads the syntax only: ``theta1^(1 + 1)``
-    or ``theta1^0.5 * 0`` have no degree.
+    polynomial only when its divisor is a literal, and ``^`` only when its
+    exponent is a non-negative integer literal (it multiplies the base's
+    degree). Anything else has no degree. The parser folds literal arithmetic,
+    so ``theta1^(1 + 1)`` has degree 2; the rule reads the tree, not its
+    values: ``theta1^0.5 * 0`` has none.
     """
 
     def visit(node, operands):
@@ -368,13 +370,13 @@ def polynomial_degree(text: str, n: int) -> int | None:
         if op == "mul":
             return operands[0] + operands[1]
         if op == "div":
-            return operands[0] if operands[1] == 0 else None
+            return operands[0] if node[2][0] == "const" else None
         exponent = node[2]
         if exponent[0] == "const" and exponent[1].is_integer() and exponent[1] >= 0:
             return operands[0] * int(exponent[1])
-        return 0 if operands == [0, 0] else None
+        return None
 
-    return _fold(_Parser(text, n).parse(), visit)
+    return _fold(tree, visit)
 
 
 class FloatCode:
@@ -429,19 +431,8 @@ class FloatCode:
         return {key: w for key, w in out.items() if w != 0.0}
 
 
-def _constant(poly: dict):
-    """The value of a polynomial that holds no sigma and no name, else None."""
-    if not poly:
-        return 0.0
-    if len(poly) == 1:
-        (alpha, total), = poly.items()
-        if not any(alpha) and set(total) == {()}:
-            return total[()]
-    return None
-
-
-def dither_expansion(text: str, n: int, amplitudes, code: FloatCode, max_terms: int):
-    """J(theta + a * sigma) for the expression ``text``, as a polynomial in sigma, or None.
+def dither_expansion(tree, amplitudes, code: FloatCode, max_terms: int):
+    """J(theta + a * sigma) for the parse tree ``tree``, as a polynomial in sigma, or None.
 
     Returns a dict from an exponent tuple (one power per channel) to the
     coefficient of that sigma monomial, a sum of ``code`` (:class:`FloatCode`)
@@ -450,14 +441,14 @@ def dither_expansion(text: str, n: int, amplitudes, code: FloatCode, max_terms: 
     about a reference point, so ``(theta1 - 100)^4`` raises theta1 - 100 to
     the fourth. The fold follows :func:`polynomial_degree`: ``theta_i``
     becomes theta_i + a_i * sigma_i; +, - and * combine coefficients; ``^`` by
-    a non-negative integer literal repeats the product; / divides by a
-    constant only; and an operation on constants folds to a number. Returns
-    None where that rule finds no polynomial, where a folded constant or a
-    weight is not finite or a divisor is 0, and once ``code`` holds more than
-    ``max_terms`` terms or a node more than ``max_terms`` monomials.
+    a non-negative integer literal repeats the product; and / divides by a
+    literal only. Returns None where that rule finds no polynomial, where a
+    literal or a weight is not finite or a divisor is 0, and once ``code``
+    holds more than ``max_terms`` terms or a node more than ``max_terms``
+    monomials. ``amplitudes`` holds one a_i per variable.
     """
-    zero = (0,) * n
     amplitudes = [float(a) for a in amplitudes]
+    zero = (0,) * len(amplitudes)
 
     def atoms(p):
         return {alpha: code.atom(c) for alpha, c in p.items()}
@@ -478,8 +469,7 @@ def dither_expansion(text: str, n: int, amplitudes, code: FloatCode, max_terms: 
             return {zero: {(): node[1]}} if node[1] != 0.0 else {}
         if op == "var":
             i = node[1]
-            return {zero: {(f"x{i}",): 1.0},
-                    tuple(int(j == i) for j in range(n)): {(): amplitudes[i]}}
+            return {zero: {(f"x{i}",): 1.0}, zero[:i] + (1,) + zero[i + 1 :]: {(): amplitudes[i]}}
         if None in operands:
             return None
         if op in ("add", "sub"):
@@ -496,15 +486,11 @@ def dither_expansion(text: str, n: int, amplitudes, code: FloatCode, max_terms: 
         if op == "mul":
             return product(*operands)
         if op == "div":
-            divisor = _constant(operands[1])
-            if not divisor:                       # a variable divisor, or a zero one
+            if node[2][0] != "const" or not node[2][1]:   # a variable divisor, or a zero one
                 return None
+            divisor = node[2][1]
             return {alpha: c for alpha, d in operands[0].items()
                     if (c := {key: w / divisor for key, w in d.items() if w / divisor != 0.0})}
-        base, exponent = _constant(operands[0]), _constant(operands[1])
-        if base is not None and exponent is not None:
-            value = _fold_literals(node, [base, exponent])
-            return {zero: {(): value}} if value != 0.0 else {}
         literal = node[2]
         if literal[0] != "const" or not literal[1].is_integer() or literal[1] < 0:
             return None
@@ -524,41 +510,49 @@ def dither_expansion(text: str, n: int, amplitudes, code: FloatCode, max_terms: 
         finite = all(isfinite(w) for c in poly.values() for w in c.values())
         return poly if finite else None
 
-    return _fold(_Parser(text, n).parse(), visit)
+    return _fold(tree, visit)
 
 
-def gradient(text: str, theta) -> np.ndarray:
-    """dJ/dtheta of the expression ``text`` at ``theta`` (n floats): a first-order jet fold.
+def gradient(tree, theta) -> np.ndarray:
+    """dJ/dtheta of the parse tree ``tree`` at ``theta`` (n floats): a first-order jet fold.
 
-    Each node of the parse tree carries its value and gradient in float64 (Griewank &
-    Walther, *Evaluating Derivatives*, ch. 13). u/v gives (u' - (u/v) v') / v; a ``^``
-    whose exponent names no variable gives c u^(c-1) u', exactly 0 for c = 0, any other
-    u^v (v' ln u + v u'/u); values are the compiled function's (|u| under an even integer
-    literal exponent). A derivative that is not finite reads inf or NaN.
+    Each node carries its value and, in float64, a partial for each variable its subtree
+    names (Griewank & Walther, *Evaluating Derivatives*, ch. 13); any other is an exact 0
+    that no rule multiplies, so an infinite partial makes no NaN beside it. u/v gives
+    (u' - (u/v) v') / v; a ``^`` by a literal c gives c u^(c-1) u', exactly 0 for c = 0,
+    any other u^v (v' ln u + v u'/u); values are the compiled function's (|u| under an
+    even integer literal exponent). A derivative that is not finite reads inf or NaN.
     """
-    n = len(theta)
+
+    def times(s, partials):
+        return {i: s * d for i, d in partials.items()}
+
+    def plus(a, b):                           # a partial that is not there adds as 0
+        return {i: a.get(i, 0.0) + b.get(i, 0.0) for i in a.keys() | b.keys()}
 
     def visit(node, operands):
         op = node[0]
         if op == "const":
-            return np.float64(node[1]), np.zeros(n)
+            return np.float64(node[1]), {}
         if op == "var":
-            return np.float64(theta[node[1]]), np.eye(n)[node[1]]
+            return np.float64(theta[node[1]]), {node[1]: np.float64(1.0)}
         if op == "neg":
             (u, du), = operands
-            return -u, -du
+            return -u, times(-1.0, du)
         (u, du), (v, dv) = operands
         if op in ("add", "sub"):
-            combine = _BINARY[op][1]
-            return combine(u, v), combine(du, dv)
+            return _BINARY[op][1](u, v), plus(du, times(1.0 if op == "add" else -1.0, dv))
         if op == "mul":
-            return u * v, du * v + u * dv
+            return u * v, plus(times(v, du), times(u, dv))
         if op == "div":
-            return u / v, (du - u / v * dv) / v
+            q = u / v
+            return q, {i: d / v for i, d in plus(du, times(-q, dv)).items()}
         value = np.power(abs(u) if _is_even_integer(node[2]) else u, v)
-        if not _fold(node[2], lambda sub, names: sub[0] == "var" or any(names)):
-            return value, (v * np.power(u, v - 1.0) * du if v != 0.0 else np.zeros(n))
-        return value, value * (dv * np.log(u) + v * du / u)
+        if node[2][0] == "const":
+            return value, (times(v * np.power(u, v - 1.0), du) if v != 0.0 else {})
+        return value, times(value, plus({i: v * d / u for i, d in du.items()},
+                                        times(np.log(u), dv)))
 
     with np.errstate(all="ignore"):
-        return _fold(_Parser(text, n).parse(), visit)[1]
+        partials = _fold(tree, visit)[1]
+    return np.array([partials.get(i, 0.0) for i in range(len(theta))])

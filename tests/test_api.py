@@ -41,7 +41,9 @@ from esc_lab import (averaging, cli, config, cost, dynamics, expressions, integr
 # float code's compiler, which only the expansion-based gradient called, and
 # its one-caller source helper (the jet fold gives every gradient, and the
 # closed-form maps read the lines and terms themselves); the term cap in
-# expressions (the closed-form maps own it as averaging.MAX_TERMS).
+# expressions (the closed-form maps own it as averaging.MAX_TERMS); the cost's
+# expression text beside its f (every layer reads the parse tree that f
+# carries) and the expansion's constant reader (the parser folds literals).
 REMOVED = {
     dynamics: ["EscState", "EscDerivative", "rmspesc_rhs", "gesc_rhs", "grad_estimate", "_phase",
                "rmspesc_flat_rhs", "gesc_flat_rhs"],
@@ -56,7 +58,7 @@ REMOVED = {
            "_grid_points", "_local_minima_mask", "_connected_components", "check_assumptions",
            "row_form"],
     integrate: ["oscillation_step", "nonneg", "integrate_fixed", "_call_rhs"],
-    cost.CostFunction: ["name", "grad", "f_rows", "__post_init__"],
+    cost.CostFunction: ["name", "grad", "f_rows", "__post_init__", "expr"],
     integrate.Trajectory: ["column", "label", "h", "record_stride"],
     signals.DitherConfig: ["phase_grid", "dither_matrix", "demod_matrix"],
     averaging.AverageMaps: ["n_q"],
@@ -64,7 +66,7 @@ REMOVED = {
     averaging.PeriodQuadrature: ["check"],
     lyapunov.LevelSetOracle: ["_batch_fields", "_radii_chunk", "_eta_abs_max", "radius_xi",
                               "radius_v", "value", "_env_r_xi"],
-    expressions: ["_evaluate", "MAX_TERMS"],
+    expressions: ["_evaluate", "MAX_TERMS", "_constant"],
     expressions.FloatCode: ["function", "source"],
 }
 
@@ -163,8 +165,8 @@ def test_kernel_module_is_gone():
 
 
 def test_cost_function_fields():
-    # a plain record: the full loop measures J through the scalar form f carries
-    assert [f.name for f in fields(cost.CostFunction)] == ["n", "f", "theta_star", "expr"]
+    # a plain record: every layer reads J's parse tree and scalar form from the f it holds
+    assert [f.name for f in fields(cost.CostFunction)] == ["n", "f", "theta_star"]
 
 
 def test_level_spec_fields():

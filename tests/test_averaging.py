@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import wraps
 from math import sqrt
 
 import numpy as np
@@ -13,6 +14,7 @@ from esc_lab import (
     avg_maps,
     convergence_sweep,
     equilibrium,
+    grad_cost,
     new_dither,
     parse_cost,
     quadratic_cost,
@@ -20,10 +22,18 @@ from esc_lab import (
     shifted_quartic_cost,
 )
 from esc_lab.averaging import average_system
+from esc_lab.cost import finite_difference_gradient
+from esc_lab.expressions import compile_expression
 from esc_lab.integrate import derivative
 from esc_lab.quadratic import QuadraticModel, fourier_coeffs, quad_avg_maps
 
 FIG1 = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
+
+
+def opaque(cost):
+    """The same J behind an f that carries no parse tree, a black box to every layer."""
+    f = cost.f
+    return replace(cost, f=lambda x: f(x))
 
 
 def average_rhs(state, params, cost, dither):
@@ -184,8 +194,8 @@ def two_sweep_rhs(cost, quad, params, rows):
 
 @pytest.mark.parametrize("cost, dither, params", RHS_CASES, ids=RHS_IDS)
 def test_average_flat_rhs_equals_rhs_of_two_sweep_maps(cost, dither, params):
-    # without its expression a cost takes the quadrature path, as a non-polynomial one does
-    cost = replace(cost, expr=None)
+    # without its parse tree a cost takes the quadrature path, as a non-polynomial one does
+    cost = opaque(cost)
     n, quad = cost.n, PeriodQuadrature(cost, dither)
     rows = rhs_rows(n)
     assert any(x < 0.0 for r in rows for x in r[n : 2 * n])
@@ -224,11 +234,11 @@ def test_average_flat_rhs_one_sweep_and_one_reduction_per_row(cost, dither, para
     sweeps = []
     rows = rhs_rows(cost.n, count=5)
     # the closed form of a polynomial cost evaluates no J at all
-    polynomial = replace(cost, f=lambda x: sweeps.append(x.shape) or cost.f(x))
+    polynomial = replace(cost, f=wraps(cost.f)(lambda x: sweeps.append(x.shape) or cost.f(x)))
     derivative(average_system(params, polynomial, dither))(0.0, rows)
     assert sweeps == []
-    # the quadrature path, which a cost without its expression takes
-    cost = replace(cost, expr=None)
+    # the quadrature path, which a cost without its parse tree takes
+    cost = opaque(cost)
     counted = replace(cost, f=lambda x: sweeps.append(x.shape) or cost.f(x))
     counting_np = _CountingNumpy()
     monkeypatch.setattr(averaging, "np", counting_np)
@@ -271,10 +281,10 @@ def closed_form_rows(cost, theta_offset, xi_offset):
 def test_closed_form_rhs_matches_reference_quadrature(case):
     cost, dither, params, theta_offset, xi_offset = CLOSED_FORM_CASES[case]
     n, calls = cost.n, []
-    counted = replace(cost, f=lambda x: calls.append(x) or cost.f(x))
+    counted = replace(cost, f=wraps(cost.f)(lambda x: calls.append(x) or cost.f(x)))
     rhs = derivative(average_system(params, counted, dither))
-    # the reference is the same cost without its expression: 256 * r_max nodes
-    ref = derivative(average_system(params, replace(cost, expr=None), dither))
+    # the reference is the same cost without its parse tree: 256 * r_max nodes
+    ref = derivative(average_system(params, opaque(cost), dither))
 
     def close(a, b):  # relative to the norm of the reference vector
         return np.linalg.norm(np.subtract(a, b)) <= 1e-13 * np.linalg.norm(b)
@@ -326,7 +336,7 @@ def test_cost_without_closed_form_takes_the_quadrature(case):
     assert averaging._closed_form_maps(cost, dither) is None
     params = EscParams(k=1.0, epsilon=0.05, omega_l=[0.25] * n, omega_xi=1.0)
     calls = []
-    counted = replace(cost, f=lambda x: calls.append(x.shape) or cost.f(x))
+    counted = replace(cost, f=wraps(cost.f)(lambda x: calls.append(x.shape) or cost.f(x)))
     rows = rhs_rows(n, count=4)
     out = derivative(average_system(params, counted, dither))(0.0, rows)
     assert calls == [(n_q + 1, n)] * len(rows)
@@ -352,12 +362,43 @@ def test_quadrature_tables():
     ("theta1^0.5 + theta2", 768),         # no degree: 256 * r_max, as before
     ("theta1^-2", 768),
     ("1/(1 + theta1^2)", 768),
-    (None, 768),                          # a cost with no expression
+    (None, 768),                          # an f without a parse tree
 ])
 def test_node_count_from_degree(expr, n_q):
     dither = new_dither([0.2, 0.05], [1, 3], 10.0)
-    cost = replace(parse_cost("theta1", 2), expr=None) if expr is None else parse_cost(expr, 2)
+    cost = opaque(parse_cost("theta1", 2)) if expr is None else parse_cost(expr, 2)
     assert PeriodQuadrature(cost, dither).n_q == n_q
+
+
+def test_every_layer_reads_a_replaced_f():
+    # the record's f is 3 theta^2, compiled with its own tree; the theta^2 it replaced is
+    # gone from every layer: g_bar = 6 theta and J_bar = 3 (theta^2 + a^2 / 2) exactly
+    cost = replace(parse_cost("theta1^2", 1), f=compile_expression("3*theta1^2", 1))
+    dither = new_dither([0.2], [1], 10.0)
+    stage = average_rhs([1.0, 0.81, 0.0], FIG1, cost, dither)
+    assert stage[0] == pytest.approx(-6.0 / (0.9 + 0.05), rel=1e-13)
+    assert stage[2] == pytest.approx(3.06, rel=1e-13)
+    maps = avg_maps(cost, PeriodQuadrature(cost, dither), [1.0])
+    assert maps.g_bar == pytest.approx([6.0], rel=1e-13) and maps.j_bar == pytest.approx(3.06)
+    assert grad_cost(cost, [1.0]).tolist() == [6.0]
+
+
+def test_only_an_f_without_a_tree_is_a_black_box():
+    cost, dither = quartic_setup()
+    f, theta = cost.f, np.array([0.7])
+    # a plain wrapper carries no tree: finite differences, 256 * r_max nodes, the quadrature
+    black_box = replace(cost, f=lambda x: f(x))
+    assert black_box.tree is None
+    fd = finite_difference_gradient(cost, theta)
+    assert grad_cost(black_box, theta).tobytes() == fd.tobytes()
+    assert PeriodQuadrature(black_box, dither).n_q == 256
+    assert averaging._closed_form_maps(black_box, dither) is None
+    # a functools.wraps wrapper keeps the tree: the jet fold, the derived count, the closed form
+    wrapped = replace(cost, f=wraps(f)(lambda x: f(x)))
+    assert grad_cost(wrapped, theta).tobytes() == grad_cost(cost, theta).tobytes()
+    assert PeriodQuadrature(wrapped, dither).n_q == 11
+    closed = averaging._closed_form_maps(wrapped, dither)
+    assert closed is not None and closed == averaging._closed_form_maps(cost, dither)
 
 
 # the quartic, a 3-D quadratic with theta* != 0 and compare_expr2d's parsed cost,
@@ -374,8 +415,8 @@ EXACT_CASES = [
 
 @pytest.mark.parametrize("cost, dither, n_q", EXACT_CASES, ids=["quartic", "quadratic3d", "expr2d"])
 def test_derived_node_count_is_exact(cost, dither, n_q):
-    # the reference is the same cost without its expression: 256 * r_max nodes
-    quad, ref = PeriodQuadrature(cost, dither), PeriodQuadrature(replace(cost, expr=None), dither)
+    # the reference is the same cost without its parse tree: 256 * r_max nodes
+    quad, ref = PeriodQuadrature(cost, dither), PeriodQuadrature(opaque(cost), dither)
     assert quad.n_q == n_q and ref.n_q == 256 * dither.r_max
 
     def close(a, b):  # relative to the norm of the reference vector

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from esc_lab import cli, lyapunov
+from esc_lab import cli, expressions, lyapunov
 from esc_lab.cli import main, run_experiment, write_csv, write_trajectory_csv
 from esc_lab.config import (
     ConfigError,
@@ -160,6 +160,17 @@ def test_quadratic_mode_prints_eigenvalues(tmp_path, capsys):
     assert (tmp_path / "jacobian.txt").exists()
 
 
+@pytest.mark.parametrize("kind", ["bogus", "quartic", "expr"])
+def test_quadratic_mode_rejects_any_other_cost_kind(kind, tmp_path, capsys):
+    # the report is the quadratic's closed form; on any other kind cost.h would describe
+    # no cost of the run
+    code = main(["quadratic", "--config", "quadratic_jacobian", "--set", f"cost.kind={kind}",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "cost.kind" in capsys.readouterr().err
+    assert not (tmp_path / "jacobian.txt").exists()
+
+
 def test_quadratic_mode_rejects_several_amplitudes(tmp_path, capsys):
     code = main(["quadratic", "--config", "quadratic_jacobian",
                  "--set", "dither.amplitudes=0.02, 0.5", "--out", str(tmp_path)])
@@ -245,17 +256,30 @@ def test_parsed_quartic_converges_like_the_builtin(tmp_path):
     assert csv[0] == csv[1]
 
 
-def test_quartic_without_a_degree_converges_like_the_quartic(tmp_path):
-    # theta1^(2 + 2) has no degree by the syntax rule, but its gradient comes from the
-    # same jet fold, so at a0 = 1e-4 its grad_error carries no finite-difference error,
-    # which would be 12 % of it
-    errors = []
-    for name, expr in (("degree", "theta1^4/24"), ("no_degree", "theta1^(2 + 2)/24")):
-        assert main(["converge", "--config", "quartic_converge", "--set", "cost.kind=expr",
+@pytest.mark.parametrize("mode, config, csv", [
+    ("average", "quartic_average", "trajectory_average.csv"),
+    ("converge", "quartic_converge", "converge.csv"),
+])
+def test_literal_arithmetic_in_an_exponent_runs_as_the_literal(mode, config, csv, tmp_path):
+    # the parser folds 2 + 2 to 4, so both costs are one tree: the same node count, closed
+    # form and gradient, and the same bytes
+    for name, expr in (("literal", "theta1^4/24"), ("sum", "theta1^(2 + 2)/24")):
+        assert main([mode, "--config", config, "--set", "cost.kind=expr",
                      "--set", f"cost.expr={expr}", "--set", "converge.a0=0.08,0.01,0.001,0.0001",
-                     "--out", str(tmp_path / name)]) == 0
-        errors.append(read_csv_columns(tmp_path / name / "converge.csv")[1][1][-1])
-    assert errors[1] == pytest.approx(errors[0], rel=1e-3)
+                     "--set", "time.t1=20", "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "sum" / csv).read_bytes() == (tmp_path / "literal" / csv).read_bytes()
+
+
+def test_a_run_parses_its_cost_once(tmp_path, monkeypatch):
+    # the parse tree travels with f, so no layer parses the text again
+    parses = []
+    parse = expressions._Parser.parse
+    monkeypatch.setattr(expressions._Parser, "parse", lambda self: parses.append(1) or parse(self))
+    for mode, config in (("converge", "quartic_converge"), ("lyapunov", "quartic_lyapunov")):
+        parses.clear()
+        assert main([mode, "--config", config, "--set", "time.t1=1",
+                     "--out", str(tmp_path / mode)]) == 0
+        assert len(parses) == 1, mode
 
 
 def test_converge_grad_error_above_the_square_root_of_the_float_range_is_finite(tmp_path):

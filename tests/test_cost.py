@@ -103,21 +103,36 @@ def test_parse_quadratic_matches_builtin():
         assert eval_cost(parsed, theta) == pytest.approx(eval_cost(c, theta), abs=1e-12)
 
 
+def quadratic_text(hmat, j_opt, star, every=False):
+    """The builtin quadratic's expression, as README states it; with ``every``, zero entries too."""
+    d, rows = _offsets(np.asarray(star, dtype=float)), np.asarray(hmat, dtype=float).tolist()
+    products = " + ".join(f"({d[i]}*{rows[i][j]!r})*{d[j]}" for i in range(len(rows))
+                          for j in range(len(rows)) if every or rows[i][j] != 0.0)
+    return f"{float(j_opt)!r} + 0.5*({products})"
+
+
+def quartic_text(star):
+    """The builtin shifted quartic's expression, as README states it."""
+    return "(" + " + ".join(f"{d}^4" for d in _offsets(np.asarray(star, dtype=float))) + ") / 24"
+
+
 def test_builtin_expressions_round_trip():
-    # a builtin's f is its expression compiled, so parsing the text back gives the same bits
+    # a builtin's f is its expression compiled, so parsing the text gives its tree and its bits
     rng = np.random.default_rng(3)
+    h2, h3 = [[2.0, 0.4], [0.4, 1.5]], [[2.0, -0.3, 0.0], [-0.3, 1.0, 0.2], [0.0, 0.2, 3.0]]
     costs = [
-        quadratic_cost(1.0, 3.0),
-        quadratic_cost([[2.0, 0.4], [0.4, 1.5]], -1.0, [0.25, -0.5]),
-        quadratic_cost([[2.0, -0.3, 0.0], [-0.3, 1.0, 0.2], [0.0, 0.2, 3.0]], 0.5,
-                       [1.0, 0.0, -2.0]),
-        quartic_cost(),
-        shifted_quartic_cost([1.5, -0.5]),
-        shifted_quartic_cost(np.linspace(-1.0, 1.0, 9)),
+        (quadratic_cost(1.0, 3.0), quadratic_text([[1.0]], 3.0, [0.0])),
+        (quadratic_cost(h2, -1.0, [0.25, -0.5]), quadratic_text(h2, -1.0, [0.25, -0.5])),
+        (quadratic_cost(h3, 0.5, [1.0, 0.0, -2.0]), quadratic_text(h3, 0.5, [1.0, 0.0, -2.0])),
+        (quartic_cost(), quartic_text([0.0])),
+        (shifted_quartic_cost([1.5, -0.5]), quartic_text([1.5, -0.5])),
+        (shifted_quartic_cost(np.linspace(-1.0, 1.0, 9)), quartic_text(np.linspace(-1.0, 1.0, 9))),
     ]
-    for cost in costs:
+    for cost, text in costs:
         theta = rng.uniform(-3, 3, (100, cost.n))
-        assert parse_cost(cost.expr, cost.n).f(theta).tobytes() == cost.f(theta).tobytes()
+        parsed = parse_cost(text, cost.n)
+        assert parsed.tree == cost.tree
+        assert parsed.f(theta).tobytes() == cost.f(theta).tobytes()
 
 
 def test_quadratic_leaves_out_zero_entries_with_the_same_bits():
@@ -125,13 +140,12 @@ def test_quadratic_leaves_out_zero_entries_with_the_same_bits():
     hmat = np.array([[2.0, 0.0, -0.3], [0.0, 1.0, 0.0], [-0.3, 0.0, 3.0]])
     star = np.array([0.5, 0.0, -1.0])
     c = quadratic_cost(hmat, 0.25, star)
-    assert c.expr.count("*theta") + c.expr.count("*(theta") == 5 and "*0.0)" not in c.expr
-    d, rows = _offsets(star), hmat.tolist()
-    every = " + ".join(f"({d[i]}*{rows[i][j]!r})*{d[j]}" for i in range(3) for j in range(3))
+    assert parse_cost(quadratic_text(hmat, 0.25, star), 3).tree == c.tree   # 5 products
+    every = quadratic_text(hmat, 0.25, star, every=True)
     theta = np.random.default_rng(6).uniform(-3, 3, (300, 3))
     theta[:100, 0], theta[50:150, 1], theta[100:200:2, 1] = 0.5, 0.0, -0.0   # d_i = +-0
     theta[120:180, 2] = -1.0
-    assert parse_cost(f"0.25 + 0.5*({every})", 3).f(theta).tobytes() == c.f(theta).tobytes()
+    assert parse_cost(every, 3).f(theta).tobytes() == c.f(theta).tobytes()
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
@@ -183,18 +197,18 @@ def test_long_flat_sum_compiles():
     # a left-nested chain of 1,499 additions: parsed, lowered and read by loops, not recursion
     parsed = parse_cost(" + ".join(["theta1"] * 1500), 1)
     assert eval_cost(parsed, [2.0]) == 3000.0
-    assert polynomial_degree(parsed.expr, 1) == 1
+    assert polynomial_degree(parsed.tree) == 1
     assert np.array_equal(parsed.f(np.array([[1.0], [-0.5]])), [1500.0, -750.0])
     assert parse_cost(" - ".join(["1"] * 1500), 1).f(np.zeros((2, 1))).tolist() == [-1498.0] * 2
 
 
 def test_builtin_degrees():
     # every builtin's f is its expression compiled, so the rule reads the builtins too
-    assert polynomial_degree(quartic_cost().expr, 1) == 4
-    assert polynomial_degree(shifted_quartic_cost([1.5, -0.5]).expr, 2) == 4
+    assert polynomial_degree(quartic_cost().tree) == 4
+    assert polynomial_degree(shifted_quartic_cost([1.5, -0.5]).tree) == 4
     for cost in (quadratic_cost(1.0, 3.0),
                  quadratic_cost([[2.0, 0.4], [0.4, 1.5]], -1.0, [0.25, -0.5])):
-        assert polynomial_degree(cost.expr, cost.n) == 2
+        assert polynomial_degree(cost.tree) == 2
 
 
 @pytest.mark.parametrize("expr, degree", [
@@ -206,21 +220,22 @@ def test_builtin_degrees():
     ("(theta1 - 1)^3 / 6 - theta2", 3),
     ("theta1 / (2 - 2^0.5)", 1),                    # a divisor that names no variable
     ("((theta1 + 1)^2)^3", 6),
-    ("theta1^2 - theta1^2", 2),                     # the rule reads syntax, not values
+    ("theta1^2 - theta1^2", 2),                     # the rule reads the tree, not values
+    ("theta1^(1 + 1)", 2),                          # the parser folds literal arithmetic
 ])
 def test_polynomial_degree(expr, degree):
-    assert polynomial_degree(expr, 2) == degree
+    assert polynomial_degree(parse_cost(expr, 2).tree) == degree
 
 
 NON_POLYNOMIALS = [
     "theta1^0.5", "theta1^-2", "1/(1 + theta1^2)", "theta1 / theta2", "2^theta1",
-    "theta1^theta2", "theta1^(1 + 1)", "theta1^0.5 * 0", "theta2 + (theta1^0.5)^2",
+    "theta1^theta2", "theta1^0.5 * 0", "theta2 + (theta1^0.5)^2",
 ]
 
 
 @pytest.mark.parametrize("expr", NON_POLYNOMIALS)
 def test_non_polynomials_have_no_degree(expr):
-    assert polynomial_degree(expr, 2) is None
+    assert polynomial_degree(parse_cost(expr, 2).tree) is None
 
 
 @pytest.mark.parametrize("opener, closer", [("(", ")"), ("-", ""), ("1^", "")])
@@ -254,7 +269,7 @@ def test_builtin_gradients_match_their_closed_forms():
             d = theta - star
             for cost, want, scale in ((quadratic, d @ hmat, np.abs(d) @ np.abs(hmat)),
                                       (quartic, d**3 / 6.0, np.abs(d) ** 3 / 6.0)):
-                assert np.all(np.abs(grad_cost(cost, theta) - want) <= 1e-14 * scale), cost.expr
+                assert np.all(np.abs(grad_cost(cost, theta) - want) <= 1e-14 * scale), cost.tree
 
 
 def _written_gradient(expr, t1, t2):
@@ -273,7 +288,7 @@ def _written_gradient(expr, t1, t2):
     }[expr]
 
 
-@pytest.mark.parametrize("expr", NON_POLYNOMIALS + ["(theta1 - 0.5)^400"])
+@pytest.mark.parametrize("expr", NON_POLYNOMIALS + ["theta1^(1 + 1)", "(theta1 - 0.5)^400"])
 def test_gradient_of_any_parsed_cost_is_exact(expr):
     cost, theta = parse_cost(expr, 2), np.array([1.25, 0.75])
     got = grad_cost(cost, theta)
@@ -289,13 +304,33 @@ def test_gradient_of_a_degree_40_polynomial_is_exact():
     assert got == pytest.approx([20.0 * 0.65**39 + 0.6], rel=1e-15, abs=0.0)
 
 
+@pytest.mark.parametrize("expr, want", [
+    ("theta1^0.5 * theta2", [np.inf, 0.0]),
+    ("theta1^0.5 + theta2", [np.inf, 1.0]),
+    ("theta2 / theta1^0.5", [-np.inf, np.inf]),
+    ("theta1^0.5 - 2^theta2", [np.inf, -4.0 * math.log(2.0)]),
+])
+def test_infinite_partial_leaves_the_others_alone(expr, want):
+    # a partial for a variable a subtree does not name is an exact 0 that no rule
+    # multiplies, so the infinite d/dtheta1 at 0 makes no inf * 0 = NaN beside it
+    assert grad_cost(parse_cost(expr, 2), [0.0, 2.0]).tolist() == want
+
+
+def test_literal_arithmetic_folds_as_it_is_parsed():
+    # a subexpression of literals is one literal in the tree every rule folds
+    assert parse_cost("theta1^(2 + 2)/24", 1).tree == parse_cost("theta1^4/24", 1).tree
+    assert parse_cost("(1 + 1)*theta1 - 2^-1", 1).tree == parse_cost("2*theta1 - 0.5", 1).tree
+    assert parse_cost("-(3 - 1)", 1).tree == ("const", -2.0)
+
+
 def test_gradient_of_a_zeroth_power_is_zero():
     assert grad_cost(parse_cost("theta1^0", 1), [0.0]).tolist() == [0.0]
 
 
 def test_cost_without_expr_gets_finite_differences():
+    # an f that carries no parse tree is a black box: only its values are known
     quartic = quartic_cost()
-    bare, theta = CostFunction(n=1, f=quartic.f), np.array([0.7])
+    bare, theta = CostFunction(n=1, f=lambda x: quartic.f(x)), np.array([0.7])
     assert grad_cost(bare, theta).tobytes() == finite_difference_gradient(quartic, theta).tobytes()
 
 
@@ -335,21 +370,27 @@ def test_negative_base_to_non_integer_power_is_nan():
 
 
 def test_even_power_of_negated_point_is_identical():
-    cost = parse_cost("theta1^4 + 2*theta2^4 + theta1^2*theta2^2 + 0.5*(theta1 - theta2)^2", 2)
     x = np.random.default_rng(4).uniform(-3, 3, (200, 2))
-    assert np.array_equal(cost.f(-x), cost.f(x))
+    # the second cost's exponents are even integer literals once the parser folds them
+    for expr in ("theta1^4 + 2*theta2^4 + theta1^2*theta2^2 + 0.5*(theta1 - theta2)^2",
+                 "theta1^-2 + theta2^(1 + 1)"):
+        cost = parse_cost(expr, 2)
+        assert np.array_equal(cost.f(-x), cost.f(x)), expr
 
 
 def test_scalar_form_travels_with_f():
-    # every compiled f carries its operations over floats as text: a record copy and a
-    # functools.wraps wrapper keep them, and any other f, a plain wrapper of the
-    # quartic's f included, has none, so the loop measures it through f itself
+    # every compiled f carries its parse tree and its operations over floats as text: a
+    # record copy and a functools.wraps wrapper keep them, and any other f, a plain
+    # wrapper of the quartic's f included, has neither, so the loop measures it through
+    # f itself
     quartic = shifted_quartic_cost([0.5, -1.0])
     f = quartic.f
     assert f.scalar == (("t0 = x0 - 0.5", "t1 = t0 ** 4.0", "t2 = x1 - (-1.0)",
                          "t3 = t2 ** 4.0", "t4 = t1 + t3", "t5 = t4 / 24.0"), "t5")
-    assert replace(quartic, expr=None).f.scalar is f.scalar
-    assert functools.wraps(f)(lambda x: f(x)).scalar is f.scalar
-    assert not hasattr(lambda x: f(x), "scalar")
+    assert replace(quartic, theta_star=None).f.scalar is f.scalar
+    wrapped = functools.wraps(f)(lambda x: f(x))
+    assert wrapped.scalar is f.scalar and wrapped.tree is f.tree
+    assert replace(quartic, f=wrapped).tree is quartic.tree is f.tree
+    assert not hasattr(lambda x: f(x), "scalar") and not hasattr(lambda x: f(x), "tree")
     assert parse_cost("theta1^4", 1).f.scalar == (("t0 = x0 ** 4.0",), "t0")
     assert parse_cost("2^3", 1).f.scalar == ((), "8.0")

@@ -402,9 +402,9 @@ def test_row_loop_matches_numpy_oracle(case):
     if system != "drift":
         # the oracle measures J through f, and its average rhs takes avg_maps, the
         # quadrature: so must the loop, which measures J through f where f carries no
-        # scalar form, and takes the quadrature for a cost without its expression
+        # scalar form, and takes the quadrature for an f without a parse tree
         f = cost.f
-        cost = replace(cost, f=lambda x: f(x), expr=None)
+        cost = replace(cost, f=lambda x: f(x))
     clamp = None if system == "gesc" else list(range(n, 2 * n))
     t1, h, stride = 0.01 * case["nsteps"], 0.01, case["stride"]
 
