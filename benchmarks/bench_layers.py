@@ -73,7 +73,15 @@ rows time:
 * ``fallback_dense8``, ``fallback_power40``: the same short run of the dense
   8-D quadratic and of (theta1/2)^40 + (theta1 - 1)^2, both over the term
   cap, at the cap the tree has: against a tree without the closed form, the
-  ratio is what trying the closed form and giving up adds to such a run.
+  ratio is what trying the closed form and giving up adds to such a run;
+* ``equilibrium_quartic``, ``equilibrium_quartic03``, ``equilibrium_rotated``:
+  one ``esc_lab.equilibrium`` search per call on the quartic above, from its
+  known minimizer; on (theta1 - 0.3)^4/24 at the same dither, from the origin;
+  and on a 2-D quadratic with Hessian eigenvalues 1 and 100 rotated by 30
+  degrees, minimizer (1, -1), at amplitudes 0.1 and rates 1, 2, from the
+  origin. A search that raises ``ConvergenceError`` ends its timing there,
+  one search in, and the row reports it as aborted, with that message: its
+  time is the time to abort.
 
 The batch rows add their cost per member-step, the radius and monitor rows
 per sample, the per-call rows per call. Labels print the node and term
@@ -161,6 +169,7 @@ CLI_RUNS = {"simulate": ("simulate", "closed_loop_fig1", []),
 # default is what runs
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 DENSE = range(2, 9)
+EQUILIBRIA = ("quartic", "quartic03", "rotated")
 POWERS = (16, 24, 28, 32, 40)
 
 
@@ -208,6 +217,7 @@ class Rows:
 
     def __init__(self, t1: float, tmp: Path):
         self.t1, self.tmp = t1, Path(tmp)
+        self.aborted = {}                               # row key -> ConvergenceError message
         self.cost = el.quartic_cost()
         self.dither = el.new_dither([0.02], [1], 10.0)
         self.params = el.EscParams(k=1.0, epsilon=0.05, omega_l=[0.25], omega_xi=1.0)
@@ -232,13 +242,16 @@ class Rows:
                  *(f"cli_{key}" for key in CLI_RUNS),
                  *(f"dense{n}" for n in DENSE), *(f"quad_dense{n}" for n in DENSE),
                  *(f"power{d}" for d in POWERS), *(f"quad_power{d}" for d in POWERS),
-                 "fallback_dense8", "fallback_power40"])
+                 "fallback_dense8", "fallback_power40",
+                 *(f"equilibrium_{case}" for case in EQUILIBRIA)])
 
     def build(self, key):
         if key.startswith("startup_"):
             return self.startup(key[len("startup_"):])
         if key.startswith("cli_"):
             return self.cli_mode(key[len("cli_"):])
+        if key.startswith("equilibrium_"):
+            return self.equilibrium(key[len("equilibrium_"):])
         for prefix in ("loop_b", "average_b", "quad_dense", "quad_power", "dense", "power"):
             if key.startswith(prefix):
                 return getattr(self, prefix)(int(key[len(prefix):]))
@@ -409,6 +422,31 @@ class Rows:
         n_q = el.PeriodQuadrature(cost, dither).n_q
         return (f"average run + build, {what} ({path}, {n_q} nodes)", run, (CALLS, "stage"))
 
+    # -- the equilibrium search ------------------------------------------------
+
+    def equilibrium(self, case):
+        c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+        rotation = np.array([[c, -s], [s, c]])
+        rotated = el.quadratic_cost(rotation @ np.diag([1.0, 100.0]) @ rotation.T, 0.0, [1, -1])
+        what, cost, dither, calls = {
+            "quartic": ("theta1^4/24 at theta*", self.cost, self.dither, CALLS),
+            "quartic03": ("(theta1 - 0.3)^4/24 from the origin",
+                          el.parse_cost("(theta1 - 0.3)^4/24", 1), self.dither, CALLS // 10),
+            "rotated": ("rotated (1, 100) quadratic from the origin",
+                        el.CostFunction(n=2, f=rotated.f), el.new_dither([0.1, 0.1], [1, 2], 10.0),
+                        1),
+        }[case]
+
+        def run():
+            for _ in range(calls):
+                try:
+                    el.equilibrium(cost, dither)
+                except el.ConvergenceError as exc:
+                    self.aborted[f"equilibrium_{case}"] = str(exc)
+                    return
+
+        return f"equilibrium, {what}", run, (calls, "search")
+
     # -- the level-set oracle --------------------------------------------------
 
     @functools.cached_property
@@ -543,6 +581,9 @@ def time_rows(rows: Rows, keys, repeats):
         row = {"key": key, "name": name, "median_ms": med, "q1_ms": q1, "q3_ms": q3}
         if per:
             row.update(per=per[1], us_per=1e6 * stats[0] / per[0])
+        if key in rows.aborted:
+            row["aborted"] = rows.aborted[key]
+            extra += f"   aborted: {rows.aborted[key]}"
         if cpu.any():
             extra += f"   children's CPU {fmt(cpu)}"
             med, q1, q3 = (1e3 * float(x) for x in cpu)
@@ -582,6 +623,10 @@ def run_against(args, keys) -> dict:
                 rows[side].append(child_row(trees[side], key, args))
         name = rows["this"][-1]["name"]
         entry = {"key": key, "name": name, "name_against": rows["against"][-1]["name"]}
+        for side in ("this", "against"):
+            if "aborted" in rows[side][-1]:
+                entry[f"aborted_{side}"] = rows[side][-1]["aborted"]
+                print(f"  {side} aborted: {rows[side][-1]['aborted']}")
         # wall time, and the children's CPU time of a row that starts processes
         for prefix, field, label in (("", "median_ms", name[:52]),
                                      ("cpu_", "cpu_median_ms", "  children's CPU")):

@@ -3,7 +3,7 @@
 
 Exports PARENT_REF with ``git archive`` into a temporary directory, then runs
 every bundled config, seeds 0 and 3 of each benchmark workload
-(``perfbench/workloads.py``, imported read-only for its config text) and twelve
+(``perfbench/workloads.py``, imported read-only for its config text) and thirteen
 bundled configs with ``--set`` overrides (2-D and 3-D builtin costs in
 ``average``; a parsed cost in ``lyapunov``, whose equilibrium search starts at
 the origin and iterates; the plain-gradient baseline in ``simulate``; a
@@ -16,8 +16,10 @@ cost's runs on closed-form maps; and in ``converge``, the quartic parsed once
 with a literal exponent and once with literal arithmetic in its exponent,
 which the parser folds to the same tree, and a cost that is no polynomial,
 which pins the rules of the jet fold over the parse tree, the gradient of
-every parsed cost, for a quotient and for a power of a non-polynomial; no
-bundled config or workload has these)
+every parsed cost, for a quotient and for a power of a non-polynomial; and in
+``converge``, a 2-D quadratic with Hessian eigenvalues 1 and 30, whose
+equilibrium search starts at the origin and takes Newton steps; no bundled
+config or workload has these)
 through ``python -m esc_lab.cli``, once from the parent's ``src`` and once
 from this checkout's, each run into its own output directory. The two trees run side
 by side, one process each. Every file either run wrote is compared byte for
@@ -79,6 +81,10 @@ OVERRIDE_RUNS = {    # label: (mode, bundled config, overrides)
     "non-polynomial cost, converge": ("converge", "quartic_converge", [
         "cost.kind=expr", "cost.expr=theta1^2 + 1/(1 + theta1^2)",
         "converge.a0=0.08,0.01,0.001,0.0001"]),
+    "2-D converge, searched eq.": ("converge", "quartic_converge", [
+        "cost.kind=expr", "cost.n=2", "cost.expr=0.5*(theta1-1)^2 + 15*(theta2+1)^2",
+        "dither.amplitudes=0.2,0.2", "dither.rates=1,2", "converge.theta=0,0",
+        "converge.a0=0.2,0.1"]),
 }
 
 sys.path.insert(0, str(ROOT / "perfbench"))

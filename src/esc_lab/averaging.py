@@ -21,7 +21,9 @@ are independent of omega itself. :func:`avg_maps`, :func:`equilibrium`,
 :func:`convergence_sweep` and the level-set oracle run on one kernel, which
 evaluates J in one cost sweep per call, over theta_bar and the n_q nodes
 together, and then sums all 2n + 1 integrands in one stacked reduction over
-reused buffers; a kernel is therefore not reentrant.
+reused buffers; a kernel is therefore not reentrant. :func:`equilibrium` finds
+the zero of g_bar by Newton's method, whose Jacobian, the node mean of
+m_i * dJ/dtheta_j, takes the gradient of J at every node in one call.
 
 The average system (:func:`average_system`) is a spec for the integrator's
 one emitted RK4 loop, and ``derivative(average_system(params, cost,
@@ -353,16 +355,19 @@ def average_system(params, cost: CostFunction, dither: DitherConfig) -> System:
 
 
 def equilibrium(cost: CostFunction, dither: DitherConfig) -> Equilibrium:
-    """Locate the average-system equilibrium by damped descent on J_bar.
+    """Locate the average-system equilibrium by Newton's method on g_bar(theta) = 0.
 
-    Starts at ``cost.theta_star``, or at the origin when none is known.
-    Backtracking line search along -g_bar with an Armijo factor of 0.5 and a
-    doubling step recovery; stops when ||g_bar|| <= 1e-10, and fails after
-    100,000 iterations or where theta_i + a_i == theta_i: there every node
-    rounds onto theta, so g_bar is exactly 0 on any cost. xi* and v* follow
-    by direct evaluation at theta*.
+    Starts at ``cost.theta_star``, or at the origin when none is known, and stops at
+    ||g_bar|| <= 1e-10 within 100 iterations. The Jacobian dg_bar_i/dtheta_j, the node mean
+    of m_i * dJ/dtheta_j(theta + s), takes one batched :func:`grad_cost` call; Newton ESC
+    estimates it online (Ghaffari, Krstic & Nesic, Automatica 48, 2012). Where the solve
+    fails or its step does not descend J_bar, whose gradient g_bar estimates, the step is
+    -g_bar; a step is halved until J_bar or ||g_bar|| falls, and the search fails once it
+    rounds away. A zero fails where theta_i + a_i == theta_i, since every node rounds onto
+    theta there and g_bar is exactly 0 on any cost, and where its Jacobian has an
+    eigenvalue of real part <= 0: a saddle or maximum of J_bar. xi* and v* follow by
+    direct evaluation at theta*.
     """
-    tol, max_iter = 1e-10, 100_000
     theta = np.zeros(cost.n) if cost.theta_star is None else np.array(cost.theta_star, dtype=float)
     quad = PeriodQuadrature(cost, dither)
     sums = _map_sums(cost, quad)
@@ -370,54 +375,48 @@ def equilibrium(cost: CostFunction, dither: DitherConfig) -> Equilibrium:
     def maps_at(th, xi=0.0):
         return _as_maps(sums(th, xi), quad)
 
-    alpha = 1.0
-    it = 0
+    def jacobian(th):
+        return quad.m @ grad_cost(cost, th + quad.s) / quad.n_q
+
+    # a Newton step cuts ||g_bar|| by about e even at a flat minimum: 100 reach 1e-10 from 1e30
+    maps, max_iter = maps_at(theta), 100
     for it in range(1, max_iter + 1):
-        maps = maps_at(theta)
-        gnorm = float(np.linalg.norm(maps.g_bar))
-        if gnorm <= tol:
-            if np.any(theta + dither.amplitudes == theta):
-                raise ConvergenceError(
-                    f"g_bar vanished at theta = {np.array2string(theta, precision=6)} after "
-                    f"{it} iterations, where theta + a rounds to theta: the dither cannot "
-                    "resolve the cost there"
-                )
+        g = maps.g_bar
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= 1e-10:
             break
-        j0 = maps.j_bar
-        # Once the true decrease per step falls below the float resolution of
-        # J_bar, the Armijo comparison reads pure round-off; in that flat
-        # regime accept on a plain gradient-norm contraction instead.
-        noise = 4.0 * np.finfo(float).eps * (1.0 + abs(j0))
-        accepted = False
-        while alpha >= 1e-18:
-            cand = theta - alpha * maps.g_bar
-            cand_maps = maps_at(cand)
-            armijo = cand_maps.j_bar <= j0 - 0.5 * alpha * gnorm * gnorm
-            flat = abs(cand_maps.j_bar - j0) <= noise
-            contracting = float(np.linalg.norm(cand_maps.g_bar)) <= 0.9 * gnorm
-            if armijo or (flat and contracting):
-                theta = cand
-                alpha = min(alpha * 2.0, 1e12)
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            raise ConvergenceError(
-                f"line search stalled at ||g_bar||={gnorm:.3e} after {it} iterations"
-            )
+        try:
+            step = np.linalg.solve(jacobian(theta), -g)
+        except np.linalg.LinAlgError:
+            step = -g
+        if not (np.all(np.isfinite(step)) and step @ g < 0):
+            step = -g
+        cand = maps_at(theta + step)
+        while not (cand.j_bar < maps.j_bar or np.linalg.norm(cand.g_bar) < gnorm):
+            if not np.isfinite(gnorm) or np.all(theta + step == theta):
+                raise ConvergenceError(
+                    f"line search stalled at ||g_bar||={gnorm:.3e} after {it} iterations")
+            step = step / 2
+            cand = maps_at(theta + step)
+        theta, maps = theta + step, cand
     else:
         raise ConvergenceError(f"no convergence within {max_iter} iterations")
 
-    final = maps_at(theta)
-    xi_star = final.j_bar
-    v_star = maps_at(theta, xi_star).g2_bar
-    return Equilibrium(
-        theta_star=theta,
-        xi_star=xi_star,
-        v_star=v_star,
-        grad_norm=float(np.linalg.norm(final.g_bar)),
-        iterations=it,
-    )
+    def vanished(why):
+        return ConvergenceError(f"g_bar vanished at theta = {np.array2string(theta, precision=6)} "
+                                f"after {it} iterations, where {why}")
+
+    if np.any(theta + dither.amplitudes == theta):
+        raise vanished("theta + a rounds to theta: the dither cannot resolve the cost there")
+    jac = jacobian(theta)
+    # NaN where a node sits on a kink of J, such as |theta1|'s at 0: then the test cannot tell
+    lowest = np.min(np.linalg.eigvals(jac).real) if np.all(np.isfinite(jac)) else np.nan
+    if lowest <= 0:
+        raise vanished(f"its Jacobian has an eigenvalue of real part {lowest:.3e}: a saddle or "
+                       "maximum of J_bar, not a minimum")
+    xi_star = maps.j_bar
+    return Equilibrium(theta_star=theta, xi_star=xi_star, v_star=maps_at(theta, xi_star).g2_bar,
+                       grad_norm=gnorm, iterations=it)
 
 
 @dataclass(frozen=True)

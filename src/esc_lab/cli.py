@@ -57,8 +57,8 @@ which J or an averaged filter target is not finite; two init.xi entries that
 would write the same CSV name; more than one init.xi entry in average,
 compare or lyapunov mode; and a quadratic report on a cost.kind other than
 quadratic or given more than one curvature or amplitude), 3 runtime abort
-(non-finite state, or an equilibrium search that stalls or outruns the
-dither's resolution).
+(non-finite state, or an equilibrium search that finds no zero of g_bar,
+outruns the dither's resolution or ends at a saddle or maximum).
 """
 
 from __future__ import annotations

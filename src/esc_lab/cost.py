@@ -59,21 +59,24 @@ def eval_cost(cost: CostFunction, theta) -> float:
 
 
 def finite_difference_gradient(cost: CostFunction, theta: np.ndarray) -> np.ndarray:
-    """Central finite differences with per-component step 1e-5 * (1 + |theta_i|)."""
+    """Central finite differences with per-component step 1e-5 * (1 + |theta_i|), at one
+    point (n,) or at each row of an (m, n) batch."""
     theta = np.asarray(theta, dtype=float)
     h = 1e-5 * (1.0 + np.abs(theta))
-    plus = theta[None, :] + np.diag(h)
-    minus = theta[None, :] - np.diag(h)
-    return (cost.f(plus) - cost.f(minus)) / (2.0 * h)
+    steps = np.where(np.eye(cost.n, dtype=bool), h[..., None, :], 0.0)   # row i steps theta_i
+    return (cost.f(theta[..., None, :] + steps) - cost.f(theta[..., None, :] - steps)) / (2.0 * h)
 
 
 def grad_cost(cost: CostFunction, theta) -> np.ndarray:
-    """Gradient of J: :func:`~esc_lab.expressions.gradient`'s jet fold over the parse tree,
-    exact up to rounding; central finite differences for an ``f`` without one."""
-    theta = _point(cost, theta)
+    """Gradient of J at one point (n,), or at each row of an (m, n) batch in one call:
+    :func:`~esc_lab.expressions.gradient`'s jet fold over the parse tree, exact up to
+    rounding; central finite differences for an ``f`` without one."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 2 or theta.shape[1] != cost.n:
+        theta = _point(cost, theta)
     if cost.tree is None:
         return finite_difference_gradient(cost, theta)
-    return gradient(cost.tree, theta)
+    return gradient(cost.tree, theta.T).T
 
 
 # ---------------------------------------------------------------------------

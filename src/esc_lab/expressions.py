@@ -514,7 +514,8 @@ def dither_expansion(tree, amplitudes, code: FloatCode, max_terms: int):
 
 
 def gradient(tree, theta) -> np.ndarray:
-    """dJ/dtheta of the parse tree ``tree`` at ``theta`` (n floats): a first-order jet fold.
+    """dJ/dtheta of the parse tree ``tree`` at ``theta`` (n floats, or the (n, m) transpose of
+    m points, for (n, m) partials): a first-order jet fold.
 
     Each node carries its value and, in float64, a partial for each variable its subtree
     names (Griewank & Walther, *Evaluating Derivatives*, ch. 13); any other is an exact 0
@@ -555,4 +556,5 @@ def gradient(tree, theta) -> np.ndarray:
 
     with np.errstate(all="ignore"):
         partials = _fold(tree, visit)[1]
-    return np.array([partials.get(i, 0.0) for i in range(len(theta))])
+    shape = np.shape(theta)[1:]
+    return np.array([np.broadcast_to(partials.get(i, 0.0), shape) for i in range(len(theta))])

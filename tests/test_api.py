@@ -129,8 +129,8 @@ def test_fixed_settings_take_no_parameter():
         assert "n_q" not in inspect.signature(func).parameters, func.__name__
     assert "tol" not in inspect.signature(lyapunov.monitor_descent).parameters
     # the equilibrium search starts at the known minimizer or the origin, with a fixed
-    # tolerance and budget; the quadrature sizes itself from the cost, in equilibrium's
-    # argument order; golden section 64 steps
+    # tolerance and a fixed cap of Newton iterations; the quadrature sizes itself from the
+    # cost, in equilibrium's argument order; golden section 64 steps
     assert list(inspect.signature(averaging.equilibrium).parameters) == ["cost", "dither"]
     assert list(inspect.signature(averaging.PeriodQuadrature).parameters) == ["cost", "dither"]
     assert list(inspect.signature(lyapunov._golden_max).parameters) == ["f", "lo", "hi"]

@@ -1,6 +1,8 @@
+import re
 from dataclasses import replace
 from functools import wraps
 from math import sqrt
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -532,13 +534,91 @@ def test_equilibrium_default_start_uses_known_minimizer():
 
 
 def test_equilibrium_failure_reported():
-    # an unbounded cost walks theta out until theta + a rounds to theta, where
-    # every node rounds onto theta and g_bar is exactly 0; theta1^3 used to
-    # "converge" at -8.8e31 after 12 iterations, theta1 at -2.8e14 after 301
+    # an unbounded cost has no zero of g_bar: J_bar falls along every step, until theta +
+    # a rounds to theta, where every node rounds onto theta and g_bar is exactly 0, or
+    # until the iterations run out (the damped descent before Newton walked theta1^3 out
+    # to -8.8e31 in 12 iterations and theta1 to -2.8e14 in 301)
     dither = new_dither([0.02], [1], 10.0)
-    for expr in ("theta1^3", "theta1"):
-        with pytest.raises(ConvergenceError, match=r"g_bar vanished at theta = \[-\d"):
+    for expr, message in (
+            ("theta1^3", "g_bar vanished at theta = [-1.968607e+17] after 62 iterations, where "
+                         "theta + a rounds to theta: the dither cannot resolve the cost there"),
+            ("theta1", "no convergence within 100 iterations")):
+        with pytest.raises(ConvergenceError, match=f"^{re.escape(message)}$"):
             equilibrium(parse_cost(expr, 1), dither)
+
+
+def test_unresolvable_start_is_reported():
+    # at theta = 1e20 every node rounds onto theta, so g_bar is exactly 0 on any cost
+    with pytest.raises(ConvergenceError, match=re.escape(
+            "g_bar vanished at theta = [1.e+20] after 1 iterations, where theta + a rounds to "
+            "theta: the dither cannot resolve the cost there")):
+        equilibrium(quadratic_cost(1.0, 0.0, [1e20]), new_dither([0.02], [1], 10.0))
+
+
+@pytest.mark.parametrize("expr, n", [("-theta1^2", 1), ("theta1^2*theta2^2 - theta1^2", 2)])
+def test_maximum_or_saddle_is_no_equilibrium(expr, n):
+    # g_bar vanishes at the origin, a maximum and a saddle of J_bar, which the search
+    # used to return as equilibria after 1 iteration
+    dither = new_dither([0.02] * n, list(range(1, n + 1)), 10.0)
+    with pytest.raises(ConvergenceError, match=re.escape(
+            f"g_bar vanished at theta = [{' '.join(['0.'] * n)}] after 1 iterations, where its "
+            "Jacobian has an eigenvalue of real part -2.000e+00: a saddle or maximum of J_bar, "
+            "not a minimum")):
+        equilibrium(parse_cost(expr, n), dither)
+
+
+def test_equilibrium_on_a_kink_of_j():
+    # the minimum of |theta1| + theta1^2 sits on its kink, and so does the node at phase 0,
+    # where the jet fold reads dJ/dtheta as NaN: the Jacobian's verdict stays open there
+    dither = new_dither([0.1], [1], 10.0)
+    eq = equilibrium(parse_cost("(theta1^2)^0.5 + theta1^2", 1), dither)
+    assert eq.theta_star.tolist() == [0.0] and eq.grad_norm == 0.0
+    # from the origin on the kink, the NaN Jacobian gives way to a -g_bar step (the damped
+    # descent before Newton ran out of its 100,000 iterations here)
+    eq = equilibrium(parse_cost("(theta1^2)^0.5 + (theta1 - 0.3)^2", 1), dither)
+    assert eq.grad_norm <= 1e-10 and 0.0 < eq.theta_star[0] < 0.3
+
+
+def test_flat_minimum_far_from_the_start_is_reached():
+    # at a minimum of degree 20 a Newton step still cuts ||g_bar|| by about e, so from
+    # ||g_bar|| = 3.8e14 at the origin the search stops within its cap, after 57 steps
+    eq = equilibrium(parse_cost("(theta1 - 5)^20", 1), new_dither([0.02], [1], 10.0))
+    assert eq.grad_norm <= 1e-10 and eq.iterations > 50
+    assert 4.7 < eq.theta_star[0] < 5.0
+
+
+def _rotated_quadratic():
+    """0.5 (theta - (1, -1))' H (theta - (1, -1)), H of eigenvalues 1 and 100 rotated by 30
+    degrees, with no known minimizer, so the search starts at the origin."""
+    c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+    rotation = np.array([[c, -s], [s, c]])
+    quadratic = quadratic_cost(rotation @ np.diag([1.0, 100.0]) @ rotation.T, 0.0, [1.0, -1.0])
+    return replace(quadratic, theta_star=None)
+
+
+@pytest.mark.parametrize("cost", [
+    _rotated_quadratic(),
+    parse_cost("0.005*(theta1 - 1)^2 + 50*(theta2 + 1)^2", 2),
+    parse_cost("0.5*(theta1 - 1)^2 + 15*(theta2 + 1)^2", 2),
+    parse_cost("(theta1 - 1)^4 + (theta2 + 1)^4 + 0.1*theta1*theta2", 2),
+    parse_cost("(theta1 - 1)^2 + 10*(theta2 - theta1^2)^2 + 0.5*(theta3 + 2)^4", 3),
+    parse_cost("theta1^2 + 1/(1 + (theta1 - 0.7)^2)", 1),
+    opaque(parse_cost("(theta1 - 1)^4 + (theta2 + 1)^4 + 0.1*theta1*theta2", 2)),
+], ids=["rotated (1, 100)", "diagonal (1e-2, 1e2)", "diagonal (1, 30)", "coupled quartic",
+        "3-D valley", "non-polynomial", "coupled quartic, black box"])
+def test_equilibrium_from_the_origin_converges_fast(cost):
+    # each of these ran into the damped descent's 100,000-iteration cap after 5-8 s
+    n = cost.n
+    dither = new_dither([0.1] * n, list(range(1, n + 1)), 10.0)
+    t0 = perf_counter()
+    eq = equilibrium(cost, dither)
+    assert perf_counter() - t0 < 0.05
+    assert eq.grad_norm <= 1e-10
+    # g_bar's Jacobian by central differences: a minimum's eigenvalues have positive real part
+    quad, h = PeriodQuadrature(cost, dither), 1e-5
+    columns = [avg_maps(cost, quad, eq.theta_star + h * e).g_bar
+               - avg_maps(cost, quad, eq.theta_star - h * e).g_bar for e in np.eye(n)]
+    assert np.all(np.linalg.eigvals(np.array(columns).T / (2 * h)).real > 0)
 
 
 def test_sweep_quadratic_estimate_is_exact():

@@ -780,11 +780,17 @@ def test_invalid_setting_error_names_the_key(mode, config, sets, message, tmp_pa
     ("quadratic_lyapunov", ["lyapunov.box_halfwidth=0"], 2,
      "error: field 'lyapunov.box_halfwidth' entries must be positive"),
     ("quartic_lyapunov", ["cost.kind=expr", "cost.expr=theta1^3"], 3,
-     "runtime abort: g_bar vanished at theta = [-"),
+     "runtime abort: g_bar vanished at theta = [-1.968607e+17] after 62 iterations, where "
+     "theta + a rounds to theta: the dither cannot resolve the cost there\n"),
     # the initial state escapes the box, which V at that state shows once the oracle is built
     ("quadratic_lyapunov", ["lyapunov.box_halfwidth=0.5"], 2,
      "error: sublevel set V_theta <= 2.00101 reaches the search box boundary "
      "(min boundary level 0.125); widen the box"),
+    # g_bar vanishes at J's maximum, which used to be taken for the equilibrium and to
+    # exit 2, asking for a wider box around it
+    ("quadratic_lyapunov", ["cost.kind=expr", "cost.expr=3 - 0.5*theta1^2"], 3,
+     "runtime abort: g_bar vanished at theta = [0.] after 1 iterations, where its Jacobian "
+     "has an eigenvalue of real part -1.000e+00: a saddle or maximum of J_bar, not a minimum\n"),
 ])
 def test_lyapunov_fails_before_it_integrates(config, sets, code, message, tmp_path, monkeypatch,
                                              capsys):
@@ -806,15 +812,36 @@ def test_lyapunov_fails_before_it_integrates(config, sets, code, message, tmp_pa
     ("lyapunov", "quartic_lyapunov"),
 ])
 def test_unresolvable_dither_exit_code_3(mode, config, tmp_path, capsys):
-    # J = theta1^3 walks the equilibrium search out to |theta| ~ 1e31, where
-    # theta + a rounds to theta and g_bar reads 0; converge used to exit 0 with
-    # v_star_max = 9.4e156, lyapunov to exit 2 asking for a wider box
+    # J = theta1^3 walks the equilibrium search out to where theta + a rounds to theta
+    # and g_bar reads 0; converge used to exit 0 there with v_star_max = 9.4e156,
+    # lyapunov to exit 2 asking for a wider box
+    where = {"converge": "[-6.318995e+26] after 22", "lyapunov": "[-1.968607e+17] after 62"}[mode]
+    message = (f"g_bar vanished at theta = {where} iterations, where theta + a rounds to theta: "
+               "the dither cannot resolve the cost there")
     with np.errstate(all="ignore"):
         code = main([mode, "--config", config, "--set", "cost.kind=expr",
                      "--set", "cost.expr=theta1^3", "--set", "time.t1=1", "--out", str(tmp_path)])
     assert code == 3
-    assert capsys.readouterr().err.startswith("runtime abort: g_bar vanished at theta = [-")
+    assert capsys.readouterr().err == f"runtime abort: {message}\n"
     assert not list(tmp_path.iterdir())
+
+
+def test_converge_searches_an_ill_conditioned_2d_equilibrium(tmp_path):
+    # from the origin, on Hessian eigenvalues 1 and 30: the damped descent before Newton
+    # exited 3 here, "no convergence within 100000 iterations", after about 6 s per a0
+    code = main(["converge", "--config", "quartic_converge", "--set", "cost.kind=expr",
+                 "--set", "cost.n=2", "--set", "cost.expr=0.5*(theta1-1)^2 + 15*(theta2+1)^2",
+                 "--set", "dither.amplitudes=0.2,0.2", "--set", "dither.rates=1,2",
+                 "--set", "converge.theta=0,0", "--set", "converge.a0=0.2,0.1",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    a0, grad_error, v_star_max = np.loadtxt(tmp_path / "converge.csv", delimiter=",",
+                                            skiprows=1).T
+    # the averaged estimate of a quadratic's gradient is exact, and at a_i = a0 / sqrt(2)
+    # the larger v* is channel 2's, a_2^2 (H_22^2 / 16 + H_11^2 / 32) with H = (1, 30)
+    assert a0.tolist() == [0.2, 0.1]
+    assert np.all(grad_error <= 1e-12)
+    assert v_star_max == pytest.approx(a0**2 / 2 * (30.0**2 / 16 + 1.0 / 32), rel=1e-12)
 
 
 @pytest.mark.parametrize("mode, config", [

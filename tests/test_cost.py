@@ -15,7 +15,7 @@ from esc_lab import (
     shifted_quartic_cost,
 )
 from esc_lab.cost import _offsets, finite_difference_gradient
-from esc_lab.expressions import MAX_NESTING, ExpressionError, polynomial_degree
+from esc_lab.expressions import MAX_NESTING, ExpressionError, gradient, polynomial_degree
 
 
 def test_quartic_values():
@@ -297,6 +297,25 @@ def test_gradient_of_any_parsed_cost_is_exact(expr):
     # the derivative for the 400th power and below 1e-9 of it for the others
     fd = finite_difference_gradient(cost, theta)
     assert np.all(np.abs(got - fd) <= 1e-4 * np.abs(got) + 1e-10), (got, fd)
+
+
+def test_gradient_folds_a_batch_of_points():
+    # every partial takes the batch's shape: a variable the tree does not name used to
+    # give a scalar 0 beside (3,) partials, and a bare variable one 1.0 for the batch
+    points = np.array([[0.5, -1.0], [2.0, 3.0], [-0.25, 1e-3]])
+    assert gradient(parse_cost("theta1^2 + 3", 2).tree, points.T).tolist() == [
+        [1.0, 4.0, -0.5], [0.0, 0.0, 0.0]]
+    assert gradient(parse_cost("theta1", 1).tree, points[:, :1].T).tolist() == [[1.0, 1.0, 1.0]]
+
+
+@pytest.mark.parametrize("expr", NON_POLYNOMIALS + ["theta1^2 + 3", "theta1*theta2^3 - theta2"])
+def test_grad_cost_of_a_batch_is_its_points_gradients(expr):
+    cost = parse_cost(expr, 2)
+    points = np.random.default_rng(5).uniform(0.25, 2.0, (16, 2))
+    for c in (cost, CostFunction(n=2, f=lambda x: cost.f(x))):     # jet fold, then black box
+        batch = grad_cost(c, points)
+        assert batch.shape == (16, 2)
+        assert batch.tobytes() == np.array([grad_cost(c, p) for p in points]).tobytes()
 
 
 def test_gradient_of_a_degree_40_polynomial_is_exact():
