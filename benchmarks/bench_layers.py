@@ -86,9 +86,14 @@ rows time:
 The batch rows add their cost per member-step, the radius and monitor rows
 per sample, the per-call rows per call. Labels print the node and term
 counts of the tree that ran. The rows that start processes (``startup_*``
-and ``cli_*``) also report the CPU time of each repeat's child, user plus
-system, from ``getrusage(RUSAGE_CHILDREN)``: the CPU time of every thread it
-ran, where the wall time shows only the longest. Every child process this
+and ``cli_*``) start each repeat's child through a small launcher
+(:data:`LAUNCHER`), a fresh interpreter that loads no numpy. It times the
+child's wall time and reads from ``os.wait4`` its CPU time, user plus system
+(the CPU time of every thread it ran, where the wall time shows only the
+longest), and its peak RSS. Linux starts a child's peak RSS at the RSS of
+the process that spawned it, so a child spawned from this script, which has
+loaded numpy, could read no less than this script's own size; spawned from
+the launcher, it reads no less than about 10 MB. Every child process this
 script starts runs without ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``
 and ``OMP_NUM_THREADS`` (the record lists them), so each tree's own BLAS
 thread default is what runs.
@@ -114,7 +119,7 @@ timings. Per row it prints each tree's median and quartiles over the
 pairs, the ratio this / TREE of the two medians, and the quartiles of the
 per-pair ratios: an unchanged row's ratio sits within them, whatever the
 host's drift between rows; a row that starts processes gets the same for
-its children's CPU time. ``--json`` writes all of it. Run from the repo
+its children's CPU time and peak RSS. ``--json`` writes all of it. Run from the repo
 root:
 
     python3 benchmarks/bench_layers.py [--t1 SECONDS] [--repeats N] [--rows KEY,...] [--json PATH]
@@ -122,13 +127,13 @@ root:
 """
 
 import argparse
+import collections
 import contextlib
 import functools
 import io
 import json
 import os
 import platform
-import resource
 import subprocess
 import sys
 import tempfile
@@ -173,24 +178,35 @@ EQUILIBRIA = ("quartic", "quartic03", "rotated")
 POWERS = (16, 24, 28, 32, 40)
 
 
-def children_cpu_s():
-    """User plus system CPU time of every child process waited for so far."""
-    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime
+# Runs ``argv[1:]`` as one child with stdout discarded, and prints the child's wall time
+# and CPU time in seconds, its peak RSS in MB and its exit code. It imports only what an
+# interpreter loads at start, so the child's peak RSS is not floored at a large parent's.
+LAUNCHER = """
+import os, sys, time
+null = os.open(os.devnull, os.O_WRONLY)
+start = time.perf_counter()
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_DUP2, null, 1)])
+_, status, usage = os.wait4(pid, 0)
+print(time.perf_counter() - start, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024,
+      os.waitstatus_to_exitcode(status))
+"""
+
+
+# what the launcher reports of one child
+Child = collections.namedtuple("Child", ["wall_s", "cpu_s", "rss_mb"])
 
 
 def timings(repeats, fn):
-    """(median, first quartile, third quartile) of ``repeats`` wall times, and the same of
-    the CPU time of the child processes each repeat waited for (zeros for a row that
-    starts none)."""
-    times, cpus = [], []
+    """(median, first quartile, third quartile) of ``repeats`` wall times of ``fn``; for a
+    row that starts a process (``fn`` returns a :class:`Child`), the same of the child's
+    wall time, CPU time and peak RSS."""
+    samples = []
     for _ in range(repeats):
-        c0 = children_cpu_s()
         t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-        cpus.append(children_cpu_s() - c0)
-    return tuple(np.percentile(x, [50, 25, 75]) for x in (times, cpus))
+        child = fn()
+        samples.append(child if isinstance(child, Child) else (time.perf_counter() - t0,))
+    return [np.percentile(column, [50, 25, 75]) for column in zip(*samples)]
 
 
 def child_env(src):
@@ -313,7 +329,7 @@ class Rows:
         lines = [f"def sweep({', '.join(r[0] for r in y)}, a0):",
                  *(f"    {line}" for line in el.dynamics._measure(self.cost, y)),
                  f"    return {', '.join(f'j{b}' for b in range(len(y)))}"]
-        namespace = {"f": self.cost.f, "array": np.array}
+        namespace = {"f": self.cost.f}
         exec("\n".join(lines), namespace)
         return ("quartic sweep, 3 rows, scalar form", repeat(namespace["sweep"],
                 *(r[0] for r in rows), shift[0]), (CALLS, "call"))
@@ -535,12 +551,18 @@ class Rows:
 
     @staticmethod
     def spawn(cmd):
-        """Run ``cmd`` in a fresh interpreter on the imported tree's src, quietly."""
+        """Run ``cmd`` in a fresh interpreter on the imported tree's src, quietly, through
+        :data:`LAUNCHER`; returns the child's wall time, CPU time and peak RSS."""
         env = child_env(Path(el.__file__).resolve().parents[1])
-        # no timeout: with one, Popen.wait polls in sleeps of up to 50 ms, which would
-        # round every timing up to that grain
-        return lambda: subprocess.run([sys.executable, *cmd], env=env, check=True,
-                                      stdout=subprocess.DEVNULL)
+
+        def run():
+            report = subprocess.run([sys.executable, "-c", LAUNCHER, sys.executable, *cmd],
+                                    env=env, check=True, capture_output=True, text=True)
+            *child, code = report.stdout.split()
+            if code != "0":
+                raise RuntimeError(f"{' '.join(cmd)} exited with {code}")
+            return Child(*map(float, child))
+        return run
 
     def startup(self, mode):
         """A fresh interpreter importing what ``mode`` loads."""
@@ -575,7 +597,7 @@ def time_rows(rows: Rows, keys, repeats):
     out, lines = [], []
     for key in keys:
         name, run, per = rows.build(key)
-        stats, cpu = timings(repeats, run)
+        stats, *child = timings(repeats, run)
         extra = f"   {1e6 * stats[0] / per[0]:.1f} us per {per[1]}" if per else ""
         med, q1, q3 = (1e3 * float(x) for x in stats)
         row = {"key": key, "name": name, "median_ms": med, "q1_ms": q1, "q3_ms": q3}
@@ -584,10 +606,14 @@ def time_rows(rows: Rows, keys, repeats):
         if key in rows.aborted:
             row["aborted"] = rows.aborted[key]
             extra += f"   aborted: {rows.aborted[key]}"
-        if cpu.any():
-            extra += f"   children's CPU {fmt(cpu)}"
+        if child:
+            cpu, rss = child
+            extra += (f"   child's CPU {fmt(cpu)}   peak RSS {rss[0]:.1f} MB "
+                      f"[{rss[1]:.1f}, {rss[2]:.1f}]")
             med, q1, q3 = (1e3 * float(x) for x in cpu)
             row.update(cpu_median_ms=med, cpu_q1_ms=q1, cpu_q3_ms=q3)
+            med, q1, q3 = (float(x) for x in rss)
+            row.update(rss_median_mb=med, rss_q1_mb=q1, rss_q3_mb=q3)
         lines.append(f"{name:56s} {fmt(stats):>30s}{extra}")
         out.append(row)
     return out, lines
@@ -627,16 +653,17 @@ def run_against(args, keys) -> dict:
             if "aborted" in rows[side][-1]:
                 entry[f"aborted_{side}"] = rows[side][-1]["aborted"]
                 print(f"  {side} aborted: {rows[side][-1]['aborted']}")
-        # wall time, and the children's CPU time of a row that starts processes
-        for prefix, field, label in (("", "median_ms", name[:52]),
-                                     ("cpu_", "cpu_median_ms", "  children's CPU")):
+        # wall time, and the child's CPU time and peak RSS of a row that starts processes
+        for prefix, field, unit, label in (("", "median_ms", "ms", name[:52]),
+                                           ("cpu_", "cpu_median_ms", "ms", "  child's CPU"),
+                                           ("rss_", "rss_median_mb", "mb", "  child's RSS, MB")):
             if field not in rows["this"][-1]:
                 continue
             this, other = ([row[field] for row in rows[side]] for side in ("this", "against"))
             ratios = quartiles([a / b for a, b in zip(this, other)])
             this, other = quartiles(this), quartiles(other)
             ratio = this["median"] / other["median"]
-            entry.update({f"{prefix}this_ms": this, f"{prefix}against_ms": other,
+            entry.update({f"{prefix}this_{unit}": this, f"{prefix}against_{unit}": other,
                           f"{prefix}ratio": ratio, f"{prefix}pair_ratios": ratios})
             print(f"{label:52s} "
                   f"{this['median']:9.3f} [{this['q1']:.3f}, {this['q3']:.3f}] "

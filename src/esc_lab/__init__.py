@@ -4,9 +4,9 @@ Importing the package loads none of its submodules. Each name in ``__all__``
 is looked up in the submodule that defines it on first access (PEP 562), so a
 program loads only what it uses: ``esc-lab simulate`` runs on ``config``,
 ``cost``, ``expressions``, ``signals``, ``dynamics``, ``integrate`` and
-``simulate``, and never loads ``averaging``, ``lyapunov``, ``quadratic`` or
-``plotting``; :mod:`esc_lab.cli` lists what each mode loads. ``from esc_lab
-import *`` binds every exported name.
+``simulate``, never on ``averaging``, ``lyapunov``, ``quadratic``,
+``plotting`` or numpy; :mod:`esc_lab.cli` lists what each mode loads.
+``from esc_lab import *`` binds every exported name.
 """
 
 from importlib import import_module

@@ -112,9 +112,9 @@ class PeriodQuadrature:
         self.n_q = n_q = (256 * r_max if degree is None
                           else max(8 * r_max, min(256 * r_max, (2 * degree + 2) * r_max + 1)))
         phases = 2.0 * np.pi * np.arange(n_q) / n_q
-        sin_rt = np.sin(dither.rates[:, None] * phases[None, :])  # (n, n_q)
-        self.s = (dither.amplitudes[:, None] * sin_rt).T
-        self.m = (2.0 / dither.amplitudes[:, None]) * sin_rt
+        sin_rt = np.sin(np.array(dither.rates)[:, None] * phases[None, :])  # (n, n_q)
+        self.s = (np.array(dither.amplitudes)[:, None] * sin_rt).T
+        self.m = (2.0 / np.array(dither.amplitudes)[:, None]) * sin_rt
         self.m2 = self.m * self.m
         self.r = np.mean(self.m2, axis=1)
 
@@ -262,7 +262,7 @@ def _closed_form_maps(cost: CostFunction, dither: DitherConfig):
     if cost.tree is None:
         return None
     n, code = cost.n, FloatCode()
-    amps, rates = dither.amplitudes.tolist(), dither.rates.tolist()
+    amps, rates = dither.amplitudes, dither.rates
     poly = dither_expansion(cost.tree, amps, code, MAX_TERMS)
     if poly is None:
         return None
@@ -406,7 +406,7 @@ def equilibrium(cost: CostFunction, dither: DitherConfig) -> Equilibrium:
         return ConvergenceError(f"g_bar vanished at theta = {np.array2string(theta, precision=6)} "
                                 f"after {it} iterations, where {why}")
 
-    if np.any(theta + dither.amplitudes == theta):
+    if np.any(theta + np.array(dither.amplitudes) == theta):
         raise vanished("theta + a rounds to theta: the dither cannot resolve the cost there")
     jac = jacobian(theta)
     # NaN where a node sits on a kink of J, such as |theta1|'s at 0: then the test cannot tell

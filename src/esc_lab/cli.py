@@ -33,9 +33,9 @@ Each mode imports only the modules it runs: importing this module loads
 config, cost, expressions, signals, dynamics, integrate and simulate, which
 simulate mode needs; average and compare add averaging (on their first
 average run), converge adds averaging, lyapunov averaging and lyapunov,
-quadratic the quadratic module and plot the plotting module. numpy's
-floating-point warnings are silenced during a run: a non-finite state, y0
-or search box ends the run with one of the errors below, which names it.
+quadratic the quadratic module and plot the plotting module; simulate and
+plot load no numpy (see README). RuntimeWarnings are silenced during a run:
+a non-finite state, y0 or search box ends the run with one of the errors below.
 
 A run uses one thread. Loaded by numpy, OpenBLAS would start nproc - 1 worker
 threads that spin for about 0.13 s of CPU each and are never given work (a
@@ -67,7 +67,10 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+import warnings
+from dataclasses import dataclass
+from itertools import chain, islice, repeat
+from math import inf
 from pathlib import Path
 
 # one thread (see the module docstring): OpenBLAS reads the variable as numpy loads.
@@ -76,10 +79,8 @@ from pathlib import Path
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
 from .config import MODES, ConfigError, ExperimentConfig, apply_overrides, load_config
-from .cost import CostFunction
+from .cost import CostFunction, point_cost
 from .dynamics import EscParams
 from .integrate import ConvergenceError, NonFiniteStateError, Trajectory, fit_step, step_grid
 from .signals import DitherConfig
@@ -99,35 +100,37 @@ _CSV_BLOCK = 128
 
 
 def write_csv(path: Path, header: list[str], table) -> Path:
-    """Write a header line, then one line per table row, values as ``.12g``;
-    formats and writes a block of rows at a time, so no text copy of the whole
-    table is held at once."""
-    table = np.asarray(table, dtype=float)
-    line = ",".join(["%.12g"] * table.shape[-1]) + "\n"
+    """Write a header line, then one line per table row (a sequence of numbers, or a row of
+    a 2-D array), ``len(header)`` values as ``.12g``; formats and writes a block of rows
+    at a time, so no text copy of the whole table is held at once."""
+    values = chain.from_iterable(table)
+    width = len(header)
+    line = ",".join(["%.12g"] * width) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), _CSV_BLOCK):
-            block = table[start:start + _CSV_BLOCK]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+        while block := tuple(islice(values, _CSV_BLOCK * width)):
+            fh.write((line * (len(block) // width)) % block)
     return path
 
 
-def write_trajectory_csv(path: Path, traj: Trajectory, cost: CostFunction, with_v: bool) -> Path:
-    """Schema: t, theta_1..theta_n, v_1..v_n, xi, J (J evaluated at theta)."""
+def write_trajectory_csv(path: Path, traj: Trajectory, cost: CostFunction, with_v: bool,
+                         member: int = 0) -> Path:
+    """Schema: t, theta_1..theta_n, v_1..v_n, xi, J, for ``member`` of a batched run; the
+    columns come from the run's records, and J at theta from :func:`point_cost`."""
     n = cost.n
-    theta = traj.states[:, :n]
-    v = traj.states[:, n : 2 * n] if with_v else np.zeros_like(theta)
-    xi = traj.states[:, 2 * n if with_v else n]
+    times, *entries = traj.columns(member)
+    theta = entries[:n]
+    v = entries[n : 2 * n] if with_v else [repeat(0.0)] * n
     header = ["t", *(f"theta_{i + 1}" for i in range(n)), *(f"v_{i + 1}" for i in range(n)),
               "xi", "J"]
-    table = np.column_stack([traj.times, theta, v, xi, np.atleast_1d(cost.f(theta))])
-    return write_csv(path, header, table)
+    return write_csv(path, header, zip(times, *theta, *v, entries[2 * n if with_v else n],
+                                       map(point_cost(cost), *theta)))
 
 
 def _gain_step(params: EscParams) -> tuple[float, str]:
     """Largest step for the filters: RK4 is stable on the real axis only for
     h * omega <= 2.785, so h <= 2.5 / omega for the fastest filter gain."""
-    gain, name = max((float(np.max(params.omega_l)), "gains.omega_l"),
+    gain, name = max((max(params.omega_l), "gains.omega_l"),
                      (float(params.omega_xi), "gains.omega_xi"))
     return 2.5 / gain, name
 
@@ -155,7 +158,7 @@ def _check_grid(grid: tuple[float, float, int], key: str, h_max: float, keys: st
 def _time_grid(cfg: ExperimentConfig, params: EscParams, dither: DitherConfig, oscillatory: bool):
     """Runs start at t = 0; returns (t1, h, record stride), checked by :func:`_check_grid`."""
     t1 = cfg.number("time.t1")
-    if not 0 < t1 < np.inf:
+    if not 0 < t1 < inf:
         raise ConfigError("field 'time.t1' must be positive and finite")
     sample_dt = cfg.number("time.sample_dt", 0.05)
     if not 0 < sample_dt <= t1:
@@ -186,8 +189,8 @@ class _Run:
     cost: CostFunction
     dither: DitherConfig
     params: EscParams
-    theta0: np.ndarray
-    v0: np.ndarray
+    theta0: tuple[float, ...]
+    v0: tuple[float, ...]
     grid: tuple[float, float, int]          # t1, h, record stride
     washouts: list[tuple[str, float]]       # (label, xi0) per init.xi entry
 
@@ -203,8 +206,8 @@ class _Run:
                               f"trajectory, got {len(self.washouts)}")
         return self.washouts[0]
 
-    def state0(self, xi0: float, with_v: bool = True) -> np.ndarray:
-        return np.concatenate([self.theta0, self.v0, [xi0]] if with_v else [self.theta0, [xi0]])
+    def state0(self, xi0: float, with_v: bool = True) -> list[float]:
+        return [*self.theta0, *self.v0, xi0] if with_v else [*self.theta0, xi0]
 
 
 def _setup(cfg: ExperimentConfig, oscillatory: bool) -> _Run:
@@ -218,15 +221,15 @@ def _setup(cfg: ExperimentConfig, oscillatory: bool) -> _Run:
         raise ConfigError("cost, dither, and gains dimensions must agree")
     n = cost.n
     theta0 = cfg.number_list("init.theta")
-    if theta0.size != n:
+    if len(theta0) != n:
         raise ConfigError(f"field 'init.theta' must have {n} entries")
     v0 = cfg.number_list("init.v", ",".join(["0"] * n))
-    if v0.size != n:
+    if len(v0) != n:
         raise ConfigError(f"field 'init.v' must have {n} entries")
-    if np.any(v0 < 0):
+    if any(v < 0 for v in v0):
         raise ConfigError("field 'init.v' entries must be nonnegative")
     grid = _time_grid(cfg, params, dither, oscillatory)
-    y0 = float(cost.f(theta0))
+    y0 = point_cost(cost)(*theta0)
     return _Run(cost, dither, params, theta0, v0, grid, cfg.initial_washouts(y0))
 
 
@@ -251,20 +254,18 @@ def _mode_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     simulate = simulate_rmspesc if with_v else simulate_gesc
     labels = [label for label, _ in run.washouts]
     names = _washout_csv_names(cfg, labels)
-    state0 = np.stack([run.state0(xi0, with_v) for _, xi0 in run.washouts])
+    state0 = [run.state0(xi0, with_v) for _, xi0 in run.washouts]
     try:
         batch = simulate(*run.system, state0, *run.grid)
     except NonFiniteStateError as exc:
         raise NonFiniteStateError(exc.t, exc.state, exc.member,
                                   f"init.xi={labels[exc.member]}") from None
     for b, (label, name) in enumerate(zip(labels, names)):
-        traj = replace(batch, states=batch.states[:, b])
-        path = write_trajectory_csv(out_dir / name, traj, run.cost, with_v)
-        final_theta = traj.states[-1, : run.cost.n]
-        print(
-            f"{algorithm} xi0={label}: wrote {path} "
-            f"({len(traj.times)} samples, final theta {np.array2string(final_theta, precision=5)})"
-        )
+        path = write_trajectory_csv(out_dir / name, batch, run.cost, with_v, member=b)
+        times, *entries = batch.columns(b)
+        final_theta = ", ".join(f"{theta[-1]:.6g}" for theta in entries[: run.cost.n])
+        print(f"{algorithm} xi0={label}: wrote {path} "
+              f"({len(times)} samples, final theta [{final_theta}])")
     print(f"{algorithm}: {batch.clamp_events} clamp events, summed over the init.xi entries")
     return 0
 
@@ -280,6 +281,8 @@ def _mode_average(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _mode_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
+    import numpy as np
+
     run = _setup(cfg, oscillatory=True)
     cost, state0 = run.cost, run.state0(run.washout[1])
     t1, h, stride = run.grid
@@ -310,17 +313,18 @@ def _mode_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _mode_quadratic(cfg: ExperimentConfig, out_dir: Path) -> int:
+    import numpy as np
     from .quadratic import QuadraticModel, quad_jacobian
 
     cfg.string("cost.kind", choices=("quadratic",))
     h = cfg.number_list("cost.h")
-    if h.size != 1:
+    if len(h) != 1:
         raise ConfigError("field 'cost.h' must be a single curvature for the quadratic report")
     a = cfg.number_list("dither.amplitudes")
-    if a.size != 1:
+    if len(a) != 1:
         raise ConfigError("field 'dither.amplitudes' must be a single amplitude for the "
                           "quadratic report")
-    model = QuadraticModel(h=float(h[0]), j_opt=cfg.number("cost.j_opt", 0.0), a=float(a[0]))
+    model = QuadraticModel(h=h[0], j_opt=cfg.number("cost.j_opt", 0.0), a=a[0])
     params = cfg.gains()
     report = quad_jacobian(model, params)
     eig = ", ".join(f"{v:.6f}" for v in report.eigenvalues)
@@ -345,11 +349,11 @@ def _mode_converge(cfg: ExperimentConfig, out_dir: Path) -> int:
     a0_list = cfg.number_list("converge.a0")
     key = "converge.theta" if cfg.has("converge.theta") else "init.theta"
     theta = cfg.number_list(key)
-    if theta.size != cost.n:
+    if len(theta) != cost.n:
         raise ConfigError(f"field {key!r} must have {cost.n} entries")
-    if np.any(a0_list <= 0) or np.any(np.diff(a0_list) >= 0):
+    if min(a0_list) <= 0 or any(b >= a for a, b in zip(a0_list, a0_list[1:])):
         raise ConfigError("field 'converge.a0' entries must be positive and strictly decreasing")
-    rows = convergence_sweep(cost, dither, theta, list(a0_list))
+    rows = convergence_sweep(cost, dither, theta, a0_list)
     path = write_csv(out_dir / "converge.csv", ["a0", "grad_error", "v_star_max"],
                      [[row.a0, row.grad_error, row.v_star_max] for row in rows])
     print(f"wrote {path} ({len(rows)} amplitudes)")
@@ -357,17 +361,17 @@ def _mode_converge(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _mode_lyapunov(cfg: ExperimentConfig, out_dir: Path) -> int:
+    import numpy as np
     from .averaging import equilibrium
     from .lyapunov import LevelSetOracle, LevelSpec, monitor_descent
 
     run = _setup(cfg, oscillatory=False)
     cost, dither = run.cost, run.dither
-    state0 = run.state0(run.washout[1])
+    state0 = np.array(run.state0(run.washout[1]))
     hw = None
     if cfg.has("lyapunov.box_halfwidth"):
         hw = cfg.number_list("lyapunov.box_halfwidth")
-        if hw.size == 1:
-            hw = np.full(cost.n, float(hw[0]))
+        hw = np.array(hw * cost.n if len(hw) == 1 else hw)
         if hw.size != cost.n:
             raise ConfigError("field 'lyapunov.box_halfwidth' must have "
                               + ("1 entry" if cost.n == 1 else f"1 or {cost.n} entries"))
@@ -428,7 +432,8 @@ def run_experiment(config_path: str, overrides: list[str], mode: str | None = No
     out.mkdir(parents=True, exist_ok=True)
     # a non-finite value aborts the run with the program's own error (a non-finite state,
     # y0 or an init.xi entry, the oracle's box check), which numpy's warnings would only echo
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
         return _HANDLERS[resolved](cfg, out)
 
 

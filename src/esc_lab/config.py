@@ -20,10 +20,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
+from math import isfinite
 from pathlib import Path
 from typing import Optional
-
-import numpy as np
 
 from .cost import CostFunction, parse_cost, quadratic_cost, quartic_cost, shifted_quartic_cost
 from .dynamics import EscParams
@@ -164,13 +163,13 @@ class ExperimentConfig:
         except ValueError:
             raise ConfigError(f"field {key!r} must be an integer, got {raw!r}") from None
 
-    def number_list(self, key: str, default: Optional[str] = None) -> np.ndarray:
+    def number_list(self, key: str, default: Optional[str] = None) -> tuple[float, ...]:
         entries = self.string_list(key, default)
         try:
-            values = np.array([float(x) for x in entries])
+            values = tuple(float(x) for x in entries)
         except ValueError:
             raise ConfigError(f"field {key!r} must be a comma-separated list of numbers") from None
-        if not np.all(np.isfinite(values)):
+        if not all(map(isfinite, values)):
             raise ConfigError(f"field {key!r} entries must be finite, "
                               f"got {self.raw(key, default)!r}")
         return values
@@ -195,10 +194,10 @@ class ExperimentConfig:
             if kind == "quadratic":
                 h = self.number_list("cost.h")
                 j_opt = self.number("cost.j_opt", 0.0)
-                if not np.isfinite(j_opt):
+                if not isfinite(j_opt):
                     raise ConfigError(f"field 'cost.j_opt' must be finite, got {j_opt!r}")
                 star = self.number_list("cost.theta_star") if self.has("cost.theta_star") else None
-                return quadratic_cost(h if h.size > 1 else float(h[0]), j_opt, star)
+                return quadratic_cost(h, j_opt, star)
             if kind == "quartic":
                 return quartic_cost()
             if kind == "shifted_quartic":
@@ -254,7 +253,7 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"field 'init.xi' entries must be numbers or '<factor>*y0', got {entry!r}"
                 ) from None
-            if not np.isfinite(xi0):
+            if not isfinite(xi0):
                 raise ConfigError(f"field 'init.xi' entry {entry!r} must be finite, got {xi0!r}")
             out.append((label, xi0))
         return out

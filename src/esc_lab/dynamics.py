@@ -36,11 +36,10 @@ for any other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
-import numpy as np
-
-from .cost import CostFunction
-from .expressions import _literal
+from .cost import CostFunction, measure_lines
+from .expressions import _floats, _literal
 from .integrate import Names, System
 from .signals import DitherConfig
 
@@ -53,25 +52,24 @@ class EscParams:
 
     k: float
     epsilon: float
-    omega_l: np.ndarray
+    omega_l: tuple[float, ...]
     omega_xi: float
 
     def __post_init__(self):
-        wl = np.atleast_1d(np.asarray(self.omega_l, dtype=float))
+        wl = _floats(self.omega_l)
         object.__setattr__(self, "omega_l", wl)
-        if not 0 < self.k < np.inf:
+        if not 0 < self.k < inf:
             raise ValueError("gain k must be positive and finite")
-        if not 0 < self.epsilon < np.inf:
+        if not 0 < self.epsilon < inf:
             raise ValueError("regularizer epsilon must be positive and finite")
-        if wl.ndim != 1 or wl.size < 1 or not np.all((wl > 0) & (wl < np.inf)):
+        if not wl or not all(0 < w < inf for w in wl):
             raise ValueError("low-pass gains omega_l must be positive and finite")
-        if not 0 < self.omega_xi < np.inf:
+        if not 0 < self.omega_xi < inf:
             raise ValueError("washout gain omega_xi must be positive and finite")
-        wl.setflags(write=False)
 
     @property
     def n(self) -> int:
-        return self.omega_l.size
+        return len(self.omega_l)
 
 
 def _check_dims(params: EscParams, cost: CostFunction, dither: DitherConfig) -> None:
@@ -82,28 +80,16 @@ def _check_dims(params: EscParams, cost: CostFunction, dither: DitherConfig) -> 
 def _dither_phase(dither: DitherConfig) -> tuple[str, ...]:
     """Lines setting, per channel i, ``s<i>`` = sin(omega r_i ts), the dither shift ``a<i>``
     = a_i s<i> and the demodulation weight ``m<i>`` = (2 / a_i) s<i>."""
-    columns = zip(range(dither.n), (dither.omega * dither.rates).tolist(),
-                  dither.amplitudes.tolist(), (2.0 / dither.amplitudes).tolist())
-    return tuple(line for i, w, a, m in columns for line in (
-        f"s{i} = sin({_literal(w)} * ts)", f"a{i} = {_literal(a)} * s{i}",
-        f"m{i} = {_literal(m)} * s{i}"))
+    columns = zip(range(dither.n), dither.rates, dither.amplitudes)
+    return tuple(line for i, r, a in columns for line in (
+        f"s{i} = sin({_literal(dither.omega * r)} * ts)", f"a{i} = {_literal(a)} * s{i}",
+        f"m{i} = {_literal(2.0 / a)} * s{i}"))
 
 
 def _measure(cost: CostFunction, y: Names) -> list[str]:
     """Lines setting ``j<b>`` to J at member b's theta, ``y[b][:n]``, shifted by the dither."""
-    n, scalar = cost.n, getattr(cost.f, "scalar", None)
-    by_f = f"float(f(array(({', '.join(f'x{i}' for i in range(n))},))))"
-    out = []
-    for b, row in enumerate(y):
-        out += [f"x{i} = {row[i]} + a{i}" for i in range(n)]
-        if scalar is None:
-            out.append(f"j{b} = {by_f}")
-        else:
-            lines, value = scalar
-            out += ["try:", *(f"    {line}" for line in lines), f"    j{b} = {value}",
-                    "except (ZeroDivisionError, OverflowError, ValueError):",  # numpy: inf or NaN
-                    f"    j{b} = {by_f}"]
-    return out
+    return [line for b, row in enumerate(y) for line in (
+        *(f"x{i} = {row[i]} + a{i}" for i in range(cost.n)), *measure_lines(cost, f"j{b}"))]
 
 
 def _normalized_rates(params: EscParams, row: list[str], out: list[str], i: int, g: str,
@@ -133,7 +119,7 @@ def rmspesc_system(params: EscParams, cost: CostFunction, dither: DitherConfig) 
         return lines
 
     return System(2 * n + 1, stage, _dither_phase(dither), tuple(range(n, 2 * n)),
-                  {"f": cost.f, "array": np.array})
+                  {"f": cost.f})
 
 
 def gesc_system(params: EscParams, cost: CostFunction, dither: DitherConfig) -> System:
@@ -149,5 +135,5 @@ def gesc_system(params: EscParams, cost: CostFunction, dither: DitherConfig) -> 
                       *(f"{out[i]} = {neg_k} * (m{i} * e)" for i in range(n)), f"{out[n]} = {wxi} * e"]
         return lines
 
-    return System(n + 1, stage, _dither_phase(dither), names={"f": cost.f, "array": np.array})
+    return System(n + 1, stage, _dither_phase(dither), names={"f": cost.f})
 

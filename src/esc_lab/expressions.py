@@ -46,8 +46,6 @@ import re
 import struct
 from math import copysign, isfinite
 
-import numpy as np
-
 __all__ = ["ExpressionError", "MAX_NESTING", "FloatCode", "compile_expression", "dither_expansion",
            "gradient", "polynomial_degree"]
 
@@ -203,6 +201,7 @@ def _fold_literals(op: str, *operands) -> float:
     if op == "neg":
         return -values[0]
     if op == "pow":
+        import numpy as np
         base, exponent = values
         with np.errstate(all="ignore"):
             return float(np.power(abs(base) if _is_even_integer(operands[1]) else base, exponent))
@@ -238,6 +237,12 @@ def _fold(tree, visit):
         if not stack:
             return value
         stack[-1][1].append(value)
+
+
+def _floats(values) -> tuple[float, ...]:
+    """A number, or a flat sequence or array of numbers, as a tuple of Python floats."""
+    values = values.tolist() if hasattr(values, "tolist") else values
+    return tuple(map(float, values)) if isinstance(values, (list, tuple)) else (float(values),)
 
 
 def _literal(value: float) -> str:
@@ -333,14 +338,19 @@ def compile_expression(text: str, n: int):
     as text the full loop inlines (``scalar``, see :func:`_emit`), also through
     ``functools.wraps``. Where numpy returns inf or NaN these floats can raise
     (ZeroDivisionError, OverflowError, or ValueError from ``math.pow``); the loop then
-    evaluates that point's J through the function itself.
+    evaluates that point's J through the function itself. Its first call loads numpy.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
     tree = _Parser(text, n).parse()
     source, constants, scalar = _emit(tree)
-    namespace = {"asarray": np.asarray, "full": np.full, "absolute": np.abs, "power": np.power,
-                 **constants}
+
+    def asarray(*args, **kwargs):               # the first call binds numpy's functions
+        import numpy as np
+        namespace.update(asarray=np.asarray, full=np.full, absolute=np.abs, power=np.power)
+        return np.asarray(*args, **kwargs)
+
+    namespace = {"asarray": asarray, **constants}
     exec(compile(source, "<cost expression>", "exec"), namespace)
     evaluate = namespace["evaluate"]
     evaluate.tree, evaluate.scalar = tree, scalar
@@ -513,7 +523,7 @@ def dither_expansion(tree, amplitudes, code: FloatCode, max_terms: int):
     return _fold(tree, visit)
 
 
-def gradient(tree, theta) -> np.ndarray:
+def gradient(tree, theta):
     """dJ/dtheta of the parse tree ``tree`` at ``theta`` (n floats, or the (n, m) transpose of
     m points, for (n, m) partials): a first-order jet fold.
 
@@ -524,6 +534,7 @@ def gradient(tree, theta) -> np.ndarray:
     any other u^v (v' ln u + v u'/u); values are the compiled function's (|u| under an
     even integer literal exponent). A derivative that is not finite reads inf or NaN.
     """
+    import numpy as np
 
     def times(s, partials):
         return {i: s * d for i, d in partials.items()}

@@ -14,9 +14,10 @@ derivative as straight-line code over scalar floats, with the gains and
 dither constants as literals. The emitted loop holds every entry of every
 member in a local variable and writes each stage out in full, in the order
 ``((p + 2q) + 2r) + s`` at the times ``t0 + j*h``, ``+ h/2`` and ``+ h``, so
-it builds no list per stage or step and records straight into the
-preallocated arrays. The bundled configs step B <= 3 members of d <= 5
-entries, where one numpy call costs more than a stage's arithmetic.
+it builds no list per stage or step and appends each sample to ``array('d')``
+records, which a :class:`Trajectory` reads as numpy arrays only when asked.
+The bundled configs step B <= 3 members of d <= 5 entries, where one numpy
+call costs more than a stage's arithmetic.
 :func:`integrate` is the only way to run a system; :func:`derivative` emits
 one stage of the same code as ``rhs(t, rows) -> rows``, for evaluating a
 system's right-hand side at given states.
@@ -31,11 +32,10 @@ mode runs its washout seeds this way; the other modes run a single state.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from math import inf, nan, pow, sin, sqrt
+from math import ceil, inf, isfinite, nan, pow, prod, sin, sqrt
 from typing import Callable, Optional
-
-import numpy as np
 
 __all__ = ["Trajectory", "NonFiniteStateError", "ConvergenceError", "System", "integrate",
            "derivative", "fit_step", "step_grid"]
@@ -49,8 +49,9 @@ class NonFiniteStateError(RuntimeError):
     (default "member <index>"); for a (d,) state it is None.
     """
 
-    def __init__(self, t: float, state: np.ndarray, member: Optional[int] = None,
+    def __init__(self, t: float, state, member: Optional[int] = None,
                  name: Optional[str] = None):
+        import numpy as np
         shown, where = state, ""
         if member is not None:
             shown = state[member]
@@ -72,17 +73,48 @@ class ConvergenceError(RuntimeError):
     """
 
 
+class _Samples:
+    """A :class:`Trajectory` field: a run's record, read as a numpy array made without a copy."""
+
+    def __set_name__(self, owner, name):
+        self.name, self.array = name, f"_{name}"
+
+    def __get__(self, traj, owner=None):
+        if traj is None:
+            raise AttributeError(self.name)           # a field without a default
+        if self.array not in traj.__dict__:
+            import numpy as np
+            traj.__dict__[self.array] = np.asarray(traj.__dict__[self.name])
+        return traj.__dict__[self.array]
+
+    def __set__(self, traj, value):
+        traj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded samples of one integration run."""
 
-    times: np.ndarray           # (m,), the recorded times
-    states: np.ndarray          # (m, d), or (m, B, d) for a batched run
+    times: _Samples = _Samples()    # (m,), the recorded times
+    states: _Samples = _Samples()   # (m, d), or (m, B, d) for a batched run
     clamp_events: int = 0       # steps on which the nonnegativity clamp fired, summed over members
 
     def __post_init__(self):
-        if len(self.times) != len(self.states):
+        if len(self.__dict__["times"]) != len(self.__dict__["states"]):
             raise ValueError("times and states must have equal length")
+
+    def __getstate__(self):             # a memoryview does not pickle; its numpy array does
+        return {"times": self.times, "states": self.states, "clamp_events": self.clamp_events}
+
+    def columns(self, member: int = 0) -> list:
+        """The times, then each state entry of ``member``, as sequences of floats, no numpy."""
+        states = self.__dict__["states"]
+        if isinstance(states, memoryview):
+            times, flat = self.__dict__["times"], states.obj
+        else:                                       # arrays a caller passed
+            times, flat, states = self.times.tolist(), self.states.ravel().tolist(), self.states
+        stride, width = prod(states.shape[1:]), states.shape[-1]
+        return [times, *(flat[member * width + i :: stride] for i in range(width))]
 
 
 def fit_step(sample_dt: float, h_max: float) -> tuple[float, int]:
@@ -90,7 +122,7 @@ def fit_step(sample_dt: float, h_max: float) -> tuple[float, int]:
 
     Recorded times then land exactly on multiples of ``sample_dt``.
     """
-    stride = max(1, int(np.ceil(sample_dt / h_max - 1e-12)))
+    stride = max(1, ceil(sample_dt / h_max - 1e-12))
     return sample_dt / stride, stride
 
 
@@ -101,7 +133,7 @@ def step_grid(t0: float, t1: float, h: float, record_stride: int) -> tuple[int, 
     than 1e-9 per step: the last step then lands on t1 instead of stopping
     short of it or overshooting it.
     """
-    if not (np.isfinite(t0) and np.isfinite(t1)):
+    if not (isfinite(t0) and isfinite(t1)):
         raise ValueError("time span must be finite")
     if not t1 > t0:
         raise ValueError("need t1 > t0")
@@ -163,7 +195,7 @@ def _compile(system: System, lines: list[str], name: str, **names):
 
 def _loop(system: System, members: int) -> list[str]:
     """The source of ``loop(state0, start, h, nsteps, stride, times, states) -> clamp
-    events``, which records every ``stride``-th step and the last."""
+    events``, which appends every ``stride``-th step and the last to the records."""
     y, z = _names("y", members, system.width), _names("z", members, system.width)
     k1, k2, k3, k4 = (_names(f"k{s}_", members, system.width) for s in range(1, 5))
     flat = [name for row in y for name in row]
@@ -190,12 +222,11 @@ def _loop(system: System, members: int) -> list[str]:
              "if total - total != 0.0:",
              f"    nonfinite(start + done * h, ({state}))",
              "if done % stride == 0 or done == nsteps:",
-             "    times[rec] = start + done * h",
-             f"    states[rec] = ({state})",
-             "    rec += 1"]
+             "    times.append(start + done * h)",
+             f"    states.extend(({state}))"]
     return ["def loop(state0, start, h, nsteps, stride, times, states):",
             f"    {state} = state0",
-            "    half, sixth, events, rec = 0.5 * h, h / 6.0, 0, 1",
+            "    half, sixth, events = 0.5 * h, h / 6.0, 0",
             "    for step in range(nsteps):",
             *(f"        {line}" for line in step),
             "    return events"]
@@ -211,23 +242,32 @@ def integrate(system: System, state0, t0: float, t1: float, h: float,
     member leaves the finite floats.
     """
     nsteps, n_rec = step_grid(t0, t1, h, record_stride)
-    y0 = np.array(state0, dtype=float, ndmin=1)
-    shape = y0.shape
-    if shape[-1] != system.width or y0.ndim > 2 or y0.size == 0:
+    shape, y0 = _shape(state0), []
+    if 0 < len(shape) < 3 and shape[-1] == system.width and shape[0]:
+        y0 = [float(x) for row in (state0 if len(shape) == 2 else [state0]) for x in row]
+    if len(y0) != prod(shape) or not y0:
         raise ValueError(f"expected flat initial state of length {system.width}, "
                          f"got shape {shape}")
 
     def nonfinite(t, values):
+        import numpy as np
         y = np.array(values).reshape(shape)
         finite = np.isfinite(y).all(axis=-1)
         if not finite.all():
             raise NonFiniteStateError(t, y, None if y.ndim == 1 else int(np.argmin(finite)))
 
-    loop = _compile(system, _loop(system, y0.size // system.width), "loop", nonfinite=nonfinite)
-    times, states = np.empty(n_rec), np.empty((n_rec, y0.size))
-    times[0], states[0] = t0, y0.ravel()
-    events = loop(y0.ravel().tolist(), t0, h, nsteps, record_stride, times, states)
-    return Trajectory(times=times, states=states.reshape(n_rec, *shape), clamp_events=events)
+    loop = _compile(system, _loop(system, len(y0) // system.width), "loop", nonfinite=nonfinite)
+    times, states = array("d", [t0]), array("d", y0)
+    events = loop(y0, t0, h, nsteps, record_stride, times, states)
+    return Trajectory(times=times, states=memoryview(states).cast("B").cast("d", (n_rec, *shape)),
+                      clamp_events=events)
+
+
+def _shape(value) -> tuple[int, ...]:
+    """``np.shape(value)`` of an array, a number or nested lists and tuples, without numpy."""
+    if isinstance(value, (list, tuple)):
+        return (len(value), *(_shape(value[0]) if value else ()))
+    return tuple(getattr(value, "shape", ()))
 
 
 def derivative(system: System) -> Callable[[float, list[list[float]]], list[list[float]]]:

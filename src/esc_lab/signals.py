@@ -11,8 +11,9 @@ frequency ``omega``, so every channel is periodic with the shared period
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite, pi
 
-import numpy as np
+from .expressions import _floats
 
 __all__ = ["DitherConfig", "new_dither", "dither_value", "demod_value"]
 
@@ -21,47 +22,47 @@ __all__ = ["DitherConfig", "new_dither", "dither_value", "demod_value"]
 class DitherConfig:
     """Validated dither setup: amplitudes a_i, integer rates r_i, base frequency omega."""
 
-    amplitudes: np.ndarray
-    rates: np.ndarray
+    amplitudes: tuple[float, ...]
+    rates: tuple[int, ...]
     omega: float
     period: float = field(init=False)
-    a0: float = field(init=False)
 
     def __post_init__(self):
-        amps = np.atleast_1d(np.asarray(self.amplitudes, dtype=float))
-        rates = np.atleast_1d(np.asarray(self.rates))
+        amps, rates = _floats(self.amplitudes), _floats(self.rates)
         object.__setattr__(self, "amplitudes", amps)
-        if amps.ndim != 1 or amps.size < 1:
+        if not amps:
             raise ValueError("amplitudes must be a non-empty 1-d sequence")
-        if rates.shape != amps.shape:
+        if len(rates) != len(amps):
             raise ValueError(
-                f"rates length {rates.size} does not match amplitudes length {amps.size}"
+                f"rates length {len(rates)} does not match amplitudes length {len(amps)}"
             )
-        if np.any(amps == 0.0) or not np.all(np.isfinite(amps)):
+        if not all(a != 0.0 and isfinite(a) for a in amps):
             raise ValueError("dither amplitudes must be non-zero finite reals")
-        if not np.all(rates == np.round(rates)):
+        if not all(r.is_integer() for r in rates):
             raise ValueError("dither rates must be integers")
-        rates = rates.astype(np.int64)
+        rates = tuple(map(int, rates))
         object.__setattr__(self, "rates", rates)
-        if np.any(rates < 1):
+        if min(rates) < 1:
             raise ValueError("dither rates must be positive integers (r_i >= 1)")
-        if len(set(rates.tolist())) != rates.size:       # np.unique would import numpy.ma
+        if len(set(rates)) != len(rates):
             raise ValueError("dither rates must be pairwise distinct")
-        if not (np.isfinite(self.omega) and self.omega > 0.0):
+        if not (isfinite(self.omega) and self.omega > 0.0):
             raise ValueError("base frequency omega must be a positive real")
         object.__setattr__(self, "omega", float(self.omega))
-        object.__setattr__(self, "period", 2.0 * np.pi / self.omega)
-        object.__setattr__(self, "a0", float(np.sqrt(np.sum(amps**2))))
-        amps.setflags(write=False)
-        rates.setflags(write=False)
+        object.__setattr__(self, "period", 2.0 * pi / self.omega)
+
+    @property
+    def a0(self) -> float:                  # ||a||, summed in numpy's order
+        import numpy as np
+        return float(np.sqrt(np.sum(np.square(self.amplitudes))))
 
     @property
     def n(self) -> int:
-        return self.amplitudes.size
+        return len(self.amplitudes)
 
     @property
     def r_max(self) -> int:
-        return int(self.rates.max())
+        return max(self.rates)
 
     @property
     def max_step(self) -> float:
@@ -72,30 +73,32 @@ class DitherConfig:
         """Rescale the overall dither magnitude, keeping the ratios a_i / a0 fixed."""
         if a0_new <= 0.0:
             raise ValueError("a0_new must be positive")
-        return DitherConfig(self.amplitudes * (a0_new / self.a0), self.rates, self.omega)
+        factor = a0_new / self.a0
+        return DitherConfig(tuple(a * factor for a in self.amplitudes), self.rates, self.omega)
 
 
 def new_dither(amplitudes, rates, omega: float) -> DitherConfig:
     """Validate and build a dither configuration."""
-    return DitherConfig(np.asarray(amplitudes, dtype=float), np.asarray(rates), omega)
+    return DitherConfig(amplitudes, rates, omega)
 
 
-def _sin_phase(cfg: DitherConfig, t) -> np.ndarray:
+def _sin_phase(cfg: DitherConfig, t):
     """sin(omega * r_i * t), shape (..., n) for t of shape (...)."""
-    return np.sin(cfg.omega * cfg.rates * np.asarray(t, dtype=float)[..., None])
+    import numpy as np
+    return np.sin(cfg.omega * np.array(cfg.rates) * np.asarray(t, dtype=float)[..., None])
 
 
-def dither_value(cfg: DitherConfig, t) -> np.ndarray:
+def dither_value(cfg: DitherConfig, t):
     """Perturbation s(t), component i equal to a_i * sin(omega * r_i * t).
 
     Broadcasts over an array of times: shape (..., n) for t of shape (...).
     """
-    return cfg.amplitudes * _sin_phase(cfg, t)
+    return _sin_phase(cfg, t) * cfg.amplitudes
 
 
-def demod_value(cfg: DitherConfig, t) -> np.ndarray:
+def demod_value(cfg: DitherConfig, t):
     """Demodulation m(t), component i equal to (2 / a_i) * sin(omega * r_i * t).
 
     Broadcasts over an array of times: shape (..., n) for t of shape (...).
     """
-    return (2.0 / cfg.amplitudes) * _sin_phase(cfg, t)
+    return _sin_phase(cfg, t) * [2.0 / a for a in cfg.amplitudes]

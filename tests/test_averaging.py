@@ -112,7 +112,7 @@ def test_g2_quadratic_in_xi_decomposition():
         quad = PeriodQuadrature(cost, dither)
         thetas = np.asarray(thetas, dtype=float)
         y_c = cost.f(thetas[:, None, :] + quad.s) - xi_ref  # (B, n_q)
-        np.testing.assert_allclose(quad.r, 2.0 / dither.amplitudes**2, rtol=1e-12)
+        np.testing.assert_allclose(quad.r, 2.0 / np.array(dither.amplitudes)**2, rtol=1e-12)
         for i in range(cost.n):
             p, q = quad.g2_coeffs(y_c, i)
             assert p.shape == q.shape == (len(thetas),)
@@ -189,7 +189,7 @@ def two_sweep_rhs(cost, quad, params, rows):
         v = [0.0 if x <= 0.0 else x for x in r[n : 2 * n]]
         d_theta = [-float(params.k) * g / (sqrt(x) + params.epsilon)
                    for g, x in zip(g_bar.tolist(), v)]
-        d_v = [l * (g2 - x) for l, g2, x in zip(params.omega_l.tolist(), g2_bar.tolist(), v)]
+        d_v = [l * (g2 - x) for l, g2, x in zip(params.omega_l, g2_bar.tolist(), v)]
         out.append(d_theta + d_v + [params.omega_xi * (j_bar - xi)])
     return out
 
@@ -351,7 +351,7 @@ def test_quadrature_tables():
     quad = PeriodQuadrature(parse_cost("theta1^4 + theta2^2", 2), dither)
     assert quad.n_q == 31
     assert quad.s.shape == (31, 2) and quad.m.shape == (2, 31)
-    np.testing.assert_allclose(quad.r, 2.0 / dither.amplitudes**2, rtol=1e-12)
+    np.testing.assert_allclose(quad.r, 2.0 / np.array(dither.amplitudes)**2, rtol=1e-12)
     with pytest.raises(ValueError, match="dimensions"):
         avg_maps(quadratic_cost(1.0), quad, [1.0])
 
@@ -439,9 +439,10 @@ def test_derived_node_count_is_exact(cost, dither, n_q):
 def trapezoid_g2(cost, dither, theta, xi, nodes):
     """g2_bar by the trapezoid rule on ``nodes`` uniform nodes, written out."""
     phases = 2.0 * np.pi * np.arange(nodes) / nodes
-    sin_rt = np.sin(dither.rates[:, None] * phases)
-    y = cost.f(theta + (dither.amplitudes[:, None] * sin_rt).T) - xi
-    m = (2.0 / dither.amplitudes[:, None]) * sin_rt
+    amps = np.array(dither.amplitudes)[:, None]
+    sin_rt = np.sin(np.array(dither.rates)[:, None] * phases)
+    y = cost.f(theta + (amps * sin_rt).T) - xi
+    m = (2.0 / amps) * sin_rt
     return np.mean((m * y) ** 2, axis=1)
 
 

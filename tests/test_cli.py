@@ -527,6 +527,40 @@ def test_each_mode_imports_only_the_modules_it_runs(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+# the two-channel settings of a 2-D cost in simulate mode
+_TWO_CHANNELS = ["dither.amplitudes=0.02,0.02", "dither.rates=1,2", "gains.omega_l=0.25,0.25",
+                 "init.theta=1.5,-1.0", "init.v=0.81,0.81"]
+
+
+def test_simulate_and_plot_never_load_numpy(tmp_path):
+    # the full loop runs on Python floats: config values are tuples of floats, the loop
+    # records into array('d') and J is the cost's scalar code, so neither mode imports
+    # numpy, for either algorithm, a builtin or a parsed cost, in one or two dimensions
+    costs = [[], ["cost.kind=quadratic", "cost.h=1,2", *_TWO_CHANNELS],
+             ["cost.kind=expr", "cost.n=2", "cost.expr=theta1^4 + 2*theta2^4 + "
+              "theta1^2*theta2^2 + 0.5*(theta1 - theta2)^2", *_TWO_CHANNELS]]
+    # the plain-gradient loop has no normalization: the 2-D costs need a smaller gain
+    algorithms = [["algorithm=rmspesc"], ["algorithm=gesc", "gains.k=0.001"]]
+    runs = [["simulate", *algorithm, "time.t1=1", *sets] for algorithm in algorithms
+            for sets in costs]
+    runs.append(["plot", f"plot.csv={tmp_path / 'trajectory_xi0_y0.csv'}",
+                 "plot.columns=theta_1,xi"])
+    script = (
+        "import sys\n"
+        "from esc_lab.cli import main\n"
+        f"for mode, *sets in {runs!r}:\n"
+        "    args = [f'--set={kv}' for kv in sets]\n"
+        f"    code = main([mode, '--config', 'quartic_fig1', *args, '--out', {str(tmp_path)!r}])\n"
+        "    assert code == 0, (mode, sets, code)\n"
+        "    assert 'numpy' not in sys.modules, (mode, sets)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 

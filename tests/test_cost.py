@@ -105,7 +105,8 @@ def test_parse_quadratic_matches_builtin():
 
 def quadratic_text(hmat, j_opt, star, every=False):
     """The builtin quadratic's expression, as README states it; with ``every``, zero entries too."""
-    d, rows = _offsets(np.asarray(star, dtype=float)), np.asarray(hmat, dtype=float).tolist()
+    star = tuple(np.asarray(star, dtype=float).tolist())
+    d, rows = _offsets(star), np.asarray(hmat, dtype=float).tolist()
     products = " + ".join(f"({d[i]}*{rows[i][j]!r})*{d[j]}" for i in range(len(rows))
                           for j in range(len(rows)) if every or rows[i][j] != 0.0)
     return f"{float(j_opt)!r} + 0.5*({products})"
@@ -113,7 +114,8 @@ def quadratic_text(hmat, j_opt, star, every=False):
 
 def quartic_text(star):
     """The builtin shifted quartic's expression, as README states it."""
-    return "(" + " + ".join(f"{d}^4" for d in _offsets(np.asarray(star, dtype=float))) + ") / 24"
+    star = tuple(np.asarray(star, dtype=float).tolist())
+    return "(" + " + ".join(f"{d}^4" for d in _offsets(star)) + ") / 24"
 
 
 def test_builtin_expressions_round_trip():

@@ -54,7 +54,7 @@ def test_grad_estimate_zero_residual():
     dither = new_dither([0.2], [1], 10.0)
     t = 0.123
     theta = np.array([0.7])
-    s = dither.amplitudes * np.sin(dither.omega * t)
+    s = np.array(dither.amplitudes) * np.sin(dither.omega * t)
     xi = float(cost.f(theta + s))
     np.testing.assert_allclose(grad_estimate(t, theta, xi, cost, dither), [0.0], atol=1e-15)
 
@@ -134,7 +134,8 @@ def test_estimate_linear_in_xi_with_demod_slope():
         xi1, xi2 = rng.uniform(-3, 3, 2)
         g1 = grad_estimate(t, theta, xi1, cost, dither)
         g2 = grad_estimate(t, theta, xi2, cost, dither)
-        m = (2.0 / dither.amplitudes) * np.sin(dither.omega * dither.rates * t)
+        phase = np.sin(dither.omega * np.array(dither.rates) * t)
+        m = (2.0 / np.array(dither.amplitudes)) * phase
         np.testing.assert_allclose(g1 - g2, m * (xi2 - xi1), rtol=1e-10, atol=1e-12)
 
 

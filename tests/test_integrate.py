@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -61,6 +63,16 @@ def test_step_count_and_final_time():
     nsteps = round(2.0 / 0.125)
     assert len(traj.times) == nsteps + 1
     assert abs(traj.times[-1] - 2.0) <= 0.125 * 1e-9
+
+
+def test_trajectory_pickles_and_copies():
+    # a run's records are array('d') behind a memoryview, which does not pickle
+    traj = integrate(DECAY, [[1.0], [2.0]], 0.0, 1.0, 0.1, record_stride=5)
+    for copied in (pickle.loads(pickle.dumps(traj)), copy.deepcopy(traj)):
+        np.testing.assert_array_equal(copied.times, traj.times)
+        np.testing.assert_array_equal(copied.states, traj.states)
+        assert copied.states.shape == (3, 2, 1) and copied.clamp_events == traj.clamp_events
+        assert list(copied.columns(1)[1]) == list(traj.columns(1)[1])
 
 
 def test_record_stride():
@@ -307,8 +319,9 @@ def stage_rhs(system):
 def numpy_rhs(system, params, cost, dither, drift=None):
     """The rhs of ``system`` on (..., d) arrays; "drift" returns the constant ``drift``."""
     n = params.n
-    k, eps, wl, wxi = params.k, params.epsilon, params.omega_l, params.omega_xi
-    amps, freqs, demod = dither.amplitudes, dither.omega * dither.rates, 2.0 / dither.amplitudes
+    k, eps, wl, wxi = params.k, params.epsilon, np.array(params.omega_l), params.omega_xi
+    amps, rates = np.array(dither.amplitudes), np.array(dither.rates)
+    freqs, demod = dither.omega * rates, 2.0 / amps
     quad = PeriodQuadrature(cost, dither)
 
     def average_row(y):

@@ -125,8 +125,10 @@ def walk(node, x):
     a, b = walk(node[1], x), walk(node[2], x)
     if op != "pow":
         return _BINARY[op][1](a, b)
-    if node[2][0] == "const" and node[2][1] % 2 == 0:
-        value = np.power(np.abs(a), b)     # an even integer literal exponent raises |base|
+    # an even integer literal exponent raises |base|; the parser folds a literal-only
+    # exponent such as -(2.0) to one literal, which the walk computes as a Python float
+    if type(b) is float and b.is_integer() and b % 2 == 0:
+        value = np.power(np.abs(a), b)
     else:
         value = np.power(a, b)
     # a power of two literals folds to a Python float, as compiling folds it
@@ -157,6 +159,9 @@ def _parsed(tree, n):
 @settings(deadline=None)
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
     expression_trees(n), arrays(float, st.tuples(st.integers(1, 4), st.just(n)), elements=coords))))
+# (((theta1)^(0.5))^(1.0))^(-(2.0)) at -1: the NaN's sign bit is the even exponent's
+@example(tree_and_points=(("pow", ("pow", ("pow", ("var", 0), ("const", 0.5)), ("const", 1.0)),
+                           ("neg", ("const", 2.0))), np.array([[-1.0]])))
 def test_compiled_expression_matches_tree_walk(tree_and_points):
     tree, x = tree_and_points
     cost = _parsed(tree, x.shape[1])

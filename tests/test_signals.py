@@ -57,7 +57,8 @@ def test_periodicity_on_grid():
         )
         # a scalar time gives the per-channel formula's bits; a time array gives one row per time
         s = dither_value(cfg, t)
-        assert np.array_equal(s, cfg.amplitudes * np.sin(cfg.omega * cfg.rates * t))
+        phase = np.sin(cfg.omega * np.array(cfg.rates) * t)
+        assert np.array_equal(s, np.array(cfg.amplitudes) * phase)
         assert np.array_equal(s_batch[k], s)
         assert np.array_equal(m_batch[k], demod_value(cfg, t))
 
@@ -89,7 +90,7 @@ def test_scaled_preserves_ratios():
     small = cfg.scaled(0.05)
     assert small.a0 == pytest.approx(0.05, rel=1e-12)
     np.testing.assert_allclose(
-        small.amplitudes / small.a0, cfg.amplitudes / cfg.a0, rtol=1e-12
+        np.array(small.amplitudes) / small.a0, np.array(cfg.amplitudes) / cfg.a0, rtol=1e-12
     )
     assert small.omega == cfg.omega
     np.testing.assert_array_equal(small.rates, cfg.rates)
